@@ -611,11 +611,9 @@ struct ShardedRecord {
     /// at least as fast; the acceptance bar is ≥ 0.95 (row-order shard
     /// streaming must cost at most 5% over the monolithic sweep).
     rel_throughput: f64,
-    /// One-off cost of `ShardedCsr::from_csr` at this shard count — what
-    /// the *knob route* (`LSBP_SHARDS` / `with_shards` on a `CsrMatrix`
-    /// front door) pays per call before solving; the `*_on` operator
-    /// route pays it once at layout-build time. Recorded so the
-    /// "sharding is free" read-out stays honest about the conversion.
+    /// One-off cost of `ShardedCsr::from_csr` at this shard count — paid
+    /// once when the layout is built, before any `*_on` call. Recorded so
+    /// the "sharding is free" read-out stays honest about the conversion.
     build_secs: f64,
     identical: bool,
 }
@@ -934,58 +932,6 @@ fn run_out_of_core_suite(
         }
     }
     let _ = std::fs::remove_file(&path);
-}
-
-/// `gather_dot4` exactly as shipped, minus the software prefetch hints —
-/// the "before" half of the gather-prefetch measurement. Identical lane
-/// structure, so the result is bit-for-bit the hinted kernel's.
-fn gather_dot4_no_prefetch(idx: &[u32], w: &[f64], x: &[f64]) -> f64 {
-    let mut acc = [0.0f64; 4];
-    let mut ic = idx.chunks_exact(4);
-    let mut wc = w.chunks_exact(4);
-    for (ii, ww) in (&mut ic).zip(&mut wc) {
-        for l in 0..4 {
-            acc[l] += ww[l] * x[ii[l] as usize];
-        }
-    }
-    for (l, (&i, &v)) in ic.remainder().iter().zip(wc.remainder()).enumerate() {
-        acc[l] += v * x[i as usize];
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
-
-/// Full-matrix SpMV via per-row gathers, with and without the software
-/// prefetch hints in the gather loop — the before/after line for the
-/// gather-prefetch change. Returns (without_secs, with_secs, identical).
-fn bench_gather_prefetch(graph: &Graph, reps: usize) -> (f64, f64, bool) {
-    let adj = graph.adjacency();
-    let n = adj.n_rows();
-    let x: Vec<f64> = (0..n).map(|i| (i % 23) as f64 * 0.03 - 0.31).collect();
-    type GatherFn = dyn Fn(&[u32], &[f64], &[f64]) -> f64;
-    let sweep = |gather: &GatherFn, y: &mut [f64]| {
-        for (r, yr) in y.iter_mut().enumerate() {
-            *yr = gather(adj.row_cols(r), adj.row_values(r), &x);
-        }
-    };
-    let best_of = |f: &mut dyn FnMut()| {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(3) {
-            let (_, d) = time_once(&mut *f);
-            best = best.min(d.as_secs_f64());
-        }
-        best
-    };
-    let mut y_without = vec![0.0; n];
-    let mut y_with = vec![0.0; n];
-    sweep(&gather_dot4_no_prefetch, &mut y_without);
-    sweep(&lsbp_linalg::simd::gather_dot4, &mut y_with);
-    let identical = y_without
-        .iter()
-        .zip(&y_with)
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    let without_secs = best_of(&mut || sweep(&gather_dot4_no_prefetch, &mut y_without));
-    let with_secs = best_of(&mut || sweep(&lsbp_linalg::simd::gather_dot4, &mut y_with));
-    (without_secs, with_secs, identical)
 }
 
 /// One sequential-vs-coalesced serving measurement: the same `q` LinBP
@@ -1703,7 +1649,6 @@ fn main() {
     let mut frontier_records = Vec::new();
     let mut sharded_records = Vec::new();
     let mut out_of_core_records = Vec::new();
-    let mut gather_prefetch: Option<(f64, f64, bool)> = None;
     let mut serving_records = Vec::new();
     let robustness_queries = arg_usize("--robust-q", 16).max(4);
     let mut robustness_records = Vec::new();
@@ -1754,9 +1699,6 @@ fn main() {
             0.0005,
             reps,
         );
-        if exp == m {
-            gather_prefetch = Some(bench_gather_prefetch(&graph, reps));
-        }
         run_serving_suite(
             &mut serving_records,
             &label,
@@ -2173,20 +2115,8 @@ fn main() {
     json.push_str("    ]\n  },\n");
     // Resident CsrMatrix vs. the spilled PagedCsr behind the budgeted
     // buffer pool (single-threaded, fused LinBP + SpMM), with the
-    // paged-equals-resident bitwise check inline, plus the before/after
-    // line for the software prefetch hints in the gather loops.
+    // paged-equals-resident bitwise check inline.
     json.push_str("  \"out_of_core\": {\n    \"iters_per_measurement\": 5,\n    \"shards\": 8,\n");
-    if let Some((without_secs, with_secs, identical)) = gather_prefetch {
-        json.push_str(&format!(
-            "    \"gather_prefetch\": {{\"graph\": \"kronecker_m{m}\", \
-             \"without_hint_secs\": {}, \"with_hint_secs\": {}, \"speedup\": {}, \
-             \"identical\": {}}},\n",
-            json_f64(without_secs),
-            json_f64(with_secs),
-            json_f64(without_secs / with_secs),
-            identical
-        ));
-    }
     json.push_str("    \"results\": [\n");
     for (i, r) in out_of_core_records.iter().enumerate() {
         json.push_str(&format!(

@@ -37,17 +37,14 @@ use lsbp_sparse::{CsrMatrix, FrontierState, FusedLinBpStep, PropagationOperator}
 /// seed-sets in one pass: one stacked SpMM per iteration, per-query
 /// convergence masks. Returns one [`LinBpResult`] per query, each bitwise
 /// identical to what [`crate::linbp::linbp`] returns for that query
-/// alone. Honors the shard knob on `opts.parallelism` like
-/// [`crate::linbp::linbp`].
+/// alone.
 pub fn linbp_batch(
     adj: &CsrMatrix,
     queries: &[ExplicitBeliefs],
     h_residual: &Mat,
     opts: &LinBpOptions,
 ) -> Result<Vec<LinBpResult>, LinBpError> {
-    crate::with_operator(adj, &opts.parallelism, |op| {
-        linbp_batch_run_on(op, queries, h_residual, opts, true)
-    })
+    linbp_batch_run_on(adj, queries, h_residual, opts, true)
 }
 
 /// [`linbp_batch`] without the echo-cancellation term (**LinBP\***,
@@ -58,13 +55,10 @@ pub fn linbp_star_batch(
     h_residual: &Mat,
     opts: &LinBpOptions,
 ) -> Result<Vec<LinBpResult>, LinBpError> {
-    crate::with_operator(adj, &opts.parallelism, |op| {
-        linbp_batch_run_on(op, queries, h_residual, opts, false)
-    })
+    linbp_batch_run_on(adj, queries, h_residual, opts, false)
 }
 
-/// [`linbp_batch`] against any [`PropagationOperator`] — the operator is
-/// used as given (no re-sharding).
+/// [`linbp_batch`] against any [`PropagationOperator`].
 pub fn linbp_batch_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     queries: &[ExplicitBeliefs],
@@ -443,18 +437,16 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for RwrBatchIteration<'_, A> 
 /// Runs [`crate::rwr::rwr`] on `q` independent seed-sets in one pass: all
 /// `q · k` per-class walks diffuse through a single SpMM per iteration,
 /// with per-walk convergence masks. Returns one [`RwrResult`] per query,
-/// each bitwise identical to the standalone run. Honors the shard knob on
-/// `opts.parallelism` like [`crate::rwr::rwr`].
+/// each bitwise identical to the standalone run.
 pub fn rwr_batch(
     adj: &CsrMatrix,
     queries: &[ExplicitBeliefs],
     opts: &RwrOptions,
 ) -> Result<Vec<RwrResult>, RwrError> {
-    crate::with_operator(adj, &opts.parallelism, |op| rwr_batch_on(op, queries, opts))
+    rwr_batch_on(adj, queries, opts)
 }
 
-/// [`rwr_batch`] against any [`PropagationOperator`] — the operator is
-/// used as given (no re-sharding).
+/// [`rwr_batch`] against any [`PropagationOperator`].
 pub fn rwr_batch_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     queries: &[ExplicitBeliefs],
@@ -558,8 +550,7 @@ pub fn rwr_batch_on<A: PropagationOperator + ?Sized>(
 /// `previous` and `deltas` are parallel slices (pair `j` = query `j`);
 /// `echo` selects LinBP (Eq. 6) vs. LinBP\* (Eq. 7), and divergent delta
 /// runs are returned as-is without touching the previous beliefs, exactly
-/// like the per-query function. Honors the shard knob on
-/// `opts.parallelism`.
+/// like the per-query function.
 pub fn linbp_update_batch(
     adj: &CsrMatrix,
     previous: &[&BeliefMatrix],
@@ -568,14 +559,11 @@ pub fn linbp_update_batch(
     opts: &LinBpOptions,
     echo: bool,
 ) -> Result<Vec<LinBpResult>, LinBpError> {
-    crate::with_operator(adj, &opts.parallelism, |op| {
-        linbp_update_batch_on(op, previous, deltas, h_residual, opts, echo)
-    })
+    linbp_update_batch_on(adj, previous, deltas, h_residual, opts, echo)
 }
 
-/// [`linbp_update_batch`] against any [`PropagationOperator`] — the
-/// operator is used as given (no re-sharding), which is what a serving
-/// deployment holding a prebuilt [`lsbp_sparse::ShardedCsr`] in its graph
+/// [`linbp_update_batch`] against any [`PropagationOperator`] — what a
+/// serving deployment holding a prebuilt paged operator in its graph
 /// registry calls on the cache-patching path.
 pub fn linbp_update_batch_on<A: PropagationOperator + ?Sized>(
     adj: &A,

@@ -61,40 +61,21 @@ pub mod metrics;
 pub mod rwr;
 pub mod sbp;
 
-/// Runs `f` against the graph operator the execution config selects for a
-/// monolithic CSR input: the matrix itself when `cfg.shards() <= 1`, or a
-/// freshly built [`lsbp_sparse::ShardedCsr`] with that many nnz-balanced
-/// row-range shards otherwise. This is how the shard-count knob on
-/// [`ParallelismConfig`] reaches every `CsrMatrix`-taking entry point;
-/// callers that already hold a sharded (or otherwise exotic) operator use
-/// the `*_on` variants directly and skip the conversion. Results are
-/// bitwise identical either way — the knob only changes the storage
-/// layout the solve streams through.
-pub(crate) fn with_operator<R>(
-    adj: &lsbp_sparse::CsrMatrix,
-    cfg: &ParallelismConfig,
-    f: impl FnOnce(&dyn lsbp_sparse::PropagationOperator) -> R,
-) -> R {
-    if cfg.shards() > 1 {
-        f(&lsbp_sparse::ShardedCsr::from_csr(adj, cfg.shards()))
-    } else {
-        f(adj)
-    }
-}
-
 /// Spills `adj` to `path` as an on-disk shard store and opens it as a
-/// [`lsbp_sparse::PagedCsr`] configured from `cfg`: the shard count comes
-/// from `cfg.shards()` (at least 1) and the buffer-pool byte budget from
-/// `cfg.memory_budget()` (unbudgeted when the knob is unset). The
-/// returned operator plugs into every `*_on` entry point —
-/// `linbp_on(&paged, …)` is the out-of-core LinBP path — and is bitwise
-/// identical to solving on the in-memory matrix at any budget.
+/// [`lsbp_sparse::PagedCsr`] configured from `cfg`: the buffer-pool byte
+/// budget is `cfg.memory_budget()` (unbudgeted when the knob is unset),
+/// and the shard count follows from it — enough shards that two fit the
+/// pool ([`lsbp_sparse::PagedOptions::spill_shards`]; one when
+/// unbudgeted). The returned operator plugs into every `*_on` entry
+/// point — `linbp_on(&paged, …)` is the out-of-core LinBP path — and is
+/// bitwise identical to solving on the in-memory matrix at any budget.
 pub fn spill_paged(
     adj: &lsbp_sparse::CsrMatrix,
     path: impl AsRef<std::path::Path>,
     cfg: &ParallelismConfig,
 ) -> Result<lsbp_sparse::PagedCsr, lsbp_sparse::ShardFileError> {
-    lsbp_sparse::PagedCsr::spill(adj, path, cfg.shards().max(1), paged_options(cfg))
+    let opts = paged_options(cfg);
+    lsbp_sparse::PagedCsr::spill(adj, path, opts.spill_shards(adj), opts)
 }
 
 /// Opens an existing shard store (written by [`spill_paged`] or
@@ -145,7 +126,7 @@ pub mod prelude {
     };
     pub use lsbp_sparse::{
         PagedCsr, PagedOptions, PagerStats, PropagationOperator, ShardFile, ShardFileError,
-        ShardedCsr,
+        ShardSource, ShardedCsr,
     };
 }
 

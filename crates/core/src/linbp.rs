@@ -116,36 +116,31 @@ impl std::error::Error for LinBpError {}
 ///
 /// `h_residual` is the scaled residual coupling matrix `Ĥ = εH·Ĥo`.
 ///
-/// When `opts.parallelism` carries a shard count above 1 the adjacency is
-/// first re-sharded into that many nnz-balanced row-range blocks
-/// ([`lsbp_sparse::ShardedCsr`]) and the solve streams through them —
-/// bitwise identical to the monolithic path at any shard count. Callers
-/// that already hold a sharded operator should use [`linbp_on`] and skip
-/// the conversion.
+/// To solve on a sharded or paged layout, build the operator once
+/// ([`lsbp_sparse::ShardedCsr::from_csr`], [`crate::spill_paged`]) and
+/// call [`linbp_on`] — bitwise identical to this monolithic path.
 pub fn linbp(
     adj: &CsrMatrix,
     explicit: &ExplicitBeliefs,
     h_residual: &Mat,
     opts: &LinBpOptions,
 ) -> Result<LinBpResult, LinBpError> {
-    run(adj, explicit, h_residual, opts, true)
+    linbp_on(adj, explicit, h_residual, opts)
 }
 
-/// Runs **LinBP\*** (Eq. 7, echo cancellation dropped). Honors the shard
-/// knob like [`linbp`].
+/// Runs **LinBP\*** (Eq. 7, echo cancellation dropped).
 pub fn linbp_star(
     adj: &CsrMatrix,
     explicit: &ExplicitBeliefs,
     h_residual: &Mat,
     opts: &LinBpOptions,
 ) -> Result<LinBpResult, LinBpError> {
-    run(adj, explicit, h_residual, opts, false)
+    linbp_star_on(adj, explicit, h_residual, opts)
 }
 
 /// [`linbp`] against any [`PropagationOperator`] — the generic engine
-/// entry point. The operator is used as given (no re-sharding, whatever
-/// `opts.parallelism.shards()` says); results are bitwise identical for
-/// every backend honoring the operator contract.
+/// entry point. Results are bitwise identical for every backend honoring
+/// the operator contract.
 pub fn linbp_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     explicit: &ExplicitBeliefs,
@@ -298,16 +293,6 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpIteration<'_, A> {
     }
 }
 
-fn run(
-    adj: &CsrMatrix,
-    explicit: &ExplicitBeliefs,
-    h_residual: &Mat,
-    opts: &LinBpOptions,
-    echo: bool,
-) -> Result<LinBpResult, LinBpError> {
-    run_observed(adj, explicit, h_residual, opts, echo, |_| {})
-}
-
 /// [`linbp`] / [`linbp_star`] (`echo` selects Eq. 6 vs. Eq. 7) with a
 /// per-iteration observer: `observer` fires after every update round with
 /// the round number and belief delta — the instrumentation hook behind
@@ -320,23 +305,7 @@ pub fn linbp_observed(
     echo: bool,
     observer: impl FnMut(&IterationEvent),
 ) -> Result<LinBpResult, LinBpError> {
-    run_observed(adj, explicit, h_residual, opts, echo, observer)
-}
-
-/// The monolithic-input front door: applies the shard knob (re-sharding
-/// the CSR when `opts.parallelism.shards() > 1`), then runs the generic
-/// engine.
-fn run_observed(
-    adj: &CsrMatrix,
-    explicit: &ExplicitBeliefs,
-    h_residual: &Mat,
-    opts: &LinBpOptions,
-    echo: bool,
-    observer: impl FnMut(&IterationEvent),
-) -> Result<LinBpResult, LinBpError> {
-    crate::with_operator(adj, &opts.parallelism, |op| {
-        run_observed_on(op, explicit, h_residual, opts, echo, observer)
-    })
+    run_observed_on(adj, explicit, h_residual, opts, echo, observer)
 }
 
 /// The solver core, generic over the storage backend.
@@ -433,7 +402,7 @@ pub fn linbp_update(
     if previous.n() != delta_explicit.n() || previous.k() != delta_explicit.k() {
         return Err(LinBpError::DimensionMismatch);
     }
-    let delta_run = run(adj, delta_explicit, h_residual, opts, echo)?;
+    let delta_run = run_observed_on(adj, delta_explicit, h_residual, opts, echo, |_| {})?;
     if delta_run.diverged {
         return Ok(delta_run);
     }

@@ -172,18 +172,16 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for RwrWalk<'_, A> {
 ///
 /// Labels are read from `explicit` as the per-node argmax of the residual
 /// row (the usual one-hot labeling); mixed/soft labels contribute to every
-/// class with positive residual mass. Honors the shard knob on
-/// `opts.parallelism` like [`crate::linbp::linbp`].
+/// class with positive residual mass.
 pub fn rwr(
     adj: &CsrMatrix,
     explicit: &ExplicitBeliefs,
     opts: &RwrOptions,
 ) -> Result<RwrResult, RwrError> {
-    crate::with_operator(adj, &opts.parallelism, |op| rwr_on(op, explicit, opts))
+    rwr_on(adj, explicit, opts)
 }
 
-/// [`rwr`] against any [`PropagationOperator`] — the operator is used as
-/// given (no re-sharding).
+/// [`rwr`] against any [`PropagationOperator`].
 pub fn rwr_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     explicit: &ExplicitBeliefs,

@@ -151,8 +151,7 @@ pub fn sbp(
 /// layer's nodes recompute independently: the parallel path computes them
 /// into disjoint blocks of a per-layer staging buffer and copies the rows
 /// back serially. Each node runs exactly the serial [`recompute_belief`],
-/// so results are bitwise identical for any thread count. Honors the
-/// shard knob on `cfg` like [`crate::linbp::linbp`].
+/// so results are bitwise identical for any thread count.
 pub fn sbp_with(
     adj: &CsrMatrix,
     explicit: &ExplicitBeliefs,
@@ -162,8 +161,7 @@ pub fn sbp_with(
     sbp_observed(adj, explicit, h_residual, cfg, |_| {})
 }
 
-/// [`sbp_with`] against any [`PropagationOperator`] — the operator is
-/// used as given (no re-sharding).
+/// [`sbp_with`] against any [`PropagationOperator`].
 pub fn sbp_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     explicit: &ExplicitBeliefs,
@@ -258,9 +256,7 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for SbpLayers<'_, A> {
 
 /// [`sbp_with`] with a per-layer observer: `observer` fires after every
 /// BFS layer (the paper's "iterations" in Fig. 7d), letting harnesses
-/// time layers without owning the sweep. Applies the shard knob on `cfg`
-/// (re-sharding the CSR when `cfg.shards() > 1`), then runs the generic
-/// engine.
+/// time layers without owning the sweep.
 pub fn sbp_observed(
     adj: &CsrMatrix,
     explicit: &ExplicitBeliefs,
@@ -268,9 +264,7 @@ pub fn sbp_observed(
     cfg: &ParallelismConfig,
     observer: impl FnMut(&IterationEvent),
 ) -> Result<SbpResult, SbpError> {
-    crate::with_operator(adj, cfg, |op| {
-        sbp_observed_on(op, explicit, h_residual, cfg, observer)
-    })
+    sbp_observed_on(adj, explicit, h_residual, cfg, observer)
 }
 
 /// The layer-sweep core, generic over the storage backend.

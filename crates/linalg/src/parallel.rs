@@ -20,53 +20,6 @@ use std::sync::OnceLock;
 /// oversubscription lets the shared task queue balance uneven partitions.
 const PARTS_PER_THREAD: usize = 2;
 
-/// Upper bound on the shard-count knob — a fat-finger guard, not a design
-/// limit (a shard is a row range, so more shards than rows just collapses
-/// to single-row shards).
-pub const MAX_SHARDS: usize = 65_536;
-
-/// Parses an `LSBP_SHARDS` override. Returns the shard count to use plus
-/// a warning to surface when the variable was set but unusable (fell back
-/// to 1) or above [`MAX_SHARDS`] (clamped). A silently-ignored typo here
-/// is a silent 1-shard run — the warning names the variable, the rejected
-/// value, and the fallback so misconfiguration is visible exactly once.
-pub(crate) fn parse_shards_env(value: Option<&str>) -> (usize, Option<String>) {
-    let Some(raw) = value else { return (1, None) };
-    match raw.trim().parse::<usize>() {
-        Ok(s) if (1..=MAX_SHARDS).contains(&s) => (s, None),
-        Ok(s) if s > MAX_SHARDS => (
-            MAX_SHARDS,
-            Some(format!(
-                "lsbp: LSBP_SHARDS={raw:?} exceeds the maximum of {MAX_SHARDS}; \
-                 clamping to {MAX_SHARDS}"
-            )),
-        ),
-        _ => (
-            1,
-            Some(format!(
-                "lsbp: ignoring invalid LSBP_SHARDS={raw:?} (expected an integer in \
-                 1..={MAX_SHARDS}); falling back to 1 shard"
-            )),
-        ),
-    }
-}
-
-/// The process-default shard count: `LSBP_SHARDS` if set to a positive
-/// integer, otherwise 1 (monolithic storage). Parsed exactly once per
-/// process, mirroring how `LSBP_THREADS` is handled by the pool runtime;
-/// a set-but-invalid value emits a one-time stderr warning naming the
-/// variable and the fallback instead of being silently swallowed.
-pub fn default_num_shards() -> usize {
-    static DEFAULT_SHARDS: OnceLock<usize> = OnceLock::new();
-    *DEFAULT_SHARDS.get_or_init(|| {
-        let (shards, warning) = parse_shards_env(std::env::var("LSBP_SHARDS").ok().as_deref());
-        if let Some(message) = warning {
-            eprintln!("{message}");
-        }
-        shards
-    })
-}
-
 /// Parses a byte-size string: a non-negative integer with an optional
 /// `K`/`M`/`G`/`T` suffix (case-insensitive, binary multiples, optional
 /// trailing `B` as in `64KB`). Returns `None` on anything else. Shared
@@ -93,8 +46,8 @@ pub fn parse_byte_size(raw: &str) -> Option<usize> {
 
 /// Parses an `LSBP_MEMORY_BUDGET` override. Returns the budget in bytes
 /// (0 = unbudgeted) plus a warning to surface when the variable was set
-/// but unusable — same discipline as [`parse_shards_env`]: a silently
-/// swallowed typo here would be a silently unbudgeted run.
+/// but unusable — a silently swallowed typo here would be a silently
+/// unbudgeted run.
 pub(crate) fn parse_memory_budget_env(value: Option<&str>) -> (usize, Option<String>) {
     let Some(raw) = value else { return (0, None) };
     match parse_byte_size(raw) {
@@ -111,9 +64,8 @@ pub(crate) fn parse_memory_budget_env(value: Option<&str>) -> (usize, Option<Str
 
 /// The process-default pager memory budget in bytes (0 = unbudgeted):
 /// `LSBP_MEMORY_BUDGET` if set to a usable byte size, otherwise 0.
-/// Parsed exactly once per process like [`default_num_shards`]; a
-/// set-but-invalid value emits a one-time stderr warning instead of
-/// being silently swallowed.
+/// Parsed exactly once per process; a set-but-invalid value emits a
+/// one-time stderr warning instead of being silently swallowed.
 pub fn default_memory_budget() -> usize {
     static DEFAULT_BUDGET: OnceLock<usize> = OnceLock::new();
     *DEFAULT_BUDGET.get_or_init(|| {
@@ -129,7 +81,7 @@ pub fn default_memory_budget() -> usize {
 /// Parses an `LSBP_FRONTIER` override. Accepts `on`/`1`/`true` and
 /// `off`/`0`/`false` (case-insensitive); anything else keeps the default
 /// (frontier on — skipping is bitwise-exact, so it is safe everywhere)
-/// plus a warning, same discipline as [`parse_shards_env`].
+/// plus a warning, same discipline as [`parse_memory_budget_env`].
 pub(crate) fn parse_frontier_env(value: Option<&str>) -> (bool, Option<String>) {
     let Some(raw) = value else {
         return (true, None);
@@ -151,7 +103,7 @@ pub(crate) fn parse_frontier_env(value: Option<&str>) -> (bool, Option<String>) 
 /// `on`/`off` (default on — frontier skipping is bitwise identical to
 /// full recomputation, so there is no correctness reason to disable it;
 /// `off` is the escape hatch for perf A/B runs). Parsed exactly once per
-/// process like [`default_num_shards`], with the same one-time warning on
+/// process like [`default_memory_budget`], with the same one-time warning on
 /// a set-but-invalid value.
 pub fn default_frontier() -> bool {
     static DEFAULT_FRONTIER: OnceLock<bool> = OnceLock::new();
@@ -173,14 +125,12 @@ pub fn default_frontier() -> bool {
 pub const PAR_MIN_WORK: usize = 65_536;
 
 /// How a kernel should execute: how many threads, how much work it
-/// takes before threading is worth it, and how many row-range shards the
-/// graph storage should be partitioned into (1 = monolithic). Copyable
-/// and cheap — carried by value inside options structs.
+/// takes before threading is worth it, the pager budget and the frontier
+/// switch. Copyable and cheap — carried by value inside options structs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelismConfig {
     threads: usize,
     min_work: usize,
-    shards: usize,
     /// Pager byte budget for paged (out-of-core) backends; 0 = unbudgeted.
     memory_budget: usize,
     /// Active-frontier execution in the fused LinBP path (bitwise-exact
@@ -190,19 +140,18 @@ pub struct ParallelismConfig {
 
 impl ParallelismConfig {
     /// Strictly serial execution (the reference semantics): one thread,
-    /// monolithic storage, no memory budget.
+    /// no memory budget.
     pub const fn serial() -> Self {
         Self {
             threads: 1,
             min_work: PAR_MIN_WORK,
-            shards: 1,
             memory_budget: 0,
             frontier: true,
         }
     }
 
-    /// Pooled execution on `threads` workers (1 = serial), monolithic
-    /// storage, no memory budget.
+    /// Pooled execution on `threads` workers (1 = serial), no memory
+    /// budget.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
@@ -211,18 +160,17 @@ impl ParallelismConfig {
         Self {
             threads: threads.min(rayon::MAX_THREADS),
             min_work: PAR_MIN_WORK,
-            shards: 1,
             memory_budget: 0,
             frontier: true,
         }
     }
 
     /// The environment default: `LSBP_THREADS` if set, otherwise the
-    /// machine's available parallelism, and `LSBP_SHARDS` shards
-    /// (default 1 = monolithic). The environment is parsed exactly once
-    /// per process, at pool initialization (see
-    /// `rayon::default_num_threads`) and on the first shard-count read
-    /// ([`default_num_shards`]); this call just reads the cached values.
+    /// machine's available parallelism, plus `LSBP_MEMORY_BUDGET` and
+    /// `LSBP_FRONTIER`. The environment is parsed exactly once per
+    /// process, at pool initialization (see `rayon::default_num_threads`)
+    /// and on the first read of each knob; this call just reads the
+    /// cached values.
     ///
     /// Tests that must not depend on the ambient `LSBP_THREADS` have two
     /// documented overrides: construct an explicit config with
@@ -234,7 +182,6 @@ impl ParallelismConfig {
         Self {
             threads: rayon::default_num_threads(),
             min_work: PAR_MIN_WORK,
-            shards: default_num_shards(),
             memory_budget: default_memory_budget(),
             frontier: default_frontier(),
         }
@@ -244,22 +191,6 @@ impl ParallelismConfig {
     /// forces even tiny kernels through the parallel code path).
     pub fn with_min_work(mut self, min_work: usize) -> Self {
         self.min_work = min_work.max(1);
-        self
-    }
-
-    /// Sets the number of row-range shards the propagation engines should
-    /// split graph storage into: 1 (the default everywhere but
-    /// `LSBP_SHARDS`-configured environments) keeps the monolithic CSR
-    /// path; larger values make the `CsrMatrix`-taking entry points
-    /// re-shard the adjacency into that many nnz-balanced row-range
-    /// blocks (`lsbp_sparse::ShardedCsr`) before solving. Results are
-    /// bitwise identical at every shard count.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "shard count must be at least 1");
-        self.shards = shards.min(MAX_SHARDS);
         self
     }
 
@@ -275,11 +206,6 @@ impl ParallelismConfig {
     /// transpose rescan clamp) honor that intent by skipping the clamp.
     pub fn min_work(&self) -> usize {
         self.min_work
-    }
-
-    /// Configured shard count (1 = monolithic storage).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Sets the pager byte budget consulted by paged (out-of-core)
@@ -486,7 +412,7 @@ mod tests {
     #[test]
     fn weight_balanced_more_parts_than_items() {
         let cum = [0usize, 3, 3, 10, 12];
-        for parts in [5usize, 64, MAX_SHARDS, usize::MAX] {
+        for parts in [5usize, 64, 65_536, usize::MAX] {
             let ranges = weight_balanced_ranges(&cum, parts);
             assert!(!ranges.is_empty());
             assert!(ranges.len() <= 4, "at most one range per item");
@@ -517,25 +443,6 @@ mod tests {
     fn default_follows_env_machinery() {
         let cfg = ParallelismConfig::default();
         assert_eq!(cfg.threads(), rayon::default_num_threads());
-        assert_eq!(cfg.shards(), default_num_shards());
-    }
-
-    #[test]
-    fn shard_knob_defaults_and_clamps() {
-        assert_eq!(ParallelismConfig::serial().shards(), 1);
-        assert_eq!(ParallelismConfig::with_threads(4).shards(), 1);
-        let cfg = ParallelismConfig::serial().with_shards(8);
-        assert_eq!(cfg.shards(), 8);
-        assert_eq!(
-            ParallelismConfig::serial().with_shards(usize::MAX).shards(),
-            MAX_SHARDS
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count")]
-    fn zero_shards_rejected() {
-        let _ = ParallelismConfig::serial().with_shards(0);
     }
 
     #[test]
@@ -621,34 +528,5 @@ mod tests {
             assert!(warning.contains(bad), "warning echoes the rejected value");
             assert!(warning.contains("stays on"), "warning names the fallback");
         }
-    }
-
-    #[test]
-    fn parse_shards_env_rules() {
-        // Usable values parse silently.
-        assert_eq!(parse_shards_env(None), (1, None));
-        assert_eq!(parse_shards_env(Some("1")), (1, None));
-        assert_eq!(parse_shards_env(Some(" 16 ")), (16, None));
-        assert_eq!(parse_shards_env(Some("65536")), (MAX_SHARDS, None));
-        // Set-but-unusable values fall back to 1 AND warn, naming the
-        // variable, the rejected value, and the fallback.
-        for bad in ["abc", "0", "-3", "", "1.5"] {
-            let (shards, warning) = parse_shards_env(Some(bad));
-            assert_eq!(shards, 1, "LSBP_SHARDS={bad:?} must fall back to 1");
-            let warning = warning.expect("invalid value must warn");
-            assert!(
-                warning.contains("LSBP_SHARDS"),
-                "warning names the variable"
-            );
-            assert!(warning.contains(bad), "warning echoes the rejected value");
-            assert!(
-                warning.contains("falling back to 1"),
-                "warning names the fallback"
-            );
-        }
-        // Above the cap: clamped, with a warning saying so.
-        let (shards, warning) = parse_shards_env(Some("99999999"));
-        assert_eq!(shards, MAX_SHARDS);
-        assert!(warning.expect("clamp must warn").contains("clamping"));
     }
 }

@@ -30,39 +30,6 @@
 //! exactly the lane a single flat pass would use — keeping batched L2
 //! deltas bitwise equal to single-query ones.
 
-/// How far ahead (in CSR entries) the gather loops hint the next reads
-/// — see [`prefetch_read`]. 16 entries ≈ 4 chunks of the 4-lane body:
-/// far enough that the line arrives before the lanes reach it, close
-/// enough not to thrash the L1 fill buffers.
-pub const GATHER_PREFETCH_DISTANCE: usize = 16;
-
-/// Hints the CPU to pull `data[i..]` into cache ahead of a gather.
-///
-/// The gather loops (`gather_dot4`, the fused LinBP gathers) walk CSR
-/// column indices whose targets the hardware prefetcher cannot predict;
-/// issuing an explicit prefetch a fixed distance ahead overlaps the
-/// memory latency with the current chunk's arithmetic. This is a pure
-/// cache hint: it never faults, never changes data, and therefore never
-/// changes a single result bit — out-of-range indices are simply
-/// skipped. On targets without a stable prefetch intrinsic this is a
-/// no-op (the scalar fallback the bitwise contract requires anyway).
-#[inline(always)]
-pub fn prefetch_read(data: &[f64], i: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if i < data.len() {
-        // SAFETY: `i` is in bounds, and `_mm_prefetch` is a pure cache
-        // hint with no memory side effects.
-        unsafe {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch::<_MM_HINT_T0>(data.as_ptr().add(i) as *const i8);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (data, i);
-    }
-}
-
 /// `y[i] += a · x[i]` — the axpy inner loop of SpMM / dense matmul,
 /// unrolled 4 wide. No reassociation happens here (each `y[i]` still
 /// receives exactly one contribution per call), so this kernel is
@@ -97,17 +64,7 @@ pub fn gather_dot4(idx: &[u32], w: &[f64], x: &[f64]) -> f64 {
     let mut acc = [0.0f64; 4];
     let mut ic = idx.chunks_exact(4);
     let mut wc = w.chunks_exact(4);
-    let mut p = 0;
     for (ii, ww) in (&mut ic).zip(&mut wc) {
-        // Hint the chunk GATHER_PREFETCH_DISTANCE entries ahead while
-        // this chunk's multiplies run (pure hint — no result change).
-        if let Some(ahead) = idx.get(p + GATHER_PREFETCH_DISTANCE..p + GATHER_PREFETCH_DISTANCE + 4)
-        {
-            for &a in ahead {
-                prefetch_read(x, a as usize);
-            }
-        }
-        p += 4;
         for l in 0..4 {
             acc[l] += ww[l] * x[ii[l] as usize];
         }

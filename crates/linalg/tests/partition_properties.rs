@@ -7,7 +7,7 @@
 //! violation here is silent data corruption downstream: a dropped row
 //! range means a row of the propagation matrix is never multiplied.
 
-use lsbp_linalg::{even_ranges, weight_balanced_ranges, MAX_SHARDS};
+use lsbp_linalg::{even_ranges, weight_balanced_ranges};
 use proptest::prelude::*;
 use std::ops::Range;
 
@@ -127,7 +127,7 @@ proptest! {
 /// `parts` far beyond `n` collapses to singleton ranges, never empties.
 #[test]
 fn parts_beyond_n_collapse_to_singletons() {
-    let ranges = even_ranges(5, MAX_SHARDS);
+    let ranges = even_ranges(5, 65_536);
     assert_eq!(ranges.len(), 5);
     assert!(ranges.iter().enumerate().all(|(i, r)| *r == (i..i + 1)));
 

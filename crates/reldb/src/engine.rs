@@ -181,13 +181,11 @@ impl Table {
         )
     }
 
-    /// The filtered rows themselves (no `Table` wrapper), evaluated over
-    /// the same shard-segment structure as [`Table::join_map_with`]: the
-    /// rows are split into `cfg.shards()` contiguous segments, each
-    /// segment partitioned across the pool, and chunk outputs concatenated
-    /// in order — so the output row order matches serial evaluation at any
-    /// shard × thread combination. This is the scan path the query planner
-    /// pushes predicates into.
+    /// The filtered rows themselves (no `Table` wrapper): the rows are
+    /// partitioned across the pool as one region and chunk outputs
+    /// concatenated in order — so the output row order matches serial
+    /// evaluation at any thread count. This is the scan path the query
+    /// planner pushes predicates into.
     pub fn filter_rows_with(
         &self,
         pred: &(dyn Fn(&[Value]) -> bool + Sync),
@@ -196,27 +194,8 @@ impl Table {
         let filter_chunk = |rows: &[Vec<Value>]| -> Vec<Vec<Value>> {
             rows.iter().filter(|r| pred(r)).cloned().collect()
         };
-        let segments = even_ranges(self.rows.len(), cfg.shards());
-        let mut out = Vec::new();
-        for segment in segments {
-            let seg_rows = &self.rows[segment];
-            let parts = cfg.partitions(seg_rows.len());
-            if parts <= 1 {
-                out.extend(filter_chunk(seg_rows));
-            } else {
-                let ranges = even_ranges(seg_rows.len(), parts);
-                let mut partials: Vec<Vec<Vec<Value>>> =
-                    ranges.iter().map(|_| Vec::new()).collect();
-                cfg.pool().scope(|s| {
-                    for (slot, range) in partials.iter_mut().zip(ranges) {
-                        let filter_chunk = &filter_chunk;
-                        s.spawn(move || *slot = filter_chunk(&seg_rows[range]));
-                    }
-                });
-                out.extend(partials.into_iter().flatten());
-            }
-        }
-        out
+        let parts = cfg.partitions(self.rows.len());
+        map_chunks_in_order(&self.rows, parts, cfg, &filter_chunk)
     }
 
     /// `SELECT expr₁, expr₂, … FROM self` — projection with computed
@@ -272,14 +251,6 @@ impl Table {
     /// and chunk outputs are concatenated in order — so the output row
     /// order is the same for every thread count (serial included:
     /// [`Table::join_map`] is this method at one thread).
-    ///
-    /// When `cfg` carries a shard count above 1 the probe side is first
-    /// split into that many contiguous row segments, each executed as its
-    /// own pool region in segment order — the relational mirror of the
-    /// native engines' one-region-per-shard execution (all workers stream
-    /// one storage segment at a time). Segment outputs concatenate in
-    /// order, so the result is identical at any shard × thread
-    /// combination.
     #[allow(clippy::too_many_arguments)] // join_map's surface + the config
     pub fn join_map_with(
         &self,
@@ -326,31 +297,11 @@ impl Table {
             }
             out
         };
-        // One probe segment per storage shard (1 = the whole probe side),
-        // each segment its own pool region in order.
-        let segments = even_ranges(probe.len(), cfg.shards());
+        let parts = cfg.partitions(probe.len().max(build.len()));
         let mut out = Table::new(name, out_columns);
         out.reserve(reserve_bound);
-        for segment in segments {
-            let seg_rows = &probe.rows[segment];
-            let parts = cfg.partitions(seg_rows.len().max(build.len()));
-            let rows = if parts <= 1 {
-                probe_chunk(seg_rows)
-            } else {
-                let ranges = even_ranges(seg_rows.len(), parts);
-                let mut partials: Vec<Vec<Vec<Value>>> =
-                    ranges.iter().map(|_| Vec::new()).collect();
-                cfg.pool().scope(|s| {
-                    for (slot, range) in partials.iter_mut().zip(ranges) {
-                        let probe_chunk = &probe_chunk;
-                        s.spawn(move || *slot = probe_chunk(&seg_rows[range]));
-                    }
-                });
-                partials.into_iter().flatten().collect()
-            };
-            for row in rows {
-                out.push(row);
-            }
+        for row in map_chunks_in_order(&probe.rows, parts, cfg, &probe_chunk) {
+            out.push(row);
         }
         out
     }
@@ -478,6 +429,31 @@ impl Table {
         vals.dedup();
         vals
     }
+}
+
+/// Runs `chunk` over `rows` split into `parts` contiguous pieces, one
+/// pool task each, and concatenates the outputs in row order — the same
+/// rows, in the same order, as one serial `chunk(rows)`.
+fn map_chunks_in_order<F>(
+    rows: &[Vec<Value>],
+    parts: usize,
+    cfg: &ParallelismConfig,
+    chunk: &F,
+) -> Vec<Vec<Value>>
+where
+    F: Fn(&[Vec<Value>]) -> Vec<Vec<Value>> + Sync,
+{
+    if parts <= 1 {
+        return chunk(rows);
+    }
+    let ranges = even_ranges(rows.len(), parts);
+    let mut partials: Vec<Vec<Vec<Value>>> = ranges.iter().map(|_| Vec::new()).collect();
+    cfg.pool().scope(|s| {
+        for (slot, range) in partials.iter_mut().zip(ranges) {
+            s.spawn(move || *slot = chunk(&rows[range]));
+        }
+    });
+    partials.into_iter().flatten().collect()
 }
 
 impl fmt::Display for Table {
@@ -739,8 +715,8 @@ mod tests {
         assert_eq!(u.stats().column(0).max_freq(), Some(4));
     }
 
-    /// The parallel segmented filter returns exactly the serial rows, in
-    /// order, for every shard × thread combination.
+    /// The parallel filter returns exactly the serial rows, in order, for
+    /// every thread count.
     #[test]
     fn filter_rows_with_matches_serial() {
         let mut big = Table::new("big", &["v", "x"]);
@@ -749,12 +725,10 @@ mod tests {
         }
         let pred = |r: &[Value]| r[0].as_int() <= 2;
         let serial: Vec<Vec<Value>> = big.rows().iter().filter(|r| pred(r)).cloned().collect();
-        for (threads, shards) in [(1, 1), (2, 1), (4, 3), (8, 5)] {
-            let cfg = ParallelismConfig::with_threads(threads)
-                .with_shards(shards)
-                .with_min_work(1);
+        for threads in [1, 2, 4, 8] {
+            let cfg = ParallelismConfig::with_threads(threads).with_min_work(1);
             let par = big.filter_rows_with(&pred, &cfg);
-            assert_eq!(par, serial, "threads={threads} shards={shards}");
+            assert_eq!(par, serial, "threads={threads}");
         }
     }
 

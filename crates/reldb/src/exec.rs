@@ -37,6 +37,7 @@ use crate::parser::{
 };
 use crate::plan::{order_joins, JoinEdge, NodeActual, Plan, PlanNode, SourceEstimate};
 use lsbp_linalg::ParallelismConfig;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Execution errors.
@@ -134,7 +135,7 @@ impl Database {
     }
 
     /// Sets the execution configuration pushed-down scans run under
-    /// (threads × shards, same semantics as the native kernels).
+    /// (results identical at every thread count).
     pub fn with_parallelism(mut self, cfg: ParallelismConfig) -> Self {
         self.parallelism = cfg;
         self
@@ -263,11 +264,16 @@ impl Database {
         Ok(self.run_select_planned(sel, out_name)?.0)
     }
 
-    /// Binds FROM sources (materializing subqueries) to `(alias, table)`
-    /// pairs. `fixed` routes subqueries through the fixed strategy so the
-    /// baseline stays planner-free end to end.
-    fn bind_sources(&self, sel: &Select, fixed: bool) -> Result<Vec<(String, Table)>, SqlError> {
-        let mut sources: Vec<(String, Table)> = Vec::with_capacity(sel.from.len());
+    /// Binds FROM sources to `(alias, table)` pairs: named tables are
+    /// borrowed from the catalog, subqueries are materialized. `fixed`
+    /// routes subqueries through the fixed strategy so the baseline stays
+    /// planner-free end to end.
+    fn bind_sources(
+        &self,
+        sel: &Select,
+        fixed: bool,
+    ) -> Result<Vec<(String, Cow<'_, Table>)>, SqlError> {
+        let mut sources = Vec::with_capacity(sel.from.len());
         for tr in &sel.from {
             match tr {
                 TableRef::Named { name, alias } => {
@@ -275,7 +281,8 @@ impl Database {
                         .tables
                         .get(name)
                         .ok_or_else(|| SqlError::UnknownTable(name.clone()))?;
-                    sources.push((alias.clone().unwrap_or_else(|| name.clone()), t.clone()));
+                    let alias = alias.clone().unwrap_or_else(|| name.clone());
+                    sources.push((alias, Cow::Borrowed(t)));
                 }
                 TableRef::Subquery { query, alias } => {
                     let t = if fixed {
@@ -283,7 +290,7 @@ impl Database {
                     } else {
                         self.run_select(query, alias)?
                     };
-                    sources.push((alias.clone(), t));
+                    sources.push((alias.clone(), Cow::Owned(t)));
                 }
             }
         }
@@ -1423,14 +1430,12 @@ mod tests {
         let sql = "select R.p, Sel.j from R, S, Sel where R.k = S.k and S.j = Sel.j \
                    and R.p > 3 and S.j < 40";
         let serial = {
-            let cfg = ParallelismConfig::with_threads(1).with_shards(1);
+            let cfg = ParallelismConfig::with_threads(1);
             let mut db = skewed_chain_db(300, 60).with_parallelism(cfg);
             db.execute(sql).unwrap().unwrap()
         };
         for threads in [2usize, 4] {
-            let cfg = ParallelismConfig::with_threads(threads)
-                .with_shards(3)
-                .with_min_work(1);
+            let cfg = ParallelismConfig::with_threads(threads).with_min_work(1);
             let mut db = skewed_chain_db(300, 60).with_parallelism(cfg);
             let par = db.execute(sql).unwrap().unwrap();
             assert_eq!(par, serial, "threads = {threads}");

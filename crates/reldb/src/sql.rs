@@ -105,11 +105,8 @@ impl SqlDb {
 
     /// Picks serial vs. pooled execution for the engine's hot joins (the
     /// per-iteration `A ⋈ B` probes of [`SqlDb::linbp`]). The default
-    /// follows `LSBP_THREADS` and `LSBP_SHARDS`; a shard count above 1
-    /// makes every hot probe stream the edge relation in that many
-    /// contiguous storage segments, one pool region per segment — the
-    /// relational mirror of the native engines' sharded execution.
-    /// Results are identical either way.
+    /// follows `LSBP_THREADS`. Results are identical at every thread
+    /// count.
     pub fn with_parallelism(mut self, cfg: ParallelismConfig) -> Self {
         self.parallelism = cfg;
         self
@@ -161,8 +158,8 @@ impl SqlDb {
     /// **Algorithm 1 (LinBP in SQL)** — `l` fixed iterations of the update
     /// `B ← E + A·B·Ĥ − D·B·Ĥ²` expressed as two view joins plus a grouped
     /// union (the paper's footnote 15). `echo = false` drops V2 (LinBP\*).
-    /// The per-iteration `A ⋈ B` probe honors the shard knob on the
-    /// configured parallelism (see [`SqlDb::with_parallelism`]).
+    /// The per-iteration `A ⋈ B` probe runs under the configured
+    /// parallelism (see [`SqlDb::with_parallelism`]).
     pub fn linbp(&self, l: usize, echo: bool) -> BeliefMatrix {
         let d = self.degree_table();
         let h2 = self.h2_table();
@@ -930,11 +927,11 @@ mod tests {
         assert!(db.linbp_batch(&[], 3, true).is_empty());
     }
 
-    /// The shard knob segments the hot probes without changing a single
-    /// belief: sharded relational LinBP (single and batched) equals the
-    /// monolithic relational run bitwise, at 1 and 4 threads.
+    /// Pooled hot probes do not change a single belief: parallel
+    /// relational LinBP (single and batched) equals the serial relational
+    /// run bitwise.
     #[test]
-    fn sql_linbp_sharded_matches_monolithic() {
+    fn sql_linbp_parallel_matches_serial() {
         let g = erdos_renyi_gnm(40, 120, 11);
         let mut e = ExplicitBeliefs::new(40, 3);
         e.set_label(0, 0, 1.0).unwrap();
@@ -946,30 +943,26 @@ mod tests {
         let reference_db = SqlDb::new(&g, &e, &h).with_parallelism(ParallelismConfig::serial());
         let reference = reference_db.linbp(4, true);
         let reference_batch = reference_db.linbp_batch(&queries, 4, true);
-        for threads in [1usize, 4] {
-            for shards in [2usize, 8] {
-                let cfg = ParallelismConfig::with_threads(threads)
-                    .with_min_work(1)
-                    .with_shards(shards);
-                let db = SqlDb::new(&g, &e, &h).with_parallelism(cfg);
-                let got = db.linbp(4, true);
-                let same = got
+        for threads in [1usize, 2, 4] {
+            let cfg = ParallelismConfig::with_threads(threads).with_min_work(1);
+            let db = SqlDb::new(&g, &e, &h).with_parallelism(cfg);
+            let got = db.linbp(4, true);
+            let same = got
+                .residual()
+                .as_slice()
+                .iter()
+                .zip(reference.residual().as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "t={threads}");
+            let got_batch = db.linbp_batch(&queries, 4, true);
+            for (j, (got_q, want_q)) in got_batch.iter().zip(&reference_batch).enumerate() {
+                let same = got_q
                     .residual()
                     .as_slice()
                     .iter()
-                    .zip(reference.residual().as_slice())
+                    .zip(want_q.residual().as_slice())
                     .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "t={threads} shards={shards}");
-                let got_batch = db.linbp_batch(&queries, 4, true);
-                for (j, (got_q, want_q)) in got_batch.iter().zip(&reference_batch).enumerate() {
-                    let same = got_q
-                        .residual()
-                        .as_slice()
-                        .iter()
-                        .zip(want_q.residual().as_slice())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    assert!(same, "t={threads} shards={shards} query {j}");
-                }
+                assert!(same, "t={threads} query {j}");
             }
         }
     }

@@ -99,7 +99,7 @@ pub struct ServerConfig {
     /// Belief-cache entry bound (oldest-in evicted first).
     pub cache_capacity: usize,
     /// Execution config for solves (threads follow `LSBP_THREADS`; the
-    /// shard knob picks the operator layout **once at registration**).
+    /// memory budget sizes the pool of spilled graphs).
     pub parallelism: ParallelismConfig,
     /// Drop a connection with no in-flight work and no traffic for this
     /// long (also reaps peers parked mid-frame forever).
@@ -150,13 +150,11 @@ impl Default for ServerConfig {
 /// Callback a response is delivered through (exactly once per request).
 pub type Responder = Box<dyn FnOnce(Response) + Send + 'static>;
 
-/// A registered graph at one version. The operator layout (monolithic or
-/// sharded) is built **once** here — solves reuse it, avoiding the
-/// per-call O(nnz) re-shard of the config-knob route.
+/// A registered graph at one version. The operator layout (resident or
+/// paged) is built **once** here — solves reuse it.
 struct GraphEntry {
     version: u64,
     csr: CsrMatrix,
-    sharded: Option<ShardedCsr>,
     /// Set when the server spills registrations to disk: the same graph
     /// behind the budgeted buffer pool. Solves run out-of-core through
     /// it (bitwise equal to the resident path); the resident `csr` stays
@@ -172,13 +170,12 @@ static SPILL_NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64:
 
 impl GraphEntry {
     fn build(csr: CsrMatrix, version: u64, graph_id: u64, config: &ServerConfig) -> Self {
-        let cfg = &config.parallelism;
         let paged = config.spill_dir.as_ref().and_then(|dir| {
             let nonce = SPILL_NONCE.fetch_add(1, Ordering::Relaxed);
             let path = dir.join(format!("graph-{graph_id:016x}-v{version}-{nonce}.lsbp"));
             std::fs::create_dir_all(dir)
                 .map_err(lsbp::ShardFileError::Io)
-                .and_then(|()| lsbp::spill_paged(&csr, &path, cfg))
+                .and_then(|()| lsbp::spill_paged(&csr, &path, &config.parallelism))
                 .map_err(|e| {
                     eprintln!(
                         "lsbp-server: failed to spill graph {graph_id} v{version} to \
@@ -187,22 +184,16 @@ impl GraphEntry {
                 })
                 .ok()
         });
-        let sharded =
-            (paged.is_none() && cfg.shards() > 1).then(|| ShardedCsr::from_csr(&csr, cfg.shards()));
         Self {
             version,
             csr,
-            sharded,
             paged,
         }
     }
 
     fn operator(&self) -> &dyn PropagationOperator {
-        if let Some(p) = &self.paged {
-            return p;
-        }
-        match &self.sharded {
-            Some(s) => s,
+        match &self.paged {
+            Some(p) => p,
             None => &self.csr,
         }
     }
@@ -453,8 +444,7 @@ impl ServerCore {
             Request::Stats => responder(Response::Stats(self.stats())),
             Request::Health => responder(Response::Health(self.health())),
             Request::Shutdown => {
-                self.shared.stopping.store(true, Ordering::SeqCst);
-                self.shared.wakeup.notify_all();
+                self.stop();
                 responder(Response::ShuttingDown);
             }
             Request::RegisterGraph {
@@ -548,6 +538,15 @@ impl ServerCore {
 
     /// Asks the solver thread to drain and exit.
     pub fn stop(&self) {
+        // The solver checks `stopping` and parks while holding the
+        // admission lock, so setting the flag and notifying under that
+        // lock cannot fall between its check and its wait (a lost wakeup
+        // would hang `Drop` in `join`).
+        let _admission = self
+            .shared
+            .admission
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         self.shared.stopping.store(true, Ordering::SeqCst);
         self.shared.wakeup.notify_all();
     }

@@ -39,7 +39,7 @@
 
 use crate::csr::{CsrMatrix, SCRATCH_WIDTH};
 use crate::frontier::{FrontierPlan, FrontierStep, FrontierTask, NodeBitset};
-use lsbp_linalg::simd::{axpy4, prefetch_read, GATHER_PREFETCH_DISTANCE};
+use lsbp_linalg::simd::axpy4;
 use lsbp_linalg::{weight_balanced_ranges, Mat, ParallelismConfig};
 use std::ops::Range;
 
@@ -502,16 +502,9 @@ impl CsrMatrix {
         let mut dmax = 0.0f64;
         for r in rows.clone() {
             // ab = A(r,·)·B accumulated in CSR entry order per element —
-            // the exact `spmm_rows` axpy order, in K registers. The
-            // belief rows gathered here are the loop's only unpredictable
-            // reads; hint each row a fixed distance ahead (pure cache
-            // hint — bitwise identical with or without).
+            // the exact `spmm_rows` axpy order, in K registers.
             let mut ab = [0.0f64; K];
-            let cols = self.row_cols(r);
-            for (p, (&c, &v)) in cols.iter().zip(self.row_values(r)).enumerate() {
-                if let Some(&ahead) = cols.get(p + GATHER_PREFETCH_DISTANCE) {
-                    prefetch_read(b.as_slice(), ahead as usize * K);
-                }
+            for (&c, &v) in self.row_cols(r).iter().zip(self.row_values(r)) {
                 let b_row = b.row(c as usize);
                 for j in 0..K {
                     ab[j] += v * b_row[j];
@@ -587,15 +580,9 @@ impl CsrMatrix {
         let (ab, echo) = scratch.ab_echo();
         for r in rows.clone() {
             let o = &mut block[(r - rows.start) * kt..(r - rows.start + 1) * kt];
-            // ab = A(r,·)·B — the exact `spmm_rows` gather-axpy order,
-            // with the gathered rows hinted ahead like the K-specialized
-            // kernel (pure cache hint, no result change).
+            // ab = A(r,·)·B — the exact `spmm_rows` gather-axpy order.
             ab.iter_mut().for_each(|x| *x = 0.0);
-            let cols = self.row_cols(r);
-            for (p, (&c, &v)) in cols.iter().zip(self.row_values(r)).enumerate() {
-                if let Some(&ahead) = cols.get(p + GATHER_PREFETCH_DISTANCE) {
-                    prefetch_read(b.as_slice(), ahead as usize * kt);
-                }
+            for (&c, &v) in self.row_cols(r).iter().zip(self.row_values(r)) {
                 axpy4(v, b.row(c as usize), ab);
             }
             // o = ab·(I_q ⊗ Ĥ) — the zero-skipping `matmul_rows` order,

@@ -18,7 +18,8 @@
 //!   row statistics / neighbor access), with [`CsrMatrix`] as the
 //!   monolithic reference implementation and [`ShardedCsr`] as the
 //!   nnz-balanced row-range sharded backend (bitwise identical at any
-//!   shard × thread combination),
+//!   shard × thread combination); sharded backends implement
+//!   [`ShardSource`] and share one generic shard walk,
 //! * [`EdgeMatrixOp`] — the matrix-free "edge matrix" `A_edge` of
 //!   Appendix G (2|E| × 2|E|), used to evaluate the Mooij–Kappen
 //!   convergence bound for standard BP without materializing it,
@@ -46,4 +47,4 @@ pub use fused::FusedLinBpStep;
 pub use operator::{PropagationOperator, RowIter};
 pub use paged::{PagedCsr, PagedOptions, PagerStats};
 pub use shard_file::{ShardFile, ShardFileError};
-pub use sharded::ShardedCsr;
+pub use sharded::{ShardSource, ShardedCsr};

@@ -10,9 +10,11 @@
 //! * [`CsrMatrix`](crate::CsrMatrix) — the monolithic in-memory reference
 //!   implementation (the semantics every other backend must reproduce
 //!   **bitwise**), and
-//! * [`ShardedCsr`](crate::ShardedCsr) — the graph split into
-//!   nnz-balanced row-range shards, the layout that out-of-core and
-//!   distributed deployments partition along.
+//! * every [`ShardSource`](crate::ShardSource) — a graph split into
+//!   row-range shards, resident ([`ShardedCsr`](crate::ShardedCsr)) or
+//!   paged from disk ([`PagedCsr`](crate::PagedCsr)). A shard source
+//!   only says how to reach shard `i`; its operator impl is the one
+//!   generic shard walk in [`crate::sharded`].
 //!
 //! The surface is exactly what the propagators consume: the two sparse
 //! products (SpMV / SpMM), the fused LinBP step, transposition, the
@@ -176,7 +178,7 @@ pub trait PropagationOperator: Sync {
     /// [`FrontierPlan::block_rows_for`]-sized blocks, each recording the
     /// blocks its rows gather from. Built once per solve in `O(nnz)`.
     /// The default walks [`PropagationOperator::row_iter`]; backends with
-    /// cheaper bulk row access (paged shards) override it.
+    /// cheaper bulk row access (every shard source) override it.
     fn frontier_plan(&self) -> FrontierPlan {
         let n = self.n_rows();
         let mut plan = FrontierPlan::empty(n, FrontierPlan::block_rows_for(n));

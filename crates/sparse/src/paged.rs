@@ -1,11 +1,16 @@
 //! The out-of-core propagation backend: [`ShardedCsr`]'s execution
 //! model with the shards living on disk behind a budgeted buffer pool.
 //!
-//! [`PagedCsr`] opens a [`ShardFile`](crate::ShardFile) and implements
-//! the full [`PropagationOperator`] surface by walking the shards **in
-//! row order** — exactly like [`ShardedCsr`] — except that each shard
-//! block is paged in through a [`BufferPool`] rather than held
-//! resident:
+//! [`PagedCsr`] opens a [`ShardFile`](crate::ShardFile) and is a
+//! [`ShardSource`]: it gets the full [`PropagationOperator`] surface from
+//! the one generic shard walk in [`crate::sharded`], and contributes only
+//! how shard `i` is reached — [`ShardSource::shard`] pins the block in a
+//! [`BufferPool`] (paging it in on a miss) and [`ShardSource::hint`]
+//! queues a background prefetch. Row access copies the row out under the
+//! pin, since the pool may evict the block afterwards.
+//!
+//! [`PropagationOperator`]: crate::PropagationOperator
+//! [`ShardedCsr`]: crate::ShardedCsr
 //!
 //! * **Budget.** The pool holds at most `budget_bytes` of deserialized
 //!   shard blocks (unbudgeted when `None`). Loading past the budget
@@ -22,8 +27,8 @@
 //!
 //! **Bitwise contract.** Blocks deserialize to the *same* `CsrMatrix`
 //! shard blocks `ShardedCsr` holds in memory (bit-identical values,
-//! same local row pointers, same global columns), and the kernel
-//! dispatch below is line-for-line the `ShardedCsr` dispatch. Results
+//! same local row pointers, same global columns), and both backends run
+//! the same generic shard walk. Results
 //! are therefore bitwise identical to the resident paths at **any**
 //! budget × shard × thread combination — the pool changes when bytes
 //! move, never what the kernels compute (property-tested in
@@ -37,11 +42,9 @@
 //! exists as the checked warm-up path.
 
 use crate::csr::CsrMatrix;
-use crate::frontier::{FrontierPlan, FrontierStep};
-use crate::fused::{validate_fused_step, FusedLinBpStep};
-use crate::operator::{PropagationOperator, RowIter};
-use crate::shard_file::{ShardFile, ShardFileError};
-use lsbp_linalg::{Mat, ParallelismConfig};
+use crate::operator::RowIter;
+use crate::shard_file::{block_resident_bytes, ShardFile, ShardFileError};
+use crate::sharded::ShardSource;
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::ops::{Deref, Range};
@@ -83,6 +86,19 @@ impl PagedOptions {
     pub fn with_prefetch(mut self, on: bool) -> Self {
         self.prefetch = on;
         self
+    }
+
+    /// The shard count to spill `m` with under this budget: enough that
+    /// two shards — the pinned one and the prefetched next one — fit the
+    /// pool, `⌈2 × bytes(m) ÷ budget⌉` with bytes measured like
+    /// [`ShardMeta::resident_bytes`](crate::shard_file::ShardMeta::resident_bytes).
+    /// Unbudgeted spills get one shard. The spill caps the count at the
+    /// number of non-empty rows.
+    pub fn spill_shards(&self, m: &CsrMatrix) -> usize {
+        self.budget_bytes.map_or(1, |budget| {
+            let bytes = block_resident_bytes(m.n_rows(), m.nnz());
+            bytes.saturating_mul(2).div_ceil(budget.max(1)).max(1)
+        })
     }
 }
 
@@ -352,9 +368,10 @@ impl Drop for PrefetchHandle {
     }
 }
 
-/// An on-disk graph behind the [`PropagationOperator`] interface — see
-/// the module docs for the execution model, the bitwise contract and
-/// the error surface.
+/// An on-disk graph behind the
+/// [`PropagationOperator`](crate::PropagationOperator) interface — see the
+/// module docs for the execution model, the bitwise contract and the
+/// error surface.
 #[derive(Debug)]
 pub struct PagedCsr {
     pool: Arc<BufferPool>,
@@ -397,16 +414,6 @@ impl PagedCsr {
         }
     }
 
-    /// Number of shards in the backing store.
-    pub fn num_shards(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// The global row range of shard `i`.
-    pub fn shard_rows(&self, i: usize) -> Range<usize> {
-        self.starts[i]..self.starts[i + 1]
-    }
-
     /// Path of the backing shard store.
     pub fn path(&self) -> &Path {
         self.pool.file.path()
@@ -424,38 +431,25 @@ impl PagedCsr {
     pub fn load_shard(&self, i: usize) -> Result<(), ShardFileError> {
         self.pool.acquire(i).map(|_pin| ())
     }
+}
 
-    /// Reassembles the monolithic [`CsrMatrix`] by streaming every
-    /// shard through the pool (bit-exact by the store's round-trip
-    /// guarantee).
-    ///
-    /// # Panics
-    /// Panics if a block fails its checksum mid-stream — use
-    /// [`PagedCsr::load_shard`] first for a checked pass.
-    pub fn to_csr(&self) -> CsrMatrix {
-        let n_rows = PropagationOperator::n_rows(self);
-        let nnz = PropagationOperator::nnz(self);
-        let mut row_ptr = Vec::with_capacity(n_rows + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for i in 0..self.num_shards() {
-            self.request_prefetch(i + 1);
-            let shard = self.pin(i);
-            let base = *row_ptr.last().unwrap();
-            row_ptr.extend(shard.row_offsets()[1..].iter().map(|&p| base + p));
-            col_idx.extend_from_slice(shard.raw_col_idx());
-            values.extend_from_slice(shard.raw_values());
-        }
-        CsrMatrix::from_trusted_parts(n_rows, self.pool.file.n_cols(), row_ptr, col_idx, values)
+impl ShardSource for PagedCsr {
+    #[inline]
+    fn num_shards(&self) -> usize {
+        self.starts.len() - 1
     }
 
-    /// Pins shard `i` for kernel use.
+    #[inline]
+    fn shard_rows(&self, i: usize) -> Range<usize> {
+        self.starts[i]..self.starts[i + 1]
+    }
+
+    /// Pins shard `i` in the pool, demand-loading it on a miss.
     ///
     /// # Panics
     /// Panics on a post-open read/checksum failure (see the module docs'
     /// error surface).
-    fn pin(&self, i: usize) -> PinnedShard {
+    fn shard(&self, i: usize) -> impl Deref<Target = CsrMatrix> + '_ {
         self.pool.acquire(i).unwrap_or_else(|e| {
             panic!(
                 "paged operator failed to load shard {i} of {:?} mid-solve: {e}",
@@ -467,215 +461,31 @@ impl PagedCsr {
     /// Asks the prefetch thread for shard `i` (no-op when prefetch is
     /// off, the index is past the end, or the channel is gone).
     #[inline]
-    fn request_prefetch(&self, i: usize) {
+    fn hint(&self, i: usize) {
         if i >= self.num_shards() {
             return;
         }
-        if let Some(handle) = &self.prefetch {
-            if let Some(tx) = &handle.tx {
-                let _ = tx.send(i);
-            }
+        if let Some(tx) = self.prefetch.as_ref().and_then(|h| h.tx.as_ref()) {
+            let _ = tx.send(i);
         }
     }
 
-    /// The shard holding global row `r` and `r`'s local index within it
-    /// — same boundary arithmetic as `ShardedCsr::locate`.
     #[inline]
-    fn locate(&self, r: usize) -> (usize, usize) {
-        debug_assert!(
-            r < PropagationOperator::n_rows(self),
-            "row {r} out of range"
-        );
-        let s = self.starts.partition_point(|&x| x <= r) - 1;
-        (s, r - self.starts[s])
-    }
-}
-
-impl PropagationOperator for PagedCsr {
-    #[inline]
-    fn n_rows(&self) -> usize {
-        *self.starts.last().unwrap()
-    }
-
-    #[inline]
-    fn n_cols(&self) -> usize {
-        self.pool.file.n_cols()
-    }
-
-    #[inline]
-    fn nnz(&self) -> usize {
-        self.pool.file.nnz()
-    }
-
-    fn row_nnz(&self, r: usize) -> usize {
-        let (s, local) = self.locate(r);
-        self.pin(s).row_nnz(local)
+    fn shape(&self) -> (usize, usize) {
+        (self.pool.file.n_cols(), self.pool.file.nnz())
     }
 
     /// Row access copies the row out **under the pool pin**, then
     /// releases it — the returned iterator stays valid however the pool
     /// evicts afterwards (the `RowIter::owned` half of the trait's
     /// soundness story).
-    fn row_iter(&self, r: usize) -> RowIter<'_> {
+    fn row(&self, r: usize) -> RowIter<'_> {
         let (s, local) = self.locate(r);
-        let shard = self.pin(s);
+        let shard = self.shard(s);
         RowIter::owned(
             shard.row_cols(local).to_vec(),
             shard.row_values(local).to_vec(),
         )
-    }
-
-    /// `y = A·x`, shards walked in row order; each block runs the
-    /// monolithic SpMV kernel while the next block streams in from disk.
-    fn spmv_into_with(&self, x: &[f64], y: &mut [f64], cfg: &ParallelismConfig) {
-        assert_eq!(x.len(), self.n_cols(), "spmv dimension mismatch");
-        assert_eq!(y.len(), self.n_rows(), "spmv output dimension mismatch");
-        for i in 0..self.num_shards() {
-            self.request_prefetch(i + 1);
-            let shard = self.pin(i);
-            let rows = self.shard_rows(i);
-            shard.spmv_into_with(x, &mut y[rows], cfg);
-        }
-    }
-
-    /// `out = A·B`, shards walked in row order through the monolithic
-    /// SpMM row kernels — dispatch identical to `ShardedCsr`.
-    fn spmm_into_with(&self, b: &Mat, out: &mut Mat, cfg: &ParallelismConfig) {
-        assert_eq!(b.rows(), self.n_cols(), "spmm dimension mismatch");
-        assert_eq!(out.rows(), self.n_rows(), "spmm output rows");
-        assert_eq!(out.cols(), b.cols(), "spmm output cols");
-        let kt = b.cols();
-        let flat = out.as_mut_slice();
-        for i in 0..self.num_shards() {
-            self.request_prefetch(i + 1);
-            let shard = self.pin(i);
-            let rows = self.shard_rows(i);
-            shard.spmm_block_with(b, &mut flat[rows.start * kt..rows.end * kt], cfg);
-        }
-    }
-
-    /// The fused LinBP step over paged shards — same global-offset
-    /// block dispatch and order-independent delta maxima as
-    /// `ShardedCsr`, hence bitwise the monolithic step.
-    fn linbp_step_fused_with(
-        &self,
-        b: &Mat,
-        step: &FusedLinBpStep<'_>,
-        out: &mut Mat,
-        deltas: &mut [f64],
-        cfg: &ParallelismConfig,
-    ) {
-        let n = self.n_rows();
-        let kt = b.cols();
-        let (k, _q) = validate_fused_step(n, self.n_cols(), b, step, out, deltas);
-        deltas.iter_mut().for_each(|d| *d = 0.0);
-        if n == 0 || kt == 0 {
-            return;
-        }
-        let flat = out.as_mut_slice();
-        for i in 0..self.num_shards() {
-            self.request_prefetch(i + 1);
-            let shard = self.pin(i);
-            let rows = self.shard_rows(i);
-            shard.fused_block_with(
-                b,
-                step,
-                rows.start,
-                &mut flat[rows.start * kt..rows.end * kt],
-                deltas,
-                k,
-                cfg,
-            );
-        }
-    }
-
-    /// Builds the plan with one pin per shard (bulk slice access under
-    /// the pin instead of the default's per-row owned copies). Run this
-    /// once per solve, ideally warm — it walks every shard exactly once
-    /// in row order, like any other full pass.
-    fn frontier_plan(&self) -> FrontierPlan {
-        let n = self.n_rows();
-        let mut plan = FrontierPlan::empty(n, FrontierPlan::block_rows_for(n));
-        for i in 0..self.num_shards() {
-            self.request_prefetch(i + 1);
-            let shard = self.pin(i);
-            let rows = self.shard_rows(i);
-            for local in 0..shard.n_rows() {
-                plan.add_row(rows.start + local, shard.row_cols(local));
-            }
-        }
-        plan
-    }
-
-    /// The frontier-aware fused step — the backend where skipping pays
-    /// twice: an inactive shard is neither prefetched nor pinned, so a
-    /// frozen region of the graph is **never faulted back in** (no I/O,
-    /// no eviction pressure on the live shards — compounding with tight
-    /// pool budgets). Prefetch targets the next *active* shard rather
-    /// than blindly `i + 1`. Bitwise identical to the full step at any
-    /// budget × shard × thread combination.
-    fn linbp_step_fused_frontier_with(
-        &self,
-        b: &Mat,
-        step: &FusedLinBpStep<'_>,
-        out: &mut Mat,
-        deltas: &mut [f64],
-        fr: &mut FrontierStep<'_>,
-        cfg: &ParallelismConfig,
-    ) {
-        let n = self.n_rows();
-        let kt = b.cols();
-        let (k, _q) = validate_fused_step(n, self.n_cols(), b, step, out, deltas);
-        deltas.iter_mut().for_each(|d| *d = 0.0);
-        if n == 0 || kt == 0 {
-            return;
-        }
-        let (plan, summary) = (fr.plan, fr.summary);
-        let shard_active = |i: usize| !plan.range_inactive(self.shard_rows(i), summary);
-        let flat = out.as_mut_slice();
-        for i in 0..self.num_shards() {
-            let rows = self.shard_rows(i);
-            if !shard_active(i) {
-                fr.rows_skipped += (rows.end - rows.start) as u64;
-                continue;
-            }
-            if let Some(next) = (i + 1..self.num_shards()).find(|&j| shard_active(j)) {
-                self.request_prefetch(next);
-            }
-            let shard = self.pin(i);
-            shard.fused_block_frontier_with(
-                b,
-                step,
-                rows.start,
-                &mut flat[rows.start * kt..rows.end * kt],
-                deltas,
-                k,
-                fr,
-                cfg,
-            );
-        }
-    }
-
-    fn transpose_with(&self, cfg: &ParallelismConfig) -> CsrMatrix {
-        self.to_csr().transpose_with(cfg)
-    }
-
-    fn row_sums(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_rows());
-        for i in 0..self.num_shards() {
-            self.request_prefetch(i + 1);
-            out.extend(self.pin(i).row_sums());
-        }
-        out
-    }
-
-    fn squared_weight_degrees(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_rows());
-        for i in 0..self.num_shards() {
-            self.request_prefetch(i + 1);
-            out.extend(self.pin(i).squared_weight_degrees());
-        }
-        out
     }
 }
 
@@ -683,7 +493,9 @@ impl PropagationOperator for PagedCsr {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+    use crate::operator::PropagationOperator;
     use crate::sharded::ShardedCsr;
+    use lsbp_linalg::{Mat, ParallelismConfig};
     use std::path::PathBuf;
 
     fn sample() -> CsrMatrix {
@@ -856,6 +668,27 @@ mod tests {
             paged.load_shard(1),
             Err(ShardFileError::ChecksumMismatch(_))
         ));
+        drop(paged);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn spill_shards_fit_two_in_the_budget() {
+        let m = sample();
+        let bytes = block_resident_bytes(m.n_rows(), m.nnz());
+        let opts = PagedOptions::default();
+        assert_eq!(opts.spill_shards(&m), 1, "unbudgeted");
+        for budget in [2 * bytes, 2 * bytes + 1, usize::MAX] {
+            assert_eq!(opts.with_budget(Some(budget)).spill_shards(&m), 1);
+        }
+        assert_eq!(opts.with_budget(Some(2 * bytes - 1)).spill_shards(&m), 2);
+        assert_eq!(opts.with_budget(Some(bytes / 2)).spill_shards(&m), 4);
+        let tiny = opts.with_budget(Some(1));
+        assert!(tiny.spill_shards(&m) > 1);
+        // The spill itself caps the count at the non-empty rows.
+        let path = tmp("derived.lsbp");
+        let paged = PagedCsr::spill(&m, &path, tiny.spill_shards(&m), tiny).unwrap();
+        assert!(paged.num_shards() > 1 && paged.num_shards() <= m.n_rows());
         drop(paged);
         std::fs::remove_file(&path).ok();
     }

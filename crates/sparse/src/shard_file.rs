@@ -37,7 +37,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::operator::PropagationOperator;
-use crate::sharded::ShardedCsr;
+use crate::sharded::{ShardSource, ShardedCsr};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::ops::Range;
@@ -142,10 +142,15 @@ impl ShardMeta {
     /// Approximate in-memory footprint of the deserialized block —
     /// what the buffer pool charges against its byte budget.
     pub fn resident_bytes(&self) -> usize {
-        let rows = self.rows.end - self.rows.start;
-        (rows + 1) * std::mem::size_of::<usize>()
-            + self.nnz * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())
+        block_resident_bytes(self.rows.end - self.rows.start, self.nnz)
     }
+}
+
+/// In-memory footprint of a CSR block with `rows` rows and `nnz` entries
+/// (row pointers, `u32` columns, `f64` values) — the pool's byte measure.
+pub(crate) fn block_resident_bytes(rows: usize, nnz: usize) -> usize {
+    (rows + 1) * std::mem::size_of::<usize>()
+        + nnz * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())
 }
 
 /// An opened (validated, not yet loaded) shard store — the directory
@@ -525,7 +530,7 @@ mod tests {
             for i in 0..f.num_shards() {
                 assert_eq!(f.shard_meta(i).rows, want.shard_rows(i));
                 let block = f.read_shard(i).unwrap();
-                assert_eq!(&block, want.shard(i), "shard {i} of {shards}");
+                assert_eq!(block, *want.shard(i), "shard {i} of {shards}");
             }
             std::fs::remove_file(&path).ok();
         }

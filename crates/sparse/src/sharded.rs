@@ -1,4 +1,5 @@
-//! Row-partitioned graph shards — the scale-out storage layout.
+//! Row-partitioned graph shards — the scale-out storage layout — and the
+//! one shard walk every sharded backend runs.
 //!
 //! [`ShardedCsr`] splits a graph into nnz-balanced, contiguous row-range
 //! shards (the partition computed by
@@ -6,35 +7,306 @@
 //! thread partitions). Each shard is an independent, compact
 //! (`u32`-indexed) CSR block over its own rows with *global* column
 //! indices, so a shard can gather from the full belief matrix without any
-//! index translation — and, in a future out-of-core or distributed
-//! deployment, can live in its own file, memory arena, or process.
+//! index translation — and can live in its own file, memory arena, or
+//! process.
 //!
-//! Execution model: every kernel walks the shards **in row order**, and
-//! each shard runs as **one persistent-pool region** (further
-//! row-partitioned inside per the [`ParallelismConfig`]). All workers
-//! therefore stream one shard's arrays at a time — shard affinity and
-//! cache residency — and the region boundary is exactly where an
-//! out-of-core engine would page the next shard in.
+//! **The `ShardSource` split.** A backend says only *how it reaches shard
+//! `i`*, through [`ShardSource`]: how many shards there are, which rows
+//! each covers, a guard that derefs to the shard's [`CsrMatrix`] block,
+//! and a hint that shard `i` comes next. [`ShardedCsr`] borrows a
+//! resident block and ignores the hint; [`crate::PagedCsr`] pins the
+//! block in its buffer pool and turns the hint into a background
+//! prefetch. Everything else — the [`PropagationOperator`] surface — is
+//! written **once**, generic over `ShardSource`, in this module. Only row
+//! access stays per backend ([`ShardSource::row`]), because a resident
+//! row can be borrowed while an evictable one must be copied out.
+//!
+//! Execution model: every kernel walks the shards **in row order**,
+//! hinting shard `i + 1` before taking shard `i`, and each shard runs as
+//! **one persistent-pool region** (further row-partitioned inside per the
+//! [`ParallelismConfig`]). All workers therefore stream one shard's
+//! arrays at a time — shard affinity and cache residency — and the region
+//! boundary is exactly where the paged backend swaps the next shard in.
 //!
 //! **Bitwise contract.** Shards are row-aligned and run the *same* row
 //! kernels as the monolithic [`CsrMatrix`] (the canonical 4-lane
 //! accumulation order per output element); cross-shard reductions are
 //! order-independent maxima. Every result is therefore bitwise identical
-//! to the monolithic path at any shard × thread combination — re-sharding
-//! a live system never changes an answer (property-tested in
-//! `tests/sharded_engine.rs`).
+//! to the monolithic path at any shard × thread combination (and, for the
+//! paged backend, any budget) — property-tested in
+//! `tests/sharded_engine.rs` and `tests/out_of_core.rs`.
 
 use crate::csr::CsrMatrix;
 use crate::frontier::{FrontierPlan, FrontierStep};
 use crate::fused::{validate_fused_step, FusedLinBpStep};
 use crate::operator::{PropagationOperator, RowIter};
 use lsbp_linalg::{weight_balanced_ranges, Mat, ParallelismConfig};
-use std::ops::Range;
+use std::ops::{Deref, Range};
+
+/// A matrix stored as contiguous row-range shards — the one thing a
+/// storage backend implements to get the whole [`PropagationOperator`]
+/// surface (see the module docs for the split).
+///
+/// The shard walk needs four methods: [`ShardSource::num_shards`],
+/// [`ShardSource::shard_rows`], [`ShardSource::shard`] and
+/// [`ShardSource::hint`]. [`ShardSource::shape`] and [`ShardSource::row`]
+/// are the per-backend leaves the walk cannot derive: the matrix shape
+/// from metadata, and row access (borrowed or copied).
+pub trait ShardSource: Sync {
+    /// Number of shards (including empty ones).
+    fn num_shards(&self) -> usize;
+
+    /// The global row range of shard `i`. Ranges tile `0..n_rows` in
+    /// shard order; empty ranges are allowed.
+    fn shard_rows(&self, i: usize) -> Range<usize>;
+
+    /// Shard `i`'s CSR block (local rows, global columns), kept resident
+    /// for as long as the returned guard lives.
+    fn shard(&self, i: usize) -> impl Deref<Target = CsrMatrix> + '_;
+
+    /// Tells the backend the walk will want shard `i` next. A pure
+    /// scheduling hint: it never changes a result, and an index past the
+    /// last shard is ignored.
+    fn hint(&self, i: usize);
+
+    /// `(n_cols, nnz)` of the whole matrix, read without touching a shard.
+    fn shape(&self) -> (usize, usize);
+
+    /// Iterates `(col, value)` pairs of global row `r` — the backend's
+    /// [`PropagationOperator::row_iter`].
+    fn row(&self, r: usize) -> RowIter<'_>;
+
+    /// The shard holding global row `r` and `r`'s local row index within
+    /// it. Empty shards are never returned.
+    fn locate(&self, r: usize) -> (usize, usize) {
+        // Binary search for the first shard whose range ends past `r` —
+        // the unique shard with start <= r < end.
+        let (mut lo, mut hi) = (0, self.num_shards());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.shard_rows(mid).end <= r {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        assert!(lo < self.num_shards(), "row {r} out of range");
+        (lo, r - self.shard_rows(lo).start)
+    }
+
+    /// Reassembles the monolithic [`CsrMatrix`] by walking every shard
+    /// in row order — bit for bit, since shards only slice the original
+    /// arrays.
+    ///
+    /// # Panics
+    /// Panics if a paged block fails its checksum mid-walk — use
+    /// [`crate::PagedCsr::load_shard`] first for a checked pass.
+    fn to_csr(&self) -> CsrMatrix {
+        let (n_cols, nnz) = self.shape();
+        let mut row_ptr = vec![0usize];
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        for i in 0..self.num_shards() {
+            self.hint(i + 1);
+            let shard = self.shard(i);
+            let base = *row_ptr.last().unwrap();
+            row_ptr.extend(shard.row_offsets()[1..].iter().map(|&p| base + p));
+            col_idx.extend_from_slice(shard.raw_col_idx());
+            values.extend_from_slice(shard.raw_values());
+        }
+        CsrMatrix::from_trusted_parts(row_ptr.len() - 1, n_cols, row_ptr, col_idx, values)
+    }
+}
+
+/// The one sharded operator: every kernel walks the shards in row order,
+/// hinting the next shard before taking the current one, and runs the
+/// monolithic row kernels on each block at its global row offset.
+impl<S: ShardSource> PropagationOperator for S {
+    #[inline]
+    fn n_rows(&self) -> usize {
+        self.num_shards()
+            .checked_sub(1)
+            .map_or(0, |last| self.shard_rows(last).end)
+    }
+
+    #[inline]
+    fn n_cols(&self) -> usize {
+        self.shape().0
+    }
+
+    #[inline]
+    fn nnz(&self) -> usize {
+        self.shape().1
+    }
+
+    fn row_nnz(&self, r: usize) -> usize {
+        let (s, local) = self.locate(r);
+        self.shard(s).row_nnz(local)
+    }
+
+    fn row_iter(&self, r: usize) -> RowIter<'_> {
+        self.row(r)
+    }
+
+    /// `y = A·x`, one persistent-pool region per shard in row order; each
+    /// shard's rows run the monolithic SpMV kernel on its own block.
+    fn spmv_into_with(&self, x: &[f64], y: &mut [f64], cfg: &ParallelismConfig) {
+        assert_eq!(x.len(), self.n_cols(), "spmv dimension mismatch");
+        assert_eq!(y.len(), self.n_rows(), "spmv output dimension mismatch");
+        for i in 0..self.num_shards() {
+            self.hint(i + 1);
+            let rows = self.shard_rows(i);
+            self.shard(i).spmv_into_with(x, &mut y[rows], cfg);
+        }
+    }
+
+    /// `out = A·B`, one persistent-pool region per shard in row order;
+    /// each shard streams its block through the monolithic SpMM row
+    /// kernels (width-specialized like the reference path).
+    fn spmm_into_with(&self, b: &Mat, out: &mut Mat, cfg: &ParallelismConfig) {
+        assert_eq!(b.rows(), self.n_cols(), "spmm dimension mismatch");
+        assert_eq!(out.rows(), self.n_rows(), "spmm output rows");
+        assert_eq!(out.cols(), b.cols(), "spmm output cols");
+        let kt = b.cols();
+        let flat = out.as_mut_slice();
+        for i in 0..self.num_shards() {
+            self.hint(i + 1);
+            let rows = self.shard_rows(i);
+            self.shard(i)
+                .spmm_block_with(b, &mut flat[rows.start * kt..rows.end * kt], cfg);
+        }
+    }
+
+    /// The fused LinBP step, one persistent-pool region per shard in row
+    /// order. Each shard gathers from the full belief matrix (global
+    /// column indices) but reads `Ê`/`B`/`degrees` rows at its own
+    /// global offset; per-query residual maxima accumulate across shards
+    /// with the order-independent `max`, so the result equals the
+    /// monolithic step bitwise.
+    fn linbp_step_fused_with(
+        &self,
+        b: &Mat,
+        step: &FusedLinBpStep<'_>,
+        out: &mut Mat,
+        deltas: &mut [f64],
+        cfg: &ParallelismConfig,
+    ) {
+        let n = self.n_rows();
+        let kt = b.cols();
+        let (k, _q) = validate_fused_step(n, self.n_cols(), b, step, out, deltas);
+        deltas.iter_mut().for_each(|d| *d = 0.0);
+        if n == 0 || kt == 0 {
+            return;
+        }
+        let flat = out.as_mut_slice();
+        for i in 0..self.num_shards() {
+            self.hint(i + 1);
+            let rows = self.shard_rows(i);
+            self.shard(i).fused_block_with(
+                b,
+                step,
+                rows.start,
+                &mut flat[rows.start * kt..rows.end * kt],
+                deltas,
+                k,
+                cfg,
+            );
+        }
+    }
+
+    /// Builds the plan with one shard access per shard (bulk slice access
+    /// instead of the trait default's per-row iterators) — a full pass in
+    /// row order like any other.
+    fn frontier_plan(&self) -> FrontierPlan {
+        let n = self.n_rows();
+        let mut plan = FrontierPlan::empty(n, FrontierPlan::block_rows_for(n));
+        for i in 0..self.num_shards() {
+            self.hint(i + 1);
+            let start = self.shard_rows(i).start;
+            let shard = self.shard(i);
+            for local in 0..shard.n_rows() {
+                // Shard columns are global, so rows fold in unchanged.
+                plan.add_row(start + local, shard.row_cols(local));
+            }
+        }
+        plan
+    }
+
+    /// The frontier-aware fused step: shard-granular skipping first — a
+    /// shard whose overlapping plan blocks are all inactive is passed
+    /// over without being hinted or taken, so a paged backend never
+    /// faults a frozen region back in — then the per-shard kernel applies
+    /// block- and row-granular skipping inside. The hint goes to the next
+    /// *active* shard, before the current one is taken. Bitwise identical
+    /// to the full step at any shard × thread (× budget) combination.
+    fn linbp_step_fused_frontier_with(
+        &self,
+        b: &Mat,
+        step: &FusedLinBpStep<'_>,
+        out: &mut Mat,
+        deltas: &mut [f64],
+        fr: &mut FrontierStep<'_>,
+        cfg: &ParallelismConfig,
+    ) {
+        let n = self.n_rows();
+        let kt = b.cols();
+        let (k, _q) = validate_fused_step(n, self.n_cols(), b, step, out, deltas);
+        deltas.iter_mut().for_each(|d| *d = 0.0);
+        if n == 0 || kt == 0 {
+            return;
+        }
+        let (plan, summary) = (fr.plan, fr.summary);
+        let shard_active = |i: usize| !plan.range_inactive(self.shard_rows(i), summary);
+        let flat = out.as_mut_slice();
+        for i in 0..self.num_shards() {
+            let rows = self.shard_rows(i);
+            if !shard_active(i) {
+                fr.rows_skipped += (rows.end - rows.start) as u64;
+                continue;
+            }
+            if let Some(next) = (i + 1..self.num_shards()).find(|&j| shard_active(j)) {
+                self.hint(next);
+            }
+            self.shard(i).fused_block_frontier_with(
+                b,
+                step,
+                rows.start,
+                &mut flat[rows.start * kt..rows.end * kt],
+                deltas,
+                k,
+                fr,
+                cfg,
+            );
+        }
+    }
+
+    fn transpose_with(&self, cfg: &ParallelismConfig) -> CsrMatrix {
+        self.to_csr().transpose_with(cfg)
+    }
+
+    fn row_sums(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.n_rows());
+        for i in 0..self.num_shards() {
+            self.hint(i + 1);
+            out.extend(self.shard(i).row_sums());
+        }
+        out
+    }
+
+    fn squared_weight_degrees(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.n_rows());
+        for i in 0..self.num_shards() {
+            self.hint(i + 1);
+            out.extend(self.shard(i).squared_weight_degrees());
+        }
+        out
+    }
+}
 
 /// A sparse square-or-rectangular matrix stored as nnz-balanced,
-/// contiguous row-range shards behind the [`PropagationOperator`]
-/// interface — see the module docs for layout, execution model and the
-/// bitwise contract.
+/// contiguous row-range shards held in memory — the resident
+/// [`ShardSource`]. See the module docs for layout, execution model and
+/// the bitwise contract.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardedCsr {
     n_cols: usize,
@@ -111,39 +383,6 @@ impl ShardedCsr {
         )
     }
 
-    /// Number of shards (including empty ones).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The global row range of shard `i`.
-    pub fn shard_rows(&self, i: usize) -> Range<usize> {
-        self.starts[i]..self.starts[i + 1]
-    }
-
-    /// The CSR block of shard `i` (local rows, global columns).
-    pub fn shard(&self, i: usize) -> &CsrMatrix {
-        &self.shards[i]
-    }
-
-    /// Reassembles the monolithic [`CsrMatrix`] (the inverse of
-    /// [`ShardedCsr::from_csr`] — bit-for-bit, since shard extraction
-    /// only slices the original arrays).
-    pub fn to_csr(&self) -> CsrMatrix {
-        let n_rows = self.n_rows();
-        let mut row_ptr = Vec::with_capacity(n_rows + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::with_capacity(self.nnz);
-        let mut values = Vec::with_capacity(self.nnz);
-        for shard in &self.shards {
-            let base = *row_ptr.last().unwrap();
-            row_ptr.extend(shard.row_offsets()[1..].iter().map(|&p| base + p));
-            col_idx.extend_from_slice(shard.raw_col_idx());
-            values.extend_from_slice(shard.raw_values());
-        }
-        CsrMatrix::from_trusted_parts(n_rows, self.n_cols, row_ptr, col_idx, values)
-    }
-
     /// Column indices of row `r` (sorted ascending, global coordinates)
     /// — zero-copy, straight out of the owning shard's arrays.
     #[inline]
@@ -158,182 +397,35 @@ impl ShardedCsr {
         let (s, local) = self.locate(r);
         self.shards[s].row_values(local)
     }
-
-    /// The shard holding global row `r` and `r`'s local row index within
-    /// it. Empty shards are skipped by construction (`starts` jumps past
-    /// them).
-    #[inline]
-    fn locate(&self, r: usize) -> (usize, usize) {
-        debug_assert!(r < self.n_rows(), "row {r} out of range");
-        // First boundary strictly past r, minus one — the unique shard
-        // with starts[s] <= r < starts[s + 1].
-        let s = self.starts.partition_point(|&x| x <= r) - 1;
-        (s, r - self.starts[s])
-    }
 }
 
-impl PropagationOperator for ShardedCsr {
+impl ShardSource for ShardedCsr {
     #[inline]
-    fn n_rows(&self) -> usize {
-        *self.starts.last().unwrap()
+    fn num_shards(&self) -> usize {
+        self.shards.len()
     }
 
     #[inline]
-    fn n_cols(&self) -> usize {
-        self.n_cols
+    fn shard_rows(&self, i: usize) -> Range<usize> {
+        self.starts[i]..self.starts[i + 1]
     }
 
     #[inline]
-    fn nnz(&self) -> usize {
-        self.nnz
+    fn shard(&self, i: usize) -> impl Deref<Target = CsrMatrix> + '_ {
+        &self.shards[i]
     }
 
     #[inline]
-    fn row_nnz(&self, r: usize) -> usize {
-        let (s, local) = self.locate(r);
-        self.shards[s].row_nnz(local)
+    fn hint(&self, _i: usize) {}
+
+    #[inline]
+    fn shape(&self) -> (usize, usize) {
+        (self.n_cols, self.nnz)
     }
 
     #[inline]
-    fn row_iter(&self, r: usize) -> RowIter<'_> {
+    fn row(&self, r: usize) -> RowIter<'_> {
         RowIter::borrowed(self.row_cols(r), self.row_values(r))
-    }
-
-    /// `y = A·x`, one persistent-pool region per shard in row order; each
-    /// shard's rows run the monolithic SpMV kernel on its own block.
-    fn spmv_into_with(&self, x: &[f64], y: &mut [f64], cfg: &ParallelismConfig) {
-        assert_eq!(x.len(), self.n_cols, "spmv dimension mismatch");
-        assert_eq!(y.len(), self.n_rows(), "spmv output dimension mismatch");
-        for (i, shard) in self.shards.iter().enumerate() {
-            let rows = self.shard_rows(i);
-            shard.spmv_into_with(x, &mut y[rows], cfg);
-        }
-    }
-
-    /// `out = A·B`, one persistent-pool region per shard in row order;
-    /// each shard streams its block through the monolithic SpMM row
-    /// kernels (width-specialized like the reference path).
-    fn spmm_into_with(&self, b: &Mat, out: &mut Mat, cfg: &ParallelismConfig) {
-        assert_eq!(b.rows(), self.n_cols, "spmm dimension mismatch");
-        assert_eq!(out.rows(), self.n_rows(), "spmm output rows");
-        assert_eq!(out.cols(), b.cols(), "spmm output cols");
-        let kt = b.cols();
-        let flat = out.as_mut_slice();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let rows = self.shard_rows(i);
-            shard.spmm_block_with(b, &mut flat[rows.start * kt..rows.end * kt], cfg);
-        }
-    }
-
-    /// The fused LinBP step, one persistent-pool region per shard in row
-    /// order. Each shard gathers from the full belief matrix (global
-    /// column indices) but reads `Ê`/`B`/`degrees` rows at its own
-    /// global offset; per-query residual maxima accumulate across shards
-    /// with the order-independent `max`, so the result equals the
-    /// monolithic step bitwise.
-    fn linbp_step_fused_with(
-        &self,
-        b: &Mat,
-        step: &FusedLinBpStep<'_>,
-        out: &mut Mat,
-        deltas: &mut [f64],
-        cfg: &ParallelismConfig,
-    ) {
-        let n = self.n_rows();
-        let kt = b.cols();
-        let (k, _q) = validate_fused_step(n, self.n_cols, b, step, out, deltas);
-        deltas.iter_mut().for_each(|d| *d = 0.0);
-        if n == 0 || kt == 0 {
-            return;
-        }
-        let flat = out.as_mut_slice();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let rows = self.shard_rows(i);
-            shard.fused_block_with(
-                b,
-                step,
-                rows.start,
-                &mut flat[rows.start * kt..rows.end * kt],
-                deltas,
-                k,
-                cfg,
-            );
-        }
-    }
-
-    fn frontier_plan(&self) -> FrontierPlan {
-        let n = self.n_rows();
-        let mut plan = FrontierPlan::empty(n, FrontierPlan::block_rows_for(n));
-        for (i, shard) in self.shards.iter().enumerate() {
-            let rows = self.shard_rows(i);
-            for local in 0..shard.n_rows() {
-                // Shard columns are global, so rows fold in unchanged.
-                plan.add_row(rows.start + local, shard.row_cols(local));
-            }
-        }
-        plan
-    }
-
-    /// The frontier-aware fused step: shard-granular skipping first — a
-    /// shard whose overlapping plan blocks are all inactive is passed
-    /// over without touching its arrays at all — then the per-shard
-    /// kernel applies block- and row-granular skipping inside. Bitwise
-    /// identical to [`ShardedCsr::linbp_step_fused_with`] (and hence to
-    /// the monolithic step) at any shard × thread combination.
-    fn linbp_step_fused_frontier_with(
-        &self,
-        b: &Mat,
-        step: &FusedLinBpStep<'_>,
-        out: &mut Mat,
-        deltas: &mut [f64],
-        fr: &mut FrontierStep<'_>,
-        cfg: &ParallelismConfig,
-    ) {
-        let n = self.n_rows();
-        let kt = b.cols();
-        let (k, _q) = validate_fused_step(n, self.n_cols, b, step, out, deltas);
-        deltas.iter_mut().for_each(|d| *d = 0.0);
-        if n == 0 || kt == 0 {
-            return;
-        }
-        let flat = out.as_mut_slice();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let rows = self.shard_rows(i);
-            if fr.plan.range_inactive(rows.clone(), fr.summary) {
-                fr.rows_skipped += (rows.end - rows.start) as u64;
-                continue;
-            }
-            shard.fused_block_frontier_with(
-                b,
-                step,
-                rows.start,
-                &mut flat[rows.start * kt..rows.end * kt],
-                deltas,
-                k,
-                fr,
-                cfg,
-            );
-        }
-    }
-
-    fn transpose_with(&self, cfg: &ParallelismConfig) -> CsrMatrix {
-        self.to_csr().transpose_with(cfg)
-    }
-
-    fn row_sums(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_rows());
-        for shard in &self.shards {
-            out.extend(shard.row_sums());
-        }
-        out
-    }
-
-    fn squared_weight_degrees(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_rows());
-        for shard in &self.shards {
-            out.extend(shard.squared_weight_degrees());
-        }
-        out
     }
 }
 

@@ -288,11 +288,10 @@ fn frontier_under_paged_eviction_pressure() {
     for threads in [1usize, 4] {
         let cfg = ParallelismConfig::with_threads(threads)
             .with_min_work(1)
-            .with_shards(shards)
-            .with_memory_budget(budget)
             .with_frontier(true);
         let path = tmp(&format!("pressure-t{threads}.lsbp"));
-        let paged = spill_paged(&adj, &path, &cfg).unwrap();
+        let opts = PagedOptions::default().with_budget(Some(budget));
+        let paged = PagedCsr::spill(&adj, &path, shards, opts).unwrap();
         let got = linbp_on(
             &paged,
             &e,
@@ -360,20 +359,20 @@ proptest! {
 
         let cfg = ParallelismConfig::with_threads(threads)
             .with_min_work(1)
-            .with_shards(shards)
             .with_frontier(true);
         let label = format!(
             "n={nodes} seed={seed} s={shards} t={threads} tol={tol} tiny={tiny_budget}"
         );
-        // Resident path (re-shards internally when shards > 1).
-        let got = linbp(&adj, &e, &h, &LinBpOptions { parallelism: cfg, ..base }).unwrap();
+        // Resident sharded path.
+        let sharded = ShardedCsr::from_csr(&adj, shards);
+        let got = linbp_on(&sharded, &e, &h, &LinBpOptions { parallelism: cfg, ..base }).unwrap();
         assert_runs_identical(&got, &want, &label);
         assert_counters(&got, nodes, true, &label);
         // Paged path under a tiny (always-evicting) or ample budget.
         let budget = if tiny_budget { 1 } else { csr_bytes(&adj) * 4 };
-        let cfg = cfg.with_memory_budget(budget);
         let path = tmp(&format!("prop-{nodes}-{seed}-{shards}-{threads}-{tiny_budget}.lsbp"));
-        let paged = spill_paged(&adj, &path, &cfg).unwrap();
+        let opts = PagedOptions::default().with_budget(Some(budget));
+        let paged = PagedCsr::spill(&adj, &path, shards, opts).unwrap();
         let got = linbp_on(&paged, &e, &h, &LinBpOptions { parallelism: cfg, ..base }).unwrap();
         assert_runs_identical(&got, &want, &format!("{label} (paged)"));
         assert_counters(&got, nodes, true, &format!("{label} (paged)"));

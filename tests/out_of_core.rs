@@ -92,12 +92,10 @@ fn paged_solves_match_resident_across_budget_grid() {
     for (budget, bname) in [(1usize, "tiny"), (bytes / 2, "half"), (bytes * 4, "ample")] {
         for threads in [1usize, 4] {
             for shards in [1usize, 2, 8] {
-                let cfg = ParallelismConfig::with_threads(threads)
-                    .with_min_work(1)
-                    .with_shards(shards)
-                    .with_memory_budget(budget);
+                let cfg = ParallelismConfig::with_threads(threads).with_min_work(1);
                 let path = tmp(&format!("grid-{bname}-t{threads}-s{shards}.lsbp"));
-                let paged = spill_paged(&adj, &path, &cfg).unwrap();
+                let opts = PagedOptions::default().with_budget(Some(budget));
+                let paged = PagedCsr::spill(&adj, &path, shards, opts).unwrap();
                 assert!(paged.num_shards() >= 1 && paged.num_shards() <= shards);
                 let label = format!("budget={bname} t={threads} s={shards}");
                 let opts = LinBpOptions {
@@ -154,9 +152,7 @@ fn cold_and_warm_solves_are_bit_identical() {
     let adj = erdos_renyi_gnm(n, 140, 11).adjacency();
     let e = seeds(n, 3, &[(3, 0), (20, 1), (33, 2)]);
     let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
-    let cfg = ParallelismConfig::with_threads(2)
-        .with_min_work(1)
-        .with_shards(4);
+    let cfg = ParallelismConfig::with_threads(2).with_min_work(1);
     let opts = LinBpOptions {
         max_iter: 100,
         tol: 1e-10,
@@ -164,9 +160,8 @@ fn cold_and_warm_solves_are_bit_identical() {
         ..Default::default()
     };
     let path = tmp("cold-warm.lsbp");
-    // Unbudgeted (no memory budget set) → everything stays resident
-    // after first touch.
-    let paged = spill_paged(&adj, &path, &cfg).unwrap();
+    // Unbudgeted → everything stays resident after first touch.
+    let paged = PagedCsr::spill(&adj, &path, 4, PagedOptions::default()).unwrap();
     let cold = linbp_on(&paged, &e, &h, &opts).unwrap();
     let after_cold = paged.stats();
     assert!(after_cold.misses > 0, "cold run must demand-load shards");
@@ -185,6 +180,35 @@ fn cold_and_warm_solves_are_bit_identical() {
     assert_linbp_equal(&got, &want, "reopened vs resident");
 }
 
+/// `spill_paged` takes its shard count from the memory budget: one shard
+/// unbudgeted, several when the budget holds only a sliver of the graph —
+/// and the solve is the resident one either way.
+#[test]
+fn spill_paged_derives_shards_from_budget() {
+    let adj = erdos_renyi_gnm(40, 120, 17).adjacency();
+    let e = seeds(40, 3, &[(2, 0), (19, 1), (33, 2)]);
+    let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
+    let opts = LinBpOptions {
+        parallelism: ParallelismConfig::serial(),
+        ..Default::default()
+    };
+    let want = linbp(&adj, &e, &h, &opts).unwrap();
+    for (budget, at_least, at_most) in [(0, 1, 1), (csr_bytes(&adj) / 4, 2, 8), (1, 2, 40)] {
+        let cfg = opts.parallelism.with_memory_budget(budget);
+        let path = tmp(&format!("derived-{budget}.lsbp"));
+        let paged = spill_paged(&adj, &path, &cfg).unwrap();
+        let shards = paged.num_shards();
+        assert!(
+            (at_least..=at_most).contains(&shards),
+            "budget {budget}: {shards} shards"
+        );
+        let got = linbp_on(&paged, &e, &h, &opts).unwrap();
+        assert_linbp_equal(&got, &want, &format!("budget {budget}"));
+        drop(paged);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 /// Eviction pressure *mid-solve*: a budget that holds roughly one shard
 /// forces the pool to cycle residency on every iteration of a long
 /// multi-iteration solve — the answer must not change.
@@ -198,10 +222,7 @@ fn eviction_under_pressure_mid_solve() {
     // Budget ≈ one shard: walking 8 shards per iteration evicts 7 times
     // per sweep, interleaved with the solve's own vector updates.
     let budget = csr_bytes(&adj) / shards + 64;
-    let cfg = ParallelismConfig::with_threads(4)
-        .with_min_work(1)
-        .with_shards(shards)
-        .with_memory_budget(budget);
+    let cfg = ParallelismConfig::with_threads(4).with_min_work(1);
     let opts = LinBpOptions {
         max_iter: 200,
         tol: 1e-12,
@@ -219,7 +240,13 @@ fn eviction_under_pressure_mid_solve() {
     )
     .unwrap();
     let path = tmp("pressure.lsbp");
-    let paged = spill_paged(&adj, &path, &cfg).unwrap();
+    let paged = PagedCsr::spill(
+        &adj,
+        &path,
+        shards,
+        PagedOptions::default().with_budget(Some(budget)),
+    )
+    .unwrap();
     let got = linbp_on(&paged, &e, &h, &opts).unwrap();
     assert_linbp_equal(&got, &want, "pressure");
     let stats = paged.stats();
@@ -236,9 +263,9 @@ fn eviction_under_pressure_mid_solve() {
 #[test]
 fn damaged_files_are_typed_errors() {
     let adj = erdos_renyi_gnm(30, 90, 3).adjacency();
-    let cfg = ParallelismConfig::serial().with_shards(3);
+    let cfg = ParallelismConfig::serial();
     let path = tmp("damaged.lsbp");
-    drop(spill_paged(&adj, &path, &cfg).unwrap());
+    drop(PagedCsr::spill(&adj, &path, 3, PagedOptions::default()).unwrap());
     let full = std::fs::read(&path).unwrap();
 
     // Truncations at every granularity: header, directory, mid-block.
@@ -300,12 +327,10 @@ proptest! {
             ..Default::default()
         };
         let want = linbp(&adj, &e, &h, &base_opts).unwrap();
-        let cfg = ParallelismConfig::with_threads(threads)
-            .with_min_work(1)
-            .with_shards(shards)
-            .with_memory_budget(budget);
+        let cfg = ParallelismConfig::with_threads(threads).with_min_work(1);
         let path = tmp(&format!("prop-{seed}-{shards}-{threads}-{budget_frac}.lsbp"));
-        let paged = spill_paged(&adj, &path, &cfg).unwrap();
+        let opts = PagedOptions::default().with_budget(Some(budget));
+        let paged = PagedCsr::spill(&adj, &path, shards, opts).unwrap();
         prop_assert_eq!(paged.to_csr(), adj.clone());
         let got = linbp_on(&paged, &e, &h, &LinBpOptions { parallelism: cfg, ..base_opts }).unwrap();
         prop_assert_eq!(got.iterations, want.iterations);
@@ -338,9 +363,8 @@ proptest! {
         prop_assert_eq!(next, n);
         prop_assert_eq!(sharded.to_csr(), adj.clone());
         // Same edge through the paged store.
-        let cfg = ParallelismConfig::serial().with_shards(shards);
         let path = tmp(&format!("edge-{n}-{extra}-{seed}.lsbp"));
-        let paged = spill_paged(&adj, &path, &cfg).unwrap();
+        let paged = PagedCsr::spill(&adj, &path, shards, PagedOptions::default()).unwrap();
         prop_assert!(paged.num_shards() <= n.max(1));
         prop_assert_eq!(paged.to_csr(), adj.clone());
         let _ = std::fs::remove_file(&path);

@@ -1022,9 +1022,8 @@ fn spill_scratch(name: &str) -> std::path::PathBuf {
 fn spill_config(dir: &std::path::Path) -> ServerConfig {
     ServerConfig {
         spill_dir: Some(dir.to_path_buf()),
-        parallelism: ParallelismConfig::serial()
-            .with_shards(4)
-            .with_memory_budget(1),
+        // A 1-byte budget derives one shard per non-empty row.
+        parallelism: ParallelismConfig::serial().with_memory_budget(1),
         ..ServerConfig::default()
     }
 }
@@ -1232,4 +1231,21 @@ fn pager_totals_stay_monotone_across_version_retirement() {
         final_stats.pager_misses > 0,
         "retirement churn must have produced pager activity"
     );
+}
+
+/// `stop` must not lose its wakeup: a solver thread that has read
+/// `stopping == false` but not yet parked would otherwise sleep forever
+/// and hang `Drop` in `join`. Hundreds of back-to-back create/drop cycles
+/// under a watchdog make the race window observable.
+#[test]
+fn create_and_drop_cores_never_hangs() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..300 {
+            drop(ServerCore::new(ServerConfig::default()));
+        }
+        tx.send(()).unwrap();
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("dropping a ServerCore hung: stop() lost its wakeup");
 }

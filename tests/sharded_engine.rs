@@ -1,10 +1,9 @@
-//! The sharded-engine contract: every propagator running on
-//! [`ShardedCsr`] — whether through the shard knob on
-//! [`ParallelismConfig`] or directly via the `*_on` operator entry points
-//! — must be **bitwise identical** to the monolithic [`CsrMatrix`] path
-//! at every shard × thread combination, including empty shards,
-//! single-row shards, and divergent runs. Re-sharding a live system must
-//! never change an answer.
+//! The sharded-engine contract: every propagator running on a
+//! [`ShardedCsr`] through the `*_on` operator entry points must be
+//! **bitwise identical** to the monolithic [`CsrMatrix`] path at every
+//! shard × thread combination, including empty shards, single-row
+//! shards, and divergent runs. Re-sharding a live system must never
+//! change an answer.
 
 use lsbp::prelude::*;
 use lsbp_graph::generators::erdos_renyi_gnm;
@@ -22,15 +21,14 @@ fn bits_equal(a: &Mat, b: &Mat) -> bool {
 }
 
 /// The acceptance grid: shard counts {1, 2, 8} × threads {1, 4}.
-fn shard_thread_grid() -> Vec<ParallelismConfig> {
+fn shard_thread_grid() -> Vec<(usize, ParallelismConfig)> {
     let mut grid = Vec::new();
     for threads in [1usize, 4] {
         for shards in [1usize, 2, 8] {
-            grid.push(
-                ParallelismConfig::with_threads(threads)
-                    .with_min_work(1)
-                    .with_shards(shards),
-            );
+            grid.push((
+                shards,
+                ParallelismConfig::with_threads(threads).with_min_work(1),
+            ));
         }
     }
     grid
@@ -59,7 +57,7 @@ fn assert_linbp_equal(got: &LinBpResult, want: &LinBpResult, label: &str) {
     );
 }
 
-/// LinBP and LinBP* through the shard knob: every (shards, threads) cell
+/// LinBP and LinBP* on a sharded operator: every (shards, threads) cell
 /// equals the serial monolithic reference bitwise — convergent and
 /// divergent (guard-tripping) coupling scales alike.
 #[test]
@@ -80,28 +78,29 @@ fn linbp_shard_knob_grid() {
         if label == "divergent" {
             assert!(want_star.diverged, "the divergent case must diverge");
         }
-        for cfg in shard_thread_grid() {
+        for (shards, cfg) in shard_thread_grid() {
+            let sharded = ShardedCsr::from_csr(&adj, shards);
             let opts = LinBpOptions {
                 parallelism: cfg,
                 ..reference_opts
             };
-            let got = linbp(&adj, &e, &h, &opts).unwrap();
+            let got = linbp_on(&sharded, &e, &h, &opts).unwrap();
             assert_linbp_equal(
                 &got,
                 &want,
-                &format!("{label} t={} s={}", cfg.threads(), cfg.shards()),
+                &format!("{label} t={} s={shards}", cfg.threads()),
             );
-            let got_star = linbp_star(&adj, &e, &h, &opts).unwrap();
+            let got_star = linbp_star_on(&sharded, &e, &h, &opts).unwrap();
             assert_linbp_equal(
                 &got_star,
                 &want_star,
-                &format!("{label}* t={} s={}", cfg.threads(), cfg.shards()),
+                &format!("{label}* t={} s={shards}", cfg.threads()),
             );
         }
     }
 }
 
-/// RWR through the shard knob over the same grid.
+/// RWR on a sharded operator over the same grid.
 #[test]
 fn rwr_shard_knob_grid() {
     let adj = erdos_renyi_gnm(70, 210, 3).adjacency();
@@ -115,9 +114,9 @@ fn rwr_shard_knob_grid() {
         },
     )
     .unwrap();
-    for cfg in shard_thread_grid() {
-        let got = rwr(
-            &adj,
+    for (shards, cfg) in shard_thread_grid() {
+        let got = rwr_on(
+            &ShardedCsr::from_csr(&adj, shards),
             &e,
             &RwrOptions {
                 parallelism: cfg,
@@ -129,41 +128,34 @@ fn rwr_shard_knob_grid() {
         assert_eq!(got.iterations, want.iterations);
         assert!(
             bits_equal(got.beliefs.residual(), want.beliefs.residual()),
-            "t={} s={}",
-            cfg.threads(),
-            cfg.shards()
+            "t={} s={shards}",
+            cfg.threads()
         );
     }
 }
 
-/// SBP through the shard knob: beliefs *and* geodesic structure match.
+/// SBP on a sharded operator: beliefs *and* geodesic structure match.
 #[test]
 fn sbp_shard_knob_grid() {
     let adj = erdos_renyi_gnm(80, 160, 5).adjacency(); // sparse → deep layers
     let e = seeds(80, 3, &[(2, 0), (47, 1), (66, 2)]);
     let h = CouplingMatrix::fig1c().unwrap().residual();
     let want = sbp_with(&adj, &e, &h, &ParallelismConfig::serial()).unwrap();
-    for cfg in shard_thread_grid() {
-        let got = sbp_with(&adj, &e, &h, &cfg).unwrap();
-        assert_eq!(
-            got.geodesics.g,
-            want.geodesics.g,
-            "t={} s={}",
-            cfg.threads(),
-            cfg.shards()
-        );
+    for (shards, cfg) in shard_thread_grid() {
+        let got = sbp_on(&ShardedCsr::from_csr(&adj, shards), &e, &h, &cfg).unwrap();
+        let label = format!("t={} s={shards}", cfg.threads());
+        assert_eq!(got.geodesics.g, want.geodesics.g, "{label}");
         assert!(
             bits_equal(got.beliefs.residual(), want.beliefs.residual()),
-            "t={} s={}",
-            cfg.threads(),
-            cfg.shards()
+            "{label}"
         );
     }
 }
 
-/// The batched solvers honor the shard knob too: sharded batched solves
-/// equal the monolithic batched solves bitwise (which are themselves
-/// pinned bitwise-equal to per-query solves in `batched_solves.rs`).
+/// The batched solvers run on sharded operators too: sharded batched
+/// solves equal the monolithic batched solves bitwise (which are
+/// themselves pinned bitwise-equal to per-query solves in
+/// `batched_solves.rs`).
 #[test]
 fn batched_solves_shard_knob() {
     let adj = erdos_renyi_gnm(50, 150, 9).adjacency();
@@ -194,17 +186,18 @@ fn batched_solves_shard_knob() {
         },
     )
     .unwrap();
-    for cfg in shard_thread_grid() {
+    for (shards, cfg) in shard_thread_grid() {
+        let sharded = ShardedCsr::from_csr(&adj, shards);
         let opts = LinBpOptions {
             parallelism: cfg,
             ..reference_opts
         };
-        let got = linbp_batch(&adj, &queries, &h, &opts).unwrap();
+        let got = linbp_batch_on(&sharded, &queries, &h, &opts).unwrap();
         for (j, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_linbp_equal(g, w, &format!("batch query {j} s={}", cfg.shards()));
+            assert_linbp_equal(g, w, &format!("batch query {j} s={shards}"));
         }
-        let got_rwr = rwr_batch(
-            &adj,
+        let got_rwr = rwr_batch_on(
+            &sharded,
             &rwr_queries,
             &RwrOptions {
                 parallelism: cfg,
@@ -215,8 +208,7 @@ fn batched_solves_shard_knob() {
         for (j, (g, w)) in got_rwr.iter().zip(&want_rwr).enumerate() {
             assert!(
                 bits_equal(g.beliefs.residual(), w.beliefs.residual()),
-                "rwr batch query {j} s={}",
-                cfg.shards()
+                "rwr batch query {j} s={shards}"
             );
         }
     }
@@ -285,15 +277,16 @@ fn exotic_shard_layouts_via_operator_api() {
 }
 
 /// `linbp_update_batch` is bitwise identical to per-query `linbp_update`
-/// — the batched incremental-maintenance contract — including through the
-/// shard knob and for a divergent delta.
+/// — the batched incremental-maintenance contract — including on sharded
+/// operators and for a divergent delta.
 #[test]
 fn linbp_update_batch_matches_per_query() {
     let n = 40;
     let adj = erdos_renyi_gnm(n, 100, 6).adjacency();
     let coupling = CouplingMatrix::fig1c().unwrap();
     let h = coupling.scaled_residual(0.03);
-    for cfg in shard_thread_grid() {
+    for (shards, cfg) in shard_thread_grid() {
+        let sharded = ShardedCsr::from_csr(&adj, shards);
         let opts = LinBpOptions {
             max_iter: 5_000,
             tol: 1e-13,
@@ -308,7 +301,7 @@ fn linbp_update_batch_matches_per_query() {
         ];
         let prev: Vec<LinBpResult> = bases
             .iter()
-            .map(|b| linbp(&adj, b, &h, &opts).unwrap())
+            .map(|b| linbp_on(&sharded, b, &h, &opts).unwrap())
             .collect();
         let deltas = vec![
             seeds(n, 3, &[(25, 2)]),
@@ -317,7 +310,8 @@ fn linbp_update_batch_matches_per_query() {
         ];
         for echo in [true, false] {
             let prev_beliefs: Vec<&BeliefMatrix> = prev.iter().map(|r| &r.beliefs).collect();
-            let batch = linbp_update_batch(&adj, &prev_beliefs, &deltas, &h, &opts, echo).unwrap();
+            let batch =
+                linbp_update_batch_on(&sharded, &prev_beliefs, &deltas, &h, &opts, echo).unwrap();
             assert_eq!(batch.len(), 3);
             for (j, got) in batch.iter().enumerate() {
                 let want =
@@ -355,23 +349,24 @@ fn linbp_update_batch_matches_per_query() {
     ));
 }
 
-/// The shard knob never changes the *error* surface either.
+/// Sharding never changes the *error* surface either.
 #[test]
 fn sharded_error_cases_match() {
     let adj = erdos_renyi_gnm(20, 40, 2).adjacency();
+    let sharded = ShardedCsr::from_csr(&adj, 4);
     let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
     let opts = LinBpOptions {
-        parallelism: ParallelismConfig::serial().with_shards(4),
+        parallelism: ParallelismConfig::serial(),
         ..Default::default()
     };
     let wrong_n = seeds(21, 3, &[(0, 0)]);
     assert!(matches!(
-        linbp(&adj, &wrong_n, &h, &opts),
+        linbp_on(&sharded, &wrong_n, &h, &opts),
         Err(lsbp::linbp::LinBpError::DimensionMismatch)
     ));
     let wrong_k = seeds(20, 2, &[(0, 0)]);
     assert!(matches!(
-        linbp(&adj, &wrong_k, &h, &opts),
+        linbp_on(&sharded, &wrong_k, &h, &opts),
         Err(lsbp::linbp::LinBpError::CouplingArityMismatch)
     ));
 }
@@ -380,9 +375,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random graphs × random shard counts × random thread counts:
-    /// the sharded engine (knob route *and* operator route) equals the
-    /// monolithic run bitwise for LinBP, and the sharded storage
-    /// round-trips exactly.
+    /// the sharded engine equals the monolithic run bitwise for LinBP,
+    /// and the sharded storage round-trips exactly.
     #[test]
     fn sharded_linbp_random(
         seed in 0u64..500,
@@ -403,23 +397,17 @@ proptest! {
             ..Default::default()
         };
         let want = linbp(&adj, &e, &h, &base_opts).unwrap();
-        // Knob route.
-        let knob_opts = LinBpOptions {
-            parallelism: ParallelismConfig::with_threads(threads)
-                .with_min_work(1)
-                .with_shards(shards),
+        let opts = LinBpOptions {
+            parallelism: ParallelismConfig::with_threads(threads).with_min_work(1),
             ..base_opts
         };
-        let got = linbp(&adj, &e, &h, &knob_opts).unwrap();
-        prop_assert_eq!(got.iterations, want.iterations);
-        prop_assert_eq!(got.diverged, want.diverged);
-        prop_assert!(bits_equal(got.beliefs.residual(), want.beliefs.residual()));
-        // Operator route.
         let sharded = ShardedCsr::from_csr(&adj, shards);
         prop_assert_eq!(sharded.to_csr(), adj.clone());
-        let got_on = linbp_on(&sharded, &e, &h, &knob_opts).unwrap();
-        prop_assert_eq!(got_on.final_delta.to_bits(), want.final_delta.to_bits());
-        prop_assert!(bits_equal(got_on.beliefs.residual(), want.beliefs.residual()));
+        let got = linbp_on(&sharded, &e, &h, &opts).unwrap();
+        prop_assert_eq!(got.iterations, want.iterations);
+        prop_assert_eq!(got.diverged, want.diverged);
+        prop_assert_eq!(got.final_delta.to_bits(), want.final_delta.to_bits());
+        prop_assert!(bits_equal(got.beliefs.residual(), want.beliefs.residual()));
     }
 
     /// The sharded operator's kernel surface (SpMV/SpMM/transpose/row

@@ -7,7 +7,6 @@
 //! propagation schedule.
 
 use lsbp_sparse::PropagationOperator;
-use std::collections::VecDeque;
 
 /// Result of a multi-source BFS: per-node geodesic numbers and the nodes
 /// grouped into layers of equal geodesic number.
@@ -43,10 +42,15 @@ impl Geodesics {
 }
 
 /// Computes geodesic numbers by multi-source BFS over any adjacency
-/// operator (monolithic CSR or the sharded backend — BFS only needs
-/// per-row neighbor access). Hop counts ignore edge weights
-/// (Definition 14 is in hops; the weights only scale the propagated
-/// beliefs).
+/// operator (monolithic CSR, sharded or paged — BFS only needs per-row
+/// neighbor access). Hop counts ignore edge weights (Definition 14 is in
+/// hops; the weights only scale the propagated beliefs).
+///
+/// The BFS is **layer-synchronous**: it expands layer `i` in ascending
+/// node order, collects layer `i + 1`, sorts it, and repeats. Row
+/// accesses within a layer therefore arrive in row order, so a sharded
+/// or paged operator visits each shard at most once per layer instead of
+/// jumping between shards in discovery order.
 ///
 /// # Panics
 /// Panics if `adj` is not square or a source id is out of range.
@@ -54,39 +58,28 @@ pub fn geodesic_numbers<A: PropagationOperator + ?Sized>(adj: &A, sources: &[usi
     assert_eq!(adj.n_rows(), adj.n_cols(), "adjacency must be square");
     let n = adj.n_rows();
     let mut g = vec![UNREACHABLE; n];
-    let mut queue = VecDeque::with_capacity(sources.len());
-    let mut layers: Vec<Vec<u32>> = Vec::new();
-    let mut layer0 = Vec::with_capacity(sources.len());
+    let mut layer = Vec::with_capacity(sources.len());
     for &s in sources {
         assert!(s < n, "BFS source out of range");
         if g[s] != 0 {
             g[s] = 0;
-            layer0.push(s as u32);
-            queue.push_back(s as u32);
+            layer.push(s as u32);
         }
     }
-    if layer0.is_empty() {
-        return Geodesics { g, layers };
-    }
-    layer0.sort_unstable();
-    layers.push(layer0);
-    while let Some(u) = queue.pop_front() {
-        let gu = g[u as usize];
-        for (v, _) in adj.row_iter(u as usize) {
-            if g[v] == UNREACHABLE {
-                let gv = gu + 1;
-                g[v] = gv;
-                if layers.len() <= gv as usize {
-                    layers.push(Vec::new());
+    let mut layers: Vec<Vec<u32>> = Vec::new();
+    while !layer.is_empty() {
+        layer.sort_unstable();
+        let gv = layers.len() as u32 + 1;
+        let mut next = Vec::new();
+        for &u in &layer {
+            for (v, _) in adj.row_iter(u as usize) {
+                if g[v] == UNREACHABLE {
+                    g[v] = gv;
+                    next.push(v as u32);
                 }
-                layers[gv as usize].push(v as u32);
-                queue.push_back(v as u32);
             }
         }
-    }
-    // FIFO BFS emits each layer in node order only per parent; normalize.
-    for layer in &mut layers {
-        layer.sort_unstable();
+        layers.push(std::mem::replace(&mut layer, next));
     }
     Geodesics { g, layers }
 }

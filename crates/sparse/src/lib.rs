@@ -25,9 +25,9 @@
 //!   convergence bound for standard BP without materializing it,
 //! * the out-of-core engine — [`ShardFile`] (the versioned, checksummed
 //!   on-disk shard store) and [`PagedCsr`] (the sharded execution model
-//!   behind a budgeted [`paged::BufferPool`] with LRU eviction, pins and
-//!   background prefetch), bitwise identical to the resident backends at
-//!   any budget × shard × thread combination.
+//!   behind a budgeted [`paged::BufferPool`] with walk-distance
+//!   eviction, pins and background prefetch), bitwise identical to the
+//!   resident backends at any budget × shard × thread combination.
 
 pub mod coo;
 pub mod csr;

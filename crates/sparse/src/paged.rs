@@ -14,7 +14,11 @@
 //!
 //! * **Budget.** The pool holds at most `budget_bytes` of deserialized
 //!   shard blocks (unbudgeted when `None`). Loading past the budget
-//!   evicts the least-recently-used *unpinned* blocks first.
+//!   evicts by **walk distance**: every shard kernel walks the shards in
+//!   ascending order and wraps around for the next sweep, so the
+//!   unpinned block needed *last* is the one farthest ahead of the shard
+//!   being loaded, `(j − cursor) mod N`. That is Belady's choice for the
+//!   walk, where LRU would evict exactly the shard needed next.
 //! * **Pins.** Every kernel pins the shard it is walking (and the
 //!   prefetched next shard stays resident until something evictable
 //!   must go), so the working set — current shard + next shard — can
@@ -22,8 +26,12 @@
 //!   a guard object; dropping it unpins.
 //! * **Prefetch.** A background thread reads shard `i + 1` from disk
 //!   while the workers walk shard `i` (classic double buffering), so a
-//!   warm sequential pass overlaps I/O with compute. Prefetch failures
-//!   are ignored — the demand load retries and surfaces the error.
+//!   warm sequential pass overlaps I/O with compute. Walk distance is
+//!   measured from the shard a kernel pinned last, and a prefetch may
+//!   only evict blocks the walk reaches *after* the one it loads — so it
+//!   never evicts a shard needed sooner, and a stale hint for a shard
+//!   the walk has already passed loads nothing. Prefetch failures are
+//!   ignored — the demand load retries and surfaces the error.
 //!
 //! **Bitwise contract.** Blocks deserialize to the *same* `CsrMatrix`
 //! shard blocks `ShardedCsr` holds in memory (bit-identical values,
@@ -120,8 +128,6 @@ pub struct PagerStats {
 struct Slot {
     block: Arc<CsrMatrix>,
     bytes: usize,
-    /// Logical clock of the most recent access — the LRU key.
-    last_used: u64,
     /// Kernels currently holding this block; pinned slots are never
     /// evicted.
     pins: usize,
@@ -135,7 +141,8 @@ struct PoolState {
     /// duplicate read.
     loading: HashSet<usize>,
     resident_bytes: usize,
-    clock: u64,
+    /// The shard a kernel pinned most recently — where the walk is.
+    walk: usize,
 }
 
 /// The budgeted block cache in front of a [`ShardFile`] — shared
@@ -179,8 +186,9 @@ impl Drop for PinnedShard {
         // A transient overshoot (everything was pinned when a load needed
         // room) is corrected as soon as pins release — otherwise a pool
         // with a single oversized shard would squat over budget forever.
+        // The walk has moved past this shard, so it measures from the next.
         if st.resident_bytes > self.pool.budget {
-            self.pool.make_room(&mut st, 0);
+            self.pool.make_room(&mut st, self.idx + 1, 0, 0);
         }
     }
 }
@@ -199,21 +207,49 @@ impl BufferPool {
         }
     }
 
-    /// Evicts least-recently-used unpinned blocks until `incoming` more
-    /// bytes fit the budget. May leave the pool over budget when
-    /// everything left is pinned — the working set always resides (the
-    /// documented transient overshoot) rather than deadlocking.
-    fn make_room(&self, st: &mut PoolState, incoming: usize) {
+    /// How many shards the ascending, wrapping walk passes from `cursor`
+    /// before it reaches shard `j`: `(j − cursor) mod N`.
+    fn distance(&self, cursor: usize, j: usize) -> usize {
+        let n = self.file.num_shards();
+        (j + n - cursor % n) % n
+    }
+
+    /// The unpinned blocks at least `min_distance` from `cursor`, as
+    /// `(distance, shard, bytes)`.
+    fn evictable<'a>(
+        &'a self,
+        st: &'a PoolState,
+        cursor: usize,
+        min_distance: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+        st.slots
+            .iter()
+            .filter(|(_, slot)| slot.pins == 0)
+            .map(move |(&j, slot)| (self.distance(cursor, j), j, slot.bytes))
+            .filter(move |&(d, _, _)| d >= min_distance)
+    }
+
+    /// Evicts unpinned blocks until `incoming` more bytes fit the budget,
+    /// farthest walk distance first: the victim is the unpinned shard `j`
+    /// with the largest `(j − cursor) mod N`, and only blocks at least
+    /// `min_distance` away qualify. A demand load passes the shard it
+    /// loads as `cursor`; an unpin that corrects an overshoot passes the
+    /// released shard + 1; both let every unpinned block qualify. Under
+    /// the ascending, wrapping shard walk every kernel does, that victim
+    /// is the block needed last — Belady's choice, where LRU would evict
+    /// the block needed next. May
+    /// leave the pool over budget when nothing qualifies — the working
+    /// set always resides (the documented transient overshoot) rather
+    /// than deadlocking.
+    fn make_room(&self, st: &mut PoolState, cursor: usize, min_distance: usize, incoming: usize) {
         while st.resident_bytes.saturating_add(incoming) > self.budget {
-            let victim = st
-                .slots
-                .iter()
-                .filter(|(_, slot)| slot.pins == 0)
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(&i, _)| i);
+            let victim = self
+                .evictable(st, cursor, min_distance)
+                .max()
+                .map(|(_, j, _)| j);
             match victim {
-                Some(i) => {
-                    let slot = st.slots.remove(&i).unwrap();
+                Some(j) => {
+                    let slot = st.slots.remove(&j).unwrap();
                     st.resident_bytes -= slot.bytes;
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
@@ -227,12 +263,10 @@ impl BufferPool {
     /// the condvar until the loader publishes the block or fails).
     fn acquire(self: &Arc<Self>, i: usize) -> Result<PinnedShard, ShardFileError> {
         let mut st = self.state.lock().unwrap();
+        st.walk = i;
         loop {
-            st.clock += 1;
-            let clock = st.clock;
             if let Some(slot) = st.slots.get_mut(&i) {
                 slot.pins += 1;
-                slot.last_used = clock;
                 let block = Arc::clone(&slot.block);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(PinnedShard {
@@ -260,16 +294,13 @@ impl BufferPool {
             }
             Ok(block) => {
                 let bytes = self.file.shard_meta(i).resident_bytes();
-                self.make_room(&mut st, bytes);
+                self.make_room(&mut st, i, 0, bytes);
                 let block = Arc::new(block);
-                st.clock += 1;
-                let clock = st.clock;
                 st.slots.insert(
                     i,
                     Slot {
                         block: Arc::clone(&block),
                         bytes,
-                        last_used: clock,
                         pins: 1,
                     },
                 );
@@ -287,12 +318,23 @@ impl BufferPool {
 
     /// Loads shard `i` unpinned — the prefetch thread's entry point.
     /// No-ops when the block is already resident or someone else is
-    /// reading it; read failures are swallowed (the demand load retries
-    /// and owns the error).
+    /// reading it, and when it could only fit by evicting a block the
+    /// walk needs no later than shard `i` (a prefetch never trades a
+    /// sooner shard for a later one, and a stale hint for a shard the
+    /// walk has passed loads nothing). Read failures are swallowed (the
+    /// demand load retries and owns the error).
     fn prefetch_load(&self, i: usize) {
+        let bytes = self.file.shard_meta(i).resident_bytes();
+        // Only blocks the walk reaches after shard `i` may make room.
+        let admits = |st: &PoolState| {
+            let beyond = self.distance(st.walk, i) + 1;
+            let freeable: usize = self.evictable(st, st.walk, beyond).map(|v| v.2).sum();
+            ((st.resident_bytes - freeable).saturating_add(bytes) <= self.budget)
+                .then_some((st.walk, beyond))
+        };
         {
             let mut st = self.state.lock().unwrap();
-            if st.slots.contains_key(&i) || st.loading.contains(&i) {
+            if st.slots.contains_key(&i) || st.loading.contains(&i) || admits(&st).is_none() {
                 return;
             }
             st.loading.insert(i);
@@ -300,17 +342,13 @@ impl BufferPool {
         let loaded = self.file.read_shard(i);
         let mut st = self.state.lock().unwrap();
         st.loading.remove(&i);
-        if let Ok(block) = loaded {
-            let bytes = self.file.shard_meta(i).resident_bytes();
-            self.make_room(&mut st, bytes);
-            st.clock += 1;
-            let clock = st.clock;
+        if let (Ok(block), Some((walk, beyond))) = (loaded, admits(&st)) {
+            self.make_room(&mut st, walk, beyond, bytes);
             st.slots.insert(
                 i,
                 Slot {
                     block: Arc::new(block),
                     bytes,
-                    last_used: clock,
                     pins: 0,
                 },
             );
@@ -604,6 +642,103 @@ mod tests {
         assert!(stats.evictions >= stats.misses - 1, "{stats:?}");
         assert_eq!(stats.hits, 0);
         drop(paged);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A ring plus degree-varying chords.
+    fn ring_with_chords(n: usize) -> CsrMatrix {
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push_symmetric(i, (i + 1) % n, 1.0 + (i % 3) as f64);
+            for k in 0..i % 5 {
+                coo.push_symmetric(i, (i * 7 + k * 13 + 5) % n, 0.5);
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// Spills `m` in `shards` shards and returns their resident bytes,
+    /// largest first.
+    fn spill_sizes_descending(m: &CsrMatrix, path: &Path, shards: usize) -> Vec<usize> {
+        ShardFile::write_csr(path, m, shards).unwrap();
+        let file = ShardFile::open(path).unwrap();
+        assert_eq!(file.num_shards(), shards);
+        let mut sizes: Vec<usize> = (0..shards)
+            .map(|i| file.shard_meta(i).resident_bytes())
+            .collect();
+        sizes.sort_unstable_by(|a, b| b.cmp(a));
+        sizes
+    }
+
+    #[test]
+    fn prefetch_never_evicts_a_sooner_shard() {
+        let m = ring_with_chords(64);
+        let path = tmp("prefetch-admission.lsbp");
+        let sizes = spill_sizes_descending(&m, &path, 8);
+        // Room for two shards, never three.
+        assert!(3 * sizes[7] > sizes[0] + sizes[1]);
+        let paged = PagedCsr::open(
+            &path,
+            PagedOptions::default()
+                .with_budget(Some(sizes[0] + sizes[1]))
+                .with_prefetch(false),
+        )
+        .unwrap();
+        let pool = &paged.pool;
+        let resident = || {
+            let mut r: Vec<usize> = pool.state.lock().unwrap().slots.keys().copied().collect();
+            r.sort_unstable();
+            r
+        };
+        paged.load_shard(0).unwrap();
+        paged.load_shard(1).unwrap();
+        assert_eq!(resident(), [0, 1], "the walk is at shard 1");
+        // Shard 3 comes before shard 0's next turn: 0 makes way.
+        pool.prefetch_load(3);
+        assert_eq!(resident(), [1, 3]);
+        // Shard 2 comes before shard 3: 3 makes way.
+        pool.prefetch_load(2);
+        assert_eq!(resident(), [1, 2]);
+        // Shard 0 is needed after both: a stale hint loads nothing.
+        pool.prefetch_load(0);
+        assert_eq!(resident(), [1, 2]);
+        let stats = paged.stats();
+        assert_eq!((stats.prefetches, stats.evictions), (2, 2), "{stats:?}");
+        drop(paged);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn walk_distance_keeps_budgeted_shards_hot_across_sweeps() {
+        let m = ring_with_chords(64);
+        let n = m.n_rows();
+        let (shards, sweeps) = (8, 6);
+        let path = tmp("walk-distance.lsbp");
+        let sizes = spill_sizes_descending(&m, &path, shards);
+        let cfg = ParallelismConfig::serial();
+        let x = vec![1.0; n];
+        let mut y = vec![0.0; n];
+        for c in 2..shards {
+            let budget = sizes[..c].iter().sum();
+            let paged = PagedCsr::open(
+                &path,
+                PagedOptions::default()
+                    .with_budget(Some(budget))
+                    .with_prefetch(false),
+            )
+            .unwrap();
+            paged.spmv_into_with(&x, &mut y, &cfg);
+            let cold = paged.stats().misses;
+            for _ in 0..sweeps {
+                paged.spmv_into_with(&x, &mut y, &cfg);
+            }
+            let warm = (paged.stats().misses - cold) as f64 / sweeps as f64;
+            // LRU re-reads all N shards on every sweep of the cyclic walk.
+            assert!(
+                warm <= (shards - c + 1) as f64,
+                "C = {c}: {warm} warm misses per sweep"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! magic        8 B   "LSBPSHF1"
-//! version      4 B   u32, currently 1
+//! version      4 B   u32, currently 2
 //! n_rows       8 B   u64
 //! n_cols       8 B   u64
 //! nnz          8 B   u64
@@ -19,12 +19,23 @@
 //! directory    n_shards × 48 B:
 //!     row_start u64 · row_end u64 · nnz u64 ·
 //!     byte_off u64 · byte_len u64 · block_checksum u64
-//! header_checksum  8 B   FNV-1a over everything above
+//! header_checksum  8 B   checksum over everything above
 //! blocks       back to back at their directory offsets:
 //!     row_ptr  (rows+1) × u64   (local, row_ptr[0] == 0)
 //!     col_idx  nnz × u32        (global columns)
 //!     values   nnz × u64        (f64 bit patterns)
 //! ```
+//!
+//! **Checksum (version 2).** Header and blocks use one dependency-free,
+//! word-wise checksum: four independent xxHash64-style lanes, each
+//! folding every fourth 8-byte little-endian word with
+//! `acc = (acc + w·P2).rotate_left(31)·P1` (32 bytes per stripe), then
+//! the lanes folded together, the word and byte tail and the length
+//! mixed in, and a final avalanche. Each round is a bijection in its
+//! word, so any single changed word — every single-bit flip — is
+//! detected with certainty. Version 1 files (byte-serial FNV-1a) are
+//! rejected as [`ShardFileError::UnsupportedVersion`]; spill files are
+//! per-process scratch, so no version 1 reader is kept.
 //!
 //! Values travel as raw `f64::to_bits` patterns — a round trip is
 //! bit-exact, which is what lets the paged backend promise bitwise
@@ -47,7 +58,7 @@ use std::path::{Path, PathBuf};
 pub const SHARD_FILE_MAGIC: [u8; 8] = *b"LSBPSHF1";
 
 /// Current format version.
-pub const SHARD_FILE_VERSION: u32 = 1;
+pub const SHARD_FILE_VERSION: u32 = 2;
 
 /// Bytes per directory entry (6 × u64).
 const DIR_ENTRY_LEN: usize = 48;
@@ -110,16 +121,68 @@ impl From<std::io::Error> for ShardFileError {
     }
 }
 
-/// FNV-1a 64-bit — small, dependency-free, and plenty for catching the
-/// torn writes and bit rot a pager must detect (not a cryptographic
-/// integrity guarantee).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const P3: u64 = 0x1656_67B1_9E37_79F9;
+const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One xxHash64-style round. For a fixed `acc` it is a bijection in `w`
+/// (odd multiplies, an add and a rotation), and for a fixed `w` a
+/// bijection in `acc`.
+#[inline(always)]
+fn round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().unwrap())
+}
+
+/// The store's checksum: four independent lanes of [`round`] over 8-byte
+/// little-endian words, 32 bytes per stripe, folded by rotate-and-add,
+/// then the word and byte tail, the length, and a final avalanche.
+/// Dependency-free and word-wise (the lanes run in parallel, unlike a
+/// byte-serial hash), and plenty for catching the torn writes and bit
+/// rot a pager must detect — not a cryptographic integrity guarantee.
+///
+/// Every step after a word enters is a bijection of the running state,
+/// so for a fixed length any single changed word — in particular any
+/// single flipped bit — changes the checksum with certainty.
+fn block_checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = round(*lane, le_word(w));
+        }
     }
-    h
+    let mut h = lanes[0]
+        .rotate_left(1)
+        .wrapping_add(lanes[1].rotate_left(7))
+        .wrapping_add(lanes[2].rotate_left(12))
+        .wrapping_add(lanes[3].rotate_left(18));
+    let mut words = stripes.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ round(0, le_word(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h = h.wrapping_add(bytes.len() as u64);
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// One shard's directory entry: its global row range, entry count, and
@@ -134,7 +197,7 @@ pub struct ShardMeta {
     pub byte_off: u64,
     /// Byte length of the shard block.
     pub byte_len: u64,
-    /// FNV-1a checksum of the block bytes.
+    /// Word-wise checksum of the block bytes (see the module docs).
     pub checksum: u64,
 }
 
@@ -222,10 +285,10 @@ impl ShardFile {
             push_u64(&mut header, sharded.shard(i).nnz() as u64);
             push_u64(&mut header, off);
             push_u64(&mut header, block.len() as u64);
-            push_u64(&mut header, fnv1a(block));
+            push_u64(&mut header, block_checksum(block));
             off += block.len() as u64;
         }
-        let header_checksum = fnv1a(&header);
+        let header_checksum = block_checksum(&header);
         push_u64(&mut header, header_checksum);
         debug_assert_eq!(header.len(), header_len);
 
@@ -295,7 +358,7 @@ impl ShardFile {
         let mut whole = Vec::with_capacity(FIXED_HEADER_LEN + dir_len);
         whole.extend_from_slice(&fixed);
         whole.extend_from_slice(&dir[..dir_len]);
-        if fnv1a(&whole) != stored_checksum {
+        if block_checksum(&whole) != stored_checksum {
             return Err(ShardFileError::ChecksumMismatch("header".into()));
         }
 
@@ -450,38 +513,37 @@ impl ShardFile {
     pub fn read_shard(&self, i: usize) -> Result<CsrMatrix, ShardFileError> {
         let meta = &self.shards[i];
         let bytes = self.read_block_bytes(i)?;
-        if fnv1a(&bytes) != meta.checksum {
+        if block_checksum(&bytes) != meta.checksum {
             return Err(ShardFileError::ChecksumMismatch(format!("shard {i} block")));
         }
         let rows = meta.rows.end - meta.rows.start;
-        let mut off = 0usize;
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        for _ in 0..=rows {
-            row_ptr.push(to_usize(read_u64(&bytes, &mut off), "row pointer")?);
-        }
+        // The directory pinned `byte_len` to exactly these three ranges.
+        let (ptr_bytes, rest) = bytes.split_at(8 * (rows + 1));
+        let (col_bytes, val_bytes) = rest.split_at(4 * meta.nnz);
+        let row_ptr = ptr_bytes
+            .chunks_exact(8)
+            .map(|w| to_usize(le_word(w), "row pointer"))
+            .collect::<Result<Vec<usize>, _>>()?;
         if row_ptr[0] != 0 || row_ptr[rows] != meta.nnz || row_ptr.windows(2).any(|w| w[0] > w[1]) {
             return Err(ShardFileError::Corrupt(format!(
                 "shard {i} row pointers are not a monotone prefix of 0..{}",
                 meta.nnz
             )));
         }
-        let mut col_idx = Vec::with_capacity(meta.nnz);
-        for _ in 0..meta.nnz {
-            let c = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            if (c as usize) >= self.n_cols {
-                return Err(ShardFileError::Corrupt(format!(
-                    "shard {i} column {c} beyond n_cols {}",
-                    self.n_cols
-                )));
-            }
-            col_idx.push(c);
-            off += 4;
+        let col_idx: Vec<u32> = col_bytes
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        if let Some(&c) = col_idx.iter().find(|&&c| c as usize >= self.n_cols) {
+            return Err(ShardFileError::Corrupt(format!(
+                "shard {i} column {c} beyond n_cols {}",
+                self.n_cols
+            )));
         }
-        let mut values = Vec::with_capacity(meta.nnz);
-        for _ in 0..meta.nnz {
-            values.push(f64::from_bits(read_u64(&bytes, &mut off)));
-        }
-        debug_assert_eq!(off, bytes.len());
+        let values: Vec<f64> = val_bytes
+            .chunks_exact(8)
+            .map(|w| f64::from_bits(le_word(w)))
+            .collect();
         Ok(CsrMatrix::from_trusted_parts(
             rows,
             self.n_cols,
@@ -611,27 +673,72 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_in_a_block_is_caught() {
+        let m = sample();
+        let path = tmp("everybit.lsbp");
+        ShardFile::write_csr(&path, &m, 3).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let meta = ShardFile::open(&path).unwrap().shard_meta(1).clone();
+        let block = meta.byte_off as usize..(meta.byte_off + meta.byte_len) as usize;
+        // A length that is not a multiple of the 32-byte stripe, so the
+        // word tail is covered too.
+        assert_ne!(block.len() % 32, 0, "{} bytes", block.len());
+        for byte in block {
+            for bit in 0..8 {
+                let mut dirty = clean.clone();
+                dirty[byte] ^= 1 << bit;
+                std::fs::write(&path, &dirty).unwrap();
+                let f = ShardFile::open(&path).unwrap();
+                assert!(
+                    matches!(f.read_shard(1), Err(ShardFileError::ChecksumMismatch(_))),
+                    "byte {byte} bit {bit}"
+                );
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checksum_sees_every_bit_of_the_byte_tail() {
+        let bytes: Vec<u8> = (0..77u8).map(|b| b.wrapping_mul(37)).collect();
+        let clean = block_checksum(&bytes);
+        for byte in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut dirty = bytes.clone();
+                dirty[byte] ^= 1 << bit;
+                assert_ne!(block_checksum(&dirty), clean, "byte {byte} bit {bit}");
+            }
+        }
+        assert_ne!(block_checksum(&bytes[..76]), clean, "length is mixed in");
+    }
+
+    #[test]
     fn unsupported_version_is_typed() {
         let m = sample();
         let path = tmp("version.lsbp");
         ShardFile::write_csr(&path, &m, 1).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        // Re-stamp the header checksum so only the version differs.
-        let header_len = bytes.len() - {
+        let clean = std::fs::read(&path).unwrap();
+        let header_len = clean.len() - {
             let f = ShardFile::open(&path).unwrap();
             (0..f.num_shards())
                 .map(|i| f.shard_meta(i).byte_len as usize)
                 .sum::<usize>()
         };
-        let checksum = fnv1a(&bytes[..header_len - 8]);
-        let at = header_len - 8;
-        bytes[at..at + 8].copy_from_slice(&checksum.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            ShardFile::open(&path),
-            Err(ShardFileError::UnsupportedVersion(99))
-        ));
+        // Version 1 (the retired FNV-1a format) and a future version are
+        // both refused by number.
+        for version in [1u32, 99] {
+            let mut bytes = clean.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            // Re-stamp the header checksum so only the version differs.
+            let checksum = block_checksum(&bytes[..header_len - 8]);
+            let at = header_len - 8;
+            bytes[at..at + 8].copy_from_slice(&checksum.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                ShardFile::open(&path),
+                Err(ShardFileError::UnsupportedVersion(v)) if v == version
+            ));
+        }
         std::fs::remove_file(&path).ok();
     }
 }

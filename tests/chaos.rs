@@ -178,12 +178,15 @@ fn seeded_fault_storm_leaves_server_intact() {
     );
 
     // The storm: every connection gets a schedule-chosen fault applied
-    // to a well-formed ping envelope.
+    // to a well-formed ping envelope. The persistent client pings after
+    // each fault, so it never idles past the server's idle timeout while
+    // the storm runs.
     for seed in 0..32u64 {
         let mut schedule = FaultSchedule::new(seed);
         let payload = RequestEnvelope::new(seed, Request::Ping).encode();
         let fault = schedule.next_fault(payload.len() + 4);
         inject(addr, fault, schedule.next_seed(), &payload);
+        assert_eq!(client.ping().unwrap(), PROTOCOL_VERSION, "fault {seed}");
     }
 
     // The server shrugged: same connection still answers, the registry

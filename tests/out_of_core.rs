@@ -7,6 +7,7 @@
 
 use lsbp::prelude::*;
 use lsbp_graph::generators::erdos_renyi_gnm;
+use lsbp_graph::geodesic_numbers;
 use lsbp_linalg::Mat;
 use lsbp_sparse::CsrMatrix;
 use proptest::prelude::*;
@@ -255,6 +256,50 @@ fn eviction_under_pressure_mid_solve() {
         "one-shard budget must evict continuously, saw {}",
         stats.evictions
     );
+}
+
+/// Geodesic numbers on a paged store equal the resident ones, and the
+/// layer-synchronous BFS touches each shard at most once per layer: with
+/// a budget that holds exactly the largest shard, the demand misses of a
+/// call stay within `num_shards × num_layers`. (A 1-byte budget evicts
+/// every shard as soon as a row access unpins it, so it checks equality
+/// only.)
+#[test]
+fn paged_geodesics_match_resident_and_fault_each_shard_once_per_layer() {
+    let n = 240;
+    let adj = erdos_renyi_gnm(n, 300, 11).adjacency();
+    let sources = [3, 77, 77, 150, 201];
+    let want = geodesic_numbers(&adj, &sources);
+    assert!(want.num_layers() > 2, "{} layers", want.num_layers());
+    let shards = 8;
+    let path = tmp("geodesics.lsbp");
+    lsbp_sparse::ShardFile::write_csr(&path, &adj, shards).unwrap();
+    let largest = {
+        let file = lsbp_sparse::ShardFile::open(&path).unwrap();
+        assert_eq!(file.num_shards(), shards);
+        (0..shards)
+            .map(|i| file.shard_meta(i).resident_bytes())
+            .max()
+            .unwrap()
+    };
+    for budget in [1, largest] {
+        let paged = PagedCsr::open(
+            &path,
+            PagedOptions::default()
+                .with_budget(Some(budget))
+                .with_prefetch(false),
+        )
+        .unwrap();
+        let got = geodesic_numbers(&paged, &sources);
+        assert_eq!(got.g, want.g, "budget {budget}");
+        assert_eq!(got.layers, want.layers, "budget {budget}");
+        if budget == largest {
+            let misses = paged.stats().misses;
+            let bound = (shards * want.num_layers()) as u64;
+            assert!(misses <= bound, "{misses} misses > {bound}");
+        }
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 /// Damaged shard stores surface as typed [`ShardFileError`]s: truncation

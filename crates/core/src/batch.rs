@@ -24,6 +24,14 @@
 //! `−D·B̂·Ĥ²` terms are element-wise, and the per-query delta/guard
 //! read-outs are order-independent maxima (or fixed-order L2 sums) over
 //! exactly the single-query elements.
+//!
+//! Every per-query read-out and copy walks the stacked matrices in row
+//! order, a constant number of passes per sweep whatever `q` is: the
+//! guard's magnitudes ([`Mat::max_abs_blocks`]) and the L2 deltas
+//! ([`Mat::l2_diff_blocks`]) fill one value per `k`-block in a single
+//! pass, and stacking `Ê`, copying frozen blocks forward and extracting
+//! results run row-outer, block-inner. Per-query column walks would
+//! re-stream the whole `n × k·q` matrix once per query.
 
 use crate::beliefs::{BeliefMatrix, ExplicitBeliefs};
 use crate::linbp::{LinBpError, LinBpOptions, LinBpResult};
@@ -126,11 +134,11 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A
         let k = self.k;
         // One stacked fused update — exactly the single-query fused step
         // per k-column block, residuals accumulated per query in-pass.
-        // (Frozen queries are computed too, like the unfused stacked
-        // update before; their outputs are discarded below. Frozen
-        // columns are pinned by the restore loop below, so both buffers
-        // agree on them every iteration — which is what lets the
-        // frontier's changed-bit compare restrict to active blocks.)
+        // Frozen queries are computed too and their outputs discarded:
+        // after the swap their blocks are copied forward from the
+        // previous buffer, so both buffers agree on them every iteration
+        // — which is what lets the frontier's changed-bit compare
+        // restrict to active blocks.
         let fstep = FusedLinBpStep {
             e_hat: self.e_hat,
             h: self.h,
@@ -166,28 +174,41 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A
             }
         };
         // The fused pass already produced max-abs deltas; L2 queries
-        // replace theirs with the fixed-order column-block read-out
-        // (fusing L2 would tie the sum to the row partition).
+        // replace theirs with the fixed-order per-block read-out, one
+        // row-major pass for all queries (fusing L2 would tie the sum to
+        // the row partition).
         if solver.norm == ToleranceNorm::L2 {
-            for (j, slot) in self.slots.iter().enumerate() {
-                if slot.frozen {
-                    continue;
+            let l2 = self.next.l2_diff_blocks(&self.b, k);
+            for ((d, slot), v) in self.deltas.iter_mut().zip(&self.slots).zip(l2) {
+                if !slot.frozen {
+                    *d = v;
                 }
-                self.deltas[j] = self.next.l2_diff_cols(&self.b, j * k..(j + 1) * k);
             }
         }
         std::mem::swap(&mut self.b, &mut self.next);
-        // Frozen queries keep their final beliefs: copy them forward from
-        // the previous buffer (their stacked-step output is discarded).
-        for (j, slot) in self.slots.iter().enumerate() {
-            if slot.frozen {
-                for r in 0..self.b.rows() {
-                    let cols = j * k..(j + 1) * k;
-                    self.b.row_mut(r)[cols.clone()]
-                        .copy_from_slice(&self.next.row(r)[cols.clone()]);
+        // Frozen queries keep their final beliefs: copy their blocks
+        // forward from the previous buffer, row-outer (their stacked-step
+        // output is discarded).
+        let frozen: Vec<std::ops::Range<usize>> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.frozen)
+            .map(|(j, _)| j * k..(j + 1) * k)
+            .collect();
+        if !frozen.is_empty() {
+            for r in 0..self.b.rows() {
+                let (dst, src) = (self.b.row_mut(r), self.next.row(r));
+                for cols in &frozen {
+                    dst[cols.clone()].copy_from_slice(&src[cols.clone()]);
                 }
             }
         }
+        // The guard's per-query magnitudes, one row-major pass for all
+        // queries (skipped when no guard is set or nothing is active).
+        let magnitudes = (self.divergence_guard.is_finite()
+            && self.slots.iter().any(|slot| !slot.frozen))
+        .then(|| self.b.max_abs_blocks(k));
         // Per-query stop policy — the same checks, in the same order, as
         // the single-query solver applies after its swap.
         let mut remaining = 0.0f64;
@@ -199,9 +220,9 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A
             let delta = self.deltas[j];
             slot.iterations = iteration + 1;
             slot.final_delta = delta;
-            let cols = j * k..(j + 1) * k;
-            if (self.divergence_guard.is_finite()
-                && self.b.max_abs_cols(cols) > self.divergence_guard)
+            if magnitudes
+                .as_ref()
+                .is_some_and(|m| m[j] > self.divergence_guard)
                 || !delta.is_finite()
             {
                 slot.frozen = true;
@@ -253,12 +274,12 @@ fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
         return Ok(Vec::new());
     }
 
-    // Stack the q seed matrices side by side: column block j = query j.
+    // Stack the q seed matrices side by side: column block j = query j,
+    // written row-outer so the stacked matrix is streamed once.
     let mut e_hat = Mat::zeros(n, k * q);
-    for (j, e) in queries.iter().enumerate() {
-        let em = e.residual_matrix();
-        for r in 0..n {
-            e_hat.row_mut(r)[j * k..(j + 1) * k].copy_from_slice(em.row(r));
+    for r in 0..n {
+        for (dst, e) in e_hat.row_mut(r).chunks_exact_mut(k).zip(queries) {
+            dst.copy_from_slice(e.row(r));
         }
     }
     let h2 = if echo {
@@ -316,26 +337,25 @@ fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
         .as_ref()
         .map(|s| (s.rows_active, s.rows_skipped))
         .unwrap_or(((n * outcome.iterations) as u64, 0));
+    // Split the stacked beliefs into per-query matrices, row-outer.
+    let mut per_query: Vec<Mat> = (0..q).map(|_| Mat::zeros(n, k)).collect();
+    for r in 0..n {
+        for (dst, src) in per_query.iter_mut().zip(op.b.row(r).chunks_exact(k)) {
+            dst.row_mut(r).copy_from_slice(src);
+        }
+    }
     Ok(op
         .slots
         .iter()
-        .enumerate()
-        .map(|(j, slot)| {
-            let mut beliefs = Mat::zeros(n, k);
-            for r in 0..n {
-                beliefs
-                    .row_mut(r)
-                    .copy_from_slice(&op.b.row(r)[j * k..(j + 1) * k]);
-            }
-            LinBpResult {
-                beliefs: BeliefMatrix::from_mat(beliefs),
-                converged: slot.converged,
-                diverged: slot.diverged,
-                iterations: slot.iterations,
-                final_delta: slot.final_delta,
-                rows_active,
-                rows_skipped,
-            }
+        .zip(per_query)
+        .map(|(slot, beliefs)| LinBpResult {
+            beliefs: BeliefMatrix::from_mat(beliefs),
+            converged: slot.converged,
+            diverged: slot.diverged,
+            iterations: slot.iterations,
+            final_delta: slot.final_delta,
+            rows_active,
+            rows_skipped,
         })
         .collect())
 }

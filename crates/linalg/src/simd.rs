@@ -155,7 +155,7 @@ pub fn max_abs_diff4(a: &[f64], b: &[f64]) -> f64 {
 /// calls: feeding one flat `n·k` slice pair, or the same values row by
 /// row in `k`-sized pieces, produces bitwise identical sums. That
 /// equivalence is what keeps the batched solvers' per-query L2 deltas
-/// ([`crate::Mat::l2_diff_cols`], fed per row) bitwise equal to the
+/// ([`crate::Mat::l2_diff_blocks`], fed per row) bitwise equal to the
 /// single-query read-out ([`crate::Mat::l2_diff`], fed once).
 #[derive(Clone, Debug, Default)]
 pub struct SquaredDiffAccumulator {

@@ -12,10 +12,10 @@
 //! the explicit-belief add, the echo subtraction, damping, and the
 //! per-query max-abs residual all happen while the row is resident in L1.
 //! The belief matrix `B̂` is read once and the output written once; every
-//! intermediate lives in a few `k·q`-length task-local buffers.
+//! intermediate lives in registers or a `k·q`-length task-local buffer.
 //!
 //! ```text
-//!   row r:  A(r,·) ──gather(4-lane axpy)──▶ ab = Σ_c A(r,c)·B̂(c,·)
+//!   row r:  A(r,·) ──element-wise gather──▶ ab = Σ_c A(r,c)·B̂(c,·)
 //!           ab ──·Ĥ (per k-block)──▶ out(r,·)
 //!           out(r,·) += Ê(r,·)
 //!           out(r,·) −= (d_r·B̂(r,·))·Ĥ²     (echo cancellation)
@@ -30,8 +30,20 @@
 //! the unfused composition — and, since row blocks write disjoint output
 //! and the residual reduction is a max, bitwise identical across thread
 //! counts. The multi-query layout (`q` side-by-side `k`-column blocks,
-//! `Ĥ` applied block-diagonally) makes one kernel serve both the
-//! single-query solver (`q = 1`) and the batched path.
+//! `Ĥ` applied block-diagonally) serves both the single-query solver
+//! (`q = 1`) and the batched path.
+//!
+//! **Which kernel runs.** [`CsrMatrix::fused_rows_dispatch`] picks by
+//! class count `k` and observed width `k·q`:
+//!
+//! * `k ∈ {2, 3, 4}`, `q = 1` — `fused_rows_k::<K>`: the whole row in
+//!   `[f64; K]` registers (every single-query solve).
+//! * `k ∈ {2, 3, 4}`, `q ≥ 2` — `fused_rows_kq::<K>`: one element-wise
+//!   gather over the `k·q` row into a stack buffer (up to 128 columns),
+//!   then per `k`-block the `q = 1` kernel's register arithmetic (every
+//!   coalesced solve and every cache patch the server runs).
+//! * any other `k` — the generic `fused_rows`, `axpy4` loops with
+//!   run-time bounds.
 //!
 //! The L2 tolerance norm is *not* fused: summing per-row-block partials
 //! would make the total depend on the partition, i.e. the thread count.
@@ -138,6 +150,97 @@ impl FusedScratch {
             &mut self.heap
         };
         buf.split_at_mut(self.kt)
+    }
+}
+
+/// Widest stacked row (`k·q` columns) whose gather buffer
+/// [`CsrMatrix::fused_rows_kq`] keeps on the stack: `k ≤ 4` classes times
+/// the server's default `max_batch` of 32 queries.
+const STACKED_WIDTH: usize = 128;
+
+/// `Ĥ`/`Ĥ²` staged as `[[f64; K]; K]` once per task, plus the per-step
+/// scalars — everything [`CsrMatrix::fused_rows_kq`] needs to finish one
+/// `K`-column block of a row after its gather.
+struct BlockCouplings<const K: usize> {
+    h: [[f64; K]; K],
+    h2: [[f64; K]; K],
+    echo_on: bool,
+    lambda: f64,
+}
+
+impl<const K: usize> BlockCouplings<K> {
+    fn stage(step: &FusedLinBpStep<'_>) -> Self {
+        let mut h = [[0.0f64; K]; K];
+        let mut h2 = [[0.0f64; K]; K];
+        for i in 0..K {
+            h[i].copy_from_slice(step.h.row(i));
+            if let Some(m) = step.h2 {
+                h2[i].copy_from_slice(m.row(i));
+            }
+        }
+        Self {
+            h,
+            h2,
+            echo_on: step.h2.is_some(),
+            lambda: step.damping,
+        }
+    }
+
+    /// Finishes one `K`-column block of a row from its gathered `ab`:
+    /// `o = ab·Ĥ` (zero-skipping, `matmul_rows` order), the echo term
+    /// `(d·B(r,·))·Ĥ²` (zero-skipping the scaled entries), then
+    /// `(o + ê) − echo`, the damping blend and `|new − old|` — the element
+    /// order of the unfused composition, statement for statement the
+    /// per-row tail of [`CsrMatrix::fused_rows_k`]. Writes `out` and
+    /// returns the running max-abs residual `dmax` updated with this
+    /// block's changes.
+    #[inline(always)]
+    fn finish(
+        &self,
+        ab: &[f64; K],
+        b_blk: &[f64],
+        e_blk: &[f64],
+        d: f64,
+        out: &mut [f64],
+        mut dmax: f64,
+    ) -> f64 {
+        let b_blk: &[f64; K] = b_blk.try_into().expect("block of K");
+        let e_blk: &[f64; K] = e_blk.try_into().expect("block of K");
+        let out: &mut [f64; K] = out.try_into().expect("block of K");
+        let mut o = [0.0f64; K];
+        for (&a, h_row) in ab.iter().zip(&self.h) {
+            if a == 0.0 {
+                continue;
+            }
+            for (o_j, &h) in o.iter_mut().zip(h_row) {
+                *o_j += a * h;
+            }
+        }
+        let mut echo = [0.0f64; K];
+        if self.echo_on {
+            for (&x, h2_row) in b_blk.iter().zip(&self.h2) {
+                let a = d * x;
+                if a == 0.0 {
+                    continue;
+                }
+                for (e_j, &h) in echo.iter_mut().zip(h2_row) {
+                    *e_j += a * h;
+                }
+            }
+        }
+        let lambda = self.lambda;
+        for j in 0..K {
+            let mut x = o[j] + e_blk[j];
+            if self.echo_on {
+                x -= echo[j];
+            }
+            if lambda > 0.0 {
+                x = (1.0 - lambda) * x + lambda * b_blk[j];
+            }
+            out[j] = x;
+            dmax = dmax.max((x - b_blk[j]).abs());
+        }
+        dmax
     }
 }
 
@@ -440,12 +543,20 @@ impl CsrMatrix {
         }
     }
 
-    /// Routes a row block to the width-specialized kernel for the paper's
-    /// common single-query class counts (`k = q·k' ∈ {2, 3, 4}` columns
-    /// total) or the generic multi-query kernel otherwise. Both compute
-    /// the identical arithmetic in the identical order — the
-    /// specialization only turns the tiny per-row loops into fully
-    /// unrolled register code (property-tested bitwise equal).
+    /// Routes a row block to the kernel for its width. The class count
+    /// `k` and the observed width `k·q` pick one of three kernels:
+    ///
+    /// | `k`        | `q = 1`                      | `q ≥ 2`                       |
+    /// |------------|------------------------------|-------------------------------|
+    /// | 2, 3, 4    | [`CsrMatrix::fused_rows_k`]  | [`CsrMatrix::fused_rows_kq`]  |
+    /// | 1, ≥ 5     | [`CsrMatrix::fused_rows`]    | [`CsrMatrix::fused_rows`]     |
+    ///
+    /// All three compute the identical arithmetic in the identical order —
+    /// the specializations only turn the tiny per-block loops into fully
+    /// unrolled register code (property-tested bitwise equal). `q = 1`
+    /// keeps its own kernel: run on a lone query, the stacked kernel's
+    /// run-time-length gather took about 2.5× as long (single-threaded
+    /// fused step on kronecker_m9, k = 3).
     ///
     /// `rows` indexes *this matrix's* rows; `base` is the global-row
     /// offset of row 0 into `b`/`Ê`/`degrees`/`deltas`' coordinate frame.
@@ -463,15 +574,16 @@ impl CsrMatrix {
         deltas: &mut [f64],
         k: usize,
     ) {
-        if b.cols() == k {
-            match k {
-                2 => return self.fused_rows_k::<2>(b, step, rows, base, block, deltas),
-                3 => return self.fused_rows_k::<3>(b, step, rows, base, block, deltas),
-                4 => return self.fused_rows_k::<4>(b, step, rows, base, block, deltas),
-                _ => {}
-            }
+        let single = b.cols() == k;
+        match (k, single) {
+            (2, true) => self.fused_rows_k::<2>(b, step, rows, base, block, deltas),
+            (3, true) => self.fused_rows_k::<3>(b, step, rows, base, block, deltas),
+            (4, true) => self.fused_rows_k::<4>(b, step, rows, base, block, deltas),
+            (2, false) => self.fused_rows_kq::<2>(b, step, rows, base, block, deltas),
+            (3, false) => self.fused_rows_kq::<3>(b, step, rows, base, block, deltas),
+            (4, false) => self.fused_rows_kq::<4>(b, step, rows, base, block, deltas),
+            _ => self.fused_rows(b, step, rows, base, block, deltas, k),
         }
-        self.fused_rows(b, step, rows, base, block, deltas, k)
     }
 
     /// Width-specialized single-query fused kernel: every per-row
@@ -479,6 +591,9 @@ impl CsrMatrix {
     /// unroll at compile time. Accumulation orders (entry-order gather,
     /// zero-skipping `·Ĥ` apply, `(o + ê) − echo`, damping blend, max
     /// residual) are element-for-element those of [`CsrMatrix::fused_rows`].
+    /// The per-row tail stays inline rather than calling
+    /// [`BlockCouplings::finish`]: the shared helper measured about 4%
+    /// slower on this path, which every lone query runs.
     fn fused_rows_k<const K: usize>(
         &self,
         b: &Mat,
@@ -553,6 +668,55 @@ impl CsrMatrix {
             }
         }
         deltas[0] = deltas[0].max(dmax);
+    }
+
+    /// Width-specialized stacked fused kernel for `q ≥ 2` queries of `K`
+    /// classes. The gather is one element-wise `ab[c] += v·B(c', c)` loop
+    /// over the whole `K·q` row (the `axpy4` order per element); each
+    /// `K`-column block is then finished in registers by
+    /// [`BlockCouplings::finish`], the single-query kernel's row tail.
+    /// `ab` lives on the stack up to
+    /// [`STACKED_WIDTH`] columns, so frontier runs at serving widths
+    /// allocate nothing per dispatch.
+    fn fused_rows_kq<const K: usize>(
+        &self,
+        b: &Mat,
+        step: &FusedLinBpStep<'_>,
+        rows: Range<usize>,
+        base: usize,
+        block: &mut [f64],
+        deltas: &mut [f64],
+    ) {
+        let kt = b.cols();
+        let cpl = BlockCouplings::<K>::stage(step);
+        let mut stack = [0.0f64; STACKED_WIDTH];
+        let mut heap = Vec::new();
+        let ab: &mut [f64] = if kt <= STACKED_WIDTH {
+            &mut stack[..kt]
+        } else {
+            heap.resize(kt, 0.0);
+            &mut heap
+        };
+        for r in rows.clone() {
+            ab.iter_mut().for_each(|x| *x = 0.0);
+            for (&c, &v) in self.row_cols(r).iter().zip(self.row_values(r)) {
+                for (a, &x) in ab.iter_mut().zip(b.row(c as usize)) {
+                    *a += v * x;
+                }
+            }
+            let g = base + r;
+            let d = step.degrees[g];
+            let o_row = &mut block[(r - rows.start) * kt..(r - rows.start + 1) * kt];
+            let blocks = ab
+                .chunks_exact(K)
+                .zip(b.row(g).chunks_exact(K))
+                .zip(step.e_hat.row(g).chunks_exact(K))
+                .zip(o_row.chunks_exact_mut(K));
+            for ((((a_blk, b_blk), e_blk), o_blk), slot) in blocks.zip(deltas.iter_mut()) {
+                let a_blk: &[f64; K] = a_blk.try_into().expect("chunk of K");
+                *slot = cpl.finish(a_blk, b_blk, e_blk, d, o_blk, *slot);
+            }
+        }
     }
 
     /// The generic multi-query fused kernel over the row block `rows`,
@@ -713,57 +877,6 @@ mod tests {
                 );
             }
             assert_eq!(deltas[0].to_bits(), expected_delta.to_bits());
-        }
-    }
-
-    /// Multi-query stacking: each k-column block equals the single-query
-    /// fused step on that block alone, and per-query deltas match.
-    #[test]
-    fn stacked_queries_match_single_runs() {
-        let (adj, e1, h, h2, degrees) = toy();
-        let e2 = Mat::from_fn(4, 2, |r, c| if r == 3 { [-0.2, 0.2][c] } else { 0.0 });
-        let stack = |a: &Mat, b: &Mat| {
-            Mat::from_fn(4, 4, |r, c| if c < 2 { a[(r, c)] } else { b[(r, c - 2)] })
-        };
-        let e = stack(&e1, &e2);
-        let b = stack(
-            &Mat::from_fn(4, 2, |r, c| 0.02 * (r + c) as f64 - 0.03),
-            &Mat::from_fn(4, 2, |r, c| -0.01 * (r as f64) + 0.005 * c as f64),
-        );
-        let cfg = ParallelismConfig::serial();
-        let step = |e_hat: &Mat, bq: &Mat, out: &mut Mat, deltas: &mut [f64]| {
-            adj.linbp_step_fused_with(
-                bq,
-                &FusedLinBpStep {
-                    e_hat,
-                    h: &h,
-                    h2: Some(&h2),
-                    degrees: &degrees,
-                    damping: 0.0,
-                },
-                out,
-                deltas,
-                &cfg,
-            );
-        };
-        let mut stacked_out = Mat::zeros(4, 4);
-        let mut stacked_deltas = [0.0f64; 2];
-        step(&e, &b, &mut stacked_out, &mut stacked_deltas);
-        for (j, (eq, cols)) in [(&e1, 0..2), (&e2, 2..4)].into_iter().enumerate() {
-            let bq = Mat::from_fn(4, 2, |r, c| b[(r, cols.start + c)]);
-            let mut single_out = Mat::zeros(4, 2);
-            let mut single_delta = [0.0f64];
-            step(eq, &bq, &mut single_out, &mut single_delta);
-            for r in 0..4 {
-                for c in 0..2 {
-                    assert_eq!(
-                        stacked_out[(r, cols.start + c)].to_bits(),
-                        single_out[(r, c)].to_bits(),
-                        "query {j}"
-                    );
-                }
-            }
-            assert_eq!(stacked_deltas[j].to_bits(), single_delta[0].to_bits());
         }
     }
 

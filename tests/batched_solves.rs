@@ -203,30 +203,101 @@ fn batch_error_cases() {
     ));
 }
 
+/// The serving width: q = 24 queries of k = 4 classes (a 96-column
+/// stacked row, past the 64-column generic stack buffer) on a sharded
+/// operator, with queries freezing at different iterations. Every answer
+/// equals the standalone solve on the monolithic matrix bitwise.
+#[test]
+fn linbp_batch_wide_sharded() {
+    let n = 90;
+    let adj = erdos_renyi_gnm(n, 300, 12).adjacency();
+    let sharded = ShardedCsr::from_csr(&adj, 3);
+    let h = CouplingMatrix::homophily(4, 0.6)
+        .unwrap()
+        .scaled_residual(0.08);
+    let queries: Vec<ExplicitBeliefs> = (0..24)
+        .map(|j| {
+            let picks: Vec<(usize, usize)> = (0..j % 4).map(|i| (j * 13 + i * 29, j + i)).collect();
+            seeds(n, 4, &picks)
+        })
+        .collect();
+    for threads in [1, 4] {
+        let opts = LinBpOptions {
+            max_iter: 300,
+            tol: 1e-11,
+            parallelism: ParallelismConfig::with_threads(threads).with_min_work(1),
+            ..Default::default()
+        };
+        let batch = linbp_batch_on(&sharded, &queries, &h, &opts).unwrap();
+        assert_eq!(batch.len(), queries.len());
+        let mut iterations = std::collections::BTreeSet::new();
+        for (j, (e, got)) in queries.iter().zip(&batch).enumerate() {
+            let want = linbp(&adj, e, &h, &opts).unwrap();
+            assert!(want.converged, "query {j} must converge at this scale");
+            assert_eq!(got.converged, want.converged, "query {j}");
+            assert_eq!(got.iterations, want.iterations, "query {j}");
+            assert_eq!(
+                got.final_delta.to_bits(),
+                want.final_delta.to_bits(),
+                "query {j}"
+            );
+            assert!(
+                bits_equal(got.beliefs.residual(), want.beliefs.residual()),
+                "threads {threads} query {j}: batched beliefs differ from standalone"
+            );
+            iterations.insert(got.iterations);
+        }
+        assert!(
+            iterations.len() > 1,
+            "queries must freeze at different iterations"
+        );
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random graphs, random seed batches, random thread counts: batched
-    /// LinBP is bitwise equal to standalone LinBP, query by query.
+    /// LinBP is bitwise equal to standalone LinBP, query by query — over
+    /// every kernel width (k ∈ {2, 3, 4, 5}, q ∈ 0..=12), frontier on and
+    /// off, both tolerance norms, and a divergent coupling scale at which
+    /// seeded queries trip the guard mid-batch while empty ones converge
+    /// (so frozen blocks are copied forward next to active ones).
     #[test]
     fn linbp_batch_random(
         seed in 0u64..500,
-        q in 0usize..5,
+        k in 2usize..6,
+        q in 0usize..13,
         threads in 1usize..9,
-        eps_pick in 0usize..3,
+        eps_pick in 0usize..4,
+        frontier_flag in 0usize..2,
+        norm_pick in 0usize..2,
     ) {
         let n = 40;
         let adj = erdos_renyi_gnm(n, 100, seed).adjacency();
-        let coupling = CouplingMatrix::fig1c().unwrap();
-        let eps = [0.02, 0.06, 0.12][eps_pick];
+        let coupling = if seed % 2 == 0 {
+            CouplingMatrix::homophily(k, 0.7).unwrap()
+        } else {
+            CouplingMatrix::heterophily(k, 0.05).unwrap()
+        };
+        let eps = [0.02, 0.06, 0.12, 3.0][eps_pick];
         let h = coupling.scaled_residual(eps);
         let queries: Vec<ExplicitBeliefs> = (0..q)
-            .map(|j| seeds(n, 3, &[(j * 7 + 1, j), ((j + 2) * 11, j + 1)]))
+            .map(|j| {
+                if j % 5 == 4 {
+                    seeds(n, k, &[]) // Ê = 0: converges after one sweep
+                } else {
+                    seeds(n, k, &[(j * 7 + 1, j), ((j + 2) * 11, j + 1)])
+                }
+            })
             .collect();
         let opts = LinBpOptions {
             max_iter: 150,
             tol: 1e-10,
-            parallelism: ParallelismConfig::with_threads(threads).with_min_work(1),
+            norm: [ToleranceNorm::MaxAbs, ToleranceNorm::L2][norm_pick],
+            parallelism: ParallelismConfig::with_threads(threads)
+                .with_min_work(1)
+                .with_frontier(frontier_flag == 1),
             ..Default::default()
         };
         let batch = linbp_batch(&adj, &queries, &h, &opts).unwrap();

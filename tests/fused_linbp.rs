@@ -10,7 +10,7 @@ use lsbp::prelude::*;
 use lsbp_bench::kronecker_style_beliefs;
 use lsbp_graph::generators::{erdos_renyi_gnm, kronecker_graph};
 use lsbp_linalg::Mat;
-use lsbp_sparse::{CsrMatrix, FusedLinBpStep};
+use lsbp_sparse::{CsrMatrix, FrontierState, FusedLinBpStep, PropagationOperator};
 use proptest::prelude::*;
 
 fn sweep() -> Vec<ParallelismConfig> {
@@ -90,6 +90,50 @@ fn fused_iterations(
     (b, deltas[0])
 }
 
+/// `iters` consecutive stacked steps (`b ← step(b)`, double-buffered
+/// like the solvers), through the frontier-skipping step when `frontier`
+/// is set. Returns every iteration's output and per-query deltas.
+#[allow(clippy::too_many_arguments)]
+fn stacked_trajectory(
+    adj: &CsrMatrix,
+    e_hat: &Mat,
+    h: &Mat,
+    h2: Option<&Mat>,
+    degrees: &[f64],
+    damping: f64,
+    q: usize,
+    iters: usize,
+    frontier: bool,
+    cfg: &ParallelismConfig,
+) -> Vec<(Mat, Vec<f64>)> {
+    let step = FusedLinBpStep {
+        e_hat,
+        h,
+        h2,
+        degrees,
+        damping,
+    };
+    let mut b = e_hat.clone();
+    let mut next = Mat::zeros(e_hat.rows(), e_hat.cols());
+    let mut state = frontier.then(|| FrontierState::new(adj.frontier_plan()));
+    let mut trajectory = Vec::with_capacity(iters);
+    for _ in 0..iters {
+        let mut deltas = vec![f64::NAN; q];
+        match state.as_mut() {
+            Some(state) => {
+                let mut fr = state.begin(None);
+                adj.linbp_step_fused_frontier_with(&b, &step, &mut next, &mut deltas, &mut fr, cfg);
+                let (active, skipped) = (fr.rows_active, fr.rows_skipped);
+                state.commit(active, skipped);
+            }
+            None => adj.linbp_step_fused_with(&b, &step, &mut next, &mut deltas, cfg),
+        }
+        std::mem::swap(&mut b, &mut next);
+        trajectory.push((b.clone(), deltas));
+    }
+    trajectory
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -147,6 +191,75 @@ proptest! {
             let par = fused_iterations(&adj, e_hat, &h, Some(&h2), &degrees, 0.0, 5, &cfg);
             prop_assert!(bits_equal(&serial.0, &par.0), "threads = {}", cfg.threads());
             prop_assert_eq!(serial.1.to_bits(), par.1.to_bits(), "threads = {}", cfg.threads());
+        }
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Stacking `q` queries side by side changes no bit: every k-block of
+    /// every stacked iterate, and every per-query delta, equals the
+    /// single-query step run on that query alone — for every kernel the
+    /// dispatch can pick (k ∈ 2..=5, q = 1 and q ≥ 2, stacked widths
+    /// across the 64- and 128-column stack-buffer limits), with and without
+    /// echo and damping, serial and on 4 threads, full and frontier
+    /// steps.
+    #[test]
+    fn stacked_step_matches_single_query_steps(
+        n in 2usize..40,
+        edges in 1usize..120,
+        seed in 0u64..1000,
+        k in 2usize..6,
+        q in 1usize..37,
+        echo_flag in 0usize..2,
+        damp_flag in 0usize..2,
+        threaded in 0usize..2,
+        frontier_flag in 0usize..2,
+    ) {
+        let edges = edges.min(n * (n - 1) / 2);
+        let adj = erdos_renyi_gnm(n, edges, seed).adjacency();
+        let h = Mat::from_fn(k, k, |r, c| {
+            0.07 * ((((r * k + c + seed as usize) % 11) as f64) - 5.0) / 5.0
+        });
+        let h2 = h.matmul(&h);
+        let h2 = (echo_flag == 1).then_some(&h2);
+        let degrees = adj.squared_weight_degrees();
+        let damping = if damp_flag == 1 { 0.2 } else { 0.0 };
+        let singles: Vec<Mat> = (0..q)
+            .map(|j| {
+                let seeds = (n / 4).max(1).min(1 + j % 3);
+                kronecker_style_beliefs(n, k, seeds, seed ^ (j as u64 * 31 + 7), false)
+                    .residual_matrix()
+                    .clone()
+            })
+            .collect();
+        let e_hat = Mat::from_fn(n, k * q, |r, c| singles[c / k][(r, c % k)]);
+        let cfg = if threaded == 1 {
+            ParallelismConfig::with_threads(4).with_min_work(1)
+        } else {
+            ParallelismConfig::serial()
+        };
+        let iters = 4;
+        let stacked = stacked_trajectory(
+            &adj, &e_hat, &h, h2, &degrees, damping, q, iters, frontier_flag == 1, &cfg);
+        for (j, single_e) in singles.iter().enumerate() {
+            let single = stacked_trajectory(
+                &adj, single_e, &h, h2, &degrees, damping, 1, iters, false,
+                &ParallelismConfig::serial());
+            for (it, ((got, got_d), (want, want_d))) in stacked.iter().zip(&single).enumerate() {
+                let block = Mat::from_fn(n, k, |r, c| got[(r, j * k + c)]);
+                prop_assert!(
+                    bits_equal(&block, want),
+                    "k={} q={} query {} iteration {}: block differs", k, q, j, it
+                );
+                prop_assert_eq!(
+                    got_d[j].to_bits(),
+                    want_d[0].to_bits(),
+                    "k={} q={} query {} iteration {}: delta differs", k, q, j, it
+                );
+            }
         }
     }
 }

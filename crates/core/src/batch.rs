@@ -9,21 +9,26 @@
 //! times, which is exactly the amortization the paper's "BP as sparse
 //! matrix algebra" framing buys (Sect. 5).
 //!
+//! These drivers are the only LinBP and RWR solvers: the single-query
+//! entry points ([`crate::linbp::linbp_on`], [`crate::rwr::rwr_on`], …)
+//! are one-element batches. So a kernel or stopping-rule change is made
+//! once, and a single query can never drift from its batched twin.
+//!
 //! Per-query convergence is tracked with masks: a query whose belief
 //! change drops under `tol` (or whose magnitudes trip the divergence
 //! guard) is **frozen** — its column block stops updating and its
 //! per-query result records the iteration it stopped at — while the
-//! remaining queries keep iterating. Freezing is what makes the batched
-//! results **bitwise identical** to `q` independent solves: a frozen
-//! query's beliefs are exactly the beliefs the standalone run would have
-//! returned, not "the same query iterated a little longer".
+//! remaining queries keep iterating. Freezing is what makes a query's
+//! batched result **bitwise identical** to the same query run alone: a
+//! frozen query's beliefs are exactly the beliefs a one-query batch
+//! returns, not "the same query iterated a little longer".
 //!
-//! Why bitwise identity holds (and is property-tested): the stacked SpMM
-//! and the block-diagonal `·Ĥ` accumulate every output element in the
-//! same order as the single-query kernels (columns never mix), the `+Ê` /
-//! `−D·B̂·Ĥ²` terms are element-wise, and the per-query delta/guard
-//! read-outs are order-independent maxima (or fixed-order L2 sums) over
-//! exactly the single-query elements.
+//! Why bitwise identity holds (and is property-tested against a plain
+//! unfused loop): the stacked SpMM and the block-diagonal `·Ĥ` accumulate
+//! every output element in the same order whatever `q` is (columns never
+//! mix), the `+Ê` / `−D·B̂·Ĥ²` terms are element-wise, and the per-query
+//! delta/guard read-outs are order-independent maxima (or fixed-order L2
+//! sums) over exactly that query's elements.
 //!
 //! Every per-query read-out and copy walks the stacked matrices in row
 //! order, a constant number of passes per sweep whatever `q` is: the
@@ -37,7 +42,8 @@ use crate::beliefs::{BeliefMatrix, ExplicitBeliefs};
 use crate::linbp::{LinBpError, LinBpOptions, LinBpResult};
 use crate::rwr::{RwrError, RwrOptions, RwrResult};
 use lsbp_linalg::{
-    FixedPointOp, FixedPointSolver, Mat, ParallelismConfig, StepOutcome, ToleranceNorm,
+    FixedPointOp, FixedPointSolver, IterationEvent, Mat, ParallelismConfig, StepOutcome,
+    ToleranceNorm,
 };
 use lsbp_sparse::{CsrMatrix, FrontierState, FusedLinBpStep, PropagationOperator};
 
@@ -52,7 +58,7 @@ pub fn linbp_batch(
     h_residual: &Mat,
     opts: &LinBpOptions,
 ) -> Result<Vec<LinBpResult>, LinBpError> {
-    linbp_batch_run_on(adj, queries, h_residual, opts, true)
+    linbp_batch_run_on(adj, queries, h_residual, opts, true, |_| {})
 }
 
 /// [`linbp_batch`] without the echo-cancellation term (**LinBP\***,
@@ -63,7 +69,7 @@ pub fn linbp_star_batch(
     h_residual: &Mat,
     opts: &LinBpOptions,
 ) -> Result<Vec<LinBpResult>, LinBpError> {
-    linbp_batch_run_on(adj, queries, h_residual, opts, false)
+    linbp_batch_run_on(adj, queries, h_residual, opts, false, |_| {})
 }
 
 /// [`linbp_batch`] against any [`PropagationOperator`].
@@ -73,7 +79,7 @@ pub fn linbp_batch_on<A: PropagationOperator + ?Sized>(
     h_residual: &Mat,
     opts: &LinBpOptions,
 ) -> Result<Vec<LinBpResult>, LinBpError> {
-    linbp_batch_run_on(adj, queries, h_residual, opts, true)
+    linbp_batch_run_on(adj, queries, h_residual, opts, true, |_| {})
 }
 
 /// [`linbp_star_batch`] against any [`PropagationOperator`].
@@ -83,7 +89,7 @@ pub fn linbp_star_batch_on<A: PropagationOperator + ?Sized>(
     h_residual: &Mat,
     opts: &LinBpOptions,
 ) -> Result<Vec<LinBpResult>, LinBpError> {
-    linbp_batch_run_on(adj, queries, h_residual, opts, false)
+    linbp_batch_run_on(adj, queries, h_residual, opts, false, |_| {})
 }
 
 /// Per-query progress book-keeping for the batched LinBP iteration.
@@ -99,9 +105,8 @@ struct QuerySlot {
 /// kernel ([`CsrMatrix::linbp_step_fused_with`]) applying `Ĥ` per
 /// `k`-column block: one row-partitioned pass computes the update,
 /// damping and every query's max-abs residual together. The outer solver
-/// runs in "operator-controlled" mode (`tol = 0`, no guard): tolerance
-/// and divergence are applied *per query* inside the step, with the same
-/// comparisons in the same order as the single-query solver.
+/// runs in "operator-controlled" mode (`tol = 0`): tolerance and the
+/// magnitude guard are applied *per query* inside the step.
 struct LinBpBatchIteration<'a, A: PropagationOperator + ?Sized> {
     adj: &'a A,
     e_hat: &'a Mat,
@@ -132,7 +137,7 @@ struct LinBpBatchIteration<'a, A: PropagationOperator + ?Sized> {
 impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A> {
     fn step(&mut self, solver: &FixedPointSolver, iteration: usize) -> StepOutcome {
         let k = self.k;
-        // One stacked fused update — exactly the single-query fused step
+        // One stacked fused update — exactly the q = 1 fused step
         // per k-column block, residuals accumulated per query in-pass.
         // Frozen queries are computed too and their outputs discarded:
         // after the swap their blocks are copied forward from the
@@ -176,7 +181,8 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A
         // The fused pass already produced max-abs deltas; L2 queries
         // replace theirs with the fixed-order per-block read-out, one
         // row-major pass for all queries (fusing L2 would tie the sum to
-        // the row partition).
+        // the row partition). Frontier-skipped rows hold the same bits in
+        // both buffers, so they add exactly a recomputation's terms.
         if solver.norm == ToleranceNorm::L2 {
             let l2 = self.next.l2_diff_blocks(&self.b, k);
             for ((d, slot), v) in self.deltas.iter_mut().zip(&self.slots).zip(l2) {
@@ -209,8 +215,8 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A
         let magnitudes = (self.divergence_guard.is_finite()
             && self.slots.iter().any(|slot| !slot.frozen))
         .then(|| self.b.max_abs_blocks(k));
-        // Per-query stop policy — the same checks, in the same order, as
-        // the single-query solver applies after its swap.
+        // Per-query stop policy, after the swap: guard (or a non-finite
+        // delta) first, then tolerance.
         let mut remaining = 0.0f64;
         let mut any_active = false;
         for (j, slot) in self.slots.iter_mut().enumerate() {
@@ -238,36 +244,43 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A
         if let (Some(state), Some((active, skipped))) = (self.frontier.as_mut(), counters) {
             state.commit(active, skipped);
         }
-        if any_active {
-            StepOutcome::proceed(remaining)
+        // What the outer solver (and an observer) sees: a lone query's
+        // own delta — non-finite on divergence, which is safe because the
+        // solver checks the status before the delta — and otherwise the
+        // largest delta still iterating.
+        let delta = if self.slots.len() == 1 {
+            self.deltas[0]
         } else {
-            StepOutcome::converged(remaining)
+            remaining
+        };
+        if any_active {
+            StepOutcome::proceed(delta)
+        } else {
+            StepOutcome::converged(delta)
         }
     }
 }
 
-fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
+/// The LinBP driver behind every LinBP entry point: `echo` selects Eq. 6
+/// vs. Eq. 7, and `observer` fires after every round (see
+/// [`FixedPointSolver::run_observed`]).
+pub(crate) fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     queries: &[ExplicitBeliefs],
     h_residual: &Mat,
     opts: &LinBpOptions,
     echo: bool,
+    observer: impl FnMut(&IterationEvent),
 ) -> Result<Vec<LinBpResult>, LinBpError> {
+    // Node counts before arity, so a query that is wrong in both reports
+    // `DimensionMismatch`.
     let n = adj.n_rows();
     let k = h_residual.rows();
-    if adj.n_cols() != n {
+    if adj.n_cols() != n || queries.iter().any(|e| e.n() != n) {
         return Err(LinBpError::DimensionMismatch);
     }
-    if h_residual.cols() != k {
+    if h_residual.cols() != k || queries.iter().any(|e| e.k() != k) {
         return Err(LinBpError::CouplingArityMismatch);
-    }
-    for e in queries {
-        if e.n() != n {
-            return Err(LinBpError::DimensionMismatch);
-        }
-        if e.k() != k {
-            return Err(LinBpError::CouplingArityMismatch);
-        }
     }
     let q = queries.len();
     if q == 0 {
@@ -327,7 +340,7 @@ fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
     let outcome = FixedPointSolver::new(opts.max_iter, 0.0)
         .with_norm(opts.norm)
         .with_damping(opts.damping)
-        .run(&mut op);
+        .run_observed(&mut op, observer);
 
     // Whole-run frontier totals: the counters describe the shared stacked
     // solve, so every per-query result carries the same pair (consumers
@@ -369,6 +382,12 @@ struct WalkSlot {
 
 /// The stacked RWR power iteration as a [`FixedPointOp`]: all `q · k`
 /// walks diffuse through one SpMM per round; converged walks freeze.
+///
+/// The diffusion is an SpMM even when only one walk is left: SpMV's row
+/// dot product accumulates in the reassociated 4-lane order, while SpMM
+/// sums every output element in CSR entry order whatever the column
+/// count — so a walk's bits do not depend on how many walks share the
+/// batch.
 struct RwrBatchIteration<'a, A: PropagationOperator + ?Sized> {
     adj: &'a A,
     degrees: &'a [f64],
@@ -396,8 +415,8 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for RwrBatchIteration<'_, A> 
                 .iter_mut()
                 .zip(self.scores.row(v).iter())
             {
-                // The exact single-walk expression (`x / deg`, not
-                // `x · (1/deg)`) — reciprocal-multiply rounds differently.
+                // `x / deg`, not `x · (1/deg)`: reciprocal-multiply rounds
+                // differently.
                 *dst = if deg > 0.0 { x / deg } else { 0.0 };
             }
         }
@@ -409,8 +428,8 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for RwrBatchIteration<'_, A> 
             if slot.frozen {
                 continue;
             }
-            // The per-walk update, in exactly the single-walk element
-            // order: blend, delta, write-back, then mass renormalization.
+            // The per-walk update: blend, delta, write-back, then
+            // renormalize the mass dangling nodes leak.
             let mut delta = 0.0f64;
             for v in 0..n {
                 let next = (1.0 - self.restart) * self.diffused[(v, col)]
@@ -457,7 +476,7 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for RwrBatchIteration<'_, A> 
 /// Runs [`crate::rwr::rwr`] on `q` independent seed-sets in one pass: all
 /// `q · k` per-class walks diffuse through a single SpMM per iteration,
 /// with per-walk convergence masks. Returns one [`RwrResult`] per query,
-/// each bitwise identical to the standalone run.
+/// each bitwise identical to the one-query run.
 pub fn rwr_batch(
     adj: &CsrMatrix,
     queries: &[ExplicitBeliefs],
@@ -472,8 +491,11 @@ pub fn rwr_batch_on<A: PropagationOperator + ?Sized>(
     queries: &[ExplicitBeliefs],
     opts: &RwrOptions,
 ) -> Result<Vec<RwrResult>, RwrError> {
+    // Shapes before the restart probability, so a query that is wrong in
+    // both reports `DimensionMismatch`.
     let n = adj.n_rows();
-    if adj.n_cols() != n {
+    let k = queries.first().map_or(0, ExplicitBeliefs::k);
+    if adj.n_cols() != n || queries.iter().any(|e| e.n() != n || e.k() != k) {
         return Err(RwrError::DimensionMismatch);
     }
     if !(opts.restart > 0.0 && opts.restart <= 1.0) {
@@ -483,18 +505,8 @@ pub fn rwr_batch_on<A: PropagationOperator + ?Sized>(
     if q == 0 {
         return Ok(Vec::new());
     }
-    let k = queries[0].k();
-    for e in queries {
-        if e.n() != n {
-            return Err(RwrError::DimensionMismatch);
-        }
-        if e.k() != k {
-            return Err(RwrError::DimensionMismatch);
-        }
-    }
 
-    // Stacked restart distributions: column j·k + c = query j, class c —
-    // the same per-query construction (and error) as the standalone run.
+    // Stacked restart distributions: column j·k + c = query j, class c.
     let mut restart_dist = Mat::zeros(n, k * q);
     for (j, e) in queries.iter().enumerate() {
         let single = crate::rwr::restart_distribution(e)?;
@@ -531,7 +543,9 @@ pub fn rwr_batch_on<A: PropagationOperator + ?Sized>(
             let walks = &op.slots[j * k..(j + 1) * k];
             let converged = walks.iter().all(|w| w.converged);
             let iterations = walks.iter().map(|w| w.iterations).max().unwrap_or(0);
-            // Residual centering, exactly as the standalone read-out.
+            // Residual form: center each row (so ties/standardization
+            // read-outs work); rows that received no mass stay all-zero
+            // (all-tie).
             let mut residual = Mat::zeros(n, k);
             for v in 0..n {
                 let row = &op.scores.row(v)[j * k..(j + 1) * k];
@@ -564,8 +578,8 @@ pub fn rwr_batch_on<A: PropagationOperator + ?Sized>(
 /// instead of `q` separate `linbp_update` solves re-streaming the
 /// adjacency `q` times per iteration, the whole refresh is one batched
 /// solve. Results are **bitwise identical** to calling `linbp_update` per
-/// pair (property-tested): the batched delta solve is bitwise equal to
-/// the standalone one, and the final add is element-wise.
+/// pair (property-tested): each delta solve is bitwise equal to its
+/// one-query batch, and the final add is element-wise.
 ///
 /// `previous` and `deltas` are parallel slices (pair `j` = query `j`);
 /// `echo` selects LinBP (Eq. 6) vs. LinBP\* (Eq. 7), and divergent delta
@@ -601,7 +615,7 @@ pub fn linbp_update_batch_on<A: PropagationOperator + ?Sized>(
             return Err(LinBpError::DimensionMismatch);
         }
     }
-    let delta_runs = linbp_batch_run_on(adj, deltas, h_residual, opts, echo)?;
+    let delta_runs = linbp_batch_run_on(adj, deltas, h_residual, opts, echo, |_| {})?;
     Ok(previous
         .iter()
         .zip(delta_runs)
@@ -609,8 +623,7 @@ pub fn linbp_update_batch_on<A: PropagationOperator + ?Sized>(
             if delta_run.diverged {
                 return delta_run;
             }
-            // The per-query update arithmetic, verbatim: previous + delta
-            // fixpoint, element-wise.
+            // Previous beliefs + delta fixpoint, element-wise.
             let mut updated = prev.residual().clone();
             updated.add_assign(delta_run.beliefs.residual());
             LinBpResult {

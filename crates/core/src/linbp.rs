@@ -16,13 +16,14 @@
 //! Convergence is governed by Lemma 8 (ρ(Ĥ⊗A − Ĥ²⊗D) < 1); the iterative
 //! process here reports divergence when belief magnitudes blow past a
 //! guard threshold.
+//!
+//! Every entry point here is a one-query batch through the batched
+//! driver ([`crate::batch`]).
 
+use crate::batch::{linbp_batch_run_on, linbp_update_batch_on};
 use crate::beliefs::{BeliefMatrix, ExplicitBeliefs};
-use lsbp_linalg::{
-    FixedPointOp, FixedPointSolver, IterationEvent, Mat, ParallelismConfig, StepOutcome,
-    ToleranceNorm,
-};
-use lsbp_sparse::{CsrMatrix, FrontierState, FusedLinBpStep, PropagationOperator};
+use lsbp_linalg::{IterationEvent, Mat, ParallelismConfig, ToleranceNorm};
+use lsbp_sparse::{CsrMatrix, PropagationOperator};
 
 /// Options for [`linbp`] / [`linbp_star`].
 #[derive(Clone, Copy, Debug)]
@@ -58,16 +59,6 @@ impl Default for LinBpOptions {
             divergence_guard: 1e12,
             parallelism: ParallelismConfig::default(),
         }
-    }
-}
-
-impl LinBpOptions {
-    /// The [`FixedPointSolver`] these options describe.
-    pub(crate) fn solver(&self) -> FixedPointSolver {
-        FixedPointSolver::new(self.max_iter, self.tol)
-            .with_norm(self.norm)
-            .with_damping(self.damping)
-            .with_divergence_guard(self.divergence_guard)
     }
 }
 
@@ -147,7 +138,7 @@ pub fn linbp_on<A: PropagationOperator + ?Sized>(
     h_residual: &Mat,
     opts: &LinBpOptions,
 ) -> Result<LinBpResult, LinBpError> {
-    run_observed_on(adj, explicit, h_residual, opts, true, |_| {})
+    solve_one(adj, explicit, h_residual, opts, true, |_| {})
 }
 
 /// [`linbp_star`] against any [`PropagationOperator`] (see [`linbp_on`]).
@@ -157,7 +148,7 @@ pub fn linbp_star_on<A: PropagationOperator + ?Sized>(
     h_residual: &Mat,
     opts: &LinBpOptions,
 ) -> Result<LinBpResult, LinBpError> {
-    run_observed_on(adj, explicit, h_residual, opts, false, |_| {})
+    solve_one(adj, explicit, h_residual, opts, false, |_| {})
 }
 
 /// Reusable buffers for [`linbp_step`]: the SpMM result, the fused `D·B`
@@ -190,8 +181,9 @@ impl LinBpScratch {
 /// element-wise add/sub as separate passes). The solver path runs
 /// [`CsrMatrix::linbp_step_fused_with`] instead — one row-partitioned,
 /// cache-resident pass that is bitwise identical to this composition
-/// (property-tested in `tests/fused_linbp.rs`) but avoids re-streaming
-/// the `n × k` intermediates.
+/// (property-tested in `tests/fused_linbp.rs`, and the step of the
+/// plain-loop oracle the batched solver is tested against) but avoids
+/// re-streaming the `n × k` intermediates.
 #[allow(clippy::too_many_arguments)] // mirrors the terms of Eq. 6 one-to-one
 pub fn linbp_step<A: PropagationOperator + ?Sized>(
     adj: &A,
@@ -217,86 +209,11 @@ pub fn linbp_step<A: PropagationOperator + ?Sized>(
     }
 }
 
-/// The LinBP update as a [`FixedPointOp`], backed by the fused kernel
-/// ([`CsrMatrix::linbp_step_fused_with`]): one row-partitioned pass per
-/// iteration computes the update, the damping blend and the max-abs
-/// residual together; only the belief double buffer persists between
-/// rounds, so no iteration allocates `n × k` scratch at all.
-struct LinBpIteration<'a, A: PropagationOperator + ?Sized> {
-    adj: &'a A,
-    e_hat: &'a Mat,
-    h: &'a Mat,
-    h2: Option<&'a Mat>,
-    degrees: &'a [f64],
-    b: Mat,
-    next: Mat,
-    cfg: ParallelismConfig,
-    /// Active-frontier change tracking (see `lsbp_sparse::frontier`);
-    /// `None` forces full recomputation every round (`with_frontier(false)`
-    /// / `LSBP_FRONTIER=off`). Outputs are bitwise identical either way.
-    frontier: Option<FrontierState>,
-}
-
-impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpIteration<'_, A> {
-    fn step(&mut self, solver: &FixedPointSolver, _iteration: usize) -> StepOutcome {
-        let mut fused_delta = [0.0f64];
-        let fstep = FusedLinBpStep {
-            e_hat: self.e_hat,
-            h: self.h,
-            h2: self.h2,
-            degrees: self.degrees,
-            damping: solver.damping,
-        };
-        let counters = match self.frontier.as_mut() {
-            Some(state) => {
-                let mut fr = state.begin(None);
-                self.adj.linbp_step_fused_frontier_with(
-                    &self.b,
-                    &fstep,
-                    &mut self.next,
-                    &mut fused_delta,
-                    &mut fr,
-                    &self.cfg,
-                );
-                Some((fr.rows_active, fr.rows_skipped))
-            }
-            None => {
-                self.adj.linbp_step_fused_with(
-                    &self.b,
-                    &fstep,
-                    &mut self.next,
-                    &mut fused_delta,
-                    &self.cfg,
-                );
-                None
-            }
-        };
-        let delta = match solver.norm {
-            ToleranceNorm::MaxAbs => fused_delta[0],
-            // L2 is deliberately *not* fused: summing per-row-block
-            // partials would tie the total to the partition (thread
-            // count); the flat fixed-order pass keeps it deterministic.
-            // Frontier-skipped rows hold bit-identical values in both
-            // buffers, so their terms are exactly what a recomputation
-            // would contribute — the pass needs no frontier awareness.
-            ToleranceNorm::L2 => self.next.l2_diff(&self.b),
-        };
-        std::mem::swap(&mut self.b, &mut self.next);
-        if let (Some(state), Some((active, skipped))) = (self.frontier.as_mut(), counters) {
-            state.commit(active, skipped);
-        }
-        StepOutcome::proceed(delta)
-    }
-
-    fn magnitude(&self) -> f64 {
-        self.b.max_abs()
-    }
-}
-
 /// [`linbp`] / [`linbp_star`] (`echo` selects Eq. 6 vs. Eq. 7) with a
 /// per-iteration observer: `observer` fires after every update round with
 /// the round number and belief delta — the instrumentation hook behind
-/// the Fig. 7d per-iteration timing harness.
+/// the Fig. 7d per-iteration timing harness. The last event's delta is
+/// the result's `final_delta`.
 pub fn linbp_observed(
     adj: &CsrMatrix,
     explicit: &ExplicitBeliefs,
@@ -305,11 +222,11 @@ pub fn linbp_observed(
     echo: bool,
     observer: impl FnMut(&IterationEvent),
 ) -> Result<LinBpResult, LinBpError> {
-    run_observed_on(adj, explicit, h_residual, opts, echo, observer)
+    solve_one(adj, explicit, h_residual, opts, echo, observer)
 }
 
-/// The solver core, generic over the storage backend.
-fn run_observed_on<A: PropagationOperator + ?Sized>(
+/// One query through the batched driver.
+fn solve_one<A: PropagationOperator + ?Sized>(
     adj: &A,
     explicit: &ExplicitBeliefs,
     h_residual: &Mat,
@@ -317,58 +234,9 @@ fn run_observed_on<A: PropagationOperator + ?Sized>(
     echo: bool,
     observer: impl FnMut(&IterationEvent),
 ) -> Result<LinBpResult, LinBpError> {
-    let n = explicit.n();
-    let k = explicit.k();
-    if adj.n_rows() != n || adj.n_cols() != n {
-        return Err(LinBpError::DimensionMismatch);
-    }
-    if h_residual.rows() != k || h_residual.cols() != k {
-        return Err(LinBpError::CouplingArityMismatch);
-    }
-
-    let e_hat = explicit.residual_matrix();
-    let h2 = if echo {
-        Some(h_residual.matmul(h_residual))
-    } else {
-        None
-    };
-    let degrees = if echo {
-        adj.squared_weight_degrees()
-    } else {
-        vec![0.0; n]
-    };
-
-    // B̂(0) = Ê (starting from the explicit beliefs, like Algorithm 1).
-    let mut op = LinBpIteration {
-        adj,
-        e_hat,
-        h: h_residual,
-        h2: h2.as_ref(),
-        degrees: &degrees,
-        b: e_hat.clone(),
-        next: Mat::zeros(n, k),
-        cfg: opts.parallelism,
-        frontier: opts
-            .parallelism
-            .frontier()
-            .then(|| FrontierState::new(adj.frontier_plan())),
-    };
-    let outcome = opts.solver().run_observed(&mut op, observer);
-
-    let (rows_active, rows_skipped) = op
-        .frontier
-        .as_ref()
-        .map(|s| (s.rows_active, s.rows_skipped))
-        .unwrap_or(((n * outcome.iterations) as u64, 0));
-    Ok(LinBpResult {
-        beliefs: BeliefMatrix::from_mat(op.b),
-        converged: outcome.converged,
-        diverged: outcome.diverged,
-        iterations: outcome.iterations,
-        final_delta: outcome.final_delta,
-        rows_active,
-        rows_skipped,
-    })
+    let queries = std::slice::from_ref(explicit);
+    let mut runs = linbp_batch_run_on(adj, queries, h_residual, opts, echo, observer)?;
+    Ok(runs.pop().expect("one result per query"))
 }
 
 /// Incremental LinBP under explicit-belief changes — the Sect. 8 "future
@@ -399,19 +267,9 @@ pub fn linbp_update(
     opts: &LinBpOptions,
     echo: bool,
 ) -> Result<LinBpResult, LinBpError> {
-    if previous.n() != delta_explicit.n() || previous.k() != delta_explicit.k() {
-        return Err(LinBpError::DimensionMismatch);
-    }
-    let delta_run = run_observed_on(adj, delta_explicit, h_residual, opts, echo, |_| {})?;
-    if delta_run.diverged {
-        return Ok(delta_run);
-    }
-    let mut updated = previous.residual().clone();
-    updated.add_assign(delta_run.beliefs.residual());
-    Ok(LinBpResult {
-        beliefs: BeliefMatrix::from_mat(updated),
-        ..delta_run
-    })
+    let deltas = std::slice::from_ref(delta_explicit);
+    let mut runs = linbp_update_batch_on(adj, &[previous], deltas, h_residual, opts, echo)?;
+    Ok(runs.pop().expect("one result per query"))
 }
 
 /// The binary-case (`k = 2`) reduction of Appendix E: LinBP specializes to
@@ -586,6 +444,67 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.iterations, 5);
+    }
+
+    /// `linbp_observed` fires one event per round, numbered
+    /// `1..=iterations`, and the last event carries `final_delta` bit for
+    /// bit — converging, divergent, fixed-budget and L2 runs alike.
+    #[test]
+    fn observer_events_match_result() {
+        let adj = lsbp_graph::generators::erdos_renyi_gnm(40, 100, 3).adjacency();
+        let mut e = ExplicitBeliefs::new(40, 3);
+        e.set_label(0, 0, 1.0).unwrap();
+        e.set_label(17, 2, 1.0).unwrap();
+        let ho = CouplingMatrix::fig1c().unwrap().residual();
+        let eps_max = crate::convergence::eps_max_exact_linbp(&ho, &adj, 1e-4);
+        let converging = LinBpOptions {
+            max_iter: 1000,
+            ..Default::default()
+        };
+        let cases = [
+            ("converging", 0.5, converging),
+            ("divergent", 2.0, converging),
+            (
+                "fixed-budget",
+                0.5,
+                LinBpOptions {
+                    max_iter: 9,
+                    tol: 0.0,
+                    ..Default::default()
+                },
+            ),
+            (
+                "l2",
+                0.5,
+                LinBpOptions {
+                    norm: ToleranceNorm::L2,
+                    ..converging
+                },
+            ),
+        ];
+        for (label, eps_factor, opts) in cases {
+            let h = ho.scale(eps_factor * eps_max);
+            for echo in [true, false] {
+                let mut events = Vec::new();
+                let r = linbp_observed(&adj, &e, &h, &opts, echo, |ev| {
+                    events.push((ev.iteration, ev.delta));
+                })
+                .unwrap();
+                match label {
+                    "divergent" => assert!(r.diverged, "{label} echo {echo}"),
+                    "fixed-budget" => assert_eq!(r.iterations, 9, "{label} echo {echo}"),
+                    _ => assert!(r.converged, "{label} echo {echo}"),
+                }
+                let rounds: Vec<usize> = events.iter().map(|&(i, _)| i).collect();
+                assert_eq!(rounds, (1..=r.iterations).collect::<Vec<_>>(), "{label}");
+                let last = events.last().expect("at least one round").1;
+                assert_eq!(
+                    last.to_bits(),
+                    r.final_delta.to_bits(),
+                    "{label} echo {echo}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! matrix, which is precisely the modeling gap LinBP fills (heterophily
 //! and general couplings). The tests document that gap: RWR matches LinBP
 //! under homophily and *fails* under heterophily.
+//!
+//! The walks run in the batched driver ([`crate::batch::rwr_batch_on`]):
+//! a single query is a one-query batch whose `k` per-class walks diffuse
+//! together.
 
+use crate::batch::rwr_batch_on;
 use crate::beliefs::{BeliefMatrix, ExplicitBeliefs};
-use lsbp_linalg::{
-    FixedPointOp, FixedPointSolver, Mat, ParallelismConfig, StepOutcome, ToleranceNorm,
-};
+use lsbp_linalg::{Mat, ParallelismConfig, ToleranceNorm};
 use lsbp_sparse::{CsrMatrix, PropagationOperator};
 
 /// Options for [`rwr`].
@@ -84,9 +87,8 @@ impl std::fmt::Display for RwrError {
 impl std::error::Error for RwrError {}
 
 /// Restart distributions for one seed-set: per class, positive residual
-/// mass of labeled nodes, normalized to 1. Shared by [`rwr`] and the
-/// batched [`crate::batch::rwr_batch`] so both build byte-identical
-/// distributions (and raise the same [`RwrError::EmptyClass`]).
+/// mass of labeled nodes, normalized to 1 ([`RwrError::EmptyClass`] when a
+/// class has none).
 pub(crate) fn restart_distribution(explicit: &ExplicitBeliefs) -> Result<Mat, RwrError> {
     let n = explicit.n();
     let k = explicit.k();
@@ -111,63 +113,6 @@ pub(crate) fn restart_distribution(explicit: &ExplicitBeliefs) -> Result<Mat, Rw
     Ok(restart_dist)
 }
 
-/// One class's random walk with restart as a [`FixedPointOp`]: scale by
-/// inverse degrees, diffuse, blend with the restart distribution,
-/// renormalize the leaked mass. The scale/diffuse scratch is borrowed
-/// from the caller so all `k` walks share one allocation.
-///
-/// The diffusion runs through the *one-column SpMM* kernel rather than
-/// SpMV: SpMV's row dot product accumulates in the reassociated 4-lane
-/// order, while the batched solver's stacked diffusion is an SpMM whose
-/// per-element sums stay in CSR entry order — routing the single walk
-/// through the same SpMM kernel is what keeps [`crate::batch::rwr_batch`]
-/// bitwise identical to `q` standalone runs.
-struct RwrWalk<'a, A: PropagationOperator + ?Sized> {
-    adj: &'a A,
-    degrees: &'a [f64],
-    restart_col: Vec<f64>,
-    restart: f64,
-    x: Vec<f64>,
-    scaled: &'a mut Mat,
-    diffused: &'a mut Mat,
-    cfg: &'a ParallelismConfig,
-}
-
-impl<A: PropagationOperator + ?Sized> FixedPointOp for RwrWalk<'_, A> {
-    fn step(&mut self, solver: &FixedPointSolver, _iteration: usize) -> StepOutcome {
-        let n = self.x.len();
-        for v in 0..n {
-            self.scaled.as_mut_slice()[v] = if self.degrees[v] > 0.0 {
-                self.x[v] / self.degrees[v]
-            } else {
-                0.0
-            };
-        }
-        self.adj
-            .spmm_into_with(self.scaled, self.diffused, self.cfg);
-        let diffused = self.diffused.as_slice();
-        let mut delta = 0.0f64;
-        for ((x, &d), &rc) in self.x.iter_mut().zip(diffused).zip(&self.restart_col) {
-            let next = (1.0 - self.restart) * d + self.restart * rc;
-            match solver.norm {
-                ToleranceNorm::MaxAbs => delta = delta.max((next - *x).abs()),
-                ToleranceNorm::L2 => delta += (next - *x) * (next - *x),
-            }
-            *x = next;
-        }
-        if solver.norm == ToleranceNorm::L2 {
-            delta = delta.sqrt();
-        }
-        // Dangling nodes leak probability mass; renormalize so classes
-        // stay comparable.
-        let mass: f64 = self.x.iter().sum();
-        if mass > 0.0 {
-            self.x.iter_mut().for_each(|v| *v /= mass);
-        }
-        StepOutcome::proceed(delta)
-    }
-}
-
 /// Runs one RWR per class, restarting into that class's labeled nodes.
 ///
 /// Labels are read from `explicit` as the per-node argmax of the residual
@@ -187,65 +132,8 @@ pub fn rwr_on<A: PropagationOperator + ?Sized>(
     explicit: &ExplicitBeliefs,
     opts: &RwrOptions,
 ) -> Result<RwrResult, RwrError> {
-    let n = explicit.n();
-    let k = explicit.k();
-    if adj.n_rows() != n || adj.n_cols() != n {
-        return Err(RwrError::DimensionMismatch);
-    }
-    if !(opts.restart > 0.0 && opts.restart <= 1.0) {
-        return Err(RwrError::BadRestart);
-    }
-
-    let restart_dist = restart_distribution(explicit)?;
-
-    // Random-walk transition: column-stochastic W(t, s) = w(s,t)/deg(s).
-    // We apply it matrix-free: (W x)(t) = Σ_s w(s,t)·x(s)/deg(s); with a
-    // symmetric adjacency this is one diffusion over x/deg (an n×1 SpMM
-    // — see the RwrWalk docs for why SpMM rather than SpMV).
-    let degrees = adj.row_sums();
-    let mut scores = restart_dist.clone();
-    let mut scaled = Mat::zeros(n, 1);
-    let mut diffused = Mat::zeros(n, 1);
-    let mut converged = true;
-    let mut worst_iters = 0usize;
-    let solver = FixedPointSolver::new(opts.max_iter, opts.tol).with_norm(opts.norm);
-    for c in 0..k {
-        let mut op = RwrWalk {
-            adj,
-            degrees: &degrees,
-            restart_col: restart_dist.col(c),
-            restart: opts.restart,
-            x: scores.col(c),
-            scaled: &mut scaled,
-            diffused: &mut diffused,
-            cfg: &opts.parallelism,
-        };
-        let outcome = solver.run(&mut op);
-        let x = op.x;
-        converged &= outcome.converged;
-        worst_iters = worst_iters.max(outcome.iterations);
-        for v in 0..n {
-            scores[(v, c)] = x[v];
-        }
-    }
-
-    // Residual form: center each row (so ties/standardization read-outs
-    // work); rows that received no mass stay all-zero (all-tie).
-    let mut residual = Mat::zeros(n, k);
-    for v in 0..n {
-        let row = scores.row(v);
-        let mean: f64 = row.iter().sum::<f64>() / k as f64;
-        if row.iter().any(|&x| x > 0.0) {
-            for (c, &x) in row.iter().enumerate() {
-                residual[(v, c)] = x - mean;
-            }
-        }
-    }
-    Ok(RwrResult {
-        beliefs: BeliefMatrix::from_mat(residual),
-        converged,
-        iterations: worst_iters,
-    })
+    let mut runs = rwr_batch_on(adj, std::slice::from_ref(explicit), opts)?;
+    Ok(runs.pop().expect("one result per query"))
 }
 
 #[cfg(test)]

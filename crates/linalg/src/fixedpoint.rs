@@ -10,14 +10,11 @@
 //! * **iteration budget** (`max_iter`),
 //! * **tolerance policy**: an absolute threshold `tol` under a choice of
 //!   norm ([`ToleranceNorm::MaxAbs`] — the paper's convergence read-out —
-//!   or [`ToleranceNorm::L2`]),
+//!   or [`ToleranceNorm::L2`]); a non-finite delta ends the run as
+//!   divergent,
 //! * **damping** `λ ∈ [0, 1)`: `state ← (1−λ)·new + λ·old`, applied by
 //!   the operator (the blend point differs per method: per message for
 //!   BP, per belief matrix for LinBP),
-//! * a **divergence guard**: the run is declared divergent when the
-//!   operator's [`FixedPointOp::magnitude`] exceeds `divergence_guard`
-//!   (set it to `f64::INFINITY` to disable the magnitude check) or the
-//!   step delta turns non-finite,
 //! * a **per-iteration observer hook** ([`FixedPointSolver::run_observed`])
 //!   for instrumentation — the Fig. 7d per-iteration timing harness hangs
 //!   off this instead of hand-rolling its own loop.
@@ -28,9 +25,9 @@
 //! reused across iterations; the solver guarantees `step` is called at
 //! most `max_iter` times, sequentially. An operator can also end the run
 //! itself via [`StepStatus`] — the escape hatch for method-specific
-//! policies (relative tolerances in power iteration, per-query masks in
-//! the batched solvers) that the shared absolute-tolerance check cannot
-//! express.
+//! policies (relative tolerances in power iteration, per-query masks and
+//! magnitude guards in the batched LinBP solver) that the shared
+//! absolute-tolerance check cannot express.
 
 /// Which norm the solver's tolerance threshold is compared against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -51,7 +48,7 @@ pub enum ToleranceNorm {
 /// keep iterating or stop now.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepStatus {
-    /// Keep iterating; the solver applies its own guard/tolerance policy.
+    /// Keep iterating; the solver applies its own tolerance policy.
     Continue,
     /// The operator decided the run converged (e.g. a relative-tolerance
     /// policy, or every query of a batch froze).
@@ -103,14 +100,6 @@ pub trait FixedPointOp {
     /// Applies update round `iteration` (0-based) and reports the step's
     /// delta plus an optional operator-side stop verdict.
     fn step(&mut self, solver: &FixedPointSolver, iteration: usize) -> StepOutcome;
-
-    /// Largest state magnitude, consulted by the divergence guard after
-    /// each step. The default (0.0) never trips the guard — override it
-    /// for methods with a meaningful blow-up signal (LinBP's belief
-    /// magnitudes).
-    fn magnitude(&self) -> f64 {
-        0.0
-    }
 }
 
 /// What the solver hands the per-iteration observer.
@@ -129,7 +118,7 @@ pub struct SolveOutcome {
     /// The tolerance policy (solver's or operator's) was met before the
     /// iteration budget ran out.
     pub converged: bool,
-    /// The divergence guard tripped (or the operator declared
+    /// The step delta turned non-finite (or the operator declared
     /// divergence).
     pub diverged: bool,
     /// Update rounds executed.
@@ -138,37 +127,32 @@ pub struct SolveOutcome {
     pub final_delta: f64,
 }
 
-/// The iteration driver: budget, tolerance policy, damping factor and
-/// divergence guard for a fixed-point computation. See the module docs.
+/// The iteration driver: budget, tolerance policy and damping factor for
+/// a fixed-point computation. See the module docs.
 #[derive(Clone, Copy, Debug)]
 pub struct FixedPointSolver {
     /// Maximum number of update rounds.
     pub max_iter: usize,
     /// Absolute convergence threshold on the step delta; `0.0` disables
-    /// the check (timing mode: exactly `max_iter` rounds unless the guard
-    /// trips or the operator stops the run).
+    /// the check (timing mode: exactly `max_iter` rounds unless a delta
+    /// turns non-finite or the operator stops the run).
     pub tol: f64,
     /// Norm the delta is measured in.
     pub norm: ToleranceNorm,
     /// Damping factor `λ ∈ [0, 1)`, applied by operators that support it
     /// (`0.0` = undamped updates).
     pub damping: f64,
-    /// Magnitude beyond which the run is declared divergent;
-    /// `f64::INFINITY` disables the magnitude check (a non-finite step
-    /// delta still stops the run).
-    pub divergence_guard: f64,
 }
 
 impl FixedPointSolver {
     /// A solver with the given budget and absolute tolerance, max-abs
-    /// norm, no damping, and no magnitude guard.
+    /// norm and no damping.
     pub fn new(max_iter: usize, tol: f64) -> Self {
         FixedPointSolver {
             max_iter,
             tol,
             norm: ToleranceNorm::MaxAbs,
             damping: 0.0,
-            divergence_guard: f64::INFINITY,
         }
     }
 
@@ -184,12 +168,6 @@ impl FixedPointSolver {
         self
     }
 
-    /// Sets the divergence guard.
-    pub fn with_divergence_guard(mut self, guard: f64) -> Self {
-        self.divergence_guard = guard;
-        self
-    }
-
     /// Drives `op` to a fixed point. Equivalent to
     /// [`FixedPointSolver::run_observed`] with a no-op observer.
     pub fn run(&self, op: &mut impl FixedPointOp) -> SolveOutcome {
@@ -201,8 +179,7 @@ impl FixedPointSolver {
     /// per-iteration timing and convergence traces.
     ///
     /// Per iteration, in order: `op.step`, observer, operator verdict,
-    /// divergence guard (`magnitude > divergence_guard` when the guard is
-    /// finite, or a non-finite delta), tolerance check
+    /// non-finite delta (divergence), tolerance check
     /// (`tol > 0 && delta < tol`).
     pub fn run_observed(
         &self,
@@ -234,9 +211,7 @@ impl FixedPointSolver {
                 }
                 StepStatus::Continue => {}
             }
-            if (self.divergence_guard.is_finite() && op.magnitude() > self.divergence_guard)
-                || !step.delta.is_finite()
-            {
+            if !step.delta.is_finite() {
                 out.diverged = true;
                 break;
             }
@@ -266,10 +241,6 @@ mod tests {
             self.x = next;
             StepOutcome::proceed(delta)
         }
-
-        fn magnitude(&self) -> f64 {
-            self.x.abs()
-        }
     }
 
     #[test]
@@ -288,16 +259,6 @@ mod tests {
         let outcome = FixedPointSolver::new(7, 0.0).run(&mut op);
         assert_eq!(outcome.iterations, 7);
         assert!(!outcome.converged);
-    }
-
-    #[test]
-    fn divergence_guard_trips() {
-        let mut op = Contraction { x: 1.0, c: 3.0 };
-        let outcome = FixedPointSolver::new(1000, 1e-12)
-            .with_divergence_guard(1e6)
-            .run(&mut op);
-        assert!(outcome.diverged && !outcome.converged);
-        assert!(outcome.iterations < 1000);
     }
 
     #[test]

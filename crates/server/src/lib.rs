@@ -14,9 +14,9 @@
 //!   stacked into one batched solve, bitwise identical to per-query
 //!   solves), and a belief cache that edge deltas **patch** rather than
 //!   invalidate;
-//! * [`tcp`] — a small poll(2)-based event loop (thread-per-connection on
-//!   non-unix) feeding decoded requests into the core. One outstanding
-//!   request per connection; coalescing happens *across* connections.
+//! * [`tcp`] — a small poll(2)-based event loop (Unix only) feeding
+//!   decoded requests into the core. One outstanding request per
+//!   connection; coalescing happens *across* connections.
 
 pub mod core;
 pub mod tcp;

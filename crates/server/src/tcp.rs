@@ -423,66 +423,4 @@ mod imp {
 }
 
 #[cfg(not(unix))]
-mod imp {
-    use super::*;
-    use std::net::TcpStream;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    use std::thread;
-
-    /// Portable fallback: one blocking thread per connection. Coalescing
-    /// still happens — all threads feed the same admission layer.
-    pub fn serve(listener: TcpListener, core: &ServerCore) -> io::Result<()> {
-        thread::scope(|scope| {
-            let live = Arc::new(AtomicU64::new(0));
-            for stream in listener.incoming() {
-                if core.is_stopping() {
-                    break;
-                }
-                let stream = stream?;
-                let live = Arc::clone(&live);
-                live.fetch_add(1, Ordering::SeqCst);
-                scope.spawn(move || {
-                    let _ = handle_conn(stream, core);
-                    live.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-            Ok(())
-        })
-    }
-
-    fn handle_conn(stream: TcpStream, core: &ServerCore) -> io::Result<()> {
-        // The blocking fallback leans on socket timeouts for idle and
-        // slow-writer protection.
-        stream
-            .set_read_timeout(Some(core.config().idle_timeout))
-            .ok();
-        stream
-            .set_write_timeout(Some(core.config().write_stall_timeout))
-            .ok();
-        let mut conn = ConnState::new(stream);
-        let (tx, rx) = mpsc::channel::<(ConnId, Vec<u8>)>();
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if oversized_claim(&conn.read_buf).is_none() {
-                let n = conn.stream.read(&mut chunk)?;
-                if n == 0 {
-                    return Ok(());
-                }
-                conn.read_buf.extend_from_slice(&chunk[..n]);
-            }
-            pump_requests(&mut conn, 0, core, &tx);
-            while conn.in_flight > 0 {
-                let (_, payload) = rx.recv().expect("responder fires");
-                conn.in_flight -= 1;
-                conn.queue(&payload);
-            }
-            let buf = std::mem::take(&mut conn.write_buf);
-            conn.stream.write_all(&buf[conn.written..])?;
-            conn.written = 0;
-            if conn.closing {
-                return Ok(());
-            }
-        }
-    }
-}
+compile_error!("lsbp-server's transport is a poll(2) event loop and builds on Unix targets only");

@@ -340,7 +340,7 @@ pub struct FrontierStep<'a> {
     /// bitsets into it with the order-independent OR.
     pub next_changed: &'a mut NodeBitset,
     /// Which `k`-column query blocks participate in change detection
-    /// (`None` = all — the single-query path).
+    /// (`None` = all).
     pub active_cols: Option<&'a [bool]>,
     /// Rows recomputed by this step.
     pub rows_active: u64,

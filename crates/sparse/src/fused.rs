@@ -30,8 +30,8 @@
 //! the unfused composition — and, since row blocks write disjoint output
 //! and the residual reduction is a max, bitwise identical across thread
 //! counts. The multi-query layout (`q` side-by-side `k`-column blocks,
-//! `Ĥ` applied block-diagonally) serves both the single-query solver
-//! (`q = 1`) and the batched path.
+//! `Ĥ` applied block-diagonally) serves every LinBP solve; a single
+//! query is the `q = 1` case.
 //!
 //! **Which kernel runs.** [`CsrMatrix::fused_rows_dispatch`] picks by
 //! class count `k` and observed width `k·q`:

@@ -1,23 +1,19 @@
-//! The batched multi-query contract: `linbp_batch` / `linbp_star_batch` /
-//! `rwr_batch` must be **bitwise identical** to running each query
-//! standalone — per-query beliefs, convergence/divergence flags,
-//! iteration counts and final deltas — at every thread count, including
-//! q = 0, q = 1, and batches mixing fast-converging, slow, and divergent
-//! queries (the per-query freeze masks are what this pins down).
+//! The batched multi-query contract: `linbp_batch` / `linbp_star_batch`
+//! must be **bitwise identical**, query by query, to a plain unfused loop
+//! solving that query alone (`support::unfused_linbp`, which shares no
+//! code with the solver) — per-query beliefs, convergence/divergence
+//! flags, iteration counts and final deltas — at every thread count,
+//! including q = 0, q = 1, and batches mixing fast-converging, slow, and
+//! divergent queries (the per-query freeze masks are what this pins
+//! down). `rwr_batch` must equal `rwr` run on each query alone.
 
 use lsbp::prelude::*;
 use lsbp_graph::generators::erdos_renyi_gnm;
 use lsbp_linalg::Mat;
 use proptest::prelude::*;
 
-fn bits_equal(a: &Mat, b: &Mat) -> bool {
-    a.rows() == b.rows()
-        && a.cols() == b.cols()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
+mod support;
+use support::{bits_equal, unfused_linbp};
 
 fn thread_sweep() -> Vec<ParallelismConfig> {
     [1usize, 2, 8]
@@ -50,11 +46,7 @@ fn assert_linbp_batch_matches(
     };
     assert_eq!(batch.len(), queries.len(), "{label}");
     for (j, (e, got)) in queries.iter().zip(&batch).enumerate() {
-        let want = if star {
-            linbp_star(adj, e, h, opts).unwrap()
-        } else {
-            linbp(adj, e, h, opts).unwrap()
-        };
+        let want = unfused_linbp(adj, e.residual_matrix(), h, !star, opts);
         assert_eq!(got.converged, want.converged, "{label} query {j}");
         assert_eq!(got.diverged, want.diverged, "{label} query {j}");
         assert_eq!(got.iterations, want.iterations, "{label} query {j}");
@@ -64,8 +56,8 @@ fn assert_linbp_batch_matches(
             "{label} query {j}"
         );
         assert!(
-            bits_equal(got.beliefs.residual(), want.beliefs.residual()),
-            "{label} query {j}: batched beliefs differ from standalone"
+            bits_equal(got.beliefs.residual(), &want.beliefs),
+            "{label} query {j}: batched beliefs differ from the reference"
         );
     }
 }
@@ -81,7 +73,8 @@ fn linbp_batch_q0() {
     assert!(rw.is_empty());
 }
 
-/// Single-query batch is the degenerate case: exactly the standalone run.
+/// Single-query batch is the degenerate case — and what `linbp` and
+/// `linbp_star` run.
 #[test]
 fn linbp_batch_q1() {
     let adj = erdos_renyi_gnm(60, 150, 2).adjacency();
@@ -94,6 +87,16 @@ fn linbp_batch_q1() {
         };
         assert_linbp_batch_matches(&adj, &q, &h, &opts, false, "q1");
         assert_linbp_batch_matches(&adj, &q, &h, &opts, true, "q1*");
+        let singles = [
+            (true, linbp(&adj, &q[0], &h, &opts).unwrap()),
+            (false, linbp_star(&adj, &q[0], &h, &opts).unwrap()),
+        ];
+        for (echo, got) in singles {
+            let want = unfused_linbp(&adj, q[0].residual_matrix(), &h, echo, &opts);
+            assert_eq!(got.iterations, want.iterations, "echo {echo}");
+            assert_eq!(got.final_delta.to_bits(), want.final_delta.to_bits());
+            assert!(bits_equal(got.beliefs.residual(), &want.beliefs));
+        }
     }
 }
 
@@ -173,7 +176,7 @@ fn rwr_batch_matches_standalone() {
     }
 }
 
-/// Batched error surface matches the standalone one.
+/// Batched error surface matches the single-query one.
 #[test]
 fn batch_error_cases() {
     let adj = erdos_renyi_gnm(20, 40, 4).adjacency();
@@ -183,6 +186,32 @@ fn batch_error_cases() {
     assert!(matches!(
         linbp_batch(&adj, &bad, &h, &LinBpOptions::default()),
         Err(lsbp::linbp::LinBpError::DimensionMismatch)
+    ));
+    // Wrong node count *and* a non-square coupling: the node count is
+    // reported first, batched or not.
+    let h_3x2 = Mat::zeros(3, 2);
+    let wrong_n = [seeds(21, 3, &[(0, 0)])];
+    assert!(matches!(
+        linbp_batch(&adj, &wrong_n, &h_3x2, &LinBpOptions::default()),
+        Err(lsbp::linbp::LinBpError::DimensionMismatch)
+    ));
+    assert!(matches!(
+        linbp(&adj, &wrong_n[0], &h_3x2, &LinBpOptions::default()),
+        Err(lsbp::linbp::LinBpError::DimensionMismatch)
+    ));
+    // Wrong node count *and* a bad restart probability: the node count is
+    // reported first, batched or not.
+    let bad_restart = RwrOptions {
+        restart: 0.0,
+        ..Default::default()
+    };
+    assert!(matches!(
+        rwr_batch(&adj, &wrong_n, &bad_restart),
+        Err(lsbp::rwr::RwrError::DimensionMismatch)
+    ));
+    assert!(matches!(
+        rwr(&adj, &wrong_n[0], &bad_restart),
+        Err(lsbp::rwr::RwrError::DimensionMismatch)
     ));
     // Wrong arity.
     let bad_k = [seeds(20, 2, &[(0, 0)])];
@@ -206,7 +235,7 @@ fn batch_error_cases() {
 /// The serving width: q = 24 queries of k = 4 classes (a 96-column
 /// stacked row, past the 64-column generic stack buffer) on a sharded
 /// operator, with queries freezing at different iterations. Every answer
-/// equals the standalone solve on the monolithic matrix bitwise.
+/// equals the reference loop on the monolithic matrix bitwise.
 #[test]
 fn linbp_batch_wide_sharded() {
     let n = 90;
@@ -232,7 +261,7 @@ fn linbp_batch_wide_sharded() {
         assert_eq!(batch.len(), queries.len());
         let mut iterations = std::collections::BTreeSet::new();
         for (j, (e, got)) in queries.iter().zip(&batch).enumerate() {
-            let want = linbp(&adj, e, &h, &opts).unwrap();
+            let want = unfused_linbp(&adj, e.residual_matrix(), &h, true, &opts);
             assert!(want.converged, "query {j} must converge at this scale");
             assert_eq!(got.converged, want.converged, "query {j}");
             assert_eq!(got.iterations, want.iterations, "query {j}");
@@ -242,8 +271,8 @@ fn linbp_batch_wide_sharded() {
                 "query {j}"
             );
             assert!(
-                bits_equal(got.beliefs.residual(), want.beliefs.residual()),
-                "threads {threads} query {j}: batched beliefs differ from standalone"
+                bits_equal(got.beliefs.residual(), &want.beliefs),
+                "threads {threads} query {j}: batched beliefs differ from the reference"
             );
             iterations.insert(got.iterations);
         }
@@ -258,7 +287,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random graphs, random seed batches, random thread counts: batched
-    /// LinBP is bitwise equal to standalone LinBP, query by query — over
+    /// LinBP is bitwise equal to the reference loop, query by query — over
     /// every kernel width (k ∈ {2, 3, 4, 5}, q ∈ 0..=12), frontier on and
     /// off, both tolerance norms, and a divergent coupling scale at which
     /// seeded queries trip the guard mid-batch while empty ones converge
@@ -303,12 +332,12 @@ proptest! {
         let batch = linbp_batch(&adj, &queries, &h, &opts).unwrap();
         prop_assert_eq!(batch.len(), queries.len());
         for (e, got) in queries.iter().zip(&batch) {
-            let want = linbp(&adj, e, &h, &opts).unwrap();
+            let want = unfused_linbp(&adj, e.residual_matrix(), &h, true, &opts);
             prop_assert_eq!(got.converged, want.converged);
             prop_assert_eq!(got.diverged, want.diverged);
             prop_assert_eq!(got.iterations, want.iterations);
             prop_assert_eq!(got.final_delta.to_bits(), want.final_delta.to_bits());
-            prop_assert!(bits_equal(got.beliefs.residual(), want.beliefs.residual()));
+            prop_assert!(bits_equal(got.beliefs.residual(), &want.beliefs));
         }
     }
 

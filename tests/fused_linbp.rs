@@ -13,6 +13,9 @@ use lsbp_linalg::Mat;
 use lsbp_sparse::{CsrMatrix, FrontierState, FusedLinBpStep, PropagationOperator};
 use proptest::prelude::*;
 
+mod support;
+use support::{bits_equal, unfused_linbp};
+
 fn sweep() -> Vec<ParallelismConfig> {
     [1usize, 2, 8]
         .into_iter()
@@ -20,47 +23,20 @@ fn sweep() -> Vec<ParallelismConfig> {
         .collect()
 }
 
-fn bits_equal(a: &Mat, b: &Mat) -> bool {
-    a.rows() == b.rows()
-        && a.cols() == b.cols()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Runs `iters` unfused reference steps (`linbp_step` + max-abs pass),
-/// returning the final beliefs and last delta.
-#[allow(clippy::too_many_arguments)]
-fn unfused_iterations(
-    adj: &CsrMatrix,
-    e_hat: &Mat,
-    h: &Mat,
-    h2: Option<&Mat>,
-    degrees: &[f64],
-    damping: f64,
-    iters: usize,
-    cfg: &ParallelismConfig,
-) -> (Mat, f64) {
-    let (n, k) = (e_hat.rows(), e_hat.cols());
-    let mut b = e_hat.clone();
-    let mut next = Mat::zeros(n, k);
-    let mut scratch = LinBpScratch::new(n, k);
-    let mut delta = f64::INFINITY;
-    for _ in 0..iters {
-        linbp_step(adj, e_hat, &b, h, h2, degrees, &mut scratch, &mut next, cfg);
-        if damping > 0.0 {
-            for (new, &old) in next.as_mut_slice().iter_mut().zip(b.as_slice()) {
-                *new = (1.0 - damping) * *new + damping * old;
-            }
-        }
-        delta = next.max_abs_diff_with(&b, cfg);
-        std::mem::swap(&mut b, &mut next);
+/// Options for exactly `iters` reference rounds: no tolerance, no
+/// magnitude guard.
+fn fixed_rounds(damping: f64, iters: usize, cfg: ParallelismConfig) -> LinBpOptions {
+    LinBpOptions {
+        max_iter: iters,
+        tol: 0.0,
+        damping,
+        divergence_guard: f64::INFINITY,
+        parallelism: cfg,
+        ..Default::default()
     }
-    (b, delta)
 }
 
-/// Same trajectory through the fused kernel.
+/// The same rounds through the fused kernel.
 #[allow(clippy::too_many_arguments)]
 fn fused_iterations(
     adj: &CsrMatrix,
@@ -162,13 +138,12 @@ proptest! {
         let echo = echo_flag == 1;
         let damping = if damp_flag == 1 { 0.2 } else { 0.0 };
         let cfg = ParallelismConfig::serial();
-        let (want, want_delta) = unfused_iterations(
-            &adj, e_hat, &h, echo.then_some(&h2), &degrees, damping, 4, &cfg);
+        let want = unfused_linbp(&adj, e_hat, &h, echo, &fixed_rounds(damping, 4, cfg));
         let (got, got_delta) = fused_iterations(
             &adj, e_hat, &h, echo.then_some(&h2), &degrees, damping, 4, &cfg);
-        prop_assert!(want.max_abs_diff(&got) <= 1e-12, "beyond the 1e-12 contract");
-        prop_assert!(bits_equal(&want, &got), "fused != unfused bitwise");
-        prop_assert_eq!(want_delta.to_bits(), got_delta.to_bits());
+        prop_assert!(want.beliefs.max_abs_diff(&got) <= 1e-12, "beyond the 1e-12 contract");
+        prop_assert!(bits_equal(&want.beliefs, &got), "fused != unfused bitwise");
+        prop_assert_eq!(want.final_delta.to_bits(), got_delta.to_bits());
     }
 
     /// The fused trajectory is bitwise identical across thread counts.
@@ -335,17 +310,12 @@ fn damped_solver_bitwise_identical_across_threads() {
         assert_eq!(par.final_delta.to_bits(), serial.final_delta.to_bits());
     }
     // And the damped trajectory equals the unfused damped reference.
-    let h2 = h.matmul(&h);
-    let degrees = adj.squared_weight_degrees();
-    let (unfused, _) = unfused_iterations(
+    let unfused = unfused_linbp(
         &adj,
         e.residual_matrix(),
         &h,
-        Some(&h2),
-        &degrees,
-        0.35,
-        60,
-        &ParallelismConfig::serial(),
+        true,
+        &fixed_rounds(0.35, 60, ParallelismConfig::serial()),
     );
-    assert!(bits_equal(&unfused, serial.beliefs.residual()));
+    assert!(bits_equal(&unfused.beliefs, serial.beliefs.residual()));
 }

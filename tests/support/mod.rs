@@ -1,0 +1,86 @@
+//! Test support shared by the LinBP suites: bitwise matrix equality and
+//! the plain-loop LinBP oracle.
+
+use lsbp::prelude::*;
+use lsbp_linalg::Mat;
+use lsbp_sparse::CsrMatrix;
+
+pub fn bits_equal(a: &Mat, b: &Mat) -> bool {
+    a.rows() == b.rows()
+        && a.cols() == b.cols()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// How an [`unfused_linbp`] run ended.
+pub struct Reference {
+    pub beliefs: Mat,
+    pub converged: bool,
+    pub diverged: bool,
+    pub iterations: usize,
+    pub final_delta: f64,
+}
+
+/// LinBP (`echo`) or LinBP\* as a plain loop over the unfused
+/// [`linbp_step`], sharing no code with the library's solver. Each round,
+/// in order: the step, the damping blend, the delta (`max_abs_diff` or
+/// `l2_diff`), the swap, the guard (`b.max_abs() > divergence_guard` or a
+/// non-finite delta), then the tolerance.
+pub fn unfused_linbp(
+    adj: &CsrMatrix,
+    e_hat: &Mat,
+    h: &Mat,
+    echo: bool,
+    opts: &LinBpOptions,
+) -> Reference {
+    let (n, k) = (e_hat.rows(), e_hat.cols());
+    let h2 = h.matmul(h);
+    let degrees = adj.squared_weight_degrees();
+    let mut b = e_hat.clone();
+    let mut next = Mat::zeros(n, k);
+    let mut scratch = LinBpScratch::new(n, k);
+    let mut out = Reference {
+        beliefs: Mat::zeros(0, 0),
+        converged: false,
+        diverged: false,
+        iterations: 0,
+        final_delta: f64::INFINITY,
+    };
+    for _ in 0..opts.max_iter {
+        linbp_step(
+            adj,
+            e_hat,
+            &b,
+            h,
+            echo.then_some(&h2),
+            &degrees,
+            &mut scratch,
+            &mut next,
+            &opts.parallelism,
+        );
+        if opts.damping > 0.0 {
+            for (new, &old) in next.as_mut_slice().iter_mut().zip(b.as_slice()) {
+                *new = (1.0 - opts.damping) * *new + opts.damping * old;
+            }
+        }
+        let delta = match opts.norm {
+            ToleranceNorm::MaxAbs => next.max_abs_diff(&b),
+            ToleranceNorm::L2 => next.l2_diff(&b),
+        };
+        std::mem::swap(&mut b, &mut next);
+        out.iterations += 1;
+        out.final_delta = delta;
+        if b.max_abs() > opts.divergence_guard || !delta.is_finite() {
+            out.diverged = true;
+            break;
+        }
+        if opts.tol > 0.0 && delta < opts.tol {
+            out.converged = true;
+            break;
+        }
+    }
+    out.beliefs = b;
+    out
+}

@@ -1,8 +1,8 @@
-//! Ablation benches for DESIGN.md's design decision #1: why is LinBP
-//! fast? Compares the two possible update kernels on the same graph —
+//! Ablation benches for why LinBP is fast. Compares the two possible
+//! update kernels on the same graph —
 //!
-//! * beliefs-as-matrix: one CSR SpMM + a k×k matmul per iteration
-//!   (what LinBP does),
+//! * beliefs-as-matrix: one fused CSR step (SpMM + k×k matmul + echo
+//!   term in a single pass) per iteration (what LinBP does),
 //! * messages-as-edges: 2|E| per-edge k-vector updates per iteration
 //!   (what standard BP does),
 //!
@@ -10,7 +10,6 @@
 //! into.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lsbp::linbp::linbp_step;
 use lsbp::prelude::*;
 use lsbp_bench::kronecker_style_beliefs;
 use lsbp_graph::generators::kronecker_graph;
@@ -30,31 +29,12 @@ fn bench(c: &mut Criterion) {
         let n = graph.num_nodes();
         let e = kronecker_style_beliefs(n, 3, n / 20, m as u64, false);
 
-        // One LinBP step (beliefs-as-matrix).
         let h2 = h.matmul(&h);
         let degrees = adj.squared_weight_degrees();
         let e_hat = e.residual_matrix().clone();
         let b0 = e_hat.clone();
-        group.bench_with_input(BenchmarkId::new("beliefs_matrix_step", n), &n, |bch, _| {
-            let mut scratch = LinBpScratch::new(n, 3);
-            let mut out = Mat::zeros(n, 3);
-            let cfg = ParallelismConfig::serial();
-            bch.iter(|| {
-                linbp_step(
-                    &adj,
-                    &e_hat,
-                    &b0,
-                    &h,
-                    Some(&h2),
-                    &degrees,
-                    &mut scratch,
-                    &mut out,
-                    &cfg,
-                );
-            })
-        });
 
-        // One *fused* LinBP step (PR 4): the same update plus the
+        // One fused LinBP step (beliefs-as-matrix): the update plus the
         // convergence read-out in a single row-partitioned pass.
         group.bench_with_input(BenchmarkId::new("fused_step", n), &n, |bch, _| {
             let mut out = Mat::zeros(n, 3);

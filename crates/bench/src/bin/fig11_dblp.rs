@@ -2,7 +2,7 @@
 //! as ground truth, over εH, on the heterogeneous bibliographic network.
 //!
 //! Uses the synthetic DBLP-like network (same shape as the paper's 36k-
-//! node subset; see DESIGN.md "Substitutions") with ~10.4% labeled nodes
+//! node subset, which is not shipped) with ~10.4% labeled nodes
 //! and the Fig. 11a 4-class homophily residual. Default is a quarter-
 //! scale network for speed; pass `--full 1` for paper scale.
 //! `cargo run --release -p lsbp-bench --bin fig11_dblp`

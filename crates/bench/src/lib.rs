@@ -1,7 +1,8 @@
 #![warn(missing_docs)]
 
 //! Shared helpers for the experiment binaries (one binary per table /
-//! figure of the paper — see DESIGN.md for the index).
+//! figure of the paper — see the README's "Reproducing the paper's
+//! figures" for the index).
 
 use lsbp::prelude::*;
 use rand::rngs::StdRng;

@@ -109,8 +109,8 @@ pub mod prelude {
     pub use crate::edge_delta::linbp_edge_delta_seed;
     pub use crate::learning::{learn_coupling, learn_coupling_from_classes, LearnOptions};
     pub use crate::linbp::{
-        linbp, linbp_observed, linbp_on, linbp_star, linbp_star_on, linbp_step, linbp_update,
-        LinBpOptions, LinBpResult, LinBpScratch,
+        linbp, linbp_observed, linbp_on, linbp_star, linbp_star_on, linbp_update, LinBpOptions,
+        LinBpResult,
     };
     pub use crate::metrics::{
         accuracy, f1_score, precision_recall, precision_recall_masked, quality, QualityReport,

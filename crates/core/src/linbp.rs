@@ -151,64 +151,6 @@ pub fn linbp_star_on<A: PropagationOperator + ?Sized>(
     solve_one(adj, explicit, h_residual, opts, false, |_| {})
 }
 
-/// Reusable buffers for [`linbp_step`]: the SpMM result, the fused `D·B`
-/// product and the `(D·B)·Ĥ²` echo term — all `n × k`, allocated once per
-/// run instead of once per iteration.
-#[derive(Clone, Debug)]
-pub struct LinBpScratch {
-    ab: Mat,
-    db: Mat,
-    tmp: Mat,
-}
-
-impl LinBpScratch {
-    /// Allocates scratch space for an `n`-node, `k`-class system.
-    pub fn new(n: usize, k: usize) -> Self {
-        Self {
-            ab: Mat::zeros(n, k),
-            db: Mat::zeros(n, k),
-            tmp: Mat::zeros(n, k),
-        }
-    }
-}
-
-/// Applies one update step `out = Ê + A·B·Ĥ [− D·B·Ĥ²]`, re-using the
-/// provided scratch buffers for every intermediate (no per-step
-/// allocation). Exposed for the per-iteration instrumentation of Fig. 7d
-/// and the closed-form Jacobi solver.
-///
-/// This is the **unfused reference** composition (SpMM, dense `·Ĥ`,
-/// element-wise add/sub as separate passes). The solver path runs
-/// [`CsrMatrix::linbp_step_fused_with`] instead — one row-partitioned,
-/// cache-resident pass that is bitwise identical to this composition
-/// (property-tested in `tests/fused_linbp.rs`, and the step of the
-/// plain-loop oracle the batched solver is tested against) but avoids
-/// re-streaming the `n × k` intermediates.
-#[allow(clippy::too_many_arguments)] // mirrors the terms of Eq. 6 one-to-one
-pub fn linbp_step<A: PropagationOperator + ?Sized>(
-    adj: &A,
-    e_hat: &Mat,
-    b: &Mat,
-    h: &Mat,
-    h2: Option<&Mat>,
-    degrees: &[f64],
-    scratch: &mut LinBpScratch,
-    out: &mut Mat,
-    cfg: &ParallelismConfig,
-) {
-    // ab = A·B   (n×k);   out = Ê + ab·Ĥ
-    adj.spmm_into_with(b, &mut scratch.ab, cfg);
-    scratch.ab.matmul_into_with(h, out, cfg);
-    out.add_assign(e_hat);
-    if let Some(h2) = h2 {
-        // out -= (D·B)·Ĥ² — row s of D·B is d_s · b_s, scaled directly
-        // into the reusable buffer instead of a fresh `Mat` per step.
-        b.scaled_rows_into(degrees, &mut scratch.db);
-        scratch.db.matmul_into_with(h2, &mut scratch.tmp, cfg);
-        out.sub_assign(&scratch.tmp);
-    }
-}
-
 /// [`linbp`] / [`linbp_star`] (`echo` selects Eq. 6 vs. Eq. 7) with a
 /// per-iteration observer: `observer` fires after every update round with
 /// the round number and belief delta — the instrumentation hook behind
@@ -290,6 +232,7 @@ mod tests {
     use super::*;
     use crate::coupling::CouplingMatrix;
     use lsbp_graph::generators::{cycle, fig5c_torus, path};
+    use lsbp_sparse::FusedLinBpStep;
 
     fn seed(n: usize, k: usize) -> ExplicitBeliefs {
         let mut e = ExplicitBeliefs::new(n, k);
@@ -348,19 +291,15 @@ mod tests {
         // Recompute the RHS and compare.
         let h2 = h.matmul(&h);
         let degrees = adj.squared_weight_degrees();
-        let mut scratch = LinBpScratch::new(8, 3);
+        let step = FusedLinBpStep {
+            e_hat: e.residual_matrix(),
+            h: &h,
+            h2: Some(&h2),
+            degrees: &degrees,
+            damping: 0.0,
+        };
         let mut rhs = Mat::zeros(8, 3);
-        linbp_step(
-            &adj,
-            e.residual_matrix(),
-            b,
-            &h,
-            Some(&h2),
-            &degrees,
-            &mut scratch,
-            &mut rhs,
-            &lsbp_linalg::ParallelismConfig::serial(),
-        );
+        adj.linbp_step_fused_with(b, &step, &mut rhs, &mut [0.0], &ParallelismConfig::serial());
         assert!(b.max_abs_diff(&rhs) < 1e-9);
     }
 

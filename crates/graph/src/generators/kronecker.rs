@@ -12,7 +12,7 @@
 //! — the tensor power splits into `2^(m−1)` connected components. The
 //! experiments draw explicit beliefs uniformly, so every non-trivial
 //! component receives seeds; behavior is identical for every method under
-//! comparison (see DESIGN.md).
+//! comparison.
 
 use crate::graph::Graph;
 

@@ -7,9 +7,8 @@
 //! (Appendix F.2). This crate provides the graph container plus generators
 //! for all three (the DBLP data is proprietary-ish/not shipped, so a
 //! synthetic heterogeneous bibliographic network of the same shape is
-//! generated instead — see DESIGN.md "Substitutions"), along with the
-//! multi-source BFS that SBP's geodesic numbers (Definition 14) are built
-//! on.
+//! generated instead), along with the multi-source BFS that SBP's
+//! geodesic numbers (Definition 14) are built on.
 
 pub mod bfs;
 pub mod generators;

@@ -21,8 +21,8 @@
 //!
 //! The result's *content* (row multiset) is identical to the naive fixed
 //! left-to-right strategy, which is kept as
-//! [`Database::run_select_fixed`] — the reference baseline property tests
-//! and `perf_baseline` compare against. For non-aggregate queries the
+//! [`Database::run_select_fixed`] — the reference baseline the property
+//! and plan-quality tests compare against. For non-aggregate queries the
 //! planned result is the same multiset bit for bit; for float `SUM`
 //! aggregates the join order determines the accumulation order, so sums
 //! agree to rounding (see README "Query planner").
@@ -544,9 +544,9 @@ impl Database {
     /// Runs a SELECT with the pre-planner fixed strategy: FROM sources
     /// join strictly left to right on whatever equality predicates bridge
     /// the prefix to the next source, all other predicates filter after
-    /// the joins. Kept as the reference baseline the planner is measured
-    /// against (`perf_baseline` planner section, property tests); results
-    /// have the same row multiset as [`Database::run_select`].
+    /// the joins. Kept as the reference baseline the planner is tested
+    /// against (`tests/query_planner.rs`); results have the same row
+    /// multiset as [`Database::run_select`].
     pub fn run_select_fixed(&self, sel: &Select, out_name: &str) -> Result<Table, SqlError> {
         // 1. Bind FROM sources.
         let sources = self.bind_sources(sel, true)?;

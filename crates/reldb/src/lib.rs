@@ -15,9 +15,9 @@
 //!
 //! and implements Algorithms 1–4 of the paper *purely* in terms of those
 //! operators ([`sql`]). The PostgreSQL deployment of the paper is
-//! substituted by this engine (see DESIGN.md); the relative behaviour the
-//! experiments measure — SBP touches each edge once, LinBP re-scans all of
-//! them every iteration, incremental updates touch only affected regions —
+//! substituted by this engine; the relative behaviour the experiments
+//! measure — SBP touches each edge once, LinBP re-scans all of them every
+//! iteration, incremental updates touch only affected regions —
 //! is a property of the query plans, which are identical.
 
 //! A SQL *text* front end is provided on top ([`parser`] + [`exec`]): the

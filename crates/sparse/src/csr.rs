@@ -800,9 +800,8 @@ impl CsrMatrix {
 
 /// Widest dense-row width (`k·q` columns) whose fused-kernel scratch
 /// fits on the stack: per-task intermediate buffers below this use fixed
-/// arrays, so solver iterations allocate nothing (the design rule
-/// `LinBpScratch` established). Wider stacks fall back to one `Vec` per
-/// row-block task.
+/// arrays, so solver iterations allocate nothing. Wider stacks fall back
+/// to one `Vec` per row-block task.
 pub(crate) const SCRATCH_WIDTH: usize = 64;
 
 #[cfg(test)]

@@ -37,9 +37,8 @@
 //! it would reproduce its bits verbatim (same pure function, bitwise
 //! identical inputs). Outputs, iteration counts and convergence points
 //! are bitwise identical to full recomputation at any frontier × shard ×
-//! thread × budget combination (property-tested in `tests/frontier.rs`,
-//! asserted in-process by `perf_baseline`, and `debug_assert`ed on every
-//! skipped row).
+//! thread × budget combination (property-tested in `tests/frontier.rs`
+//! and `debug_assert`ed on every skipped row).
 
 use crate::csr::CsrMatrix;
 

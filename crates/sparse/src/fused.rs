@@ -118,9 +118,8 @@ pub(crate) fn validate_fused_step(
 /// The task-local `k·q` intermediates of the generic fused kernel — the
 /// whole point of the fusion is that these stay in L1 instead of being
 /// `n × k·q` matrices. For every realistic width they are stack arrays
-/// (no per-iteration heap traffic, the design rule `LinBpScratch`
-/// established); only `kt > SCRATCH_WIDTH` falls back to one allocation
-/// per task. One value serves one row-block task — monolithic row
+/// (no per-iteration heap traffic); only `kt > SCRATCH_WIDTH` falls
+/// back to one allocation per task. One value serves one row-block task — monolithic row
 /// partitions and shard-local tasks build their own, so shards own their
 /// scratch by construction.
 pub(crate) struct FusedScratch {

@@ -1,6 +1,7 @@
 //! Multi-class classification of a heterogeneous bibliographic network —
 //! the paper's Appendix F.2 DBLP experiment, on the synthetic DBLP-like
-//! network (see DESIGN.md "Substitutions").
+//! network (the paper's DBLP subset is not shipped; the generator
+//! reproduces its shape).
 //!
 //! 4 research areas (AI / DB / DM / IR), ~10.4% of nodes labeled, 4-class
 //! homophily coupling (Fig. 11a). Run with:

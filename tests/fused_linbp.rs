@@ -1,6 +1,6 @@
 //! Contract of the fused LinBP step (PR 4): the one-pass fused kernel
 //! ([`CsrMatrix::linbp_step_fused_with`]) must reproduce the unfused
-//! reference composition ([`lsbp::linbp::linbp_step`] + the separate
+//! reference composition (the test-support `linbp_step` + the separate
 //! convergence pass) — the ISSUE bound is 1e-12, the kernel actually
 //! delivers *bitwise* equality because every sub-step keeps the unfused
 //! accumulation order — and the solver entry points built on it must stay

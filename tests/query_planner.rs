@@ -6,19 +6,22 @@
 //!    skewed keys and empty/singleton relations, the planned result, the
 //!    fixed left-to-right strategy, and a naive nested-loop reference all
 //!    produce the same row multiset.
-//! 2. **Plan-quality tests** — on a hub-skewed chain where the fixed FROM
-//!    order is asymptotically worse, the planner must defer the hub join;
-//!    `EXPLAIN` must round-trip through the parser and print the chosen
-//!    order with a pessimistic bound and actual cardinality per node.
+//! 2. **Plan-quality tests** — on hub-skewed chain, star and triangle
+//!    workloads where the fixed FROM order is asymptotically worse, the
+//!    planner must defer the hub join and materialize at most half the
+//!    rows of the FROM order's first join; `EXPLAIN` must round-trip
+//!    through the parser and print the chosen order with a pessimistic
+//!    bound and actual cardinality per node.
 //! 3. **Regression pins** — `SqlDb::linbp` / `linbp_batch` / `sbp` output
 //!    hashes are pinned to their pre-planner values: the planner must not
 //!    perturb the SQL algorithms bit for bit.
 
 use lsbp::prelude::*;
 use lsbp_graph::generators::{erdos_renyi_gnm, kronecker_graph};
-use lsbp_reldb::parser::{parse, Statement};
+use lsbp_reldb::parser::{parse, Select, Statement};
+use lsbp_reldb::plan::NodeActual;
 use lsbp_reldb::sql::{belief_table_to_matrix, geodesic_table_to_vec};
-use lsbp_reldb::{Database, SqlDb, Table, Value};
+use lsbp_reldb::{Database, PlanNode, SqlDb, Table, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -173,7 +176,7 @@ proptest! {
         let mut db = build_db(&w);
         let sql = sql_text(&w);
         let planned = db.execute(&sql).unwrap().unwrap();
-        let Statement::Select(sel) = parse(&sql).unwrap() else { unreachable!() };
+        let sel = select(&sql);
         let fixed = db.run_select_fixed(&sel, "result").unwrap();
         let expect = reference(&w);
         prop_assert_eq!(sorted_rows(&planned), expect);
@@ -215,9 +218,7 @@ const CHAIN_SQL: &str = "select R.p, Sel.j from R, S, Sel where R.k = S.k and S.
 #[test]
 fn planner_defers_hub_join_on_skewed_chain() {
     let db = skewed_chain_db(2000, 400);
-    let Statement::Select(sel) = parse(CHAIN_SQL).unwrap() else {
-        unreachable!()
-    };
+    let sel = select(CHAIN_SQL);
     let (planned, plan, _) = db.run_select_planned(&sel, "result").unwrap();
     assert_eq!(
         plan.scan_order().last().map(String::as_str),
@@ -227,6 +228,135 @@ fn planner_defers_hub_join_on_skewed_chain() {
     );
     let fixed = db.run_select_fixed(&sel, "result").unwrap();
     assert_eq!(sorted_rows(&planned), sorted_rows(&fixed));
+}
+
+/// Star D1, D2, F with the fact table last in FROM order: the fixed
+/// strategy cross-products the two dimension tables first.
+fn skewed_star_db() -> Database {
+    let n = 400i64;
+    let mut d1 = Table::new("D1", &["d", "p"]);
+    let mut d2 = Table::new("D2", &["e", "q"]);
+    let mut f = Table::new("F", &["f1", "f2"]);
+    for i in 0..n {
+        d1.push(vec![Value::Int(i), Value::Int(i * 2)]);
+        d2.push(vec![Value::Int(i), Value::Int(i * 3)]);
+    }
+    for i in 0..(2 * n) {
+        f.push(vec![Value::Int(i % n), Value::Int((i * 7) % n)]);
+    }
+    let mut db = Database::new();
+    db.insert_table("D1", d1);
+    db.insert_table("D2", d2);
+    db.insert_table("F", f);
+    db
+}
+
+/// Triangle R(a,b) — S(b,c) — T(c,a) with a hub on b and a small
+/// selective T: the fixed order joins R ⋈ S on the hub first.
+fn skewed_triangle_db() -> Database {
+    let (n, hub) = (1200i64, 300i64);
+    let mut r = Table::new("R", &["a", "b"]);
+    let mut s = Table::new("S", &["b", "c"]);
+    let mut t = Table::new("T", &["c", "a"]);
+    for i in 0..n {
+        let b = if i < hub { 0 } else { i };
+        r.push(vec![Value::Int(i), Value::Int(b)]);
+        s.push(vec![Value::Int(b), Value::Int(i)]);
+    }
+    for j in 0..100 {
+        t.push(vec![Value::Int(j), Value::Int(j)]);
+    }
+    let mut db = Database::new();
+    db.insert_table("R", r);
+    db.insert_table("S", s);
+    db.insert_table("T", t);
+    db
+}
+
+fn select(sql: &str) -> Select {
+    let Statement::Select(sel) = parse(sql).unwrap() else {
+        unreachable!()
+    };
+    sel
+}
+
+/// The most rows any `HashJoin` of the executed plan produced.
+fn largest_join_rows(node: &PlanNode, actuals: &[NodeActual]) -> usize {
+    match node {
+        PlanNode::HashJoin {
+            id, left, right, ..
+        } => actuals[*id]
+            .rows
+            .expect("executed join")
+            .max(largest_join_rows(left, actuals))
+            .max(largest_join_rows(right, actuals)),
+        PlanNode::Filter { input, .. }
+        | PlanNode::Aggregate { input, .. }
+        | PlanNode::Project { input, .. } => largest_join_rows(input, actuals),
+        PlanNode::Scan { .. } => 0,
+    }
+}
+
+/// On the three skewed workloads the bound-minimal order never builds an
+/// intermediate more than half the size of the fixed FROM order's first
+/// join — a deterministic row count, not a wall-clock ratio. The first
+/// joins of the FROM order are:
+///
+/// - chain `R ⋈ S` on `k`: the 400 hub rows of each side share `k = 0`
+///   (400 · 400 = 160,000 pairs) and keys 400..2000 match one to one
+///   (1,600), so 161,600 rows;
+/// - star `D1 × D2`: no predicate links the two dimensions, so the cross
+///   product of 400 · 400 = 160,000 rows;
+/// - triangle `R ⋈ S` on `b`: the 300 hub rows share `b = 0` (90,000
+///   pairs) and `b` in 300..1200 matches one to one (900), so 90,900 rows.
+///
+/// Each count is checked by running that two-table prefix on its own, and
+/// the planned result must still be the fixed order's row multiset.
+#[test]
+fn planner_halves_largest_intermediate_on_skewed_workloads() {
+    let workloads = [
+        (
+            "chain",
+            skewed_chain_db(2000, 400),
+            CHAIN_SQL,
+            "select R.p from R, S where R.k = S.k",
+            161_600,
+        ),
+        (
+            "star",
+            skewed_star_db(),
+            "select D1.p, D2.q from D1, D2, F where F.f1 = D1.d and F.f2 = D2.e",
+            "select D1.p from D1, D2",
+            160_000,
+        ),
+        (
+            "triangle",
+            skewed_triangle_db(),
+            "select R.a, T.c from R, S, T where R.b = S.b and S.c = T.c and T.a = R.a",
+            "select R.a from R, S where R.b = S.b",
+            90_900,
+        ),
+    ];
+    for (name, db, sql, first_join_sql, first_join_rows) in workloads {
+        let first_join = db.run_select(&select(first_join_sql), "prefix").unwrap();
+        assert_eq!(
+            first_join.len(),
+            first_join_rows,
+            "{name}: FROM-order first join"
+        );
+
+        let sel = select(sql);
+        let (planned, plan, actuals) = db.run_select_planned(&sel, "result").unwrap();
+        let largest = largest_join_rows(&plan.root, &actuals);
+        assert!(
+            2 * largest <= first_join_rows,
+            "{name}: largest planned join has {largest} rows, FROM order's first join \
+             {first_join_rows}; order {:?}",
+            plan.scan_order()
+        );
+        let fixed = db.run_select_fixed(&sel, "result").unwrap();
+        assert_eq!(sorted_rows(&planned), sorted_rows(&fixed), "{name}");
+    }
 }
 
 /// `EXPLAIN SELECT …` round-trips through the parser and prints one node

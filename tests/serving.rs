@@ -195,6 +195,76 @@ fn coalesced_queries_are_bitwise_identical_to_solo_solves() {
     handle.join().unwrap();
 }
 
+/// The same 8 queries through two in-process cores: one answers each
+/// query alone (`max_batch: 1`), the other stacks all 8 into one solve.
+/// The 8th `submit` fills the batch and triggers the drain, so the
+/// outcome does not depend on timing: the answers are bitwise equal,
+/// iteration counts included, and stacking costs at most half the SpMM
+/// passes (max(iters) instead of Σ iters).
+#[test]
+fn coalescing_eight_queries_halves_spmm_passes_bitwise() {
+    const QUERIES: usize = 8;
+    let h = coupling();
+    let solve = |q: usize| Request::SolveLinBp {
+        graph_id: 1,
+        params: wire_params(&h),
+        seeds: wire_seeds(q, 1.0),
+    };
+    let fresh_core = |max_batch: usize| {
+        let core = ServerCore::new(ServerConfig {
+            // Never the trigger: the coalescing core drains on its 8th job.
+            coalesce_window: Duration::from_secs(5),
+            max_batch,
+            ..ServerConfig::default()
+        });
+        let registered = core.handle_blocking(Request::RegisterGraph {
+            graph_id: 1,
+            n_nodes: 10,
+            symmetric: true,
+            edges: wire_edges(),
+        });
+        assert!(matches!(registered, Response::Registered { .. }));
+        core
+    };
+    let beliefs_of = |r: Response| match r {
+        Response::Beliefs(payload) => payload,
+        other => panic!("solve failed: {other:?}"),
+    };
+
+    let sequential = fresh_core(1);
+    let solo: Vec<_> = (0..QUERIES)
+        .map(|q| beliefs_of(sequential.handle_blocking(solve(q))))
+        .collect();
+
+    let coalesced = fresh_core(QUERIES);
+    let (tx, rx) = mpsc::channel();
+    for q in 0..QUERIES {
+        let tx = tx.clone();
+        coalesced.submit(solve(q), Box::new(move |r| drop(tx.send((q, r)))));
+    }
+    let mut stacked: Vec<_> = (0..QUERIES).map(|_| None).collect();
+    for _ in 0..QUERIES {
+        let (q, r) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        stacked[q] = Some(beliefs_of(r));
+    }
+
+    for (q, (a, b)) in solo.iter().zip(&stacked).enumerate() {
+        let b = b.as_ref().expect("every query answered");
+        assert_eq!(a.iterations, b.iterations, "query {q}: iterations");
+        assert_eq!((a.converged, a.diverged), (b.converged, b.diverged));
+        assert_eq!(a.final_delta.to_bits(), b.final_delta.to_bits());
+        assert_bitwise(&format!("query {q}"), &b.beliefs, &a.beliefs);
+    }
+    let (seq, co) = (sequential.stats(), coalesced.stats());
+    assert_eq!(co.largest_batch, QUERIES as u64);
+    assert!(
+        seq.spmm_passes >= 2 * co.spmm_passes,
+        "sequential {} vs coalesced {} SpMM passes",
+        seq.spmm_passes,
+        co.spmm_passes
+    );
+}
+
 /// Queries whose convergence points differ by orders of magnitude still
 /// coalesce safely: per-query freeze masks keep each answer identical to
 /// its solo solve even though the batch runs to the slowest query's

@@ -3,7 +3,7 @@
 
 use lsbp::prelude::*;
 use lsbp_linalg::Mat;
-use lsbp_sparse::CsrMatrix;
+use lsbp_sparse::{CsrMatrix, PropagationOperator};
 
 pub fn bits_equal(a: &Mat, b: &Mat) -> bool {
     a.rows() == b.rows()
@@ -83,4 +83,51 @@ pub fn unfused_linbp(
     }
     out.beliefs = b;
     out
+}
+
+/// Reusable buffers for [`linbp_step`]: the SpMM result, the `D·B`
+/// product and the `(D·B)·Ĥ²` echo term — all `n × k`, allocated once per
+/// run instead of once per iteration.
+struct LinBpScratch {
+    ab: Mat,
+    db: Mat,
+    tmp: Mat,
+}
+
+impl LinBpScratch {
+    fn new(n: usize, k: usize) -> Self {
+        Self {
+            ab: Mat::zeros(n, k),
+            db: Mat::zeros(n, k),
+            tmp: Mat::zeros(n, k),
+        }
+    }
+}
+
+/// One update step `out = Ê + A·B·Ĥ [− D·B·Ĥ²]` as the **unfused**
+/// composition: SpMM, dense `·Ĥ` and element-wise add/sub as separate
+/// passes. The library runs [`CsrMatrix::linbp_step_fused_with`], one
+/// row-partitioned pass that must be bitwise identical to this.
+#[allow(clippy::too_many_arguments)] // mirrors the terms of Eq. 6 one-to-one
+fn linbp_step<A: PropagationOperator + ?Sized>(
+    adj: &A,
+    e_hat: &Mat,
+    b: &Mat,
+    h: &Mat,
+    h2: Option<&Mat>,
+    degrees: &[f64],
+    scratch: &mut LinBpScratch,
+    out: &mut Mat,
+    cfg: &ParallelismConfig,
+) {
+    // ab = A·B   (n×k);   out = Ê + ab·Ĥ
+    adj.spmm_into_with(b, &mut scratch.ab, cfg);
+    scratch.ab.matmul_into_with(h, out, cfg);
+    out.add_assign(e_hat);
+    if let Some(h2) = h2 {
+        // out -= (D·B)·Ĥ² — row s of D·B is d_s · b_s.
+        b.scaled_rows_into(degrees, &mut scratch.db);
+        scratch.db.matmul_into_with(h2, &mut scratch.tmp, cfg);
+        out.sub_assign(&scratch.tmp);
+    }
 }

@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
                 e_hat: &e_hat,
                 h: &h,
                 h2: Some(&h2),
-                degrees: &degrees,
+                degrees,
                 damping: 0.0,
             };
             bch.iter(|| {

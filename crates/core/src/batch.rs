@@ -125,7 +125,7 @@ struct LinBpBatchIteration<'a, A: PropagationOperator + ?Sized> {
     /// freeze masks (frozen queries already skip — frozen *rows* now do
     /// too). `None` forces full recomputation. Bitwise identical either
     /// way.
-    frontier: Option<FrontierState>,
+    frontier: Option<FrontierState<'a>>,
     /// Reusable not-frozen mask handed to the frontier as the set of
     /// query blocks that participate in change detection. Exact because
     /// the update is block-diagonal per query and the frozen set only
@@ -300,10 +300,12 @@ pub(crate) fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
     } else {
         None
     };
+    let no_echo;
     let degrees = if echo {
         adj.squared_weight_degrees()
     } else {
-        vec![0.0; n]
+        no_echo = vec![0.0; n];
+        &no_echo
     };
 
     let mut op = LinBpBatchIteration {
@@ -311,7 +313,7 @@ pub(crate) fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
         e_hat: &e_hat,
         h: h_residual,
         h2: h2.as_ref(),
-        degrees: &degrees,
+        degrees,
         b: e_hat.clone(),
         next: Mat::zeros(n, k * q),
         k,
@@ -515,10 +517,9 @@ pub fn rwr_batch_on<A: PropagationOperator + ?Sized>(
         }
     }
 
-    let degrees = adj.row_sums();
     let mut op = RwrBatchIteration {
         adj,
-        degrees: &degrees,
+        degrees: adj.row_sums(),
         restart_dist: &restart_dist,
         restart: opts.restart,
         tol: opts.tol,

@@ -43,7 +43,7 @@ pub fn spectral_radius_linbp_operator(adj: &CsrMatrix, h_residual: &Mat, echo: b
             adj.spmm_into(&b, &mut scratch);
             scratch.matmul_into(h_residual, &mut m);
             if echo {
-                b.scaled_rows_into(&degrees, &mut db);
+                b.scaled_rows_into(degrees, &mut db);
                 db.matmul_into(&h2, &mut db_h2);
                 m.sub_assign(&db_h2);
             }
@@ -144,8 +144,8 @@ pub fn eps_max_sufficient_linbp(h_unscaled: &Mat, adj: &CsrMatrix) -> f64 {
     // = max d; Frobenius ≥ max d. The minimum is max d.
     let norm_d = adj
         .squared_weight_degrees()
-        .into_iter()
-        .fold(0.0f64, f64::max);
+        .iter()
+        .fold(0.0f64, |m, &d| m.max(d));
     if norm_h == 0.0 {
         return f64::INFINITY;
     }

@@ -295,7 +295,7 @@ mod tests {
             e_hat: e.residual_matrix(),
             h: &h,
             h2: Some(&h2),
-            degrees: &degrees,
+            degrees,
             damping: 0.0,
         };
         let mut rhs = Mat::zeros(8, 3);

@@ -19,6 +19,14 @@
 //! for the entire batch, with per-query convergence masks keeping every
 //! answer **bitwise identical** to the per-query library solve.
 //!
+//! The default window is zero, which makes admission **work-conserving**:
+//! a query that finds the solver idle runs at once, alone, at library
+//! cost, and the queries that arrive while a solve is running park and
+//! form the next stacked batch. A stacked solve's cost per query hardly
+//! depends on the batch size, so waiting for company only adds latency.
+//! A parked query whose twin was solved by the batch before is answered
+//! from the cache entry that solve left, at drain time.
+//!
 //! Backpressure: a queue holding `max_pending` queries rejects further
 //! admissions with [`ErrorCode::Overloaded`] instead of buffering without
 //! bound.
@@ -88,8 +96,11 @@ pub enum DegradationPolicy {
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// How long the solver waits after the *first* query parks in an
-    /// admission queue before draining it — the window in which
-    /// concurrently arriving queries coalesce.
+    /// admission queue before draining it. Default zero: admission is
+    /// work-conserving — a query that finds the solver idle is solved at
+    /// once, and queries arriving while the solver is busy park and
+    /// coalesce into the next stacked batch. A positive window holds every
+    /// queue open that long to gather more queries first.
     pub coalesce_window: Duration,
     /// Largest stacked solve; a fuller queue drains immediately and the
     /// remainder re-arms the window.
@@ -131,7 +142,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            coalesce_window: Duration::from_millis(3),
+            coalesce_window: Duration::ZERO,
             max_batch: 32,
             max_pending: 1024,
             cache_capacity: 4096,
@@ -882,7 +893,7 @@ impl ServerCore {
             Some(g) => g,
             None => return responder(unknown_graph(graph_id)),
         };
-        let (h, mut opts) = match validate_linbp_params(&params) {
+        let (h, mut opts) = match validate_linbp_params(&params, &self.shared.config.parallelism) {
             Ok(v) => v,
             Err(msg) => return responder(bad_request(msg)),
         };
@@ -936,7 +947,7 @@ impl ServerCore {
             Some(g) => g,
             None => return responder(unknown_graph(graph_id)),
         };
-        let opts = match validate_rwr_params(&params) {
+        let opts = match validate_rwr_params(&params, &self.shared.config.parallelism) {
             Ok(o) => o,
             Err(msg) => return responder(bad_request(msg)),
         };
@@ -994,22 +1005,8 @@ impl ServerCore {
         }
 
         // Cache first.
-        {
-            let cache = self.shared.cache.lock().unwrap();
-            if let Some(entry) = cache.entries.get(&cache_key) {
-                let served = if entry.patched {
-                    ServedVia::CachePatched
-                } else {
-                    ServedVia::Cache
-                };
-                let payload = entry.payload(served);
-                drop(cache);
-                let mut c = self.shared.counters.lock().unwrap();
-                c.queries_served += 1;
-                c.cache_hits += 1;
-                drop(c);
-                return responder(Response::Beliefs(payload));
-            }
+        if let Some(payload) = cache_hit(&self.shared, &cache_key) {
+            return responder(Response::Beliefs(payload));
         }
 
         let group_key = GroupKey {
@@ -1169,7 +1166,10 @@ fn wire_norm(norm: WireNorm) -> ToleranceNorm {
     }
 }
 
-fn validate_linbp_params(p: &LinBpParams) -> Result<(Mat, LinBpOptions), String> {
+fn validate_linbp_params(
+    p: &LinBpParams,
+    parallelism: &ParallelismConfig,
+) -> Result<(Mat, LinBpOptions), String> {
     let k = p.k as usize;
     if p.k < 2 || p.k > MAX_CLASSES {
         return Err(format!("k must be in 2..={MAX_CLASSES}, got {}", p.k));
@@ -1206,12 +1206,15 @@ fn validate_linbp_params(p: &LinBpParams) -> Result<(Mat, LinBpOptions), String>
         norm: wire_norm(p.norm),
         damping: p.damping,
         divergence_guard: p.divergence_guard,
-        parallelism: ParallelismConfig::from_env(),
+        parallelism: *parallelism,
     };
     Ok((h, opts))
 }
 
-fn validate_rwr_params(p: &RwrParams) -> Result<RwrOptions, String> {
+fn validate_rwr_params(
+    p: &RwrParams,
+    parallelism: &ParallelismConfig,
+) -> Result<RwrOptions, String> {
     if p.k < 2 || p.k > MAX_CLASSES {
         return Err(format!("k must be in 2..={MAX_CLASSES}, got {}", p.k));
     }
@@ -1232,7 +1235,7 @@ fn validate_rwr_params(p: &RwrParams) -> Result<RwrOptions, String> {
         max_iter: p.max_iter as usize,
         tol: p.tol,
         norm: wire_norm(p.norm),
-        parallelism: ParallelismConfig::from_env(),
+        parallelism: *parallelism,
     })
 }
 
@@ -1250,6 +1253,23 @@ fn build_seeds(n: usize, k: usize, seeds: &[WireSeed]) -> Result<ExplicitBeliefs
             .map_err(|e| format!("seed node {}: {e}", s.node))?;
     }
     Ok(explicit)
+}
+
+/// The cached answer for `key`, counted as a served cache hit.
+fn cache_hit(shared: &Shared, key: &CacheKey) -> Option<BeliefsPayload> {
+    let payload = {
+        let cache = shared.cache.lock().unwrap();
+        let entry = cache.entries.get(key)?;
+        entry.payload(if entry.patched {
+            ServedVia::CachePatched
+        } else {
+            ServedVia::Cache
+        })
+    };
+    let mut c = shared.counters.lock().unwrap();
+    c.queries_served += 1;
+    c.cache_hits += 1;
+    Some(payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -1362,6 +1382,19 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
     for job in expired {
         (job.responder)(deadline_exceeded(shared.config.retry_after_hint));
     }
+    // Cache check at drain time: a query that parked behind the solve of
+    // an identical one is answered from that solve's cache entry instead
+    // of being solved again.
+    let jobs: Vec<SolveJob> = jobs
+        .into_iter()
+        .filter_map(|job| match cache_hit(shared, &job.cache_key) {
+            Some(payload) => {
+                (job.responder)(Response::Beliefs(payload));
+                None
+            }
+            None => Some(job),
+        })
+        .collect();
     if jobs.is_empty() {
         return;
     }

@@ -10,6 +10,11 @@
 //!             [--spill-dir PATH] [--memory-budget BYTES[K|M|G|T]]
 //! ```
 //!
+//! `--coalesce-window-ms` defaults to 0: a query that finds the solver
+//! idle is solved at once, and queries that arrive during a solve
+//! coalesce into the next stacked batch. A positive window holds each
+//! admission queue open that long before draining it.
+//!
 //! With `--spill-dir`, registered graphs are written to on-disk shard
 //! stores under that directory and served out-of-core through the
 //! budgeted buffer pool; `--memory-budget` caps the pool's resident

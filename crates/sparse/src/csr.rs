@@ -5,6 +5,8 @@
 //! (neighbor iteration), LinBP (SpMM), SBP (BFS layering) and the spectral
 //! convergence criteria (SpMV inside power iteration).
 
+use crate::cache::OperatorCache;
+use crate::frontier::FrontierPlan;
 use lsbp_linalg::simd::{axpy4, gather_dot4, sum4, sum_abs4, sum_sq4};
 use lsbp_linalg::{weight_balanced_ranges, Mat, ParallelismConfig};
 use std::ops::Range;
@@ -74,6 +76,9 @@ pub struct CsrMatrix {
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
     values: Vec<f64>,
+    /// Derived invariants (frontier plan, row statistics), filled on
+    /// first use; never part of the matrix's value.
+    pub(crate) cache: OperatorCache,
 }
 
 impl CsrMatrix {
@@ -117,7 +122,9 @@ impl CsrMatrix {
     /// Builds from already-validated compact parts — the crate-internal
     /// constructor behind shard extraction ([`crate::ShardedCsr`]) and
     /// reassembly, where the arrays are carved out of an existing
-    /// `CsrMatrix` and the invariants hold by construction.
+    /// `CsrMatrix` and the invariants hold by construction. Every other
+    /// constructor ends here too, so every matrix starts with an empty
+    /// derived-invariant cache.
     pub(crate) fn from_trusted_parts(
         n_rows: usize,
         n_cols: usize,
@@ -136,6 +143,7 @@ impl CsrMatrix {
             row_ptr,
             col_idx,
             values,
+            cache: OperatorCache::default(),
         }
     }
 
@@ -178,13 +186,9 @@ impl CsrMatrix {
         }
         // In-bounds (< n_cols <= MAX_DIM) implies every index fits u32.
         let col_idx = col_idx.into_iter().map(|c| c as u32).collect();
-        Ok(Self {
-            n_rows,
-            n_cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
+        Ok(Self::from_trusted_parts(
+            n_rows, n_cols, row_ptr, col_idx, values,
+        ))
     }
 
     /// An `n × n` matrix with no stored entries.
@@ -195,13 +199,7 @@ impl CsrMatrix {
         if let Err(e) = Self::check_dims(n_rows, n_cols) {
             panic!("{e}");
         }
-        Self {
-            n_rows,
-            n_cols,
-            row_ptr: vec![0; n_rows + 1],
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        }
+        Self::from_trusted_parts(n_rows, n_cols, vec![0; n_rows + 1], Vec::new(), Vec::new())
     }
 
     /// The `n × n` identity.
@@ -212,13 +210,13 @@ impl CsrMatrix {
         if let Err(e) = Self::check_dims(n, n) {
             panic!("{e}");
         }
-        Self {
-            n_rows: n,
-            n_cols: n,
-            row_ptr: (0..=n).collect(),
-            col_idx: (0..n as u32).collect(),
-            values: vec![1.0; n],
-        }
+        Self::from_trusted_parts(
+            n,
+            n,
+            (0..=n).collect(),
+            (0..n as u32).collect(),
+            vec![1.0; n],
+        )
     }
 
     /// Number of rows.
@@ -563,13 +561,7 @@ impl CsrMatrix {
                 }
             });
         }
-        CsrMatrix {
-            n_rows: self.n_cols,
-            n_cols: self.n_rows,
-            row_ptr,
-            col_idx,
-            values,
-        }
+        CsrMatrix::from_trusted_parts(self.n_cols, self.n_rows, row_ptr, col_idx, values)
     }
 
     /// Scatters every stored entry whose column lies in `cols` into the
@@ -627,17 +619,30 @@ impl CsrMatrix {
     /// The weighted degree vector of Sect. 5.2: `d_s = Σ_t w(s,t)²`
     /// (the echo cancellation travels an edge back *and* forth, so each
     /// edge contributes its squared weight). For unweighted graphs this is
-    /// the ordinary degree.
-    pub fn squared_weight_degrees(&self) -> Vec<f64> {
-        (0..self.n_rows)
-            .map(|r| sum_sq4(self.row_values(r)))
-            .collect()
+    /// the ordinary degree. Built on first use, then borrowed.
+    pub fn squared_weight_degrees(&self) -> &[f64] {
+        self.cache
+            .squared_weight_degrees(|| self.row_stats(sum_sq4).collect())
     }
 
     /// Plain weighted row sums (`Σ_t w(s,t)`), accumulated in the
-    /// canonical 4-lane order.
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.n_rows).map(|r| sum4(self.row_values(r))).collect()
+    /// canonical 4-lane order. Built on first use, then borrowed.
+    pub fn row_sums(&self) -> &[f64] {
+        self.cache.row_sums(|| self.row_stats(sum4).collect())
+    }
+
+    /// `stat` of every row's values, in row order — the uncached walk
+    /// behind the row-statistics vectors (shard walks concatenate it).
+    pub(crate) fn row_stats(&self, stat: fn(&[f64]) -> f64) -> impl Iterator<Item = f64> + '_ {
+        (0..self.n_rows).map(move |r| stat(self.row_values(r)))
+    }
+
+    /// Folds every row into `plan`, row `r` at global row `first_row + r`
+    /// (a shard's columns are already global).
+    pub(crate) fn add_rows_to_plan(&self, first_row: usize, plan: &mut FrontierPlan) {
+        for r in 0..self.n_rows {
+            plan.add_row(first_row + r, self.row_cols(r));
+        }
     }
 
     /// Returns a copy with all entries scaled by `s`.
@@ -715,13 +720,13 @@ impl CsrMatrix {
             }
             row_ptr[r + 1] = col_idx.len();
         }
-        Ok(CsrMatrix {
-            n_rows: self.n_rows,
-            n_cols: self.n_cols,
+        Ok(CsrMatrix::from_trusted_parts(
+            self.n_rows,
+            self.n_cols,
             row_ptr,
             col_idx,
             values,
-        })
+        ))
     }
 
     /// Returns a copy with exact-zero entries removed.
@@ -738,13 +743,7 @@ impl CsrMatrix {
             }
             row_ptr[r + 1] = col_idx.len();
         }
-        CsrMatrix {
-            n_rows: self.n_rows,
-            n_cols: self.n_cols,
-            row_ptr,
-            col_idx,
-            values,
-        }
+        CsrMatrix::from_trusted_parts(self.n_rows, self.n_cols, row_ptr, col_idx, values)
     }
 
     /// Densifies (tests / tiny systems only).
@@ -899,6 +898,27 @@ mod tests {
         // Row 0: 2² = 4; row 1: 2²+3² = 13; row 2: 3²+1² = 10.
         assert_eq!(m.squared_weight_degrees(), vec![4.0, 13.0, 10.0]);
         assert_eq!(m.row_sums(), vec![2.0, 5.0, 4.0]);
+    }
+
+    /// A filled cache never leaks into a derived matrix: clones, scaled
+    /// copies and edge-delta versions start empty and build their own,
+    /// and equality ignores the cache.
+    #[test]
+    fn derived_matrices_start_with_an_empty_cache() {
+        let m = small();
+        assert_eq!(m.row_sums(), vec![2.0, 5.0, 4.0]);
+        assert_eq!(m.squared_weight_degrees(), vec![4.0, 13.0, 10.0]);
+        assert_eq!(
+            m.clone(),
+            small(),
+            "a filled cache is not part of the value"
+        );
+        assert_eq!(m.scale(2.0).row_sums(), vec![4.0, 10.0, 8.0]);
+        let patched = m
+            .try_with_edge_deltas(&[(0, 1, 1.0), (2, 2, -1.0)])
+            .unwrap();
+        assert_eq!(patched.squared_weight_degrees(), vec![9.0, 13.0, 9.0]);
+        assert_eq!(patched.row_sums(), vec![3.0, 5.0, 3.0]);
     }
 
     #[test]

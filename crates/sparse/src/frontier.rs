@@ -132,8 +132,9 @@ impl NodeBitset {
 /// `block_rows`-sized blocks, each block carrying the bitset of row
 /// blocks any of its rows gathers from (its own block always included —
 /// the residual/echo/damping terms read the own row). Built once per
-/// solve in `O(nnz)`; per-iteration block tests are a couple of word
-/// ANDs against the summary bitset.
+/// operator in `O(nnz)` ([`crate::PropagationOperator::frontier_plan`]
+/// caches it) and borrowed by every solve; per-iteration block tests are
+/// a couple of word ANDs against the summary bitset.
 #[derive(Clone, Debug)]
 pub struct FrontierPlan {
     n_rows: usize,
@@ -185,14 +186,6 @@ impl FrontierPlan {
         }
     }
 
-    /// Records that block `blk` depends on block `dep` — the per-edge
-    /// primitive behind [`FrontierPlan::add_row`] for builders that walk
-    /// rows through an iterator instead of a column slice.
-    #[inline]
-    pub fn set_dep(&mut self, blk: usize, dep: usize) {
-        self.deps[blk].set(dep);
-    }
-
     /// Number of rows covered.
     pub fn n_rows(&self) -> usize {
         self.n_rows
@@ -237,13 +230,13 @@ impl FrontierPlan {
     }
 }
 
-/// Per-solve frontier state owned by a solver op: the plan, the committed
-/// changed/summary bitsets of the last iteration, the scratch bitset the
-/// next iteration's changed bits accumulate into, and the cumulative
-/// skip/active row counters surfaced through `Health`/`Stats`.
+/// Per-solve frontier state owned by a solver op: the borrowed plan, the
+/// committed changed/summary bitsets of the last iteration, the scratch
+/// bitset the next iteration's changed bits accumulate into, and the
+/// cumulative skip/active row counters surfaced through `Health`/`Stats`.
 #[derive(Clone, Debug)]
-pub struct FrontierState {
-    plan: FrontierPlan,
+pub struct FrontierState<'p> {
+    plan: &'p FrontierPlan,
     changed: NodeBitset,
     summary: NodeBitset,
     scratch: NodeBitset,
@@ -254,11 +247,11 @@ pub struct FrontierState {
     pub rows_skipped: u64,
 }
 
-impl FrontierState {
+impl<'p> FrontierState<'p> {
     /// Fresh state for one solve: everything marked changed, so the first
     /// iteration computes every row (establishing the double-buffer
     /// invariant), after which real change bits take over.
-    pub fn new(plan: FrontierPlan) -> Self {
+    pub fn new(plan: &'p FrontierPlan) -> Self {
         let n = plan.n_rows();
         let mut changed = NodeBitset::new(n);
         changed.fill();
@@ -276,8 +269,8 @@ impl FrontierState {
     }
 
     /// The dependency plan.
-    pub fn plan(&self) -> &FrontierPlan {
-        &self.plan
+    pub fn plan(&self) -> &'p FrontierPlan {
+        self.plan
     }
 
     /// Rows changed by the last committed iteration.
@@ -294,7 +287,7 @@ impl FrontierState {
     pub fn begin<'a>(&'a mut self, active_cols: Option<&'a [bool]>) -> FrontierStep<'a> {
         self.scratch.clear();
         FrontierStep {
-            plan: &self.plan,
+            plan: self.plan,
             changed: &self.changed,
             summary: &self.summary,
             next_changed: &mut self.scratch,

@@ -822,7 +822,7 @@ mod tests {
         let e = Mat::from_fn(4, 2, |r, c| if r == 0 { [0.1, -0.1][c] } else { 0.0 });
         let h = Mat::from_rows(&[&[0.2, -0.2], &[-0.2, 0.2]]);
         let h2 = h.matmul(&h);
-        let degrees = adj.squared_weight_degrees();
+        let degrees = adj.squared_weight_degrees().to_vec();
         (adj, e, h, h2, degrees)
     }
 

@@ -29,6 +29,7 @@
 //!   eviction, pins and background prefetch), bitwise identical to the
 //!   resident backends at any budget × shard × thread combination.
 
+mod cache;
 pub mod coo;
 pub mod csr;
 pub mod edge_op;

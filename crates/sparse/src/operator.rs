@@ -176,22 +176,9 @@ pub trait PropagationOperator: Sync {
     /// The static block-dependency plan active-frontier execution runs
     /// against (see [`crate::frontier`]): rows grouped into
     /// [`FrontierPlan::block_rows_for`]-sized blocks, each recording the
-    /// blocks its rows gather from. Built once per solve in `O(nnz)`.
-    /// The default walks [`PropagationOperator::row_iter`]; backends with
-    /// cheaper bulk row access (every shard source) override it.
-    fn frontier_plan(&self) -> FrontierPlan {
-        let n = self.n_rows();
-        let mut plan = FrontierPlan::empty(n, FrontierPlan::block_rows_for(n));
-        for r in 0..n {
-            let blk = plan.block_of(r);
-            plan.set_dep(blk, blk);
-            for (c, _) in self.row_iter(r) {
-                let dep = plan.block_of(c);
-                plan.set_dep(blk, dep);
-            }
-        }
-        plan
-    }
+    /// blocks its rows gather from. Built once per operator in `O(nnz)`
+    /// on first use, then borrowed by every later solve.
+    fn frontier_plan(&self) -> &FrontierPlan;
 
     /// The frontier-aware fused LinBP step: `out` and `deltas` must be
     /// **bitwise identical** to [`PropagationOperator::linbp_step_fused_with`]
@@ -224,12 +211,14 @@ pub trait PropagationOperator: Sync {
     fn transpose_with(&self, cfg: &ParallelismConfig) -> CsrMatrix;
 
     /// Plain weighted row sums `Σ_t w(s,t)` (RWR's walk normalization),
-    /// accumulated in the canonical 4-lane order.
-    fn row_sums(&self) -> Vec<f64>;
+    /// accumulated in the canonical 4-lane order. Built once per operator
+    /// on first use, then borrowed.
+    fn row_sums(&self) -> &[f64];
 
     /// The weighted degree vector of Sect. 5.2: `d_s = Σ_t w(s,t)²` (the
-    /// echo-cancellation degrees).
-    fn squared_weight_degrees(&self) -> Vec<f64>;
+    /// echo-cancellation degrees). Built once per operator on first use,
+    /// then borrowed.
+    fn squared_weight_degrees(&self) -> &[f64];
 }
 
 impl PropagationOperator for CsrMatrix {
@@ -277,13 +266,13 @@ impl PropagationOperator for CsrMatrix {
         CsrMatrix::linbp_step_fused_with(self, b, step, out, deltas, cfg)
     }
 
-    fn frontier_plan(&self) -> FrontierPlan {
-        let n = CsrMatrix::n_rows(self);
-        let mut plan = FrontierPlan::empty(n, FrontierPlan::block_rows_for(n));
-        for r in 0..n {
-            plan.add_row(r, CsrMatrix::row_cols(self, r));
-        }
-        plan
+    fn frontier_plan(&self) -> &FrontierPlan {
+        self.cache.frontier_plan(|| {
+            let n = CsrMatrix::n_rows(self);
+            let mut plan = FrontierPlan::empty(n, FrontierPlan::block_rows_for(n));
+            self.add_rows_to_plan(0, &mut plan);
+            plan
+        })
     }
 
     fn linbp_step_fused_frontier_with(
@@ -302,11 +291,11 @@ impl PropagationOperator for CsrMatrix {
         CsrMatrix::transpose_with(self, cfg)
     }
 
-    fn row_sums(&self) -> Vec<f64> {
+    fn row_sums(&self) -> &[f64] {
         CsrMatrix::row_sums(self)
     }
 
-    fn squared_weight_degrees(&self) -> Vec<f64> {
+    fn squared_weight_degrees(&self) -> &[f64] {
         CsrMatrix::squared_weight_degrees(self)
     }
 }

@@ -49,6 +49,7 @@
 //! kernels' dimension-mismatch asserts, and the reason `load_shard`
 //! exists as the checked warm-up path.
 
+use crate::cache::OperatorCache;
 use crate::csr::CsrMatrix;
 use crate::operator::RowIter;
 use crate::shard_file::{block_resident_bytes, ShardFile, ShardFileError};
@@ -417,6 +418,7 @@ pub struct PagedCsr {
     /// global rows `starts[i]..starts[i + 1]`.
     starts: Vec<usize>,
     prefetch: Option<PrefetchHandle>,
+    cache: OperatorCache,
 }
 
 impl PagedCsr {
@@ -449,6 +451,7 @@ impl PagedCsr {
             pool,
             starts,
             prefetch,
+            cache: OperatorCache::default(),
         }
     }
 
@@ -511,6 +514,10 @@ impl ShardSource for PagedCsr {
     #[inline]
     fn shape(&self) -> (usize, usize) {
         (self.pool.file.n_cols(), self.pool.file.nnz())
+    }
+
+    fn cache(&self) -> &OperatorCache {
+        &self.cache
     }
 
     /// Row access copies the row out **under the pool pin**, then

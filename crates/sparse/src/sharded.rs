@@ -36,10 +36,12 @@
 //! paged backend, any budget) — property-tested in
 //! `tests/sharded_engine.rs` and `tests/out_of_core.rs`.
 
+use crate::cache::OperatorCache;
 use crate::csr::CsrMatrix;
 use crate::frontier::{FrontierPlan, FrontierStep};
 use crate::fused::{validate_fused_step, FusedLinBpStep};
 use crate::operator::{PropagationOperator, RowIter};
+use lsbp_linalg::simd::{sum4, sum_sq4};
 use lsbp_linalg::{weight_balanced_ranges, Mat, ParallelismConfig};
 use std::ops::{Deref, Range};
 
@@ -51,7 +53,8 @@ use std::ops::{Deref, Range};
 /// [`ShardSource::shard_rows`], [`ShardSource::shard`] and
 /// [`ShardSource::hint`]. [`ShardSource::shape`] and [`ShardSource::row`]
 /// are the per-backend leaves the walk cannot derive: the matrix shape
-/// from metadata, and row access (borrowed or copied).
+/// from metadata, and row access (borrowed or copied). `cache` holds the
+/// per-graph invariants the walk builds once.
 pub trait ShardSource: Sync {
     /// Number of shards (including empty ones).
     fn num_shards(&self) -> usize;
@@ -75,6 +78,13 @@ pub trait ShardSource: Sync {
     /// Iterates `(col, value)` pairs of global row `r` — the backend's
     /// [`PropagationOperator::row_iter`].
     fn row(&self, r: usize) -> RowIter<'_>;
+
+    /// The backend's derived-invariant cache (frontier plan, row
+    /// statistics), filled by the shard walk on first use. The cache type
+    /// is crate-private, so only this crate's backends implement the
+    /// trait.
+    #[doc(hidden)]
+    fn cache(&self) -> &OperatorCache;
 
     /// The shard holding global row `r` and `r`'s local row index within
     /// it. Empty shards are never returned.
@@ -106,14 +116,12 @@ pub trait ShardSource: Sync {
         let mut row_ptr = vec![0usize];
         let mut col_idx = Vec::with_capacity(nnz);
         let mut values = Vec::with_capacity(nnz);
-        for i in 0..self.num_shards() {
-            self.hint(i + 1);
-            let shard = self.shard(i);
+        walk_shards(self, |_, shard| {
             let base = *row_ptr.last().unwrap();
             row_ptr.extend(shard.row_offsets()[1..].iter().map(|&p| base + p));
             col_idx.extend_from_slice(shard.raw_col_idx());
             values.extend_from_slice(shard.raw_values());
-        }
+        });
         CsrMatrix::from_trusted_parts(row_ptr.len() - 1, n_cols, row_ptr, col_idx, values)
     }
 }
@@ -214,22 +222,16 @@ impl<S: ShardSource> PropagationOperator for S {
         }
     }
 
-    /// Builds the plan with one shard access per shard (bulk slice access
-    /// instead of the trait default's per-row iterators) — a full pass in
-    /// row order like any other.
-    fn frontier_plan(&self) -> FrontierPlan {
-        let n = self.n_rows();
-        let mut plan = FrontierPlan::empty(n, FrontierPlan::block_rows_for(n));
-        for i in 0..self.num_shards() {
-            self.hint(i + 1);
-            let start = self.shard_rows(i).start;
-            let shard = self.shard(i);
-            for local in 0..shard.n_rows() {
-                // Shard columns are global, so rows fold in unchanged.
-                plan.add_row(start + local, shard.row_cols(local));
-            }
-        }
-        plan
+    /// Built on first use with one access per shard, in row order.
+    fn frontier_plan(&self) -> &FrontierPlan {
+        self.cache().frontier_plan(|| {
+            let n = self.n_rows();
+            let mut plan = FrontierPlan::empty(n, FrontierPlan::block_rows_for(n));
+            walk_shards(self, |start, shard| {
+                shard.add_rows_to_plan(start, &mut plan)
+            });
+            plan
+        })
     }
 
     /// The frontier-aware fused step: shard-granular skipping first — a
@@ -284,23 +286,31 @@ impl<S: ShardSource> PropagationOperator for S {
         self.to_csr().transpose_with(cfg)
     }
 
-    fn row_sums(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_rows());
-        for i in 0..self.num_shards() {
-            self.hint(i + 1);
-            out.extend(self.shard(i).row_sums());
-        }
-        out
+    fn row_sums(&self) -> &[f64] {
+        self.cache().row_sums(|| row_stats(self, sum4))
     }
 
-    fn squared_weight_degrees(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_rows());
-        for i in 0..self.num_shards() {
-            self.hint(i + 1);
-            out.extend(self.shard(i).squared_weight_degrees());
-        }
-        out
+    fn squared_weight_degrees(&self) -> &[f64] {
+        self.cache()
+            .squared_weight_degrees(|| row_stats(self, sum_sq4))
     }
+}
+
+/// Visits every shard once, in row order, hinting the next before taking
+/// the current: `f(first global row, block)`.
+fn walk_shards<S: ShardSource + ?Sized>(src: &S, mut f: impl FnMut(usize, &CsrMatrix)) {
+    for i in 0..src.num_shards() {
+        src.hint(i + 1);
+        f(src.shard_rows(i).start, &src.shard(i));
+    }
+}
+
+/// `stat` of every row's values, shard by shard in row order — the same
+/// per-row accumulation as the monolithic [`CsrMatrix`] statistics.
+fn row_stats<S: ShardSource>(src: &S, stat: fn(&[f64]) -> f64) -> Vec<f64> {
+    let mut out = Vec::with_capacity(src.n_rows());
+    walk_shards(src, |_, shard| out.extend(shard.row_stats(stat)));
+    out
 }
 
 /// A sparse square-or-rectangular matrix stored as nnz-balanced,
@@ -318,6 +328,7 @@ pub struct ShardedCsr {
     /// Per-shard CSR blocks (`starts[i+1] − starts[i]` rows × `n_cols`
     /// columns, global column indices).
     shards: Vec<CsrMatrix>,
+    cache: OperatorCache,
 }
 
 impl ShardedCsr {
@@ -364,6 +375,7 @@ impl ShardedCsr {
             nnz: m.nnz(),
             starts,
             shards,
+            cache: OperatorCache::default(),
         }
     }
 
@@ -417,6 +429,10 @@ impl ShardSource for ShardedCsr {
 
     #[inline]
     fn hint(&self, _i: usize) {}
+
+    fn cache(&self) -> &OperatorCache {
+        &self.cache
+    }
 
     #[inline]
     fn shape(&self) -> (usize, usize) {

@@ -196,7 +196,7 @@ proptest! {
             e_hat: &e_hat,
             h: &h,
             h2: echo.then_some(&h2),
-            degrees: &degrees,
+            degrees,
             damping: if damped { 0.3 } else { 0.0 },
         };
         let mut reference = Mat::zeros(dim, kt);

@@ -140,7 +140,7 @@ proptest! {
         let cfg = ParallelismConfig::serial();
         let want = unfused_linbp(&adj, e_hat, &h, echo, &fixed_rounds(damping, 4, cfg));
         let (got, got_delta) = fused_iterations(
-            &adj, e_hat, &h, echo.then_some(&h2), &degrees, damping, 4, &cfg);
+            &adj, e_hat, &h, echo.then_some(&h2), degrees, damping, 4, &cfg);
         prop_assert!(want.beliefs.max_abs_diff(&got) <= 1e-12, "beyond the 1e-12 contract");
         prop_assert!(bits_equal(&want.beliefs, &got), "fused != unfused bitwise");
         prop_assert_eq!(want.final_delta.to_bits(), got_delta.to_bits());
@@ -161,9 +161,9 @@ proptest! {
         let h2 = h.matmul(&h);
         let degrees = adj.squared_weight_degrees();
         let serial = fused_iterations(
-            &adj, e_hat, &h, Some(&h2), &degrees, 0.0, 5, &ParallelismConfig::serial());
+            &adj, e_hat, &h, Some(&h2), degrees, 0.0, 5, &ParallelismConfig::serial());
         for cfg in sweep() {
-            let par = fused_iterations(&adj, e_hat, &h, Some(&h2), &degrees, 0.0, 5, &cfg);
+            let par = fused_iterations(&adj, e_hat, &h, Some(&h2), degrees, 0.0, 5, &cfg);
             prop_assert!(bits_equal(&serial.0, &par.0), "threads = {}", cfg.threads());
             prop_assert_eq!(serial.1.to_bits(), par.1.to_bits(), "threads = {}", cfg.threads());
         }
@@ -218,10 +218,10 @@ proptest! {
         };
         let iters = 4;
         let stacked = stacked_trajectory(
-            &adj, &e_hat, &h, h2, &degrees, damping, q, iters, frontier_flag == 1, &cfg);
+            &adj, &e_hat, &h, h2, degrees, damping, q, iters, frontier_flag == 1, &cfg);
         for (j, single_e) in singles.iter().enumerate() {
             let single = stacked_trajectory(
-                &adj, single_e, &h, h2, &degrees, damping, 1, iters, false,
+                &adj, single_e, &h, h2, degrees, damping, 1, iters, false,
                 &ParallelismConfig::serial());
             for (it, ((got, got_d), (want, want_d))) in stacked.iter().zip(&single).enumerate() {
                 let block = Mat::from_fn(n, k, |r, c| got[(r, j * k + c)]);
@@ -275,7 +275,7 @@ fn solver_on_fused_kernel_satisfies_fixed_point_equation() {
             e_hat: e.residual_matrix(),
             h: &h,
             h2: Some(&h2),
-            degrees: &degrees,
+            degrees,
             damping: 0.0,
         },
         &mut out,

@@ -9,9 +9,12 @@ use lsbp::prelude::*;
 use lsbp_graph::generators::erdos_renyi_gnm;
 use lsbp_graph::geodesic_numbers;
 use lsbp_linalg::Mat;
-use lsbp_sparse::CsrMatrix;
+use lsbp_sparse::{CooMatrix, CsrMatrix};
 use proptest::prelude::*;
 use std::path::PathBuf;
+
+mod support;
+use support::{assert_invariants, invariants_oracle};
 
 fn bits_equal(a: &Mat, b: &Mat) -> bool {
     a.rows() == b.rows()
@@ -179,6 +182,81 @@ fn cold_and_warm_solves_are_bit_identical() {
     let want = linbp(&adj, &e, &h, &opts).unwrap();
     let got = linbp_on(&reopened, &e, &h, &opts).unwrap();
     assert_linbp_equal(&got, &want, "reopened vs resident");
+}
+
+/// A weighted graph with rows long enough (average degree 12) that the
+/// 4-lane accumulation order of the row statistics matters.
+fn weighted_graph(n: usize, edges: usize, seed: u64) -> CsrMatrix {
+    let er = erdos_renyi_gnm(n, edges, seed).adjacency();
+    let mut coo = CooMatrix::new(n, n);
+    for r in 0..n {
+        for (c, _) in er.row_iter(r).filter(|&(c, _)| c > r) {
+            coo.push_symmetric(r, c, 0.25 + ((r * 7 + c * 3) % 11) as f64 / 9.0);
+        }
+    }
+    coo.to_csr()
+}
+
+/// The frontier plan, squared-weight degrees and row sums every backend
+/// caches equal a plain-loop oracle bit for bit, and each is built once:
+/// resident, sharded 1–5 ways, and paged at full, ½ and 4K budgets.
+#[test]
+fn cached_invariants_match_plain_loop_oracle() {
+    let adj = weighted_graph(300, 1800, 5);
+    let want = invariants_oracle(&adj);
+    assert!(want.deps.len() >= 4, "the plan must span several blocks");
+    assert_invariants(&adj, &want, "resident");
+    for shards in 1..=5 {
+        let sharded = ShardedCsr::from_csr(&adj, shards);
+        assert_invariants(&sharded, &want, &format!("{shards} shards"));
+    }
+    for (name, budget) in [
+        ("full", None),
+        ("half", Some(csr_bytes(&adj) / 2)),
+        ("4K", Some(4096)),
+    ] {
+        let path = tmp(&format!("invariants-{name}.lsbp"));
+        let paged =
+            PagedCsr::spill(&adj, &path, 4, PagedOptions::default().with_budget(budget)).unwrap();
+        assert_invariants(&paged, &want, &format!("paged, {name} budget"));
+        drop(paged);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A second solve on the same paged operator borrows the plan and the
+/// degrees the first one built: it makes exactly one pager visit (hit or
+/// miss) fewer per shard for each, and answers bit for bit alike.
+#[test]
+fn second_paged_solve_reuses_the_cached_invariants() {
+    let adj = weighted_graph(300, 1800, 9);
+    let e = seeds(300, 3, &[(4, 0), (150, 1), (290, 2)]);
+    let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.02);
+    let opts = LinBpOptions {
+        max_iter: 100,
+        tol: 1e-10,
+        ..Default::default()
+    };
+    let path = tmp("invariant-visits.lsbp");
+    let budget = Some(csr_bytes(&adj) / 2);
+    let paged =
+        PagedCsr::spill(&adj, &path, 6, PagedOptions::default().with_budget(budget)).unwrap();
+    let visits = |p: &PagedCsr| p.stats().hits + p.stats().misses;
+    let first = linbp_on(&paged, &e, &h, &opts).unwrap();
+    let after_first = visits(&paged);
+    let second = linbp_on(&paged, &e, &h, &opts).unwrap();
+    let second_visits = visits(&paged) - after_first;
+    assert_linbp_equal(&second, &first, "second vs first");
+    // The degrees walk, plus the plan walk when the frontier is on
+    // (`LSBP_FRONTIER=off` never builds the plan).
+    let walks = 1 + u64::from(opts.parallelism.frontier());
+    assert_eq!(
+        after_first - second_visits,
+        walks * paged.num_shards() as u64,
+        "first solve {after_first} visits, second {second_visits}"
+    );
+    drop(paged);
+    let _ = std::fs::remove_file(&path);
 }
 
 /// `spill_paged` takes its shard count from the memory budget: one shard

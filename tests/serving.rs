@@ -265,6 +265,170 @@ fn coalescing_eight_queries_halves_spmm_passes_bitwise() {
     );
 }
 
+/// Under the default config a query that finds the solver idle is solved
+/// at once, alone, and queries that arrive while the solver is busy park
+/// and drain together as one stacked batch. The first answer's responder
+/// runs on the solver thread, so holding it there keeps the solver busy
+/// while eight more queries arrive.
+#[test]
+fn default_admission_coalesces_only_while_the_solver_is_busy() {
+    const PARKED: usize = 8;
+    let h = coupling();
+    let solve = |q: usize| Request::SolveLinBp {
+        graph_id: 1,
+        params: wire_params(&h),
+        seeds: wire_seeds(q, 1.0),
+    };
+    let beliefs_of = |r: Response| match r {
+        Response::Beliefs(payload) => payload,
+        other => panic!("solve failed: {other:?}"),
+    };
+    let core = ServerCore::new(ServerConfig::default());
+    let registered = core.handle_blocking(Request::RegisterGraph {
+        graph_id: 1,
+        n_nodes: 10,
+        symmetric: true,
+        edges: wire_edges(),
+    });
+    assert!(matches!(registered, Response::Registered { .. }));
+
+    let (first_tx, first_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    core.submit(
+        solve(0),
+        Box::new(move |r| {
+            first_tx.send(r).unwrap();
+            release_rx.recv().unwrap();
+        }),
+    );
+    let first = beliefs_of(first_rx.recv_timeout(Duration::from_secs(30)).unwrap());
+    assert_eq!(first.served, ServedVia::Solo, "a query on an idle solver");
+
+    let (tx, rx) = mpsc::channel();
+    for q in 1..=PARKED {
+        let tx = tx.clone();
+        core.submit(solve(q), Box::new(move |r| drop(tx.send((q, r)))));
+    }
+    release_tx.send(()).unwrap();
+    let adj = fixture_adjacency();
+    for _ in 0..PARKED {
+        let (q, r) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        let payload = beliefs_of(r);
+        assert_eq!(
+            payload.served,
+            ServedVia::Coalesced {
+                batch: PARKED as u32
+            },
+            "query {q}"
+        );
+        let want = linbp(&adj, &lib_seeds(q, 1.0), &h, &lib_opts()).unwrap();
+        assert_eq!(payload.iterations, want.iterations as u64, "query {q}");
+        assert_bitwise(
+            &format!("query {q}"),
+            &payload.beliefs,
+            want.beliefs.residual().as_slice(),
+        );
+    }
+
+    let lone = beliefs_of(core.handle_blocking(solve(PARKED + 1)));
+    assert_eq!(lone.served, ServedVia::Solo, "a query on an idle solver");
+}
+
+/// A query parked behind the solve of an identical one is answered from
+/// the cache entry that solve leaves, not solved again. The solver is
+/// held in a responder while two identical queries park; `max_batch: 1`
+/// drains them one at a time, so the second finds the first's answer.
+#[test]
+fn parked_duplicate_is_answered_from_its_twins_cache_entry() {
+    let h = coupling();
+    let solve = |q: usize| Request::SolveLinBp {
+        graph_id: 1,
+        params: wire_params(&h),
+        seeds: wire_seeds(q, 1.0),
+    };
+    let core = ServerCore::new(ServerConfig {
+        max_batch: 1,
+        ..ServerConfig::default()
+    });
+    let registered = core.handle_blocking(Request::RegisterGraph {
+        graph_id: 1,
+        n_nodes: 10,
+        symmetric: true,
+        edges: wire_edges(),
+    });
+    assert!(matches!(registered, Response::Registered { .. }));
+
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    core.submit(
+        solve(0),
+        Box::new(move |_| {
+            held_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        }),
+    );
+    held_rx.recv_timeout(Duration::from_secs(30)).unwrap();
+    let (tx, rx) = mpsc::channel();
+    for copy in 0..2 {
+        let tx = tx.clone();
+        core.submit(solve(1), Box::new(move |r| drop(tx.send((copy, r)))));
+    }
+    release_tx.send(()).unwrap();
+    let mut answers = [None, None];
+    for _ in 0..2 {
+        let (copy, r) = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        match r {
+            Response::Beliefs(payload) => answers[copy] = Some(payload),
+            other => panic!("solve failed: {other:?}"),
+        }
+    }
+    let [Some(first), Some(second)] = answers else {
+        unreachable!("both copies answered")
+    };
+    assert_eq!(first.served, ServedVia::Solo);
+    assert_eq!(second.served, ServedVia::Cache);
+    assert_bitwise("parked duplicate", &second.beliefs, &first.beliefs);
+    let stats = core.stats();
+    assert_eq!((stats.queries_served, stats.cache_hits), (3, 1));
+}
+
+/// `ServerConfig::parallelism` is the solve configuration: a core with
+/// the frontier off recomputes every row, a core with it on skips the
+/// rows the seeds never reach (nodes 10.. are isolated, whole frontier
+/// blocks of them), and both answer bit for bit alike.
+#[test]
+fn server_parallelism_config_reaches_solves() {
+    let h = coupling();
+    let answer = |frontier: bool| {
+        let core = ServerCore::new(ServerConfig {
+            parallelism: ParallelismConfig::from_env().with_frontier(frontier),
+            ..ServerConfig::default()
+        });
+        let registered = core.handle_blocking(Request::RegisterGraph {
+            graph_id: 1,
+            n_nodes: 200,
+            symmetric: true,
+            edges: wire_edges(),
+        });
+        assert!(matches!(registered, Response::Registered { .. }));
+        let payload = match core.handle_blocking(Request::SolveLinBp {
+            graph_id: 1,
+            params: wire_params(&h),
+            seeds: wire_seeds(0, 1.0),
+        }) {
+            Response::Beliefs(payload) => payload,
+            other => panic!("solve failed: {other:?}"),
+        };
+        (payload, core.stats().frontier_rows_skipped)
+    };
+    let (full, skipped_off) = answer(false);
+    let (skipping, skipped_on) = answer(true);
+    assert_eq!(skipped_off, 0, "frontier off must skip nothing");
+    assert!(skipped_on > 0, "frontier on must skip the isolated blocks");
+    assert_eq!(full.iterations, skipping.iterations);
+    assert_bitwise("frontier on vs off", &skipping.beliefs, &full.beliefs);
+}
+
 /// Queries whose convergence points differ by orders of magnitude still
 /// coalesce safely: per-query freeze masks keep each answer identical to
 /// its solo solve even though the batch runs to the slowest query's

@@ -1,9 +1,11 @@
-//! Test support shared by the LinBP suites: bitwise matrix equality and
-//! the plain-loop LinBP oracle.
+//! Test support shared by the LinBP suites: bitwise matrix equality, the
+//! plain-loop LinBP oracle, and a plain-loop oracle for the per-graph
+//! invariants an operator caches. Each suite uses a subset.
+#![allow(dead_code)]
 
 use lsbp::prelude::*;
 use lsbp_linalg::Mat;
-use lsbp_sparse::{CsrMatrix, PropagationOperator};
+use lsbp_sparse::{CsrMatrix, FrontierPlan, NodeBitset, PropagationOperator};
 
 pub fn bits_equal(a: &Mat, b: &Mat) -> bool {
     a.rows() == b.rows()
@@ -55,7 +57,7 @@ pub fn unfused_linbp(
             &b,
             h,
             echo.then_some(&h2),
-            &degrees,
+            degrees,
             &mut scratch,
             &mut next,
             &opts.parallelism,
@@ -129,5 +131,94 @@ fn linbp_step<A: PropagationOperator + ?Sized>(
         b.scaled_rows_into(degrees, &mut scratch.db);
         scratch.db.matmul_into_with(h2, &mut scratch.tmp, cfg);
         out.sub_assign(&scratch.tmp);
+    }
+}
+
+/// The per-graph invariants a solve reads, recomputed from the CSR entries
+/// with plain loops that share no code with the library's builders.
+pub struct Invariants {
+    /// Rows per frontier block.
+    pub block_rows: usize,
+    /// `deps[blk][dep]`: some row of block `blk` is in `dep` or gathers
+    /// from a row in `dep`.
+    pub deps: Vec<Vec<bool>>,
+    /// `Σ_t w(s,t)²` per row.
+    pub squared_weight_degrees: Vec<f64>,
+    /// `Σ_t w(s,t)` per row.
+    pub row_sums: Vec<f64>,
+}
+
+/// A sum in the workspace's canonical 4-lane order, as a plain loop: term
+/// `p` goes to lane `p mod 4`, and the lanes reduce as
+/// `(l0 + l1) + (l2 + l3)`.
+fn lane_sum(terms: impl Iterator<Item = f64>) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    for (p, t) in terms.enumerate() {
+        lanes[p % 4] += t;
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+}
+
+/// [`Invariants`] of `adj`, blocked like the library's plan.
+pub fn invariants_oracle(adj: &CsrMatrix) -> Invariants {
+    let n = adj.n_rows();
+    let block_rows = FrontierPlan::block_rows_for(n);
+    let n_blocks = n.div_ceil(block_rows);
+    let mut deps = vec![vec![false; n_blocks]; n_blocks];
+    let mut squared_weight_degrees = Vec::with_capacity(n);
+    let mut row_sums = Vec::with_capacity(n);
+    for r in 0..n {
+        let blk = r / block_rows;
+        deps[blk][blk] = true;
+        for (c, _) in adj.row_iter(r) {
+            deps[blk][c / block_rows] = true;
+        }
+        squared_weight_degrees.push(lane_sum(adj.row_iter(r).map(|(_, w)| w * w)));
+        row_sums.push(lane_sum(adj.row_iter(r).map(|(_, w)| w)));
+    }
+    Invariants {
+        block_rows,
+        deps,
+        squared_weight_degrees,
+        row_sums,
+    }
+}
+
+/// Asserts `op`'s invariants equal `want` bit for bit, and that each is
+/// built once: a second call borrows the same value.
+pub fn assert_invariants<A: PropagationOperator + ?Sized>(op: &A, want: &Invariants, label: &str) {
+    let plan = op.frontier_plan();
+    assert!(
+        std::ptr::eq(plan, op.frontier_plan()),
+        "{label}: plan rebuilt"
+    );
+    assert_eq!(plan.n_rows(), op.n_rows(), "{label}: plan rows");
+    assert_eq!(plan.block_rows(), want.block_rows, "{label}: block size");
+    assert_eq!(plan.n_blocks(), want.deps.len(), "{label}: block count");
+    for (blk, row) in want.deps.iter().enumerate() {
+        for (dep, &expected) in row.iter().enumerate() {
+            // Block `blk` is active under a summary holding only `dep`
+            // exactly when it depends on `dep`.
+            let mut summary = NodeBitset::new(plan.n_blocks());
+            summary.set(dep);
+            assert_eq!(
+                plan.block_active(blk, &summary),
+                expected,
+                "{label}: block {blk} on block {dep}"
+            );
+        }
+    }
+    for (name, got, again, want) in [
+        (
+            "squared-weight degrees",
+            op.squared_weight_degrees(),
+            op.squared_weight_degrees(),
+            &want.squared_weight_degrees,
+        ),
+        ("row sums", op.row_sums(), op.row_sums(), &want.row_sums),
+    ] {
+        assert!(std::ptr::eq(got, again), "{label}: {name} rebuilt");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{label}: {name}");
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! Deliberately small: just enough standard-SQL vocabulary (selection,
 //! projection, equi-join, anti-join, grouped aggregation, union) to express
-//! Algorithms 1–4 of the paper, with hash joins keyed on integer columns —
-//! node ids and class ids, exactly like the paper's `A(s,t,w)`,
-//! `E(v,c,b)`, `H(c1,c2,h)` schemas.
+//! Algorithms 1–4 of the paper. Joins, groups, anti-joins and upserts key
+//! on the canonical key of `key.rs` (exact integers; an integral float
+//! equals its integer) — in the paper's `A(s,t,w)`, `E(v,c,b)`,
+//! `H(c1,c2,h)` schemas always integer node and class ids.
 
+use crate::key::{Key, KeyIndex, KeyMap, KeySet};
 use crate::stats::TableStats;
 use lsbp_linalg::{even_ranges, ParallelismConfig};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A cell value: SQL `BIGINT` or `DOUBLE PRECISION`.
@@ -214,14 +215,11 @@ impl Table {
         out
     }
 
-    fn key_of(row: &[Value], key_idx: &[usize]) -> Vec<i64> {
-        key_idx.iter().map(|&i| row[i].as_int()).collect()
-    }
-
     /// Hash equi-join with fused projection:
     /// `SELECT f(l, r) FROM self l JOIN other r ON l.keys = r.keys`.
     ///
-    /// Join keys must be integer columns. The projection closure receives
+    /// Keys match by canonical key equality (exact integers; an integral
+    /// float equals its integer). The projection closure receives
     /// the matched `(left_row, right_row)` pair and emits an output row.
     /// Always serial — [`Table::join_map_with`] is the configurable
     /// variant this delegates to.
@@ -271,28 +269,17 @@ impl Table {
         } else {
             (other, &other_idx, self, &self_idx, false)
         };
-        let mut index: HashMap<Vec<i64>, Vec<usize>> = HashMap::with_capacity(build.len());
-        let mut max_bucket = 0usize;
-        for (i, r) in build.rows.iter().enumerate() {
-            let bucket = index.entry(Self::key_of(r, build_idx)).or_default();
-            bucket.push(i);
-            max_bucket = max_bucket.max(bucket.len());
-        }
+        let index = KeyIndex::build(build.len(), |i| Key::of(&build.rows[i], build_idx));
         // Degree-based pessimistic output bound: every probe row matches at
         // most the largest build bucket. Capped so a hub key on a huge probe
         // side cannot pre-allocate gigabytes for a join that mostly misses.
-        let reserve_bound = probe.len().saturating_mul(max_bucket).min(1 << 20);
+        let reserve_bound = probe.len().saturating_mul(index.max_bucket()).min(1 << 20);
         let probe_chunk = |rows: &[Vec<Value>]| -> Vec<Vec<Value>> {
             let mut out = Vec::new();
             for r in rows {
-                if let Some(matches) = index.get(&Self::key_of(r, probe_idx)) {
-                    for &i in matches {
-                        out.push(if probe_is_left {
-                            f(r, &build.rows[i])
-                        } else {
-                            f(&build.rows[i], r)
-                        });
-                    }
+                for &i in index.get(&Key::of(r, probe_idx)) {
+                    let b = &build.rows[i as usize];
+                    out.push(if probe_is_left { f(r, b) } else { f(b, r) });
                 }
             }
             out
@@ -312,24 +299,22 @@ impl Table {
     pub fn anti_join(&self, other: &Table, self_keys: &[&str], other_keys: &[&str]) -> Table {
         let self_idx: Vec<usize> = self_keys.iter().map(|k| self.col(k)).collect();
         let other_idx: Vec<usize> = other_keys.iter().map(|k| other.col(k)).collect();
-        let index: std::collections::HashSet<Vec<i64>> = other
-            .rows
-            .iter()
-            .map(|r| Self::key_of(r, &other_idx))
-            .collect();
+        let index: KeySet = other.rows.iter().map(|r| Key::of(r, &other_idx)).collect();
         Table::from_rows(
             format!("{}∖{}", self.name, other.name),
             self.columns.clone(),
             self.rows
                 .iter()
-                .filter(|r| !index.contains(&Self::key_of(r, &self_idx)))
+                .filter(|r| !index.contains(&Key::of(r, &self_idx)))
                 .cloned()
                 .collect(),
         )
     }
 
-    /// `GROUP BY keys` with a single aggregate over `expr(row)`.
-    /// Output columns: the key columns followed by `agg_name`.
+    /// `GROUP BY keys` with a single aggregate over `expr(row)`, folded in
+    /// row order. Output columns: the key columns in canonical key form
+    /// (an integral float reads back as `Int`) followed by `agg_name`, one
+    /// row per group in ascending key order.
     pub fn group_by_agg(
         &self,
         name: &str,
@@ -339,9 +324,9 @@ impl Table {
         expr: impl Fn(&[Value]) -> Value,
     ) -> Table {
         let key_idx: Vec<usize> = keys.iter().map(|k| self.col(k)).collect();
-        let mut groups: HashMap<Vec<i64>, Value> = HashMap::new();
+        let mut groups: KeyMap<Value> = KeyMap::default();
         for r in &self.rows {
-            let key = Self::key_of(r, &key_idx);
+            let key = Key::of(r, &key_idx);
             let v = expr(r);
             groups
                 .entry(key)
@@ -356,10 +341,10 @@ impl Table {
         let mut out = Table::new(name, &out_cols);
         out.reserve(groups.len());
         // Deterministic output order: sort by key.
-        let mut entries: Vec<(Vec<i64>, Value)> = groups.into_iter().collect();
+        let mut entries: Vec<(Key, Value)> = groups.into_iter().collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         for (key, v) in entries {
-            let mut row: Vec<Value> = key.into_iter().map(Value::Int).collect();
+            let mut row: Vec<Value> = (0..key.len()).map(|i| key.value(i)).collect();
             row.push(v);
             out.push(row);
         }
@@ -385,7 +370,7 @@ impl Table {
         )
     }
 
-    /// Upsert by integer key columns: rows of `updates` replace any
+    /// Upsert by key columns: rows of `updates` replace any
     /// existing rows of `self` with the same key, otherwise insert — the
     /// paper's `!T(…)` notation (Fig. 9d: `DELETE … WHERE key IN updates;
     /// INSERT updates`).
@@ -397,18 +382,14 @@ impl Table {
         );
         let self_idx: Vec<usize> = keys.iter().map(|k| self.col(k)).collect();
         let upd_idx: Vec<usize> = keys.iter().map(|k| updates.col(k)).collect();
-        let updated: std::collections::HashSet<Vec<i64>> = updates
-            .rows
-            .iter()
-            .map(|r| Self::key_of(r, &upd_idx))
-            .collect();
+        let updated: KeySet = updates.rows.iter().map(|r| Key::of(r, &upd_idx)).collect();
         // Incremental like `push`: the per-column frequency maps are exact
         // reference counts, so deleted rows are un-observed and inserted
         // rows observed — cost proportional to the rows touched, not to the
         // whole table.
         let stats = &mut self.stats;
         self.rows.retain(|r| {
-            let keep = !updated.contains(&Self::key_of(r, &self_idx));
+            let keep = !updated.contains(&Key::of(r, &self_idx));
             if !keep {
                 stats.forget_row(r);
             }

@@ -1,8 +1,8 @@
 //! Executor for the SQL dialect of [`crate::parser`], over a named-table
 //! [`Database`].
 //!
-//! Multi-way SELECTs run through the cost-bounded planner
-//! (Planner → [`Plan`] → executor):
+//! Every SELECT runs through the cost-bounded planner (Planner → [`Plan`]
+//! → executor) and one push pipeline:
 //!
 //! 1. **Classification** — every WHERE conjunct is resolved against the
 //!    full FROM schema and classified: single-source predicates are
@@ -13,24 +13,36 @@
 //! 2. **Ordering** — [`crate::plan::order_joins`] picks a left-deep join
 //!    order minimizing pessimistic (worst-case) cardinality bounds built
 //!    from the per-table statistics every [`Table`] maintains.
-//! 3. **Execution** — hash joins build their index on whichever input is
-//!    actually smaller at run time and `reserve` output capacity from
-//!    the planner's bound; `[NOT] IN (SELECT …)` becomes a hashed
-//!    semi/anti-filter; `GROUP BY` hashes group keys and folds
-//!    `SUM`/`MIN`/`MAX` deterministically (groups sorted by key).
+//! 3. **Execution** — FROM sources are scanned by borrow; a source with
+//!    pushed predicates yields only its surviving rows. Each prefix join
+//!    of the chain materializes into one flat row buffer. The last hash
+//!    join, or the lone scan of a one-source query, materializes nothing:
+//!    it pushes each output row, as one reused row slice, through the
+//!    residual filters into the root consumer. Hash joins build their
+//!    index on whichever input is smaller at run time; the probe side
+//!    keeps its row order and each probe row meets its matches in build
+//!    order. `[NOT] IN (SELECT …)` becomes a hashed semi/anti-filter.
+//! 4. **Root consumer** — either a projection that appends to the result,
+//!    or a streaming `GROUP BY`. A group's first row opens it and
+//!    evaluates the non-aggregate items; `SUM`/`MIN`/`MAX` fold every
+//!    row in arrival order. Groups are emitted in ascending key order.
 //!
-//! The result's *content* (row multiset) is identical to the naive fixed
-//! left-to-right strategy, which is kept as
-//! [`Database::run_select_fixed`] — the reference baseline the property
-//! and plan-quality tests compare against. For non-aggregate queries the
-//! planned result is the same multiset bit for bit; for float `SUM`
-//! aggregates the join order determines the accumulation order, so sums
-//! agree to rounding (see README "Query planner").
+//! Join keys, group keys and `IN`-sets use the canonical key of
+//! `key.rs`: integers compare exactly (2⁵³ ≠ 2⁵³ + 1), an integral float
+//! equals its integer, and `−0.0` = `0.0`. WHERE comparisons use the same
+//! exact numeric order.
+//!
+//! The result's row multiset does not depend on the join order. The fold
+//! order of an aggregate is the order rows leave the last join, so for
+//! float `SUM`s the chosen order fixes the rounding (see README "Query
+//! planner"); it never depends on the thread count.
 //!
 //! `EXPLAIN SELECT …` ([`Database::explain`]) runs the query and renders
-//! the plan tree with each node's bound next to its actual cardinality.
+//! the plan tree with each node's bound next to its actual cardinality;
+//! the last join's actual counts the rows streamed through it.
 
 use crate::engine::{Table, Value};
+use crate::key::{numeric_cmp, Key, KeyIndex, KeyMap, KeySet};
 use crate::parser::{
     parse, parse_script, AggregateFun, ColumnRef, Expr, ParseError, Predicate, Select, SelectItem,
     Statement, TableRef,
@@ -38,7 +50,8 @@ use crate::parser::{
 use crate::plan::{order_joins, JoinEdge, NodeActual, Plan, PlanNode, SourceEstimate};
 use lsbp_linalg::ParallelismConfig;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// Execution errors.
 #[derive(Clone, Debug, PartialEq)]
@@ -227,8 +240,7 @@ impl Database {
                 let source = self
                     .tables
                     .get(table)
-                    .ok_or_else(|| SqlError::UnknownTable(table.clone()))?
-                    .clone();
+                    .ok_or_else(|| SqlError::UnknownTable(table.clone()))?;
                 let schema: BoundSchema = source
                     .columns()
                     .iter()
@@ -265,14 +277,8 @@ impl Database {
     }
 
     /// Binds FROM sources to `(alias, table)` pairs: named tables are
-    /// borrowed from the catalog, subqueries are materialized. `fixed`
-    /// routes subqueries through the fixed strategy so the baseline stays
-    /// planner-free end to end.
-    fn bind_sources(
-        &self,
-        sel: &Select,
-        fixed: bool,
-    ) -> Result<Vec<(String, Cow<'_, Table>)>, SqlError> {
+    /// borrowed from the catalog, subqueries are materialized.
+    fn bind_sources(&self, sel: &Select) -> Result<Vec<(String, Cow<'_, Table>)>, SqlError> {
         let mut sources = Vec::with_capacity(sel.from.len());
         for tr in &sel.from {
             match tr {
@@ -285,11 +291,7 @@ impl Database {
                     sources.push((alias, Cow::Borrowed(t)));
                 }
                 TableRef::Subquery { query, alias } => {
-                    let t = if fixed {
-                        self.run_select_fixed(query, alias)?
-                    } else {
-                        self.run_select(query, alias)?
-                    };
+                    let t = self.run_select(query, alias)?;
                     sources.push((alias.clone(), Cow::Owned(t)));
                 }
             }
@@ -306,7 +308,7 @@ impl Database {
         out_name: &str,
     ) -> Result<(Table, Plan, Vec<NodeActual>), SqlError> {
         // 1. Bind FROM sources and lay out the global (FROM-order) schema.
-        let sources = self.bind_sources(sel, false)?;
+        let sources = self.bind_sources(sel)?;
         let n = sources.len();
         let local_schemas: Vec<BoundSchema> = sources
             .iter()
@@ -359,8 +361,57 @@ impl Database {
         }
         let order = order_joins(&ests, &edges);
 
-        // 4. Execute the left-deep chain, building the plan tree and
-        // actual cardinalities as we go.
+        // 4. The executed row layout is the sources in join order; the
+        // residual filters and the root consumer compile against it. The
+        // wildcard still expands in FROM order.
+        let mut exec_schema: BoundSchema = Vec::new();
+        let mut pos_of_source: Vec<usize> = vec![0; n];
+        for s in std::iter::once(order.first).chain(order.steps.iter().map(|st| st.source)) {
+            pos_of_source[s] = exec_schema.len();
+            exec_schema.extend(local_schemas[s].iter().cloned());
+        }
+        let wildcard: Vec<(String, usize)> = global_schema
+            .iter()
+            .enumerate()
+            .map(|(g, (_, col))| (col.clone(), pos_of_source[source_of[g]] + local_col[g]))
+            .collect();
+        let grouped = !sel.group_by.is_empty()
+            || sel
+                .items
+                .iter()
+                .any(|i| matches!(i, SelectItem::Aggregate { .. }));
+        let (names, evals) = self.compile_items(sel, &exec_schema, &wildcard)?;
+        let root = if grouped {
+            if evals.iter().any(|e| matches!(e, ItemEval::All(_))) {
+                return Err(SqlError::Unsupported("SELECT * with GROUP BY".into()));
+            }
+            let key_cols = sel
+                .group_by
+                .iter()
+                .map(|c| resolve(&exec_schema, c))
+                .collect::<Result<_, _>>()?;
+            Root::Group(Grouping {
+                key_cols,
+                evals,
+                groups: KeyMap::default(),
+                cells: Vec::new(),
+            })
+        } else {
+            Root::Project {
+                evals,
+                rows: Vec::new(),
+            }
+        };
+        let mut sink = Sink {
+            filters: self.compile_predicate_refs(&residual, &exec_schema)?,
+            streamed: 0,
+            passed: 0,
+            root,
+        };
+
+        // 5. Execute the left-deep chain, building the plan tree and
+        // actual cardinalities as we go. Prefix joins materialize; the
+        // last join (or the lone scan) streams into the sink.
         let mut actuals: Vec<NodeActual> = Vec::new();
         let new_node = |actuals: &mut Vec<NodeActual>| -> usize {
             actuals.push(NodeActual::default());
@@ -369,7 +420,7 @@ impl Database {
 
         let first = order.first;
         let scan_id = new_node(&mut actuals);
-        let (mut rows, mut cur_node) = self.scan_source(
+        let (mut prefix, mut cur_node) = self.scan_source(
             &sources[first].0,
             &sources[first].1,
             &local_schemas[first],
@@ -377,17 +428,21 @@ impl Database {
             ests[first].rows,
             scan_id,
         )?;
-        actuals[scan_id].rows = Some(rows.len());
-        let mut exec_schema: BoundSchema = local_schemas[first].clone();
-        let mut pos_of_source: Vec<Option<usize>> = vec![None; n];
-        pos_of_source[first] = Some(0);
+        actuals[scan_id].rows = Some(prefix.len());
+        if order.steps.is_empty() {
+            for i in 0..prefix.len() {
+                sink.push(prefix.row(i));
+            }
+        }
+        let mut in_prefix = vec![false; n];
+        in_prefix[first] = true;
         let mut width = local_schemas[first].len();
         let mut edge_used = vec![false; edges.len()];
 
-        for step in &order.steps {
+        for (si, step) in order.steps.iter().enumerate() {
             let t = step.source;
             let right_id = new_node(&mut actuals);
-            let (right_rows, right_node) = self.scan_source(
+            let (right, right_node) = self.scan_source(
                 &sources[t].0,
                 &sources[t].1,
                 &local_schemas[t],
@@ -395,7 +450,7 @@ impl Database {
                 ests[t].rows,
                 right_id,
             )?;
-            actuals[right_id].rows = Some(right_rows.len());
+            actuals[right_id].rows = Some(right.len());
             // Join keys: every unused edge connecting t to the prefix.
             let mut left_keys = Vec::new();
             let mut right_keys = Vec::new();
@@ -404,24 +459,39 @@ impl Database {
                 if edge_used[ei] {
                     continue;
                 }
-                let (pe, te) = if e.a.0 == t && pos_of_source[e.b.0].is_some() {
+                let (pe, te) = if e.a.0 == t && in_prefix[e.b.0] {
                     (e.b, e.a)
-                } else if e.b.0 == t && pos_of_source[e.a.0].is_some() {
+                } else if e.b.0 == t && in_prefix[e.a.0] {
                     (e.a, e.b)
                 } else {
                     continue;
                 };
-                left_keys.push(pos_of_source[pe.0].expect("prefix member") + pe.1);
+                left_keys.push(pos_of_source[pe.0] + pe.1);
                 right_keys.push(te.1);
                 key_strs.push(edge_strs[ei].clone());
                 edge_used[ei] = true;
             }
             let join_id = new_node(&mut actuals);
-            let reserve = step.bound.max(0.0).min((1usize << 20) as f64) as usize;
-            let (joined, built_on_right) =
-                hash_join(&rows, &right_rows, &left_keys, &right_keys, Some(reserve));
-            rows = joined;
-            actuals[join_id].rows = Some(rows.len());
+            let out_width = width + local_schemas[t].len();
+            let join = HashJoin::new(&prefix, &right, &left_keys, &right_keys);
+            let built_on_right = join.built_on_right;
+            let rows = if si + 1 == order.steps.len() {
+                let mut row = Vec::with_capacity(out_width);
+                join.for_each(|l, r| {
+                    row.clear();
+                    row.extend_from_slice(l);
+                    row.extend_from_slice(r);
+                    sink.push(&row);
+                });
+                sink.streamed
+            } else {
+                let hint = step.bound.max(0.0).min((1usize << 20) as f64) as usize;
+                let joined = join.materialize(out_width, hint);
+                let rows = joined.len();
+                prefix = joined;
+                rows
+            };
+            actuals[join_id].rows = Some(rows);
             actuals[join_id].note = Some(format!(
                 "build={}",
                 if built_on_right {
@@ -430,9 +500,8 @@ impl Database {
                     "prefix"
                 }
             ));
-            pos_of_source[t] = Some(width);
-            width += local_schemas[t].len();
-            exec_schema.extend(local_schemas[t].iter().cloned());
+            in_prefix[t] = true;
+            width = out_width;
             cur_node = PlanNode::HashJoin {
                 id: join_id,
                 left: Box::new(cur_node),
@@ -442,12 +511,10 @@ impl Database {
             };
         }
 
-        // 5. Residual filters above the join tree.
+        // 6. Residual filters above the join tree (applied in the sink).
         if !residual.is_empty() {
-            let filters = self.compile_predicate_refs(&residual, &exec_schema)?;
-            rows.retain(|r| filters.iter().all(|f| f(r)));
             let id = new_node(&mut actuals);
-            actuals[id].rows = Some(rows.len());
+            actuals[id].rows = Some(sink.passed);
             let bound = cur_node.bound();
             cur_node = PlanNode::Filter {
                 id,
@@ -457,24 +524,10 @@ impl Database {
             };
         }
 
-        // 6. Project / aggregate. The wildcard expands in FROM order even
-        // though the executed row layout follows the join order.
-        let wildcard: Vec<(String, usize)> = global_schema
-            .iter()
-            .enumerate()
-            .map(|(g, (_, col))| {
-                let pos = pos_of_source[source_of[g]].expect("all sources joined") + local_col[g];
-                (col.clone(), pos)
-            })
-            .collect();
-        let has_aggregate = sel
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Aggregate { .. }));
+        // 7. The root consumer's node and result.
         let input_bound = cur_node.bound();
         let root_id = new_node(&mut actuals);
-        let (result, root) = if has_aggregate || !sel.group_by.is_empty() {
-            let out = self.project_grouped(sel, &exec_schema, &wildcard, &rows, out_name)?;
+        let root = if grouped {
             // Groups cannot exceed the product of the group columns'
             // distinct-count bounds (empty product = 1: a pure aggregate).
             let mut group_bound = 1.0f64;
@@ -487,23 +540,21 @@ impl Database {
                     break;
                 }
             }
-            let node = PlanNode::Aggregate {
+            PlanNode::Aggregate {
                 id: root_id,
                 input: Box::new(cur_node),
                 group_by: sel.group_by.iter().map(|c| c.to_string()).collect(),
                 bound: group_bound.min(input_bound),
-            };
-            (out, node)
+            }
         } else {
-            let out = self.project_plain(sel, &exec_schema, &wildcard, &rows, out_name)?;
-            let node = PlanNode::Project {
+            PlanNode::Project {
                 id: root_id,
                 input: Box::new(cur_node),
                 items: sel.items.iter().map(|i| i.to_string()).collect(),
                 bound: input_bound,
-            };
-            (out, node)
+            }
         };
+        let result = sink.root.finish(out_name, &names);
         actuals[root_id].rows = Some(result.len());
         let plan = Plan {
             root,
@@ -513,23 +564,24 @@ impl Database {
     }
 
     /// Scans one FROM source with its pushed-down predicates applied
-    /// inside the shard-segment scan, returning the surviving rows and
-    /// the plan's Scan node.
-    fn scan_source(
+    /// inside the shard-segment scan, returning the surviving rows (the
+    /// table's own rows, borrowed, when nothing is pushed) and the plan's
+    /// Scan node.
+    fn scan_source<'t>(
         &self,
         alias: &str,
-        table: &Table,
+        table: &'t Table,
         local_schema: &BoundSchema,
         pushed: &[&Predicate],
         bound: f64,
         id: usize,
-    ) -> Result<(Vec<Vec<Value>>, PlanNode), SqlError> {
+    ) -> Result<(RowSet<'t>, PlanNode), SqlError> {
         let rows = if pushed.is_empty() {
-            table.rows().to_vec()
+            Cow::Borrowed(table.rows())
         } else {
             let filters = self.compile_predicate_refs(pushed, local_schema)?;
             let pred = move |r: &[Value]| filters.iter().all(|f| f(r));
-            table.filter_rows_with(&pred, &self.parallelism)
+            Cow::Owned(table.filter_rows_with(&pred, &self.parallelism))
         };
         let node = PlanNode::Scan {
             id,
@@ -538,192 +590,7 @@ impl Database {
             pushed: pushed.iter().map(|p| p.to_string()).collect(),
             bound,
         };
-        Ok((rows, node))
-    }
-
-    /// Runs a SELECT with the pre-planner fixed strategy: FROM sources
-    /// join strictly left to right on whatever equality predicates bridge
-    /// the prefix to the next source, all other predicates filter after
-    /// the joins. Kept as the reference baseline the planner is tested
-    /// against (`tests/query_planner.rs`); results have the same row
-    /// multiset as [`Database::run_select`].
-    pub fn run_select_fixed(&self, sel: &Select, out_name: &str) -> Result<Table, SqlError> {
-        // 1. Bind FROM sources.
-        let sources = self.bind_sources(sel, true)?;
-
-        // 2. Join left-to-right using connecting equality predicates.
-        let mut consumed = vec![false; sel.predicates.len()];
-        let (first_alias, first_table) = &sources[0];
-        let mut schema: BoundSchema = first_table
-            .columns()
-            .iter()
-            .map(|c| (first_alias.clone(), c.clone()))
-            .collect();
-        let mut rows: Vec<Vec<Value>> = first_table.rows().to_vec();
-        for (alias, table) in sources.iter().skip(1) {
-            let new_schema: BoundSchema = table
-                .columns()
-                .iter()
-                .map(|c| (alias.clone(), c.clone()))
-                .collect();
-            // Find equality predicates bridging the current prefix and the
-            // new source.
-            let mut left_keys: Vec<usize> = Vec::new();
-            let mut right_keys: Vec<usize> = Vec::new();
-            for (pi, pred) in sel.predicates.iter().enumerate() {
-                if consumed[pi] {
-                    continue;
-                }
-                if let Predicate::Compare(Expr::Column(a), op, Expr::Column(b)) = pred {
-                    if op != "=" {
-                        continue;
-                    }
-                    let a_left = resolve(&schema, a).ok();
-                    let a_right = resolve(&new_schema, a).ok();
-                    let b_left = resolve(&schema, b).ok();
-                    let b_right = resolve(&new_schema, b).ok();
-                    if let (Some(l), Some(r)) = (a_left, b_right) {
-                        left_keys.push(l);
-                        right_keys.push(r);
-                        consumed[pi] = true;
-                    } else if let (Some(l), Some(r)) = (b_left, a_right) {
-                        left_keys.push(l);
-                        right_keys.push(r);
-                        consumed[pi] = true;
-                    }
-                }
-            }
-            rows = hash_join(&rows, table.rows(), &left_keys, &right_keys, None).0;
-            schema.extend(new_schema);
-        }
-
-        // 3. Remaining predicates as filters.
-        let remaining: Vec<&Predicate> = sel
-            .predicates
-            .iter()
-            .enumerate()
-            .filter(|(pi, _)| !consumed[*pi])
-            .map(|(_, p)| p)
-            .collect();
-        if !remaining.is_empty() {
-            let filters = self.compile_predicate_refs(&remaining, &schema)?;
-            rows.retain(|r| filters.iter().all(|f| f(r)));
-        }
-
-        // 4. Project / aggregate (wildcard = schema order, which here is
-        // FROM order).
-        let wildcard: Vec<(String, usize)> = schema
-            .iter()
-            .enumerate()
-            .map(|(i, (_, c))| (c.clone(), i))
-            .collect();
-        let has_aggregate = sel
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Aggregate { .. }));
-        if has_aggregate || !sel.group_by.is_empty() {
-            self.project_grouped(sel, &schema, &wildcard, &rows, out_name)
-        } else {
-            self.project_plain(sel, &schema, &wildcard, &rows, out_name)
-        }
-    }
-
-    fn project_plain(
-        &self,
-        sel: &Select,
-        schema: &BoundSchema,
-        wildcard: &[(String, usize)],
-        rows: &[Vec<Value>],
-        out_name: &str,
-    ) -> Result<Table, SqlError> {
-        let (names, evals) = self.compile_items(sel, schema, wildcard)?;
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut out = Table::new(out_name, &name_refs);
-        out.reserve(rows.len());
-        for r in rows {
-            let mut row = Vec::with_capacity(evals.len());
-            for ev in &evals {
-                match ev {
-                    ItemEval::Scalar(f) => row.push(f(r)),
-                    ItemEval::All(positions) => row.extend(positions.iter().map(|&i| r[i])),
-                    ItemEval::Agg(..) => unreachable!("plain projection"),
-                }
-            }
-            out.push(row);
-        }
-        Ok(out)
-    }
-
-    fn project_grouped(
-        &self,
-        sel: &Select,
-        schema: &BoundSchema,
-        wildcard: &[(String, usize)],
-        rows: &[Vec<Value>],
-        out_name: &str,
-    ) -> Result<Table, SqlError> {
-        let (names, evals) = self.compile_items(sel, schema, wildcard)?;
-        if evals.iter().any(|e| matches!(e, ItemEval::All(_))) {
-            return Err(SqlError::Unsupported("SELECT * with GROUP BY".into()));
-        }
-        let key_idx: Vec<usize> = sel
-            .group_by
-            .iter()
-            .map(|c| resolve(schema, c))
-            .collect::<Result<_, _>>()?;
-        // Group rows (keys hashed by canonical f64 bits).
-        let mut groups: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
-        for (ri, r) in rows.iter().enumerate() {
-            let key: Vec<u64> = key_idx.iter().map(|&i| r[i].as_float().to_bits()).collect();
-            groups.entry(key).or_default().push(ri);
-        }
-        // Aggregate-only queries over zero rows produce zero rows (like the
-        // engine's group_by_agg; good enough for our algorithms).
-        let mut entries: Vec<(Vec<u64>, Vec<usize>)> = groups.into_iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut out = Table::new(out_name, &name_refs);
-        out.reserve(entries.len());
-        for (_, members) in entries {
-            let first = &rows[members[0]];
-            let mut row = Vec::with_capacity(evals.len());
-            for ev in &evals {
-                match ev {
-                    ItemEval::Scalar(f) => row.push(f(first)),
-                    ItemEval::Agg(fun, f) => {
-                        let mut acc: Option<Value> = None;
-                        for &ri in &members {
-                            let v = f(&rows[ri]);
-                            acc = Some(match (acc, fun) {
-                                (None, AggregateFun::Sum) => Value::Float(v.as_float()),
-                                (None, _) => v,
-                                (Some(a), AggregateFun::Sum) => {
-                                    Value::Float(a.as_float() + v.as_float())
-                                }
-                                (Some(a), AggregateFun::Min) => {
-                                    if v.as_float() < a.as_float() {
-                                        v
-                                    } else {
-                                        a
-                                    }
-                                }
-                                (Some(a), AggregateFun::Max) => {
-                                    if v.as_float() > a.as_float() {
-                                        v
-                                    } else {
-                                        a
-                                    }
-                                }
-                            });
-                        }
-                        row.push(acc.expect("groups are non-empty"));
-                    }
-                    ItemEval::All(_) => unreachable!(),
-                }
-            }
-            out.push(row);
-        }
-        Ok(out)
+        Ok((RowSet::Rows(rows), node))
     }
 
     /// Compiles SELECT items to output names + evaluators. `wildcard`
@@ -779,20 +646,18 @@ impl Database {
                 Predicate::Compare(lhs, op, rhs) => {
                     let l = compile_expr(lhs, schema)?;
                     let r = compile_expr(rhs, schema)?;
-                    let op = op.clone();
-                    out.push(Box::new(move |row| {
-                        let a = l(row).as_float();
-                        let b = r(row).as_float();
-                        match op.as_str() {
-                            "=" => a == b,
-                            "<" => a < b,
-                            ">" => a > b,
-                            "<=" => a <= b,
-                            ">=" => a >= b,
-                            "<>" => a != b,
-                            _ => unreachable!("parser only emits known operators"),
-                        }
-                    }));
+                    // Exact numeric order; a NaN operand is unordered, so
+                    // only `<>` holds for it.
+                    let holds: fn(Option<Ordering>) -> bool = match op.as_str() {
+                        "=" => |o| o == Some(Ordering::Equal),
+                        "<" => |o| o == Some(Ordering::Less),
+                        ">" => |o| o == Some(Ordering::Greater),
+                        "<=" => |o| matches!(o, Some(Ordering::Less | Ordering::Equal)),
+                        ">=" => |o| matches!(o, Some(Ordering::Greater | Ordering::Equal)),
+                        "<>" => |o| o != Some(Ordering::Equal),
+                        _ => unreachable!("parser only emits known operators"),
+                    };
+                    out.push(Box::new(move |row| holds(numeric_cmp(l(row), r(row)))));
                 }
                 Predicate::InSubquery {
                     expr,
@@ -803,16 +668,11 @@ impl Database {
                     if sub.columns().is_empty() {
                         return Err(SqlError::Unsupported("IN over zero-column subquery".into()));
                     }
-                    let set: HashSet<u64> = sub
-                        .rows()
-                        .iter()
-                        .map(|r| r[0].as_float().to_bits())
-                        .collect();
+                    let set: KeySet = sub.rows().iter().map(|r| Key::single(r[0])).collect();
                     let e = compile_expr(expr, schema)?;
                     let negated = *negated;
                     out.push(Box::new(move |row| {
-                        let hit = set.contains(&e(row).as_float().to_bits());
-                        hit != negated
+                        set.contains(&Key::single(e(row))) != negated
                     }));
                 }
             }
@@ -988,75 +848,255 @@ fn compile_expr(expr: &Expr, schema: &BoundSchema) -> Result<RowExpr, SqlError> 
     })
 }
 
-/// Hash join of materialized row sets on canonical-f64 keys; with no keys
-/// it degrades to the cross product (comma-join without a bridge). The
-/// hash index is always built on the smaller input (the probe side keeps
-/// its row order); the output layout is `left ++ right` regardless of
-/// build side. `bound_hint` (the planner's pessimistic output bound)
-/// sizes the output reservation, tightened by the build side's max
-/// bucket and capped so a bad bound cannot pre-allocate unbounded
-/// memory. Returns the rows plus whether the build side was `right`.
-fn hash_join(
-    left: &[Vec<Value>],
-    right: &[Vec<Value>],
-    left_keys: &[usize],
-    right_keys: &[usize],
-    bound_hint: Option<usize>,
-) -> (Vec<Vec<Value>>, bool) {
-    if left_keys.is_empty() {
-        let mut out = Vec::with_capacity(left.len().saturating_mul(right.len()).min(1 << 20));
-        for l in left {
-            for r in right {
-                let mut row = l.clone();
-                row.extend(r.iter().copied());
-                out.push(row);
-            }
+/// A FROM source's scanned rows, or a materialized join prefix.
+enum RowSet<'a> {
+    /// A catalog table's rows by borrow, or a pushed-down scan's
+    /// survivors.
+    Rows(Cow<'a, [Vec<Value>]>),
+    /// A join prefix: `rows` rows of `width` values each, row-major.
+    Flat {
+        data: Vec<Value>,
+        width: usize,
+        rows: usize,
+    },
+}
+
+impl RowSet<'_> {
+    fn len(&self) -> usize {
+        match self {
+            RowSet::Rows(r) => r.len(),
+            RowSet::Flat { rows, .. } => *rows,
         }
-        return (out, true);
     }
-    // Build on the smaller side.
-    let built_on_right = right.len() <= left.len();
-    let (build, build_keys, probe, probe_keys) = if built_on_right {
-        (right, right_keys, left, left_keys)
-    } else {
-        (left, left_keys, right, right_keys)
-    };
-    let mut index: HashMap<Vec<u64>, Vec<usize>> = HashMap::with_capacity(build.len());
-    let mut max_bucket = 0usize;
-    for (i, r) in build.iter().enumerate() {
-        let key: Vec<u64> = build_keys
-            .iter()
-            .map(|&k| r[k].as_float().to_bits())
-            .collect();
-        let bucket = index.entry(key).or_default();
-        bucket.push(i);
-        max_bucket = max_bucket.max(bucket.len());
+
+    #[inline]
+    fn row(&self, i: usize) -> &[Value] {
+        match self {
+            RowSet::Rows(r) => &r[i],
+            RowSet::Flat { data, width, .. } => &data[i * width..(i + 1) * width],
+        }
     }
-    let degree_bound = probe.len().saturating_mul(max_bucket);
-    let reserve = bound_hint
-        .map_or(degree_bound, |h| h.min(degree_bound))
-        .min(1 << 20);
-    let mut out = Vec::with_capacity(reserve);
-    for p in probe {
-        let key: Vec<u64> = probe_keys
-            .iter()
-            .map(|&k| p[k].as_float().to_bits())
-            .collect();
-        if let Some(matches) = index.get(&key) {
-            for &i in matches {
-                let mut row;
-                if built_on_right {
-                    row = p.clone();
-                    row.extend(build[i].iter().copied());
-                } else {
-                    row = build[i].clone();
-                    row.extend(p.iter().copied());
+}
+
+/// One hash join of a left and a right row set on canonical keys. The
+/// index is built on the smaller side; the other side probes in row
+/// order, and each probe row meets its matches in ascending build order.
+/// With no keys the join is the cross product, left-major.
+struct HashJoin<'j, 'a> {
+    left: &'j RowSet<'a>,
+    right: &'j RowSet<'a>,
+    probe_keys: &'j [usize],
+    /// `None` for the cross product.
+    index: Option<KeyIndex>,
+    /// Whether the index is on `right` (always, for the cross product).
+    built_on_right: bool,
+}
+
+impl<'j, 'a> HashJoin<'j, 'a> {
+    fn new(
+        left: &'j RowSet<'a>,
+        right: &'j RowSet<'a>,
+        left_keys: &'j [usize],
+        right_keys: &'j [usize],
+    ) -> Self {
+        let built_on_right = left_keys.is_empty() || right.len() <= left.len();
+        let (build, build_keys, probe_keys) = if built_on_right {
+            (right, right_keys, left_keys)
+        } else {
+            (left, left_keys, right_keys)
+        };
+        let index = (!left_keys.is_empty())
+            .then(|| KeyIndex::build(build.len(), |i| Key::of(build.row(i), build_keys)));
+        HashJoin {
+            left,
+            right,
+            probe_keys,
+            index,
+            built_on_right,
+        }
+    }
+
+    /// Calls `emit(left row, right row)` for every output row, in probe
+    /// order.
+    fn for_each(&self, mut emit: impl FnMut(&[Value], &[Value])) {
+        let Some(index) = &self.index else {
+            for i in 0..self.left.len() {
+                let l = self.left.row(i);
+                for j in 0..self.right.len() {
+                    emit(l, self.right.row(j));
                 }
-                out.push(row);
+            }
+            return;
+        };
+        if self.built_on_right {
+            for i in 0..self.left.len() {
+                let p = self.left.row(i);
+                for &b in index.get(&Key::of(p, self.probe_keys)) {
+                    emit(p, self.right.row(b as usize));
+                }
+            }
+        } else {
+            for i in 0..self.right.len() {
+                let p = self.right.row(i);
+                for &b in index.get(&Key::of(p, self.probe_keys)) {
+                    emit(self.left.row(b as usize), p);
+                }
             }
         }
     }
-    (out, built_on_right)
+
+    /// The joined rows in one flat buffer (layout `left ++ right`).
+    /// `bound_hint` (the planner's pessimistic output bound) sizes the
+    /// reservation, tightened by the degree bound (probe rows × the
+    /// largest bucket) and capped so a bad bound cannot pre-allocate
+    /// unbounded memory.
+    fn materialize(self, width: usize, bound_hint: usize) -> RowSet<'static> {
+        let degree_bound = match &self.index {
+            None => self.left.len().saturating_mul(self.right.len()),
+            Some(index) => {
+                let probe = if self.built_on_right {
+                    self.left
+                } else {
+                    self.right
+                };
+                probe.len().saturating_mul(index.max_bucket())
+            }
+        };
+        let reserve = bound_hint.min(degree_bound).saturating_mul(width);
+        let mut data = Vec::with_capacity(reserve.min(1 << 20));
+        let mut rows = 0;
+        self.for_each(|l, r| {
+            data.extend_from_slice(l);
+            data.extend_from_slice(r);
+            rows += 1;
+        });
+        RowSet::Flat { data, width, rows }
+    }
+}
+
+/// Where the rows of the last join, or of a lone scan, go: through the
+/// residual filters into the root consumer.
+struct Sink {
+    filters: Vec<RowPredicate>,
+    /// Rows pushed in.
+    streamed: usize,
+    /// Rows that passed the filters.
+    passed: usize,
+    root: Root,
+}
+
+impl Sink {
+    #[inline]
+    fn push(&mut self, row: &[Value]) {
+        self.streamed += 1;
+        if self.filters.iter().all(|f| f(row)) {
+            self.passed += 1;
+            self.root.push(row);
+        }
+    }
+}
+
+/// The root consumer: a projection appending to the result, or a
+/// streaming `GROUP BY`.
+enum Root {
+    Project {
+        evals: Vec<ItemEval>,
+        rows: Vec<Vec<Value>>,
+    },
+    Group(Grouping),
+}
+
+impl Root {
+    #[inline]
+    fn push(&mut self, row: &[Value]) {
+        match self {
+            Root::Project { evals, rows } => {
+                let mut out = Vec::with_capacity(evals.len());
+                for ev in evals.iter() {
+                    match ev {
+                        ItemEval::Scalar(f) => out.push(f(row)),
+                        ItemEval::All(positions) => out.extend(positions.iter().map(|&i| row[i])),
+                        ItemEval::Agg(..) => unreachable!("plain projection"),
+                    }
+                }
+                rows.push(out);
+            }
+            Root::Group(g) => g.push(row),
+        }
+    }
+
+    fn finish(self, out_name: &str, names: &[String]) -> Table {
+        let rows = match self {
+            Root::Project { rows, .. } => rows,
+            Root::Group(g) => g.finish(),
+        };
+        Table::from_rows(out_name, names.to_vec(), rows)
+    }
+}
+
+/// Streaming `GROUP BY`: a row finds its group by key; a new group
+/// evaluates every item on that first row, and each later row folds every
+/// aggregate in arrival order. Aggregate-only queries over zero rows
+/// produce zero rows (like the engine's `group_by_agg`).
+struct Grouping {
+    key_cols: Vec<usize>,
+    /// Scalar and aggregate items (no wildcard).
+    evals: Vec<ItemEval>,
+    /// Group key → group number.
+    groups: KeyMap<u32>,
+    /// Group `g`'s output row is `cells[g·m..(g + 1)·m]`, `m` =
+    /// `evals.len()`.
+    cells: Vec<Value>,
+}
+
+impl Grouping {
+    #[inline]
+    fn push(&mut self, row: &[Value]) {
+        let fresh = u32::try_from(self.groups.len()).expect("fewer than 2^32 groups");
+        let g = *self
+            .groups
+            .entry(Key::of(row, &self.key_cols))
+            .or_insert(fresh);
+        if g == fresh {
+            self.cells.extend(self.evals.iter().map(|ev| match ev {
+                ItemEval::Scalar(f) => f(row),
+                ItemEval::Agg(AggregateFun::Sum, f) => Value::Float(f(row).as_float()),
+                ItemEval::Agg(_, f) => f(row),
+                ItemEval::All(_) => unreachable!("rejected at compile time"),
+            }));
+            return;
+        }
+        let m = self.evals.len();
+        let cells = &mut self.cells[g as usize * m..(g as usize + 1) * m];
+        for (cell, ev) in cells.iter_mut().zip(&self.evals) {
+            let ItemEval::Agg(fun, f) = ev else {
+                continue;
+            };
+            let v = f(row);
+            let replace = match fun {
+                AggregateFun::Sum => {
+                    *cell = Value::Float(cell.as_float() + v.as_float());
+                    continue;
+                }
+                AggregateFun::Min => numeric_cmp(v, *cell) == Some(Ordering::Less),
+                AggregateFun::Max => numeric_cmp(v, *cell) == Some(Ordering::Greater),
+            };
+            if replace {
+                *cell = v;
+            }
+        }
+    }
+
+    /// The group rows in ascending key order.
+    fn finish(self) -> Vec<Vec<Value>> {
+        let m = self.evals.len();
+        let mut order: Vec<(Key, u32)> = self.groups.into_iter().collect();
+        order.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        order
+            .into_iter()
+            .map(|(_, g)| self.cells[g as usize * m..(g as usize + 1) * m].to_vec())
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -1349,8 +1389,8 @@ mod tests {
 
     /// The planner must defer the hub join (R ⋈ S on k) until after the
     /// selective S ⋈ Sel join — the bound-minimal order on a workload
-    /// where the fixed FROM order is asymptotically worse — while
-    /// producing exactly the fixed strategy's row multiset.
+    /// where the FROM order is asymptotically worse — while producing
+    /// exactly the row multiset of a naive nested-index join.
     #[test]
     fn planner_picks_bound_minimal_order_on_skewed_chain() {
         let db = skewed_chain_db(400, 80);
@@ -1389,9 +1429,95 @@ mod tests {
             }
         }
         check(&plan.root, &actuals);
-        // Identical content to the fixed order.
-        let fixed = db.run_select_fixed(&sel, "result").unwrap();
-        assert_eq!(sorted_rows(&planned), sorted_rows(&fixed));
+        // Identical content to a naive join in FROM order, written out.
+        let ints = |t: &str| -> Vec<Vec<i64>> {
+            let rows = db.table(t).unwrap().rows();
+            rows.iter()
+                .map(|r| r.iter().map(|v| v.as_int()).collect())
+                .collect()
+        };
+        let (r, s, sel_t) = (ints("R"), ints("S"), ints("Sel"));
+        let mut expect: Vec<Vec<u64>> = Vec::new();
+        for rr in &r {
+            for ss in s.iter().filter(|ss| ss[0] == rr[0]) {
+                for tt in sel_t.iter().filter(|tt| tt[0] == ss[1]) {
+                    expect.push(vec![(rr[1] as f64).to_bits(), (tt[0] as f64).to_bits()]);
+                }
+            }
+        }
+        expect.sort_unstable();
+        assert_eq!(sorted_rows(&planned), expect);
+    }
+
+    /// Keys and comparisons are exact: integers never round through
+    /// `f64`, and `−0.0` = `0.0`. Before the canonical key, `R.k = S.k`
+    /// joined 2⁵³ to 2⁵³ + 1 but not `−0.0` to `0.0`, `GROUP BY k` merged
+    /// 2⁵³ and 2⁵³ + 1 but split the zeros, and `IN` matched 2⁵³ against
+    /// {2⁵³ + 1}.
+    #[test]
+    fn keys_compare_integers_exactly_and_zeros_equal() {
+        const BIG: i64 = 1 << 53;
+        let mut db = Database::new();
+        let mut r = Table::new("R", &["k", "v"]);
+        r.push(vec![Value::Int(BIG), Value::Int(1)]);
+        r.push(vec![Value::Float(-0.0), Value::Int(2)]);
+        let mut s = Table::new("S", &["k", "v"]);
+        s.push(vec![Value::Int(BIG + 1), Value::Int(10)]);
+        s.push(vec![Value::Float(0.0), Value::Int(20)]);
+        db.insert_table("R", r);
+        db.insert_table("S", s);
+
+        let joined = db
+            .execute("select R.v, S.v from R, S where R.k = S.k")
+            .unwrap()
+            .unwrap();
+        assert_eq!(joined.rows(), &[vec![Value::Int(2), Value::Int(20)]]);
+
+        db.execute("create table U as select k, v from R").unwrap();
+        db.execute("insert into U select k, v from S").unwrap();
+        let groups = db
+            .execute("select k, sum(v) as t from U group by k")
+            .unwrap()
+            .unwrap();
+        // Ascending numeric key order; the zero group keeps its first
+        // row's key value (R's −0.0).
+        let got: Vec<(f64, f64)> = groups
+            .rows()
+            .iter()
+            .map(|r| (r[0].as_float(), r[1].as_float()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(0.0, 22.0), (BIG as f64, 1.0), ((BIG + 1) as f64, 10.0)]
+        );
+        assert_eq!(
+            groups.rows()[0][0].as_float().to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(groups.rows()[1][0], Value::Int(BIG));
+        assert_eq!(groups.rows()[2][0], Value::Int(BIG + 1));
+
+        let hits = db
+            .execute("select R.v from R where R.k in (select S.k from S)")
+            .unwrap()
+            .unwrap();
+        assert_eq!(hits.rows(), &[vec![Value::Int(2)]]);
+        let misses = db
+            .execute("select R.v from R where R.k not in (select S.k from S)")
+            .unwrap()
+            .unwrap();
+        assert_eq!(misses.rows(), &[vec![Value::Int(1)]]);
+
+        // Int-vs-Int comparisons are exact too, and an integral float
+        // still equals its integer.
+        let mut c = Table::new("C", &["a", "b"]);
+        c.push(vec![Value::Int(BIG), Value::Int(BIG + 1)]);
+        c.push(vec![Value::Int(3), Value::Float(3.0)]);
+        db.insert_table("C", c);
+        let lt = db.execute("select a from C where a < b").unwrap().unwrap();
+        assert_eq!(lt.rows(), &[vec![Value::Int(BIG)]]);
+        let eq = db.execute("select a from C where a = b").unwrap().unwrap();
+        assert_eq!(eq.rows(), &[vec![Value::Int(3)]]);
     }
 
     /// EXPLAIN round-trips through the parser and prints the chosen join

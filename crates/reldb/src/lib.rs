@@ -26,17 +26,26 @@
 //! [`sql::SqlDb::linbp_sql_text`] runs Algorithm 1 end-to-end from SQL
 //! strings alone.
 //!
-//! Multi-way queries run through a cost-bounded planner
+//! Every SELECT runs through a cost-bounded planner
 //! (Planner → [`plan::Plan`] → executor): per-table [`stats::TableStats`]
 //! (distinct counts, max join degrees) are maintained incrementally, the
 //! planner pushes predicates below joins into the shard-segment scan path,
 //! orders joins by *pessimistic* (worst-case, AGM/FD-style) cardinality
-//! bounds, and picks hash-join build sides by size. `EXPLAIN SELECT …`
-//! prints the chosen plan with each node's bound next to its actual
-//! cardinality.
+//! bounds, and picks hash-join build sides by size. The executor is one
+//! push pipeline ([`exec`]): sources are scanned by borrow, prefix joins
+//! materialize into flat row buffers, and the last join streams each row
+//! through the residual filters into a projection or a streaming
+//! `GROUP BY`. `EXPLAIN SELECT …` prints the chosen plan with each node's
+//! bound next to its actual cardinality.
+//!
+//! Joins, groups, `IN`-sets, anti-joins and upserts — in the SQL text path
+//! and in the engine operators alike — key on one canonical key type
+//! (`key.rs`): integers compare exactly, an integral float equals its
+//! integer, and `−0.0` = `0.0`.
 
 pub mod engine;
 pub mod exec;
+mod key;
 pub mod parser;
 pub mod plan;
 pub mod sql;

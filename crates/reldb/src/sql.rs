@@ -132,6 +132,11 @@ impl SqlDb {
         &self.e
     }
 
+    /// The coupling relation `H(c1,c2,h)`.
+    pub fn h(&self) -> &Table {
+        &self.h
+    }
+
     /// `D(v, d)` — `D(s, sum(w·w)) :− A(s, t, w)` (Sect. 5.3).
     pub fn degree_table(&self) -> Table {
         self.a

@@ -1,5 +1,6 @@
 //! Criterion bench for the relational engine (Fig. 7(b)'s columns):
-//! SQL LinBP vs SQL SBP vs ΔSBP on Kronecker graph #1.
+//! SQL LinBP (Algorithm 1's script through the planner and executor) vs
+//! SQL SBP vs ΔSBP (engine operators) on Kronecker graph #1.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lsbp::prelude::*;

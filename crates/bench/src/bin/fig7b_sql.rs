@@ -4,10 +4,12 @@
 //! Protocol (Sect. 7): LinBP runs 5 iterations; SBP runs to termination;
 //! ΔSBP updates 1‰ of the nodes with new explicit beliefs on top of a 5%
 //! labeled graph. Graphs #1–#4 by default; `--max 6` for more. The
-//! relational engine stands in for the paper's disk-based PostgreSQL: its
-//! LinBP costs two orders of magnitude more than the in-memory solve
-//! (graph #3: ≈ 125 ms against ≈ 0.7 ms on a 2-core x86-64 machine), and
-//! each graph up the schedule costs about 4–5× the one before.
+//! relational engine stands in for the paper's disk-based PostgreSQL.
+//! LinBP runs Algorithm 1's SQL script through the query planner and the
+//! pipelined executor, and costs two orders of magnitude more than the
+//! in-memory solve (graph #3: ≈ 60–90 ms against ≈ 0.7 ms on a 2-core
+//! x86-64 machine); each graph up the schedule costs about 4× the one
+//! before.
 //! `cargo run --release -p lsbp-bench --bin fig7b_sql`
 
 use lsbp::prelude::*;

@@ -4,8 +4,9 @@
 //!
 //! Default graphs #1–#4 (`--max N` up to 6). The relational engine
 //! dominates the runtime, as the disk-bound PostgreSQL did in the paper:
-//! on graph #3 its LinBP takes ≈ 125 ms against ≈ 0.7 ms for the
-//! in-memory LinBP (2-core x86-64 machine).
+//! on graph #3 its LinBP (Algorithm 1's SQL script through the planner
+//! and executor) takes ≈ 60–90 ms against ≈ 0.7 ms for the in-memory
+//! LinBP (2-core x86-64 machine).
 //! `cargo run --release -p lsbp-bench --bin fig7c_table`
 
 use lsbp::prelude::*;

@@ -45,34 +45,13 @@ use lsbp_linalg::{
     FixedPointOp, FixedPointSolver, IterationEvent, Mat, ParallelismConfig, StepOutcome,
     ToleranceNorm,
 };
-use lsbp_sparse::{CsrMatrix, FrontierState, FusedLinBpStep, PropagationOperator};
+use lsbp_sparse::{FrontierState, FusedLinBpStep, PropagationOperator};
 
 /// Runs **LinBP** (Eq. 6, with echo cancellation) on `q` independent
-/// seed-sets in one pass: one stacked SpMM per iteration, per-query
-/// convergence masks. Returns one [`LinBpResult`] per query, each bitwise
-/// identical to what [`crate::linbp::linbp`] returns for that query
-/// alone.
-pub fn linbp_batch(
-    adj: &CsrMatrix,
-    queries: &[ExplicitBeliefs],
-    h_residual: &Mat,
-    opts: &LinBpOptions,
-) -> Result<Vec<LinBpResult>, LinBpError> {
-    linbp_batch_run_on(adj, queries, h_residual, opts, true, |_| {})
-}
-
-/// [`linbp_batch`] without the echo-cancellation term (**LinBP\***,
-/// Eq. 7); bitwise identical to per-query [`crate::linbp::linbp_star`].
-pub fn linbp_star_batch(
-    adj: &CsrMatrix,
-    queries: &[ExplicitBeliefs],
-    h_residual: &Mat,
-    opts: &LinBpOptions,
-) -> Result<Vec<LinBpResult>, LinBpError> {
-    linbp_batch_run_on(adj, queries, h_residual, opts, false, |_| {})
-}
-
-/// [`linbp_batch`] against any [`PropagationOperator`].
+/// seed-sets in one pass against any [`PropagationOperator`]: one stacked
+/// SpMM per iteration, per-query convergence masks. Returns one
+/// [`LinBpResult`] per query, each bitwise identical to what
+/// [`crate::linbp::linbp_on`] returns for that query alone.
 pub fn linbp_batch_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     queries: &[ExplicitBeliefs],
@@ -82,7 +61,8 @@ pub fn linbp_batch_on<A: PropagationOperator + ?Sized>(
     linbp_batch_run_on(adj, queries, h_residual, opts, true, |_| {})
 }
 
-/// [`linbp_star_batch`] against any [`PropagationOperator`].
+/// [`linbp_batch_on`] without the echo-cancellation term (**LinBP\***,
+/// Eq. 7); bitwise identical to per-query [`crate::linbp::linbp_star_on`].
 pub fn linbp_star_batch_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     queries: &[ExplicitBeliefs],
@@ -102,7 +82,7 @@ struct QuerySlot {
 }
 
 /// The stacked LinBP update as a [`FixedPointOp`], backed by the fused
-/// kernel ([`CsrMatrix::linbp_step_fused_with`]) applying `Ĥ` per
+/// kernel ([`lsbp_sparse::CsrMatrix::linbp_step_fused_with`]) applying `Ĥ` per
 /// `k`-column block: one row-partitioned pass computes the update,
 /// damping and every query's max-abs residual together. The outer solver
 /// runs in "operator-controlled" mode (`tol = 0`): tolerance and the
@@ -475,19 +455,11 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for RwrBatchIteration<'_, A> 
     }
 }
 
-/// Runs [`crate::rwr::rwr`] on `q` independent seed-sets in one pass: all
-/// `q · k` per-class walks diffuse through a single SpMM per iteration,
-/// with per-walk convergence masks. Returns one [`RwrResult`] per query,
-/// each bitwise identical to the one-query run.
-pub fn rwr_batch(
-    adj: &CsrMatrix,
-    queries: &[ExplicitBeliefs],
-    opts: &RwrOptions,
-) -> Result<Vec<RwrResult>, RwrError> {
-    rwr_batch_on(adj, queries, opts)
-}
-
-/// [`rwr_batch`] against any [`PropagationOperator`].
+/// Runs [`crate::rwr::rwr_on`] on `q` independent seed-sets in one pass
+/// against any [`PropagationOperator`]: all `q · k` per-class walks
+/// diffuse through a single SpMM per iteration, with per-walk convergence
+/// masks. Returns one [`RwrResult`] per query, each bitwise identical to
+/// the one-query run.
 pub fn rwr_batch_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     queries: &[ExplicitBeliefs],
@@ -569,7 +541,7 @@ pub fn rwr_batch_on<A: PropagationOperator + ?Sized>(
 /// Batched incremental maintenance — [`crate::linbp::linbp_update`] over
 /// a batch of `(previous beliefs, explicit-belief delta)` pairs in **one
 /// pass**: the `q` delta seed-sets run through the stacked fused
-/// iteration path exactly like [`linbp_batch`] (one SpMM per round,
+/// iteration path exactly like [`linbp_batch_on`] (one SpMM per round,
 /// per-query freeze masks), and each converged delta solution is added
 /// onto its previous beliefs by linearity (Proposition 7 — see
 /// [`crate::linbp::linbp_update`] for why this is exact).
@@ -585,21 +557,9 @@ pub fn rwr_batch_on<A: PropagationOperator + ?Sized>(
 /// `previous` and `deltas` are parallel slices (pair `j` = query `j`);
 /// `echo` selects LinBP (Eq. 6) vs. LinBP\* (Eq. 7), and divergent delta
 /// runs are returned as-is without touching the previous beliefs, exactly
-/// like the per-query function.
-pub fn linbp_update_batch(
-    adj: &CsrMatrix,
-    previous: &[&BeliefMatrix],
-    deltas: &[ExplicitBeliefs],
-    h_residual: &Mat,
-    opts: &LinBpOptions,
-    echo: bool,
-) -> Result<Vec<LinBpResult>, LinBpError> {
-    linbp_update_batch_on(adj, previous, deltas, h_residual, opts, echo)
-}
-
-/// [`linbp_update_batch`] against any [`PropagationOperator`] — what a
-/// serving deployment holding a prebuilt paged operator in its graph
-/// registry calls on the cache-patching path.
+/// like the per-query function. What a serving deployment holding a
+/// prebuilt operator in its graph registry calls on the cache-patching
+/// path.
 pub fn linbp_update_batch_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     previous: &[&BeliefMatrix],

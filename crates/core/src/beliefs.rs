@@ -205,7 +205,7 @@ impl BeliefMatrix {
     /// seeds of all `k` classes, where the centered coupling rows sum to
     /// 0): SBP's accumulation snaps within-rounding-error entries to exact
     /// zeros so those ties survive floating point (see
-    /// [`crate::sbp`]'s `recompute_belief`).
+    /// [`crate::sbp`](mod@crate::sbp)'s `recompute_belief`).
     pub fn top_beliefs(&self, v: usize, rel_tol: f64) -> Vec<usize> {
         top_of_row(self.mat.row(v), rel_tol)
     }

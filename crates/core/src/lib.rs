@@ -95,8 +95,7 @@ fn paged_options(cfg: &ParallelismConfig) -> lsbp_sparse::PagedOptions {
 /// Convenient re-exports of the main API surface.
 pub mod prelude {
     pub use crate::batch::{
-        linbp_batch, linbp_batch_on, linbp_star_batch, linbp_star_batch_on, linbp_update_batch,
-        linbp_update_batch_on, rwr_batch, rwr_batch_on,
+        linbp_batch_on, linbp_star_batch_on, linbp_update_batch_on, rwr_batch_on,
     };
     pub use crate::beliefs::{BeliefMatrix, ExplicitBeliefs};
     pub use crate::bp::{bp, BpOptions, BpResult};

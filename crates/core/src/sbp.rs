@@ -150,7 +150,7 @@ pub fn sbp(
 /// layer (Lemma 17's DAG points strictly from layer `g` to `g+1`), so a
 /// layer's nodes recompute independently: the parallel path computes them
 /// into disjoint blocks of a per-layer staging buffer and copies the rows
-/// back serially. Each node runs exactly the serial [`recompute_belief`],
+/// back serially. Each node runs exactly the serial `recompute_belief`,
 /// so results are bitwise identical for any thread count.
 pub fn sbp_with(
     adj: &CsrMatrix,

@@ -260,7 +260,7 @@ impl ParallelismConfig {
 
     /// Number of partitions a kernel with `total_work` units should split
     /// into: 1 (serial) when the config is serial or the work is below
-    /// twice the floor, otherwise up to [`PARTS_PER_THREAD`] tasks per
+    /// twice the floor, otherwise up to `PARTS_PER_THREAD` tasks per
     /// worker, never so many that a partition drops under the floor.
     pub fn partitions(&self, total_work: usize) -> usize {
         if self.threads <= 1 || total_work < 2 * self.min_work {

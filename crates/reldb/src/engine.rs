@@ -221,8 +221,8 @@ impl Table {
     /// Keys match by canonical key equality (exact integers; an integral
     /// float equals its integer). The projection closure receives
     /// the matched `(left_row, right_row)` pair and emits an output row.
-    /// Always serial — [`Table::join_map_with`] is the configurable
-    /// variant this delegates to.
+    /// The hash index is built on the smaller side; output rows follow the
+    /// probe side's row order, each probe row's matches in build row order.
     pub fn join_map(
         &self,
         other: &Table,
@@ -230,35 +230,7 @@ impl Table {
         other_keys: &[&str],
         name: &str,
         out_columns: &[&str],
-        f: impl Fn(&[Value], &[Value]) -> Vec<Value> + Sync,
-    ) -> Table {
-        self.join_map_with(
-            other,
-            self_keys,
-            other_keys,
-            name,
-            out_columns,
-            f,
-            &ParallelismConfig::serial(),
-        )
-    }
-
-    /// [`Table::join_map`] with an explicit execution configuration: the
-    /// hash index is built on the smaller side serially, the probe side is
-    /// partitioned into contiguous row chunks probed by independent tasks,
-    /// and chunk outputs are concatenated in order — so the output row
-    /// order is the same for every thread count (serial included:
-    /// [`Table::join_map`] is this method at one thread).
-    #[allow(clippy::too_many_arguments)] // join_map's surface + the config
-    pub fn join_map_with(
-        &self,
-        other: &Table,
-        self_keys: &[&str],
-        other_keys: &[&str],
-        name: &str,
-        out_columns: &[&str],
-        f: impl Fn(&[Value], &[Value]) -> Vec<Value> + Sync,
-        cfg: &ParallelismConfig,
+        f: impl Fn(&[Value], &[Value]) -> Vec<Value>,
     ) -> Table {
         assert_eq!(self_keys.len(), other_keys.len(), "join key arity mismatch");
         let self_idx: Vec<usize> = self_keys.iter().map(|k| self.col(k)).collect();
@@ -274,21 +246,13 @@ impl Table {
         // most the largest build bucket. Capped so a hub key on a huge probe
         // side cannot pre-allocate gigabytes for a join that mostly misses.
         let reserve_bound = probe.len().saturating_mul(index.max_bucket()).min(1 << 20);
-        let probe_chunk = |rows: &[Vec<Value>]| -> Vec<Vec<Value>> {
-            let mut out = Vec::new();
-            for r in rows {
-                for &i in index.get(&Key::of(r, probe_idx)) {
-                    let b = &build.rows[i as usize];
-                    out.push(if probe_is_left { f(r, b) } else { f(b, r) });
-                }
-            }
-            out
-        };
-        let parts = cfg.partitions(probe.len().max(build.len()));
         let mut out = Table::new(name, out_columns);
         out.reserve(reserve_bound);
-        for row in map_chunks_in_order(&probe.rows, parts, cfg, &probe_chunk) {
-            out.push(row);
+        for r in &probe.rows {
+            for &i in index.get(&Key::of(r, probe_idx)) {
+                let b = &build.rows[i as usize];
+                out.push(if probe_is_left { f(r, b) } else { f(b, r) });
+            }
         }
         out
     }
@@ -511,29 +475,6 @@ mod tests {
             vec![r[0], l[1]]
         });
         assert_eq!(j1.len(), j2.len());
-    }
-
-    /// The parallel-probe join produces exactly `join_map`'s rows, in the
-    /// same order, for every thread count.
-    #[test]
-    fn join_map_with_matches_serial() {
-        let a = edges();
-        let mut big = Table::new("big", &["v", "x"]);
-        for i in 0..200 {
-            big.push(vec![Value::Int(i % 3), Value::Float(i as f64)]);
-        }
-        let project = |l: &[Value], r: &[Value]| vec![l[0], r[1]];
-        let serial = big.join_map(&a, &["v"], &["s"], "j", &["v", "w"], project);
-        for threads in [1usize, 2, 8] {
-            let cfg = ParallelismConfig::with_threads(threads).with_min_work(1);
-            let par = big.join_map_with(&a, &["v"], &["s"], "j", &["v", "w"], project, &cfg);
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-        // Probe-side flip (left smaller) must match too.
-        let serial_flip = a.join_map(&big, &["s"], &["v"], "j", &["s", "x"], project);
-        let cfg = ParallelismConfig::with_threads(4).with_min_work(1);
-        let par_flip = a.join_map_with(&big, &["s"], &["v"], "j", &["s", "x"], project, &cfg);
-        assert_eq!(par_flip, serial_flip);
     }
 
     #[test]

@@ -13,18 +13,16 @@
 //! * grouped aggregation (`GROUP BY` + `SUM`/`MIN`, [`Table::group_by_agg`]),
 //! * `UNION ALL` ([`Table::union_all`]), filters and projections —
 //!
-//! and implements Algorithms 1–4 of the paper *purely* in terms of those
-//! operators ([`sql`]). The PostgreSQL deployment of the paper is
-//! substituted by this engine; the relative behaviour the experiments
-//! measure — SBP touches each edge once, LinBP re-scans all of them every
-//! iteration, incremental updates touch only affected regions —
-//! is a property of the query plans, which are identical.
-
-//! A SQL *text* front end is provided on top ([`parser`] + [`exec`]): the
-//! exact statements printed in the paper's Appendix D (Fig. 9a–d) parse
-//! and execute against a [`Database`], and
-//! [`sql::SqlDb::linbp_sql_text`] runs Algorithm 1 end-to-end from SQL
-//! strings alone.
+//! and a SQL *text* front end on top ([`parser`] + [`exec`]): the exact
+//! statements printed in the paper's Appendix D (Fig. 9a–d) parse and
+//! execute against a [`Database`]. [`sql`] implements the paper's
+//! algorithms over both: Algorithm 1 (LinBP, single-query and batched)
+//! is the literal SQL script, run by [`Database`]; Algorithms 2–4 (SBP
+//! and its incremental updates) are built from the operators. The
+//! PostgreSQL deployment of the paper is substituted by this engine; the
+//! relative behaviour the experiments measure — SBP touches each edge
+//! once, LinBP re-scans all of them every iteration, incremental updates
+//! touch only affected regions — is a property of the query plans.
 //!
 //! Every SELECT runs through a cost-bounded planner
 //! (Planner → [`plan::Plan`] → executor): per-table [`stats::TableStats`]

@@ -1,4 +1,4 @@
-//! The paper's SQL algorithms, expressed over the relational engine.
+//! The paper's SQL algorithms over the relational engine.
 //!
 //! Schemas follow Sect. 5.3 verbatim:
 //!
@@ -13,12 +13,17 @@
 //!
 //! Algorithm-to-method map:
 //!
-//! | Paper          | Method                        |
-//! |----------------|-------------------------------|
-//! | Algorithm 1    | [`SqlDb::linbp`]              |
-//! | Algorithm 2    | [`SqlDb::sbp`]                |
-//! | Algorithm 3    | [`SqlDb::sbp_add_explicit`]   |
-//! | Algorithm 4    | [`SqlDb::sbp_add_edges`]      |
+//! | Paper          | Method                                              |
+//! |----------------|-----------------------------------------------------|
+//! | Algorithm 1    | [`SqlDb::linbp`], [`SqlDb::linbp_batch`]            |
+//! | Algorithm 2    | [`SqlDb::sbp`]                                      |
+//! | Algorithm 3    | [`SqlDb::sbp_add_explicit`]                         |
+//! | Algorithm 4    | [`SqlDb::sbp_add_edges`]                            |
+//!
+//! Algorithm 1 is written once, as the literal SQL of Sect. 5.3 /
+//! Appendix D run through the parser, the cost-bounded planner and the
+//! pipelined executor ([`crate::exec`]). Algorithms 2–4 are built from the
+//! engine operators ([`Table::join_map`], [`Table::anti_join`], …).
 //!
 //! One deviation is documented inline: Algorithm 4's guard `¬(G(t,gt),
 //! gt < gs)` admits edges between equal-geodesic nodes, which the paper's
@@ -26,9 +31,10 @@
 //! `gt ≤ gs`, the reading consistent with that analysis.
 
 use crate::engine::{AggFun, Table, Value};
+use crate::exec::Database;
 use lsbp::beliefs::{BeliefMatrix, ExplicitBeliefs};
 use lsbp_graph::Graph;
-use lsbp_linalg::{Mat, ParallelismConfig};
+use lsbp_linalg::Mat;
 
 /// A relational database holding one classification problem.
 #[derive(Clone, Debug)]
@@ -38,7 +44,6 @@ pub struct SqlDb {
     a: Table,
     e: Table,
     h: Table,
-    parallelism: ParallelismConfig,
 }
 
 /// The persistent state of a relational SBP computation: the belief table
@@ -53,6 +58,10 @@ pub struct SqlSbpState {
 
 impl SqlDb {
     /// Loads the relational representation of a labeled graph.
+    ///
+    /// # Panics
+    /// Panics if the graph and beliefs disagree on the node count, or if
+    /// `h_residual` is not `k × k` for the beliefs' class count `k`.
     pub fn new(graph: &Graph, explicit: &ExplicitBeliefs, h_residual: &Mat) -> Self {
         assert_eq!(
             graph.num_nodes(),
@@ -60,7 +69,12 @@ impl SqlDb {
             "graph/beliefs node count mismatch"
         );
         let k = explicit.k();
-        assert_eq!(h_residual.rows(), k, "coupling arity mismatch");
+        assert!(
+            h_residual.rows() == k && h_residual.cols() == k,
+            "coupling arity mismatch: {}×{} coupling for k = {k}",
+            h_residual.rows(),
+            h_residual.cols()
+        );
         // Parallel edges merge into one row with summed weight — the same
         // semantics as the CSR adjacency matrix (Sect. 5.2: parallel paths
         // add up, and the echo-cancellation degree is the square of the
@@ -99,17 +113,7 @@ impl SqlDb {
             a,
             e,
             h,
-            parallelism: ParallelismConfig::default(),
         }
-    }
-
-    /// Picks serial vs. pooled execution for the engine's hot joins (the
-    /// per-iteration `A ⋈ B` probes of [`SqlDb::linbp`]). The default
-    /// follows `LSBP_THREADS`. Results are identical at every thread
-    /// count.
-    pub fn with_parallelism(mut self, cfg: ParallelismConfig) -> Self {
-        self.parallelism = cfg;
-        self
     }
 
     /// Node count.
@@ -137,121 +141,23 @@ impl SqlDb {
         &self.h
     }
 
-    /// `D(v, d)` — `D(s, sum(w·w)) :− A(s, t, w)` (Sect. 5.3).
-    pub fn degree_table(&self) -> Table {
-        self.a
-            .group_by_agg("D", &["s"], "d", AggFun::SumFloat, |r| {
-                let w = r[2].as_float();
-                Value::Float(w * w)
-            })
-    }
-
-    /// `H2(c1, c2, sum(h1·h2)) :− H(c1, c3, h1), H(c3, c2, h2)` (Eq. 20).
-    pub fn h2_table(&self) -> Table {
-        self.h
-            .join_map(
-                &self.h,
-                &["c2"],
-                &["c1"],
-                "HH",
-                &["c1", "c2", "hh"],
-                |l, r| vec![l[0], r[1], Value::Float(l[2].as_float() * r[2].as_float())],
-            )
-            .group_by_agg("H2", &["c1", "c2"], "h", AggFun::SumFloat, |r| r[2])
-    }
-
     /// **Algorithm 1 (LinBP in SQL)** — `l` fixed iterations of the update
-    /// `B ← E + A·B·Ĥ − D·B·Ĥ²` expressed as two view joins plus a grouped
-    /// union (the paper's footnote 15). `echo = false` drops V2 (LinBP\*).
-    /// The per-iteration `A ⋈ B` probe runs under the configured
-    /// parallelism (see [`SqlDb::with_parallelism`]).
+    /// `B ← E + A·B·Ĥ − D·B·Ĥ²`, run from the literal SQL of Sect. 5.3 /
+    /// Appendix D: two view joins plus a grouped union per iteration (the
+    /// paper's footnote 15). `echo = false` drops V2 (LinBP\*).
     pub fn linbp(&self, l: usize, echo: bool) -> BeliefMatrix {
-        let d = self.degree_table();
-        let h2 = self.h2_table();
-        // Line 1: B(s,c,b) :− E(s,c,b).
-        let mut b = self.e.clone();
-        let cfg = &self.parallelism;
-        for _ in 0..l {
-            // V1(t,c2,sum(w·b·h)) :− A(s,t,w), B(s,c1,b), H(c1,c2,h). The
-            // A ⋈ B probe (one row per stored edge) and the follow-up ⋈ H
-            // (one row per edge × class) are the engine's hot loops —
-            // executed with the configured parallelism.
-            let ab = self.a.join_map_with(
-                &b,
-                &["s"],
-                &["v"],
-                "AB",
-                &["t", "c1", "wb"],
-                |a, bb| {
-                    vec![
-                        a[1],
-                        bb[1],
-                        Value::Float(a[2].as_float() * bb[2].as_float()),
-                    ]
-                },
-                cfg,
-            );
-            let v1 = ab
-                .join_map_with(
-                    &self.h,
-                    &["c1"],
-                    &["c1"],
-                    "ABH",
-                    &["t", "c2", "wbh"],
-                    |l, h| vec![l[0], h[1], Value::Float(l[2].as_float() * h[2].as_float())],
-                    cfg,
-                )
-                .group_by_agg("V1", &["t", "c2"], "b", AggFun::SumFloat, |r| r[2]);
-            // V2(s,c2,sum(d·b·h)) :− D(s,d), B(s,c1,b), H2(c1,c2,h).
-            let combined = if echo {
-                let db = d.join_map_with(
-                    &b,
-                    &["s"],
-                    &["v"],
-                    "DB",
-                    &["v", "c1", "db"],
-                    |dd, bb| {
-                        vec![
-                            dd[0],
-                            bb[1],
-                            Value::Float(dd[1].as_float() * bb[2].as_float()),
-                        ]
-                    },
-                    cfg,
-                );
-                let v2 = db
-                    .join_map_with(
-                        &h2,
-                        &["c1"],
-                        &["c1"],
-                        "DBH",
-                        &["v", "c2", "dbh"],
-                        |l, h| vec![l[0], h[1], Value::Float(l[2].as_float() * h[2].as_float())],
-                        cfg,
-                    )
-                    .group_by_agg("V2", &["v", "c2"], "b", AggFun::SumFloat, |r| r[2]);
-                // Negate V2 before the union (the −b₃ of line 4).
-                let neg_v2 = v2.project("V2n", &["v", "c", "b"], |r| {
-                    vec![r[0], r[1], Value::Float(-r[2].as_float())]
-                });
-                self.e.union_all(&v1).union_all(&neg_v2)
-            } else {
-                self.e.union_all(&v1)
-            };
-            // Line 4 via union all + group by (v, c).
-            b = combined.group_by_agg("B", &["v", "c"], "b", AggFun::SumFloat, |r| r[2]);
-        }
-        belief_table_to_matrix(&b, self.n, self.k)
+        let mut out = self.algorithm1(self.e.clone(), 1, l, echo);
+        out.pop().expect("one query in, one belief matrix out")
     }
 
     /// **Batched Algorithm 1** — answers `q` labeling queries (different
     /// seed relations over the same graph and coupling) in **one pass**:
-    /// the explicit-belief relation gains a query-id column,
-    /// `EQ(q, v, c, b)`, and the same two view joins + grouped union run
-    /// once per iteration for *all* queries — the `A ⋈ B` probe streams
-    /// the edge relation through the executor once per round instead of
-    /// `q` times, the relational mirror of the stacked-SpMM
-    /// `lsbp::batch::linbp_batch`.
+    /// the seed relation gains a query-id column, `E(q, v, c, b)`, and the
+    /// statements of [`SqlDb::linbp`] group by `q` as well, so the
+    /// `A ⋈ B ⋈ H` join streams the edge relation once per round for all
+    /// queries instead of `q` times. Each query's result is bitwise
+    /// identical to [`SqlDb::linbp`] on that query alone; one query runs
+    /// the untagged statements.
     ///
     /// Runs `l` fixed iterations per query (Algorithm 1 has no
     /// convergence read-out — the paper's SQL loop is `l` rounds); pass
@@ -274,145 +180,27 @@ impl SqlDb {
         if queries.is_empty() {
             return Vec::new();
         }
-        // EQ(q, v, c, b): all seed relations, tagged by query id.
-        let mut eq = Table::new("EQ", &["q", "v", "c", "b"]);
+        let mut eq = Table::new("E", &["q", "v", "c", "b"]);
         for (j, e) in queries.iter().enumerate() {
-            for v in e.explicit_nodes() {
-                for (c, &val) in e.row(v).iter().enumerate() {
-                    eq.push(vec![
-                        Value::Int(j as i64),
-                        Value::Int(v as i64),
-                        Value::Int(c as i64),
-                        Value::Float(val),
-                    ]);
-                }
+            for r in explicit_to_table(e).rows() {
+                eq.push(vec![Value::Int(j as i64), r[0], r[1], r[2]]);
             }
         }
-        let d = self.degree_table();
-        let h2 = self.h2_table();
-        let cfg = &self.parallelism;
-        // Line 1: B(q,v,c,b) :− EQ(q,v,c,b).
-        let mut b = eq.clone();
-        for _ in 0..l {
-            // V1(q,t,c2,sum(w·b·h)) :− A(s,t,w), B(q,s,c1,b), H(c1,c2,h).
-            let ab = self.a.join_map_with(
-                &b,
-                &["s"],
-                &["v"],
-                "AB",
-                &["q", "t", "c1", "wb"],
-                |a, bb| {
-                    vec![
-                        bb[0],
-                        a[1],
-                        bb[2],
-                        Value::Float(a[2].as_float() * bb[3].as_float()),
-                    ]
-                },
-                cfg,
-            );
-            let v1 = ab
-                .join_map_with(
-                    &self.h,
-                    &["c1"],
-                    &["c1"],
-                    "ABH",
-                    &["q", "t", "c2", "wbh"],
-                    |left, h| {
-                        vec![
-                            left[0],
-                            left[1],
-                            h[1],
-                            Value::Float(left[3].as_float() * h[2].as_float()),
-                        ]
-                    },
-                    cfg,
-                )
-                .group_by_agg("V1", &["q", "t", "c2"], "b", AggFun::SumFloat, |r| r[3]);
-            // V2(q,s,c2,sum(d·b·h)) :− D(s,d), B(q,s,c1,b), H2(c1,c2,h).
-            let combined = if echo {
-                let db = d.join_map_with(
-                    &b,
-                    &["s"],
-                    &["v"],
-                    "DB",
-                    &["q", "v", "c1", "db"],
-                    |dd, bb| {
-                        vec![
-                            bb[0],
-                            dd[0],
-                            bb[2],
-                            Value::Float(dd[1].as_float() * bb[3].as_float()),
-                        ]
-                    },
-                    cfg,
-                );
-                let v2 = db
-                    .join_map_with(
-                        &h2,
-                        &["c1"],
-                        &["c1"],
-                        "DBH",
-                        &["q", "v", "c2", "dbh"],
-                        |left, h| {
-                            vec![
-                                left[0],
-                                left[1],
-                                h[1],
-                                Value::Float(left[3].as_float() * h[2].as_float()),
-                            ]
-                        },
-                        cfg,
-                    )
-                    .group_by_agg("V2", &["q", "v", "c2"], "b", AggFun::SumFloat, |r| r[3]);
-                let neg_v2 = v2.project("V2n", &["q", "v", "c", "b"], |r| {
-                    vec![r[0], r[1], r[2], Value::Float(-r[3].as_float())]
-                });
-                eq.union_all(&v1).union_all(&neg_v2)
-            } else {
-                eq.union_all(&v1)
-            };
-            b = combined.group_by_agg("B", &["q", "v", "c"], "b", AggFun::SumFloat, |r| r[3]);
-        }
-        // Split per query id back into dense matrices.
-        let (qi, vi, ci, bi) = (b.col("q"), b.col("v"), b.col("c"), b.col("b"));
-        let mut out: Vec<Mat> = (0..queries.len())
-            .map(|_| Mat::zeros(self.n, self.k))
-            .collect();
-        for r in b.rows() {
-            let j = r[qi].as_int() as usize;
-            let v = r[vi].as_int() as usize;
-            let c = r[ci].as_int() as usize;
-            out[j][(v, c)] += r[bi].as_float();
-        }
-        out.into_iter().map(BeliefMatrix::from_mat).collect()
+        self.algorithm1(eq, queries.len(), l, echo)
     }
 
-    /// **Algorithm 1 driven by SQL text** — the same computation as
-    /// [`SqlDb::linbp`], but every step is parsed from the literal SQL of
-    /// Sect. 5.3 / Appendix D and executed by the [`crate::exec`]
-    /// interpreter: `D` and `H2` via `CREATE TABLE … AS` (Fig. 9a style),
-    /// each iteration as `CREATE TABLE`s for the views `V1`/`V2` and the
-    /// grouped union of line 4, with `Bn`/`B` swapped by `DROP`/`CREATE`.
-    /// Its multi-way joins (notably the 3-way `A ⋈ B ⋈ H` of line 4) go
-    /// through the cost-bounded planner ([`crate::plan`]); the plan-built
-    /// methods like [`SqlDb::linbp`] construct engine operator plans
-    /// directly and bypass it.
-    ///
-    /// # Panics
-    /// Panics if the embedded SQL fails to execute — that would be a bug in
-    /// the parser/executor, which the test suite pins against the native
-    /// implementation.
+    /// Algorithm 1 with echo cancellation: [`SqlDb::linbp`]`(l, true)`.
     pub fn linbp_sql_text(&self, l: usize) -> BeliefMatrix {
-        let mut db = crate::exec::Database::new();
+        self.linbp(l, true)
+    }
+
+    /// A database holding `A`, `H`, the seed relation `e` as `E`, and the
+    /// derived tables `D(s, sum(w·w))` and `H2` = Ĥ² (Fig. 9a).
+    fn database(&self, e: Table) -> Database {
+        let mut db = Database::new();
         db.insert_table("A", self.a.clone());
-        db.insert_table("E", self.e.clone());
+        db.insert_table("E", e);
         db.insert_table("H", self.h.clone());
-        let run = |db: &mut crate::exec::Database, sql: &str| {
-            db.execute_script(sql)
-                .unwrap_or_else(|e| panic!("embedded SQL failed: {e}\n{sql}"))
-        };
-        // Derived tables: D(s, sum(w·w)) and H2 = Ĥ² (Fig. 9a).
         run(
             &mut db,
             "create table D as select s, sum(w * w) as d from A group by s",
@@ -422,41 +210,64 @@ impl SqlDb {
             "create table H2 as select H1.c1, H2.c2, sum(H1.h * H2.h) as h \
              from H H1, H H2 where H1.c2 = H2.c1 group by H1.c1, H2.c2",
         );
-        // Line 1: B := E.
-        run(&mut db, "create table B as select v, c, b from E");
-        for _ in 0..l {
-            // Line 3, V1(t, c2, sum(w·b·h)) :− A(s,t,w), B(s,c1,b), H(c1,c2,h).
-            run(
-                &mut db,
-                "create table V1 as \
-                 select A.t as v, H.c2 as c, sum(A.w * B.b * H.h) as b \
-                 from A, B, H \
-                 where A.s = B.v and B.c = H.c1 \
-                 group by A.t, H.c2",
-            );
-            // Line 3, V2(s, c2, sum(d·b·h)) :− D(s,d), B(s,c1,b), H2(c1,c2,h).
-            run(
-                &mut db,
+        db
+    }
+
+    /// The one implementation of Algorithm 1: `l` rounds of the SQL script
+    /// over the seed relation `e` = `E(q, v, c, b)` of `queries` queries,
+    /// one belief matrix per query. With more than one query, every
+    /// statement carries `q` through (`B.q`, and `q` in each `GROUP BY`);
+    /// with one, the statements are the paper's and never read `q` (so
+    /// `E(v, c, b)` will do). Each group folds its rows in the same
+    /// relative order either way, so a query's bits do not depend on its
+    /// batch.
+    fn algorithm1(&self, e: Table, queries: usize, l: usize, echo: bool) -> Vec<BeliefMatrix> {
+        let q = if queries > 1 { "q, " } else { "" };
+        let bq = if queries > 1 { "B.q, " } else { "" };
+        // Line 3, V1(t, c2, sum(w·b·h)) :− A(s,t,w), B(s,c1,b), H(c1,c2,h).
+        let mut round = vec![format!(
+            "create table V1 as \
+             select {bq}A.t as v, H.c2 as c, sum(A.w * B.b * H.h) as b \
+             from A, B, H \
+             where A.s = B.v and B.c = H.c1 \
+             group by {bq}A.t, H.c2"
+        )];
+        // Line 3, V2(s, c2, sum(d·b·h)) :− D(s,d), B(s,c1,b), H2(c1,c2,h).
+        if echo {
+            round.push(format!(
                 "create table V2 as \
-                 select D.s as v, H2.c2 as c, sum(D.d * B.b * H2.h) as b \
+                 select {bq}D.s as v, H2.c2 as c, sum(D.d * B.b * H2.h) as b \
                  from D, B, H2 \
                  where D.s = B.v and B.c = H2.c1 \
-                 group by D.s, H2.c2",
-            );
-            // Line 4: B(v, c, b1 + b2 − b3) via UNION ALL + GROUP BY
-            // (footnote 15), assembled from E, V1 and negated V2.
-            run(&mut db, "create table U as select v, c, b from E");
-            run(&mut db, "insert into U select v, c, b from V1");
-            run(&mut db, "insert into U select v, c, 0 - b from V2");
-            run(&mut db, "drop table B");
-            run(
-                &mut db,
-                "create table B as select v, c, sum(b) as b from U group by v, c",
-            );
-            run(&mut db, "drop table V1; drop table V2; drop table U");
+                 group by {bq}D.s, H2.c2"
+            ));
         }
-        let b = db.table("B").expect("B exists").clone();
-        belief_table_to_matrix(&b, self.n, self.k)
+        // Line 4: B(v, c, b1 + b2 − b3) via UNION ALL + GROUP BY
+        // (footnote 15), assembled from E, V1 and negated V2.
+        round.push(format!("create table U as select {q}v, c, b from E"));
+        round.push(format!("insert into U select {q}v, c, b from V1"));
+        if echo {
+            round.push(format!("insert into U select {q}v, c, 0 - b from V2"));
+            round.push("drop table V2".into());
+        }
+        round.push("drop table B; drop table V1".into());
+        round.push(format!(
+            "create table B as select {q}v, c, sum(b) as b from U group by {q}v, c"
+        ));
+        round.push("drop table U".into());
+
+        let mut db = self.database(e);
+        // Line 1: B := E.
+        run(
+            &mut db,
+            &format!("create table B as select {q}v, c, b from E"),
+        );
+        for _ in 0..l {
+            for statement in &round {
+                run(&mut db, statement);
+            }
+        }
+        beliefs_per_query(db.table("B").expect("B exists"), queries, self.n, self.k)
     }
 
     /// The paper's Fig. 9b read-out: top-belief assignment computed by SQL
@@ -518,7 +329,13 @@ impl SqlDb {
 
     /// **Algorithm 3 (ΔSBP: new explicit beliefs)** — batch insertion of
     /// explicit beliefs with incremental maintenance of `B` and `G`.
+    ///
+    /// # Panics
+    /// Panics if `additions` disagrees with the loaded problem on the node
+    /// or class count.
     pub fn sbp_add_explicit(&mut self, state: &mut SqlSbpState, additions: &ExplicitBeliefs) {
+        assert_eq!(additions.n(), self.n, "additions node count mismatch");
+        assert_eq!(additions.k(), self.k, "additions class count mismatch");
         let en = explicit_to_table(additions);
         // Line 1: Gn(v,0) :− En(v,_,_);  !G(v,0).
         let mut gn = Table::new("Gn", &["v", "g"]);
@@ -562,7 +379,17 @@ impl SqlDb {
     /// `new_edges` are undirected `(s, t, w)` triples. Follows Appendix C's
     /// Algorithm 4 (with the `gt ≤ gs` guard, see module docs); nodes may
     /// be updated more than once as shorter geodesic paths cascade.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is not a node of the loaded graph (`≥ n`).
     pub fn sbp_add_edges(&mut self, state: &mut SqlSbpState, new_edges: &[(usize, usize, f64)]) {
+        for &(s, t, _) in new_edges {
+            assert!(
+                s < self.n && t < self.n,
+                "edge ({s}, {t}) endpoint out of range for n = {}",
+                self.n
+            );
+        }
         // Line 1: !A(s,t,w) :− An(s,t,w) (both directions).
         let mut an = Table::new("An", &["s", "t", "w"]);
         for &(s, t, w) in new_edges {
@@ -776,19 +603,31 @@ pub fn explicit_to_table(explicit: &ExplicitBeliefs) -> Table {
     e
 }
 
+/// Runs embedded SQL; a failure is a parser/executor bug, so it panics.
+fn run(db: &mut Database, sql: &str) {
+    db.execute_script(sql)
+        .unwrap_or_else(|e| panic!("embedded SQL failed: {e}\n{sql}"));
+}
+
 /// Converts a `B(v,c,b)` relation back to a dense residual belief matrix
 /// (missing pairs are 0).
 pub fn belief_table_to_matrix(b: &Table, n: usize, k: usize) -> BeliefMatrix {
-    let mut m = Mat::zeros(n, k);
-    let vi = b.col("v");
-    let ci = b.col("c");
-    let bi = b.col("b");
+    let mut out = beliefs_per_query(b, 1, n, k);
+    out.pop().expect("one query")
+}
+
+/// Splits a belief relation into one dense matrix per query: by its `q`
+/// column if it has one (`B(q,v,c,b)`), else all rows belong to query 0.
+fn beliefs_per_query(b: &Table, queries: usize, n: usize, k: usize) -> Vec<BeliefMatrix> {
+    let mut out = vec![Mat::zeros(n, k); queries];
+    let (qi, vi, ci, bi) = (b.try_col("q"), b.col("v"), b.col("c"), b.col("b"));
     for r in b.rows() {
+        let j = qi.map_or(0, |qi| r[qi].as_int() as usize);
         let v = r[vi].as_int() as usize;
         let c = r[ci].as_int() as usize;
-        m[(v, c)] += r[bi].as_float();
+        out[j][(v, c)] += r[bi].as_float();
     }
-    BeliefMatrix::from_mat(m)
+    out.into_iter().map(BeliefMatrix::from_mat).collect()
 }
 
 /// Converts a `G(v,g)` relation to a per-node geodesic array
@@ -806,6 +645,7 @@ pub fn geodesic_table_to_vec(g: &Table, n: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsbp::batch::{linbp_batch_on, linbp_star_batch_on};
     use lsbp::coupling::CouplingMatrix;
     use lsbp::linbp::{linbp, linbp_star, LinBpOptions};
     use lsbp::sbp::{sbp, sbp_add_edges, sbp_add_explicit};
@@ -822,10 +662,20 @@ mod tests {
         (db, g, e, h)
     }
 
+    /// Exactly `l` rounds, as Algorithm 1 runs.
+    fn rounds(l: usize) -> LinBpOptions {
+        LinBpOptions {
+            max_iter: l,
+            tol: 0.0,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn derived_tables() {
         let (db, ..) = torus_db();
-        let d = db.degree_table();
+        let sql = db.database(db.e().clone());
+        let d = sql.table("D").unwrap();
         // Pendant nodes have degree 1, inner nodes degree 3.
         let d_map: std::collections::HashMap<i64, f64> = d
             .rows()
@@ -837,7 +687,8 @@ mod tests {
         // H2 equals the dense Ĥ².
         let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.1);
         let h2_dense = h.matmul(&h);
-        let h2 = db.h2_table();
+        let h2 = sql.table("H2").unwrap();
+        assert_eq!(h2.len(), 9);
         for r in h2.rows() {
             let (c1, c2) = (r[0].as_int() as usize, r[1].as_int() as usize);
             assert!((r[2].as_float() - h2_dense[(c1, c2)]).abs() < 1e-14);
@@ -852,17 +703,7 @@ mod tests {
         let adj = g.adjacency();
         for iters in [1, 3, 5] {
             let sql_b = db.linbp(iters, true);
-            let native = linbp(
-                &adj,
-                &e,
-                &h,
-                &LinBpOptions {
-                    max_iter: iters,
-                    tol: 0.0,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let native = linbp(&adj, &e, &h, &rounds(iters)).unwrap();
             assert!(
                 sql_b.residual().max_abs_diff(native.beliefs.residual()) < 1e-12,
                 "iters = {iters}"
@@ -875,22 +716,12 @@ mod tests {
         let (db, g, e, h) = torus_db();
         let adj = g.adjacency();
         let sql_b = db.linbp(4, false);
-        let native = linbp_star(
-            &adj,
-            &e,
-            &h,
-            &LinBpOptions {
-                max_iter: 4,
-                tol: 0.0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let native = linbp_star(&adj, &e, &h, &rounds(4)).unwrap();
         assert!(sql_b.residual().max_abs_diff(native.beliefs.residual()) < 1e-12);
     }
 
-    /// The batched relational path answers every query exactly as the
-    /// native batched solver (and the per-query relational path) does.
+    /// The batched relational path answers every query as the native
+    /// batched solver does.
     #[test]
     fn sql_linbp_batch_matches_native_batch() {
         let (db, g, e, h) = torus_db();
@@ -903,15 +734,10 @@ mod tests {
         for echo in [true, false] {
             let batched = db.linbp_batch(&queries, 4, echo);
             assert_eq!(batched.len(), 3);
-            let opts = lsbp::linbp::LinBpOptions {
-                max_iter: 4,
-                tol: 0.0,
-                ..Default::default()
-            };
             let native = if echo {
-                lsbp::batch::linbp_batch(&adj, &queries, &h, &opts).unwrap()
+                linbp_batch_on(&adj, &queries, &h, &rounds(4)).unwrap()
             } else {
-                lsbp::batch::linbp_star_batch(&adj, &queries, &h, &opts).unwrap()
+                linbp_star_batch_on(&adj, &queries, &h, &rounds(4)).unwrap()
             };
             for (j, (sql_b, nat)) in batched.iter().zip(&native).enumerate() {
                 assert!(
@@ -920,10 +746,57 @@ mod tests {
                 );
             }
         }
-        // And the first query agrees with the single-query relational path.
-        let single = db.linbp(4, true);
-        let batched = db.linbp_batch(&queries, 4, true);
-        assert!(batched[0].residual().max_abs_diff(single.residual()) < 1e-12);
+    }
+
+    /// Labels `count` distinct random nodes of an `n`-node graph with
+    /// random classes out of 3.
+    fn random_labels(n: usize, count: usize, seed: u64) -> ExplicitBeliefs {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut e = ExplicitBeliefs::new(n, 3);
+        while e.num_explicit() < count {
+            e.set_label(rng.gen_range(0..n), rng.gen_range(0..3), 1.0)
+                .unwrap();
+        }
+        e
+    }
+
+    fn bits(m: &BeliefMatrix) -> Vec<u64> {
+        m.residual()
+            .as_slice()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    /// The query-tagged script folds every group in the same order as the
+    /// untagged one: query `j` of a batch is bit for bit
+    /// `SqlDb::new(g, &qs[j], h).linbp(l, echo)`.
+    #[test]
+    fn sql_linbp_batch_bitwise_equals_single_queries() {
+        let h = CouplingMatrix::fig6b_residual().scale(0.002);
+        let graphs = [
+            lsbp_graph::generators::kronecker_graph(5),
+            erdos_renyi_gnm(120, 400, 5),
+            erdos_renyi_gnm(200, 300, 9),
+        ];
+        for g in &graphs {
+            let n = g.num_nodes();
+            for seed in 0..4u64 {
+                let qs: Vec<ExplicitBeliefs> = (0..4)
+                    .map(|j| random_labels(n, 2 + (n / 20) * j, seed * 4 + j as u64))
+                    .collect();
+                let db = SqlDb::new(g, &qs[0], &h);
+                for echo in [true, false] {
+                    let batch = db.linbp_batch(&qs, 3, echo);
+                    for (j, got) in batch.iter().enumerate() {
+                        let want = SqlDb::new(g, &qs[j], &h).linbp(3, echo);
+                        let msg = format!("n={n} seed={seed} echo={echo} query {j}");
+                        assert_eq!(bits(got), bits(&want), "{msg}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -932,71 +805,40 @@ mod tests {
         assert!(db.linbp_batch(&[], 3, true).is_empty());
     }
 
-    /// Pooled hot probes do not change a single belief: parallel
-    /// relational LinBP (single and batched) equals the serial relational
-    /// run bitwise.
+    /// The SQL-text entry point produces the native LinBP beliefs.
     #[test]
-    fn sql_linbp_parallel_matches_serial() {
-        let g = erdos_renyi_gnm(40, 120, 11);
-        let mut e = ExplicitBeliefs::new(40, 3);
-        e.set_label(0, 0, 1.0).unwrap();
-        e.set_label(17, 2, 1.0).unwrap();
-        let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
-        let mut e2 = ExplicitBeliefs::new(40, 3);
-        e2.set_label(31, 1, 1.0).unwrap();
-        let queries = vec![e.clone(), e2];
-        let reference_db = SqlDb::new(&g, &e, &h).with_parallelism(ParallelismConfig::serial());
-        let reference = reference_db.linbp(4, true);
-        let reference_batch = reference_db.linbp_batch(&queries, 4, true);
-        for threads in [1usize, 2, 4] {
-            let cfg = ParallelismConfig::with_threads(threads).with_min_work(1);
-            let db = SqlDb::new(&g, &e, &h).with_parallelism(cfg);
-            let got = db.linbp(4, true);
-            let same = got
-                .residual()
-                .as_slice()
-                .iter()
-                .zip(reference.residual().as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "t={threads}");
-            let got_batch = db.linbp_batch(&queries, 4, true);
-            for (j, (got_q, want_q)) in got_batch.iter().zip(&reference_batch).enumerate() {
-                let same = got_q
-                    .residual()
-                    .as_slice()
-                    .iter()
-                    .zip(want_q.residual().as_slice())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "t={threads} query {j}");
-            }
-        }
-    }
-
-    /// The SQL-text path (parsed and interpreted statements) produces the
-    /// same beliefs as the query-plan path and the native implementation.
-    #[test]
-    fn sql_text_linbp_matches_plans() {
+    fn sql_text_linbp_matches_native() {
         let (db, g, e, h) = torus_db();
         for iters in [1, 3] {
             let via_text = db.linbp_sql_text(iters);
-            let via_plans = db.linbp(iters, true);
-            assert!(
-                via_text.residual().max_abs_diff(via_plans.residual()) < 1e-12,
-                "iters = {iters}"
-            );
-            let native = linbp(
-                &g.adjacency(),
-                &e,
-                &h,
-                &LinBpOptions {
-                    max_iter: iters,
-                    tol: 0.0,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+            let native = linbp(&g.adjacency(), &e, &h, &rounds(iters)).unwrap();
             assert!(via_text.residual().max_abs_diff(native.beliefs.residual()) < 1e-12);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "coupling arity mismatch")]
+    fn new_rejects_non_square_coupling() {
+        let (_, g, e, _) = torus_db();
+        let _ = SqlDb::new(&g, &e, &Mat::zeros(3, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "additions class count mismatch")]
+    fn sbp_add_explicit_rejects_class_count_mismatch() {
+        let (mut db, ..) = torus_db();
+        let mut state = db.sbp();
+        let mut additions = ExplicitBeliefs::new(8, 4);
+        additions.set_label(5, 0, 1.0).unwrap();
+        db.sbp_add_explicit(&mut state, &additions);
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint out of range")]
+    fn sbp_add_edges_rejects_out_of_range_endpoint() {
+        let (mut db, ..) = torus_db();
+        let mut state = db.sbp();
+        db.sbp_add_edges(&mut state, &[(3, 8, 1.0)]);
     }
 
     /// Fig. 9b's SQL read-out agrees with the in-memory top-belief

@@ -33,7 +33,7 @@
 //! `Ĥ` applied block-diagonally) serves every LinBP solve; a single
 //! query is the `q = 1` case.
 //!
-//! **Which kernel runs.** [`CsrMatrix::fused_rows_dispatch`] picks by
+//! **Which kernel runs.** `CsrMatrix::fused_rows_dispatch` picks by
 //! class count `k` and observed width `k·q`:
 //!
 //! * `k ∈ {2, 3, 4}`, `q = 1` — `fused_rows_k::<K>`: the whole row in

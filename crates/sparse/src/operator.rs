@@ -7,7 +7,7 @@
 //! RWR, SBP, the batched multi-query family) is written against this
 //! trait, and the storage layer behind it is interchangeable:
 //!
-//! * [`CsrMatrix`](crate::CsrMatrix) — the monolithic in-memory reference
+//! * [`CsrMatrix`] — the monolithic in-memory reference
 //!   implementation (the semantics every other backend must reproduce
 //!   **bitwise**), and
 //! * every [`ShardSource`](crate::ShardSource) — a graph split into

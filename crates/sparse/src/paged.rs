@@ -1,7 +1,7 @@
 //! The out-of-core propagation backend: [`ShardedCsr`]'s execution
 //! model with the shards living on disk behind a budgeted buffer pool.
 //!
-//! [`PagedCsr`] opens a [`ShardFile`](crate::ShardFile) and is a
+//! [`PagedCsr`] opens a [`ShardFile`] and is a
 //! [`ShardSource`]: it gets the full [`PropagationOperator`] surface from
 //! the one generic shard walk in [`crate::sharded`], and contributes only
 //! how shard `i` is reached — [`ShardSource::shard`] pins the block in a

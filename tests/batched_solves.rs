@@ -1,11 +1,11 @@
-//! The batched multi-query contract: `linbp_batch` / `linbp_star_batch`
+//! The batched multi-query contract: `linbp_batch_on` / `linbp_star_batch_on`
 //! must be **bitwise identical**, query by query, to a plain unfused loop
 //! solving that query alone (`support::unfused_linbp`, which shares no
 //! code with the solver) — per-query beliefs, convergence/divergence
 //! flags, iteration counts and final deltas — at every thread count,
 //! including q = 0, q = 1, and batches mixing fast-converging, slow, and
 //! divergent queries (the per-query freeze masks are what this pins
-//! down). `rwr_batch` must equal `rwr` run on each query alone.
+//! down). `rwr_batch_on` must equal `rwr` run on each query alone.
 
 use lsbp::prelude::*;
 use lsbp_graph::generators::erdos_renyi_gnm;
@@ -40,9 +40,9 @@ fn assert_linbp_batch_matches(
     label: &str,
 ) {
     let batch = if star {
-        linbp_star_batch(adj, queries, h, opts).unwrap()
+        linbp_star_batch_on(adj, queries, h, opts).unwrap()
     } else {
-        linbp_batch(adj, queries, h, opts).unwrap()
+        linbp_batch_on(adj, queries, h, opts).unwrap()
     };
     assert_eq!(batch.len(), queries.len(), "{label}");
     for (j, (e, got)) in queries.iter().zip(&batch).enumerate() {
@@ -67,9 +67,9 @@ fn assert_linbp_batch_matches(
 fn linbp_batch_q0() {
     let adj = erdos_renyi_gnm(30, 60, 1).adjacency();
     let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
-    let out = linbp_batch(&adj, &[], &h, &LinBpOptions::default()).unwrap();
+    let out = linbp_batch_on(&adj, &[], &h, &LinBpOptions::default()).unwrap();
     assert!(out.is_empty());
-    let rw = rwr_batch(&adj, &[], &RwrOptions::default()).unwrap();
+    let rw = rwr_batch_on(&adj, &[], &RwrOptions::default()).unwrap();
     assert!(rw.is_empty());
 }
 
@@ -163,7 +163,7 @@ fn rwr_batch_matches_standalone() {
             parallelism: cfg,
             ..Default::default()
         };
-        let batch = rwr_batch(&adj, &queries, &opts).unwrap();
+        let batch = rwr_batch_on(&adj, &queries, &opts).unwrap();
         for (j, (e, got)) in queries.iter().zip(&batch).enumerate() {
             let want = rwr(&adj, e, &opts).unwrap();
             assert_eq!(got.converged, want.converged, "query {j}");
@@ -184,7 +184,7 @@ fn batch_error_cases() {
     // Wrong node count in the second query.
     let bad = [seeds(20, 3, &[(0, 0)]), seeds(21, 3, &[(0, 0)])];
     assert!(matches!(
-        linbp_batch(&adj, &bad, &h, &LinBpOptions::default()),
+        linbp_batch_on(&adj, &bad, &h, &LinBpOptions::default()),
         Err(lsbp::linbp::LinBpError::DimensionMismatch)
     ));
     // Wrong node count *and* a non-square coupling: the node count is
@@ -192,7 +192,7 @@ fn batch_error_cases() {
     let h_3x2 = Mat::zeros(3, 2);
     let wrong_n = [seeds(21, 3, &[(0, 0)])];
     assert!(matches!(
-        linbp_batch(&adj, &wrong_n, &h_3x2, &LinBpOptions::default()),
+        linbp_batch_on(&adj, &wrong_n, &h_3x2, &LinBpOptions::default()),
         Err(lsbp::linbp::LinBpError::DimensionMismatch)
     ));
     assert!(matches!(
@@ -206,7 +206,7 @@ fn batch_error_cases() {
         ..Default::default()
     };
     assert!(matches!(
-        rwr_batch(&adj, &wrong_n, &bad_restart),
+        rwr_batch_on(&adj, &wrong_n, &bad_restart),
         Err(lsbp::rwr::RwrError::DimensionMismatch)
     ));
     assert!(matches!(
@@ -216,7 +216,7 @@ fn batch_error_cases() {
     // Wrong arity.
     let bad_k = [seeds(20, 2, &[(0, 0)])];
     assert!(matches!(
-        linbp_batch(&adj, &bad_k, &h, &LinBpOptions::default()),
+        linbp_batch_on(&adj, &bad_k, &h, &LinBpOptions::default()),
         Err(lsbp::linbp::LinBpError::CouplingArityMismatch)
     ));
     // A query with an unseeded class aborts the whole RWR batch, exactly
@@ -227,7 +227,7 @@ fn batch_error_cases() {
         e
     }];
     assert!(matches!(
-        rwr_batch(&adj, &lonely, &RwrOptions::default()),
+        rwr_batch_on(&adj, &lonely, &RwrOptions::default()),
         Err(lsbp::rwr::RwrError::EmptyClass(1))
     ));
 }
@@ -329,7 +329,7 @@ proptest! {
                 .with_frontier(frontier_flag == 1),
             ..Default::default()
         };
-        let batch = linbp_batch(&adj, &queries, &h, &opts).unwrap();
+        let batch = linbp_batch_on(&adj, &queries, &h, &opts).unwrap();
         prop_assert_eq!(batch.len(), queries.len());
         for (e, got) in queries.iter().zip(&batch) {
             let want = unfused_linbp(&adj, e.residual_matrix(), &h, true, &opts);
@@ -353,7 +353,7 @@ proptest! {
             parallelism: ParallelismConfig::with_threads(threads).with_min_work(1),
             ..Default::default()
         };
-        let batch = rwr_batch(&adj, &queries, &opts).unwrap();
+        let batch = rwr_batch_on(&adj, &queries, &opts).unwrap();
         prop_assert_eq!(batch.len(), queries.len());
         for (e, got) in queries.iter().zip(&batch) {
             let want = rwr(&adj, e, &opts).unwrap();

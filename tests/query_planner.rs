@@ -623,13 +623,13 @@ fn mat_hash(m: &BeliefMatrix) -> u64 {
     fnv64(m.residual().as_slice().iter().map(|x| x.to_bits()))
 }
 
-/// `SqlDb::linbp`, `linbp_batch` and `sbp` build their plans directly on
-/// the engine operators (not the SQL-text executor), so the planner must
-/// leave their outputs bitwise identical; those constants were captured
-/// on the commit immediately before the planner landed. The
-/// `linbp_sql_text` and Fig. 9b read-out constants were captured on the
-/// commit before the pipelined executor: it must keep every SQL-text
-/// result's bits (text LinBP also matches the engine plan bit for bit).
+/// The `SqlDb::linbp`, `linbp_batch` and `sbp` constants were captured
+/// on the commit immediately before the planner landed, when LinBP still
+/// ran hand-built engine joins; the `linbp_sql_text` and Fig. 9b read-out
+/// constants on the commit before the pipelined executor. All three
+/// LinBP methods now run the one Algorithm 1 SQL script (the batch with
+/// a query-id column) and must keep every one of those bits; `sbp` still
+/// runs the engine operators.
 #[test]
 fn sql_algorithms_bitwise_identical_to_pre_planner_outputs() {
     let g = kronecker_graph(5);

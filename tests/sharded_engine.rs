@@ -171,13 +171,13 @@ fn batched_solves_shard_knob() {
         parallelism: ParallelismConfig::serial(),
         ..Default::default()
     };
-    let want = linbp_batch(&adj, &queries, &h, &reference_opts).unwrap();
+    let want = linbp_batch_on(&adj, &queries, &h, &reference_opts).unwrap();
     // RWR needs every class seeded per query — its own batch.
     let rwr_queries = [
         seeds(50, 2, &[(0, 0), (49, 1)]),
         seeds(50, 2, &[(5, 0), (6, 0), (30, 1)]),
     ];
-    let want_rwr = rwr_batch(
+    let want_rwr = rwr_batch_on(
         &adj,
         &rwr_queries,
         &RwrOptions {
@@ -276,7 +276,7 @@ fn exotic_shard_layouts_via_operator_api() {
     }
 }
 
-/// `linbp_update_batch` is bitwise identical to per-query `linbp_update`
+/// `linbp_update_batch_on` is bitwise identical to per-query `linbp_update`
 /// — the batched incremental-maintenance contract — including on sharded
 /// operators and for a divergent delta.
 #[test]
@@ -330,7 +330,7 @@ fn linbp_update_batch_matches_per_query() {
     let base = seeds(n, 3, &[(0, 0)]);
     let prev = linbp(&adj, &base, &coupling.scaled_residual(0.03), &opts).unwrap();
     let delta = seeds(n, 3, &[(20, 1)]);
-    let got = linbp_update_batch(
+    let got = linbp_update_batch_on(
         &adj,
         &[&prev.beliefs],
         std::slice::from_ref(&delta),
@@ -344,7 +344,7 @@ fn linbp_update_batch_matches_per_query() {
     assert_linbp_equal(&got[0], &want, "divergent delta");
     // Mismatched pairing is a dimension error.
     assert!(matches!(
-        linbp_update_batch(&adj, &[&prev.beliefs], &[], &h_div, &opts, true),
+        linbp_update_batch_on(&adj, &[&prev.beliefs], &[], &h_div, &opts, true),
         Err(lsbp::linbp::LinBpError::DimensionMismatch)
     ));
 }

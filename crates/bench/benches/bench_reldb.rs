@@ -1,6 +1,6 @@
-//! Criterion bench for the relational engine (Fig. 7(b)'s columns):
-//! SQL LinBP (Algorithm 1's script through the planner and executor) vs
-//! SQL SBP vs ΔSBP (engine operators) on Kronecker graph #1.
+//! Criterion bench for the relational engine (Fig. 7(b)'s columns) on
+//! Kronecker graph #1: SQL LinBP vs SQL SBP vs ΔSBP, each the paper's SQL
+//! (Algorithms 1, 2 and 3) run through the planner and executor.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lsbp::prelude::*;

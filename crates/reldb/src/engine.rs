@@ -1,13 +1,11 @@
-//! The relational operators.
+//! Relations: [`Value`] cells and the [`Table`] the SQL executor
+//! ([`crate::exec`]) scans, appends to and deletes from.
 //!
-//! Deliberately small: just enough standard-SQL vocabulary (selection,
-//! projection, equi-join, anti-join, grouped aggregation, union) to express
-//! Algorithms 1–4 of the paper. Joins, groups, anti-joins and upserts key
-//! on the canonical key of `key.rs` (exact integers; an integral float
-//! equals its integer) — in the paper's `A(s,t,w)`, `E(v,c,b)`,
-//! `H(c1,c2,h)` schemas always integer node and class ids.
+//! Deliberately small: rows, column lookup, maintained statistics, an
+//! in-place delete, and the order-preserving parallel scan the planner
+//! pushes predicates into. Every relational operator (join, grouping,
+//! anti-join, union) is SQL run by the executor.
 
-use crate::key::{Key, KeyIndex, KeyMap, KeySet};
 use crate::stats::TableStats;
 use lsbp_linalg::{even_ranges, ParallelismConfig};
 use std::fmt;
@@ -44,19 +42,10 @@ impl Value {
     }
 }
 
-/// Aggregate functions (the paper's algorithms need `SUM` over float
-/// expressions and `MIN` over integers).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggFun {
-    /// `SUM(expr)` over floats.
-    SumFloat,
-    /// `MIN(expr)` over integers.
-    MinInt,
-}
-
 /// An in-memory relation: named columns, row-major storage, plus
 /// incrementally maintained [`TableStats`] feeding the query planner.
-#[derive(Clone, Debug)]
+/// The default is the unnamed table with no columns.
+#[derive(Clone, Debug, Default)]
 pub struct Table {
     name: String,
     columns: Vec<String>,
@@ -102,11 +91,6 @@ impl Table {
             rows,
             stats,
         }
-    }
-
-    /// Table name (diagnostics only).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Column names.
@@ -168,18 +152,20 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Reserves capacity for `n` additional rows.
-    pub fn reserve(&mut self, n: usize) {
-        self.rows.reserve(n);
-    }
-
-    /// `SELECT * WHERE pred(row)`.
-    pub fn filter(&self, name: &str, pred: impl Fn(&[Value]) -> bool) -> Table {
-        Table::from_rows(
-            name,
-            self.columns.clone(),
-            self.rows.iter().filter(|r| pred(r)).cloned().collect(),
-        )
+    /// Deletes, in place, every row for which `keep` is false: the
+    /// survivors keep their order, and each deleted row is un-observed
+    /// from the statistics (cost proportional to the rows deleted, plus
+    /// one refresh of any lowered maxima).
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&[Value]) -> bool) {
+        let stats = &mut self.stats;
+        self.rows.retain(|r| {
+            let kept = keep(r);
+            if !kept {
+                stats.forget_row(r);
+            }
+            kept
+        });
+        stats.refresh_maxima();
     }
 
     /// The filtered rows themselves (no `Table` wrapper): the rows are
@@ -197,182 +183,6 @@ impl Table {
         };
         let parts = cfg.partitions(self.rows.len());
         map_chunks_in_order(&self.rows, parts, cfg, &filter_chunk)
-    }
-
-    /// `SELECT expr₁, expr₂, … FROM self` — projection with computed
-    /// columns.
-    pub fn project(
-        &self,
-        name: &str,
-        out_columns: &[&str],
-        f: impl Fn(&[Value]) -> Vec<Value>,
-    ) -> Table {
-        let mut out = Table::new(name, out_columns);
-        out.reserve(self.len());
-        for r in &self.rows {
-            out.push(f(r));
-        }
-        out
-    }
-
-    /// Hash equi-join with fused projection:
-    /// `SELECT f(l, r) FROM self l JOIN other r ON l.keys = r.keys`.
-    ///
-    /// Keys match by canonical key equality (exact integers; an integral
-    /// float equals its integer). The projection closure receives
-    /// the matched `(left_row, right_row)` pair and emits an output row.
-    /// The hash index is built on the smaller side; output rows follow the
-    /// probe side's row order, each probe row's matches in build row order.
-    pub fn join_map(
-        &self,
-        other: &Table,
-        self_keys: &[&str],
-        other_keys: &[&str],
-        name: &str,
-        out_columns: &[&str],
-        f: impl Fn(&[Value], &[Value]) -> Vec<Value>,
-    ) -> Table {
-        assert_eq!(self_keys.len(), other_keys.len(), "join key arity mismatch");
-        let self_idx: Vec<usize> = self_keys.iter().map(|k| self.col(k)).collect();
-        let other_idx: Vec<usize> = other_keys.iter().map(|k| other.col(k)).collect();
-        // Build on the smaller side.
-        let (probe, probe_idx, build, build_idx, probe_is_left) = if other.len() <= self.len() {
-            (self, &self_idx, other, &other_idx, true)
-        } else {
-            (other, &other_idx, self, &self_idx, false)
-        };
-        let index = KeyIndex::build(build.len(), |i| Key::of(&build.rows[i], build_idx));
-        // Degree-based pessimistic output bound: every probe row matches at
-        // most the largest build bucket. Capped so a hub key on a huge probe
-        // side cannot pre-allocate gigabytes for a join that mostly misses.
-        let reserve_bound = probe.len().saturating_mul(index.max_bucket()).min(1 << 20);
-        let mut out = Table::new(name, out_columns);
-        out.reserve(reserve_bound);
-        for r in &probe.rows {
-            for &i in index.get(&Key::of(r, probe_idx)) {
-                let b = &build.rows[i as usize];
-                out.push(if probe_is_left { f(r, b) } else { f(b, r) });
-            }
-        }
-        out
-    }
-
-    /// Anti-join: `SELECT * FROM self WHERE NOT EXISTS (SELECT 1 FROM other
-    /// WHERE other.keys = self.keys)` — the `¬G(t, …)` constructs of
-    /// Algorithms 2–4.
-    pub fn anti_join(&self, other: &Table, self_keys: &[&str], other_keys: &[&str]) -> Table {
-        let self_idx: Vec<usize> = self_keys.iter().map(|k| self.col(k)).collect();
-        let other_idx: Vec<usize> = other_keys.iter().map(|k| other.col(k)).collect();
-        let index: KeySet = other.rows.iter().map(|r| Key::of(r, &other_idx)).collect();
-        Table::from_rows(
-            format!("{}∖{}", self.name, other.name),
-            self.columns.clone(),
-            self.rows
-                .iter()
-                .filter(|r| !index.contains(&Key::of(r, &self_idx)))
-                .cloned()
-                .collect(),
-        )
-    }
-
-    /// `GROUP BY keys` with a single aggregate over `expr(row)`, folded in
-    /// row order. Output columns: the key columns in canonical key form
-    /// (an integral float reads back as `Int`) followed by `agg_name`, one
-    /// row per group in ascending key order.
-    pub fn group_by_agg(
-        &self,
-        name: &str,
-        keys: &[&str],
-        agg_name: &str,
-        fun: AggFun,
-        expr: impl Fn(&[Value]) -> Value,
-    ) -> Table {
-        let key_idx: Vec<usize> = keys.iter().map(|k| self.col(k)).collect();
-        let mut groups: KeyMap<Value> = KeyMap::default();
-        for r in &self.rows {
-            let key = Key::of(r, &key_idx);
-            let v = expr(r);
-            groups
-                .entry(key)
-                .and_modify(|acc| match fun {
-                    AggFun::SumFloat => *acc = Value::Float(acc.as_float() + v.as_float()),
-                    AggFun::MinInt => *acc = Value::Int(acc.as_int().min(v.as_int())),
-                })
-                .or_insert(v);
-        }
-        let mut out_cols: Vec<&str> = keys.to_vec();
-        out_cols.push(agg_name);
-        let mut out = Table::new(name, &out_cols);
-        out.reserve(groups.len());
-        // Deterministic output order: sort by key.
-        let mut entries: Vec<(Key, Value)> = groups.into_iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (key, v) in entries {
-            let mut row: Vec<Value> = (0..key.len()).map(|i| key.value(i)).collect();
-            row.push(v);
-            out.push(row);
-        }
-        out
-    }
-
-    /// `UNION ALL` (schemas must have the same arity; column names are
-    /// taken from `self`).
-    pub fn union_all(&self, other: &Table) -> Table {
-        assert_eq!(
-            self.columns.len(),
-            other.columns.len(),
-            "UNION ALL arity mismatch: {} vs {}",
-            self.name,
-            other.name
-        );
-        let mut rows = self.rows.clone();
-        rows.extend(other.rows.iter().cloned());
-        Table::from_rows(
-            format!("{}∪{}", self.name, other.name),
-            self.columns.clone(),
-            rows,
-        )
-    }
-
-    /// Upsert by key columns: rows of `updates` replace any
-    /// existing rows of `self` with the same key, otherwise insert — the
-    /// paper's `!T(…)` notation (Fig. 9d: `DELETE … WHERE key IN updates;
-    /// INSERT updates`).
-    pub fn upsert(&mut self, updates: &Table, keys: &[&str]) {
-        assert_eq!(
-            self.columns.len(),
-            updates.columns.len(),
-            "upsert arity mismatch"
-        );
-        let self_idx: Vec<usize> = keys.iter().map(|k| self.col(k)).collect();
-        let upd_idx: Vec<usize> = keys.iter().map(|k| updates.col(k)).collect();
-        let updated: KeySet = updates.rows.iter().map(|r| Key::of(r, &upd_idx)).collect();
-        // Incremental like `push`: the per-column frequency maps are exact
-        // reference counts, so deleted rows are un-observed and inserted
-        // rows observed — cost proportional to the rows touched, not to the
-        // whole table.
-        let stats = &mut self.stats;
-        self.rows.retain(|r| {
-            let keep = !updated.contains(&Key::of(r, &self_idx));
-            if !keep {
-                stats.forget_row(r);
-            }
-            keep
-        });
-        stats.refresh_maxima();
-        for r in &updates.rows {
-            self.stats.observe_row(r);
-        }
-        self.rows.extend(updates.rows.iter().cloned());
-    }
-
-    /// Distinct values of one integer column.
-    pub fn distinct_ints(&self, column: &str) -> Vec<i64> {
-        let idx = self.col(column);
-        let mut vals: Vec<i64> = self.rows.iter().map(|r| r[idx].as_int()).collect();
-        vals.sort_unstable();
-        vals.dedup();
-        vals
     }
 }
 
@@ -424,6 +234,7 @@ impl fmt::Display for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Database;
 
     fn edges() -> Table {
         let mut t = Table::new("A", &["s", "t", "w"]);
@@ -434,105 +245,57 @@ mod tests {
         t
     }
 
-    #[test]
-    fn filter_and_project() {
-        let a = edges();
-        let from1 = a.filter("f", |r| r[0].as_int() == 1);
-        assert_eq!(from1.len(), 2);
-        let doubled = a.project("p", &["s", "w2"], |r| {
-            vec![r[0], Value::Float(r[2].as_float() * 2.0)]
-        });
-        assert_eq!(doubled.rows()[2][1], Value::Float(4.0));
+    /// The table `name(cols)` holding `rows`.
+    fn table(name: &str, cols: Vec<String>, rows: &[[Value; 3]]) -> Table {
+        Table::from_rows(name, cols, rows.iter().map(|r| r.to_vec()).collect())
     }
 
-    #[test]
-    fn join_map_basic() {
-        let a = edges();
-        let mut labels = Table::new("E", &["v", "b"]);
-        labels.push(vec![Value::Int(1), Value::Float(0.5)]);
-        // Join edges with source labels: propagate b·w to targets.
-        let out = a.join_map(&labels, &["s"], &["v"], "V", &["t", "bw"], |l, r| {
-            vec![l[1], Value::Float(l[2].as_float() * r[1].as_float())]
-        });
-        assert_eq!(out.len(), 2); // edges (1,0) and (1,2)
-        let mut targets = out.distinct_ints("t");
-        targets.sort_unstable();
-        assert_eq!(targets, vec![0, 2]);
+    /// A database holding only `T(cols)` with `rows`.
+    fn db_with(cols: &[&str], rows: &[[Value; 3]]) -> Database {
+        let mut db = Database::new();
+        let cols = cols.iter().map(|c| c.to_string()).collect();
+        db.insert_table("T", table("T", cols, rows));
+        db
     }
 
-    #[test]
-    fn join_builds_on_smaller_side_consistently() {
-        // Same result regardless of which side is larger.
-        let a = edges();
-        let mut big = Table::new("big", &["v", "x"]);
-        for i in 0..100 {
-            big.push(vec![Value::Int(i % 3), Value::Float(i as f64)]);
-        }
-        let j1 = a.join_map(&big, &["s"], &["v"], "j", &["s", "x"], |l, r| {
-            vec![l[0], r[1]]
-        });
-        let j2 = big.join_map(&a, &["v"], &["s"], "j", &["s", "x"], |l, r| {
-            vec![r[0], l[1]]
-        });
-        assert_eq!(j1.len(), j2.len());
+    /// The paper's `!T` upsert (Fig. 9d) of `rows` into `T`, keyed on
+    /// column `k`: `DELETE … WHERE k IN (SELECT …)`, then `INSERT`. The
+    /// table's statistics must equal a from-scratch rebuild afterwards.
+    fn upsert(db: &mut Database, rows: &[[Value; 3]], k: &str) -> Table {
+        let cols = db.table("T").unwrap().columns().to_vec();
+        db.insert_table("U", table("U", cols, rows));
+        db.execute_script(&format!(
+            "delete from T where {k} in (select U.{k} from U); \
+             insert into T select * from U; drop table U"
+        ))
+        .unwrap();
+        let t = db.table("T").unwrap().clone();
+        assert_eq!(t.stats(), &TableStats::from_rows(3, t.rows()), "{t}");
+        t
     }
 
-    #[test]
-    fn anti_join_not_exists() {
-        let a = edges();
-        let mut seen = Table::new("G", &["v"]);
-        seen.push(vec![Value::Int(0)]);
-        let unseen = a.anti_join(&seen, &["t"], &["v"]);
-        // Rows whose target is NOT node 0: (0,1), (1,2), (2,1).
-        assert_eq!(unseen.len(), 3);
+    const fn i(v: i64) -> Value {
+        Value::Int(v)
     }
 
-    #[test]
-    fn group_by_sum() {
-        let a = edges();
-        let deg = a.group_by_agg("D", &["s"], "d", AggFun::SumFloat, |r| {
-            let w = r[2].as_float();
-            Value::Float(w * w)
-        });
-        assert_eq!(deg.len(), 3);
-        // Deterministic order by key.
-        assert_eq!(deg.rows()[0], vec![Value::Int(0), Value::Float(1.0)]);
-        assert_eq!(deg.rows()[1], vec![Value::Int(1), Value::Float(5.0)]);
-        assert_eq!(deg.rows()[2], vec![Value::Int(2), Value::Float(4.0)]);
-    }
-
-    #[test]
-    fn group_by_min() {
-        let mut g = Table::new("G", &["v", "g"]);
-        g.push(vec![Value::Int(7), Value::Int(4)]);
-        g.push(vec![Value::Int(7), Value::Int(2)]);
-        g.push(vec![Value::Int(8), Value::Int(1)]);
-        let m = g.group_by_agg("Gm", &["v"], "g", AggFun::MinInt, |r| r[1]);
-        assert_eq!(m.rows()[0], vec![Value::Int(7), Value::Int(2)]);
-        assert_eq!(m.rows()[1], vec![Value::Int(8), Value::Int(1)]);
-    }
-
+    /// The upsert replaces whole node rows: the surviving rows keep their
+    /// order and the new ones follow (`INSERT … SELECT` is `UNION ALL`).
     #[test]
     fn union_and_upsert() {
-        let mut b = Table::new("B", &["v", "c", "b"]);
-        b.push(vec![Value::Int(0), Value::Int(0), Value::Float(1.0)]);
-        b.push(vec![Value::Int(0), Value::Int(1), Value::Float(-1.0)]);
-        b.push(vec![Value::Int(1), Value::Int(0), Value::Float(0.5)]);
-        let mut upd = Table::new("Bn", &["v", "c", "b"]);
-        upd.push(vec![Value::Int(0), Value::Int(0), Value::Float(9.0)]);
-        upd.push(vec![Value::Int(0), Value::Int(1), Value::Float(-9.0)]);
-        b.upsert(&upd, &["v"]);
-        // Node 0 fully replaced, node 1 untouched.
-        assert_eq!(b.len(), 3);
-        let node0: Vec<f64> = b
-            .rows()
-            .iter()
-            .filter(|r| r[0].as_int() == 0)
-            .map(|r| r[2].as_float())
-            .collect();
-        assert_eq!(node0, vec![9.0, -9.0]);
-        let u = b.union_all(&upd);
-        assert_eq!(u.len(), 5);
+        let f = Value::Float;
+        let mut db = db_with(
+            &["v", "c", "b"],
+            &[
+                [i(0), i(0), f(1.0)],
+                [i(1), i(0), f(0.5)],
+                [i(0), i(1), f(-1.0)],
+                [i(2), i(0), f(0.25)],
+            ],
+        );
+        let b = upsert(&mut db, &[[i(0), i(0), f(9.0)], [i(0), i(1), f(-9.0)]], "v");
+        let col = |i: usize| -> Vec<f64> { b.rows().iter().map(|r| r[i].as_float()).collect() };
+        assert_eq!(col(0), vec![1.0, 2.0, 0.0, 0.0]);
+        assert_eq!(col(2), vec![0.5, 0.25, 9.0, -9.0]);
     }
 
     #[test]
@@ -559,13 +322,11 @@ mod tests {
         // Column w is float → untracked.
         assert_eq!(a.stats().column(2).distinct(), None);
 
-        let mut b = Table::new("B", &["v", "b"]);
-        b.push(vec![Value::Int(0), Value::Int(10)]);
-        b.push(vec![Value::Int(1), Value::Int(11)]);
-        let mut upd = Table::new("Bn", &["v", "b"]);
-        upd.push(vec![Value::Int(1), Value::Int(12)]);
-        upd.push(vec![Value::Int(2), Value::Int(13)]);
-        b.upsert(&upd, &["v"]);
+        let mut db = db_with(
+            &["v", "b", "c"],
+            &[[i(0), i(10), i(0)], [i(1), i(11), i(0)]],
+        );
+        let b = upsert(&mut db, &[[i(1), i(12), i(0)], [i(2), i(13), i(0)]], "v");
         // Rows now {0,1,2} → stats must reflect the rewrite, not the
         // append history.
         assert_eq!(b.stats().rows(), 3);
@@ -573,68 +334,57 @@ mod tests {
         assert_eq!(b.stats().column(0).max_freq(), Some(1));
     }
 
-    /// Upsert maintains statistics incrementally; this pins the invariant
-    /// that the incremental state is *equal* to a from-scratch rebuild over
-    /// the post-upsert rows, through a sequence of upserts exercising the
+    /// `DELETE` maintains statistics incrementally; `upsert` checks that
+    /// they equal a from-scratch rebuild through a sequence exercising the
     /// tricky paths: deleting a value at max multiplicity (max must drop),
-    /// deleting the last float in a column (tracking must resume), and
-    /// inserting floats (tracking must stop).
+    /// deleting the last float in a column (tracking must resume),
+    /// inserting floats (tracking must stop), deleting nothing, and
+    /// deleting everything.
     #[test]
     fn upsert_stats_match_from_scratch_rebuild() {
-        let mut t = Table::new("T", &["k", "v", "w"]);
-        t.push(vec![Value::Int(0), Value::Int(5), Value::Float(0.5)]);
-        t.push(vec![Value::Int(1), Value::Int(5), Value::Int(7)]);
-        t.push(vec![Value::Int(2), Value::Int(5), Value::Int(7)]);
-        t.push(vec![Value::Int(3), Value::Int(6), Value::Int(8)]);
-
+        let f = Value::Float;
+        let mut db = db_with(
+            &["k", "v", "w"],
+            &[
+                [i(0), i(5), f(0.5)],
+                [i(1), i(5), i(7)],
+                [i(2), i(5), i(7)],
+                [i(3), i(6), i(8)],
+            ],
+        );
         // Deletes the float row (column w becomes all-int again) and two of
         // the three rows holding v=5 (the max-frequency value of column v).
-        let mut upd = Table::new("U", &["k", "v", "w"]);
-        upd.push(vec![Value::Int(0), Value::Int(9), Value::Int(1)]);
-        upd.push(vec![Value::Int(1), Value::Int(6), Value::Int(1)]);
-        upd.push(vec![Value::Int(4), Value::Int(6), Value::Int(2)]);
-        t.upsert(&upd, &["k"]);
-        assert_eq!(
-            t.stats(),
-            &TableStats::from_rows(t.columns().len(), t.rows()),
-            "incremental upsert stats diverged from a from-scratch rebuild"
+        let t = upsert(
+            &mut db,
+            &[[i(0), i(9), i(1)], [i(1), i(6), i(1)], [i(4), i(6), i(2)]],
+            "k",
         );
         assert!(t.stats().column(2).is_tracked());
         assert_eq!(t.stats().column(1).max_freq(), Some(3)); // v=6 three times
         assert_eq!(t.stats().column(2).max_freq(), Some(2)); // w=1 twice
 
         // Re-introduce a float, replacing every remaining original row.
-        let mut upd2 = Table::new("U2", &["k", "v", "w"]);
-        upd2.push(vec![Value::Int(2), Value::Int(5), Value::Float(1.5)]);
-        upd2.push(vec![Value::Int(3), Value::Int(5), Value::Int(1)]);
-        t.upsert(&upd2, &["k"]);
-        assert_eq!(
-            t.stats(),
-            &TableStats::from_rows(t.columns().len(), t.rows()),
-            "incremental upsert stats diverged after re-introducing a float"
-        );
+        let t = upsert(&mut db, &[[i(2), i(5), f(1.5)], [i(3), i(5), i(1)]], "k");
         assert!(!t.stats().column(2).is_tracked());
         assert_eq!(t.stats().rows(), 5);
 
-        // Empty upsert is a no-op for stats as well.
-        let empty = Table::new("E", &["k", "v", "w"]);
-        t.upsert(&empty, &["k"]);
-        assert_eq!(
-            t.stats(),
-            &TableStats::from_rows(t.columns().len(), t.rows())
-        );
+        // An empty upsert changes nothing; deleting every row leaves the
+        // statistics of an empty table.
+        assert_eq!(upsert(&mut db, &[], "k"), t);
+        db.execute("delete from T where k in (select T.k from T)")
+            .unwrap();
+        assert!(upsert(&mut db, &[], "k").is_empty());
     }
 
+    /// A table built from filtered rows carries exact statistics.
     #[test]
     fn derived_tables_carry_stats() {
-        let a = edges();
-        let f = a.filter("f", |r| r[0].as_int() == 1);
+        let cfg = ParallelismConfig::with_threads(1);
+        let from1 = edges().filter_rows_with(&|r: &[Value]| r[0].as_int() == 1, &cfg);
+        let f = Table::from_rows("f", edges().columns().to_vec(), from1);
         assert_eq!(f.stats().rows(), 2);
         assert_eq!(f.stats().column(0).distinct(), Some(1));
         assert_eq!(f.stats().column(0).max_freq(), Some(2));
-        let u = a.union_all(&a);
-        assert_eq!(u.stats().rows(), 8);
-        assert_eq!(u.stats().column(0).max_freq(), Some(4));
     }
 
     /// The parallel filter returns exactly the serial rows, in order, for

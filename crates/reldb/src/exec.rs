@@ -27,6 +27,12 @@
 //!    evaluates the non-aggregate items; `SUM`/`MIN`/`MAX` fold every
 //!    row in arrival order. Groups are emitted in ascending key order.
 //!
+//! Integer `+`, `−` and `*` stay integers while the result fits in an
+//! `i64` and fall back to the float result when it overflows, as do
+//! `/` and any float operand; `ABS` of `i64::MIN` is the float 2⁶³.
+//! `DELETE` removes rows in place, keeping the survivors' order, and
+//! un-observes each removed row from the table's statistics.
+//!
 //! Join keys, group keys and `IN`-sets use the canonical key of
 //! `key.rs`: integers compare exactly (2⁵³ ≠ 2⁵³ + 1), an integral float
 //! equals its integer, and `−0.0` = `0.0`. WHERE comparisons use the same
@@ -164,11 +170,9 @@ impl Database {
         self.tables.get(name)
     }
 
-    /// Names of all registered tables, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.keys().cloned().collect();
-        names.sort();
-        names
+    /// Removes a table from the catalog and hands it back (by move).
+    pub(crate) fn take_table(&mut self, name: &str) -> Option<Table> {
+        self.tables.remove(name)
     }
 
     /// Parses and executes one statement. `SELECT` (and `EXPLAIN SELECT`)
@@ -246,19 +250,14 @@ impl Database {
                     .iter()
                     .map(|c| (table.clone(), c.clone()))
                     .collect();
-                // Pre-evaluate IN-subqueries.
-                let filters = self.compile_predicates(predicates, &schema)?;
-                let keep: Vec<Vec<Value>> = source
-                    .rows()
-                    .iter()
-                    .filter(|r| !filters.iter().all(|f| f(r)))
-                    .cloned()
-                    .collect();
-                let columns: Vec<String> = source.columns().to_vec();
-                self.tables.insert(
-                    table.clone(),
-                    Table::from_rows(table.clone(), columns, keep),
-                );
+                // IN-subqueries are evaluated here, before the table is
+                // borrowed mutably.
+                let preds: Vec<&Predicate> = predicates.iter().collect();
+                let filters = self.compile_predicate_refs(&preds, &schema)?;
+                self.tables
+                    .get_mut(table)
+                    .expect("looked up above")
+                    .retain(|r| !filters.iter().all(|f| f(r)));
                 Ok(None)
             }
             Statement::DropTable { name } => {
@@ -626,15 +625,6 @@ impl Database {
         Ok((names, evals))
     }
 
-    fn compile_predicates(
-        &self,
-        preds: &[Predicate],
-        schema: &BoundSchema,
-    ) -> Result<Vec<RowPredicate>, SqlError> {
-        let refs: Vec<&Predicate> = preds.iter().collect();
-        self.compile_predicate_refs(&refs, schema)
-    }
-
     fn compile_predicate_refs(
         &self,
         preds: &[&Predicate],
@@ -746,6 +736,7 @@ fn expr_columns<'a>(e: &'a Expr, out: &mut Vec<&'a ColumnRef>) {
             expr_columns(l, out);
             expr_columns(r, out);
         }
+        Expr::Abs(e) => expr_columns(e, out),
     }
 }
 
@@ -832,17 +823,32 @@ fn compile_expr(expr: &Expr, schema: &BoundSchema) -> Result<RowExpr, SqlError> 
                 let a = l(row);
                 let b = r(row);
                 // Integer arithmetic when both sides are integers (except
-                // division); float otherwise.
+                // division) and the result fits; float otherwise.
+                let int = match (a, b, op) {
+                    (Value::Int(x), Value::Int(y), '+') => x.checked_add(y),
+                    (Value::Int(x), Value::Int(y), '-') => x.checked_sub(y),
+                    (Value::Int(x), Value::Int(y), '*') => x.checked_mul(y),
+                    _ => None,
+                };
+                if let Some(i) = int {
+                    return Value::Int(i);
+                }
                 match (a, b, op) {
-                    (Value::Int(x), Value::Int(y), '+') => Value::Int(x + y),
-                    (Value::Int(x), Value::Int(y), '-') => Value::Int(x - y),
-                    (Value::Int(x), Value::Int(y), '*') => Value::Int(x * y),
                     (a, b, '+') => Value::Float(a.as_float() + b.as_float()),
                     (a, b, '-') => Value::Float(a.as_float() - b.as_float()),
                     (a, b, '*') => Value::Float(a.as_float() * b.as_float()),
                     (a, b, '/') => Value::Float(a.as_float() / b.as_float()),
                     _ => unreachable!("parser only emits + - * /"),
                 }
+            })
+        }
+        Expr::Abs(e) => {
+            let e = compile_expr(e, schema)?;
+            Box::new(move |row| match e(row) {
+                Value::Int(i) => i
+                    .checked_abs()
+                    .map_or(Value::Float((i as f64).abs()), Value::Int),
+                Value::Float(f) => Value::Float(f.abs()),
             })
         }
     })
@@ -1037,7 +1043,7 @@ impl Root {
 /// Streaming `GROUP BY`: a row finds its group by key; a new group
 /// evaluates every item on that first row, and each later row folds every
 /// aggregate in arrival order. Aggregate-only queries over zero rows
-/// produce zero rows (like the engine's `group_by_agg`).
+/// produce zero rows.
 struct Grouping {
     key_cols: Vec<usize>,
     /// Scalar and aggregate items (no wildcard).
@@ -1362,6 +1368,58 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(r2.rows()[0][0], Value::Float(1.5));
+    }
+
+    /// `SELECT expr FROM T` over the one row `T(x, y)`.
+    fn eval(x: Value, y: Value, expr: &str) -> Value {
+        let mut t = Table::new("T", &["x", "y"]);
+        t.push(vec![x, y]);
+        let mut db = Database::new();
+        db.insert_table("T", t);
+        let sql = format!("select {expr} from T");
+        db.execute(&sql).unwrap().unwrap().rows()[0][0]
+    }
+
+    /// Integer `+` stays an integer while it fits and falls back to the
+    /// float sum when it overflows (it used to wrap, or panic in debug
+    /// builds). `−` and `*` below likewise.
+    #[test]
+    fn int_add_overflow_falls_back_to_float() {
+        let (max, one) = (Value::Int(i64::MAX), Value::Int(1));
+        assert_eq!(eval(max, one, "x + y"), Value::Float(i64::MAX as f64 + 1.0));
+        assert_eq!(eval(max, one, "x + (0 - y)"), Value::Int(i64::MAX - 1));
+    }
+
+    #[test]
+    fn int_sub_overflow_falls_back_to_float() {
+        let (min, one) = (Value::Int(i64::MIN), Value::Int(1));
+        assert_eq!(eval(min, one, "x - y"), Value::Float(i64::MIN as f64 - 1.0));
+        assert_eq!(eval(min, one, "y - x"), Value::Float(1.0 - i64::MIN as f64));
+        assert_eq!(eval(min, one, "0 - y"), Value::Int(-1));
+    }
+
+    /// `9·10¹² · 9·10¹²` is the float `8.1·10²⁵`, not the wrapped
+    /// `−3715796041627336704`.
+    #[test]
+    fn int_mul_overflow_falls_back_to_float() {
+        let (x, three) = (Value::Int(9_000_000_000_000), Value::Int(3));
+        assert_eq!(
+            eval(x, three, "x * 9000000000000"),
+            Value::Float(9e12 * 9e12)
+        );
+        assert_eq!(eval(x, three, "x * y"), Value::Int(27_000_000_000_000));
+    }
+
+    /// `ABS` keeps integers integral (`i64::MIN` has no `i64` absolute
+    /// value: it becomes the float 2⁶³) and clears a float's sign.
+    #[test]
+    fn abs_of_ints_and_floats() {
+        let (x, y) = (Value::Int(-3), Value::Float(-2.5));
+        assert_eq!(eval(x, y, "abs(x)"), Value::Int(3));
+        assert_eq!(eval(x, y, "abs(x * y)"), Value::Float(7.5));
+        let (min, zero) = (Value::Int(i64::MIN), Value::Float(-0.0));
+        assert_eq!(eval(min, zero, "abs(x)"), Value::Float(2f64.powi(63)));
+        assert_eq!(eval(min, zero, "abs(y)").as_float().to_bits(), 0);
     }
 
     /// A database with a hub-skewed 3-way chain where the fixed

@@ -1,5 +1,5 @@
-//! The one canonical key every hash join, `GROUP BY`, `IN`-set, anti-join
-//! and upsert hashes, plus the exact numeric comparison of [`Value`]s.
+//! The one canonical key every hash join, `GROUP BY` and `IN`-set
+//! hashes, plus the exact numeric comparison of [`Value`]s.
 //!
 //! A [`Key`] is the tuple of a row's key-column values, each reduced to
 //! one 64-bit word and a float flag:

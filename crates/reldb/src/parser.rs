@@ -12,9 +12,9 @@
 //! * `CREATE TABLE t AS SELECT …` (Fig. 9a),
 //! * `INSERT INTO t SELECT … / (SELECT …)`,
 //! * `DELETE FROM t WHERE col IN (SELECT …)` (Fig. 9d),
-//! * arithmetic `+ − * /` over columns and numeric literals; quoted
-//!   numeric literals (`'0'`, `'1'`) are accepted as integers, as the
-//!   paper writes them.
+//! * arithmetic `+ − * /` and the scalar `ABS(expr)` over columns and
+//!   numeric literals; quoted numeric literals (`'0'`, `'1'`) are
+//!   accepted as integers, as the paper writes them.
 
 use std::fmt;
 
@@ -173,6 +173,8 @@ pub enum Expr {
     Literal(f64),
     /// Binary arithmetic: `+ - * /`.
     Binary(Box<Expr>, char, Box<Expr>),
+    /// `ABS(expr)`.
+    Abs(Box<Expr>),
 }
 
 /// Aggregate functions.
@@ -328,6 +330,7 @@ impl fmt::Display for Expr {
                 write!(f, " {op} ")?;
                 paren(f, r)
             }
+            Expr::Abs(e) => write!(f, "abs({e})"),
         }
     }
 }
@@ -763,7 +766,11 @@ impl Parser {
         match self.next() {
             Some(Token::Number(v)) => Ok(Expr::Literal(v)),
             Some(Token::Ident(name)) => {
-                if self.eat_symbol(".") {
+                if name.eq_ignore_ascii_case("abs") && self.eat_symbol("(") {
+                    let e = self.expr()?;
+                    self.expect_symbol(")")?;
+                    Ok(Expr::Abs(Box::new(e)))
+                } else if self.eat_symbol(".") {
                     let column = self.ident()?;
                     Ok(Expr::Column(ColumnRef {
                         table: Some(name),
@@ -929,6 +936,21 @@ mod tests {
     }
 
     #[test]
+    fn parse_abs() {
+        let sql = "select sum(abs(A.w * b)) as s from A where abs(b) <= 2e-13 * s";
+        let Statement::Select(sel) = parse(sql).unwrap() else {
+            panic!()
+        };
+        assert!(
+            matches!(&sel.predicates[0], Predicate::Compare(Expr::Abs(_), op, _) if op == "<=")
+        );
+        assert_eq!(sel.to_string(), sql.replace("2e-13", "0.0000000000002"));
+        // A column named `abs` still parses when no `(` follows.
+        assert!(parse("select abs from T").is_ok());
+        assert!(parse("select abs(b from T").is_err());
+    }
+
+    #[test]
     fn parse_unary_minus() {
         let s = parse("select -b from T").unwrap();
         let Statement::Select(sel) = s else { panic!() };
@@ -1000,6 +1022,7 @@ mod tests {
              where B.v = X.v and B.b = X.b",
             "select A.s, sum(A.w * B.b) as b from A, B where A.s = B.v group by A.s",
             "select s from A where t not in (select v from G) and s > 0.5",
+            "select v, c, 0 from Bn where abs(b) <= 2.2737367544323206e-13 * s",
         ] {
             let Statement::Select(sel) = parse(sql).unwrap() else {
                 panic!()

@@ -20,30 +20,42 @@
 //! | Algorithm 3    | [`SqlDb::sbp_add_explicit`]                         |
 //! | Algorithm 4    | [`SqlDb::sbp_add_edges`]                            |
 //!
-//! Algorithm 1 is written once, as the literal SQL of Sect. 5.3 /
-//! Appendix D run through the parser, the cost-bounded planner and the
-//! pipelined executor ([`crate::exec`]). Algorithms 2–4 are built from the
-//! engine operators ([`Table::join_map`], [`Table::anti_join`], …).
+//! Every algorithm is SQL text in the paper's notation (Sect. 5.3, Sect.
+//! 6.3, Appendix C/D), run through the parser, the cost-bounded planner
+//! and the pipelined executor ([`crate::exec`]). Only the loops stay in
+//! Rust: Algorithm 1 runs `l` rounds, and Algorithms 2–4 add geodesic
+//! layers until a round adds no node. The `!T` upserts are Fig. 9d's
+//! `DELETE … WHERE v IN (SELECT …)` followed by `INSERT`. Each layer's
+//! beliefs come from one statement, `Bn(v, c, b, s)` with `b =
+//! sum(w·b·h)` and `s = sum(|w·b·h|)`; two inserts then keep `b` where
+//! `|b| > ε·s` and write 0 where `|b| ≤ ε·s` (the cancellation snap, `ε` =
+//! [`lsbp::sbp::CANCELLATION_EPS`]). A `NaN` sum, which only overflowing
+//! inputs can produce, passes neither test and leaves no row.
+//!
+//! The join structure fixes the fold order of every sum, which the pins
+//! of `tests/query_planner.rs` hold. So Algorithm 4 joins on the parents'
+//! level `G.g = Gn.p`: the residual `G.g = Gn.g − 1` would filter only
+//! after the last join, and could flip the build sides, and with them the
+//! fold order, of the joins before it.
 //!
 //! One deviation is documented inline: Algorithm 4's guard `¬(G(t,gt),
 //! gt < gs)` admits edges between equal-geodesic nodes, which the paper's
 //! own case analysis (Appendix C, case 1) says must be ignored; we use
 //! `gt ≤ gs`, the reading consistent with that analysis.
 
-use crate::engine::{AggFun, Table, Value};
+use crate::engine::{Table, Value};
 use crate::exec::Database;
 use lsbp::beliefs::{BeliefMatrix, ExplicitBeliefs};
 use lsbp_graph::Graph;
 use lsbp_linalg::Mat;
 
-/// A relational database holding one classification problem.
+/// A relational database holding one classification problem: the
+/// relations `A`, `E` and `H`.
 #[derive(Clone, Debug)]
 pub struct SqlDb {
     n: usize,
     k: usize,
-    a: Table,
-    e: Table,
-    h: Table,
+    db: Database,
 }
 
 /// The persistent state of a relational SBP computation: the belief table
@@ -75,28 +87,10 @@ impl SqlDb {
             h_residual.rows(),
             h_residual.cols()
         );
-        // Parallel edges merge into one row with summed weight — the same
-        // semantics as the CSR adjacency matrix (Sect. 5.2: parallel paths
-        // add up, and the echo-cancellation degree is the square of the
-        // *merged* weight).
-        let mut raw = Table::new("Araw", &["s", "t", "w"]);
-        raw.reserve(graph.num_directed_edges());
-        for (s, t, w) in graph.edges() {
-            raw.push(vec![
-                Value::Int(s as i64),
-                Value::Int(t as i64),
-                Value::Float(w),
-            ]);
-            raw.push(vec![
-                Value::Int(t as i64),
-                Value::Int(s as i64),
-                Value::Float(w),
-            ]);
-        }
-        let a = raw
-            .group_by_agg("A", &["s", "t"], "w", AggFun::SumFloat, |r| r[2])
-            .project("A", &["s", "t", "w"], |r| vec![r[0], r[1], r[2]]);
-        let e = explicit_to_table(explicit);
+        let mut db = Database::new();
+        db.insert_table("A", directed_edges("A", graph.edges()));
+        merge_parallel_edges(&mut db);
+        db.insert_table("E", explicit_to_table(explicit));
         let mut h = Table::new("H", &["c1", "c2", "h"]);
         for c1 in 0..k {
             for c2 in 0..k {
@@ -107,12 +101,11 @@ impl SqlDb {
                 ]);
             }
         }
+        db.insert_table("H", h);
         Self {
             n: graph.num_nodes(),
             k,
-            a,
-            e,
-            h,
+            db,
         }
     }
 
@@ -128,17 +121,17 @@ impl SqlDb {
 
     /// The adjacency relation `A(s,t,w)`.
     pub fn a(&self) -> &Table {
-        &self.a
+        self.db.table("A").expect("A stays loaded")
     }
 
     /// The explicit-belief relation `E(v,c,b)`.
     pub fn e(&self) -> &Table {
-        &self.e
+        self.db.table("E").expect("E stays loaded")
     }
 
     /// The coupling relation `H(c1,c2,h)`.
     pub fn h(&self) -> &Table {
-        &self.h
+        self.db.table("H").expect("H stays loaded")
     }
 
     /// **Algorithm 1 (LinBP in SQL)** — `l` fixed iterations of the update
@@ -146,7 +139,7 @@ impl SqlDb {
     /// Appendix D: two view joins plus a grouped union per iteration (the
     /// paper's footnote 15). `echo = false` drops V2 (LinBP\*).
     pub fn linbp(&self, l: usize, echo: bool) -> BeliefMatrix {
-        let mut out = self.algorithm1(self.e.clone(), 1, l, echo);
+        let mut out = self.algorithm1(self.e().clone(), 1, l, echo);
         out.pop().expect("one query in, one belief matrix out")
     }
 
@@ -197,17 +190,12 @@ impl SqlDb {
     /// A database holding `A`, `H`, the seed relation `e` as `E`, and the
     /// derived tables `D(s, sum(w·w))` and `H2` = Ĥ² (Fig. 9a).
     fn database(&self, e: Table) -> Database {
-        let mut db = Database::new();
-        db.insert_table("A", self.a.clone());
+        let mut db = self.db.clone();
         db.insert_table("E", e);
-        db.insert_table("H", self.h.clone());
         run(
             &mut db,
-            "create table D as select s, sum(w * w) as d from A group by s",
-        );
-        run(
-            &mut db,
-            "create table H2 as select H1.c1, H2.c2, sum(H1.h * H2.h) as h \
+            "create table D as select s, sum(w * w) as d from A group by s; \
+             create table H2 as select H1.c1, H2.c2, sum(H1.h * H2.h) as h \
              from H H1, H H2 where H1.c2 = H2.c1 group by H1.c1, H2.c2",
         );
         db
@@ -294,41 +282,32 @@ impl SqlDb {
     }
 
     /// **Algorithm 2 (SBP in SQL)** — initial belief assignment by layered
-    /// single-pass propagation.
+    /// single-pass propagation: each round adds the next geodesic layer
+    /// to `G` (Fig. 9c) and computes its beliefs from the layer below.
     pub fn sbp(&self) -> SqlSbpState {
-        // Line 1: G(v,0) :− E(v,_,_);  B(v,c,b) :− E(v,c,b).
-        let mut g = Table::new("G", &["v", "g"]);
-        for v in self.e.distinct_ints("v") {
-            g.push(vec![Value::Int(v), Value::Int(0)]);
-        }
-        let mut b = self.e.clone();
-        let mut i: i64 = 1;
-        loop {
-            // Line 4: G(t,i) :− G(s,i−1), A(s,t,_), ¬G(t,_).
-            let frontier = g.filter("Gf", |r| r[1].as_int() == i - 1);
-            let reached =
-                frontier.join_map(&self.a, &["v"], &["s"], "R", &["t"], |_, a| vec![a[1]]);
-            let fresh = reached.anti_join(&g, &["t"], &["v"]);
-            let new_nodes = fresh.distinct_ints("t");
-            if new_nodes.is_empty() {
+        let mut db = self.db.clone();
+        run(&mut db, SBP_SEEDS);
+        for i in 1.. {
+            let before = rows(&db, "G");
+            run(&mut db, &sbp_layer_nodes(i));
+            if rows(&db, "G") == before {
                 break;
             }
-            let mut g_new = Table::new("Gn", &["v", "g"]);
-            for t in &new_nodes {
-                g_new.push(vec![Value::Int(*t), Value::Int(i)]);
-            }
-            // Line 5: B(t,c2,sum(w·b·h)) :− G(t,i), A(s,t,w), B(s,c1,b),
-            //                               G(s,i−1), H(c1,c2,h).
-            let b_new = propagate_layer(&self.a, &b, &self.h, &frontier, &g_new);
-            g = g.union_all(&g_new);
-            b = b.union_all(&b_new);
-            i += 1;
+            // Line 5: B(t, c2, sum(w·b·h)) :− G(t, i), A(s, t, w), B(s, c1, b),
+            //                                 G(s, i−1), H(c1, c2, h).
+            let layer = format!("T.g = {i} and P.g = {}", i - 1);
+            run(&mut db, &layer_update("G", &layer, "", false));
         }
-        SqlSbpState { b, g }
+        SqlSbpState {
+            b: take(&mut db, "B"),
+            g: take(&mut db, "G"),
+        }
     }
 
     /// **Algorithm 3 (ΔSBP: new explicit beliefs)** — batch insertion of
-    /// explicit beliefs with incremental maintenance of `B` and `G`.
+    /// explicit beliefs with incremental maintenance of `B` and `G`. `Gn`
+    /// collects the updated nodes with their new geodesic numbers, one
+    /// layer per round.
     ///
     /// # Panics
     /// Panics if `additions` disagrees with the loaded problem on the node
@@ -336,49 +315,58 @@ impl SqlDb {
     pub fn sbp_add_explicit(&mut self, state: &mut SqlSbpState, additions: &ExplicitBeliefs) {
         assert_eq!(additions.n(), self.n, "additions node count mismatch");
         assert_eq!(additions.k(), self.k, "additions class count mismatch");
-        let en = explicit_to_table(additions);
-        // Line 1: Gn(v,0) :− En(v,_,_);  !G(v,0).
-        let mut gn = Table::new("Gn", &["v", "g"]);
-        for v in en.distinct_ints("v") {
-            gn.push(vec![Value::Int(v), Value::Int(0)]);
-        }
-        state.g.upsert(&gn, &["v"]);
-        // Line 2: Bn := En;  !B.
-        state.b.upsert(&en, &["v"]);
-        // Merge the additions into E so later recomputations see them.
-        self.e.upsert(&en, &["v"]);
-
-        let mut i: i64 = 1;
-        loop {
-            // Line 5: Gn(t,i) :− Gn(s,i−1), A(s,t,_), ¬(G(t,gt), gt < i).
-            let reached = gn.join_map(&self.a, &["v"], &["s"], "R", &["t"], |_, a| vec![a[1]]);
-            let settled = state.g.filter("Gs", |r| r[1].as_int() < i);
-            let fresh = reached.anti_join(&settled, &["t"], &["v"]);
-            let nodes = fresh.distinct_ints("t");
-            if nodes.is_empty() {
-                break;
+        self.update(state, |db| {
+            db.insert_table("En", explicit_to_table(additions));
+            // Line 1: Gn(v, 0) :− En(v, _, _);  !G(v, 0).
+            // Line 2: Bn := En;  !B.  The additions are merged into E as
+            // well, so later recomputations see them.
+            run(
+                db,
+                "create table Gn as select v, 0 as g from En group by v; \
+                 delete from G where v in (select Gn.v from Gn); \
+                 insert into G select v, g from Gn; \
+                 delete from B where v in (select En.v from En); \
+                 insert into B select v, c, b from En; \
+                 delete from E where v in (select En.v from En); \
+                 insert into E select v, c, b from En; drop table En",
+            );
+            for i in 1.. {
+                // Line 5: Gn(t, i) :− Gn(s, i−1), A(s, t, _),
+                // ¬(G(t, gt), gt < i);  !G(t, i).
+                let before = rows(db, "Gn");
+                let sql = format!(
+                    "insert into Gn select A.t as v, {i} as g from Gn, A \
+                     where Gn.v = A.s and Gn.g = {p} \
+                     and A.t not in (select G.v from G where G.g < {i}) group by A.t",
+                    p = i - 1
+                );
+                run(db, &sql);
+                if rows(db, "Gn") == before {
+                    break;
+                }
+                // Line 6: Bn(t, c2, sum(w·b·h)) :− Gn(t, i), A(s, t, w),
+                // B(s, c1, b), G(s, i−1), H(c1, c2, h);  !B. Every parent
+                // of t sits at level i−1, updated or not.
+                let layer = format!("T.g = {i} and P.g = {}", i - 1);
+                let sql = format!(
+                    "delete from G where v in (select Gn.v from Gn where Gn.g = {i}); \
+                     insert into G select v, g from Gn where g = {i}; {}",
+                    layer_update("Gn", &layer, "", true)
+                );
+                run(db, &sql);
             }
-            let mut gn_next = Table::new("Gn", &["v", "g"]);
-            for t in &nodes {
-                gn_next.push(vec![Value::Int(*t), Value::Int(i)]);
-            }
-            state.g.upsert(&gn_next, &["v"]);
-            // Line 6: recompute beliefs of the updated nodes from *all*
-            // parents at level i−1 (updated or not).
-            let parents = state.g.filter("Gp", |r| r[1].as_int() == i - 1);
-            let bn = propagate_layer(&self.a, &state.b, &self.h, &parents, &gn_next);
-            // !B — replace whole node rows (Fig. 9d).
-            state.b.upsert(&bn, &["v"]);
-            gn = gn_next;
-            i += 1;
-        }
+            run(db, "drop table Gn");
+        });
     }
 
     /// **Algorithm 4 (ΔSBP: new edges)** — batch insertion of edges.
     ///
     /// `new_edges` are undirected `(s, t, w)` triples. Follows Appendix C's
     /// Algorithm 4 (with the `gt ≤ gs` guard, see module docs); nodes may
-    /// be updated more than once as shorter geodesic paths cascade.
+    /// be updated more than once as shorter geodesic paths cascade. Each
+    /// round's `Gn(v, g, p)` holds the nodes whose geodesic number drops,
+    /// or whose belief gains a path, through the edges of the round
+    /// before: `g` is the new geodesic number, `p = g − 1` the parents'.
     ///
     /// # Panics
     /// Panics if an endpoint is not a node of the loaded graph (`≥ n`).
@@ -390,201 +378,154 @@ impl SqlDb {
                 self.n
             );
         }
-        // Line 1: !A(s,t,w) :− An(s,t,w) (both directions).
-        let mut an = Table::new("An", &["s", "t", "w"]);
-        for &(s, t, w) in new_edges {
-            an.push(vec![
-                Value::Int(s as i64),
-                Value::Int(t as i64),
-                Value::Float(w),
-            ]);
-            an.push(vec![
-                Value::Int(t as i64),
-                Value::Int(s as i64),
-                Value::Float(w),
-            ]);
-        }
-        for row in an.rows() {
-            self.a.push(row.clone());
-        }
-        // Re-merge parallel edges (see `new`): an inserted edge that
-        // duplicates an existing one accumulates into its weight.
-        self.a = self
-            .a
-            .group_by_agg("A", &["s", "t"], "w", AggFun::SumFloat, |r| r[2])
-            .project("A", &["s", "t", "w"], |r| vec![r[0], r[1], r[2]]);
-
-        // Line 2: seed nodes — Gn(t, min(gs+1)) :− G(s,gs), An(s,t,_),
-        // ¬(G(t,gt), gt ≤ gs).
-        let mut gn = self.relax_step(&an, &state.g, &state.g);
-        loop {
-            if gn.is_empty() {
-                break;
+        self.update(state, |db| {
+            db.insert_table("An", directed_edges("An", new_edges.iter().copied()));
+            // Line 1: !A(s, t, w) :− An(s, t, w), both directions; an edge
+            // parallel to an existing one adds to its weight (see `new`).
+            run(db, "insert into A select s, t, w from An");
+            merge_parallel_edges(db);
+            // Line 2: Gn(t, min(gs+1)) :− G(s, gs), An(s, t, _),
+            // ¬(G(t, gt), gt ≤ gs).
+            run(db, &relax("G", "An", "An"));
+            while rows(db, "Gn") > 0 {
+                // !G, then the beliefs of this round's nodes from all
+                // parents one level below (lines 2–3 in the first round,
+                // 5–6 after);  !B. A node with no parent yet (reconnected
+                // through a node updated later) is reset to 0.
+                let parentless = "insert into Bn select Gn.v, H.c1 as c, 0 as b, 0 as s \
+                                  from Gn, H where Gn.v not in (select Bn.v from Bn) \
+                                  group by Gn.v, H.c1";
+                let sql = format!(
+                    "delete from G where v in (select Gn.v from Gn); \
+                     insert into G select v, g from Gn; {}",
+                    layer_update("Gn", "P.g = T.p", parentless, true)
+                );
+                run(db, &sql);
+                // Line 5: the next round relaxes the edges leaving this
+                // round's nodes, over the full (updated) adjacency.
+                run(db, &relax("Gn", "A", "Gn"));
             }
-            // !G and belief recomputation for the seeds of this round
-            // (lines 2–3 first pass, lines 5–6 in the loop).
-            state.g.upsert(&gn, &["v"]);
-            let bn = recompute_from_parents(&self.a, &state.b, &self.h, &state.g, &gn);
-            state.b.upsert(&bn, &["v"]);
-            // Line 5: next frontier from the nodes just updated; edges now
-            // come from the full (updated) adjacency.
-            let frontier_edges =
-                self.a
-                    .join_map(&gn, &["s"], &["v"], "Af", &["s", "t", "w", "gs"], |a, g| {
-                        vec![a[0], a[1], a[2], g[1]]
-                    });
-            gn = self.relax_step_from(&frontier_edges, &state.g);
-        }
-    }
-
-    /// One relaxation: candidate geodesic updates flowing across `edges`
-    /// (which must carry columns `s,t,w`), with source levels taken from
-    /// `g_src` and guard levels from `g_all`.
-    fn relax_step(&self, edges: &Table, g_src: &Table, g_all: &Table) -> Table {
-        let with_gs = edges.join_map(
-            g_src,
-            &["s"],
-            &["v"],
-            "Ag",
-            &["s", "t", "w", "gs"],
-            |a, g| vec![a[0], a[1], a[2], g[1]],
-        );
-        self.relax_step_from(&with_gs, g_all)
-    }
-
-    /// Shared tail of the relaxation: given `(s,t,w,gs)` rows, keep targets
-    /// whose current geodesic number exceeds `gs` (or is unset) and
-    /// aggregate `min(gs+1)` per target.
-    fn relax_step_from(&self, edges_with_gs: &Table, g_all: &Table) -> Table {
-        // Join candidates with current G to apply the guard; targets
-        // without a G row pass automatically (anti-join path).
-        let with_gt =
-            edges_with_gs.join_map(g_all, &["t"], &["v"], "Agt", &["t", "gs", "gt"], |e, g| {
-                vec![e[1], e[3], g[1]]
-            });
-        let improving = with_gt.filter("Ai", |r| r[2].as_int() > r[1].as_int());
-        let unreached =
-            edges_with_gs
-                .anti_join(g_all, &["t"], &["v"])
-                .project("Au", &["t", "gs", "gt"], |r| {
-                    vec![r[1], r[3], Value::Int(i64::MAX - 1)]
-                });
-        improving
-            .union_all(&unreached)
-            .group_by_agg("Gn", &["t"], "g", AggFun::MinInt, |r| {
-                Value::Int(r[1].as_int() + 1)
-            })
-            .project("Gn", &["v", "g"], |r| vec![r[0], r[1]])
-    }
-}
-
-/// Line 5 of Algorithm 2 / line 6 of Algorithm 3: beliefs of the nodes in
-/// `targets` computed from the parents in `parents` (a `G` slice at level
-/// i−1):
-/// `B(t,c2,sum(w·b·h)) :− targets(t,_), A(s,t,w), B(s,c1,b), parents(s,_),
-///  H(c1,c2,h)`.
-fn propagate_layer(a: &Table, b: &Table, h: &Table, parents: &Table, targets: &Table) -> Table {
-    let from_parents = a.join_map(parents, &["s"], &["v"], "Ap", &["s", "t", "w"], |a, _| {
-        vec![a[0], a[1], a[2]]
-    });
-    let to_targets =
-        from_parents.join_map(targets, &["t"], &["v"], "At", &["s", "t", "w"], |e, _| {
-            vec![e[0], e[1], e[2]]
+            run(db, "drop table Gn");
         });
-    let with_b = to_targets.join_map(b, &["s"], &["v"], "AtB", &["t", "c1", "wb"], |e, bb| {
-        vec![
-            e[1],
-            bb[1],
-            Value::Float(e[2].as_float() * bb[2].as_float()),
-        ]
-    });
-    let terms = with_b.join_map(h, &["c1"], &["c1"], "AtBH", &["t", "c2", "wbh"], |l, hh| {
-        vec![
-            l[0],
-            hh[1],
-            Value::Float(l[2].as_float() * hh[2].as_float()),
-        ]
-    });
-    sum_terms_with_cancellation_snap(&terms)
+    }
+
+    /// Runs `script` on the problem's database with `G` and `B` moved in
+    /// from `state`, and moves them back out; no relation is copied.
+    fn update(&mut self, state: &mut SqlSbpState, script: impl FnOnce(&mut Database)) {
+        self.db.insert_table("G", std::mem::take(&mut state.g));
+        self.db.insert_table("B", std::mem::take(&mut state.b));
+        script(&mut self.db);
+        state.g = take(&mut self.db, "G");
+        state.b = take(&mut self.db, "B");
+    }
 }
 
-/// Aggregates a `(t, c2, wbh)` term relation into `B(v, c, b)` rows,
-/// snapping sums within the shared rounding bound of 0 to an exact 0 —
-/// exact SBP cancellations (a node fed by seeds of all `k` classes) must
-/// read out as ties here just as they do in the in-memory engine (see
-/// [`lsbp::sbp::CANCELLATION_EPS`]).
-fn sum_terms_with_cancellation_snap(terms: &Table) -> Table {
-    let sums = terms.group_by_agg("Bsum", &["t", "c2"], "b", AggFun::SumFloat, |r| r[2]);
-    let abs_sums = terms.group_by_agg("Babs", &["t", "c2"], "s", AggFun::SumFloat, |r| {
-        Value::Float(r[2].as_float().abs())
-    });
-    sums.join_map(
-        &abs_sums,
-        &["t", "c2"],
-        &["t", "c2"],
-        "Bn",
-        &["v", "c", "b"],
-        |l, a| {
-            let b = l[2].as_float();
-            let bound = lsbp::sbp::CANCELLATION_EPS * a[2].as_float();
-            let snapped = if b.abs() <= bound { 0.0 } else { b };
-            vec![l[0], l[1], Value::Float(snapped)]
-        },
+/// Algorithm 2, line 1: `G(v, 0) :− E(v, _, _)`;  `B(v, c, b) :− E(v, c, b)`.
+const SBP_SEEDS: &str = "create table G as select v, 0 as g from E group by v; \
+                         create table B as select v, c, b from E";
+
+/// Algorithm 2, line 4: `G(t, i) :− G(s, i−1), A(s, t, _), ¬G(t, _)` —
+/// Fig. 9c, grouped so that a node reached over several edges is one row.
+fn sbp_layer_nodes(i: usize) -> String {
+    format!(
+        "insert into G select A.t as v, {i} as g from G, A \
+         where G.v = A.s and G.g = {p} and A.t not in (select G.v from G) \
+         group by A.t",
+        p = i - 1
     )
 }
 
-/// Algorithm 4's belief recomputation: like [`propagate_layer`] but the
-/// parent level differs per target (`g_parent = g_target − 1`), so the
-/// parent filter is a join predicate instead of a pre-sliced table.
-fn recompute_from_parents(a: &Table, b: &Table, h: &Table, g: &Table, targets: &Table) -> Table {
-    // (t, gt) ⋈ A(s,t,w) ⋈ G(s,gs) with gs = gt − 1 ⋈ B(s,c1,b) ⋈ H.
-    let edges_in = a.join_map(
-        targets,
-        &["t"],
-        &["v"],
-        "Ain",
-        &["s", "t", "w", "gt"],
-        |e, tg| vec![e[0], e[1], e[2], tg[1]],
+/// The SELECT of one layer's beliefs: `Bn(t, c2, b, s)` with
+/// `b = sum(w·b·h)` and `s = sum(|w·b·h|)` over the edges `A(s, t, w)`
+/// from each target `t` in `targets T` to its parents `G P`, filtered by
+/// `layer` (which places `T` and `P` one level apart).
+fn layer_beliefs(targets: &str, layer: &str) -> String {
+    format!(
+        "select A.t as v, H.c2 as c, sum(A.w * B.b * H.h) as b, sum(abs(A.w * B.b * H.h)) as s \
+         from {targets} T, A, G P, B, H \
+         where T.v = A.t and A.s = P.v and A.s = B.v and B.c = H.c1 and {layer} \
+         group by A.t, H.c2"
+    )
+}
+
+/// Line 5 of Algorithm 2, line 6 of Algorithm 3 and lines 3 and 6 of
+/// Algorithm 4: `Bn` := [`layer_beliefs`], then `fill`; with `replace`,
+/// `!B` deletes the rows of `Bn`'s nodes from `B`. `Bn` then joins `B`,
+/// every sum within the shared rounding bound of 0 snapped to an exact 0:
+/// exact SBP cancellations (a node fed by seeds of all `k` classes) must
+/// read out as ties here just as they do in the in-memory engine (see
+/// [`lsbp::sbp::CANCELLATION_EPS`]). The snapped rows land after the kept
+/// ones; a zero term leaves a float sum unchanged, so their place in `B`
+/// changes no later sum.
+fn layer_update(targets: &str, layer: &str, fill: &str, replace: bool) -> String {
+    let eps = format!("{:e}", lsbp::sbp::CANCELLATION_EPS);
+    let delete = match replace {
+        true => "delete from B where v in (select Bn.v from Bn)",
+        false => "",
+    };
+    format!(
+        "create table Bn as {}; {fill}; {delete}; \
+         insert into B select v, c, b from Bn where abs(b) > {eps} * s; \
+         insert into B select v, c, 0 from Bn where abs(b) <= {eps} * s; drop table Bn",
+        layer_beliefs(targets, layer)
+    )
+}
+
+/// Algorithm 4's relaxation across the edges `X(s, t, _)` that leave the
+/// nodes `S(v, gs)`: the candidates `Gm(t, gs + 1, gs)` for every target
+/// whose geodesic number `gt` exceeds `gs` (`¬(G(t, gt), gt ≤ gs)`), then
+/// for every target not in `G` yet. After `drop` is dropped, the next
+/// `Gn(v, g, p)` keeps each node's least candidate — its new geodesic
+/// number and its parents' level — in node order.
+fn relax(src: &str, edges: &str, drop: &str) -> String {
+    format!(
+        "create table Gm as select T.v, S.g + 1 as g, S.g as p from {src} S, {edges} X, G T \
+         where S.v = X.s and X.t = T.v and T.g > S.g; \
+         insert into Gm select X.t as v, S.g + 1 as g, S.g as p from {src} S, {edges} X \
+         where S.v = X.s and X.t not in (select G.v from G); drop table {drop}; \
+         create table Gn as select v, min(g) as g, min(p) as p from Gm group by v; drop table Gm"
+    )
+}
+
+/// Re-merges parallel edges of `A(s, t, w)` into one row with summed
+/// weight, ordered by `(s, t)` — the semantics of the CSR adjacency
+/// matrix (Sect. 5.2: parallel paths add up, and the echo-cancellation
+/// degree is the square of the *merged* weight).
+fn merge_parallel_edges(db: &mut Database) {
+    run(
+        db,
+        "create table Am as select s, t, sum(w) as w from A group by s, t; drop table A",
     );
-    let with_gs = edges_in.join_map(
-        g,
-        &["s"],
-        &["v"],
-        "Ags",
-        &["s", "t", "w", "gt", "gs"],
-        |e, gg| vec![e[0], e[1], e[2], e[3], gg[1]],
-    );
-    let parent_edges = with_gs.filter("Apar", |r| r[4].as_int() == r[3].as_int() - 1);
-    let with_b = parent_edges.join_map(b, &["s"], &["v"], "AB", &["t", "c1", "wb"], |e, bb| {
-        vec![
-            e[1],
-            bb[1],
-            Value::Float(e[2].as_float() * bb[2].as_float()),
-        ]
-    });
-    let terms = with_b.join_map(h, &["c1"], &["c1"], "ABH", &["t", "c2", "wbh"], |l, hh| {
-        vec![
-            l[0],
-            hh[1],
-            Value::Float(l[2].as_float() * hh[2].as_float()),
-        ]
-    });
-    let full = sum_terms_with_cancellation_snap(&terms);
-    // Targets with *no* parent edges yet (e.g. freshly reconnected nodes
-    // whose parents are settled later) must still be overwritten — emit
-    // explicit zero rows so the upsert clears stale beliefs. The number of
-    // classes is read off H.
-    let k = h.distinct_ints("c1").len();
-    let have_rows: std::collections::HashSet<i64> = full.distinct_ints("v").into_iter().collect();
-    let mut out = full;
-    for t in targets.distinct_ints("v") {
-        if !have_rows.contains(&t) {
-            for c in 0..k {
-                out.push(vec![Value::Int(t), Value::Int(c as i64), Value::Float(0.0)]);
-            }
+    let merged = take(db, "Am");
+    db.insert_table("A", merged);
+}
+
+/// The relation `name(s, t, w)` holding each undirected edge in both
+/// directions.
+fn directed_edges(name: &str, edges: impl Iterator<Item = (usize, usize, f64)>) -> Table {
+    let mut t = Table::new(name, &["s", "t", "w"]);
+    for (s, d, w) in edges {
+        for (a, b) in [(s, d), (d, s)] {
+            t.push(vec![
+                Value::Int(a as i64),
+                Value::Int(b as i64),
+                Value::Float(w),
+            ]);
         }
     }
-    out
+    t
+}
+
+/// Moves table `name` out of `db`; an embedded script that does not leave
+/// it behind is a bug, so its absence panics.
+fn take(db: &mut Database, name: &str) -> Table {
+    db.take_table(name)
+        .unwrap_or_else(|| panic!("embedded SQL left no table {name}"))
+}
+
+/// The row count of table `name` in `db` (0 if there is none).
+fn rows(db: &Database, name: &str) -> usize {
+    db.table(name).map_or(0, Table::len)
 }
 
 /// Converts explicit beliefs to the `E(v,c,b)` relation (explicit nodes
@@ -870,10 +811,42 @@ mod tests {
         }
     }
 
+    /// The plan of Algorithm 2's layer-1 belief statement on the Fig. 5c
+    /// torus (`B` is still `E`): 9 edges reach the 3 layer-1 nodes, 3 of
+    /// them from a seed; each meets 3 `B` rows and each of those 3 `H`
+    /// rows, so 27 terms fold into 9 `(t, c2)` groups.
+    #[test]
+    fn explain_sbp_layer_statement() {
+        let (sdb, ..) = torus_db();
+        let mut db = Database::new();
+        db.insert_table("A", sdb.a().clone());
+        db.insert_table("E", sdb.e().clone());
+        db.insert_table("H", sdb.h().clone());
+        run(&mut db, SBP_SEEDS);
+        run(&mut db, &sbp_layer_nodes(1));
+        let text = db
+            .explain(&layer_beliefs("G", "T.g = 1 and P.g = 0"))
+            .unwrap();
+        assert_eq!(
+            text,
+            "Aggregate group by [A.t, H.c2] bound<=24 actual=9
+  HashJoin on B.c = H.c1 bound<=81 actual=27 (build=H)
+    HashJoin on A.s = B.v bound<=27 actual=9 (build=prefix)
+      HashJoin on A.s = P.v bound<=9 actual=3 (build=P)
+        HashJoin on T.v = A.t bound<=9 actual=9 (build=prefix)
+          Scan T [T.g = 1] rows=6 bound<=3 actual=3
+          Scan A rows=16 bound<=16 actual=16
+        Scan P [P.g = 0] rows=6 bound<=3 actual=3
+      Scan B rows=9 bound<=9 actual=9
+    Scan H rows=9 bound<=9 actual=9
+"
+        );
+    }
+
     /// Algorithm 2 reproduces the native SBP (beliefs and geodesics).
     #[test]
     fn sql_sbp_matches_native() {
-        let (db, g, e, _) = torus_db();
+        let (_, g, e, _) = torus_db();
         let ho = CouplingMatrix::fig1c().unwrap().residual();
         let db_unscaled = SqlDb::new(&g, &e, &ho);
         let state = db_unscaled.sbp();
@@ -886,7 +859,6 @@ mod tests {
                 < 1e-12
         );
         assert_eq!(geodesic_table_to_vec(&state.g, 8), native.geodesics.g);
-        let _ = db;
     }
 
     /// Algorithm 3 equals recomputation from scratch, on random graphs.

@@ -11,7 +11,7 @@
 //!
 //! Maintenance is incremental on both the append path
 //! ([`TableStats::observe_row`], called from `Table::push`) and the delete
-//! path ([`TableStats::forget_row`], called from `Table::upsert`): the
+//! path ([`TableStats::forget_row`], called from SQL `DELETE`): the
 //! per-value frequency maps are exact reference counts, so removed rows
 //! are un-observed rather than triggering an `O(rows)` rebuild. Columns
 //! currently holding at least one float value are untracked (`Float` join

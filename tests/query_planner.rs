@@ -16,9 +16,9 @@
 //!    round-trip through the parser and print the chosen order with a
 //!    pessimistic bound and actual cardinality per node.
 //! 3. **Regression pins** — `SqlDb::linbp` / `linbp_batch` / `sbp` /
-//!    `linbp_sql_text` and the Fig. 9b read-out hashes are pinned: neither
-//!    the planner nor the executor may perturb the SQL algorithms bit for
-//!    bit.
+//!    `sbp_add_explicit` / `sbp_add_edges` / `linbp_sql_text` and the
+//!    Fig. 9b read-out hashes are pinned: neither the planner nor the
+//!    executor may perturb the SQL algorithms bit for bit.
 
 use lsbp::prelude::*;
 use lsbp_graph::generators::{erdos_renyi_gnm, fig5c_torus, kronecker_graph};
@@ -626,10 +626,12 @@ fn mat_hash(m: &BeliefMatrix) -> u64 {
 /// The `SqlDb::linbp`, `linbp_batch` and `sbp` constants were captured
 /// on the commit immediately before the planner landed, when LinBP still
 /// ran hand-built engine joins; the `linbp_sql_text` and Fig. 9b read-out
-/// constants on the commit before the pipelined executor. All three
-/// LinBP methods now run the one Algorithm 1 SQL script (the batch with
-/// a query-id column) and must keep every one of those bits; `sbp` still
-/// runs the engine operators.
+/// constants on the commit before the pipelined executor; the
+/// `sbp_add_explicit` and `sbp_add_edges` constants on the commit before
+/// Algorithms 2–4 became SQL text, when SBP and both updates still ran
+/// hand-built engine operators. Every algorithm now runs its SQL script
+/// (the LinBP batch with a query-id column) and must keep every one of
+/// those bits.
 #[test]
 fn sql_algorithms_bitwise_identical_to_pre_planner_outputs() {
     let g = kronecker_graph(5);
@@ -675,8 +677,8 @@ fn sql_algorithms_bitwise_identical_to_pre_planner_outputs() {
     let gs = erdos_renyi_gnm(60, 150, 23);
     let es = random_labels(60, 3, 6, 4);
     let ho = CouplingMatrix::fig1c().unwrap().residual();
-    let sdb = SqlDb::new(&gs, &es, &ho);
-    let state = sdb.sbp();
+    let mut sdb = SqlDb::new(&gs, &es, &ho);
+    let mut state = sdb.sbp();
     assert_eq!(
         mat_hash(&belief_table_to_matrix(&state.b, 60, 3)),
         0x0cdda98064fa6a81,
@@ -690,6 +692,38 @@ fn sql_algorithms_bitwise_identical_to_pre_planner_outputs() {
         ),
         0x5a2daad102a11022,
         "sbp geodesics"
+    );
+
+    // One ΔSBP batch of each kind on the same state: three new seeds
+    // (Algorithm 3), then twelve edges, some parallel to existing ones
+    // (Algorithm 4).
+    let g_hash = |g: &Table| fnv64(geodesic_table_to_vec(g, 60).into_iter().map(|x| x as u64));
+    let mut additions = ExplicitBeliefs::new(60, 3);
+    for v in (0..60).step_by(13).filter(|&v| !es.is_explicit(v)).take(3) {
+        additions.set_label(v, v % 3, 1.0).unwrap();
+    }
+    sdb.sbp_add_explicit(&mut state, &additions);
+    assert_eq!(
+        mat_hash(&belief_table_to_matrix(&state.b, 60, 3)),
+        0xe0873a52633875f0,
+        "sbp_add_explicit beliefs"
+    );
+    assert_eq!(
+        g_hash(&state.g),
+        0xfd5bb80099c5e121,
+        "sbp_add_explicit geodesics"
+    );
+    let new_edges: Vec<_> = erdos_renyi_gnm(60, 12, 29).edges().collect();
+    sdb.sbp_add_edges(&mut state, &new_edges);
+    assert_eq!(
+        mat_hash(&belief_table_to_matrix(&state.b, 60, 3)),
+        0x378fadc559614634,
+        "sbp_add_edges beliefs"
+    );
+    assert_eq!(
+        g_hash(&state.g),
+        0x84c14d14562ada01,
+        "sbp_add_edges geodesics"
     );
 }
 

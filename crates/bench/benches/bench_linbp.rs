@@ -1,5 +1,7 @@
 //! Criterion bench for Fig. 7(a)'s LinBP column: cost of 5 LinBP /
-//! LinBP\* iterations across Kronecker graph scales.
+//! LinBP\* iterations across Kronecker graph scales; plus the
+//! stacked-vs-solo probe: one stacked solve of 8 seed sets against the
+//! same 8 sets solved one by one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsbp::prelude::*;
@@ -31,5 +33,44 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench);
+/// Stacking pays off only if a stacked solve costs less than its solo
+/// solves: kronecker m7, q = 8 seed blocks of `n/40` consecutive rows
+/// (the serving workload's shape), tol 1e-9. Compare `stacked_q8` with
+/// `solo_x8`; with per-query frontiers the stacked solve computes the
+/// same (row, query) pairs as the solo ones.
+fn stacked_vs_solo(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stacked_vs_solo");
+    group.sample_size(10);
+    let adj = kronecker_graph(7).adjacency();
+    let n = adj.n_rows();
+    let h = CouplingMatrix::fig6b_residual().scale(0.0005);
+    let block = (n / 40).max(1);
+    let queries: Vec<ExplicitBeliefs> = (0..8)
+        .map(|j| {
+            let mut e = ExplicitBeliefs::new(n, 3);
+            for i in 0..block {
+                e.set_label(j * block + i, (i + j) % 3, 1.0).unwrap();
+            }
+            e
+        })
+        .collect();
+    let opts = LinBpOptions {
+        tol: 1e-9,
+        ..Default::default()
+    };
+    group.bench_function("stacked_q8", |b| {
+        b.iter(|| linbp_batch_on(&adj, &queries, &h, &opts).unwrap())
+    });
+    group.bench_function("solo_x8", |b| {
+        b.iter(|| {
+            queries
+                .iter()
+                .map(|e| linbp(&adj, e, &h, &opts).unwrap())
+                .collect::<Vec<_>>()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench, stacked_vs_solo);
 criterion_main!(benches);

@@ -16,12 +16,15 @@
 //!
 //! Per-query convergence is tracked with masks: a query whose belief
 //! change drops under `tol` (or whose magnitudes trip the divergence
-//! guard) is **frozen** — its column block stops updating and its
-//! per-query result records the iteration it stopped at — while the
-//! remaining queries keep iterating. Freezing is what makes a query's
-//! batched result **bitwise identical** to the same query run alone: a
-//! frozen query's beliefs are exactly the beliefs a one-query batch
-//! returns, not "the same query iterated a little longer".
+//! guard) is **frozen** — its column block is never computed or written
+//! again and its per-query result records the iteration it stopped at —
+//! while the remaining queries keep iterating. Freezing is what makes a
+//! query's batched result **bitwise identical** to the same query run
+//! alone: a frozen query's beliefs are exactly the beliefs a one-query
+//! batch returns, not "the same query iterated a little longer". With
+//! no copy-forward, a frozen query's beliefs stay in the buffer it froze
+//! in, and the result read-out picks that buffer by the parity of the
+//! sweeps run after it froze.
 //!
 //! Why bitwise identity holds (and is property-tested against a plain
 //! unfused loop): the stacked SpMM and the block-diagonal `·Ĥ` accumulate
@@ -30,13 +33,15 @@
 //! delta/guard read-outs are order-independent maxima (or fixed-order L2
 //! sums) over exactly that query's elements.
 //!
-//! Every per-query read-out and copy walks the stacked matrices in row
-//! order, a constant number of passes per sweep whatever `q` is: the
-//! guard's magnitudes ([`Mat::max_abs_blocks`]) and the L2 deltas
-//! ([`Mat::l2_diff_blocks`]) fill one value per `k`-block in a single
-//! pass, and stacking `Ê`, copying frozen blocks forward and extracting
-//! results run row-outer, block-inner. Per-query column walks would
-//! re-stream the whole `n × k·q` matrix once per query.
+//! Per-sweep work follows each query's own frontier
+//! ([`lsbp_sparse::FrontierState`], per (row, query) from the query's
+//! seeds): the kernel computes only live pairs whose inputs changed, and
+//! the divergence guard's `max |B|` is folded in the same kernel pass,
+//! so with the MaxAbs norm no per-sweep pass touches the whole
+//! `n × k·q` matrix. Only the L2 deltas ([`Mat::l2_diff_blocks`]) stay a
+//! row-major pass filling one value per `k`-block. Stacking `Ê` and
+//! extracting results run row-outer, block-inner; per-query column walks
+//! would re-stream the whole matrix once per query.
 
 use crate::beliefs::{BeliefMatrix, ExplicitBeliefs};
 use crate::linbp::{LinBpError, LinBpOptions, LinBpResult};
@@ -45,7 +50,7 @@ use lsbp_linalg::{
     FixedPointOp, FixedPointSolver, IterationEvent, Mat, ParallelismConfig, StepOutcome,
     ToleranceNorm,
 };
-use lsbp_sparse::{FrontierState, FusedLinBpStep, PropagationOperator};
+use lsbp_sparse::{FrontierPlan, FrontierState, FusedLinBpStep, PropagationOperator};
 
 /// Runs **LinBP** (Eq. 6, with echo cancellation) on `q` independent
 /// seed-sets in one pass against any [`PropagationOperator`]: one stacked
@@ -82,11 +87,14 @@ struct QuerySlot {
 }
 
 /// The stacked LinBP update as a [`FixedPointOp`], backed by the fused
-/// kernel ([`lsbp_sparse::CsrMatrix::linbp_step_fused_with`]) applying `Ĥ` per
-/// `k`-column block: one row-partitioned pass computes the update,
-/// damping and every query's max-abs residual together. The outer solver
-/// runs in "operator-controlled" mode (`tol = 0`): tolerance and the
-/// magnitude guard are applied *per query* inside the step.
+/// frontier kernel
+/// ([`lsbp_sparse::CsrMatrix::linbp_step_fused_frontier_with`]) applying
+/// `Ĥ` per `k`-column block: one row-partitioned pass computes the
+/// update, damping, every query's max-abs residual and its magnitude
+/// read-out together, for the live (row, query) pairs whose inputs
+/// changed. The outer solver runs in "operator-controlled" mode
+/// (`tol = 0`): tolerance and the magnitude guard are applied *per
+/// query* inside the step.
 struct LinBpBatchIteration<'a, A: PropagationOperator + ?Sized> {
     adj: &'a A,
     e_hat: &'a Mat,
@@ -101,29 +109,21 @@ struct LinBpBatchIteration<'a, A: PropagationOperator + ?Sized> {
     divergence_guard: f64,
     slots: Vec<QuerySlot>,
     deltas: Vec<f64>,
-    /// Active-frontier change tracking; composes with the per-query
-    /// freeze masks (frozen queries already skip — frozen *rows* now do
-    /// too). `None` forces full recomputation. Bitwise identical either
-    /// way.
-    frontier: Option<FrontierState<'a>>,
-    /// Reusable not-frozen mask handed to the frontier as the set of
-    /// query blocks that participate in change detection. Exact because
-    /// the update is block-diagonal per query and the frozen set only
-    /// grows: bits recorded under an older (larger) mask are a
-    /// conservative superset.
-    active_mask: Vec<bool>,
+    /// Per-(row, query) change tracking: narrows each sweep to the pairs
+    /// whose inputs changed, or (frontier off) computes every live pair.
+    frontier: FrontierState<'a>,
+    /// Reusable not-frozen mask: a frozen query's blocks are neither
+    /// computed nor written again.
+    live: Vec<bool>,
 }
 
 impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A> {
     fn step(&mut self, solver: &FixedPointSolver, iteration: usize) -> StepOutcome {
         let k = self.k;
-        // One stacked fused update — exactly the q = 1 fused step
-        // per k-column block, residuals accumulated per query in-pass.
-        // Frozen queries are computed too and their outputs discarded:
-        // after the swap their blocks are copied forward from the
-        // previous buffer, so both buffers agree on them every iteration
-        // — which is what lets the frontier's changed-bit compare
-        // restrict to active blocks.
+        // One stacked fused update — exactly the q = 1 fused step per
+        // live k-column block, residuals and magnitudes accumulated per
+        // query in-pass. Frozen queries are not computed: each keeps its
+        // final beliefs in the buffer it froze in.
         let fstep = FusedLinBpStep {
             e_hat: self.e_hat,
             h: self.h,
@@ -131,38 +131,24 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A
             degrees: self.degrees,
             damping: solver.damping,
         };
-        let counters = match self.frontier.as_mut() {
-            Some(state) => {
-                for (m, slot) in self.active_mask.iter_mut().zip(&self.slots) {
-                    *m = !slot.frozen;
-                }
-                let mut fr = state.begin(Some(&self.active_mask));
-                self.adj.linbp_step_fused_frontier_with(
-                    &self.b,
-                    &fstep,
-                    &mut self.next,
-                    &mut self.deltas,
-                    &mut fr,
-                    &self.cfg,
-                );
-                Some((fr.rows_active, fr.rows_skipped))
-            }
-            None => {
-                self.adj.linbp_step_fused_with(
-                    &self.b,
-                    &fstep,
-                    &mut self.next,
-                    &mut self.deltas,
-                    &self.cfg,
-                );
-                None
-            }
-        };
+        for (m, slot) in self.live.iter_mut().zip(&self.slots) {
+            *m = !slot.frozen;
+        }
+        let mut fr = self.frontier.begin(&self.live);
+        self.adj.linbp_step_fused_frontier_with(
+            &self.b,
+            &fstep,
+            &mut self.next,
+            &mut self.deltas,
+            &mut fr,
+            &self.cfg,
+        );
+        self.frontier.commit();
         // The fused pass already produced max-abs deltas; L2 queries
         // replace theirs with the fixed-order per-block read-out, one
         // row-major pass for all queries (fusing L2 would tie the sum to
-        // the row partition). Frontier-skipped rows hold the same bits in
-        // both buffers, so they add exactly a recomputation's terms.
+        // the row partition). Skipped pairs hold the same bits in both
+        // buffers, so they add exactly a recomputation's terms.
         if solver.norm == ToleranceNorm::L2 {
             let l2 = self.next.l2_diff_blocks(&self.b, k);
             for ((d, slot), v) in self.deltas.iter_mut().zip(&self.slots).zip(l2) {
@@ -172,31 +158,10 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A
             }
         }
         std::mem::swap(&mut self.b, &mut self.next);
-        // Frozen queries keep their final beliefs: copy their blocks
-        // forward from the previous buffer, row-outer (their stacked-step
-        // output is discarded).
-        let frozen: Vec<std::ops::Range<usize>> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.frozen)
-            .map(|(j, _)| j * k..(j + 1) * k)
-            .collect();
-        if !frozen.is_empty() {
-            for r in 0..self.b.rows() {
-                let (dst, src) = (self.b.row_mut(r), self.next.row(r));
-                for cols in &frozen {
-                    dst[cols.clone()].copy_from_slice(&src[cols.clone()]);
-                }
-            }
-        }
-        // The guard's per-query magnitudes, one row-major pass for all
-        // queries (skipped when no guard is set or nothing is active).
-        let magnitudes = (self.divergence_guard.is_finite()
-            && self.slots.iter().any(|slot| !slot.frozen))
-        .then(|| self.b.max_abs_blocks(k));
-        // Per-query stop policy, after the swap: guard (or a non-finite
-        // delta) first, then tolerance.
+        // Per-query stop policy: guard (or a non-finite delta) first,
+        // then tolerance. The guard reads the kernel's per-query
+        // `max |new|`, which decides exactly like a full `max |B|` pass.
+        let magnitudes = self.frontier.magnitudes();
         let mut remaining = 0.0f64;
         let mut any_active = false;
         for (j, slot) in self.slots.iter_mut().enumerate() {
@@ -206,11 +171,7 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A
             let delta = self.deltas[j];
             slot.iterations = iteration + 1;
             slot.final_delta = delta;
-            if magnitudes
-                .as_ref()
-                .is_some_and(|m| m[j] > self.divergence_guard)
-                || !delta.is_finite()
-            {
+            if magnitudes[j] > self.divergence_guard || !delta.is_finite() {
                 slot.frozen = true;
                 slot.diverged = true;
             } else if self.tol > 0.0 && delta < self.tol {
@@ -220,9 +181,6 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A
                 any_active = true;
                 remaining = remaining.max(delta);
             }
-        }
-        if let (Some(state), Some((active, skipped))) = (self.frontier.as_mut(), counters) {
-            state.commit(active, skipped);
         }
         // What the outer solver (and an observer) sees: a lone query's
         // own delta — non-finite on divergence, which is safe because the
@@ -288,6 +246,24 @@ pub(crate) fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
         &no_echo
     };
 
+    // The frontier starts at each query's non-zero seed rows. That start
+    // is exact only if an all-`+0.0` neighbourhood recomputes to `+0.0`,
+    // which needs finite weights (and, with echo, finite degrees);
+    // otherwise the first sweep computes every pair. With the frontier
+    // off every block stays active, so the graph's dependency plan is
+    // never built: a plan of self-dependencies serves.
+    let no_deps;
+    let frontier = if !opts.parallelism.frontier() {
+        no_deps = FrontierPlan::empty(n, FrontierPlan::block_rows_for(n));
+        FrontierState::full(&no_deps, q)
+    } else {
+        let weights = if echo { degrees } else { adj.row_sums() };
+        if weights.iter().all(|x| x.is_finite()) {
+            FrontierState::from_seeds(adj.frontier_plan(), &e_hat, k)
+        } else {
+            FrontierState::new(adj.frontier_plan(), q)
+        }
+    };
     let mut op = LinBpBatchIteration {
         adj,
         e_hat: &e_hat,
@@ -310,11 +286,8 @@ pub(crate) fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
             })
             .collect(),
         deltas: vec![f64::INFINITY; q],
-        frontier: opts
-            .parallelism
-            .frontier()
-            .then(|| FrontierState::new(adj.frontier_plan())),
-        active_mask: vec![true; q],
+        frontier,
+        live: vec![true; q],
     };
     // Operator-controlled stopping: the per-query masks inside the step
     // implement tolerance and guard; the outer solver only carries the
@@ -324,33 +297,38 @@ pub(crate) fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
         .with_damping(opts.damping)
         .run_observed(&mut op, observer);
 
-    // Whole-run frontier totals: the counters describe the shared stacked
-    // solve, so every per-query result carries the same pair (consumers
-    // aggregating across queries of one batch take the max, not the sum).
-    let (rows_active, rows_skipped) = op
-        .frontier
-        .as_ref()
-        .map(|s| (s.rows_active, s.rows_skipped))
-        .unwrap_or(((n * outcome.iterations) as u64, 0));
-    // Split the stacked beliefs into per-query matrices, row-outer.
+    // A query's last sweep wrote `next`, which that sweep's swap made
+    // `b`; every later sweep swapped again without writing it. So its
+    // beliefs are in `b` after an even number of later sweeps, else in
+    // `next`. Split them into per-query matrices, row-outer.
+    let from_b: Vec<bool> = op
+        .slots
+        .iter()
+        .map(|slot| (outcome.iterations - slot.iterations).is_multiple_of(2))
+        .collect();
     let mut per_query: Vec<Mat> = (0..q).map(|_| Mat::zeros(n, k)).collect();
     for r in 0..n {
-        for (dst, src) in per_query.iter_mut().zip(op.b.row(r).chunks_exact(k)) {
-            dst.row_mut(r).copy_from_slice(src);
+        let (b_row, next_row) = (op.b.row(r), op.next.row(r));
+        for (j, dst) in per_query.iter_mut().enumerate() {
+            let src = if from_b[j] { b_row } else { next_row };
+            dst.row_mut(r).copy_from_slice(&src[j * k..(j + 1) * k]);
         }
     }
+    // Each query's own frontier counters: its (row, query) pairs while
+    // it was live, as its solo solve would count them.
     Ok(op
         .slots
         .iter()
         .zip(per_query)
-        .map(|(slot, beliefs)| LinBpResult {
+        .enumerate()
+        .map(|(j, (slot, beliefs))| LinBpResult {
             beliefs: BeliefMatrix::from_mat(beliefs),
             converged: slot.converged,
             diverged: slot.diverged,
             iterations: slot.iterations,
             final_delta: slot.final_delta,
-            rows_active,
-            rows_skipped,
+            rows_active: op.frontier.rows_active[j],
+            rows_skipped: op.frontier.rows_skipped[j],
         })
         .collect())
 }

@@ -75,11 +75,14 @@ pub struct LinBpResult {
     pub iterations: usize,
     /// Largest absolute belief change in the final round.
     pub final_delta: f64,
-    /// Rows recomputed across all rounds (active-frontier execution;
-    /// equals `n × iterations` with the frontier off).
+    /// Rows this query recomputed across its rounds (active-frontier
+    /// execution; equals `n × iterations` with the frontier off). In a
+    /// stacked batch each query counts only its own (row, query) pairs,
+    /// so this equals the query's solo solve.
     pub rows_active: u64,
-    /// Rows skipped across all rounds because their inputs were bitwise
-    /// unchanged (always 0 with the frontier off).
+    /// Rows this query skipped across its rounds because their inputs
+    /// were bitwise unchanged (always 0 with the frontier off);
+    /// `rows_active + rows_skipped = n × iterations`.
     pub rows_skipped: u64,
 }
 

@@ -402,31 +402,6 @@ impl Mat {
         accs.iter().map(|acc| acc.finish().sqrt()).collect()
     }
 
-    /// [`Mat::max_abs`] per `k`-column block — the per-query divergence
-    /// guard of the batched solvers, in one row-major pass. One
-    /// independent accumulator per column (no dependency chain per
-    /// block), folded per block at the end; `max` is order-independent,
-    /// so each value equals the block's standalone [`Mat::max_abs`].
-    ///
-    /// # Panics
-    /// Panics if `k` does not divide the width.
-    pub fn max_abs_blocks(&self, k: usize) -> Vec<f64> {
-        match self.block_count(k) {
-            0 => return Vec::new(),
-            1 => return vec![max_abs4(&self.data)],
-            _ => {}
-        }
-        let mut acc = vec![0.0f64; self.cols];
-        for row in self.data.chunks_exact(self.cols) {
-            for (m, &x) in acc.iter_mut().zip(row) {
-                *m = m.max(x.abs());
-            }
-        }
-        acc.chunks_exact(k)
-            .map(|blk| blk.iter().fold(0.0f64, |m, &x| m.max(x)))
-            .collect()
-    }
-
     /// Number of `k`-column blocks, asserting that `k` tiles the width.
     fn block_count(&self, k: usize) -> usize {
         assert!(
@@ -703,9 +678,9 @@ mod tests {
         }
     }
 
-    /// The one-pass block read-outs equal the standalone read-outs of
-    /// each `k`-column block bitwise (one block and several; widths whose
-    /// rows do and do not split into whole 4-lane chunks).
+    /// The one-pass block read-out equals the standalone read-out of each
+    /// `k`-column block bitwise (one block and several; widths whose rows
+    /// do and do not split into whole 4-lane chunks).
     #[test]
     fn block_read_outs_match_standalone_blocks() {
         for (k, q) in [(3, 1), (3, 5), (4, 6), (5, 3), (2, 40)] {
@@ -714,17 +689,11 @@ mod tests {
                 ((r * 29 + c * 13) % 23) as f64 * 0.71 - 7.9
             });
             let b = Mat::from_fn(13, cols, |r, c| ((r * 7 + c * 3) % 19) as f64 * 0.53 - 4.1);
-            let magnitudes = a.max_abs_blocks(k);
             let l2 = a.l2_diff_blocks(&b, k);
-            assert_eq!((magnitudes.len(), l2.len()), (q, q));
+            assert_eq!(l2.len(), q);
             for j in 0..q {
                 let block = |m: &Mat| Mat::from_fn(13, k, |r, c| m[(r, j * k + c)]);
                 let (aj, bj) = (block(&a), block(&b));
-                assert_eq!(
-                    magnitudes[j].to_bits(),
-                    aj.max_abs().to_bits(),
-                    "k={k} q={q} j={j}"
-                );
                 assert_eq!(
                     l2[j].to_bits(),
                     aj.l2_diff(&bj).to_bits(),
@@ -732,6 +701,8 @@ mod tests {
                 );
             }
         }
-        assert!(Mat::zeros(4, 0).max_abs_blocks(3).is_empty());
+        assert!(Mat::zeros(4, 0)
+            .l2_diff_blocks(&Mat::zeros(4, 0), 3)
+            .is_empty());
     }
 }

@@ -811,11 +811,14 @@ pub struct ServerStats {
     pub pager_evictions: u64,
     /// Shard blocks loaded ahead of the kernels by the prefetch thread.
     pub pager_prefetches: u64,
-    /// LinBP rows recomputed by served solves (active-frontier
-    /// execution; with the frontier off this is simply rows × rounds).
+    /// LinBP rows recomputed by served solves, counted per query: a
+    /// stacked batch adds each query's own (row, query) pairs, the same
+    /// count its solo solve would add (active-frontier execution; with
+    /// the frontier off this is simply rows × rounds per query).
     pub frontier_rows_active: u64,
     /// LinBP rows skipped by served solves because their inputs were
-    /// bitwise unchanged since the previous round.
+    /// bitwise unchanged since the previous round, counted per query
+    /// like [`ServerStats::frontier_rows_active`].
     pub frontier_rows_skipped: u64,
 }
 
@@ -904,11 +907,13 @@ pub struct HealthInfo {
     pub pager_evictions: u64,
     /// Buffer-pool prefetch loads since startup.
     pub pager_prefetches: u64,
-    /// LinBP rows recomputed by served solves since startup (see
+    /// LinBP rows recomputed by served solves since startup, summed
+    /// per query over every batch (see
     /// [`ServerStats::frontier_rows_active`]).
     pub frontier_rows_active: u64,
-    /// LinBP rows skipped by served solves since startup (bitwise
-    /// unchanged inputs; see [`ServerStats::frontier_rows_skipped`]).
+    /// LinBP rows skipped by served solves since startup, summed per
+    /// query (bitwise unchanged inputs; see
+    /// [`ServerStats::frontier_rows_skipped`]).
     pub frontier_rows_skipped: u64,
 }
 

@@ -356,11 +356,12 @@ struct Counters {
     panics_caught: u64,
     degraded_stale: u64,
     degraded_clamped: u64,
-    /// LinBP rows recomputed by served solves (active-frontier
-    /// execution; equals rows × sweeps when the frontier is off).
+    /// LinBP (row, query) pairs recomputed by served solves, summed over
+    /// the queries of each batch (active-frontier execution; equals
+    /// rows × sweeps per query when the frontier is off).
     frontier_rows_active: u64,
-    /// LinBP rows skipped by served solves because their inputs were
-    /// bitwise unchanged since the previous sweep.
+    /// LinBP (row, query) pairs skipped by served solves because their
+    /// inputs were bitwise unchanged since the previous sweep.
     frontier_rows_skipped: u64,
     /// Pager activity of graph entries already replaced by edge deltas
     /// — added at replacement time so the served totals stay monotone
@@ -1491,10 +1492,10 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
     // by one the same queries would have cost Σ iterations.
     let passes = results.iter().map(|r| r.3).max().unwrap_or(0);
     let sequential: u64 = results.iter().map(|r| r.3).sum();
-    // A stacked solve records the *same* whole-run frontier totals on every
-    // per-query result, so the batch total is the max, not the sum.
-    let frontier_active = results.iter().map(|r| r.5).max().unwrap_or(0);
-    let frontier_skipped = results.iter().map(|r| r.6).max().unwrap_or(0);
+    // Each per-query result counts that query's own (row, query) pairs,
+    // so the batch total is the sum.
+    let frontier_active: u64 = results.iter().map(|r| r.5).sum();
+    let frontier_skipped: u64 = results.iter().map(|r| r.6).sum();
     {
         let mut c = shared.counters.lock().unwrap();
         c.queries_served += q as u64;

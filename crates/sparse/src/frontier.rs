@@ -1,5 +1,5 @@
 //! Active-frontier execution for the fused LinBP path — bitwise-exact
-//! iteration skipping.
+//! iteration skipping, tracked per (row, query).
 //!
 //! LinBP solves converge non-uniformly: after a few iterations most of
 //! the graph has *frozen* — a row's inputs are bitwise unchanged from the
@@ -10,37 +10,61 @@
 //!
 //! The machinery:
 //!
-//! * a **changed-node bitset** ([`NodeBitset`]) — bit `r` set iff row
-//!   `r`'s belief block changed a single bit in the last committed
-//!   iteration (computed for free inside the fused residual pass);
-//! * the **dependency rule** — row `r` must be recomputed iff `r` itself
-//!   changed (the residual `|new − old|`, the echo term and the damping
-//!   blend all read the own row) or any column in `r`'s adjacency row
-//!   changed (the gather reads those belief rows);
+//! * **changed bits per (row, query)** ([`FrontierState`]) — the stacked
+//!   update is block-diagonal per query (`I_q ⊗ Ĥ`), so each query has
+//!   its own frontier. One [`NodeBitset`] of `n·q` bits in row-major
+//!   order holds them: row `r`'s queries at bits `r·q .. r·q + q` (a
+//!   field that may straddle two words, `⌈q/64⌉` words for `q > 64`).
+//!   Bit `(r, j)` is set iff the last sweep changed a single bit of
+//!   query `j`'s block of row `r`. At `q = 1` this is a plain per-row
+//!   bitset;
+//! * the **dependency rule** — query `j` of row `r` is recomputed iff `j`
+//!   is still live (not frozen) and `(r, j)` itself changed (the
+//!   residual, the echo term and the damping blend read the own row) or
+//!   `(c, j)` changed for a column `c` of `A(r,·)` (the gather reads
+//!   those rows). The row test ORs the row's and its neighbours' query
+//!   fields, ANDs the live mask, and stops as soon as every live query
+//!   is found (at `q = 1`, on the first changed bit);
 //! * a **block-granular plan** ([`FrontierPlan`]) — rows grouped into
 //!   [`FrontierPlan::block_rows`]-sized blocks, each with a precomputed
-//!   bitset of the row-blocks it depends on, so a per-iteration *summary*
-//!   bitset (bit `i` = any changed row in block `i`) lets whole blocks —
-//!   and whole shards, and for [`crate::PagedCsr`] whole on-disk pages —
-//!   be skipped without touching their nnz at all.
+//!   bitset of the row-blocks it depends on. The per-sweep *summary*
+//!   (bit `i` = block `i` holds a changed pair of *any* query, the union
+//!   over queries) lets whole blocks — and whole shards, and for
+//!   [`crate::PagedCsr`] whole on-disk pages — be skipped without
+//!   touching their nnz, so a shard no query needs is never faulted in.
 //!
 //! **Why skipping is bitwise-exact.** The solver iterates on a double
-//! buffer, so a skipped row's output slot still holds that row's value
-//! from two iterations ago. The invariant making that correct: *if row
-//! `r`'s changed bit is clear, both buffers hold bit-identical values for
-//! row `r`* (on every column block still being solved). By induction: the
-//! first iteration computes every row, and a computed row only gets a
-//! clear bit when its new bits equal its old bits — at which point the
-//! buffers agree — while a skipped row touches neither buffer. A skipped
-//! row therefore needs no copy-forward at all, contributes exactly-0
-//! terms to every residual norm (max or fixed-order L2), and recomputing
-//! it would reproduce its bits verbatim (same pure function, bitwise
-//! identical inputs). Outputs, iteration counts and convergence points
-//! are bitwise identical to full recomputation at any frontier × shard ×
-//! thread × budget combination (property-tested in `tests/frontier.rs`
-//! and `debug_assert`ed on every skipped row).
+//! buffer, and the kernels never write a block they do not compute. The
+//! invariant: *if bit `(r, j)` is clear and query `j` is live, both
+//! buffers hold bit-identical values for that block*. A computed block
+//! only gets a clear bit when its new bits equal its old bits, and a
+//! skipped block touches neither buffer; recomputing a skipped block
+//! would reproduce its bits verbatim (same pure function, bitwise
+//! identical inputs), and it contributes exactly-0 terms to every
+//! residual norm (max or fixed-order L2). A frozen query is never
+//! computed again, so it costs nothing and keeps its final beliefs in
+//! the buffer it froze in.
+//!
+//! **The start from `Ê`.** A solve starts at `B = Ê` with a zeroed second
+//! buffer, so [`FrontierState::from_seeds`] marks `(r, j)` only where
+//! `Ê`'s block holds a bit other than `+0.0` (`-0.0` included). That is
+//! exact: a block whose own and neighbours' blocks are all `+0.0`
+//! recomputes to `+0.0` (`v·0.0 = ±0.0`, `+0.0 + ±0.0 = +0.0`, and the
+//! `Ĥ`/echo terms skip zeros), which both buffers already hold. The
+//! argument needs finite weights and degrees (`∞·0.0` is NaN); when they
+//! are not, the solver starts all-changed ([`FrontierState::new`]), so
+//! the first sweep computes every pair as full recomputation would.
+//! Starting from the seeds is what makes edge-delta patches cheap: their
+//! delta seeds sit on the changed edges' endpoints.
+//!
+//! Outputs, iteration counts and convergence points are bitwise
+//! identical to full recomputation at any frontier × shard × thread ×
+//! budget × batch combination (property-tested in `tests/frontier.rs`
+//! and `tests/fused_linbp.rs`, and `debug_assert`ed on every unwritten
+//! live block).
 
 use crate::csr::CsrMatrix;
+use lsbp_linalg::Mat;
 
 /// A fixed-length bitset over node (row) or block indices.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -82,6 +106,24 @@ impl NodeBitset {
         self.words[i >> 6] & (1u64 << (i & 63)) != 0
     }
 
+    /// The `len ∈ 1..=64` bits starting at bit `start`, LSB first — one
+    /// row's query field of a row-major (row, query) bitset, which may
+    /// straddle two words.
+    #[inline]
+    pub fn field(&self, start: usize, len: usize) -> u64 {
+        debug_assert!((1..=64).contains(&len) && start + len <= self.len);
+        let (w, off) = (start >> 6, start & 63);
+        let mut v = self.words[w] >> off;
+        if off + len > 64 {
+            v |= self.words[w + 1] << (64 - off);
+        }
+        if len < 64 {
+            v & ((1u64 << len) - 1)
+        } else {
+            v
+        }
+    }
+
     /// Clears every bit.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
@@ -99,11 +141,15 @@ impl NodeBitset {
         }
     }
 
-    /// `self |= other` (lengths must match) — the order-independent merge
-    /// the parallel tasks' partial changed-bitsets combine with.
-    pub fn or_assign(&mut self, other: &NodeBitset) {
+    /// `self |= other` over the word range `words` (lengths must match) —
+    /// the order-independent merge of a parallel task's partial bitset,
+    /// whose task wrote nothing outside that range.
+    pub fn or_assign_words(&mut self, other: &NodeBitset, words: std::ops::Range<usize>) {
         debug_assert_eq!(self.len, other.len, "bitset length mismatch");
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
+        for (w, &o) in self.words[words.clone()]
+            .iter_mut()
+            .zip(&other.words[words])
+        {
             *w |= o;
         }
     }
@@ -231,41 +277,95 @@ impl FrontierPlan {
 }
 
 /// Per-solve frontier state owned by a solver op: the borrowed plan, the
-/// committed changed/summary bitsets of the last iteration, the scratch
-/// bitset the next iteration's changed bits accumulate into, and the
-/// cumulative skip/active row counters surfaced through `Health`/`Stats`.
+/// committed per-(row, query) changed bits and their block summary, the
+/// scratch bits the next sweep records into, the sweep's per-query
+/// read-outs, and the cumulative per-query row counters surfaced through
+/// `Health`/`Stats`.
+///
+/// The changed bits are one [`NodeBitset`] of `n·q` bits in row-major
+/// order: row `r`'s queries sit at bits `r·q .. r·q + q` (at `q = 1`
+/// this is a plain per-row bitset).
 #[derive(Clone, Debug)]
 pub struct FrontierState<'p> {
     plan: &'p FrontierPlan,
+    q: usize,
+    /// `false` runs every live pair every sweep (the frontier switched
+    /// off): the changed bits stay all-set instead of narrowing.
+    track: bool,
     changed: NodeBitset,
     summary: NodeBitset,
     scratch: NodeBitset,
-    /// Total row recomputations across committed iterations.
-    pub rows_active: u64,
-    /// Total rows skipped (inputs bitwise unchanged) across committed
-    /// iterations.
-    pub rows_skipped: u64,
+    /// Not-frozen queries of the current sweep, one bit per query.
+    live: Vec<u64>,
+    /// Per query: pairs computed by the current sweep.
+    step_active: Vec<u64>,
+    /// Per query: `max |new|` over the pairs the current sweep computed.
+    magnitudes: Vec<f64>,
+    /// Per query: (row, query) pairs computed across committed sweeps
+    /// while the query was live.
+    pub rows_active: Vec<u64>,
+    /// Per query: (row, query) pairs skipped across committed sweeps
+    /// while the query was live (inputs bitwise unchanged).
+    pub rows_skipped: Vec<u64>,
 }
 
 impl<'p> FrontierState<'p> {
-    /// Fresh state for one solve: everything marked changed, so the first
-    /// iteration computes every row (establishing the double-buffer
-    /// invariant), after which real change bits take over.
-    pub fn new(plan: &'p FrontierPlan) -> Self {
-        let n = plan.n_rows();
-        let mut changed = NodeBitset::new(n);
-        changed.fill();
-        let mut summary = NodeBitset::new(plan.n_blocks());
-        summary.fill();
-        let scratch = NodeBitset::new(n);
-        Self {
+    fn with_changed(plan: &'p FrontierPlan, q: usize, track: bool, changed: NodeBitset) -> Self {
+        let mut state = Self {
             plan,
+            q,
+            track,
+            scratch: NodeBitset::new(changed.len()),
             changed,
-            summary,
-            scratch,
-            rows_active: 0,
-            rows_skipped: 0,
+            summary: NodeBitset::new(plan.n_blocks()),
+            live: vec![0; q.div_ceil(64)],
+            step_active: vec![0; q],
+            magnitudes: vec![0.0; q],
+            rows_active: vec![0; q],
+            rows_skipped: vec![0; q],
+        };
+        state.rebuild_summary();
+        state
+    }
+
+    fn all_changed(plan: &FrontierPlan, q: usize) -> NodeBitset {
+        let mut changed = NodeBitset::new(plan.n_rows() * q);
+        changed.fill();
+        changed
+    }
+
+    /// State for `q` stacked queries with every pair marked changed, so
+    /// the first sweep computes every live pair (establishing the
+    /// double-buffer invariant from any start), after which real change
+    /// bits take over.
+    pub fn new(plan: &'p FrontierPlan, q: usize) -> Self {
+        Self::with_changed(plan, q, true, Self::all_changed(plan, q))
+    }
+
+    /// State that never narrows: every live pair is computed every sweep
+    /// — full recomputation through the same masked row loop, so frozen
+    /// queries still cost nothing.
+    pub fn full(plan: &'p FrontierPlan, q: usize) -> Self {
+        Self::with_changed(plan, q, false, Self::all_changed(plan, q))
+    }
+
+    /// State for a solve that starts at `B = Ê` with a zeroed second
+    /// buffer: (row, query) is marked iff that `k`-block of `Ê` holds a
+    /// bit other than `+0.0`. Exact only when the fused step maps all-`+0.0`
+    /// inputs to `+0.0` outputs, i.e. when every weight (and, with echo,
+    /// every squared-weight degree) is finite — the caller checks that
+    /// and falls back to [`FrontierState::new`].
+    pub fn from_seeds(plan: &'p FrontierPlan, e_hat: &Mat, k: usize) -> Self {
+        let q = e_hat.cols() / k;
+        let mut changed = NodeBitset::new(plan.n_rows() * q);
+        for r in 0..e_hat.rows() {
+            for (j, blk) in e_hat.row(r).chunks_exact(k).enumerate() {
+                if blk.iter().any(|x| x.to_bits() != 0) {
+                    changed.set(r * q + j);
+                }
+            }
         }
+        Self::with_changed(plan, q, true, changed)
     }
 
     /// The dependency plan.
@@ -273,176 +373,346 @@ impl<'p> FrontierState<'p> {
         self.plan
     }
 
-    /// Rows changed by the last committed iteration.
+    /// (row, query) pairs changed by the last committed sweep: bit
+    /// `r·q + j` is row `r`, query `j`.
     pub fn changed(&self) -> &NodeBitset {
         &self.changed
     }
 
-    /// Begins one iteration: clears the scratch bitset and hands out the
-    /// borrowed per-step context the frontier-aware fused step fills in.
-    /// `active_cols` masks which `k`-column query blocks participate in
-    /// change detection (`None` = all) — the batched solver passes its
-    /// not-frozen mask, which is exact because the update is
-    /// block-diagonal per query and the frozen set only grows.
-    pub fn begin<'a>(&'a mut self, active_cols: Option<&'a [bool]>) -> FrontierStep<'a> {
+    /// Per query: `max |new|` over the pairs the last sweep computed —
+    /// the divergence guard's read-out. A pair the sweep skipped holds
+    /// `+0.0` or a value an earlier sweep computed (and the guard then
+    /// checked), so comparing this against the guard decides exactly
+    /// like a full `max |B|` pass.
+    pub fn magnitudes(&self) -> &[f64] {
+        &self.magnitudes
+    }
+
+    /// Begins one sweep: clears the scratch bits and per-query read-outs
+    /// and hands out the borrowed per-step context the frontier-aware
+    /// fused step fills in. `live[j]` says whether query `j` is still
+    /// being solved; a frozen query's blocks are neither computed nor
+    /// written (the update is block-diagonal per query, and the frozen
+    /// set only grows).
+    pub fn begin<'a>(&'a mut self, live: &[bool]) -> FrontierStep<'a> {
+        assert_eq!(live.len(), self.q, "frontier: live mask length");
+        self.live.iter_mut().for_each(|w| *w = 0);
+        for (j, _) in live.iter().enumerate().filter(|(_, &on)| on) {
+            self.live[j / 64] |= 1 << (j % 64);
+        }
         self.scratch.clear();
+        self.step_active.iter_mut().for_each(|a| *a = 0);
+        self.magnitudes.iter_mut().for_each(|m| *m = 0.0);
         FrontierStep {
             plan: self.plan,
+            q: self.q,
             changed: &self.changed,
             summary: &self.summary,
+            live: &self.live,
             next_changed: &mut self.scratch,
-            active_cols,
-            rows_active: 0,
-            rows_skipped: 0,
+            active: &mut self.step_active,
+            magnitudes: &mut self.magnitudes,
         }
     }
 
-    /// Commits one iteration: the scratch bits become the committed
-    /// changed set, the block summary is rebuilt (`O(n/64)`), and the
-    /// step's counters fold into the totals. `rows_active`/`rows_skipped`
-    /// are the counters read out of the consumed [`FrontierStep`].
-    pub fn commit(&mut self, rows_active: u64, rows_skipped: u64) {
-        std::mem::swap(&mut self.changed, &mut self.scratch);
+    /// Commits one sweep: the scratch bits become the committed changed
+    /// set (unless the state never narrows), the block summary is
+    /// rebuilt (`O(n·q/64)`), and every live query's pairs fold into its
+    /// counters — computed ones into `rows_active`, the rest of its `n`
+    /// rows into `rows_skipped`.
+    pub fn commit(&mut self) {
+        if self.track {
+            std::mem::swap(&mut self.changed, &mut self.scratch);
+            self.rebuild_summary();
+        }
+        let n = self.plan.n_rows() as u64;
+        for j in 0..self.q {
+            if mask_bit(&self.live, j) {
+                self.rows_active[j] += self.step_active[j];
+                self.rows_skipped[j] += n - self.step_active[j];
+            }
+        }
+    }
+
+    /// Summary bit `i` = block `i` holds a changed pair for any query.
+    /// A block covers `block_rows·q` bits, a whole number of words.
+    fn rebuild_summary(&mut self) {
         self.summary.clear();
-        let block_words = self.plan.block_rows() / 64;
+        let block_words = self.plan.block_rows() * self.q / 64;
+        if block_words == 0 {
+            return;
+        }
         for (w, &word) in self.changed.words().iter().enumerate() {
             if word != 0 {
                 self.summary.set(w / block_words);
             }
         }
-        self.rows_active += rows_active;
-        self.rows_skipped += rows_skipped;
     }
 }
 
-/// The borrowed per-iteration context a frontier-aware fused step runs
-/// against: the last iteration's change information (inputs), the bitset
-/// this iteration's changed rows accumulate into, the query-block mask,
-/// and the step's row counters. Produced by [`FrontierState::begin`];
-/// read the counters back and [`FrontierState::commit`] after the step.
+/// The borrowed per-sweep context a frontier-aware fused step runs
+/// against: the last sweep's change information and the live-query mask
+/// (inputs), and the bits, per-query computed-pair counts and
+/// magnitudes this sweep fills in (outputs). Produced by
+/// [`FrontierState::begin`]; [`FrontierState::commit`] after the step.
 pub struct FrontierStep<'a> {
     /// Static block-dependency plan.
     pub plan: &'a FrontierPlan,
-    /// Rows changed by the last committed iteration (global indices).
+    /// Number of stacked queries (bits per row).
+    pub q: usize,
+    /// (row, query) pairs changed by the last committed sweep (global
+    /// rows, bit `r·q + j`).
     pub changed: &'a NodeBitset,
-    /// Block summary of `changed` (bit `i` = block `i` has a changed row).
+    /// Block summary of `changed` (bit `i` = block `i` holds a changed
+    /// pair of any query).
     pub summary: &'a NodeBitset,
-    /// Output: rows whose active column blocks changed this iteration.
-    /// Cleared by [`FrontierState::begin`]; parallel tasks merge partial
-    /// bitsets into it with the order-independent OR.
+    /// Not-frozen queries, one bit per query (`⌈q/64⌉` words).
+    pub live: &'a [u64],
+    /// Output: pairs whose computed block changed this sweep. Cleared by
+    /// [`FrontierState::begin`]; parallel tasks merge partial bitsets
+    /// into it with the order-independent OR.
     pub next_changed: &'a mut NodeBitset,
-    /// Which `k`-column query blocks participate in change detection
-    /// (`None` = all).
-    pub active_cols: Option<&'a [bool]>,
-    /// Rows recomputed by this step.
-    pub rows_active: u64,
-    /// Rows skipped by this step.
-    pub rows_skipped: u64,
+    /// Output, per query: pairs computed this sweep.
+    pub active: &'a mut [u64],
+    /// Output, per query: `max |new|` over the pairs computed this sweep
+    /// (`f64::max`, so NaN entries are ignored like
+    /// [`lsbp_linalg::Mat::max_abs`]).
+    pub magnitudes: &'a mut [f64],
+}
+
+impl FrontierStep<'_> {
+    /// Whether query `j` is live (not frozen) this sweep.
+    #[inline]
+    pub fn is_live(&self, j: usize) -> bool {
+        mask_bit(self.live, j)
+    }
+}
+
+/// Bit `j` of a multi-word query mask.
+#[inline]
+fn mask_bit(mask: &[u64], j: usize) -> bool {
+    mask[j / 64] & (1 << (j % 64)) != 0
+}
+
+/// Which (row, query) pairs one fused-kernel call computes, and what it
+/// records about them. [`AllPairs`] is the full step (every row, every
+/// query, nothing recorded); [`FrontierTask`] is the frontier step. The
+/// kernels are generic over it, so the full step carries no frontier
+/// code after monomorphization.
+pub(crate) trait PairSelect {
+    /// Whether computed pairs are recorded and their magnitudes folded.
+    const TRACKS: bool;
+    /// `q = 1`: whether row `local` (global `global`) is computed.
+    fn row_active(&self, m: &CsrMatrix, local: usize, global: usize) -> bool;
+    /// Writes the queries of row `local` to compute into `mask`
+    /// (`⌈q/64⌉` words); `false` when there are none.
+    fn row_mask(&self, m: &CsrMatrix, local: usize, global: usize, mask: &mut [u64]) -> bool;
+    /// Records one computed pair: query `j` of `global`, whose new bits
+    /// differ from the old ones iff `changed`.
+    fn record(&mut self, global: usize, j: usize, changed: bool);
+    /// Counts `pairs` computed pairs of query `j` (the `q = 1` kernel
+    /// counts its rows locally and reports once per call).
+    fn count(&mut self, j: usize, pairs: u64);
+    /// Debug check of the skip invariant on the live blocks of row
+    /// `global` that the call did not write (`written` = the mask it
+    /// computed, `None` for a skipped row).
+    #[cfg(debug_assertions)]
+    fn debug_assert_skip_invariant(
+        &self,
+        global: usize,
+        out_row: &[f64],
+        b_row: &[f64],
+        written: Option<&[u64]>,
+    );
+}
+
+/// Every row, every query: the full fused step.
+pub(crate) struct AllPairs {
+    /// All `q` query bits set.
+    all: Vec<u64>,
+}
+
+impl AllPairs {
+    pub(crate) fn new(q: usize) -> Self {
+        let mut all = vec![!0u64; q.div_ceil(64)];
+        if !q.is_multiple_of(64) {
+            if let Some(last) = all.last_mut() {
+                *last = (1u64 << (q % 64)) - 1;
+            }
+        }
+        Self { all }
+    }
+}
+
+impl PairSelect for AllPairs {
+    const TRACKS: bool = false;
+
+    #[inline(always)]
+    fn row_active(&self, _: &CsrMatrix, _: usize, _: usize) -> bool {
+        true
+    }
+
+    #[inline(always)]
+    fn row_mask(&self, _: &CsrMatrix, _: usize, _: usize, mask: &mut [u64]) -> bool {
+        mask.copy_from_slice(&self.all);
+        true
+    }
+
+    #[inline(always)]
+    fn record(&mut self, _: usize, _: usize, _: bool) {}
+
+    #[inline(always)]
+    fn count(&mut self, _: usize, _: u64) {}
+
+    #[cfg(debug_assertions)]
+    fn debug_assert_skip_invariant(&self, _: usize, _: &[f64], _: &[f64], _: Option<&[u64]>) {}
 }
 
 /// The per-task slice of frontier work handed into the row kernels: the
 /// read-only change information plus a (possibly partial, task-local)
-/// changed-bit accumulator and counters. Serial callers point `bits` at
-/// the shared `next_changed`; parallel tasks use task-local bitsets that
-/// are OR-merged afterwards (bit-OR is order-independent, so the merged
-/// set equals the serial one exactly).
+/// changed-bit accumulator and per-query counts. Serial callers point
+/// `bits`/`active` at the shared step outputs; parallel tasks use
+/// task-local ones that are merged afterwards (bit-OR and integer sums
+/// are order-independent, so the merged result equals the serial one).
 pub(crate) struct FrontierTask<'a> {
     pub changed: &'a NodeBitset,
-    pub bits: &'a mut NodeBitset,
-    pub active_cols: Option<&'a [bool]>,
+    pub live: &'a [u64],
+    pub q: usize,
+    /// Class count, read by the debug skip-invariant check.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub k: usize,
-    pub rows_active: u64,
-    pub rows_skipped: u64,
+    pub bits: &'a mut NodeBitset,
+    pub active: &'a mut [u64],
 }
 
-impl FrontierTask<'_> {
-    /// The dependency rule for one row: recompute iff the row itself
-    /// changed or any of its in-row column dependencies changed (early
-    /// exit on the first hit).
+impl PairSelect for FrontierTask<'_> {
+    const TRACKS: bool = true;
+
+    /// The `q = 1` dependency rule: recompute iff the row itself changed
+    /// or any of its in-row column dependencies changed (early exit on
+    /// the first hit).
     #[inline]
-    pub fn row_active(&self, m: &CsrMatrix, local_row: usize, global_row: usize) -> bool {
-        self.changed.get(global_row)
-            || m.row_cols(local_row)
+    fn row_active(&self, m: &CsrMatrix, local: usize, global: usize) -> bool {
+        self.changed.get(global)
+            || m.row_cols(local)
                 .iter()
                 .any(|&c| self.changed.get(c as usize))
     }
 
-    /// Records a computed row's changed bit: set iff any *active* column
-    /// block's bits differ between the new and old row.
+    /// The per-query dependency rule: query `j` is computed iff it is
+    /// live and `(row, j)` or `(c, j)` for some column `c` of the row
+    /// changed. The scan stops once every live query is found.
     #[inline]
-    pub fn record(&mut self, global_row: usize, new_row: &[f64], old_row: &[f64]) {
-        self.rows_active += 1;
-        if self.blocks_differ(new_row, old_row) {
-            self.bits.set(global_row);
+    fn row_mask(&self, m: &CsrMatrix, local: usize, global: usize, mask: &mut [u64]) -> bool {
+        let q = self.q;
+        if let [live] = *self.live {
+            let mut acc = self.changed.field(global * q, q);
+            if acc & live != live {
+                for &c in m.row_cols(local) {
+                    acc |= self.changed.field(c as usize * q, q);
+                    if acc & live == live {
+                        break;
+                    }
+                }
+            }
+            mask[0] = acc & live;
+            return mask[0] != 0;
+        }
+        let field =
+            |row: usize, w: usize| self.changed.field(row * q + 64 * w, (q - 64 * w).min(64));
+        for (w, m) in mask.iter_mut().enumerate() {
+            *m = field(global, w);
+        }
+        let full = |mask: &[u64]| mask.iter().zip(self.live).all(|(&m, &l)| m & l == l);
+        if !full(mask) {
+            for &c in m.row_cols(local) {
+                for (w, m) in mask.iter_mut().enumerate() {
+                    *m |= field(c as usize, w);
+                }
+                if full(mask) {
+                    break;
+                }
+            }
+        }
+        let mut any = false;
+        for (m, &l) in mask.iter_mut().zip(self.live) {
+            *m &= l;
+            any |= *m != 0;
+        }
+        any
+    }
+
+    #[inline]
+    fn record(&mut self, global: usize, j: usize, changed: bool) {
+        if changed {
+            self.bits.set(global * self.q + j);
         }
     }
 
-    /// Bitwise row comparison restricted to active query blocks.
     #[inline]
-    fn blocks_differ(&self, new_row: &[f64], old_row: &[f64]) -> bool {
-        debug_assert_eq!(new_row.len(), old_row.len());
-        match self.active_cols {
-            None => new_row
-                .iter()
-                .zip(old_row)
-                .any(|(a, b)| a.to_bits() != b.to_bits()),
-            Some(mask) => mask.iter().enumerate().any(|(blk, &on)| {
-                on && new_row[blk * self.k..(blk + 1) * self.k]
+    fn count(&mut self, j: usize, pairs: u64) {
+        self.active[j] += pairs;
+    }
+
+    /// A live block the call did not write must already hold, in the
+    /// output buffer, exactly the bits of the current beliefs — i.e.
+    /// skipping really does leave what a recomputation would produce.
+    #[cfg(debug_assertions)]
+    fn debug_assert_skip_invariant(
+        &self,
+        global: usize,
+        out_row: &[f64],
+        b_row: &[f64],
+        written: Option<&[u64]>,
+    ) {
+        let k = self.k;
+        for j in 0..self.q {
+            if !mask_bit(self.live, j) || written.is_some_and(|w| mask_bit(w, j)) {
+                continue;
+            }
+            let cols = j * k..(j + 1) * k;
+            assert!(
+                out_row[cols.clone()]
                     .iter()
-                    .zip(&old_row[blk * self.k..(blk + 1) * self.k])
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
-            }),
+                    .zip(&b_row[cols])
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "frontier skip invariant violated at row {global}, query {j}: \
+                 output buffer differs from current beliefs"
+            );
         }
-    }
-
-    /// Debug-only check of the skip invariant: a skipped row's output
-    /// slot (holding the value from two iterations ago, via the double
-    /// buffer) must be bit-identical to its current value on every active
-    /// column block — i.e. skipping really does leave the exact bits a
-    /// recomputation would have produced.
-    #[inline]
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
-    pub fn debug_assert_skip_invariant(&self, global_row: usize, out_row: &[f64], b_row: &[f64]) {
-        debug_assert!(
-            !self.blocks_differ(out_row, b_row),
-            "frontier skip invariant violated at row {global_row}: \
-             output buffer differs from current beliefs on an active block"
-        );
-        let _ = (global_row, out_row, b_row);
     }
 }
 
-/// Reference changed-bit computation over a full output: compares every
-/// row (active column blocks only) and sets bits for rows that changed.
-/// This is the semantics any skipping implementation must reproduce —
-/// used by the default (non-skipping) trait implementation and as the
-/// test oracle.
-pub fn record_changed_full(
-    fr: &mut FrontierStep<'_>,
-    b: &lsbp_linalg::Mat,
-    out: &lsbp_linalg::Mat,
-    k: usize,
-) {
+/// Reference frontier bookkeeping over a full step: `new` holds every
+/// pair recomputed from `b`. For every live query, records each row's
+/// changed bit (any bit of the block differs from `b`), counts all `n`
+/// rows computed and folds `max |new|` into the magnitudes. This is the
+/// semantics any skipping implementation must reproduce — the trait's
+/// default frontier step and the test oracle.
+pub fn record_changed_full(fr: &mut FrontierStep<'_>, b: &Mat, new: &Mat, k: usize) {
     let n = b.rows();
+    let live = fr.live;
     for r in 0..n {
-        let (new_row, old_row) = (out.row(r), b.row(r));
-        let differs = match fr.active_cols {
-            None => new_row
+        let blocks = new.row(r).chunks_exact(k).zip(b.row(r).chunks_exact(k));
+        for (j, (new_blk, old_blk)) in blocks.enumerate() {
+            if !mask_bit(live, j) {
+                continue;
+            }
+            if new_blk
                 .iter()
-                .zip(old_row)
-                .any(|(a, b)| a.to_bits() != b.to_bits()),
-            Some(mask) => mask.iter().enumerate().any(|(blk, &on)| {
-                on && new_row[blk * k..(blk + 1) * k]
-                    .iter()
-                    .zip(&old_row[blk * k..(blk + 1) * k])
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
-            }),
-        };
-        if differs {
-            fr.next_changed.set(r);
+                .zip(old_blk)
+                .any(|(a, b)| a.to_bits() != b.to_bits())
+            {
+                fr.next_changed.set(r * fr.q + j);
+            }
+            for &x in new_blk {
+                fr.magnitudes[j] = fr.magnitudes[j].max(x.abs());
+            }
         }
     }
-    fr.rows_active += n as u64;
+    for j in (0..fr.q).filter(|&j| mask_bit(live, j)) {
+        fr.active[j] += n as u64;
+    }
 }
 
 #[cfg(test)]
@@ -466,7 +736,7 @@ mod tests {
         let mut o = NodeBitset::new(130);
         o.set(1);
         assert!(!o.intersects(&NodeBitset::new(130)));
-        o.or_assign(&b);
+        o.or_assign_words(&b, 0..b.words().len());
         assert_eq!(o.count_ones(), 5);
         assert!(o.intersects(&b));
         o.clear();
@@ -523,27 +793,64 @@ mod tests {
             use crate::operator::PropagationOperator;
             PropagationOperator::frontier_plan(&m)
         };
-        let mut st = FrontierState::new(plan);
+        let mut st = FrontierState::new(plan, 1);
         // Fresh state: everything marked changed.
         assert_eq!(st.changed().count_ones(), 4);
         {
-            let step = st.begin(None);
-            // Simulate: only row 2 changed this iteration.
+            let step = st.begin(&[true]);
+            // Simulate: only row 2 changed this sweep, all 4 computed.
             step.next_changed.set(2);
+            step.active[0] = 4;
         }
-        st.commit(4, 0);
+        st.commit();
         assert_eq!(st.changed().count_ones(), 1);
         assert!(st.changed().get(2));
-        assert_eq!(st.rows_active, 4);
+        assert_eq!(st.rows_active, [4]);
         // Summary reflects the block holding row 2.
-        let step = st.begin(None);
+        let step = st.begin(&[true]);
         assert!(step.plan.block_active(0, step.summary));
         let _ = step;
-        st.commit(0, 4);
+        st.commit();
         // Nothing changed: summary empty, every range inactive.
-        let step = st.begin(None);
+        let step = st.begin(&[true]);
         assert!(step.plan.range_inactive(0..4, step.summary));
-        assert_eq!(st.rows_skipped, 4);
+        assert_eq!(st.rows_skipped, [4]);
+    }
+
+    /// Stacked bits are row-major: row `r`'s `q` queries at bits
+    /// `r·q .. r·q + q`, read back as one field even across a word
+    /// boundary; a frozen query's pairs are not counted.
+    #[test]
+    fn per_query_bits_and_counters() {
+        let mut coo = CooMatrix::new(40, 40);
+        coo.push_symmetric(0, 39, 1.0);
+        let m = coo.to_csr();
+        let plan = {
+            use crate::operator::PropagationOperator;
+            PropagationOperator::frontier_plan(&m)
+        };
+        // Ê with q = 3 (k = 2): row 21 seeds query 0 and holds a -0.0 in
+        // query 2; +0.0 marks nothing.
+        let mut e = Mat::zeros(40, 6);
+        e[(21, 0)] = 0.5;
+        e[(21, 5)] = -0.0;
+        let mut st = FrontierState::from_seeds(plan, &e, 2);
+        assert_eq!(st.changed().len(), 40 * 3);
+        assert_eq!(st.changed().count_ones(), 2);
+        // Row 21's field spans bits 63..66, across two words.
+        assert_eq!(st.changed().field(21 * 3, 3), 0b101);
+        let step = st.begin(&[true, false, true]);
+        assert_eq!(step.live, [0b101]);
+        step.active[0] = 7;
+        st.commit();
+        assert_eq!(st.rows_active, [7, 0, 0]);
+        assert_eq!(st.rows_skipped, [33, 0, 40]);
+        let mut full = FrontierState::full(plan, 70);
+        let step = full.begin(&[true; 70]);
+        assert_eq!(step.live, [!0, (1 << 6) - 1]);
+        let _ = step;
+        full.commit();
+        assert_eq!(full.changed().count_ones(), 40 * 70, "never narrows");
     }
 
     #[test]

@@ -37,20 +37,30 @@
 //! class count `k` and observed width `k·q`:
 //!
 //! * `k ∈ {2, 3, 4}`, `q = 1` — `fused_rows_k::<K>`: the whole row in
-//!   `[f64; K]` registers (every single-query solve).
-//! * `k ∈ {2, 3, 4}`, `q ≥ 2` — `fused_rows_kq::<K>`: one element-wise
-//!   gather over the `k·q` row into a stack buffer (up to 128 columns),
-//!   then per `k`-block the `q = 1` kernel's register arithmetic (every
-//!   coalesced solve and every cache patch the server runs).
+//!   `[f64; K]` registers (every single-query solve), with the
+//!   early-exit row test.
+//! * `k ∈ {2, 3, 4}`, `q ≥ 2` — `fused_rows_kq::<K>`, the masked stacked
+//!   kernel: per row it computes only the query blocks the frontier
+//!   selects. When that is every query, one element-wise gather over
+//!   the `k·q` row into a stack buffer (up to 128 columns); otherwise a
+//!   per-block gather into `K` registers. Each selected block is then
+//!   finished with the `q = 1` kernel's register arithmetic, and
+//!   unselected blocks are never written (every coalesced solve and
+//!   every cache patch the server runs).
 //! * any other `k` — the generic `fused_rows`, `axpy4` loops with
-//!   run-time bounds.
+//!   run-time bounds, finishing only the selected blocks.
+//!
+//! The full step ([`CsrMatrix::linbp_step_fused_with`]) runs the same
+//! kernels with every pair selected; the frontier step also records
+//! each computed pair's changed bit and folds `max |new|` per query —
+//! the divergence guard's read-out — in the same pass.
 //!
 //! The L2 tolerance norm is *not* fused: summing per-row-block partials
 //! would make the total depend on the partition, i.e. the thread count.
 //! L2 callers run the existing fixed-order `l2_diff` pass after the step.
 
 use crate::csr::{CsrMatrix, SCRATCH_WIDTH};
-use crate::frontier::{FrontierPlan, FrontierStep, FrontierTask, NodeBitset};
+use crate::frontier::{AllPairs, FrontierPlan, FrontierStep, FrontierTask, NodeBitset, PairSelect};
 use lsbp_linalg::simd::axpy4;
 use lsbp_linalg::{weight_balanced_ranges, Mat, ParallelismConfig};
 use std::ops::Range;
@@ -190,22 +200,22 @@ impl<const K: usize> BlockCouplings<K> {
     /// `(d·B(r,·))·Ĥ²` (zero-skipping the scaled entries), then
     /// `(o + ê) − echo`, the damping blend and `|new − old|` — the element
     /// order of the unfused composition, statement for statement the
-    /// per-row tail of [`CsrMatrix::fused_rows_k`]. Writes `out` and
-    /// returns the running max-abs residual `dmax` updated with this
-    /// block's changes.
+    /// per-row tail of [`CsrMatrix::fused_rows_k`]. Writes `out`, folds
+    /// the block's residual into `dmax` and, when `track`, its `|new|`
+    /// into `mmax`; returns (when `track`) whether any bit changed.
+    #[allow(clippy::too_many_arguments)] // one slot per fused-step term
     #[inline(always)]
     fn finish(
         &self,
         ab: &[f64; K],
-        b_blk: &[f64],
-        e_blk: &[f64],
+        b_blk: &[f64; K],
+        e_blk: &[f64; K],
         d: f64,
-        out: &mut [f64],
-        mut dmax: f64,
-    ) -> f64 {
-        let b_blk: &[f64; K] = b_blk.try_into().expect("block of K");
-        let e_blk: &[f64; K] = e_blk.try_into().expect("block of K");
-        let out: &mut [f64; K] = out.try_into().expect("block of K");
+        out: &mut [f64; K],
+        dmax: &mut f64,
+        mmax: &mut f64,
+        track: bool,
+    ) -> bool {
         let mut o = [0.0f64; K];
         for (&a, h_row) in ab.iter().zip(&self.h) {
             if a == 0.0 {
@@ -228,6 +238,7 @@ impl<const K: usize> BlockCouplings<K> {
             }
         }
         let lambda = self.lambda;
+        let mut changed = false;
         for j in 0..K {
             let mut x = o[j] + e_blk[j];
             if self.echo_on {
@@ -237,21 +248,37 @@ impl<const K: usize> BlockCouplings<K> {
                 x = (1.0 - lambda) * x + lambda * b_blk[j];
             }
             out[j] = x;
-            dmax = dmax.max((x - b_blk[j]).abs());
+            *dmax = dmax.max((x - b_blk[j]).abs());
+            if track {
+                *mmax = mmax.max(x.abs());
+                changed |= x.to_bits() != b_blk[j].to_bits();
+            }
         }
-        dmax
+        changed
     }
 }
 
-/// Max-merges per-task residual partials into `deltas`. `max` is
-/// order-independent, so any partition of the rows (thread tasks, shards,
-/// or both) accumulates the exact serial result.
-pub(crate) fn merge_delta_partials(deltas: &mut [f64], partials: &[Vec<f64>]) {
-    for partial in partials {
-        for (d, &p) in deltas.iter_mut().zip(partial) {
-            *d = d.max(p);
-        }
+/// Max-merges one task's per-query partial into `acc` (residuals or
+/// magnitudes). `max` is order-independent, so any partition of the rows
+/// (thread tasks, shards, or both) accumulates the exact serial result.
+fn merge_max(acc: &mut [f64], partial: &[f64]) {
+    for (d, &p) in acc.iter_mut().zip(partial) {
+        *d = d.max(p);
     }
+}
+
+/// The indices of the set bits of a multi-word mask, ascending.
+fn set_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut m = word;
+        std::iter::from_fn(move || {
+            (m != 0).then(|| {
+                let bit = m.trailing_zeros() as usize;
+                m &= m - 1;
+                64 * w + bit
+            })
+        })
+    })
 }
 
 impl CsrMatrix {
@@ -284,12 +311,14 @@ impl CsrMatrix {
     }
 
     /// The frontier-aware variant of [`CsrMatrix::linbp_step_fused_with`]:
-    /// bitwise-identical `out` and `deltas`, but rows whose inputs did not
-    /// change a single bit since the last committed iteration are skipped
-    /// (see [`crate::frontier`]), and each computed row's changed bit is
-    /// recorded into `fr`. The caller owns the iteration protocol:
-    /// [`crate::FrontierState::begin`] before the step,
-    /// [`crate::FrontierState::commit`] after the buffers swap.
+    /// computes only the (row, query) pairs of live queries whose inputs
+    /// changed since the last committed sweep (see [`crate::frontier`]),
+    /// leaves every other block of `out` unwritten, records each computed
+    /// pair's changed bit and count into `fr`, and folds `max |new|` per
+    /// query into `fr.magnitudes`. On the live queries `out` and
+    /// `deltas` are bitwise identical to the full step. The caller owns
+    /// the sweep protocol: [`crate::FrontierState::begin`] before the
+    /// step, [`crate::FrontierState::commit`] after it.
     ///
     /// # Panics
     /// Panics on the same dimension mismatches as the full step.
@@ -312,11 +341,11 @@ impl CsrMatrix {
         self.fused_block_frontier_with(b, step, 0, out.as_mut_slice(), deltas, k, fr, cfg);
     }
 
-    /// The partitioned body of the fused step over *this matrix's* rows,
-    /// writing the flat row-major `block` (exactly `n_rows · b.cols()`
-    /// slots) and max-accumulating per-query residuals into `deltas`
-    /// (NOT zeroed here — the caller owns the across-call accumulation).
-    /// `base` is the global-row offset (see
+    /// The partitioned body of the full fused step over *this matrix's*
+    /// rows, writing the flat row-major `block` (exactly
+    /// `n_rows · b.cols()` slots) and max-accumulating per-query
+    /// residuals into `deltas` (NOT zeroed here — the caller owns the
+    /// across-call accumulation). `base` is the global-row offset (see
     /// [`CsrMatrix::fused_rows_dispatch`]): 0 for the monolithic path,
     /// the shard's first global row for the sharded backend, which calls
     /// this once per shard as its own persistent-pool region.
@@ -336,9 +365,11 @@ impl CsrMatrix {
         if n == 0 {
             return;
         }
+        let q = kt / k;
         let parts = cfg.partitions((self.nnz() + n) * kt);
         if parts <= 1 {
-            self.fused_rows_dispatch(b, step, 0..n, base, block, deltas, k);
+            let mut all = AllPairs::new(q);
+            self.fused_rows_dispatch(b, step, 0..n, base, block, deltas, &mut [], k, &mut all);
             return;
         }
         let ranges = weight_balanced_ranges(self.row_offsets(), parts);
@@ -348,25 +379,35 @@ impl CsrMatrix {
             for (range, partial) in ranges.into_iter().zip(partials.iter_mut()) {
                 let (chunk, tail) = rest.split_at_mut((range.end - range.start) * kt);
                 rest = tail;
-                s.spawn(move || self.fused_rows_dispatch(b, step, range, base, chunk, partial, k));
+                s.spawn(move || {
+                    let mut all = AllPairs::new(q);
+                    self.fused_rows_dispatch(
+                        b,
+                        step,
+                        range,
+                        base,
+                        chunk,
+                        partial,
+                        &mut [],
+                        k,
+                        &mut all,
+                    )
+                });
             }
         });
-        // Combine the per-task residual maxima — order-independent, so
-        // this equals the serial accumulation bitwise.
-        merge_delta_partials(deltas, &partials);
+        for partial in &partials {
+            merge_max(deltas, partial);
+        }
     }
 
     /// The frontier-aware variant of [`CsrMatrix::fused_block_with`]:
-    /// identical arithmetic in the identical order, but rows whose inputs
-    /// are bitwise unchanged since the last iteration are skipped — their
-    /// output slots already hold the exact bits a recomputation would
-    /// write (the double-buffer invariant, `debug_assert`ed per skip) and
-    /// their residual terms are exactly `0.0`, so `block` and `deltas`
-    /// come out bitwise identical to the full pass. Whole inactive row
-    /// blocks are rejected by the plan's summary test without touching
-    /// their nnz. Computed rows' changed bits land in `fr` (parallel
-    /// tasks record into task-local bitsets that are OR-merged — bit-OR
-    /// is order-independent, so the merged set equals the serial one).
+    /// identical arithmetic in the identical order on every pair it
+    /// computes, but only the pairs [`FrontierTask`] selects. Whole
+    /// inactive row blocks are rejected by the plan's summary test
+    /// without touching their nnz. Parallel tasks record into task-local
+    /// bitsets, counts and magnitudes that are merged with
+    /// order-independent OR, sums and maxima, so the merged outputs equal
+    /// the serial ones.
     #[allow(clippy::too_many_arguments)] // one slot per fused-step term
     pub(crate) fn fused_block_frontier_with(
         &self,
@@ -381,18 +422,19 @@ impl CsrMatrix {
     ) {
         let n = self.n_rows();
         let kt = b.cols();
-        if n == 0 {
+        if n == 0 || fr.live.iter().all(|&w| w == 0) {
             return;
         }
+        let (plan, summary, changed, live, q) = (fr.plan, fr.summary, fr.changed, fr.live, fr.q);
         let parts = cfg.partitions((self.nnz() + n) * kt);
         if parts <= 1 {
             let mut task = FrontierTask {
-                changed: fr.changed,
-                bits: &mut *fr.next_changed,
-                active_cols: fr.active_cols,
+                changed,
+                live,
+                q,
                 k,
-                rows_active: 0,
-                rows_skipped: 0,
+                bits: &mut *fr.next_changed,
+                active: &mut *fr.active,
             };
             self.fused_rows_frontier(
                 b,
@@ -401,69 +443,65 @@ impl CsrMatrix {
                 base,
                 block,
                 deltas,
+                fr.magnitudes,
                 k,
-                fr.plan,
-                fr.summary,
+                plan,
+                summary,
                 &mut task,
             );
-            fr.rows_active += task.rows_active;
-            fr.rows_skipped += task.rows_skipped;
             return;
         }
         let ranges = weight_balanced_ranges(self.row_offsets(), parts);
-        let mut partials: Vec<Vec<f64>> = vec![vec![0.0; deltas.len()]; ranges.len()];
-        // Task-local changed bitsets in the *global* row frame, merged
-        // with the order-independent OR after the scope (the bitset
-        // analogue of `merge_delta_partials`), plus per-task counters.
-        let mut bit_partials: Vec<NodeBitset> = (0..ranges.len())
-            .map(|_| NodeBitset::new(fr.changed.len()))
+        // Task-local outputs, merged after the scope: residual and
+        // magnitude maxima, changed bits in the *global* (row, query)
+        // frame, and per-query computed-pair counts.
+        let mut partials: Vec<_> = (0..ranges.len())
+            .map(|_| {
+                (
+                    vec![0.0; q],
+                    vec![0.0; q],
+                    NodeBitset::new(changed.len()),
+                    vec![0; q],
+                )
+            })
             .collect();
-        let mut counters: Vec<(u64, u64)> = vec![(0, 0); ranges.len()];
-        let (plan, summary, changed, active_cols) =
-            (fr.plan, fr.summary, fr.changed, fr.active_cols);
         let mut rest: &mut [f64] = block;
         cfg.pool().scope(|s| {
-            for ((range, partial), (bits, counter)) in ranges
-                .into_iter()
-                .zip(partials.iter_mut())
-                .zip(bit_partials.iter_mut().zip(counters.iter_mut()))
+            for (range, (d, mags, bits, active)) in ranges.iter().cloned().zip(partials.iter_mut())
             {
                 let (chunk, tail) = rest.split_at_mut((range.end - range.start) * kt);
                 rest = tail;
                 s.spawn(move || {
                     let mut task = FrontierTask {
                         changed,
-                        bits,
-                        active_cols,
+                        live,
+                        q,
                         k,
-                        rows_active: 0,
-                        rows_skipped: 0,
+                        bits,
+                        active,
                     };
                     self.fused_rows_frontier(
-                        b, step, range, base, chunk, partial, k, plan, summary, &mut task,
+                        b, step, range, base, chunk, d, mags, k, plan, summary, &mut task,
                     );
-                    *counter = (task.rows_active, task.rows_skipped);
                 });
             }
         });
-        merge_delta_partials(deltas, &partials);
-        for bits in &bit_partials {
-            fr.next_changed.or_assign(bits);
-        }
-        for &(active, skipped) in &counters {
-            fr.rows_active += active;
-            fr.rows_skipped += skipped;
+        for (range, (d, mags, bits, active)) in ranges.iter().zip(&partials) {
+            merge_max(deltas, d);
+            merge_max(fr.magnitudes, mags);
+            let words = (base + range.start) * q / 64..((base + range.end) * q).div_ceil(64);
+            fr.next_changed.or_assign_words(bits, words);
+            for (a, &t) in fr.active.iter_mut().zip(active) {
+                *a += t;
+            }
         }
     }
 
     /// Walks the task's row range in plan-block-aligned subranges: an
     /// inactive block (no dependency on any changed block) is skipped
-    /// wholesale — its nnz is never touched — while active blocks run the
-    /// per-row frontier refinement. Consecutive active rows are batched
-    /// into runs and each run goes through the ordinary
-    /// [`CsrMatrix::fused_rows_dispatch`] — the hot kernels carry no
-    /// frontier code at all, so a dense frontier pays one bit test per
-    /// row and the kernels run at full-recomputation speed. `rows`
+    /// wholesale — its nnz is never touched — while each active block
+    /// goes through [`CsrMatrix::fused_rows_dispatch`], whose kernel tests
+    /// every row and computes only its selected query blocks. `rows`
     /// indexes this matrix's rows; blocks live in the global frame
     /// (`base + r`), so shard boundaries mid-block simply yield shorter
     /// subranges.
@@ -476,6 +514,7 @@ impl CsrMatrix {
         base: usize,
         block: &mut [f64],
         deltas: &mut [f64],
+        mags: &mut [f64],
         k: usize,
         plan: &FrontierPlan,
         summary: &NodeBitset,
@@ -487,55 +526,13 @@ impl CsrMatrix {
         while r < rows.end {
             let blk = (base + r) / bs;
             let end = rows.end.min((blk + 1) * bs - base);
+            let chunk = &mut block[(r - rows.start) * kt..(end - rows.start) * kt];
             if plan.block_active(blk, summary) {
-                let mut i = r;
-                while i < end {
-                    if task.row_active(self, i, base + i) {
-                        let run_start = i;
-                        i += 1;
-                        while i < end && task.row_active(self, i, base + i) {
-                            i += 1;
-                        }
-                        let chunk =
-                            &mut block[(run_start - rows.start) * kt..(i - rows.start) * kt];
-                        self.fused_rows_dispatch(b, step, run_start..i, base, chunk, deltas, k);
-                        for rr in run_start..i {
-                            let out_row =
-                                &block[(rr - rows.start) * kt..(rr - rows.start) * kt + kt];
-                            task.record(base + rr, out_row, b.row(base + rr));
-                        }
-                        // Row `i` (if any) already tested inactive: the
-                        // inner loop above stopped on it.
-                        if i < end {
-                            task.rows_skipped += 1;
-                            #[cfg(debug_assertions)]
-                            task.debug_assert_skip_invariant(
-                                base + i,
-                                &block[(i - rows.start) * kt..(i - rows.start) * kt + kt],
-                                b.row(base + i),
-                            );
-                            i += 1;
-                        }
-                    } else {
-                        task.rows_skipped += 1;
-                        #[cfg(debug_assertions)]
-                        task.debug_assert_skip_invariant(
-                            base + i,
-                            &block[(i - rows.start) * kt..(i - rows.start) * kt + kt],
-                            b.row(base + i),
-                        );
-                        i += 1;
-                    }
-                }
+                self.fused_rows_dispatch(b, step, r..end, base, chunk, deltas, mags, k, task);
             } else {
-                task.rows_skipped += (end - r) as u64;
                 #[cfg(debug_assertions)]
-                for rr in r..end {
-                    task.debug_assert_skip_invariant(
-                        base + rr,
-                        &block[(rr - rows.start) * kt..(rr - rows.start + 1) * kt],
-                        b.row(base + rr),
-                    );
+                for (rr, out_row) in (r..end).zip(chunk.chunks_exact(kt)) {
+                    task.debug_assert_skip_invariant(base + rr, out_row, b.row(base + rr), None);
                 }
             }
             r = end;
@@ -555,7 +552,9 @@ impl CsrMatrix {
     /// unrolled register code (property-tested bitwise equal). `q = 1`
     /// keeps its own kernel: run on a lone query, the stacked kernel's
     /// run-time-length gather took about 2.5× as long (single-threaded
-    /// fused step on kronecker_m9, k = 3).
+    /// fused step on kronecker_m9, k = 3). `sel` picks the (row, query)
+    /// pairs computed ([`AllPairs`] or a [`FrontierTask`]); `mags` is
+    /// only written when it tracks.
     ///
     /// `rows` indexes *this matrix's* rows; `base` is the global-row
     /// offset of row 0 into `b`/`Ê`/`degrees`/`deltas`' coordinate frame.
@@ -563,7 +562,7 @@ impl CsrMatrix {
     /// sharded backend passes each shard's first global row, running the
     /// identical kernel on the shard-local block.
     #[allow(clippy::too_many_arguments)] // one slot per fused-step term
-    pub(crate) fn fused_rows_dispatch(
+    pub(crate) fn fused_rows_dispatch<S: PairSelect>(
         &self,
         b: &Mat,
         step: &FusedLinBpStep<'_>,
@@ -571,17 +570,20 @@ impl CsrMatrix {
         base: usize,
         block: &mut [f64],
         deltas: &mut [f64],
+        mags: &mut [f64],
         k: usize,
+        sel: &mut S,
     ) {
         let single = b.cols() == k;
+        let acc = (deltas, mags);
         match (k, single) {
-            (2, true) => self.fused_rows_k::<2>(b, step, rows, base, block, deltas),
-            (3, true) => self.fused_rows_k::<3>(b, step, rows, base, block, deltas),
-            (4, true) => self.fused_rows_k::<4>(b, step, rows, base, block, deltas),
-            (2, false) => self.fused_rows_kq::<2>(b, step, rows, base, block, deltas),
-            (3, false) => self.fused_rows_kq::<3>(b, step, rows, base, block, deltas),
-            (4, false) => self.fused_rows_kq::<4>(b, step, rows, base, block, deltas),
-            _ => self.fused_rows(b, step, rows, base, block, deltas, k),
+            (2, true) => self.fused_rows_k::<2, S>(b, step, rows, base, block, acc, sel),
+            (3, true) => self.fused_rows_k::<3, S>(b, step, rows, base, block, acc, sel),
+            (4, true) => self.fused_rows_k::<4, S>(b, step, rows, base, block, acc, sel),
+            (2, false) => self.fused_rows_kq::<2, S>(b, step, rows, base, block, acc, sel),
+            (3, false) => self.fused_rows_kq::<3, S>(b, step, rows, base, block, acc, sel),
+            (4, false) => self.fused_rows_kq::<4, S>(b, step, rows, base, block, acc, sel),
+            _ => self.fused_rows(b, step, rows, base, block, acc, k, sel),
         }
     }
 
@@ -592,15 +594,18 @@ impl CsrMatrix {
     /// residual) are element-for-element those of [`CsrMatrix::fused_rows`].
     /// The per-row tail stays inline rather than calling
     /// [`BlockCouplings::finish`]: the shared helper measured about 4%
-    /// slower on this path, which every lone query runs.
-    fn fused_rows_k<const K: usize>(
+    /// slower on this path, which every lone query runs. The row test is
+    /// the early-exit [`PairSelect::row_active`].
+    #[allow(clippy::too_many_arguments)] // one slot per fused-step term
+    fn fused_rows_k<const K: usize, S: PairSelect>(
         &self,
         b: &Mat,
         step: &FusedLinBpStep<'_>,
         rows: Range<usize>,
         base: usize,
         block: &mut [f64],
-        deltas: &mut [f64],
+        (deltas, mags): (&mut [f64], &mut [f64]),
+        sel: &mut S,
     ) {
         // Ĥ / Ĥ² staged as fixed-size arrays once per task.
         let mut h = [[0.0f64; K]; K];
@@ -614,7 +619,16 @@ impl CsrMatrix {
         let echo_on = step.h2.is_some();
         let lambda = step.damping;
         let mut dmax = 0.0f64;
+        let mut mmax = 0.0f64;
+        let mut computed = 0u64;
         for r in rows.clone() {
+            let g = base + r;
+            let out = (r - rows.start) * K..(r - rows.start + 1) * K;
+            if !sel.row_active(self, r, g) {
+                #[cfg(debug_assertions)]
+                sel.debug_assert_skip_invariant(g, &block[out], b.row(g), None);
+                continue;
+            }
             // ab = A(r,·)·B accumulated in CSR entry order per element —
             // the exact `spmm_rows` axpy order, in K registers.
             let mut ab = [0.0f64; K];
@@ -635,10 +649,10 @@ impl CsrMatrix {
                 }
             }
             // echo = (d_r·B(r,·))·Ĥ², zero-skipping the scaled entries.
-            let b_row = b.row(base + r);
+            let b_row = b.row(g);
             let mut echo = [0.0f64; K];
             if echo_on {
-                let d = step.degrees[base + r];
+                let d = step.degrees[g];
                 for i in 0..K {
                     let a = d * b_row[i];
                     if a == 0.0 {
@@ -652,8 +666,9 @@ impl CsrMatrix {
             // Combine, damp, write, residual — one unrolled pass. The
             // element order matches the unfused composition exactly:
             // (o + ê) − echo, then the blend, then |new − old|.
-            let e_row = step.e_hat.row(base + r);
-            let o_out = &mut block[(r - rows.start) * K..(r - rows.start + 1) * K];
+            let e_row = step.e_hat.row(g);
+            let o_out = &mut block[out];
+            let mut changed = false;
             for j in 0..K {
                 let mut x = o[j] + e_row[j];
                 if echo_on {
@@ -664,29 +679,45 @@ impl CsrMatrix {
                 }
                 o_out[j] = x;
                 dmax = dmax.max((x - b_row[j]).abs());
+                if S::TRACKS {
+                    mmax = mmax.max(x.abs());
+                    changed |= x.to_bits() != b_row[j].to_bits();
+                }
             }
+            sel.record(g, 0, changed);
+            computed += 1;
         }
+        sel.count(0, computed);
         deltas[0] = deltas[0].max(dmax);
+        if S::TRACKS {
+            mags[0] = mags[0].max(mmax);
+        }
     }
 
     /// Width-specialized stacked fused kernel for `q ≥ 2` queries of `K`
-    /// classes. The gather is one element-wise `ab[c] += v·B(c', c)` loop
-    /// over the whole `K·q` row (the `axpy4` order per element); each
-    /// `K`-column block is then finished in registers by
-    /// [`BlockCouplings::finish`], the single-query kernel's row tail.
-    /// `ab` lives on the stack up to
-    /// [`STACKED_WIDTH`] columns, so frontier runs at serving widths
-    /// allocate nothing per dispatch.
-    fn fused_rows_kq<const K: usize>(
+    /// classes. Per row, `sel` names the query blocks to compute. When
+    /// that is every query, the gather is one element-wise
+    /// `ab[c] += v·B(c', c)` loop over the whole `K·q` row (the `axpy4`
+    /// order per element, one pass over each gathered row for all
+    /// queries). Otherwise each active block gathers on its own into `K`
+    /// registers, walking the row's entries in the same CSR order, so a
+    /// pair costs what it costs the `q = 1` kernel. Each active block is
+    /// then finished by [`BlockCouplings::finish`], the single-query
+    /// kernel's row tail; inactive blocks are never written. `ab` lives
+    /// on the stack up to [`STACKED_WIDTH`] columns.
+    #[allow(clippy::too_many_arguments)] // one slot per fused-step term
+    fn fused_rows_kq<const K: usize, S: PairSelect>(
         &self,
         b: &Mat,
         step: &FusedLinBpStep<'_>,
         rows: Range<usize>,
         base: usize,
         block: &mut [f64],
-        deltas: &mut [f64],
+        (deltas, mags): (&mut [f64], &mut [f64]),
+        sel: &mut S,
     ) {
         let kt = b.cols();
+        let q = kt / K;
         let cpl = BlockCouplings::<K>::stage(step);
         let mut stack = [0.0f64; STACKED_WIDTH];
         let mut heap = Vec::new();
@@ -696,43 +727,82 @@ impl CsrMatrix {
             heap.resize(kt, 0.0);
             &mut heap
         };
+        let mut mask = vec![0u64; q.div_ceil(64)];
+        let mut dummy = 0.0f64;
         for r in rows.clone() {
-            ab.iter_mut().for_each(|x| *x = 0.0);
-            for (&c, &v) in self.row_cols(r).iter().zip(self.row_values(r)) {
-                for (a, &x) in ab.iter_mut().zip(b.row(c as usize)) {
-                    *a += v * x;
+            let g = base + r;
+            let out = (r - rows.start) * kt..(r - rows.start + 1) * kt;
+            if !sel.row_mask(self, r, g, &mut mask) {
+                #[cfg(debug_assertions)]
+                sel.debug_assert_skip_invariant(g, &block[out], b.row(g), None);
+                continue;
+            }
+            let o_row = &mut block[out];
+            let (cols, vals) = (self.row_cols(r), self.row_values(r));
+            let d = step.degrees[g];
+            let (b_blocks, _) = b.row(g).as_chunks::<K>();
+            let (e_blocks, _) = step.e_hat.row(g).as_chunks::<K>();
+            let (o_blocks, _) = o_row.as_chunks_mut::<K>();
+            let mut finish = |j: usize, a: &[f64; K], sel: &mut S| {
+                let mmax = if S::TRACKS { &mut mags[j] } else { &mut dummy };
+                let changed = cpl.finish(
+                    a,
+                    &b_blocks[j],
+                    &e_blocks[j],
+                    d,
+                    &mut o_blocks[j],
+                    &mut deltas[j],
+                    mmax,
+                    S::TRACKS,
+                );
+                sel.record(g, j, changed);
+                sel.count(j, 1);
+            };
+            if mask.iter().map(|w| w.count_ones() as usize).sum::<usize>() == q {
+                ab.iter_mut().for_each(|x| *x = 0.0);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    for (a, &x) in ab.iter_mut().zip(b.row(c as usize)) {
+                        *a += v * x;
+                    }
+                }
+                let (ab_blocks, _) = ab.as_chunks::<K>();
+                for (j, a) in ab_blocks.iter().enumerate() {
+                    finish(j, a, sel);
+                }
+            } else {
+                for j in set_bits(&mask) {
+                    let mut a = [0.0f64; K];
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        let x = &b.row(c as usize)[j * K..(j + 1) * K];
+                        for t in 0..K {
+                            a[t] += v * x[t];
+                        }
+                    }
+                    finish(j, &a, sel);
                 }
             }
-            let g = base + r;
-            let d = step.degrees[g];
-            let o_row = &mut block[(r - rows.start) * kt..(r - rows.start + 1) * kt];
-            let blocks = ab
-                .chunks_exact(K)
-                .zip(b.row(g).chunks_exact(K))
-                .zip(step.e_hat.row(g).chunks_exact(K))
-                .zip(o_row.chunks_exact_mut(K));
-            for ((((a_blk, b_blk), e_blk), o_blk), slot) in blocks.zip(deltas.iter_mut()) {
-                let a_blk: &[f64; K] = a_blk.try_into().expect("chunk of K");
-                *slot = cpl.finish(a_blk, b_blk, e_blk, d, o_blk, *slot);
-            }
+            #[cfg(debug_assertions)]
+            sel.debug_assert_skip_invariant(g, o_row, b.row(g), Some(&mask));
         }
     }
 
-    /// The generic multi-query fused kernel over the row block `rows`,
-    /// writing into `block` (the flat row-major storage of exactly those
-    /// output rows) and max-accumulating per-query residuals into
-    /// `deltas`. Shared verbatim by the serial path and every parallel
-    /// task.
+    /// The generic fused kernel for any `k` and `q` over the row block
+    /// `rows`, writing into `block` (the flat row-major storage of
+    /// exactly those output rows) and max-accumulating per-query
+    /// residuals into `deltas`. The gather always runs over the whole
+    /// `k·q` row; only the query blocks `sel` picks are finished and
+    /// written.
     #[allow(clippy::too_many_arguments)] // one slot per fused-step term
-    fn fused_rows(
+    fn fused_rows<S: PairSelect>(
         &self,
         b: &Mat,
         step: &FusedLinBpStep<'_>,
         rows: Range<usize>,
         base: usize,
         block: &mut [f64],
-        deltas: &mut [f64],
+        (deltas, mags): (&mut [f64], &mut [f64]),
         k: usize,
+        sel: &mut S,
     ) {
         let kt = b.cols();
         let q = kt / k;
@@ -741,37 +811,44 @@ impl CsrMatrix {
         // beyond SCRATCH_WIDTH.
         let mut scratch = FusedScratch::new(kt);
         let (ab, echo) = scratch.ab_echo();
+        let mut mask = vec![0u64; q.div_ceil(64)];
         for r in rows.clone() {
+            let g = base + r;
             let o = &mut block[(r - rows.start) * kt..(r - rows.start + 1) * kt];
+            let b_row = b.row(g);
+            if !sel.row_mask(self, r, g, &mut mask) {
+                #[cfg(debug_assertions)]
+                sel.debug_assert_skip_invariant(g, o, b_row, None);
+                continue;
+            }
             // ab = A(r,·)·B — the exact `spmm_rows` gather-axpy order.
             ab.iter_mut().for_each(|x| *x = 0.0);
             for (&c, &v) in self.row_cols(r).iter().zip(self.row_values(r)) {
                 axpy4(v, b.row(c as usize), ab);
             }
-            // o = ab·(I_q ⊗ Ĥ) — the zero-skipping `matmul_rows` order,
-            // applied per k-block (columns never mix across queries).
-            o.iter_mut().for_each(|x| *x = 0.0);
-            for blk in 0..q {
-                let a_blk = &ab[blk * k..(blk + 1) * k];
-                let o_blk = &mut o[blk * k..(blk + 1) * k];
-                for (j, &a) in a_blk.iter().enumerate() {
+            let e_row = step.e_hat.row(g);
+            let d = step.degrees[g];
+            let lambda = step.damping;
+            for blk in set_bits(&mask) {
+                let cols = blk * k..(blk + 1) * k;
+                // o = ab·Ĥ — the zero-skipping `matmul_rows` order,
+                // applied to this k-block (columns never mix across
+                // queries).
+                let o_blk = &mut o[cols.clone()];
+                o_blk.iter_mut().for_each(|x| *x = 0.0);
+                for (j, &a) in ab[cols.clone()].iter().enumerate() {
                     if a == 0.0 {
                         continue;
                     }
                     axpy4(a, step.h.row(j), o_blk);
                 }
-            }
-            // Echo term: (d_r·B(r,·))·(I_q ⊗ Ĥ²), the scaled entries
-            // computed inline (same values and zero skip as the unfused
-            // `scaled_rows_into` + block-diagonal matmul composition).
-            let b_row = b.row(base + r);
-            let echo_on = if let Some(h2) = step.h2 {
-                let d = step.degrees[base + r];
-                echo.iter_mut().for_each(|x| *x = 0.0);
-                for blk in 0..q {
-                    let b_blk = &b_row[blk * k..(blk + 1) * k];
-                    let e_blk = &mut echo[blk * k..(blk + 1) * k];
-                    for (j, &x) in b_blk.iter().enumerate() {
+                // Echo term: (d_r·B(r,·))·Ĥ², the scaled entries computed
+                // inline (same values and zero skip as the unfused
+                // `scaled_rows_into` + block-diagonal matmul composition).
+                let e_blk = &mut echo[cols.clone()];
+                if let Some(h2) = step.h2 {
+                    e_blk.iter_mut().for_each(|x| *x = 0.0);
+                    for (j, &x) in b_row[cols.clone()].iter().enumerate() {
                         let a = d * x;
                         if a == 0.0 {
                             continue;
@@ -779,31 +856,30 @@ impl CsrMatrix {
                         axpy4(a, h2.row(j), e_blk);
                     }
                 }
-                true
-            } else {
-                false
-            };
-            // Combine `(o + ê) − echo`, damp, and accumulate the
-            // per-query residual in one pass — the element order of the
-            // unfused add/sub/blend/max passes.
-            let e_row = step.e_hat.row(base + r);
-            let lambda = step.damping;
-            for (blk, slot) in deltas.iter_mut().enumerate() {
-                let cols = blk * k..(blk + 1) * k;
-                let mut dmax = *slot;
+                // Combine `(o + ê) − echo`, damp, and accumulate the
+                // residual in one pass — the element order of the
+                // unfused add/sub/blend/max passes.
+                let mut changed = false;
                 for j in cols {
                     let mut x = o[j] + e_row[j];
-                    if echo_on {
+                    if step.h2.is_some() {
                         x -= echo[j];
                     }
                     if lambda > 0.0 {
                         x = (1.0 - lambda) * x + lambda * b_row[j];
                     }
                     o[j] = x;
-                    dmax = dmax.max((x - b_row[j]).abs());
+                    deltas[blk] = deltas[blk].max((x - b_row[j]).abs());
+                    if S::TRACKS {
+                        mags[blk] = mags[blk].max(x.abs());
+                        changed |= x.to_bits() != b_row[j].to_bits();
+                    }
                 }
-                *slot = dmax;
+                sel.record(g, blk, changed);
+                sel.count(blk, 1);
             }
+            #[cfg(debug_assertions)]
+            sel.debug_assert_skip_invariant(g, o, b_row, Some(&mask));
         }
     }
 }

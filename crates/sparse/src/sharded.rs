@@ -263,7 +263,6 @@ impl<S: ShardSource> PropagationOperator for S {
         for i in 0..self.num_shards() {
             let rows = self.shard_rows(i);
             if !shard_active(i) {
-                fr.rows_skipped += (rows.end - rows.start) as u64;
                 continue;
             }
             if let Some(next) = (i + 1..self.num_shards()).find(|&j| shard_active(j)) {

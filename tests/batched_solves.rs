@@ -291,7 +291,7 @@ proptest! {
     /// every kernel width (k ∈ {2, 3, 4, 5}, q ∈ 0..=12), frontier on and
     /// off, both tolerance norms, and a divergent coupling scale at which
     /// seeded queries trip the guard mid-batch while empty ones converge
-    /// (so frozen blocks are copied forward next to active ones).
+    /// (so frozen blocks sit unwritten next to active ones).
     #[test]
     fn linbp_batch_random(
         seed in 0u64..500,

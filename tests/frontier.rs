@@ -9,11 +9,15 @@
 //!
 //! Edge cases pinned here: divergent runs, damping on/off, the L2 and
 //! MaxAbs convergence norms, self-loops, empty graphs, single-node
-//! graphs, eviction pressure on the paged backend, and the counter
-//! invariant `rows_active + rows_skipped = n × iterations`.
+//! graphs, eviction pressure on the paged backend, the counter
+//! invariant `rows_active + rows_skipped = n × iterations`, and the
+//! per-query frontier of stacked batches: its start from `Ê` (`-0.0`
+//! seeds, non-finite degrees), the guard read out of the kernel, frozen
+//! queries read from the buffer they froze in, and work conservation
+//! against solo solves.
 
 use lsbp::prelude::*;
-use lsbp_graph::generators::erdos_renyi_gnm;
+use lsbp_graph::generators::{erdos_renyi_gnm, kronecker_graph};
 use lsbp_graph::Graph;
 use lsbp_linalg::Mat;
 use lsbp_sparse::{CooMatrix, CsrMatrix};
@@ -113,6 +117,35 @@ fn frontier_vs_full(
     assert_counters(&full, adj.n_rows(), false, label);
     assert_counters(&fr, adj.n_rows(), true, label);
     fr
+}
+
+/// The reference every stacked answer must hit bit for bit: the query
+/// solved alone, serially, with the frontier off.
+fn solo_full(adj: &CsrMatrix, e: &ExplicitBeliefs, h: &Mat, base: &LinBpOptions) -> LinBpResult {
+    let opts = LinBpOptions {
+        parallelism: ParallelismConfig::serial().with_frontier(false),
+        ..*base
+    };
+    linbp(adj, e, h, &opts).unwrap()
+}
+
+/// Solves `queries` as one stacked batch on `op` and asserts every
+/// answer equals its [`solo_full`] reference, run shape included.
+fn assert_batch_matches_solo<A: PropagationOperator + ?Sized>(
+    op: &A,
+    adj: &CsrMatrix,
+    queries: &[ExplicitBeliefs],
+    h: &Mat,
+    opts: &LinBpOptions,
+    label: &str,
+) -> Vec<LinBpResult> {
+    let got = linbp_batch_on(op, queries, h, opts).unwrap();
+    for (j, (r, e)) in got.iter().zip(queries).enumerate() {
+        let label = format!("{label}, query {j}");
+        assert_runs_identical(r, &solo_full(adj, e, h, opts), &label);
+        assert_counters(r, adj.n_rows(), opts.parallelism.frontier(), &label);
+    }
+    got
 }
 
 #[test]
@@ -376,5 +409,274 @@ proptest! {
         let got = linbp_on(&paged, &e, &h, &LinBpOptions { parallelism: cfg, ..base }).unwrap();
         assert_runs_identical(&got, &want, &format!("{label} (paged)"));
         assert_counters(&got, nodes, true, &format!("{label} (paged)"));
+        // Stacked, q = 3 with distinct seed sets: per-query frontiers on
+        // both backends, each answer equal to its serial full solo solve.
+        let queries = [
+            seeds(nodes, 3, &[(2, 0)]),
+            seeds(nodes, 3, &[(nodes / 3, 1), (2 * nodes / 3, 2)]),
+            e.clone(),
+        ];
+        let opts = LinBpOptions { parallelism: cfg, ..base };
+        assert_batch_matches_solo(&sharded, &adj, &queries, &h, &opts, &format!("{label} (stacked)"));
+        assert_batch_matches_solo(
+            &paged, &adj, &queries, &h, &opts, &format!("{label} (stacked, paged)"));
     }
+}
+
+/// Work conservation: a stacked batch computes exactly the (row, query)
+/// pairs its queries' solo solves compute — each query's counters equal
+/// its solo solve's, so the batch's `Σ rows_active` equals the solo sum.
+/// A union frontier (any query's change re-activating a row for every
+/// query) would inflate the stacked counts.
+#[test]
+fn stacked_counters_equal_solo_counters() {
+    let graphs = [
+        (
+            "erdos_renyi",
+            erdos_renyi_gnm(300, 900, 5).adjacency(),
+            CouplingMatrix::fig1c().unwrap().scaled_residual(0.04),
+        ),
+        (
+            "kronecker m5",
+            kronecker_graph(5).adjacency(),
+            CouplingMatrix::fig6b_residual().scale(0.0005),
+        ),
+    ];
+    for (name, adj, h) in &graphs {
+        let n = adj.n_rows();
+        for q in [2usize, 8, 33, 70] {
+            // Seed sets of 1..=4 nodes, spread differently per query.
+            let queries: Vec<ExplicitBeliefs> = (0..q)
+                .map(|j| {
+                    let picks: Vec<(usize, usize)> = (0..=j % 4)
+                        .map(|i| ((j * 37 + i * 101) % n, (i + j) % 3))
+                        .collect();
+                    seeds(n, 3, &picks)
+                })
+                .collect();
+            for threads in [1usize, 4] {
+                let opts = LinBpOptions {
+                    max_iter: 100,
+                    tol: 1e-10,
+                    parallelism: ParallelismConfig::with_threads(threads).with_min_work(1),
+                    ..Default::default()
+                };
+                let label = format!("{name} q={q} t={threads}");
+                let stacked = linbp_batch_on(adj, &queries, h, &opts).unwrap();
+                let (mut stacked_sum, mut solo_sum, mut skipped) = (0u64, 0u64, 0u64);
+                for (j, (got, e)) in stacked.iter().zip(&queries).enumerate() {
+                    let solo = linbp(adj, e, h, &opts).unwrap();
+                    assert_runs_identical(got, &solo, &format!("{label} query {j}"));
+                    assert_eq!(
+                        (got.rows_active, got.rows_skipped),
+                        (solo.rows_active, solo.rows_skipped),
+                        "{label} query {j}: stacked counters differ from the solo solve"
+                    );
+                    assert_counters(got, n, true, &format!("{label} query {j}"));
+                    stacked_sum += got.rows_active;
+                    solo_sum += solo.rows_active;
+                    skipped += got.rows_skipped;
+                }
+                assert_eq!(stacked_sum, solo_sum, "{label}: Σ rows_active");
+                assert!(
+                    skipped > 0,
+                    "{label}: nothing skipped, the check is vacuous"
+                );
+            }
+        }
+    }
+}
+
+/// A `-0.0` seed entry is a bit other than `+0.0`, so the frontier marks
+/// it: the first sweep rewrites it to `+0.0` (`+0.0 + -0.0 = +0.0`), and
+/// an unmarked pair would keep the `-0.0`.
+#[test]
+fn negative_zero_seed_is_marked_changed() {
+    let n = 24;
+    let adj = erdos_renyi_gnm(16, 40, 2).adjacency();
+    // Nodes 16..24 are isolated: embed the 16-node graph in 24 rows.
+    let mut coo = CooMatrix::new(n, n);
+    for r in 0..adj.n_rows() {
+        for (c, w) in adj.row_iter(r) {
+            coo.push(r, c, w);
+        }
+    }
+    let adj = coo.to_csr();
+    let mut e = seeds(n, 3, &[(0, 0)]);
+    e.set_residual(20, &[-0.0, 0.0, 0.0]).unwrap();
+    let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.04);
+    let opts = LinBpOptions {
+        max_iter: 100,
+        tol: 1e-10,
+        parallelism: ParallelismConfig::serial(),
+        ..Default::default()
+    };
+    let fr = frontier_vs_full(&adj, &e, &h, &opts, "-0.0 seed");
+    assert_eq!(fr.beliefs.residual()[(20, 0)].to_bits(), 0.0f64.to_bits());
+    let queries = [seeds(n, 3, &[(5, 1)]), e];
+    assert_batch_matches_solo(&adj, &adj, &queries, &h, &opts, "-0.0 seed, stacked");
+}
+
+/// The start from `Ê` needs `w · 0.0 = ±0.0` and `d · 0.0 = ±0.0`. A
+/// weight of `1e200` overflows its squared degree to `inf`, and an `inf`
+/// weight breaks both: the full step then turns an all-zero row into
+/// NaN, so the frontier must start all-changed (with echo on the
+/// squared degrees, without it on the row sums) to stay identical.
+#[test]
+fn non_finite_degrees_start_all_changed() {
+    let n = 24;
+    for w in [1e200, f64::INFINITY] {
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..10 {
+            coo.push_symmetric(i, i + 1, 1.0);
+        }
+        coo.push_symmetric(15, 16, w);
+        coo.push_symmetric(16, 17, 1.0);
+        let adj = coo.to_csr();
+        let queries = [seeds(n, 3, &[(0, 0)]), seeds(n, 3, &[(9, 2)])];
+        let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
+        for echo in [true, false] {
+            let solve = |e: &ExplicitBeliefs, frontier: bool| {
+                let opts = LinBpOptions {
+                    max_iter: 60,
+                    tol: 1e-10,
+                    parallelism: ParallelismConfig::serial().with_frontier(frontier),
+                    ..Default::default()
+                };
+                if echo {
+                    linbp(&adj, e, &h, &opts).unwrap()
+                } else {
+                    linbp_star(&adj, e, &h, &opts).unwrap()
+                }
+            };
+            let opts = LinBpOptions {
+                max_iter: 60,
+                tol: 1e-10,
+                parallelism: ParallelismConfig::serial(),
+                ..Default::default()
+            };
+            let stacked = if echo {
+                linbp_batch_on(&adj, &queries, &h, &opts)
+            } else {
+                linbp_star_batch_on(&adj, &queries, &h, &opts)
+            }
+            .unwrap();
+            for (j, (e, got)) in queries.iter().zip(&stacked).enumerate() {
+                let label = format!("w={w} echo={echo} query {j}");
+                let want = solve(e, false);
+                assert_runs_identical(&solve(e, true), &want, &label);
+                assert_runs_identical(got, &want, &format!("{label} (stacked)"));
+            }
+        }
+    }
+}
+
+/// An isolated seed whose `|Ê|` exceeds the divergence guard trips it at
+/// sweep 1 — read out of the kernel's magnitudes — in the stacked, solo
+/// and frontier-off runs alike, while its batch neighbour keeps solving.
+#[test]
+fn isolated_seed_over_guard_trips_at_sweep_one() {
+    let n = 30;
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..20 {
+        coo.push_symmetric(i, (i + 1) % 20, 1.0);
+    }
+    let adj = coo.to_csr();
+    let mut big = ExplicitBeliefs::new(n, 3);
+    big.set_label(25, 1, 10.0).unwrap();
+    let normal = seeds(n, 3, &[(3, 0)]);
+    let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
+    let opts = LinBpOptions {
+        max_iter: 100,
+        tol: 1e-10,
+        divergence_guard: 10.0,
+        parallelism: ParallelismConfig::serial(),
+        ..Default::default()
+    };
+    let fr = frontier_vs_full(&adj, &big, &h, &opts, "isolated seed over guard");
+    assert!(
+        fr.diverged && fr.iterations == 1,
+        "guard did not trip at sweep 1"
+    );
+    for frontier in [true, false] {
+        let opts = LinBpOptions {
+            parallelism: opts.parallelism.with_frontier(frontier),
+            ..opts
+        };
+        let label = format!("guard, stacked, frontier={frontier}");
+        let got = assert_batch_matches_solo(
+            &adj,
+            &adj,
+            &[normal.clone(), big.clone()],
+            &h,
+            &opts,
+            &label,
+        );
+        assert!(got[1].diverged && got[1].iterations == 1, "{label}");
+        assert!(
+            !got[0].diverged && got[0].iterations > 1,
+            "{label}: the neighbour stopped too"
+        );
+    }
+}
+
+/// Frozen queries are not copied forward: each is read from the buffer
+/// it froze in. Queries freezing an even and an odd number of sweeps
+/// before the end, one on the last sweep of the budget and one still
+/// unconverged at the budget must all equal their solo solves.
+#[test]
+fn queries_frozen_at_different_sweeps_read_from_their_buffer() {
+    let adj = erdos_renyi_gnm(200, 700, 8).adjacency();
+    let n = adj.n_rows();
+    let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
+    let queries: Vec<ExplicitBeliefs> = (0..12)
+        .map(|j| {
+            let picks: Vec<(usize, usize)> = (0..1 + j % 5)
+                .map(|i| ((j * 53 + i * 17) % n, (i + j) % 3))
+                .collect();
+            let mut e = seeds(n, 3, &picks);
+            // Scale spreads the convergence sweeps across queries.
+            e = e.scaled(10f64.powi(j as i32 % 4 - 2));
+            e
+        })
+        .collect();
+    let opts = |max_iter| LinBpOptions {
+        max_iter,
+        tol: 1e-11,
+        parallelism: ParallelismConfig::serial(),
+        ..Default::default()
+    };
+    let free: Vec<usize> = queries
+        .iter()
+        .map(|e| solo_full(&adj, e, &h, &opts(500)).iterations)
+        .collect();
+    // The budget: the second-largest distinct convergence sweep, so the
+    // slowest queries hit it unconverged and some freeze exactly on it.
+    let mut sweeps = free.clone();
+    sweeps.sort_unstable();
+    sweeps.dedup();
+    assert!(
+        sweeps.len() >= 3,
+        "convergence sweeps barely differ: {free:?}"
+    );
+    let budget = sweeps[sweeps.len() - 2];
+    let got =
+        assert_batch_matches_solo(&adj, &adj, &queries, &h, &opts(budget), "staggered freezes");
+    let at = |pred: &dyn Fn(&LinBpResult) -> bool| got.iter().any(pred);
+    assert!(
+        at(&|r| r.converged && r.iterations == budget),
+        "none froze on the last sweep"
+    );
+    assert!(
+        at(&|r| !r.converged && r.iterations == budget),
+        "none ran out of budget"
+    );
+    assert!(
+        at(&|r| r.converged && (budget - r.iterations) % 2 == 1),
+        "no odd parity"
+    );
+    assert!(
+        at(&|r| r.converged && r.iterations < budget && (budget - r.iterations).is_multiple_of(2)),
+        "no even parity"
+    );
 }

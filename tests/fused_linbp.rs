@@ -91,16 +91,16 @@ fn stacked_trajectory(
     };
     let mut b = e_hat.clone();
     let mut next = Mat::zeros(e_hat.rows(), e_hat.cols());
-    let mut state = frontier.then(|| FrontierState::new(adj.frontier_plan()));
+    let mut state =
+        frontier.then(|| FrontierState::from_seeds(adj.frontier_plan(), e_hat, h.rows()));
     let mut trajectory = Vec::with_capacity(iters);
     for _ in 0..iters {
         let mut deltas = vec![f64::NAN; q];
         match state.as_mut() {
             Some(state) => {
-                let mut fr = state.begin(None);
+                let mut fr = state.begin(&vec![true; q]);
                 adj.linbp_step_fused_frontier_with(&b, &step, &mut next, &mut deltas, &mut fr, cfg);
-                let (active, skipped) = (fr.rows_active, fr.rows_skipped);
-                state.commit(active, skipped);
+                state.commit();
             }
             None => adj.linbp_step_fused_with(&b, &step, &mut next, &mut deltas, cfg),
         }
@@ -180,7 +180,10 @@ proptest! {
     /// dispatch can pick (k ∈ 2..=5, q = 1 and q ≥ 2, stacked widths
     /// across the 64- and 128-column stack-buffer limits), with and without
     /// echo and damping, serial and on 4 threads, full and frontier
-    /// steps.
+    /// steps. The frontier trajectory tracks change per (row, query)
+    /// from each query's own seeds, and the seed supports differ (every
+    /// fifth query has none); `q` reaches past 64, so a row's query field
+    /// crosses a word boundary.
     #[test]
     fn stacked_step_matches_single_query_steps(
         n in 2usize..40,
@@ -188,6 +191,7 @@ proptest! {
         seed in 0u64..1000,
         k in 2usize..6,
         q in 1usize..37,
+        wide in 0usize..4,
         echo_flag in 0usize..2,
         damp_flag in 0usize..2,
         threaded in 0usize..2,
@@ -202,8 +206,12 @@ proptest! {
         let h2 = (echo_flag == 1).then_some(&h2);
         let degrees = adj.squared_weight_degrees();
         let damping = if damp_flag == 1 { 0.2 } else { 0.0 };
+        let q = if wide == 0 { 60 + q % 12 } else { q };
         let singles: Vec<Mat> = (0..q)
             .map(|j| {
+                if j % 5 == 4 {
+                    return Mat::zeros(n, k);
+                }
                 let seeds = (n / 4).max(1).min(1 + j % 3);
                 kronecker_style_beliefs(n, k, seeds, seed ^ (j as u64 * 31 + 7), false)
                     .residual_matrix()

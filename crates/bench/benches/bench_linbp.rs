@@ -1,12 +1,13 @@
 //! Criterion bench for Fig. 7(a)'s LinBP column: cost of 5 LinBP /
-//! LinBP\* iterations across Kronecker graph scales; plus the
-//! stacked-vs-solo probe: one stacked solve of 8 seed sets against the
-//! same 8 sets solved one by one.
+//! LinBP\* iterations across Kronecker graph scales; the stacked-vs-solo
+//! probe: one stacked solve of 8 seed sets against the same 8 sets
+//! solved one by one; and the fixed-budget tail: 100 exact sweeps on
+//! dblp_like, most of them in a limit cycle of last-ulp flips.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsbp::prelude::*;
 use lsbp_bench::kronecker_style_beliefs;
-use lsbp_graph::generators::kronecker_graph;
+use lsbp_graph::generators::{dblp_like, kronecker_graph, DblpConfig};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("linbp_5iter");
@@ -72,5 +73,50 @@ fn stacked_vs_solo(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench, stacked_vs_solo);
+/// A tol-0 solve never stops early: on dblp_like (36k nodes, k = 4,
+/// about 5% of the nodes labelled), after about 14 sweeps each sweep
+/// changes only a few rows by one ulp, and the rest of the 100-sweep
+/// budget is spent on them. This is where the frontier's per-sweep
+/// overhead shows, so compare `q1` before and after a frontier change;
+/// `q8` stacks eight such draws.
+fn fixed_budget_tail(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fixed_budget_tail");
+    group.sample_size(10);
+    let k = 4;
+    let net = dblp_like(&DblpConfig::default(), 42);
+    let adj = net.graph.adjacency();
+    let n = adj.n_rows();
+    let h = CouplingMatrix::homophily(k, 0.6)
+        .unwrap()
+        .residual()
+        .scale(0.005);
+    let draw = |j: u64| {
+        let mut e = ExplicitBeliefs::new(n, k);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ (j + 1);
+        for (v, &class) in net.classes.iter().enumerate() {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if (x >> 33).is_multiple_of(20) {
+                e.set_label(v, class, 1.0).unwrap();
+            }
+        }
+        e
+    };
+    let queries: Vec<ExplicitBeliefs> = (0..8).map(draw).collect();
+    let opts = LinBpOptions {
+        max_iter: 100,
+        tol: 0.0,
+        ..Default::default()
+    };
+    group.bench_function("q1", |b| {
+        b.iter(|| linbp(&adj, &queries[0], &h, &opts).unwrap())
+    });
+    group.bench_function("q8", |b| {
+        b.iter(|| linbp_batch_on(&adj, &queries, &h, &opts).unwrap())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench, stacked_vs_solo, fixed_budget_tail);
 criterion_main!(benches);

@@ -616,6 +616,38 @@ impl CsrMatrix {
         true
     }
 
+    /// `true` iff the stored sparsity pattern is symmetric: `(c, r)` is
+    /// stored for every stored `(r, c)`, whatever either value is
+    /// (explicit zeros count, self-loops mirror themselves). One `O(nnz)`
+    /// pass without a transpose: a cursor per row walks that row's
+    /// entries below the diagonal in column order, each matched by the
+    /// mirrored entry above the diagonal as the rows are visited in
+    /// order. A row whose columns are not strictly increasing (which no
+    /// public constructor admits) reports `false`.
+    pub(crate) fn is_pattern_symmetric(&self) -> bool {
+        let n = self.n_rows;
+        if n != self.n_cols {
+            return false;
+        }
+        let mut cursor = self.row_ptr[..n].to_vec();
+        for r in 0..n {
+            let cols = self.row_cols(r);
+            if cols.windows(2).any(|w| w[0] >= w[1]) {
+                return false;
+            }
+            for &c in cols.iter().filter(|&&c| c as usize > r) {
+                let c = c as usize;
+                let p = cursor[c];
+                if p == self.row_ptr[c + 1] || self.col_idx[p] as usize != r {
+                    return false;
+                }
+                cursor[c] = p + 1;
+            }
+        }
+        // Every entry below the diagonal was matched.
+        (0..n).all(|c| cursor[c] == self.row_ptr[c + 1] || self.col_idx[cursor[c]] as usize >= c)
+    }
+
     /// The weighted degree vector of Sect. 5.2: `d_s = Σ_t w(s,t)²`
     /// (the echo cancellation travels an edge back *and* forth, so each
     /// edge contributes its squared weight). For unweighted graphs this is
@@ -817,6 +849,81 @@ mod tests {
         coo.push_symmetric(1, 2, 3.0);
         coo.push(2, 2, 1.0);
         coo.to_csr()
+    }
+
+    fn pattern(n: usize, entries: &[(usize, usize, f64)]) -> CsrMatrix {
+        let mut coo = CooMatrix::new(n, n);
+        for &(r, c, v) in entries {
+            coo.push(r, c, v);
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn pattern_symmetry_of_mirrored_patterns() {
+        assert!(small().is_pattern_symmetric());
+        // Every row reaching every other row, on both sides of the
+        // diagonal, with rows of different lengths.
+        let mut coo = CooMatrix::new(6, 6);
+        for (r, c) in [(0, 5), (0, 3), (1, 2), (1, 5), (2, 4), (3, 4), (4, 5)] {
+            coo.push_symmetric(r, c, 1.0 + r as f64);
+        }
+        assert!(coo.to_csr().is_pattern_symmetric());
+        // Self-loops mirror themselves; empty rows and an empty matrix
+        // hold nothing to mirror.
+        let loops = pattern(5, &[(0, 0, 1.0), (3, 3, 2.0), (0, 3, 1.0), (3, 0, 1.0)]);
+        assert_eq!(loops.row_nnz(1), 0);
+        assert!(loops.is_pattern_symmetric());
+        assert!(CsrMatrix::empty(4, 4).is_pattern_symmetric());
+        assert!(CsrMatrix::empty(0, 0).is_pattern_symmetric());
+        assert!(CsrMatrix::identity(3).is_pattern_symmetric());
+    }
+
+    #[test]
+    fn pattern_symmetry_missing_mirror() {
+        // (2, 0) has no (0, 2): found when row 0's cursor is left over…
+        assert!(!pattern(3, &[(0, 1, 1.0), (1, 0, 1.0), (2, 0, 1.0)]).is_pattern_symmetric());
+        // …and (0, 2) has no (2, 0): found when row 0 reaches column 2.
+        assert!(!pattern(3, &[(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0)]).is_pattern_symmetric());
+        // Same row lengths and in-degrees, but mirrored wrongly:
+        // 0→1, 1→2, 2→0 against 1→0, 2→1, 0→2 would be symmetric; a
+        // directed cycle is not.
+        assert!(!pattern(3, &[(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)]).is_pattern_symmetric());
+        // A rectangular matrix never is.
+        assert!(!CsrMatrix::empty(2, 3).is_pattern_symmetric());
+    }
+
+    #[test]
+    fn pattern_symmetry_reads_the_pattern_not_the_values() {
+        // An explicit zero mirrors a non-zero: the pattern is symmetric
+        // although the values are not.
+        let zero = pattern(3, &[(0, 1, 0.0), (1, 0, 4.0), (1, 2, 1.0), (2, 1, 1.0)]);
+        assert_eq!(zero.nnz(), 4);
+        assert!(zero.is_pattern_symmetric());
+        assert!(!zero.is_symmetric(0.0));
+        // Weight-asymmetric but pattern-symmetric (a directed weighting
+        // of an undirected graph).
+        let weights = pattern(3, &[(0, 2, 1.0), (2, 0, -3.0), (1, 1, 0.5)]);
+        assert!(weights.is_pattern_symmetric());
+        assert!(!weights.is_symmetric(1e-9));
+        // A stored zero without its mirror still breaks the pattern.
+        assert!(!pattern(2, &[(0, 1, 0.0)]).is_pattern_symmetric());
+    }
+
+    #[test]
+    fn pattern_symmetry_rejects_duplicate_and_unsorted_rows() {
+        // The public constructors refuse such rows, so build them from
+        // parts: a duplicated mirror pair, and a reversed row whose
+        // entries would otherwise match.
+        let dup =
+            CsrMatrix::from_trusted_parts(2, 2, vec![0, 2, 4], vec![1, 1, 0, 0], vec![1.0; 4]);
+        assert!(!dup.is_pattern_symmetric());
+        let unsorted =
+            CsrMatrix::from_trusted_parts(3, 3, vec![0, 2, 3, 4], vec![2, 1, 0, 0], vec![1.0; 4]);
+        assert!(!unsorted.is_pattern_symmetric());
+        let sorted =
+            CsrMatrix::from_trusted_parts(3, 3, vec![0, 2, 3, 4], vec![1, 2, 0, 0], vec![1.0; 4]);
+        assert!(sorted.is_pattern_symmetric());
     }
 
     #[test]

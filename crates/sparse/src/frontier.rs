@@ -33,6 +33,34 @@
 //!   [`crate::PagedCsr`] whole on-disk pages — be skipped without
 //!   touching their nnz, so a shard no query needs is never faulted in.
 //!
+//! **Pull or push, per sweep.** The dependency rule can be evaluated
+//! from either end:
+//!
+//! * **pull** — every row of every active block ORs its own and its
+//!   neighbours' changed fields. That is `O(nnz)` bit reads per sweep
+//!   however little moved, and on random-like graphs every block stays
+//!   active;
+//! * **push** — one serial pass over the rows holding a changed pair ORs
+//!   each such row's query field into its own field and into the field
+//!   of every column of the row, building the sweep's active set; the
+//!   kernels then read one field per row and skip every block without an
+//!   active bit. The pass costs `O(Σ deg)` over the changed rows plus
+//!   `O(n·q/64)` to clear the buffer and summarise its blocks.
+//!
+//! Push sends row `c`'s change to the rows in `A(c,·)`, whereas the rule
+//! asks for the rows whose `A(r,·)` holds `c`. The two sets agree exactly
+//! when the stored sparsity pattern is symmetric (`(r, c)` stored iff
+//! `(c, r)` is, whatever the weights), so push only runs on a plan whose
+//! operator checked that ([`FrontierPlan::pattern_symmetric`]), and only
+//! in sweeps where the changed rows' degrees sum to at most `n`: a pull
+//! scan reads at least one field per row, so a push that small never
+//! costs more bit operations (the direction-optimizing traversal of
+//! Beamer, Asanović & Patterson, SC'12). Everything else pulls: dense
+//! sweeps, asymmetric patterns, and the shard-walking backends
+//! ([`crate::ShardedCsr`], [`crate::PagedCsr`]), whose per-shard kernels
+//! cannot read another shard's rows. Both evaluate the same rule, so the
+//! computed pairs, bits and counters do not depend on which one ran.
+//!
 //! **Why skipping is bitwise-exact.** The solver iterates on a double
 //! buffer, and the kernels never write a block they do not compute. The
 //! invariant: *if bit `(r, j)` is clear and query `j` is live, both
@@ -124,6 +152,33 @@ impl NodeBitset {
         }
     }
 
+    /// ORs the `len` bits of `bits` (LSB first, `⌈len/64⌉` words; bits at
+    /// and above `len` are ignored) into the `len` bits starting at bit
+    /// `start` — one row's query field of a row-major (row, query)
+    /// bitset, which may straddle words and, for `len > 64`, span
+    /// several. Bits outside the field, the last word's padding
+    /// included, are left as they are.
+    #[inline]
+    pub(crate) fn or_field(&mut self, start: usize, len: usize, bits: &[u64]) {
+        debug_assert!(start + len <= self.len && bits.len() == len.div_ceil(64));
+        let (w0, off) = (start >> 6, start & 63);
+        for (i, &b) in bits.iter().enumerate() {
+            let width = (len - 64 * i).min(64);
+            let b = if width < 64 {
+                b & ((1u64 << width) - 1)
+            } else {
+                b
+            };
+            if b == 0 {
+                continue;
+            }
+            self.words[w0 + i] |= b << off;
+            if off + width > 64 {
+                self.words[w0 + i + 1] |= b >> (64 - off);
+            }
+        }
+    }
+
     /// Clears every bit.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
@@ -189,6 +244,9 @@ pub struct FrontierPlan {
     block_rows: usize,
     /// Per block: the set of blocks it depends on.
     deps: Vec<NodeBitset>,
+    /// Whether the operator's stored sparsity pattern is symmetric, which
+    /// lets a sweep push its changes instead of pulling them.
+    symmetric: bool,
 }
 
 impl FrontierPlan {
@@ -218,7 +276,25 @@ impl FrontierPlan {
             n_rows,
             block_rows,
             deps,
+            symmetric: false,
         }
+    }
+
+    /// Records whether the operator's stored sparsity pattern is
+    /// symmetric. Only a builder that walked the whole pattern in one
+    /// piece can say so; plans start out saying no.
+    pub(crate) fn set_pattern_symmetric(&mut self, symmetric: bool) {
+        self.symmetric = symmetric;
+    }
+
+    /// Whether the operator's stored sparsity pattern is symmetric (`(c,
+    /// r)` stored for every stored `(r, c)`, whatever the values), so
+    /// that a sparse sweep may push its changes to the dependent rows
+    /// (see the module docs). A [`CsrMatrix`] checks its pattern when it
+    /// builds its plan; [`FrontierPlan::empty`] and plans built shard by
+    /// shard say `false`.
+    pub fn pattern_symmetric(&self) -> bool {
+        self.symmetric
     }
 
     /// Folds one adjacency row into the plan: row `r` (global) depends on
@@ -295,6 +371,8 @@ pub struct FrontierState<'p> {
     changed: NodeBitset,
     summary: NodeBitset,
     scratch: NodeBitset,
+    /// The push-mode active set, reused by every sweep that pushes.
+    push: PushSet,
     /// Not-frozen queries of the current sweep, one bit per query.
     live: Vec<u64>,
     /// Per query: pairs computed by the current sweep.
@@ -316,6 +394,7 @@ impl<'p> FrontierState<'p> {
             q,
             track,
             scratch: NodeBitset::new(changed.len()),
+            push: PushSet::new(plan, q),
             changed,
             summary: NodeBitset::new(plan.n_blocks()),
             live: vec![0; q.div_ceil(64)],
@@ -410,6 +489,7 @@ impl<'p> FrontierState<'p> {
             summary: &self.summary,
             live: &self.live,
             next_changed: &mut self.scratch,
+            push: &mut self.push,
             active: &mut self.step_active,
             magnitudes: &mut self.magnitudes,
         }
@@ -435,17 +515,46 @@ impl<'p> FrontierState<'p> {
     }
 
     /// Summary bit `i` = block `i` holds a changed pair for any query.
-    /// A block covers `block_rows·q` bits, a whole number of words.
     fn rebuild_summary(&mut self) {
-        self.summary.clear();
-        let block_words = self.plan.block_rows() * self.q / 64;
-        if block_words == 0 {
-            return;
+        block_summary(&self.changed, self.plan, self.q, &mut self.summary);
+    }
+}
+
+/// Sets summary bit `i` iff block `i` of the row-major (row, query)
+/// bitset `bits` holds a set bit. A block covers `block_rows·q` bits, a
+/// whole number of words.
+fn block_summary(bits: &NodeBitset, plan: &FrontierPlan, q: usize, summary: &mut NodeBitset) {
+    summary.clear();
+    let block_words = plan.block_rows() * q / 64;
+    if block_words == 0 {
+        return;
+    }
+    for (w, &word) in bits.words().iter().enumerate() {
+        if word != 0 {
+            summary.set(w / block_words);
         }
-        for (w, &word) in self.changed.words().iter().enumerate() {
-            if word != 0 {
-                self.summary.set(w / block_words);
-            }
+    }
+}
+
+/// The reusable buffers of push mode: the (row, query) pairs a pushed
+/// sweep computes, their block summary, and one row's query field.
+/// Allocated only for a plan whose pattern is symmetric.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PushSet {
+    pub(crate) active: NodeBitset,
+    pub(crate) blocks: NodeBitset,
+    field: Vec<u64>,
+}
+
+impl PushSet {
+    fn new(plan: &FrontierPlan, q: usize) -> Self {
+        if !plan.pattern_symmetric() {
+            return Self::default();
+        }
+        Self {
+            active: NodeBitset::new(plan.n_rows() * q),
+            blocks: NodeBitset::new(plan.n_blocks()),
+            field: vec![0; q.div_ceil(64)],
         }
     }
 }
@@ -472,6 +581,8 @@ pub struct FrontierStep<'a> {
     /// [`FrontierState::begin`]; parallel tasks merge partial bitsets
     /// into it with the order-independent OR.
     pub next_changed: &'a mut NodeBitset,
+    /// Scratch: the push-mode active set ([`FrontierStep::push_from`]).
+    pub(crate) push: &'a mut PushSet,
     /// Output, per query: pairs computed this sweep.
     pub active: &'a mut [u64],
     /// Output, per query: `max |new|` over the pairs computed this sweep
@@ -485,6 +596,103 @@ impl FrontierStep<'_> {
     #[inline]
     pub fn is_live(&self, j: usize) -> bool {
         mask_bit(self.live, j)
+    }
+
+    /// Push mode for a sweep of the whole operator `m`: when the plan's
+    /// pattern is symmetric and the rows holding a changed pair have
+    /// degrees summing to at most `n`, expands the committed changed bits
+    /// into this sweep's active set — row `r`'s query field ORed into row
+    /// `r` and into every column of `A(r,·)` — and its block summary,
+    /// and returns `true`. Otherwise touches nothing and returns `false`:
+    /// the sweep pulls. Either way the same pairs are computed (see the
+    /// module docs).
+    pub(crate) fn push_from(&mut self, m: &CsrMatrix) -> bool {
+        let q = self.q;
+        if !self.plan.pattern_symmetric() {
+            return false;
+        }
+        debug_assert_eq!(
+            m.n_rows(),
+            self.plan.n_rows(),
+            "push needs the whole operator"
+        );
+        let mut budget = m.n_rows();
+        for r in rows_with_bits(self.changed, q) {
+            match budget.checked_sub(m.row_nnz(r)) {
+                Some(rest) => budget = rest,
+                None => return false,
+            }
+        }
+        let push = &mut *self.push;
+        push.active.clear();
+        for r in rows_with_bits(self.changed, q) {
+            for (w, f) in push.field.iter_mut().enumerate() {
+                *f = self.changed.field(r * q + 64 * w, (q - 64 * w).min(64));
+            }
+            push.active.or_field(r * q, q, &push.field);
+            for &c in m.row_cols(r) {
+                push.active.or_field(c as usize * q, q, &push.field);
+            }
+        }
+        block_summary(&push.active, self.plan, q, &mut push.blocks);
+        true
+    }
+}
+
+/// The indices of the set bits of a multi-word mask, ascending.
+pub(crate) fn set_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut m = word;
+        std::iter::from_fn(move || {
+            (m != 0).then(|| {
+                let bit = m.trailing_zeros() as usize;
+                m &= m - 1;
+                64 * w + bit
+            })
+        })
+    })
+}
+
+/// The rows holding a set bit of the row-major (row, query) bitset
+/// `bits`, ascending, each once.
+fn rows_with_bits(bits: &NodeBitset, q: usize) -> impl Iterator<Item = usize> + '_ {
+    let mut next = 0;
+    set_bits(bits.words()).filter_map(move |bit| {
+        let r = bit / q;
+        (r >= next).then(|| {
+            next = r + 1;
+            r
+        })
+    })
+}
+
+/// How a frontier sweep selects the (row, query) pairs it computes —
+/// both variants evaluate the same dependency rule (see the module docs).
+#[derive(Clone, Copy)]
+pub(crate) enum RowTest<'a> {
+    /// A row ORs its own and its neighbours' fields of the committed
+    /// changed bits; a block runs iff the plan says it depends on a
+    /// block of `summary`.
+    Pull {
+        changed: &'a NodeBitset,
+        summary: &'a NodeBitset,
+    },
+    /// A row reads its own field of the pushed active set; a block runs
+    /// iff `blocks` marks it.
+    Push {
+        active: &'a NodeBitset,
+        blocks: &'a NodeBitset,
+    },
+}
+
+impl RowTest<'_> {
+    /// Whether any row of block `blk` may be computed this sweep.
+    #[inline]
+    pub(crate) fn block_active(&self, plan: &FrontierPlan, blk: usize) -> bool {
+        match *self {
+            RowTest::Pull { summary, .. } => plan.block_active(blk, summary),
+            RowTest::Push { blocks, .. } => blocks.get(blk),
+        }
     }
 }
 
@@ -575,7 +783,7 @@ impl PairSelect for AllPairs {
 /// task-local ones that are merged afterwards (bit-OR and integer sums
 /// are order-independent, so the merged result equals the serial one).
 pub(crate) struct FrontierTask<'a> {
-    pub changed: &'a NodeBitset,
+    pub test: RowTest<'a>,
     pub live: &'a [u64],
     pub q: usize,
     /// Class count, read by the debug skip-invariant check.
@@ -589,27 +797,41 @@ impl PairSelect for FrontierTask<'_> {
     const TRACKS: bool = true;
 
     /// The `q = 1` dependency rule: recompute iff the row itself changed
-    /// or any of its in-row column dependencies changed (early exit on
-    /// the first hit).
+    /// or any of its in-row column dependencies changed (pull, early exit
+    /// on the first hit), i.e. iff the pushed active set holds the row.
     #[inline]
     fn row_active(&self, m: &CsrMatrix, local: usize, global: usize) -> bool {
-        self.changed.get(global)
-            || m.row_cols(local)
-                .iter()
-                .any(|&c| self.changed.get(c as usize))
+        match self.test {
+            RowTest::Pull { changed, .. } => {
+                changed.get(global) || m.row_cols(local).iter().any(|&c| changed.get(c as usize))
+            }
+            RowTest::Push { active, .. } => active.get(global),
+        }
     }
 
     /// The per-query dependency rule: query `j` is computed iff it is
     /// live and `(row, j)` or `(c, j)` for some column `c` of the row
-    /// changed. The scan stops once every live query is found.
+    /// changed. A pull scan stops once every live query is found; a push
+    /// reads the row's own field of the active set.
     #[inline]
     fn row_mask(&self, m: &CsrMatrix, local: usize, global: usize, mask: &mut [u64]) -> bool {
         let q = self.q;
+        let changed = match self.test {
+            RowTest::Pull { changed, .. } => changed,
+            RowTest::Push { active, .. } => {
+                let mut any = false;
+                for (w, (word, &l)) in mask.iter_mut().zip(self.live).enumerate() {
+                    *word = active.field(global * q + 64 * w, (q - 64 * w).min(64)) & l;
+                    any |= *word != 0;
+                }
+                return any;
+            }
+        };
         if let [live] = *self.live {
-            let mut acc = self.changed.field(global * q, q);
+            let mut acc = changed.field(global * q, q);
             if acc & live != live {
                 for &c in m.row_cols(local) {
-                    acc |= self.changed.field(c as usize * q, q);
+                    acc |= changed.field(c as usize * q, q);
                     if acc & live == live {
                         break;
                     }
@@ -618,8 +840,7 @@ impl PairSelect for FrontierTask<'_> {
             mask[0] = acc & live;
             return mask[0] != 0;
         }
-        let field =
-            |row: usize, w: usize| self.changed.field(row * q + 64 * w, (q - 64 * w).min(64));
+        let field = |row: usize, w: usize| changed.field(row * q + 64 * w, (q - 64 * w).min(64));
         for (w, m) in mask.iter_mut().enumerate() {
             *m = field(global, w);
         }
@@ -744,6 +965,52 @@ mod tests {
         o.fill();
         assert!(o.get(129) && o.get(0));
         assert!(NodeBitset::new(0).is_empty());
+    }
+
+    /// `or_field` against a bit-by-bit reference at widths that fit a
+    /// word (1, 3), fill one (64) and span two (70): fields aligned to a
+    /// word, straddling one, and ending on the last valid bit, whose
+    /// word's padding must stay clear.
+    #[test]
+    fn or_field_straddles_words_and_keeps_padding_clear() {
+        for q in [1usize, 3, 64, 70] {
+            let rows = 131;
+            let len = rows * q;
+            // All ones (with garbage above bit q that must be ignored) and
+            // an alternating pattern that catches a shifted field.
+            let patterns = [
+                vec![!0u64; q.div_ceil(64)],
+                vec![0x5555_5555_5555_5555u64; q.div_ceil(64)],
+            ];
+            for row in [0, 1, 21, 63, 64, 65, rows - 1] {
+                for bits in &patterns {
+                    // A bit already set inside the field stays set, and
+                    // one just past it is not disturbed.
+                    let preset = [row * q + q - 1, (row + 1) * q];
+                    let mut got = NodeBitset::new(len);
+                    let mut want = NodeBitset::new(len);
+                    for &i in preset.iter().filter(|&&i| i < len) {
+                        got.set(i);
+                        want.set(i);
+                    }
+                    got.or_field(row * q, q, bits);
+                    for j in (0..q).filter(|j| bits[j / 64] >> (j % 64) & 1 == 1) {
+                        want.set(row * q + j);
+                    }
+                    assert_eq!(got, want, "q {q}, row {row}");
+                }
+            }
+            let mut last = NodeBitset::new(len);
+            last.or_field((rows - 1) * q, q, &patterns[0]);
+            assert_eq!(last.count_ones(), q, "q {q}");
+            if len % 64 != 0 {
+                let top = *last.words().last().unwrap();
+                assert_eq!(top >> (len % 64), 0, "q {q}: padding bits set");
+            }
+            let mut none = NodeBitset::new(len);
+            none.or_field(5 * q, q, &vec![0; q.div_ceil(64)]);
+            assert_eq!(none.count_ones(), 0, "q {q}: an empty field is a no-op");
+        }
     }
 
     #[test]

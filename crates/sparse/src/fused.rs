@@ -55,12 +55,24 @@
 //! each computed pair's changed bit and folds `max |new|` per query —
 //! the divergence guard's read-out — in the same pass.
 //!
+//! The frontier step selects pairs one of two ways per sweep, both
+//! giving the same pairs (see [`crate::frontier`]). **Push**, on a
+//! symmetric pattern when the changed rows' degrees sum to at most `n`:
+//! a serial pass marks the changed rows' dependents before the kernels
+//! run, and the kernels read one field per row
+//! (`PairSelect::row_active` / `PairSelect::row_mask`) and skip every
+//! block without an active bit. **Pull**, otherwise and on every
+//! shard-walking backend: each row of a block the plan marks active
+//! scans its neighbours' changed fields.
+//!
 //! The L2 tolerance norm is *not* fused: summing per-row-block partials
 //! would make the total depend on the partition, i.e. the thread count.
 //! L2 callers run the existing fixed-order `l2_diff` pass after the step.
 
 use crate::csr::{CsrMatrix, SCRATCH_WIDTH};
-use crate::frontier::{AllPairs, FrontierPlan, FrontierStep, FrontierTask, NodeBitset, PairSelect};
+use crate::frontier::{
+    set_bits, AllPairs, FrontierPlan, FrontierStep, FrontierTask, NodeBitset, PairSelect, RowTest,
+};
 use lsbp_linalg::simd::axpy4;
 use lsbp_linalg::{weight_balanced_ranges, Mat, ParallelismConfig};
 use std::ops::Range;
@@ -267,20 +279,6 @@ fn merge_max(acc: &mut [f64], partial: &[f64]) {
     }
 }
 
-/// The indices of the set bits of a multi-word mask, ascending.
-fn set_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    mask.iter().enumerate().flat_map(|(w, &word)| {
-        let mut m = word;
-        std::iter::from_fn(move || {
-            (m != 0).then(|| {
-                let bit = m.trailing_zeros() as usize;
-                m &= m - 1;
-                64 * w + bit
-            })
-        })
-    })
-}
-
 impl CsrMatrix {
     /// Applies one fused LinBP update `out = Ê + A·B·Ĥ [− D·B·Ĥ²]`
     /// (damped) and accumulates the per-query max-abs belief change into
@@ -320,6 +318,11 @@ impl CsrMatrix {
     /// the sweep protocol: [`crate::FrontierState::begin`] before the
     /// step, [`crate::FrontierState::commit`] after it.
     ///
+    /// A sparse sweep on a symmetric pattern pushes: one serial pass
+    /// marks the dependents of the changed rows, and the kernels read one
+    /// field per row instead of scanning every neighbour's (see
+    /// [`crate::frontier`]). The computed pairs are the same either way.
+    ///
     /// # Panics
     /// Panics on the same dimension mismatches as the full step.
     pub fn linbp_step_fused_frontier_with(
@@ -338,7 +341,8 @@ impl CsrMatrix {
         if n == 0 || kt == 0 {
             return;
         }
-        self.fused_block_frontier_with(b, step, 0, out.as_mut_slice(), deltas, k, fr, cfg);
+        let pushed = fr.push_from(self);
+        self.fused_block_frontier_with(b, step, 0, out.as_mut_slice(), deltas, k, fr, pushed, cfg);
     }
 
     /// The partitioned body of the full fused step over *this matrix's*
@@ -402,8 +406,9 @@ impl CsrMatrix {
 
     /// The frontier-aware variant of [`CsrMatrix::fused_block_with`]:
     /// identical arithmetic in the identical order on every pair it
-    /// computes, but only the pairs [`FrontierTask`] selects. Whole
-    /// inactive row blocks are rejected by the plan's summary test
+    /// computes, but only the pairs [`FrontierTask`] selects — from the
+    /// pushed active set when `pushed` (see [`FrontierStep::push_from`]),
+    /// else by the pull scan. Whole inactive row blocks are rejected
     /// without touching their nnz. Parallel tasks record into task-local
     /// bitsets, counts and magnitudes that are merged with
     /// order-independent OR, sums and maxima, so the merged outputs equal
@@ -418,6 +423,7 @@ impl CsrMatrix {
         deltas: &mut [f64],
         k: usize,
         fr: &mut FrontierStep<'_>,
+        pushed: bool,
         cfg: &ParallelismConfig,
     ) {
         let n = self.n_rows();
@@ -425,11 +431,22 @@ impl CsrMatrix {
         if n == 0 || fr.live.iter().all(|&w| w == 0) {
             return;
         }
-        let (plan, summary, changed, live, q) = (fr.plan, fr.summary, fr.changed, fr.live, fr.q);
+        let (plan, live, q) = (fr.plan, fr.live, fr.q);
+        let test = if pushed {
+            RowTest::Push {
+                active: &fr.push.active,
+                blocks: &fr.push.blocks,
+            }
+        } else {
+            RowTest::Pull {
+                changed: fr.changed,
+                summary: fr.summary,
+            }
+        };
         let parts = cfg.partitions((self.nnz() + n) * kt);
         if parts <= 1 {
             let mut task = FrontierTask {
-                changed,
+                test,
                 live,
                 q,
                 k,
@@ -446,7 +463,6 @@ impl CsrMatrix {
                 fr.magnitudes,
                 k,
                 plan,
-                summary,
                 &mut task,
             );
             return;
@@ -460,7 +476,7 @@ impl CsrMatrix {
                 (
                     vec![0.0; q],
                     vec![0.0; q],
-                    NodeBitset::new(changed.len()),
+                    NodeBitset::new(fr.changed.len()),
                     vec![0; q],
                 )
             })
@@ -473,7 +489,7 @@ impl CsrMatrix {
                 rest = tail;
                 s.spawn(move || {
                     let mut task = FrontierTask {
-                        changed,
+                        test,
                         live,
                         q,
                         k,
@@ -481,7 +497,7 @@ impl CsrMatrix {
                         active,
                     };
                     self.fused_rows_frontier(
-                        b, step, range, base, chunk, d, mags, k, plan, summary, &mut task,
+                        b, step, range, base, chunk, d, mags, k, plan, &mut task,
                     );
                 });
             }
@@ -498,10 +514,11 @@ impl CsrMatrix {
     }
 
     /// Walks the task's row range in plan-block-aligned subranges: an
-    /// inactive block (no dependency on any changed block) is skipped
-    /// wholesale — its nnz is never touched — while each active block
-    /// goes through [`CsrMatrix::fused_rows_dispatch`], whose kernel tests
-    /// every row and computes only its selected query blocks. `rows`
+    /// inactive block (by pull, no dependency on any changed block; by
+    /// push, no active bit) is skipped wholesale — its nnz is never
+    /// touched — while each active block goes through
+    /// [`CsrMatrix::fused_rows_dispatch`], whose kernel tests every row
+    /// and computes only its selected query blocks. `rows`
     /// indexes this matrix's rows; blocks live in the global frame
     /// (`base + r`), so shard boundaries mid-block simply yield shorter
     /// subranges.
@@ -517,7 +534,6 @@ impl CsrMatrix {
         mags: &mut [f64],
         k: usize,
         plan: &FrontierPlan,
-        summary: &NodeBitset,
         task: &mut FrontierTask<'_>,
     ) {
         let kt = b.cols();
@@ -527,7 +543,7 @@ impl CsrMatrix {
             let blk = (base + r) / bs;
             let end = rows.end.min((blk + 1) * bs - base);
             let chunk = &mut block[(r - rows.start) * kt..(end - rows.start) * kt];
-            if plan.block_active(blk, summary) {
+            if task.test.block_active(plan, blk) {
                 self.fused_rows_dispatch(b, step, r..end, base, chunk, deltas, mags, k, task);
             } else {
                 #[cfg(debug_assertions)]

@@ -286,6 +286,7 @@ impl PropagationOperator for CsrMatrix {
             let n = CsrMatrix::n_rows(self);
             let mut plan = FrontierPlan::empty(n, FrontierPlan::block_rows_for(n));
             self.add_rows_to_plan(0, &mut plan);
+            plan.set_pattern_symmetric(self.is_pattern_symmetric());
             plan
         })
     }

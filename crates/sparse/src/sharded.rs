@@ -238,9 +238,11 @@ impl<S: ShardSource> PropagationOperator for S {
     /// shard whose overlapping plan blocks are all inactive is passed
     /// over without being hinted or taken, so a paged backend never
     /// faults a frozen region back in — then the per-shard kernel applies
-    /// block- and row-granular skipping inside. The hint goes to the next
-    /// *active* shard, before the current one is taken. Bitwise identical
-    /// to the full step at any shard × thread (× budget) combination.
+    /// block- and row-granular skipping inside. Every sweep pulls: a
+    /// shard's kernel cannot mark rows of another shard. The hint goes to
+    /// the next *active* shard, before the current one is taken. Bitwise
+    /// identical to the full step at any shard × thread (× budget)
+    /// combination.
     fn linbp_step_fused_frontier_with(
         &self,
         b: &Mat,
@@ -276,6 +278,7 @@ impl<S: ShardSource> PropagationOperator for S {
                 deltas,
                 k,
                 fr,
+                false,
                 cfg,
             );
         }

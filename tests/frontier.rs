@@ -14,24 +14,20 @@
 //! per-query frontier of stacked batches: its start from `Ê` (`-0.0`
 //! seeds, non-finite degrees), the guard read out of the kernel, frozen
 //! queries read from the buffer they froze in, and work conservation
-//! against solo solves.
+//! against solo solves. The counters themselves — whether a sweep pushed
+//! or pulled — are checked against the pull sets the plain-loop oracle's
+//! iterates imply.
+
+mod support;
 
 use lsbp::prelude::*;
-use lsbp_graph::generators::{erdos_renyi_gnm, kronecker_graph};
+use lsbp_graph::generators::{dblp_like, erdos_renyi_gnm, kronecker_graph, DblpConfig};
 use lsbp_graph::Graph;
 use lsbp_linalg::Mat;
 use lsbp_sparse::{CooMatrix, CsrMatrix};
 use proptest::prelude::*;
 use std::path::PathBuf;
-
-fn bits_equal(a: &Mat, b: &Mat) -> bool {
-    a.rows() == b.rows()
-        && a.cols() == b.cols()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
+use support::{bits_equal, pull_counts, PullCounts};
 
 fn seeds(n: usize, k: usize, picks: &[(usize, usize)]) -> ExplicitBeliefs {
     let mut e = ExplicitBeliefs::new(n, k);
@@ -679,4 +675,182 @@ fn queries_frozen_at_different_sweeps_read_from_their_buffer() {
         at(&|r| r.converged && r.iterations < budget && (budget - r.iterations).is_multiple_of(2)),
         "no even parity"
     );
+}
+
+/// Label draws over a network's nodes: draw `j` labels about one node in
+/// twenty with its class, from its own stream.
+fn label_draw(classes: &[usize], k: usize, j: usize) -> ExplicitBeliefs {
+    let mut e = ExplicitBeliefs::new(classes.len(), k);
+    let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ (j as u64 + 2);
+    for (v, &c) in classes.iter().enumerate() {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        if (x >> 33).is_multiple_of(20) {
+            e.set_label(v, c % k, 1.0).unwrap();
+        }
+    }
+    e
+}
+
+/// Solves `seeds` as one stacked batch on the resident `adj` and on a
+/// paged copy of it at an unbounded budget (whose shard walk always
+/// pulls). Both must agree bit for bit, and every query's run and
+/// counters must equal its oracle's (`oracles[j]` for `seeds[j]`).
+fn assert_counters_match_pull_oracle(
+    adj: &CsrMatrix,
+    seeds: &[ExplicitBeliefs],
+    oracles: &[&PullCounts],
+    h: &Mat,
+    opts: &LinBpOptions,
+    label: &str,
+) {
+    let resident = linbp_batch_on(adj, seeds, h, opts).unwrap();
+    let path = tmp(&format!(
+        "oracle-{}.lsbp",
+        label.replace([' ', ',', '='], "_")
+    ));
+    let paged = PagedCsr::spill(adj, &path, 4, PagedOptions::default().with_budget(None)).unwrap();
+    let pulled = linbp_batch_on(&paged, seeds, h, opts).unwrap();
+    drop(paged);
+    let _ = std::fs::remove_file(&path);
+    for (j, (got, want)) in resident.iter().zip(oracles).enumerate() {
+        let label = format!("{label}, query {j}");
+        let oracle = &want.reference;
+        assert_eq!(got.iterations, oracle.iterations, "{label}: iterations");
+        assert_eq!(got.converged, oracle.converged, "{label}: converged");
+        assert_eq!(got.diverged, oracle.diverged, "{label}: diverged");
+        assert_eq!(
+            got.final_delta.to_bits(),
+            oracle.final_delta.to_bits(),
+            "{label}: final delta"
+        );
+        assert!(
+            bits_equal(got.beliefs.residual(), &oracle.beliefs),
+            "{label}: beliefs differ from the plain-loop oracle"
+        );
+        assert_eq!(
+            (got.rows_active, got.rows_skipped),
+            (want.rows_active, want.rows_skipped),
+            "{label}: counters differ from the oracle's pull sets"
+        );
+        assert_runs_identical(&pulled[j], got, &format!("{label}, paged"));
+        assert_eq!(
+            (pulled[j].rows_active, pulled[j].rows_skipped),
+            (got.rows_active, got.rows_skipped),
+            "{label}: paged (pull) counters"
+        );
+    }
+}
+
+/// Whatever mix of pushed and pulled sweeps a solve runs, its counters
+/// equal the pull sets of the plain-loop oracle's iterates, and its bits
+/// equal the oracle's: at q ∈ {1, 3, 33} and 1 or 2 threads, on a tol-0
+/// fixed-budget solve that ends in a limit cycle of last-ulp flips, on
+/// an edge-delta patch, and on a directed graph whose asymmetric pattern
+/// must pull throughout.
+#[test]
+fn push_counters_match_pull_oracle() {
+    let k = 4;
+    // A small dblp_like network; at the full size, fixed-budget solves
+    // end in the same kind of limit cycle.
+    let cfg = DblpConfig {
+        n_papers: 800,
+        n_authors: 800,
+        n_terms_per_area: 100,
+        n_shared_terms: 50,
+        ..DblpConfig::default()
+    };
+    let net = dblp_like(&cfg, 42);
+    let adj = net.graph.adjacency();
+    let n = adj.n_rows();
+    assert!(adj.frontier_plan().pattern_symmetric());
+    let h = CouplingMatrix::homophily(k, 0.6)
+        .unwrap()
+        .residual()
+        .scale(0.005);
+    let fixed = LinBpOptions {
+        max_iter: 30,
+        tol: 0.0,
+        ..Default::default()
+    };
+    let converging = LinBpOptions { tol: 1e-9, ..fixed };
+    // Six distinct draws; a 33-query batch cycles through them.
+    let draws: Vec<ExplicitBeliefs> = (0..6).map(|j| label_draw(&net.classes, k, j)).collect();
+    let oracles: Vec<PullCounts> = draws
+        .iter()
+        .map(|e| pull_counts(&adj, e.residual_matrix(), &h, true, &fixed))
+        .collect();
+    // The draws run sweeps on both sides of the push gate (the changed
+    // rows' degrees summing to at most n, or more), and some never
+    // settle: their last sweep still flips a few rows.
+    let costs = || oracles.iter().flat_map(|o| &o.changed_degrees);
+    assert!(costs().any(|&c| c <= n), "no sweep could push");
+    assert!(costs().any(|&c| c > n), "no sweep had to pull");
+    assert!(
+        oracles[0].changed_degrees[29] > 0 && oracles[0].changed_degrees[29] <= n,
+        "draw 0 does not end in a sparse limit cycle"
+    );
+
+    // An edge-delta patch: its seeds sit on the changed edges'
+    // endpoints, so its first sweep pushes.
+    let deltas = [(0, n - 1, 1.0), (n - 1, 0, 1.0), (5, 17, 0.5), (17, 5, 0.5)];
+    let patched = adj.try_with_edge_deltas(&deltas).unwrap();
+    assert!(patched.frontier_plan().pattern_symmetric());
+    let patch_seeds: Vec<ExplicitBeliefs> = draws[..3]
+        .iter()
+        .map(|e| {
+            let previous = linbp(&adj, e, &h, &converging).unwrap();
+            linbp_edge_delta_seed(&adj, &deltas, &previous.beliefs, &h, true).unwrap()
+        })
+        .collect();
+    let patch_oracles: Vec<PullCounts> = patch_seeds
+        .iter()
+        .map(|e| pull_counts(&patched, e.residual_matrix(), &h, true, &converging))
+        .collect();
+    assert!(patch_oracles.iter().all(|o| o.changed_degrees[0] <= n));
+
+    // A directed graph: each edge stored one way only, so no sweep may
+    // push (it would mark the wrong rows).
+    let mut coo = CooMatrix::new(n, n);
+    for r in 0..n {
+        for (c, w) in adj.row_iter(r).filter(|&(c, _)| c > r) {
+            coo.push(r, c, w);
+        }
+    }
+    let directed = coo.to_csr();
+    assert!(!directed.frontier_plan().pattern_symmetric());
+    let directed_oracles: Vec<PullCounts> = draws[..3]
+        .iter()
+        .map(|e| pull_counts(&directed, e.residual_matrix(), &h, true, &fixed))
+        .collect();
+
+    for threads in [1usize, 2] {
+        let par = ParallelismConfig::with_threads(threads).with_min_work(1);
+        let fixed = LinBpOptions {
+            parallelism: par,
+            ..fixed
+        };
+        // The 33-query batch (a field straddling words in every row)
+        // runs on the partitioned path only, to keep the suite quick.
+        for q in [1usize, 3, 33]
+            .into_iter()
+            .filter(|&q| q < 33 || threads > 1)
+        {
+            let seeds: Vec<ExplicitBeliefs> = (0..q).map(|j| draws[j % 6].clone()).collect();
+            let want: Vec<&PullCounts> = (0..q).map(|j| &oracles[j % 6]).collect();
+            let label = format!("fixed budget, t = {threads}, q = {q}");
+            assert_counters_match_pull_oracle(&adj, &seeds, &want, &h, &fixed, &label);
+        }
+        let converging = LinBpOptions {
+            parallelism: par,
+            ..converging
+        };
+        let want: Vec<&PullCounts> = patch_oracles.iter().collect();
+        let label = format!("edge-delta patch, t = {threads}");
+        assert_counters_match_pull_oracle(&patched, &patch_seeds, &want, &h, &converging, &label);
+        let want: Vec<&PullCounts> = directed_oracles.iter().collect();
+        let label = format!("directed, t = {threads}");
+        assert_counters_match_pull_oracle(&directed, &draws[..3], &want, &h, &fixed, &label);
+    }
 }

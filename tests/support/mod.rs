@@ -1,6 +1,7 @@
 //! Test support shared by the LinBP suites: bitwise matrix equality, the
-//! plain-loop LinBP oracle, and a plain-loop oracle for the per-graph
-//! invariants an operator caches. Each suite uses a subset.
+//! plain-loop LinBP oracle, the frontier counters that oracle's iterates
+//! imply, and a plain-loop oracle for the per-graph invariants an
+//! operator caches. Each suite uses a subset.
 #![allow(dead_code)]
 
 use lsbp::prelude::*;
@@ -37,6 +38,19 @@ pub fn unfused_linbp(
     echo: bool,
     opts: &LinBpOptions,
 ) -> Reference {
+    unfused_linbp_observed(adj, e_hat, h, echo, opts, |_, _| {})
+}
+
+/// [`unfused_linbp`], calling `sweep(old, new)` with the beliefs before
+/// and after every round it runs.
+pub fn unfused_linbp_observed(
+    adj: &CsrMatrix,
+    e_hat: &Mat,
+    h: &Mat,
+    echo: bool,
+    opts: &LinBpOptions,
+    mut sweep: impl FnMut(&Mat, &Mat),
+) -> Reference {
     let (n, k) = (e_hat.rows(), e_hat.cols());
     let h2 = h.matmul(h);
     let degrees = adj.squared_weight_degrees();
@@ -71,6 +85,7 @@ pub fn unfused_linbp(
             ToleranceNorm::MaxAbs => next.max_abs_diff(&b),
             ToleranceNorm::L2 => next.l2_diff(&b),
         };
+        sweep(&b, &next);
         std::mem::swap(&mut b, &mut next);
         out.iterations += 1;
         out.final_delta = delta;
@@ -85,6 +100,65 @@ pub fn unfused_linbp(
     }
     out.beliefs = b;
     out
+}
+
+/// The frontier counters of one query, derived from the plain-loop
+/// oracle's iterates alone.
+pub struct PullCounts {
+    /// How the oracle's run ended.
+    pub reference: Reference,
+    /// Rows the solve must compute, summed over its rounds.
+    pub rows_active: u64,
+    /// Rows it may skip, summed over its rounds.
+    pub rows_skipped: u64,
+    /// Per round: the degrees of the rows whose block changed in the
+    /// previous round (for round 1, whose seed block holds a bit other
+    /// than `+0.0`) summed — the work a push of that change costs.
+    pub changed_degrees: Vec<usize>,
+}
+
+/// Runs [`unfused_linbp`] on one query and counts, per round, its pull
+/// set: the rows whose own block or the block of a column of `A(r,·)`
+/// changed bits in the previous round. A solve starts from `B = Ê` with
+/// a zeroed second buffer, so round 1's "change" is the seed: a block of
+/// `Ê` holding a bit other than `+0.0`. Shares no code with the
+/// library's frontier.
+pub fn pull_counts(
+    adj: &CsrMatrix,
+    e_hat: &Mat,
+    h: &Mat,
+    echo: bool,
+    opts: &LinBpOptions,
+) -> PullCounts {
+    let n = adj.n_rows();
+    let block_changed = |old: Option<&Mat>, new: &Mat, r: usize| match old {
+        Some(old) => old
+            .row(r)
+            .iter()
+            .zip(new.row(r))
+            .any(|(a, b)| a.to_bits() != b.to_bits()),
+        None => new.row(r).iter().any(|x| x.to_bits() != 0),
+    };
+    let mut changed: Vec<bool> = (0..n).map(|r| block_changed(None, e_hat, r)).collect();
+    let (mut rows_active, mut rows_skipped) = (0u64, 0u64);
+    let mut changed_degrees = Vec::new();
+    let reference = unfused_linbp_observed(adj, e_hat, h, echo, opts, |old, new| {
+        let pulled = (0..n)
+            .filter(|&r| changed[r] || adj.row_iter(r).any(|(c, _)| changed[c]))
+            .count() as u64;
+        rows_active += pulled;
+        rows_skipped += n as u64 - pulled;
+        changed_degrees.push((0..n).filter(|&r| changed[r]).map(|r| adj.row_nnz(r)).sum());
+        for (r, flag) in changed.iter_mut().enumerate() {
+            *flag = block_changed(Some(old), new, r);
+        }
+    });
+    PullCounts {
+        reference,
+        rows_active,
+        rows_skipped,
+        changed_degrees,
+    }
 }
 
 /// Reusable buffers for [`linbp_step`]: the SpMM result, the `D·B`

@@ -6,13 +6,41 @@
 //! (`crate::tcp`), in-process tests, and the benchmark harness without a
 //! socket in sight.
 //!
+//! ## Threads and state
+//!
+//! All mutable serving state — registry, belief cache, admission queues,
+//! control queue, counters and the stop flags — lives in one `State`
+//! behind one mutex, paired with one condvar that wakes the solver
+//! thread. Two kinds of thread touch it:
+//!
+//! * **Inline, on the caller's thread** (over TCP, the poll loop): ping,
+//!   stats, health, shutdown, request validation, cache hits and
+//!   admission. Each locks, touches maps, and unlocks.
+//! * **On the solver thread**: every solve, and every **control job** —
+//!   `RegisterGraph` and `EdgeDelta` (graph builds, spills and cache
+//!   patches). Control jobs run in arrival order, ahead of any solve
+//!   batch whatever the coalesce windows are, inside the same
+//!   `catch_unwind` boundary as solves, and answer through their
+//!   responder. A solve arriving while a control job for its graph is
+//!   queued or running waits in the control queue behind it, so a client
+//!   that pipelines a write and then a read sees its write.
+//!
+//! The one rule: no solve, graph build, spill or responder call ever runs
+//! while the lock is held. An edge delta therefore works in three steps:
+//! under the lock it takes the graph's stale cache entries out; with no
+//! lock held it rebuilds and spills the graph and patches the entries;
+//! under the lock it publishes the new version, banks the retired
+//! version's pager totals and puts the patched entries in. Because only
+//! the solver thread mutates the registry and the cache, the three steps
+//! need no lock order and no re-check.
+//!
 //! ## Admission coalescing
 //!
 //! Solve requests do not run one by one. Each request is validated, checked
 //! against the belief cache, and then parked in an **admission queue** keyed
 //! by everything that must match for two queries to share a stacked solve:
 //! graph id, graph version, method (LinBP/LinBP\*/RWR), and the canonical
-//! wire bytes of the solve parameters. A single solver thread drains a
+//! wire bytes of the solve parameters. The solver thread drains a
 //! queue when its **coalesce window** (measured from the first parked
 //! query) expires or the queue reaches **max batch**, and runs the whole
 //! stack through one [`lsbp::batch`] solve — one SpMM sweep per iteration
@@ -25,7 +53,9 @@
 //! form the next stacked batch. A stacked solve's cost per query hardly
 //! depends on the batch size, so waiting for company only adds latency.
 //! A parked query whose twin was solved by the batch before is answered
-//! from the cache entry that solve left, at drain time.
+//! from the cache entry that solve left, at drain time; a query that
+//! waited behind an edge delta to its graph is answered from the entry
+//! the delta patched.
 //!
 //! Backpressure: a queue holding `max_pending` queries rejects further
 //! admissions with [`ErrorCode::Overloaded`] instead of buffering without
@@ -50,13 +80,13 @@ use lsbp::{edge_delta::linbp_edge_delta_seed, linbp::LinBpError, rwr::RwrError};
 use lsbp_linalg::Mat;
 use lsbp_net::{
     BeliefsPayload, ErrorCode, HealthInfo, LinBpParams, Request, Response, RwrParams, ServedVia,
-    ServerStats, WireNorm, WireSeed, WireWriter,
+    ServerStats, WireEdge, WireNorm, WireSeed, WireWriter,
 };
 use lsbp_sparse::{CooMatrix, CsrMatrix, PagedCsr, PagerStats};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -127,7 +157,9 @@ pub struct ServerConfig {
     /// What to do under sustained overload. Default [`DegradationPolicy::Off`].
     pub degradation: DegradationPolicy,
     /// Fault-injection hook for the panic-isolation boundary: a batched
-    /// solve against this graph id panics deliberately. Test-only in
+    /// solve against this graph id panics deliberately, and so does an
+    /// edge delta to it, after the rebuild and patch but before anything
+    /// is published (the graph keeps its version and cache). Test-only in
     /// spirit, but kept an ordinary config knob so chaos tests exercise
     /// exactly the production `catch_unwind` path.
     pub panic_on_graph: Option<u64>,
@@ -173,11 +205,12 @@ struct GraphEntry {
     paged: Option<PagedCsr>,
 }
 
-/// Distinguishes spill files across builds of the same (graph, version):
-/// rejected duplicate registrations and racing delta rebuilds each write
-/// their own file, so a losing build's `Drop` can only ever delete its
-/// own spill — never the live entry's.
-static SPILL_NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// Distinguishes spill files across builds of the same (graph, version).
+/// Within one core the solver thread builds one graph at a time, so
+/// builds never race; the nonce keeps cores in one process that share a
+/// spill directory from writing (and on `Drop` deleting) each other's
+/// files.
+static SPILL_NONCE: AtomicU64 = AtomicU64::new(0);
 
 impl GraphEntry {
     fn build(csr: CsrMatrix, version: u64, graph_id: u64, config: &ServerConfig) -> Self {
@@ -226,7 +259,10 @@ impl Drop for GraphEntry {
     }
 }
 
-/// What kind of solve a parked query wants (params already validated).
+/// What kind of solve a query wants (params already validated). Cache
+/// entries keep it too: a LinBP entry is patched forward on an edge
+/// delta with the same parameters; RWR has no linear patch.
+#[derive(Clone)]
 enum JobKind {
     LinBp {
         echo: bool,
@@ -236,6 +272,39 @@ enum JobKind {
     Rwr {
         opts: RwrOptions,
     },
+}
+
+impl JobKind {
+    /// Canonical byte material for admission and cache keys: method tag,
+    /// class count, and the exact bit patterns of every solve parameter.
+    fn params_bytes(&self, k: u32) -> Vec<u8> {
+        let norm_tag = |norm: ToleranceNorm| match norm {
+            ToleranceNorm::MaxAbs => 0,
+            ToleranceNorm::L2 => 1,
+        };
+        let mut w = WireWriter::new();
+        match self {
+            JobKind::LinBp { echo, h, opts } => {
+                w.u8(if *echo { 1 } else { 2 });
+                w.u32(k);
+                w.f64s(h.as_slice());
+                w.u64(opts.max_iter as u64);
+                w.f64(opts.tol);
+                w.u8(norm_tag(opts.norm));
+                w.f64(opts.damping);
+                w.f64(opts.divergence_guard);
+            }
+            JobKind::Rwr { opts } => {
+                w.u8(3);
+                w.u32(k);
+                w.f64(opts.restart);
+                w.u64(opts.max_iter as u64);
+                w.f64(opts.tol);
+                w.u8(norm_tag(opts.norm));
+            }
+        }
+        w.into_bytes()
+    }
 }
 
 /// A validated query parked in an admission queue.
@@ -248,6 +317,14 @@ struct SolveJob {
     /// Absolute budget; a job still parked past this is answered
     /// `DeadlineExceeded` at drain time without burning a solve slot.
     deadline: Option<Instant>,
+}
+
+/// A request queued for the solver thread: a registration, an edge
+/// delta, or a solve waiting behind one of those for its graph.
+struct Control {
+    request: Request,
+    deadline: Option<Instant>,
+    responder: Responder,
 }
 
 /// Cache/admission key: (graph id, graph version, method+params bytes ++
@@ -268,17 +345,6 @@ struct GroupKey {
     params: Vec<u8>,
 }
 
-/// How a cached entry may be refreshed across graph versions.
-enum PatchInfo {
-    LinBp {
-        echo: bool,
-        h: Mat,
-        opts: LinBpOptions,
-    },
-    /// RWR has no linear patch — invalidated on edge deltas.
-    None,
-}
-
 struct CacheEntry {
     beliefs: Mat,
     k: u32,
@@ -287,7 +353,7 @@ struct CacheEntry {
     iterations: u64,
     final_delta: f64,
     patched: bool,
-    patch: PatchInfo,
+    kind: JobKind,
 }
 
 impl CacheEntry {
@@ -308,12 +374,18 @@ impl CacheEntry {
 #[derive(Default)]
 struct Cache {
     entries: HashMap<CacheKey, CacheEntry>,
-    /// Insertion order for eviction; stale keys are skipped lazily.
+    /// Insertion order for eviction: exactly the keys of `entries`.
     order: VecDeque<CacheKey>,
 }
 
 impl Cache {
+    /// Stores `entry` under `key`, replacing a present entry in place; a
+    /// new key at capacity evicts the oldest entries first.
     fn insert(&mut self, key: CacheKey, entry: CacheEntry, capacity: usize) {
+        if let Some(slot) = self.entries.get_mut(&key) {
+            *slot = entry;
+            return;
+        }
         while self.entries.len() >= capacity.max(1) {
             match self.order.pop_front() {
                 Some(old) => {
@@ -325,6 +397,22 @@ impl Cache {
         self.order.push_back(key.clone());
         self.entries.insert(key, entry);
     }
+
+    /// Removes and returns every entry of one graph version, oldest first.
+    fn take_version(&mut self, graph_id: u64, version: u64) -> Vec<(CacheKey, CacheEntry)> {
+        let (taken, kept): (VecDeque<CacheKey>, VecDeque<CacheKey>) =
+            std::mem::take(&mut self.order)
+                .into_iter()
+                .partition(|k| k.graph_id == graph_id && k.version == version);
+        self.order = kept;
+        taken
+            .into_iter()
+            .map(|k| {
+                let entry = self.entries.remove(&k).expect("order lists every entry");
+                (k, entry)
+            })
+            .collect()
+    }
 }
 
 /// One admission queue: parked queries plus the window deadline armed by
@@ -334,56 +422,103 @@ struct PendingGroup {
     deadline: Instant,
 }
 
+/// Everything mutable the request paths and the solver thread share.
 #[derive(Default)]
-struct Admission {
+struct State {
+    graphs: HashMap<u64, Arc<GraphEntry>>,
+    cache: Cache,
+    /// Admission queues.
     groups: HashMap<GroupKey, PendingGroup>,
+    /// Work for the solver thread that goes before any batch, in
+    /// arrival order.
+    control: VecDeque<Control>,
+    /// Registrations and edge deltas queued or running, per graph id.
+    mutating: HashMap<u64, usize>,
+    /// The served counters. The gauges (graphs, cached entries, pager
+    /// totals) stay zero here; [`State::stats`] fills them in.
+    counters: ServerStats,
+    /// Pager activity of graph entries already replaced by edge deltas —
+    /// banked when they are unregistered, so the served totals stay
+    /// monotone as spilled versions retire.
+    pager_retired: PagerStats,
+    /// A shutdown was accepted: queues drain without waiting out their
+    /// coalesce windows.
+    stopping: bool,
+    /// The core was dropped: nothing can be submitted any more, so the
+    /// solver thread exits once the queues are empty. Until then it keeps
+    /// answering whatever arrives, shutdown or not.
+    dropped: bool,
 }
 
-#[derive(Default)]
-struct Counters {
-    queries_served: u64,
-    cache_hits: u64,
-    coalesced_batches: u64,
-    coalesced_queries: u64,
-    largest_batch: u64,
-    spmm_passes: u64,
-    spmm_passes_sequential_equiv: u64,
-    patched_entries: u64,
-    invalidated_entries: u64,
-    rejected_overloaded: u64,
-    rejected_deadline: u64,
-    rejected_invalid: u64,
-    panics_caught: u64,
-    degraded_stale: u64,
-    degraded_clamped: u64,
-    /// LinBP (row, query) pairs recomputed by served solves, summed over
-    /// the queries of each batch (active-frontier execution; equals
-    /// rows × sweeps per query when the frontier is off).
-    frontier_rows_active: u64,
-    /// LinBP (row, query) pairs skipped by served solves because their
-    /// inputs were bitwise unchanged since the previous sweep.
-    frontier_rows_skipped: u64,
-    /// Pager activity of graph entries already replaced by edge deltas
-    /// — added at replacement time so the served totals stay monotone
-    /// as spilled versions retire.
-    pager_retired: PagerStats,
+impl State {
+    /// The cached answer for `key`, counted as a served cache hit.
+    fn cache_hit(&mut self, key: &CacheKey) -> Option<BeliefsPayload> {
+        let entry = self.cache.entries.get(key)?;
+        let payload = entry.payload(if entry.patched {
+            ServedVia::CachePatched
+        } else {
+            ServedVia::Cache
+        });
+        self.counters.queries_served += 1;
+        self.counters.cache_hits += 1;
+        Some(payload)
+    }
+
+    /// Newest cache entry answering the same query (params + seeds)
+    /// against any **older** version of the same graph.
+    fn stale_lookup(&self, key: &CacheKey) -> Option<BeliefsPayload> {
+        self.cache
+            .entries
+            .iter()
+            .filter(|(k, _)| {
+                k.graph_id == key.graph_id && k.version < key.version && k.tail == key.tail
+            })
+            .max_by_key(|(k, _)| k.version)
+            .map(|(k, entry)| entry.payload(ServedVia::Stale { version: k.version }))
+    }
+
+    /// Total queries parked across all admission queues.
+    fn backlog(&self) -> u64 {
+        self.groups.values().map(|g| g.jobs.len() as u64).sum()
+    }
+
+    /// The counters with their gauges filled in. Pager activity is
+    /// summed over every live spilled graph plus the retired totals;
+    /// banking and unregistering happen in one critical section, so a
+    /// retiring version is counted exactly once.
+    fn stats(&self) -> ServerStats {
+        let mut pager = self.pager_retired;
+        for entry in self.graphs.values() {
+            add_pager(&mut pager, entry.pager_stats());
+        }
+        ServerStats {
+            graphs: self.graphs.len() as u64,
+            cached_entries: self.cache.entries.len() as u64,
+            pager_hits: pager.hits,
+            pager_misses: pager.misses,
+            pager_evictions: pager.evictions,
+            pager_prefetches: pager.prefetches,
+            ..self.counters
+        }
+    }
 }
+
+fn add_pager(total: &mut PagerStats, s: PagerStats) {
+    total.hits += s.hits;
+    total.misses += s.misses;
+    total.evictions += s.evictions;
+    total.prefetches += s.prefetches;
+}
+
+/// Why taking the state lock cannot fail: solves, builds, spills and
+/// responders — everything that can panic — run with the lock released.
+const POISONED: &str = "nothing that can panic runs under the server state lock";
 
 struct Shared {
     config: ServerConfig,
-    registry: RwLock<HashMap<u64, Arc<GraphEntry>>>,
-    /// Serializes graph mutations (register / edge delta) so a delta's
-    /// read-rebuild-publish sequence is atomic: without it two racing
-    /// deltas both rebuild from the same old version and one update is
-    /// silently lost. Held only by the rare control-plane requests —
-    /// solves never touch it. Lock order: `mutations` → `registry` →
-    /// `counters`.
-    mutations: Mutex<()>,
-    cache: Mutex<Cache>,
-    admission: Mutex<Admission>,
+    state: Mutex<State>,
+    /// Wakes the solver thread: new parked work, new control work, stop.
     wakeup: Condvar,
-    counters: Mutex<Counters>,
-    stopping: AtomicBool,
     started: Instant,
 }
 
@@ -398,13 +533,8 @@ impl ServerCore {
     pub fn new(config: ServerConfig) -> Self {
         let shared = Arc::new(Shared {
             config,
-            registry: RwLock::new(HashMap::new()),
-            mutations: Mutex::new(()),
-            cache: Mutex::new(Cache::default()),
-            admission: Mutex::new(Admission::default()),
+            state: Mutex::new(State::default()),
             wakeup: Condvar::new(),
-            counters: Mutex::new(Counters::default()),
-            stopping: AtomicBool::new(false),
             started: Instant::now(),
         });
         let solver_shared = Arc::clone(&shared);
@@ -419,8 +549,11 @@ impl ServerCore {
     }
 
     /// Handles one request with no deadline; the response is delivered
-    /// through `responder` (inline for registry/cache/metadata operations,
-    /// from the solver thread for solves that miss the cache).
+    /// through `responder`. Ping, stats, health, shutdown, rejected
+    /// solves and cache hits answer inline, before `submit` returns.
+    /// Registrations, edge deltas, solves that miss the cache, and solves
+    /// of a graph whose registration or delta is still pending answer
+    /// later, from the solver thread.
     pub fn submit(&self, request: Request, responder: Responder) {
         self.submit_at(request, None, responder);
     }
@@ -428,16 +561,17 @@ impl ServerCore {
     /// [`ServerCore::submit`] with an absolute deadline. Solves whose
     /// budget has already expired (or expires while parked in a
     /// coalescing group) are answered [`ErrorCode::DeadlineExceeded`]
-    /// without consuming a solve slot; metadata requests ignore the
-    /// deadline (they answer inline anyway).
+    /// without consuming a solve slot; all other requests ignore the
+    /// deadline.
     ///
     /// Every rejection delivered through the responder — wherever it is
     /// produced — bumps the matching typed counter in [`ServerStats`].
     pub fn submit_at(&self, request: Request, deadline: Option<Instant>, responder: Responder) {
-        let counters = Arc::clone(&self.shared);
+        let shared = Arc::clone(&self.shared);
         let responder: Responder = Box::new(move |resp: Response| {
             if let Response::Error { code, .. } = &resp {
-                let mut c = counters.counters.lock().unwrap();
+                let mut state = shared.lock();
+                let c = &mut state.counters;
                 match code {
                     ErrorCode::Overloaded => c.rejected_overloaded += 1,
                     ErrorCode::DeadlineExceeded => c.rejected_deadline += 1,
@@ -449,84 +583,12 @@ impl ServerCore {
             }
             responder(resp)
         });
-        match request {
-            Request::Ping => responder(Response::Pong {
-                protocol_version: lsbp_net::PROTOCOL_VERSION,
-            }),
-            Request::Stats => responder(Response::Stats(self.stats())),
-            Request::Health => responder(Response::Health(self.health())),
-            Request::Shutdown => {
-                self.stop();
-                responder(Response::ShuttingDown);
-            }
-            Request::RegisterGraph {
-                graph_id,
-                n_nodes,
-                symmetric,
-                edges,
-            } => responder(self.register_graph(graph_id, n_nodes, symmetric, &edges)),
-            Request::EdgeDelta {
-                graph_id,
-                symmetric,
-                deltas,
-            } => responder(self.apply_edge_delta(graph_id, symmetric, &deltas)),
-            Request::SolveLinBp {
-                graph_id,
-                params,
-                seeds,
-            } => self.admit_linbp(graph_id, params, seeds, deadline, responder),
-            Request::SolveRwr {
-                graph_id,
-                params,
-                seeds,
-            } => self.admit_rwr(graph_id, params, seeds, deadline, responder),
-        }
+        self.shared.handle(request, deadline, responder, false);
     }
 
     /// Cheap liveness snapshot (answered inline, never queued).
     pub fn health(&self) -> HealthInfo {
-        let queue_depth: u64 = {
-            let admission = self.shared.admission.lock().unwrap();
-            admission.groups.values().map(|g| g.jobs.len() as u64).sum()
-        };
-        let pager = self.pager_totals();
-        let (frontier_rows_active, frontier_rows_skipped) = {
-            let c = self.shared.counters.lock().unwrap();
-            (c.frontier_rows_active, c.frontier_rows_skipped)
-        };
-        HealthInfo {
-            protocol_version: lsbp_net::PROTOCOL_VERSION,
-            graphs: self.shared.registry.read().unwrap().len() as u64,
-            queue_depth,
-            cached_entries: self.shared.cache.lock().unwrap().entries.len() as u64,
-            uptime_ms: self.shared.started.elapsed().as_millis() as u64,
-            spill_enabled: self.shared.config.spill_dir.is_some(),
-            pager_hits: pager.hits,
-            pager_misses: pager.misses,
-            pager_evictions: pager.evictions,
-            pager_prefetches: pager.prefetches,
-            frontier_rows_active,
-            frontier_rows_skipped,
-        }
-    }
-
-    /// Pager activity summed over every live spilled graph plus the
-    /// retired totals banked when versions were replaced. The registry
-    /// lock is held across the counter read (same `registry` →
-    /// `counters` order as the banking in [`Self::apply_edge_delta`]),
-    /// so a retiring version is counted exactly once: either still
-    /// registered or already banked, never both.
-    fn pager_totals(&self) -> PagerStats {
-        let registry = self.shared.registry.read().unwrap();
-        let mut total = self.shared.counters.lock().unwrap().pager_retired;
-        for entry in registry.values() {
-            let s = entry.pager_stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-            total.prefetches += s.prefetches;
-        }
-        total
+        self.shared.health()
     }
 
     /// The knobs this core was started with.
@@ -545,76 +607,177 @@ impl ServerCore {
     /// `true` once a [`Request::Shutdown`] was accepted (or
     /// [`ServerCore::stop`] called).
     pub fn is_stopping(&self) -> bool {
-        self.shared.stopping.load(Ordering::SeqCst)
+        self.shared.lock().stopping
     }
 
-    /// Asks the solver thread to drain and exit.
+    /// Marks the core stopping: the transport stops accepting
+    /// connections, and the solver thread drains every queue without
+    /// waiting out coalesce windows. The thread exits when the core is
+    /// dropped.
     pub fn stop(&self) {
-        // The solver checks `stopping` and parks while holding the
-        // admission lock, so setting the flag and notifying under that
-        // lock cannot fall between its check and its wait (a lost wakeup
-        // would hang `Drop` in `join`).
-        let _admission = self
-            .shared
-            .admission
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        self.shared.stopping.store(true, Ordering::SeqCst);
-        self.shared.wakeup.notify_all();
+        self.shared.stop(false);
     }
 
     /// Current counters.
     pub fn stats(&self) -> ServerStats {
-        let pager = self.pager_totals();
-        // Registry and cache are read *before* taking the counters lock:
-        // version retirement nests `registry` → `counters`, so grabbing
-        // them the other way round here would risk a deadlock.
-        let graphs = self.shared.registry.read().unwrap().len() as u64;
-        let cached_entries = self.shared.cache.lock().unwrap().entries.len() as u64;
-        let c = self.shared.counters.lock().unwrap();
-        ServerStats {
-            graphs,
-            cached_entries,
-            queries_served: c.queries_served,
-            cache_hits: c.cache_hits,
-            coalesced_batches: c.coalesced_batches,
-            coalesced_queries: c.coalesced_queries,
-            largest_batch: c.largest_batch,
-            spmm_passes: c.spmm_passes,
-            spmm_passes_sequential_equiv: c.spmm_passes_sequential_equiv,
-            patched_entries: c.patched_entries,
-            invalidated_entries: c.invalidated_entries,
-            rejected_overloaded: c.rejected_overloaded,
-            rejected_deadline: c.rejected_deadline,
-            rejected_invalid: c.rejected_invalid,
-            panics_caught: c.panics_caught,
-            degraded_stale: c.degraded_stale,
-            degraded_clamped: c.degraded_clamped,
-            pager_hits: pager.hits,
-            pager_misses: pager.misses,
-            pager_evictions: pager.evictions,
-            pager_prefetches: pager.prefetches,
-            frontier_rows_active: c.frontier_rows_active,
-            frontier_rows_skipped: c.frontier_rows_skipped,
+        self.shared.stats()
+    }
+}
+
+impl Drop for ServerCore {
+    fn drop(&mut self) {
+        self.shared.stop(true);
+        if let Some(handle) = self.solver.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Shared {
+    /// The state lock.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(POISONED)
+    }
+
+    /// Routes one request. `queued` is set when the solver thread replays
+    /// a solve from the control queue: the mutations of its graph that
+    /// were ahead of it have run.
+    fn handle(
+        &self,
+        request: Request,
+        deadline: Option<Instant>,
+        responder: Responder,
+        queued: bool,
+    ) {
+        match request {
+            Request::Ping => responder(Response::Pong {
+                protocol_version: lsbp_net::PROTOCOL_VERSION,
+            }),
+            Request::Stats => responder(Response::Stats(self.stats())),
+            Request::Health => responder(Response::Health(self.health())),
+            Request::Shutdown => {
+                self.stop(false);
+                responder(Response::ShuttingDown);
+            }
+            Request::RegisterGraph { graph_id, .. } | Request::EdgeDelta { graph_id, .. } => {
+                let control = Control {
+                    request,
+                    deadline,
+                    responder,
+                };
+                self.queue(control, Some(graph_id));
+            }
+            Request::SolveLinBp { graph_id, .. } | Request::SolveRwr { graph_id, .. }
+                if !queued && self.lock().mutating.contains_key(&graph_id) =>
+            {
+                let control = Control {
+                    request,
+                    deadline,
+                    responder,
+                };
+                self.queue(control, None);
+            }
+            Request::SolveLinBp {
+                graph_id,
+                params,
+                seeds,
+            } => {
+                let kind =
+                    validate_linbp_params(&params, &self.config.parallelism).map(|(h, opts)| {
+                        JobKind::LinBp {
+                            echo: params.echo,
+                            h,
+                            opts,
+                        }
+                    });
+                self.admit(graph_id, params.k, kind, seeds, deadline, responder);
+            }
+            Request::SolveRwr {
+                graph_id,
+                params,
+                seeds,
+            } => {
+                let kind = validate_rwr_params(&params, &self.config.parallelism)
+                    .map(|opts| JobKind::Rwr { opts });
+                self.admit(graph_id, params.k, kind, seeds, deadline, responder);
+            }
         }
     }
 
+    /// Appends `control` to the control queue and wakes the solver;
+    /// `mutates` names the graph a registration or delta changes.
+    fn queue(&self, control: Control, mutates: Option<u64>) {
+        let mut state = self.lock();
+        if let Some(graph_id) = mutates {
+            *state.mutating.entry(graph_id).or_default() += 1;
+        }
+        state.control.push_back(control);
+        drop(state);
+        self.wakeup.notify_all();
+    }
+
+    fn health(&self) -> HealthInfo {
+        let (stats, queue_depth) = {
+            let state = self.lock();
+            (state.stats(), state.backlog())
+        };
+        HealthInfo {
+            protocol_version: lsbp_net::PROTOCOL_VERSION,
+            graphs: stats.graphs,
+            queue_depth,
+            cached_entries: stats.cached_entries,
+            uptime_ms: self.started.elapsed().as_millis() as u64,
+            spill_enabled: self.config.spill_dir.is_some(),
+            pager_hits: stats.pager_hits,
+            pager_misses: stats.pager_misses,
+            pager_evictions: stats.pager_evictions,
+            pager_prefetches: stats.pager_prefetches,
+            frontier_rows_active: stats.frontier_rows_active,
+            frontier_rows_skipped: stats.frontier_rows_skipped,
+        }
+    }
+
+    fn stats(&self) -> ServerStats {
+        self.lock().stats()
+    }
+
+    fn stop(&self, dropped: bool) {
+        // Set under the lock the solver checks them under before waiting,
+        // so the wakeup cannot fall between its check and its wait. `Drop`
+        // comes here too, so a poisoned lock must not panic.
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.stopping = true;
+        state.dropped |= dropped;
+        drop(state);
+        self.wakeup.notify_all();
+    }
+
+    /// Runs `work` inside the panic boundary: a panic is counted and
+    /// returns `None`; the solver thread, the registry, the cache and all
+    /// parked work are untouched.
+    fn guarded<T>(&self, work: impl FnOnce() -> T) -> Option<T> {
+        let done = catch_unwind(AssertUnwindSafe(work)).ok();
+        if done.is_none() {
+            self.lock().counters.panics_caught += 1;
+        }
+        done
+    }
+
+    /// Builds a new graph at version 1 and registers it (solver thread).
     fn register_graph(
         &self,
         graph_id: u64,
         n_nodes: u64,
         symmetric: bool,
-        edges: &[lsbp_net::WireEdge],
+        edges: &[WireEdge],
     ) -> Response {
         if n_nodes == 0 || n_nodes > MAX_NODES {
             return bad_request(format!("n_nodes must be in 1..={MAX_NODES}, got {n_nodes}"));
         }
-        // Reject duplicates *before* GraphEntry::build runs: the build
-        // spills to disk, and doing it first for an id that is already
-        // live would waste the work (and, before spill paths carried a
-        // nonce, truncated the live entry's file).
-        let _mutation = self.shared.mutations.lock().unwrap();
-        if self.shared.registry.read().unwrap().contains_key(&graph_id) {
+        // Checked before the build, which spills to disk: the solver
+        // thread is the only writer of the registry, so the id is still
+        // free when the entry is published.
+        if self.lock().graphs.contains_key(&graph_id) {
             return Response::Error {
                 code: ErrorCode::GraphAlreadyRegistered,
                 message: format!("graph {graph_id} is already registered"),
@@ -643,16 +806,8 @@ impl ServerCore {
             Err(e) => return bad_request(e.to_string()),
         };
         let nnz = csr.nnz() as u64;
-        let entry = Arc::new(GraphEntry::build(csr, 1, graph_id, &self.shared.config));
-        let mut registry = self.shared.registry.write().unwrap();
-        if registry.contains_key(&graph_id) {
-            return Response::Error {
-                code: ErrorCode::GraphAlreadyRegistered,
-                message: format!("graph {graph_id} is already registered"),
-                retry_after_ms: None,
-            };
-        }
-        registry.insert(graph_id, entry);
+        let entry = Arc::new(GraphEntry::build(csr, 1, graph_id, &self.config));
+        self.lock().graphs.insert(graph_id, entry);
         Response::Registered {
             graph_id,
             version: 1,
@@ -661,338 +816,208 @@ impl ServerCore {
         }
     }
 
-    /// Applies additive edge deltas: bumps the graph version, rebuilds the
-    /// operator layout once, patches cached LinBP beliefs forward
-    /// (batched, one pass per parameter group) and invalidates cached RWR
-    /// scores.
-    fn apply_edge_delta(
-        &self,
-        graph_id: u64,
-        symmetric: bool,
-        deltas: &[lsbp_net::WireEdge],
-    ) -> Response {
-        // Serialize the read-rebuild-publish sequence per core: two
-        // racing deltas would otherwise both rebuild from the same old
-        // version and one of the updates would be silently lost.
-        let _mutation = self.shared.mutations.lock().unwrap();
-        let old = match self.shared.registry.read().unwrap().get(&graph_id) {
-            Some(e) => Arc::clone(e),
-            None => return unknown_graph(graph_id),
+    /// Applies additive edge deltas (solver thread): bumps the graph
+    /// version, rebuilds the operator layout once, patches cached LinBP
+    /// beliefs forward and invalidates cached RWR scores. A rejected or
+    /// panicking delta publishes nothing and puts the cache entries back.
+    fn apply_edge_delta(&self, graph_id: u64, symmetric: bool, deltas: &[WireEdge]) -> Response {
+        let (old, stale) = {
+            let mut state = self.lock();
+            let Some(old) = state.graphs.get(&graph_id).cloned() else {
+                return unknown_graph(graph_id);
+            };
+            let stale = state.cache.take_version(graph_id, old.version);
+            (old, stale)
         };
-        let mut list: Vec<(usize, usize, f64)> = Vec::with_capacity(deltas.len() * 2);
-        for d in deltas {
-            if !d.weight.is_finite() {
-                return bad_request(format!(
-                    "delta ({}, {}) has non-finite weight",
-                    d.src, d.dst
-                ));
+        let rebuilt = self.guarded(|| self.rebuild(graph_id, &old, symmetric, deltas, &stale));
+        let cap = self.config.cache_capacity;
+        let mut state = self.lock();
+        let (new, refreshed) = match rebuilt {
+            Some(Ok(r)) => r,
+            failed => {
+                for (key, entry) in stale {
+                    state.cache.insert(key, entry, cap);
+                }
+                return match failed {
+                    Some(Err(message)) => bad_request(message),
+                    _ => panicked(),
+                };
             }
-            let (s, t) = (d.src as usize, d.dst as usize);
-            if d.src >= old.csr.n_rows() as u64 || d.dst >= old.csr.n_rows() as u64 {
-                return bad_request(format!("delta ({}, {}) out of range", d.src, d.dst));
-            }
-            list.push((s, t, d.weight));
-            if symmetric && s != t {
-                list.push((t, s, d.weight));
-            }
-        }
-        let new_csr = match old.csr.try_with_edge_deltas(&list) {
-            Ok(m) => m,
-            Err(e) => return bad_request(e.to_string()),
         };
-        let new_version = old.version + 1;
-        let new_entry = Arc::new(GraphEntry::build(
-            new_csr,
-            new_version,
-            graph_id,
-            &self.shared.config,
-        ));
-
-        // Publish the new version first: queries admitted from here on
-        // solve (and cache) against it. The outgoing version's pager
-        // activity banks into the retired counters in the same
-        // registry-write critical section that unregisters it, so a
-        // concurrent Health/Stats sum never sees the old entry both
-        // banked and still registered (or neither) — totals stay
-        // monotone.
-        {
-            let mut registry = self.shared.registry.write().unwrap();
-            let old_pager = old.pager_stats();
-            let mut c = self.shared.counters.lock().unwrap();
-            c.pager_retired.hits += old_pager.hits;
-            c.pager_retired.misses += old_pager.misses;
-            c.pager_retired.evictions += old_pager.evictions;
-            c.pager_retired.prefetches += old_pager.prefetches;
-            drop(c);
-            registry.insert(graph_id, Arc::clone(&new_entry));
+        let version = new.version;
+        add_pager(&mut state.pager_retired, old.pager_stats());
+        state.graphs.insert(graph_id, Arc::new(new));
+        // Under the StaleCache degradation policy, entries that cannot be
+        // patched forward are *retained* at their old version (still
+        // counted invalidated) — they are only reachable through the
+        // stale-serving overload path, never a normal cache hit.
+        let keep_stale = self.config.degradation == DegradationPolicy::StaleCache;
+        let (mut patched, mut invalidated) = (0u64, 0u64);
+        for ((key, entry), fresh) in stale.into_iter().zip(refreshed) {
+            match fresh {
+                Some(fresh) => {
+                    patched += 1;
+                    state.cache.insert(CacheKey { version, ..key }, fresh, cap);
+                }
+                None => {
+                    invalidated += 1;
+                    if keep_stale {
+                        state.cache.insert(key, entry, cap);
+                    }
+                }
+            }
         }
-
-        let (patched, invalidated) = self.patch_cache(graph_id, &old, &new_entry, &list);
-        {
-            let mut c = self.shared.counters.lock().unwrap();
-            c.patched_entries += patched;
-            c.invalidated_entries += invalidated;
-        }
+        state.counters.patched_entries += patched;
+        state.counters.invalidated_entries += invalidated;
         Response::DeltaApplied {
             graph_id,
-            version: new_version,
+            version,
             patched,
             invalidated,
         }
     }
 
-    /// Moves this graph's cache entries from the old version to the new:
-    /// LinBP entries are patched via the edge-delta seed + batched
-    /// incremental update; RWR entries are dropped. Returns
-    /// `(patched, invalidated)`.
-    fn patch_cache(
+    /// The lock-free middle step of an edge delta: validates and applies
+    /// the deltas, builds (and spills) the new version, and patches each
+    /// stale LinBP entry forward — entries sharing solve parameters ride
+    /// one stacked update. Returns the new entry and, per stale entry,
+    /// its patched replacement (`None`: RWR, or a failed patch).
+    fn rebuild(
         &self,
         graph_id: u64,
         old: &GraphEntry,
-        new_entry: &GraphEntry,
-        deltas: &[(usize, usize, f64)],
-    ) -> (u64, u64) {
-        let mut cache = self.shared.cache.lock().unwrap();
-        let stale: Vec<CacheKey> = cache
-            .entries
-            .keys()
-            .filter(|k| k.graph_id == graph_id && k.version == old.version)
-            .cloned()
-            .collect();
-        let mut patched = 0u64;
-        let mut invalidated = 0u64;
-
-        // Under the StaleCache degradation policy, entries that cannot be
-        // patched forward are *retained* at their old version (still
-        // counted invalidated) — they are only reachable through the
-        // stale-serving overload path, never a normal cache hit.
-        let keep_stale = self.shared.config.degradation == DegradationPolicy::StaleCache;
-        let cap = self.shared.config.cache_capacity;
-
-        // Group patchable entries by identical solve parameters so each
-        // group refreshes in ONE batched update pass.
-        let mut groups: HashMap<Vec<u8>, Vec<(CacheKey, CacheEntry)>> = HashMap::new();
-        for key in stale {
-            let entry = cache.entries.remove(&key).unwrap();
-            cache.order.retain(|k| *k != key);
-            match &entry.patch {
-                PatchInfo::None => {
-                    invalidated += 1;
-                    if keep_stale {
-                        cache.insert(key, entry, cap);
-                    }
-                }
-                PatchInfo::LinBp { .. } => {
-                    // The params live in the key tail (method + params
-                    // bytes precede the seed bytes) — but grouping by the
-                    // whole tail would make every entry its own group, so
-                    // group by the stored patch parameters' wire bytes.
-                    let group_bytes = match &entry.patch {
-                        PatchInfo::LinBp { echo, h, opts } => linbp_params_bytes(*echo, h, opts),
-                        PatchInfo::None => unreachable!(),
-                    };
-                    groups.entry(group_bytes).or_default().push((key, entry));
-                }
+        symmetric: bool,
+        deltas: &[WireEdge],
+        stale: &[(CacheKey, CacheEntry)],
+    ) -> Result<(GraphEntry, Vec<Option<CacheEntry>>), String> {
+        let n = old.csr.n_rows() as u64;
+        let mut list: Vec<(usize, usize, f64)> = Vec::with_capacity(deltas.len() * 2);
+        for d in deltas {
+            if !d.weight.is_finite() {
+                return Err(format!(
+                    "delta ({}, {}) has non-finite weight",
+                    d.src, d.dst
+                ));
+            }
+            if d.src >= n || d.dst >= n {
+                return Err(format!("delta ({}, {}) out of range", d.src, d.dst));
+            }
+            let (s, t) = (d.src as usize, d.dst as usize);
+            list.push((s, t, d.weight));
+            if symmetric && s != t {
+                list.push((t, s, d.weight));
             }
         }
+        let new_csr = old
+            .csr
+            .try_with_edge_deltas(&list)
+            .map_err(|e| e.to_string())?;
+        let new = GraphEntry::build(new_csr, old.version + 1, graph_id, &self.config);
 
-        for (_, group) in groups {
-            let (echo, h, opts) = match &group[0].1.patch {
-                PatchInfo::LinBp { echo, h, opts } => (*echo, h.clone(), *opts),
-                PatchInfo::None => unreachable!(),
-            };
+        type Group<'a> = (bool, &'a Mat, &'a LinBpOptions, Vec<usize>);
+        let mut groups: HashMap<Vec<u8>, Group<'_>> = HashMap::new();
+        for (i, (_, entry)) in stale.iter().enumerate() {
+            if let JobKind::LinBp { echo, h, opts } = &entry.kind {
+                groups
+                    .entry(entry.kind.params_bytes(entry.k))
+                    .or_insert_with(|| (*echo, h, opts, Vec::new()))
+                    .3
+                    .push(i);
+            }
+        }
+        let mut refreshed: Vec<Option<CacheEntry>> = stale.iter().map(|_| None).collect();
+        for (echo, h, opts, members) in groups.into_values() {
             // One synthetic seed per cached result (each depends on that
             // entry's beliefs), solved together in one stacked pass.
-            let mut prev: Vec<BeliefMatrix> = Vec::with_capacity(group.len());
-            let mut seeds: Vec<ExplicitBeliefs> = Vec::with_capacity(group.len());
-            let mut ok = true;
-            for (_, entry) in &group {
-                let beliefs = BeliefMatrix::from_mat(entry.beliefs.clone());
-                match linbp_edge_delta_seed(&old.csr, deltas, &beliefs, &h, echo) {
-                    Ok(seed) => {
-                        seeds.push(seed);
-                        prev.push(beliefs);
-                    }
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                invalidated += group.len() as u64;
-                if keep_stale {
-                    for (key, entry) in group {
-                        cache.insert(key, entry, cap);
-                    }
-                }
+            let prev: Vec<BeliefMatrix> = members
+                .iter()
+                .map(|&i| BeliefMatrix::from_mat(stale[i].1.beliefs.clone()))
+                .collect();
+            let Ok(seeds) = prev
+                .iter()
+                .map(|b| linbp_edge_delta_seed(&old.csr, &list, b, h, echo))
+                .collect::<Result<Vec<_>, _>>()
+            else {
                 continue;
-            }
-            let prev_refs: Vec<&BeliefMatrix> = prev.iter().collect();
-            let runs = match linbp_update_batch_on(
-                new_entry.operator(),
-                &prev_refs,
-                &seeds,
-                &h,
-                &opts,
-                echo,
-            ) {
-                Ok(r) => r,
-                Err(_) => {
-                    invalidated += group.len() as u64;
-                    if keep_stale {
-                        for (key, entry) in group {
-                            cache.insert(key, entry, cap);
-                        }
-                    }
-                    continue;
-                }
             };
-            for ((key, entry), run) in group.into_iter().zip(runs) {
-                if run.diverged {
-                    invalidated += 1;
-                    if keep_stale {
-                        cache.insert(key, entry, cap);
-                    }
-                    continue;
+            let prev_refs: Vec<&BeliefMatrix> = prev.iter().collect();
+            let Ok(runs) = linbp_update_batch_on(new.operator(), &prev_refs, &seeds, h, opts, echo)
+            else {
+                continue;
+            };
+            for (i, run) in members.into_iter().zip(runs) {
+                if !run.diverged {
+                    let entry = &stale[i].1;
+                    refreshed[i] = Some(CacheEntry {
+                        beliefs: run.beliefs.into_mat(),
+                        k: entry.k,
+                        converged: run.converged,
+                        diverged: false,
+                        iterations: run.iterations as u64,
+                        final_delta: run.final_delta,
+                        patched: true,
+                        kind: entry.kind.clone(),
+                    });
                 }
-                let new_key = CacheKey {
-                    version: new_entry.version,
-                    ..key
-                };
-                let refreshed = CacheEntry {
-                    beliefs: run.beliefs.into_mat(),
-                    converged: run.converged,
-                    diverged: run.diverged,
-                    iterations: run.iterations as u64,
-                    final_delta: run.final_delta,
-                    patched: true,
-                    ..entry
-                };
-                patched += 1;
-                cache.insert(new_key, refreshed, cap);
             }
         }
-        (patched, invalidated)
+        if self.config.panic_on_graph == Some(graph_id) {
+            panic!("injected fault applying a delta to graph {graph_id}");
+        }
+        Ok((new, refreshed))
     }
 
-    fn lookup_graph(&self, graph_id: u64) -> Option<Arc<GraphEntry>> {
-        self.shared.registry.read().unwrap().get(&graph_id).cloned()
-    }
-
-    /// Validates a LinBP solve, then serves it from cache or parks it for
+    /// Validates a solve, then serves it from cache or parks it for
     /// coalescing.
-    fn admit_linbp(
-        &self,
-        graph_id: u64,
-        params: LinBpParams,
-        seeds: Vec<WireSeed>,
-        deadline: Option<Instant>,
-        responder: Responder,
-    ) {
-        let graph = match self.lookup_graph(graph_id) {
-            Some(g) => g,
-            None => return responder(unknown_graph(graph_id)),
-        };
-        let (h, mut opts) = match validate_linbp_params(&params, &self.shared.config.parallelism) {
-            Ok(v) => v,
-            Err(msg) => return responder(bad_request(msg)),
-        };
-        let explicit = match build_seeds(graph.csr.n_rows(), params.k as usize, &seeds) {
-            Ok(e) => e,
-            Err(msg) => return responder(bad_request(msg)),
-        };
-        // ClampIter degradation: past the high-water mark, shrink the
-        // iteration budget. The clamped opts feed the params bytes below,
-        // so clamped queries coalesce and cache among themselves.
-        if let DegradationPolicy::ClampIter(cap) = self.shared.config.degradation {
-            if opts.max_iter > cap.max(1) && self.backlog() >= self.shared.config.max_pending / 2 {
-                opts.max_iter = cap.max(1);
-                self.shared.counters.lock().unwrap().degraded_clamped += 1;
-            }
-        }
-        let kind = JobKind::LinBp {
-            echo: params.echo,
-            h,
-            opts,
-        };
-        let params_bytes = linbp_params_bytes(params.echo, kind_h(&kind), kind_opts(&kind));
-        self.admit(
-            graph,
-            graph_id,
-            kind,
-            explicit,
-            params_bytes,
-            &seeds,
-            deadline,
-            responder,
-        );
-    }
-
-    /// Total queries parked across all admission queues.
-    fn backlog(&self) -> usize {
-        let admission = self.shared.admission.lock().unwrap();
-        admission.groups.values().map(|g| g.jobs.len()).sum()
-    }
-
-    /// Validates an RWR solve, then serves it from cache or parks it.
-    fn admit_rwr(
-        &self,
-        graph_id: u64,
-        params: RwrParams,
-        seeds: Vec<WireSeed>,
-        deadline: Option<Instant>,
-        responder: Responder,
-    ) {
-        let graph = match self.lookup_graph(graph_id) {
-            Some(g) => g,
-            None => return responder(unknown_graph(graph_id)),
-        };
-        let opts = match validate_rwr_params(&params, &self.shared.config.parallelism) {
-            Ok(o) => o,
-            Err(msg) => return responder(bad_request(msg)),
-        };
-        let explicit = match build_seeds(graph.csr.n_rows(), params.k as usize, &seeds) {
-            Ok(e) => e,
-            Err(msg) => return responder(bad_request(msg)),
-        };
-        // RWR needs every class seeded (the library rejects a whole batch
-        // for one empty class — catch it per query at admission so one
-        // hostile query cannot poison its co-batched neighbors).
-        for c in 0..params.k as usize {
-            let seeded = (0..explicit.n()).any(|v| explicit.row(v)[c] > 0.0);
-            if !seeded {
-                return responder(bad_request(format!("class {c} has no labeled node")));
-            }
-        }
-        let params_bytes = rwr_params_bytes(&params);
-        let kind = JobKind::Rwr { opts };
-        self.admit(
-            graph,
-            graph_id,
-            kind,
-            explicit,
-            params_bytes,
-            &seeds,
-            deadline,
-            responder,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn admit(
         &self,
-        graph: Arc<GraphEntry>,
         graph_id: u64,
-        kind: JobKind,
-        seeds: ExplicitBeliefs,
-        params_bytes: Vec<u8>,
-        wire_seeds: &[WireSeed],
+        k: u32,
+        kind: Result<JobKind, String>,
+        wire_seeds: Vec<WireSeed>,
         deadline: Option<Instant>,
         responder: Responder,
     ) {
-        let mut tail = params_bytes.clone();
-        tail.extend_from_slice(&seeds_bytes(wire_seeds));
+        let graph = self.lock().graphs.get(&graph_id).cloned();
+        let Some(graph) = graph else {
+            return responder(unknown_graph(graph_id));
+        };
+        let mut kind = match kind {
+            Ok(kind) => kind,
+            Err(msg) => return responder(bad_request(msg)),
+        };
+        let seeds = match build_seeds(graph.csr.n_rows(), k as usize, &wire_seeds) {
+            Ok(e) => e,
+            Err(msg) => return responder(bad_request(msg)),
+        };
+        match &mut kind {
+            // RWR needs every class seeded (the library rejects a whole
+            // batch for one empty class — catch it per query at admission
+            // so one hostile query cannot poison its co-batched neighbors).
+            JobKind::Rwr { .. } => {
+                let unseeded =
+                    (0..k as usize).find(|&c| !(0..seeds.n()).any(|v| seeds.row(v)[c] > 0.0));
+                if let Some(c) = unseeded {
+                    return responder(bad_request(format!("class {c} has no labeled node")));
+                }
+            }
+            // ClampIter degradation: past the high-water mark, shrink the
+            // iteration budget. The clamped opts feed the params bytes
+            // below, so clamped queries coalesce and cache among themselves.
+            JobKind::LinBp { opts, .. } => {
+                if let DegradationPolicy::ClampIter(cap) = self.config.degradation {
+                    let mut state = self.lock();
+                    let high_water = (self.config.max_pending / 2) as u64;
+                    if opts.max_iter > cap.max(1) && state.backlog() >= high_water {
+                        opts.max_iter = cap.max(1);
+                        state.counters.degraded_clamped += 1;
+                    }
+                }
+            }
+        }
+        let params = kind.params_bytes(k);
+        let mut tail = params.clone();
+        tail.extend_from_slice(&seeds_bytes(&wire_seeds));
         let cache_key = CacheKey {
             graph_id,
             version: graph.version,
@@ -1002,18 +1027,13 @@ impl ServerCore {
         // Deadline check at admission: a budget that is already gone
         // gets its typed answer immediately.
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            return responder(deadline_exceeded(self.shared.config.retry_after_hint));
-        }
-
-        // Cache first.
-        if let Some(payload) = cache_hit(&self.shared, &cache_key) {
-            return responder(Response::Beliefs(payload));
+            return responder(deadline_exceeded(self.config.retry_after_hint));
         }
 
         let group_key = GroupKey {
             graph_id,
             version: graph.version,
-            params: params_bytes,
+            params,
         };
         let job = SolveJob {
             graph,
@@ -1023,74 +1043,41 @@ impl ServerCore {
             responder,
             deadline,
         };
-        let mut admission = self.shared.admission.lock().unwrap();
-        let group = admission
-            .groups
-            .entry(group_key)
-            .or_insert_with(|| PendingGroup {
-                jobs: Vec::new(),
-                deadline: Instant::now() + self.shared.config.coalesce_window,
-            });
-        if group.jobs.len() >= self.shared.config.max_pending {
-            drop(admission);
-            // StaleCache degradation: a matching answer for an older graph
-            // version beats a rejection.
-            if self.shared.config.degradation == DegradationPolicy::StaleCache {
-                if let Some(payload) = self.stale_lookup(&job.cache_key) {
-                    let mut c = self.shared.counters.lock().unwrap();
-                    c.queries_served += 1;
-                    c.degraded_stale += 1;
-                    drop(c);
-                    return (job.responder)(Response::Beliefs(payload));
-                }
-            }
-            let hint = self.shared.config.retry_after_hint;
-            return (job.responder)(Response::Error {
+        let mut state = self.lock();
+        let parked = state.groups.get(&group_key).map_or(0, |g| g.jobs.len());
+        let answer = if let Some(payload) = state.cache_hit(&job.cache_key) {
+            Response::Beliefs(payload)
+        } else if parked < self.config.max_pending {
+            state
+                .groups
+                .entry(group_key)
+                .or_insert_with(|| PendingGroup {
+                    jobs: Vec::new(),
+                    deadline: Instant::now() + self.config.coalesce_window,
+                })
+                .jobs
+                .push(job);
+            drop(state);
+            self.wakeup.notify_all();
+            return;
+        } else if let Some(payload) = (self.config.degradation == DegradationPolicy::StaleCache)
+            .then(|| state.stale_lookup(&job.cache_key))
+            .flatten()
+        {
+            // StaleCache degradation: a matching answer for an older
+            // graph version beats a rejection.
+            state.counters.queries_served += 1;
+            state.counters.degraded_stale += 1;
+            Response::Beliefs(payload)
+        } else {
+            Response::Error {
                 code: ErrorCode::Overloaded,
                 message: "admission queue full, retry later".into(),
-                retry_after_ms: Some(hint.as_millis() as u64),
-            });
-        }
-        group.jobs.push(job);
-        drop(admission);
-        self.shared.wakeup.notify_all();
-    }
-
-    /// Newest cache entry answering the same query (params + seeds)
-    /// against any **older** version of the same graph.
-    fn stale_lookup(&self, key: &CacheKey) -> Option<BeliefsPayload> {
-        let cache = self.shared.cache.lock().unwrap();
-        cache
-            .entries
-            .iter()
-            .filter(|(k, _)| {
-                k.graph_id == key.graph_id && k.version < key.version && k.tail == key.tail
-            })
-            .max_by_key(|(k, _)| k.version)
-            .map(|(k, entry)| entry.payload(ServedVia::Stale { version: k.version }))
-    }
-}
-
-impl Drop for ServerCore {
-    fn drop(&mut self) {
-        self.stop();
-        if let Some(handle) = self.solver.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn kind_h(kind: &JobKind) -> &Mat {
-    match kind {
-        JobKind::LinBp { h, .. } => h,
-        JobKind::Rwr { .. } => unreachable!(),
-    }
-}
-
-fn kind_opts(kind: &JobKind) -> &LinBpOptions {
-    match kind {
-        JobKind::LinBp { opts, .. } => opts,
-        JobKind::Rwr { .. } => unreachable!(),
+                retry_after_ms: Some(self.config.retry_after_hint.as_millis() as u64),
+            }
+        };
+        drop(state);
+        (job.responder)(answer);
     }
 }
 
@@ -1098,6 +1085,14 @@ fn bad_request(message: String) -> Response {
     Response::Error {
         code: ErrorCode::BadRequest,
         message,
+        retry_after_ms: None,
+    }
+}
+
+fn panicked() -> Response {
+    Response::Error {
+        code: ErrorCode::Internal,
+        message: "solver panicked; request not answered".into(),
         retry_after_ms: None,
     }
 }
@@ -1116,38 +1111,6 @@ fn deadline_exceeded(hint: Duration) -> Response {
         message: "deadline expired before the solve could start".into(),
         retry_after_ms: Some(hint.as_millis() as u64),
     }
-}
-
-/// Canonical byte material for a LinBP admission/cache key: method tag,
-/// echo, and the exact bit patterns of every solve parameter.
-fn linbp_params_bytes(echo: bool, h: &Mat, opts: &LinBpOptions) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(if echo { 1 } else { 2 });
-    w.u32(h.rows() as u32);
-    w.f64s(h.as_slice());
-    w.u64(opts.max_iter as u64);
-    w.f64(opts.tol);
-    w.u8(match opts.norm {
-        ToleranceNorm::MaxAbs => 0,
-        ToleranceNorm::L2 => 1,
-    });
-    w.f64(opts.damping);
-    w.f64(opts.divergence_guard);
-    w.into_bytes()
-}
-
-fn rwr_params_bytes(params: &RwrParams) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(3);
-    w.u32(params.k);
-    w.f64(params.restart);
-    w.u64(params.max_iter);
-    w.f64(params.tol);
-    w.u8(match params.norm {
-        WireNorm::MaxAbs => 0,
-        WireNorm::L2 => 1,
-    });
-    w.into_bytes()
 }
 
 fn seeds_bytes(seeds: &[WireSeed]) -> Vec<u8> {
@@ -1256,23 +1219,6 @@ fn build_seeds(n: usize, k: usize, seeds: &[WireSeed]) -> Result<ExplicitBeliefs
     Ok(explicit)
 }
 
-/// The cached answer for `key`, counted as a served cache hit.
-fn cache_hit(shared: &Shared, key: &CacheKey) -> Option<BeliefsPayload> {
-    let payload = {
-        let cache = shared.cache.lock().unwrap();
-        let entry = cache.entries.get(key)?;
-        entry.payload(if entry.patched {
-            ServedVia::CachePatched
-        } else {
-            ServedVia::Cache
-        })
-    };
-    let mut c = shared.counters.lock().unwrap();
-    c.queries_served += 1;
-    c.cache_hits += 1;
-    Some(payload)
-}
-
 // ---------------------------------------------------------------------------
 // Solver thread
 // ---------------------------------------------------------------------------
@@ -1282,17 +1228,17 @@ fn cache_hit(shared: &Shared, key: &CacheKey) -> Option<BeliefsPayload> {
 /// otherwise none (returning the earliest pending deadline to sleep until).
 /// With `force` set (shutdown drain), every queue counts as expired.
 fn next_batch(
-    admission: &mut Admission,
+    groups: &mut HashMap<GroupKey, PendingGroup>,
     config: &ServerConfig,
     force: bool,
-) -> Result<PendingGroup, Option<Instant>> {
+) -> Result<Vec<SolveJob>, Option<Instant>> {
     let now = Instant::now();
     let mut best: Option<(&GroupKey, Instant)> = None;
     let mut earliest: Option<Instant> = None;
-    for (key, group) in &admission.groups {
+    for (key, group) in groups.iter() {
         if group.jobs.len() >= config.max_batch {
             let key = key.clone();
-            return Ok(take_batch(admission, &key, config));
+            return Ok(take_batch(groups, &key, config));
         }
         if force || group.deadline <= now {
             if best.map(|(_, d)| group.deadline < d).unwrap_or(true) {
@@ -1305,7 +1251,7 @@ fn next_batch(
     match best {
         Some((key, _)) => {
             let key = key.clone();
-            Ok(take_batch(admission, &key, config))
+            Ok(take_batch(groups, &key, config))
         }
         None => Err(earliest),
     }
@@ -1313,11 +1259,15 @@ fn next_batch(
 
 /// Removes up to `max_batch` jobs from a queue; a non-empty remainder
 /// re-arms with an immediate deadline so it drains next.
-fn take_batch(admission: &mut Admission, key: &GroupKey, config: &ServerConfig) -> PendingGroup {
-    let mut group = admission.groups.remove(key).expect("group exists");
+fn take_batch(
+    groups: &mut HashMap<GroupKey, PendingGroup>,
+    key: &GroupKey,
+    config: &ServerConfig,
+) -> Vec<SolveJob> {
+    let mut group = groups.remove(key).expect("group exists");
     if group.jobs.len() > config.max_batch {
         let rest = group.jobs.split_off(config.max_batch);
-        admission.groups.insert(
+        groups.insert(
             key.clone(),
             PendingGroup {
                 jobs: rest,
@@ -1325,43 +1275,96 @@ fn take_batch(admission: &mut Admission, key: &GroupKey, config: &ServerConfig) 
             },
         );
     }
-    group
+    group.jobs
+}
+
+/// What the solver thread runs next.
+enum Work {
+    Control(Control),
+    Batch(Vec<SolveJob>),
 }
 
 fn solver_loop(shared: &Shared) {
     loop {
-        let batch = {
-            let mut admission = shared.admission.lock().unwrap();
+        let work = {
+            let mut state = shared.lock();
             loop {
-                let stopping = shared.stopping.load(Ordering::SeqCst);
-                match next_batch(&mut admission, &shared.config, stopping) {
-                    Ok(group) => break Some(group),
-                    Err(sleep_until) => {
-                        if stopping && admission.groups.is_empty() {
-                            break None;
-                        }
-                        match sleep_until {
-                            Some(deadline) => {
-                                let now = Instant::now();
-                                let wait = deadline.saturating_duration_since(now);
-                                let (guard, _) = shared
-                                    .wakeup
-                                    .wait_timeout(admission, wait.max(Duration::from_micros(50)))
-                                    .unwrap();
-                                admission = guard;
-                            }
-                            None => {
-                                admission = shared.wakeup.wait(admission).unwrap();
-                            }
-                        }
+                if let Some(control) = state.control.pop_front() {
+                    break Work::Control(control);
+                }
+                let stopping = state.stopping;
+                match next_batch(&mut state.groups, &shared.config, stopping) {
+                    Ok(jobs) => break Work::Batch(jobs),
+                    // A dropped core takes no new work, and stopping has
+                    // drained every queue.
+                    Err(_) if state.dropped => return,
+                    Err(Some(deadline)) => {
+                        let wait = deadline.saturating_duration_since(Instant::now());
+                        state = shared
+                            .wakeup
+                            .wait_timeout(state, wait.max(Duration::from_micros(50)))
+                            .expect(POISONED)
+                            .0;
+                    }
+                    Err(None) => {
+                        state = shared.wakeup.wait(state).expect(POISONED);
                     }
                 }
             }
         };
-        let Some(batch) = batch else { return };
-        solve_batch(shared, batch.jobs);
+        match work {
+            Work::Control(control) => run_control(shared, control),
+            Work::Batch(jobs) => solve_batch(shared, jobs),
+        }
     }
 }
+
+/// Runs one control job: a registration or an edge delta, answered once
+/// it is published (or rejected), or a solve that waited behind one.
+fn run_control(shared: &Shared, control: Control) {
+    let Control {
+        request,
+        deadline,
+        responder,
+    } = control;
+    let (graph_id, answer) = match request {
+        Request::RegisterGraph {
+            graph_id,
+            n_nodes,
+            symmetric,
+            edges,
+        } => {
+            let registered =
+                shared.guarded(|| shared.register_graph(graph_id, n_nodes, symmetric, &edges));
+            (graph_id, registered.unwrap_or_else(panicked))
+        }
+        Request::EdgeDelta {
+            graph_id,
+            symmetric,
+            deltas,
+        } => (
+            graph_id,
+            shared.apply_edge_delta(graph_id, symmetric, &deltas),
+        ),
+        request => return shared.handle(request, deadline, responder, true),
+    };
+    {
+        let mut state = shared.lock();
+        let pending = state
+            .mutating
+            .get_mut(&graph_id)
+            .expect("counted when queued");
+        *pending -= 1;
+        if *pending == 0 {
+            state.mutating.remove(&graph_id);
+        }
+    }
+    responder(answer);
+}
+
+/// (beliefs, converged, diverged, iterations, final_delta,
+/// frontier_rows_active, frontier_rows_skipped) of one solved query.
+type Solved = (Mat, bool, bool, u64, f64, u64, u64);
 
 /// Runs one drained admission queue as a single stacked solve and fans the
 /// per-query results back out to their responders and into the cache.
@@ -1388,28 +1391,27 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
     // of being solved again.
     let jobs: Vec<SolveJob> = jobs
         .into_iter()
-        .filter_map(|job| match cache_hit(shared, &job.cache_key) {
-            Some(payload) => {
-                (job.responder)(Response::Beliefs(payload));
-                None
+        .filter_map(|job| {
+            let hit = shared.lock().cache_hit(&job.cache_key);
+            match hit {
+                Some(payload) => {
+                    (job.responder)(Response::Beliefs(payload));
+                    None
+                }
+                None => Some(job),
             }
-            None => Some(job),
         })
         .collect();
     if jobs.is_empty() {
         return;
     }
-    let q = jobs.len();
     let graph = Arc::clone(&jobs[0].graph);
     let queries: Vec<ExplicitBeliefs> = jobs.iter().map(|j| j.seeds.clone()).collect();
 
-    // (beliefs, converged, diverged, iterations, final_delta,
-    // frontier_rows_active, frontier_rows_skipped) per query.
-    type Solved = (Mat, bool, bool, u64, f64, u64, u64);
     let panic_on_graph = shared.config.panic_on_graph;
     let batch_graph_id = jobs[0].cache_key.graph_id;
     let kind = &jobs[0].kind;
-    let solved: Result<Result<Vec<Solved>, String>, _> = catch_unwind(AssertUnwindSafe(|| {
+    let solved = shared.guarded(|| {
         if panic_on_graph == Some(batch_graph_id) {
             panic!("injected solver fault for graph {batch_graph_id}");
         }
@@ -1435,7 +1437,7 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
                                 r.rows_skipped,
                             )
                         })
-                        .collect()
+                        .collect::<Vec<Solved>>()
                 })
                 .map_err(|e: LinBpError| e.to_string())
             }
@@ -1452,41 +1454,23 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
                 })
                 .map_err(|e: RwrError| e.to_string()),
         }
-    }));
-
-    let solved = match solved {
-        Ok(inner) => inner,
-        Err(_) => {
-            // The solve panicked. Answer every query in the batch with a
-            // typed Internal error; nothing else is poisoned — the next
-            // batch (this graph included) solves normally.
-            shared.counters.lock().unwrap().panics_caught += 1;
-            for job in jobs {
-                (job.responder)(Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "solver panicked; query not answered".into(),
-                    retry_after_ms: None,
-                });
-            }
-            return;
-        }
+    });
+    // A panic answers `Internal`; a library error (validation should have
+    // caught everything recoverable) answers `BadRequest` — either way to
+    // every query in the stack, and nothing else is poisoned.
+    let answer = match solved {
+        Some(Ok(results)) => return publish_batch(shared, jobs, results),
+        Some(Err(message)) => bad_request(message),
+        None => panicked(),
     };
+    for job in jobs {
+        (job.responder)(answer.clone());
+    }
+}
 
-    let results = match solved {
-        Ok(r) => r,
-        Err(message) => {
-            // Validation should have caught everything recoverable; what
-            // remains is reported to every query in the stack.
-            for job in jobs {
-                (job.responder)(Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: message.clone(),
-                    retry_after_ms: None,
-                });
-            }
-            return;
-        }
-    };
+/// Counts a solved batch, caches its answers, then hands them out.
+fn publish_batch(shared: &Shared, jobs: Vec<SolveJob>, results: Vec<Solved>) {
+    let q = jobs.len();
 
     // SpMM accounting: the stack costs max(iterations) sweeps; solved one
     // by one the same queries would have cost Σ iterations.
@@ -1496,8 +1480,33 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
     // so the batch total is the sum.
     let frontier_active: u64 = results.iter().map(|r| r.5).sum();
     let frontier_skipped: u64 = results.iter().map(|r| r.6).sum();
+
+    let served = if q == 1 {
+        ServedVia::Solo
+    } else {
+        ServedVia::Coalesced { batch: q as u32 }
+    };
+    let mut answers = Vec::with_capacity(q);
+    let mut entries = Vec::with_capacity(q);
+    for (job, (beliefs, converged, diverged, iterations, final_delta, _, _)) in
+        jobs.into_iter().zip(results)
     {
-        let mut c = shared.counters.lock().unwrap();
+        let entry = CacheEntry {
+            k: beliefs.cols() as u32,
+            beliefs,
+            converged,
+            diverged,
+            iterations,
+            final_delta,
+            patched: false,
+            kind: job.kind,
+        };
+        answers.push((job.responder, entry.payload(served)));
+        entries.push((job.cache_key, entry));
+    }
+    {
+        let mut state = shared.lock();
+        let c = &mut state.counters;
         c.queries_served += q as u64;
         c.spmm_passes += passes;
         c.spmm_passes_sequential_equiv += sequential;
@@ -1508,40 +1517,11 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
             c.coalesced_queries += q as u64;
         }
         c.largest_batch = c.largest_batch.max(q as u64);
-    }
-
-    let served = if q == 1 {
-        ServedVia::Solo
-    } else {
-        ServedVia::Coalesced { batch: q as u32 }
-    };
-    for (job, (beliefs, converged, diverged, iterations, final_delta, _, _)) in
-        jobs.into_iter().zip(results)
-    {
-        let patch = match &job.kind {
-            JobKind::LinBp { echo, h, opts } => PatchInfo::LinBp {
-                echo: *echo,
-                h: h.clone(),
-                opts: *opts,
-            },
-            JobKind::Rwr { .. } => PatchInfo::None,
-        };
-        let entry = CacheEntry {
-            k: beliefs.cols() as u32,
-            beliefs,
-            converged,
-            diverged,
-            iterations,
-            final_delta,
-            patched: false,
-            patch,
-        };
-        let payload = entry.payload(served);
-        {
-            let mut cache = shared.cache.lock().unwrap();
-            let cap = shared.config.cache_capacity;
-            cache.insert(job.cache_key, entry, cap);
+        for (key, entry) in entries {
+            state.cache.insert(key, entry, shared.config.cache_capacity);
         }
-        (job.responder)(Response::Beliefs(payload));
+    }
+    for (responder, payload) in answers {
+        responder(Response::Beliefs(payload));
     }
 }

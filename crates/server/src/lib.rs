@@ -13,7 +13,8 @@
 //!   coalescing (concurrent queries against the same graph/parameters are
 //!   stacked into one batched solve, bitwise identical to per-query
 //!   solves), and a belief cache that edge deltas **patch** rather than
-//!   invalidate;
+//!   invalidate — all state behind one lock, with every solve,
+//!   registration and delta run on one solver thread;
 //! * [`tcp`] — a small poll(2)-based event loop (Unix only) feeding
 //!   decoded requests into the core. One outstanding request per
 //!   connection; coalescing happens *across* connections.

@@ -374,6 +374,86 @@ fn panicking_solve_spares_parked_jobs() {
     assert_eq!(seen, 2);
 }
 
+/// `panic_on_graph` also fires when an edge delta to that graph is
+/// applied, after the rebuild but before anything is published. The delta
+/// answers `Internal` and counts as a caught panic; the graph keeps its
+/// version (the new version's spill file is gone, only version 1's stay);
+/// and the solver thread keeps serving — a delta to another graph lands,
+/// and its solves answer bitwise.
+#[test]
+fn panicking_delta_publishes_nothing() {
+    let dir = std::env::temp_dir().join(format!("lsbp-chaos-delta-{}", std::process::id()));
+    let core = ServerCore::new(ServerConfig {
+        panic_on_graph: Some(666),
+        spill_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    });
+    for graph_id in [666, 777] {
+        assert!(matches!(
+            core.handle_blocking(Request::RegisterGraph {
+                graph_id,
+                n_nodes: 10,
+                symmetric: true,
+                edges: wire_edges(),
+            }),
+            Response::Registered { .. }
+        ));
+    }
+    let delta = |graph_id: u64| Request::EdgeDelta {
+        graph_id,
+        symmetric: true,
+        deltas: vec![WireEdge {
+            src: 1,
+            dst: 6,
+            weight: 0.5,
+        }],
+    };
+
+    match core.handle_blocking(delta(666)) {
+        Response::Error { code, message, .. } => {
+            assert_eq!(code, ErrorCode::Internal);
+            assert!(message.contains("panic"), "message was: {message}");
+        }
+        other => panic!("expected Internal from the panicking delta, got {other:?}"),
+    }
+    assert_eq!(core.stats().panics_caught, 1);
+    let spills: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(spills.len(), 2, "one spill per graph, got {spills:?}");
+    assert!(
+        spills.iter().all(|f| f.contains("-v1-")),
+        "the panicking delta published a version: {spills:?}"
+    );
+
+    match core.handle_blocking(delta(777)) {
+        Response::DeltaApplied { version, .. } => assert_eq!(version, 2),
+        other => panic!("expected DeltaApplied, got {other:?}"),
+    }
+    let h = coupling();
+    let payload = match core.handle_blocking(Request::SolveLinBp {
+        graph_id: 777,
+        params: wire_params(&h),
+        seeds: wire_seeds(2),
+    }) {
+        Response::Beliefs(payload) => payload,
+        other => panic!("expected Beliefs, got {other:?}"),
+    };
+    let adj = fixture_adjacency()
+        .try_with_edge_deltas(&[(1, 6, 0.5), (6, 1, 0.5)])
+        .unwrap();
+    let reference = linbp(&adj, &lib_seeds(2), &h, &lib_opts()).unwrap();
+    assert_bitwise(
+        "solve after the panicking delta",
+        &payload.beliefs,
+        reference.beliefs.residual().as_slice(),
+    );
+    assert_eq!(core.stats().panics_caught, 1);
+    drop(core);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Real overload (one admission slot, many clients): every idempotent
 /// request is eventually recovered by its retry policy, each answer
 /// bitwise the library solve.

@@ -392,6 +392,67 @@ fn parked_duplicate_is_answered_from_its_twins_cache_entry() {
     assert_eq!((stats.queries_served, stats.cache_hits), (3, 1));
 }
 
+/// Re-inserting a cached key replaces its entry in place. Two identical
+/// queries parked behind a held solver drain as one batch and both store
+/// their answer; at capacity, the second store must neither evict another
+/// entry nor leave a second eviction slot behind for the live one.
+#[test]
+fn identical_pair_in_one_batch_keeps_the_other_cached_answers() {
+    let h = coupling();
+    let solve = |q: usize| Request::SolveLinBp {
+        graph_id: 1,
+        params: wire_params(&h),
+        seeds: wire_seeds(q, 1.0),
+    };
+    let core = ServerCore::new(ServerConfig {
+        cache_capacity: 3,
+        ..ServerConfig::default()
+    });
+    let registered = core.handle_blocking(Request::RegisterGraph {
+        graph_id: 1,
+        n_nodes: 10,
+        symmetric: true,
+        edges: wire_edges(),
+    });
+    assert!(matches!(registered, Response::Registered { .. }));
+
+    // Two cached answers; the second holds the solver in its responder.
+    assert!(matches!(
+        core.handle_blocking(solve(0)),
+        Response::Beliefs(_)
+    ));
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    core.submit(
+        solve(1),
+        Box::new(move |_| {
+            held_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        }),
+    );
+    held_rx.recv_timeout(Duration::from_secs(30)).unwrap();
+    let (tx, rx) = mpsc::channel();
+    for _ in 0..2 {
+        let tx = tx.clone();
+        core.submit(solve(2), Box::new(move |r| drop(tx.send(r))));
+    }
+    release_tx.send(()).unwrap();
+    for _ in 0..2 {
+        match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
+            Response::Beliefs(p) => assert_eq!(p.served, ServedVia::Coalesced { batch: 2 }),
+            other => panic!("solve failed: {other:?}"),
+        }
+    }
+
+    for q in 0..2 {
+        match core.handle_blocking(solve(q)) {
+            Response::Beliefs(p) => assert_eq!(p.served, ServedVia::Cache, "answer {q}"),
+            other => panic!("solve failed: {other:?}"),
+        }
+    }
+    assert_eq!(core.stats().cached_entries, 3);
+}
+
 /// `ServerConfig::parallelism` is the solve configuration: a core with
 /// the frontier off recomputes every row, a core with it on skips the
 /// rows the seeds never reach (nodes 10.. are isolated, whole frontier
@@ -600,6 +661,121 @@ fn edge_delta_patches_cache_bitwise() {
 
     client.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+/// Registrations and edge deltas run on the solver thread, and nothing
+/// inline waits for them. With the solver held in a responder, an edge
+/// delta is only queued (`submit` returns before it is answered), while
+/// ping, stats, health and a cache hit on another graph answer inline. A
+/// read of the delta's graph submitted meanwhile waits behind the delta
+/// and is answered from the patched cache, bitwise the library's
+/// `linbp_edge_delta_seed` + `linbp_update` chain.
+#[test]
+fn edge_delta_runs_on_the_solver_thread_while_inline_paths_answer() {
+    let h = coupling();
+    let solve = |graph_id: u64, q: usize| Request::SolveLinBp {
+        graph_id,
+        params: wire_params(&h),
+        seeds: wire_seeds(q, 1.0),
+    };
+    let beliefs_of = |r: Response| match r {
+        Response::Beliefs(payload) => payload,
+        other => panic!("solve failed: {other:?}"),
+    };
+    let core = ServerCore::new(ServerConfig::default());
+    for graph_id in [1, 2] {
+        let registered = core.handle_blocking(Request::RegisterGraph {
+            graph_id,
+            n_nodes: 10,
+            symmetric: true,
+            edges: wire_edges(),
+        });
+        assert!(matches!(registered, Response::Registered { .. }));
+    }
+    let first = beliefs_of(core.handle_blocking(solve(1, 0)));
+    beliefs_of(core.handle_blocking(solve(2, 0)));
+
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    core.submit(
+        solve(2, 1),
+        Box::new(move |_| {
+            held_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        }),
+    );
+    held_rx.recv_timeout(Duration::from_secs(30)).unwrap();
+
+    // Submits `request` and returns the answer it got before `submit`
+    // returned, if any.
+    let submit = |request: Request| {
+        let (tx, rx) = mpsc::channel();
+        core.submit(request, Box::new(move |r| drop(tx.send(r))));
+        (rx.try_recv().ok(), rx)
+    };
+    let raw_deltas = [(1usize, 2usize, 0.5), (0, 4, 0.75)];
+    let (early, delta_rx) = submit(Request::EdgeDelta {
+        graph_id: 1,
+        symmetric: true,
+        deltas: raw_deltas
+            .iter()
+            .map(|&(s, t, w)| WireEdge {
+                src: s as u64,
+                dst: t as u64,
+                weight: w,
+            })
+            .collect(),
+    });
+    assert!(
+        early.is_none(),
+        "an edge delta must wait for the solver thread, got {early:?}"
+    );
+    assert!(matches!(
+        submit(Request::Ping).0,
+        Some(Response::Pong { .. })
+    ));
+    assert!(matches!(submit(Request::Stats).0, Some(Response::Stats(_))));
+    match submit(Request::Health).0 {
+        Some(Response::Health(health)) => assert_eq!(health.graphs, 2),
+        other => panic!("health must answer inline, got {other:?}"),
+    }
+    match submit(solve(2, 0)).0 {
+        Some(Response::Beliefs(p)) => assert_eq!(p.served, ServedVia::Cache),
+        other => panic!("a cache hit on another graph must answer inline, got {other:?}"),
+    }
+    let (early, read_rx) = submit(solve(1, 0));
+    assert!(
+        early.is_none(),
+        "a read of a graph with a pending delta must wait for it, got {early:?}"
+    );
+
+    release_tx.send(()).unwrap();
+    match delta_rx.recv_timeout(Duration::from_secs(30)).unwrap() {
+        Response::DeltaApplied {
+            version,
+            patched,
+            invalidated,
+            ..
+        } => assert_eq!((version, patched, invalidated), (2, 1, 0)),
+        other => panic!("expected DeltaApplied, got {other:?}"),
+    }
+    let reread = beliefs_of(read_rx.recv_timeout(Duration::from_secs(30)).unwrap());
+    assert_eq!(reread.served, ServedVia::CachePatched);
+
+    let adj = fixture_adjacency();
+    let both_dirs: Vec<(usize, usize, f64)> = raw_deltas
+        .iter()
+        .flat_map(|&(s, t, w)| [(s, t, w), (t, s, w)])
+        .collect();
+    let new_adj = adj.try_with_edge_deltas(&both_dirs).unwrap();
+    let previous = BeliefMatrix::from_mat(Mat::from_vec(10, K, first.beliefs));
+    let seed = linbp_edge_delta_seed(&adj, &both_dirs, &previous, &h, true).unwrap();
+    let patched = linbp_update(&new_adj, &previous, &seed, &h, &lib_opts(), true).unwrap();
+    assert_bitwise(
+        "read behind the delta",
+        &reread.beliefs,
+        patched.beliefs.residual().as_slice(),
+    );
 }
 
 /// Hostile or invalid inputs come back as typed errors — never panics,
@@ -1465,6 +1641,40 @@ fn pager_totals_stay_monotone_across_version_retirement() {
         final_stats.pager_misses > 0,
         "retirement churn must have produced pager activity"
     );
+}
+
+/// A core that accepted `Shutdown` keeps answering until it is dropped:
+/// its solver thread, which runs registrations, deltas and solves, exits
+/// only on drop, so nothing submitted after the shutdown is stranded.
+#[test]
+fn requests_after_shutdown_are_still_answered() {
+    let core = ServerCore::new(ServerConfig::default());
+    assert!(matches!(
+        core.handle_blocking(Request::Shutdown),
+        Response::ShuttingDown
+    ));
+    let (tx, rx) = mpsc::channel();
+    let h = coupling();
+    let requests = [
+        Request::RegisterGraph {
+            graph_id: 4,
+            n_nodes: 10,
+            symmetric: true,
+            edges: wire_edges(),
+        },
+        Request::SolveLinBp {
+            graph_id: 4,
+            params: wire_params(&h),
+            seeds: wire_seeds(0, 1.0),
+        },
+    ];
+    for request in requests {
+        let tx = tx.clone();
+        core.submit(request, Box::new(move |r| drop(tx.send(r))));
+    }
+    let answer = || rx.recv_timeout(Duration::from_secs(30)).expect("answered");
+    assert!(matches!(answer(), Response::Registered { .. }));
+    assert!(matches!(answer(), Response::Beliefs(_)));
 }
 
 /// `stop` must not lose its wakeup: a solver thread that has read

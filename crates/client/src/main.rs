@@ -550,7 +550,7 @@ fn selftest(
     if health.frontier_rows_skipped == 0 {
         return Err(
             "frontier: repeated solves on a graph with isolated nodes left zero \
-             skipped rows — is the server running with LSBP_FRONTIER=off?"
+             skipped rows"
                 .into(),
         );
     }

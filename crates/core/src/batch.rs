@@ -50,7 +50,7 @@ use lsbp_linalg::{
     FixedPointOp, FixedPointSolver, IterationEvent, Mat, ParallelismConfig, StepOutcome,
     ToleranceNorm,
 };
-use lsbp_sparse::{FrontierPlan, FrontierState, FusedLinBpStep, PropagationOperator};
+use lsbp_sparse::{FrontierState, FusedLinBpStep, PropagationOperator};
 
 /// Runs **LinBP** (Eq. 6, with echo cancellation) on `q` independent
 /// seed-sets in one pass against any [`PropagationOperator`]: one stacked
@@ -86,9 +86,9 @@ struct QuerySlot {
     final_delta: f64,
 }
 
-/// The stacked LinBP update as a [`FixedPointOp`], backed by the fused
-/// frontier kernel
-/// ([`lsbp_sparse::CsrMatrix::linbp_step_fused_frontier_with`]) applying
+/// The stacked LinBP update as a [`FixedPointOp`], backed by the one
+/// fused LinBP step
+/// ([`PropagationOperator::linbp_step_fused_frontier_with`]) applying
 /// `Ĥ` per `k`-column block: one row-partitioned pass computes the
 /// update, damping, every query's max-abs residual and its magnitude
 /// read-out together, for the live (row, query) pairs whose inputs
@@ -109,8 +109,8 @@ struct LinBpBatchIteration<'a, A: PropagationOperator + ?Sized> {
     divergence_guard: f64,
     slots: Vec<QuerySlot>,
     deltas: Vec<f64>,
-    /// Per-(row, query) change tracking: narrows each sweep to the pairs
-    /// whose inputs changed, or (frontier off) computes every live pair.
+    /// Per-(row, query) change tracking: narrows each sweep to the live
+    /// pairs whose inputs changed.
     frontier: FrontierState<'a>,
     /// Reusable not-frozen mask: a frozen query's blocks are neither
     /// computed nor written again.
@@ -249,20 +249,12 @@ pub(crate) fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
     // The frontier starts at each query's non-zero seed rows. That start
     // is exact only if an all-`+0.0` neighbourhood recomputes to `+0.0`,
     // which needs finite weights (and, with echo, finite degrees);
-    // otherwise the first sweep computes every pair. With the frontier
-    // off every block stays active, so the graph's dependency plan is
-    // never built: a plan of self-dependencies serves.
-    let no_deps;
-    let frontier = if !opts.parallelism.frontier() {
-        no_deps = FrontierPlan::empty(n, FrontierPlan::block_rows_for(n));
-        FrontierState::full(&no_deps, q)
+    // otherwise the first sweep computes every pair.
+    let weights = if echo { degrees } else { adj.row_sums() };
+    let frontier = if weights.iter().all(|x| x.is_finite()) {
+        FrontierState::from_seeds(adj.frontier_plan(), &e_hat, k)
     } else {
-        let weights = if echo { degrees } else { adj.row_sums() };
-        if weights.iter().all(|x| x.is_finite()) {
-            FrontierState::from_seeds(adj.frontier_plan(), &e_hat, k)
-        } else {
-            FrontierState::new(adj.frontier_plan(), q)
-        }
+        FrontierState::new(adj.frontier_plan(), q)
     };
     let mut op = LinBpBatchIteration {
         adj,

@@ -76,13 +76,12 @@ pub struct LinBpResult {
     /// Largest absolute belief change in the final round.
     pub final_delta: f64,
     /// Rows this query recomputed across its rounds (active-frontier
-    /// execution; equals `n × iterations` with the frontier off). In a
-    /// stacked batch each query counts only its own (row, query) pairs,
-    /// so this equals the query's solo solve.
+    /// execution). In a stacked batch each query counts only its own
+    /// (row, query) pairs, so this equals the query's solo solve.
     pub rows_active: u64,
     /// Rows this query skipped across its rounds because their inputs
-    /// were bitwise unchanged (always 0 with the frontier off);
-    /// `rows_active + rows_skipped = n × iterations`.
+    /// were bitwise unchanged; `rows_active + rows_skipped = n ×
+    /// iterations`.
     pub rows_skipped: u64,
 }
 

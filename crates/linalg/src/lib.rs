@@ -40,8 +40,7 @@ pub use fixedpoint::{
 pub use matrix::Mat;
 pub use norms::{frobenius_norm, induced_1_norm, induced_inf_norm, min_submultiplicative_norm};
 pub use parallel::{
-    default_frontier, default_memory_budget, even_ranges, parse_byte_size, weight_balanced_ranges,
-    ParallelismConfig,
+    default_memory_budget, even_ranges, parse_byte_size, weight_balanced_ranges, ParallelismConfig,
 };
 pub use solve::{lu_inverse, lu_solve, LuError};
 pub use standardize::{mean, population_std, standardize};

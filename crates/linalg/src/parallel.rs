@@ -78,44 +78,6 @@ pub fn default_memory_budget() -> usize {
     })
 }
 
-/// Parses an `LSBP_FRONTIER` override. Accepts `on`/`1`/`true` and
-/// `off`/`0`/`false` (case-insensitive); anything else keeps the default
-/// (frontier on — skipping is bitwise-exact, so it is safe everywhere)
-/// plus a warning, same discipline as [`parse_memory_budget_env`].
-pub(crate) fn parse_frontier_env(value: Option<&str>) -> (bool, Option<String>) {
-    let Some(raw) = value else {
-        return (true, None);
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "on" | "1" | "true" => (true, None),
-        "off" | "0" | "false" => (false, None),
-        _ => (
-            true,
-            Some(format!(
-                "lsbp: ignoring invalid LSBP_FRONTIER={raw:?} (expected on/off); \
-                 frontier execution stays on"
-            )),
-        ),
-    }
-}
-
-/// The process-default active-frontier switch: `LSBP_FRONTIER` if set to
-/// `on`/`off` (default on — frontier skipping is bitwise identical to
-/// full recomputation, so there is no correctness reason to disable it;
-/// `off` is the escape hatch for perf A/B runs). Parsed exactly once per
-/// process like [`default_memory_budget`], with the same one-time warning on
-/// a set-but-invalid value.
-pub fn default_frontier() -> bool {
-    static DEFAULT_FRONTIER: OnceLock<bool> = OnceLock::new();
-    *DEFAULT_FRONTIER.get_or_init(|| {
-        let (on, warning) = parse_frontier_env(std::env::var("LSBP_FRONTIER").ok().as_deref());
-        if let Some(message) = warning {
-            eprintln!("{message}");
-        }
-        on
-    })
-}
-
 /// Default minimum per-kernel work (≈ flops or touched entries) before a
 /// kernel goes parallel. The pool spawns scoped OS threads per parallel
 /// region (~tens of µs), so the floor is set where one region's compute
@@ -125,17 +87,14 @@ pub fn default_frontier() -> bool {
 pub const PAR_MIN_WORK: usize = 65_536;
 
 /// How a kernel should execute: how many threads, how much work it
-/// takes before threading is worth it, the pager budget and the frontier
-/// switch. Copyable and cheap — carried by value inside options structs.
+/// takes before threading is worth it, and the pager budget. Copyable
+/// and cheap — carried by value inside options structs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelismConfig {
     threads: usize,
     min_work: usize,
     /// Pager byte budget for paged (out-of-core) backends; 0 = unbudgeted.
     memory_budget: usize,
-    /// Active-frontier execution in the fused LinBP path (bitwise-exact
-    /// iteration skipping); `false` forces full recomputation.
-    frontier: bool,
 }
 
 impl ParallelismConfig {
@@ -146,7 +105,6 @@ impl ParallelismConfig {
             threads: 1,
             min_work: PAR_MIN_WORK,
             memory_budget: 0,
-            frontier: true,
         }
     }
 
@@ -161,13 +119,12 @@ impl ParallelismConfig {
             threads: threads.min(rayon::MAX_THREADS),
             min_work: PAR_MIN_WORK,
             memory_budget: 0,
-            frontier: true,
         }
     }
 
     /// The environment default: `LSBP_THREADS` if set, otherwise the
-    /// machine's available parallelism, plus `LSBP_MEMORY_BUDGET` and
-    /// `LSBP_FRONTIER`. The environment is parsed exactly once per
+    /// machine's available parallelism, plus `LSBP_MEMORY_BUDGET`. The
+    /// environment is parsed exactly once per
     /// process, at pool initialization (see `rayon::default_num_threads`)
     /// and on the first read of each knob; this call just reads the
     /// cached values.
@@ -183,7 +140,6 @@ impl ParallelismConfig {
             threads: rayon::default_num_threads(),
             min_work: PAR_MIN_WORK,
             memory_budget: default_memory_budget(),
-            frontier: default_frontier(),
         }
     }
 
@@ -224,24 +180,6 @@ impl ParallelismConfig {
     /// [`ParallelismConfig::from_env`] / [`ParallelismConfig::default`].
     pub fn memory_budget(&self) -> Option<usize> {
         (self.memory_budget > 0).then_some(self.memory_budget)
-    }
-
-    /// Enables or disables active-frontier execution of the fused LinBP
-    /// path: per-iteration change tracking that skips rows whose inputs
-    /// are bitwise unchanged. Default **on** (also via `LSBP_FRONTIER`
-    /// for [`ParallelismConfig::from_env`] configs) — skipping is
-    /// bitwise identical to full recomputation at any frontier × shard ×
-    /// thread × budget combination, so `off` exists purely as a perf
-    /// A/B escape hatch.
-    pub fn with_frontier(mut self, on: bool) -> Self {
-        self.frontier = on;
-        self
-    }
-
-    /// Whether active-frontier execution is enabled (see
-    /// [`ParallelismConfig::with_frontier`]).
-    pub fn frontier(&self) -> bool {
-        self.frontier
     }
 
     /// `true` iff this config never spawns threads.
@@ -491,42 +429,6 @@ mod tests {
                 warning.contains("running unbudgeted"),
                 "warning names the fallback"
             );
-        }
-    }
-
-    #[test]
-    fn frontier_knob_defaults_and_toggles() {
-        assert!(ParallelismConfig::serial().frontier());
-        assert!(ParallelismConfig::with_threads(4).frontier());
-        assert!(!ParallelismConfig::serial().with_frontier(false).frontier());
-        assert!(ParallelismConfig::serial()
-            .with_frontier(false)
-            .with_frontier(true)
-            .frontier());
-    }
-
-    #[test]
-    fn parse_frontier_env_rules() {
-        // Unset and usable values parse silently.
-        assert_eq!(parse_frontier_env(None), (true, None));
-        for on in ["on", "1", "true", " ON ", "True"] {
-            assert_eq!(parse_frontier_env(Some(on)), (true, None), "{on:?}");
-        }
-        for off in ["off", "0", "false", " OFF ", "False"] {
-            assert_eq!(parse_frontier_env(Some(off)), (false, None), "{off:?}");
-        }
-        // Set-but-unusable values keep the default (on) AND warn, naming
-        // the variable, the rejected value, and the fallback.
-        for bad in ["yes", "2", "", "disable"] {
-            let (on, warning) = parse_frontier_env(Some(bad));
-            assert!(on, "LSBP_FRONTIER={bad:?} must fall back to on");
-            let warning = warning.expect("invalid value must warn");
-            assert!(
-                warning.contains("LSBP_FRONTIER"),
-                "warning names the variable"
-            );
-            assert!(warning.contains(bad), "warning echoes the rejected value");
-            assert!(warning.contains("stays on"), "warning names the fallback");
         }
     }
 }

@@ -639,9 +639,12 @@ impl Request {
 pub enum ServedVia {
     /// Solved alone (batch of one).
     Solo,
-    /// Stacked with `batch - 1` other queries into one batched solve.
+    /// Answered by one batched solve together with `batch - 1` other
+    /// requests.
     Coalesced {
-        /// Total queries in the stacked solve.
+        /// The number of requests that one drained batch answered, twins
+        /// included: identical requests parked together share one
+        /// stacked column, so the solve may stack fewer than `batch`.
         batch: u32,
     },
     /// Returned from the belief cache unchanged.
@@ -769,16 +772,17 @@ pub struct ServerStats {
     pub queries_served: u64,
     /// Queries answered straight from the cache.
     pub cache_hits: u64,
-    /// Batched solves containing ≥ 2 queries.
+    /// Batched solves answering ≥ 2 requests.
     pub coalesced_batches: u64,
-    /// Queries answered through a ≥ 2-query batch.
+    /// Requests answered through such a batch.
     pub coalesced_queries: u64,
-    /// Largest batch stacked so far.
+    /// Largest batch so far, in requests answered (the
+    /// [`ServedVia::Coalesced`] `batch`).
     pub largest_batch: u64,
     /// SpMM sweeps actually executed by batched solves.
     pub spmm_passes: u64,
-    /// SpMM sweeps the same queries would have cost solved one by one
-    /// (Σ per-query iterations) — `spmm_passes` vs. this is the
+    /// SpMM sweeps the same stacked columns would have cost solved one
+    /// by one (Σ per-column iterations) — `spmm_passes` vs. this is the
     /// amortization the coalescer buys.
     pub spmm_passes_sequential_equiv: u64,
     /// Cache entries patched forward through edge deltas.
@@ -811,10 +815,10 @@ pub struct ServerStats {
     pub pager_evictions: u64,
     /// Shard blocks loaded ahead of the kernels by the prefetch thread.
     pub pager_prefetches: u64,
-    /// LinBP rows recomputed by served solves, counted per query: a
-    /// stacked batch adds each query's own (row, query) pairs, the same
-    /// count its solo solve would add (active-frontier execution; with
-    /// the frontier off this is simply rows × rounds per query).
+    /// LinBP rows recomputed by served solves (active-frontier
+    /// execution), counted per stacked column: a batch adds each column's
+    /// own (row, query) pairs, the same count its solo solve would add,
+    /// and identical requests solved as one column count once.
     pub frontier_rows_active: u64,
     /// LinBP rows skipped by served solves because their inputs were
     /// bitwise unchanged since the previous round, counted per query

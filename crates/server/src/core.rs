@@ -1368,6 +1368,8 @@ type Solved = (Mat, bool, bool, u64, f64, u64, u64);
 
 /// Runs one drained admission queue as a single stacked solve and fans the
 /// per-query results back out to their responders and into the cache.
+/// Identical queries parked together are solved, counted and cached once;
+/// each of them gets that one answer.
 ///
 /// Two fault boundaries live here. **Deadlines:** jobs whose budget
 /// expired while parked are answered `DeadlineExceeded` up front and do
@@ -1406,7 +1408,20 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
         return;
     }
     let graph = Arc::clone(&jobs[0].graph);
-    let queries: Vec<ExplicitBeliefs> = jobs.iter().map(|j| j.seeds.clone()).collect();
+    // Twins — jobs with the same cache key — share one stacked column:
+    // `column[i]` is job `i`'s, numbered in order of first appearance.
+    let mut queries: Vec<ExplicitBeliefs> = Vec::new();
+    let column: Vec<usize> = {
+        let mut first: HashMap<&CacheKey, usize> = HashMap::new();
+        jobs.iter()
+            .map(|job| {
+                *first.entry(&job.cache_key).or_insert_with(|| {
+                    queries.push(job.seeds.clone());
+                    queries.len() - 1
+                })
+            })
+            .collect()
+    };
 
     let panic_on_graph = shared.config.panic_on_graph;
     let batch_graph_id = jobs[0].cache_key.graph_id;
@@ -1459,7 +1474,7 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
     // caught everything recoverable) answers `BadRequest` — either way to
     // every query in the stack, and nothing else is poisoned.
     let answer = match solved {
-        Some(Ok(results)) => return publish_batch(shared, jobs, results),
+        Some(Ok(results)) => return publish_batch(shared, jobs, &column, results),
         Some(Err(message)) => bad_request(message),
         None => panicked(),
     };
@@ -1468,12 +1483,15 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
     }
 }
 
-/// Counts a solved batch, caches its answers, then hands them out.
-fn publish_batch(shared: &Shared, jobs: Vec<SolveJob>, results: Vec<Solved>) {
+/// Counts a solved batch, caches one answer per stacked column, then
+/// hands every job its column's answer. `results[c]` is column `c`, and
+/// `column[i]` is job `i`'s column (twins share one).
+fn publish_batch(shared: &Shared, jobs: Vec<SolveJob>, column: &[usize], results: Vec<Solved>) {
+    // The batch answers every job, twins included.
     let q = jobs.len();
 
     // SpMM accounting: the stack costs max(iterations) sweeps; solved one
-    // by one the same queries would have cost Σ iterations.
+    // by one the same columns would have cost Σ iterations.
     let passes = results.iter().map(|r| r.3).max().unwrap_or(0);
     let sequential: u64 = results.iter().map(|r| r.3).sum();
     // Each per-query result counts that query's own (row, query) pairs,
@@ -1487,22 +1505,25 @@ fn publish_batch(shared: &Shared, jobs: Vec<SolveJob>, results: Vec<Solved>) {
         ServedVia::Coalesced { batch: q as u32 }
     };
     let mut answers = Vec::with_capacity(q);
-    let mut entries = Vec::with_capacity(q);
-    for (job, (beliefs, converged, diverged, iterations, final_delta, _, _)) in
-        jobs.into_iter().zip(results)
-    {
-        let entry = CacheEntry {
-            k: beliefs.cols() as u32,
-            beliefs,
-            converged,
-            diverged,
-            iterations,
-            final_delta,
-            patched: false,
-            kind: job.kind,
-        };
-        answers.push((job.responder, entry.payload(served)));
-        entries.push((job.cache_key, entry));
+    let mut entries: Vec<(CacheKey, CacheEntry)> = Vec::with_capacity(results.len());
+    let mut results = results.into_iter();
+    for (job, &col) in jobs.into_iter().zip(column) {
+        if col == entries.len() {
+            let (beliefs, converged, diverged, iterations, final_delta, _, _) =
+                results.next().expect("one result per stacked column");
+            let entry = CacheEntry {
+                k: beliefs.cols() as u32,
+                beliefs,
+                converged,
+                diverged,
+                iterations,
+                final_delta,
+                patched: false,
+                kind: job.kind,
+            };
+            entries.push((job.cache_key, entry));
+        }
+        answers.push((job.responder, entries[col].1.payload(served)));
     }
     {
         let mut state = shared.lock();

@@ -86,10 +86,13 @@
 //! delta seeds sit on the changed edges' endpoints.
 //!
 //! Outputs, iteration counts and convergence points are bitwise
-//! identical to full recomputation at any frontier × shard × thread ×
-//! budget × batch combination (property-tested in `tests/frontier.rs`
-//! and `tests/fused_linbp.rs`, and `debug_assert`ed on every unwritten
-//! live block).
+//! identical to full recomputation at any shard × thread × budget ×
+//! batch combination: `tests/frontier.rs` and `tests/fused_linbp.rs`
+//! check them against the plain-loop oracle in `tests/support`, which
+//! recomputes every row every sweep, and every unwritten live block is
+//! `debug_assert`ed. A step that must compute every pair runs the same
+//! kernels from [`FrontierState::new`] with every query live
+//! ([`crate::PropagationOperator::linbp_step_fused_with`]).
 
 use crate::csr::CsrMatrix;
 use lsbp_linalg::Mat;
@@ -365,9 +368,6 @@ impl FrontierPlan {
 pub struct FrontierState<'p> {
     plan: &'p FrontierPlan,
     q: usize,
-    /// `false` runs every live pair every sweep (the frontier switched
-    /// off): the changed bits stay all-set instead of narrowing.
-    track: bool,
     changed: NodeBitset,
     summary: NodeBitset,
     scratch: NodeBitset,
@@ -388,11 +388,10 @@ pub struct FrontierState<'p> {
 }
 
 impl<'p> FrontierState<'p> {
-    fn with_changed(plan: &'p FrontierPlan, q: usize, track: bool, changed: NodeBitset) -> Self {
+    fn with_changed(plan: &'p FrontierPlan, q: usize, changed: NodeBitset) -> Self {
         let mut state = Self {
             plan,
             q,
-            track,
             scratch: NodeBitset::new(changed.len()),
             push: PushSet::new(plan, q),
             changed,
@@ -407,25 +406,14 @@ impl<'p> FrontierState<'p> {
         state
     }
 
-    fn all_changed(plan: &FrontierPlan, q: usize) -> NodeBitset {
-        let mut changed = NodeBitset::new(plan.n_rows() * q);
-        changed.fill();
-        changed
-    }
-
     /// State for `q` stacked queries with every pair marked changed, so
     /// the first sweep computes every live pair (establishing the
     /// double-buffer invariant from any start), after which real change
     /// bits take over.
     pub fn new(plan: &'p FrontierPlan, q: usize) -> Self {
-        Self::with_changed(plan, q, true, Self::all_changed(plan, q))
-    }
-
-    /// State that never narrows: every live pair is computed every sweep
-    /// — full recomputation through the same masked row loop, so frozen
-    /// queries still cost nothing.
-    pub fn full(plan: &'p FrontierPlan, q: usize) -> Self {
-        Self::with_changed(plan, q, false, Self::all_changed(plan, q))
+        let mut changed = NodeBitset::new(plan.n_rows() * q);
+        changed.fill();
+        Self::with_changed(plan, q, changed)
     }
 
     /// State for a solve that starts at `B = Ê` with a zeroed second
@@ -444,7 +432,7 @@ impl<'p> FrontierState<'p> {
                 }
             }
         }
-        Self::with_changed(plan, q, true, changed)
+        Self::with_changed(plan, q, changed)
     }
 
     /// The dependency plan.
@@ -496,15 +484,12 @@ impl<'p> FrontierState<'p> {
     }
 
     /// Commits one sweep: the scratch bits become the committed changed
-    /// set (unless the state never narrows), the block summary is
-    /// rebuilt (`O(n·q/64)`), and every live query's pairs fold into its
-    /// counters — computed ones into `rows_active`, the rest of its `n`
-    /// rows into `rows_skipped`.
+    /// set, the block summary is rebuilt (`O(n·q/64)`), and every live
+    /// query's pairs fold into its counters — computed ones into
+    /// `rows_active`, the rest of its `n` rows into `rows_skipped`.
     pub fn commit(&mut self) {
-        if self.track {
-            std::mem::swap(&mut self.changed, &mut self.scratch);
-            self.rebuild_summary();
-        }
+        std::mem::swap(&mut self.changed, &mut self.scratch);
+        self.rebuild_summary();
         let n = self.plan.n_rows() as u64;
         for j in 0..self.q {
             if mask_bit(&self.live, j) {
@@ -592,12 +577,6 @@ pub struct FrontierStep<'a> {
 }
 
 impl FrontierStep<'_> {
-    /// Whether query `j` is live (not frozen) this sweep.
-    #[inline]
-    pub fn is_live(&self, j: usize) -> bool {
-        mask_bit(self.live, j)
-    }
-
     /// Push mode for a sweep of the whole operator `m`: when the plan's
     /// pattern is symmetric and the rows holding a changed pair have
     /// degrees summing to at most `n`, expands the committed changed bits
@@ -702,80 +681,6 @@ fn mask_bit(mask: &[u64], j: usize) -> bool {
     mask[j / 64] & (1 << (j % 64)) != 0
 }
 
-/// Which (row, query) pairs one fused-kernel call computes, and what it
-/// records about them. [`AllPairs`] is the full step (every row, every
-/// query, nothing recorded); [`FrontierTask`] is the frontier step. The
-/// kernels are generic over it, so the full step carries no frontier
-/// code after monomorphization.
-pub(crate) trait PairSelect {
-    /// Whether computed pairs are recorded and their magnitudes folded.
-    const TRACKS: bool;
-    /// `q = 1`: whether row `local` (global `global`) is computed.
-    fn row_active(&self, m: &CsrMatrix, local: usize, global: usize) -> bool;
-    /// Writes the queries of row `local` to compute into `mask`
-    /// (`⌈q/64⌉` words); `false` when there are none.
-    fn row_mask(&self, m: &CsrMatrix, local: usize, global: usize, mask: &mut [u64]) -> bool;
-    /// Records one computed pair: query `j` of `global`, whose new bits
-    /// differ from the old ones iff `changed`.
-    fn record(&mut self, global: usize, j: usize, changed: bool);
-    /// Counts `pairs` computed pairs of query `j` (the `q = 1` kernel
-    /// counts its rows locally and reports once per call).
-    fn count(&mut self, j: usize, pairs: u64);
-    /// Debug check of the skip invariant on the live blocks of row
-    /// `global` that the call did not write (`written` = the mask it
-    /// computed, `None` for a skipped row).
-    #[cfg(debug_assertions)]
-    fn debug_assert_skip_invariant(
-        &self,
-        global: usize,
-        out_row: &[f64],
-        b_row: &[f64],
-        written: Option<&[u64]>,
-    );
-}
-
-/// Every row, every query: the full fused step.
-pub(crate) struct AllPairs {
-    /// All `q` query bits set.
-    all: Vec<u64>,
-}
-
-impl AllPairs {
-    pub(crate) fn new(q: usize) -> Self {
-        let mut all = vec![!0u64; q.div_ceil(64)];
-        if !q.is_multiple_of(64) {
-            if let Some(last) = all.last_mut() {
-                *last = (1u64 << (q % 64)) - 1;
-            }
-        }
-        Self { all }
-    }
-}
-
-impl PairSelect for AllPairs {
-    const TRACKS: bool = false;
-
-    #[inline(always)]
-    fn row_active(&self, _: &CsrMatrix, _: usize, _: usize) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    fn row_mask(&self, _: &CsrMatrix, _: usize, _: usize, mask: &mut [u64]) -> bool {
-        mask.copy_from_slice(&self.all);
-        true
-    }
-
-    #[inline(always)]
-    fn record(&mut self, _: usize, _: usize, _: bool) {}
-
-    #[inline(always)]
-    fn count(&mut self, _: usize, _: u64) {}
-
-    #[cfg(debug_assertions)]
-    fn debug_assert_skip_invariant(&self, _: usize, _: &[f64], _: &[f64], _: Option<&[u64]>) {}
-}
-
 /// The per-task slice of frontier work handed into the row kernels: the
 /// read-only change information plus a (possibly partial, task-local)
 /// changed-bit accumulator and per-query counts. Serial callers point
@@ -793,14 +698,12 @@ pub(crate) struct FrontierTask<'a> {
     pub active: &'a mut [u64],
 }
 
-impl PairSelect for FrontierTask<'_> {
-    const TRACKS: bool = true;
-
+impl FrontierTask<'_> {
     /// The `q = 1` dependency rule: recompute iff the row itself changed
     /// or any of its in-row column dependencies changed (pull, early exit
     /// on the first hit), i.e. iff the pushed active set holds the row.
     #[inline]
-    fn row_active(&self, m: &CsrMatrix, local: usize, global: usize) -> bool {
+    pub(crate) fn row_active(&self, m: &CsrMatrix, local: usize, global: usize) -> bool {
         match self.test {
             RowTest::Pull { changed, .. } => {
                 changed.get(global) || m.row_cols(local).iter().any(|&c| changed.get(c as usize))
@@ -812,9 +715,17 @@ impl PairSelect for FrontierTask<'_> {
     /// The per-query dependency rule: query `j` is computed iff it is
     /// live and `(row, j)` or `(c, j)` for some column `c` of the row
     /// changed. A pull scan stops once every live query is found; a push
-    /// reads the row's own field of the active set.
+    /// reads the row's own field of the active set. Writes the queries
+    /// to compute into `mask` (`⌈q/64⌉` words); `false` when there are
+    /// none.
     #[inline]
-    fn row_mask(&self, m: &CsrMatrix, local: usize, global: usize, mask: &mut [u64]) -> bool {
+    pub(crate) fn row_mask(
+        &self,
+        m: &CsrMatrix,
+        local: usize,
+        global: usize,
+        mask: &mut [u64],
+    ) -> bool {
         let q = self.q;
         let changed = match self.test {
             RowTest::Pull { changed, .. } => changed,
@@ -863,23 +774,28 @@ impl PairSelect for FrontierTask<'_> {
         any
     }
 
+    /// Records one computed pair: query `j` of `global`, whose new bits
+    /// differ from the old ones iff `changed`.
     #[inline]
-    fn record(&mut self, global: usize, j: usize, changed: bool) {
+    pub(crate) fn record(&mut self, global: usize, j: usize, changed: bool) {
         if changed {
             self.bits.set(global * self.q + j);
         }
     }
 
+    /// Counts `pairs` computed pairs of query `j` (the `q = 1` kernel
+    /// counts its rows locally and reports once per call).
     #[inline]
-    fn count(&mut self, j: usize, pairs: u64) {
+    pub(crate) fn count(&mut self, j: usize, pairs: u64) {
         self.active[j] += pairs;
     }
 
     /// A live block the call did not write must already hold, in the
     /// output buffer, exactly the bits of the current beliefs — i.e.
     /// skipping really does leave what a recomputation would produce.
+    /// `written` is the mask the call computed, `None` for a skipped row.
     #[cfg(debug_assertions)]
-    fn debug_assert_skip_invariant(
+    pub(crate) fn debug_assert_skip_invariant(
         &self,
         global: usize,
         out_row: &[f64],
@@ -901,38 +817,6 @@ impl PairSelect for FrontierTask<'_> {
                  output buffer differs from current beliefs"
             );
         }
-    }
-}
-
-/// Reference frontier bookkeeping over a full step: `new` holds every
-/// pair recomputed from `b`. For every live query, records each row's
-/// changed bit (any bit of the block differs from `b`), counts all `n`
-/// rows computed and folds `max |new|` into the magnitudes. This is the
-/// semantics any skipping implementation must reproduce — the trait's
-/// default frontier step and the test oracle.
-pub fn record_changed_full(fr: &mut FrontierStep<'_>, b: &Mat, new: &Mat, k: usize) {
-    let n = b.rows();
-    let live = fr.live;
-    for r in 0..n {
-        let blocks = new.row(r).chunks_exact(k).zip(b.row(r).chunks_exact(k));
-        for (j, (new_blk, old_blk)) in blocks.enumerate() {
-            if !mask_bit(live, j) {
-                continue;
-            }
-            if new_blk
-                .iter()
-                .zip(old_blk)
-                .any(|(a, b)| a.to_bits() != b.to_bits())
-            {
-                fr.next_changed.set(r * fr.q + j);
-            }
-            for &x in new_blk {
-                fr.magnitudes[j] = fr.magnitudes[j].max(x.abs());
-            }
-        }
-    }
-    for j in (0..fr.q).filter(|&j| mask_bit(live, j)) {
-        fr.active[j] += n as u64;
     }
 }
 
@@ -1112,12 +996,13 @@ mod tests {
         st.commit();
         assert_eq!(st.rows_active, [7, 0, 0]);
         assert_eq!(st.rows_skipped, [33, 0, 40]);
-        let mut full = FrontierState::full(plan, 70);
-        let step = full.begin(&[true; 70]);
+        let mut all = FrontierState::new(plan, 70);
+        assert_eq!(all.changed().count_ones(), 40 * 70);
+        let step = all.begin(&[true; 70]);
         assert_eq!(step.live, [!0, (1 << 6) - 1]);
         let _ = step;
-        full.commit();
-        assert_eq!(full.changed().count_ones(), 40 * 70, "never narrows");
+        all.commit();
+        assert_eq!(all.changed().count_ones(), 0, "narrows to what changed");
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! beliefs. Each sweep re-streams matrices that were in cache moments
 //! before.
 //!
-//! [`CsrMatrix::linbp_step_fused_with`] collapses all of that into one
-//! row-partitioned pass: per output row, the SpMM gather, the `·Ĥ` apply,
-//! the explicit-belief add, the echo subtraction, damping, and the
-//! per-query max-abs residual all happen while the row is resident in L1.
+//! [`CsrMatrix::linbp_step_fused_frontier_with`] collapses all of that
+//! into one row-partitioned pass: per output row, the SpMM gather, the
+//! `·Ĥ` apply, the explicit-belief add, the echo subtraction, damping,
+//! and the per-query max-abs residual all happen while the row is
+//! resident in L1.
 //! The belief matrix `B̂` is read once and the output written once; every
 //! intermediate lives in registers or a `k·q`-length task-local buffer.
 //!
@@ -50,18 +51,21 @@
 //! * any other `k` — the generic `fused_rows`, `axpy4` loops with
 //!   run-time bounds, finishing only the selected blocks.
 //!
-//! The full step ([`CsrMatrix::linbp_step_fused_with`]) runs the same
-//! kernels with every pair selected; the frontier step also records
-//! each computed pair's changed bit and folds `max |new|` per query —
-//! the divergence guard's read-out — in the same pass.
+//! There is one step, the frontier step, and every kernel takes its
+//! `FrontierTask`: besides the update and the residual, each computed
+//! pair records its changed bit and folds `max |new|` per query — the
+//! divergence guard's read-out — in the same pass. A step that must
+//! compute every pair (the trait's
+//! [`crate::PropagationOperator::linbp_step_fused_with`]) runs it from
+//! an all-changed [`crate::FrontierState::new`] with every query live.
 //!
 //! The frontier step selects pairs one of two ways per sweep, both
 //! giving the same pairs (see [`crate::frontier`]). **Push**, on a
 //! symmetric pattern when the changed rows' degrees sum to at most `n`:
 //! a serial pass marks the changed rows' dependents before the kernels
 //! run, and the kernels read one field per row
-//! (`PairSelect::row_active` / `PairSelect::row_mask`) and skip every
-//! block without an active bit. **Pull**, otherwise and on every
+//! (`FrontierTask::row_active` / `FrontierTask::row_mask`) and skip
+//! every block without an active bit. **Pull**, otherwise and on every
 //! shard-walking backend: each row of a block the plan marks active
 //! scans its neighbours' changed fields.
 //!
@@ -70,16 +74,14 @@
 //! L2 callers run the existing fixed-order `l2_diff` pass after the step.
 
 use crate::csr::{CsrMatrix, SCRATCH_WIDTH};
-use crate::frontier::{
-    set_bits, AllPairs, FrontierPlan, FrontierStep, FrontierTask, NodeBitset, PairSelect, RowTest,
-};
+use crate::frontier::{set_bits, FrontierPlan, FrontierStep, FrontierTask, NodeBitset, RowTest};
 use lsbp_linalg::simd::axpy4;
 use lsbp_linalg::{weight_balanced_ranges, Mat, ParallelismConfig};
 use std::ops::Range;
 
 /// The per-iteration constants of the LinBP update (Eq. 6/7), borrowed by
-/// [`CsrMatrix::linbp_step_fused_with`] (and the sharded backend's
-/// implementation of the same operation).
+/// every backend's fused step
+/// ([`crate::PropagationOperator::linbp_step_fused_frontier_with`]).
 #[derive(Clone, Copy, Debug)]
 pub struct FusedLinBpStep<'a> {
     /// Explicit residual beliefs `Ê` (`n × k·q`).
@@ -98,8 +100,8 @@ pub struct FusedLinBpStep<'a> {
 
 /// Validates the shapes of one fused LinBP step against an `n × n`
 /// adjacency operator and returns `(k, q)`. Shared by the monolithic
-/// [`CsrMatrix::linbp_step_fused_with`] and the sharded backend so both
-/// reject malformed inputs with identical messages.
+/// [`CsrMatrix::linbp_step_fused_frontier_with`] and the sharded backend
+/// so both reject malformed inputs with identical messages.
 pub(crate) fn validate_fused_step(
     n_rows: usize,
     n_cols: usize,
@@ -213,8 +215,8 @@ impl<const K: usize> BlockCouplings<K> {
     /// `(o + ê) − echo`, the damping blend and `|new − old|` — the element
     /// order of the unfused composition, statement for statement the
     /// per-row tail of [`CsrMatrix::fused_rows_k`]. Writes `out`, folds
-    /// the block's residual into `dmax` and, when `track`, its `|new|`
-    /// into `mmax`; returns (when `track`) whether any bit changed.
+    /// the block's residual into `dmax` and its `|new|` into `mmax`;
+    /// returns whether any bit changed.
     #[allow(clippy::too_many_arguments)] // one slot per fused-step term
     #[inline(always)]
     fn finish(
@@ -226,7 +228,6 @@ impl<const K: usize> BlockCouplings<K> {
         out: &mut [f64; K],
         dmax: &mut f64,
         mmax: &mut f64,
-        track: bool,
     ) -> bool {
         let mut o = [0.0f64; K];
         for (&a, h_row) in ab.iter().zip(&self.h) {
@@ -261,10 +262,8 @@ impl<const K: usize> BlockCouplings<K> {
             }
             out[j] = x;
             *dmax = dmax.max((x - b_blk[j]).abs());
-            if track {
-                *mmax = mmax.max(x.abs());
-                changed |= x.to_bits() != b_blk[j].to_bits();
-            }
+            *mmax = mmax.max(x.abs());
+            changed |= x.to_bits() != b_blk[j].to_bits();
         }
         changed
     }
@@ -281,42 +280,17 @@ fn merge_max(acc: &mut [f64], partial: &[f64]) {
 
 impl CsrMatrix {
     /// Applies one fused LinBP update `out = Ê + A·B·Ĥ [− D·B·Ĥ²]`
-    /// (damped) and accumulates the per-query max-abs belief change into
-    /// `deltas` — all in a single row-partitioned pass (see the module
-    /// docs). `B` holds `q = B.cols() / Ĥ.rows()` queries side by side;
-    /// `deltas` must have length `q`.
-    ///
-    /// # Panics
-    /// Panics on any dimension mismatch (square adjacency of size
-    /// `B.rows()`, square `Ĥ` dividing `B.cols()`, `out`/`e_hat` shaped
-    /// like `B`, `degrees` of length `n`, `deltas` of length `q`).
-    pub fn linbp_step_fused_with(
-        &self,
-        b: &Mat,
-        step: &FusedLinBpStep<'_>,
-        out: &mut Mat,
-        deltas: &mut [f64],
-        cfg: &ParallelismConfig,
-    ) {
-        let n = self.n_rows();
-        let kt = b.cols();
-        let (k, _q) = validate_fused_step(n, self.n_cols(), b, step, out, deltas);
-        deltas.iter_mut().for_each(|d| *d = 0.0);
-        if n == 0 || kt == 0 {
-            return;
-        }
-        self.fused_block_with(b, step, 0, out.as_mut_slice(), deltas, k, cfg);
-    }
-
-    /// The frontier-aware variant of [`CsrMatrix::linbp_step_fused_with`]:
-    /// computes only the (row, query) pairs of live queries whose inputs
-    /// changed since the last committed sweep (see [`crate::frontier`]),
-    /// leaves every other block of `out` unwritten, records each computed
-    /// pair's changed bit and count into `fr`, and folds `max |new|` per
-    /// query into `fr.magnitudes`. On the live queries `out` and
-    /// `deltas` are bitwise identical to the full step. The caller owns
-    /// the sweep protocol: [`crate::FrontierState::begin`] before the
-    /// step, [`crate::FrontierState::commit`] after it.
+    /// (damped) in a single row-partitioned pass (see the module docs),
+    /// for the (row, query) pairs of live queries whose inputs changed
+    /// since the last committed sweep (see [`crate::frontier`]), and
+    /// accumulates each query's max-abs belief change into `deltas`.
+    /// `B` holds `q = B.cols() / Ĥ.rows()` queries side by side. Every
+    /// other block of `out` is left unwritten; each computed pair's
+    /// changed bit and count go into `fr`, and `max |new|` per query into
+    /// `fr.magnitudes`. On the live queries `out` and `deltas` are
+    /// bitwise identical to recomputing every pair. The caller owns the
+    /// sweep protocol: [`crate::FrontierState::begin`] before the step,
+    /// [`crate::FrontierState::commit`] after it.
     ///
     /// A sparse sweep on a symmetric pattern pushes: one serial pass
     /// marks the dependents of the changed rows, and the kernels read one
@@ -324,7 +298,9 @@ impl CsrMatrix {
     /// [`crate::frontier`]). The computed pairs are the same either way.
     ///
     /// # Panics
-    /// Panics on the same dimension mismatches as the full step.
+    /// Panics on any dimension mismatch (square adjacency of size
+    /// `B.rows()`, square `Ĥ` dividing `B.cols()`, `out`/`e_hat` shaped
+    /// like `B`, `degrees` of length `n`, `deltas` of length `q`).
     pub fn linbp_step_fused_frontier_with(
         &self,
         b: &Mat,
@@ -345,68 +321,16 @@ impl CsrMatrix {
         self.fused_block_frontier_with(b, step, 0, out.as_mut_slice(), deltas, k, fr, pushed, cfg);
     }
 
-    /// The partitioned body of the full fused step over *this matrix's*
-    /// rows, writing the flat row-major `block` (exactly
-    /// `n_rows · b.cols()` slots) and max-accumulating per-query
-    /// residuals into `deltas` (NOT zeroed here — the caller owns the
-    /// across-call accumulation). `base` is the global-row offset (see
+    /// The partitioned body of the fused step over *this matrix's* rows,
+    /// writing the flat row-major `block` (exactly `n_rows · b.cols()`
+    /// slots) and max-accumulating per-query residuals into `deltas` (NOT
+    /// zeroed here — the caller owns the across-call accumulation).
+    /// `base` is the global-row offset (see
     /// [`CsrMatrix::fused_rows_dispatch`]): 0 for the monolithic path,
     /// the shard's first global row for the sharded backend, which calls
     /// this once per shard as its own persistent-pool region.
-    #[allow(clippy::too_many_arguments)] // one slot per fused-step term
-    pub(crate) fn fused_block_with(
-        &self,
-        b: &Mat,
-        step: &FusedLinBpStep<'_>,
-        base: usize,
-        block: &mut [f64],
-        deltas: &mut [f64],
-        k: usize,
-        cfg: &ParallelismConfig,
-    ) {
-        let n = self.n_rows();
-        let kt = b.cols();
-        if n == 0 {
-            return;
-        }
-        let q = kt / k;
-        let parts = cfg.partitions((self.nnz() + n) * kt);
-        if parts <= 1 {
-            let mut all = AllPairs::new(q);
-            self.fused_rows_dispatch(b, step, 0..n, base, block, deltas, &mut [], k, &mut all);
-            return;
-        }
-        let ranges = weight_balanced_ranges(self.row_offsets(), parts);
-        let mut partials: Vec<Vec<f64>> = vec![vec![0.0; deltas.len()]; ranges.len()];
-        let mut rest: &mut [f64] = block;
-        cfg.pool().scope(|s| {
-            for (range, partial) in ranges.into_iter().zip(partials.iter_mut()) {
-                let (chunk, tail) = rest.split_at_mut((range.end - range.start) * kt);
-                rest = tail;
-                s.spawn(move || {
-                    let mut all = AllPairs::new(q);
-                    self.fused_rows_dispatch(
-                        b,
-                        step,
-                        range,
-                        base,
-                        chunk,
-                        partial,
-                        &mut [],
-                        k,
-                        &mut all,
-                    )
-                });
-            }
-        });
-        for partial in &partials {
-            merge_max(deltas, partial);
-        }
-    }
-
-    /// The frontier-aware variant of [`CsrMatrix::fused_block_with`]:
-    /// identical arithmetic in the identical order on every pair it
-    /// computes, but only the pairs [`FrontierTask`] selects — from the
+    ///
+    /// Only the pairs [`FrontierTask`] selects are computed — from the
     /// pushed active set when `pushed` (see [`FrontierStep::push_from`]),
     /// else by the pull scan. Whole inactive row blocks are rejected
     /// without touching their nnz. Parallel tasks record into task-local
@@ -568,9 +492,8 @@ impl CsrMatrix {
     /// unrolled register code (property-tested bitwise equal). `q = 1`
     /// keeps its own kernel: run on a lone query, the stacked kernel's
     /// run-time-length gather took about 2.5× as long (single-threaded
-    /// fused step on kronecker_m9, k = 3). `sel` picks the (row, query)
-    /// pairs computed ([`AllPairs`] or a [`FrontierTask`]); `mags` is
-    /// only written when it tracks.
+    /// fused step on kronecker_m9, k = 3). `task` picks the (row, query)
+    /// pairs computed and records them; `mags` takes their `max |new|`.
     ///
     /// `rows` indexes *this matrix's* rows; `base` is the global-row
     /// offset of row 0 into `b`/`Ê`/`degrees`/`deltas`' coordinate frame.
@@ -578,7 +501,7 @@ impl CsrMatrix {
     /// sharded backend passes each shard's first global row, running the
     /// identical kernel on the shard-local block.
     #[allow(clippy::too_many_arguments)] // one slot per fused-step term
-    pub(crate) fn fused_rows_dispatch<S: PairSelect>(
+    pub(crate) fn fused_rows_dispatch(
         &self,
         b: &Mat,
         step: &FusedLinBpStep<'_>,
@@ -588,18 +511,18 @@ impl CsrMatrix {
         deltas: &mut [f64],
         mags: &mut [f64],
         k: usize,
-        sel: &mut S,
+        task: &mut FrontierTask<'_>,
     ) {
         let single = b.cols() == k;
         let acc = (deltas, mags);
         match (k, single) {
-            (2, true) => self.fused_rows_k::<2, S>(b, step, rows, base, block, acc, sel),
-            (3, true) => self.fused_rows_k::<3, S>(b, step, rows, base, block, acc, sel),
-            (4, true) => self.fused_rows_k::<4, S>(b, step, rows, base, block, acc, sel),
-            (2, false) => self.fused_rows_kq::<2, S>(b, step, rows, base, block, acc, sel),
-            (3, false) => self.fused_rows_kq::<3, S>(b, step, rows, base, block, acc, sel),
-            (4, false) => self.fused_rows_kq::<4, S>(b, step, rows, base, block, acc, sel),
-            _ => self.fused_rows(b, step, rows, base, block, acc, k, sel),
+            (2, true) => self.fused_rows_k::<2>(b, step, rows, base, block, acc, task),
+            (3, true) => self.fused_rows_k::<3>(b, step, rows, base, block, acc, task),
+            (4, true) => self.fused_rows_k::<4>(b, step, rows, base, block, acc, task),
+            (2, false) => self.fused_rows_kq::<2>(b, step, rows, base, block, acc, task),
+            (3, false) => self.fused_rows_kq::<3>(b, step, rows, base, block, acc, task),
+            (4, false) => self.fused_rows_kq::<4>(b, step, rows, base, block, acc, task),
+            _ => self.fused_rows(b, step, rows, base, block, acc, k, task),
         }
     }
 
@@ -611,9 +534,9 @@ impl CsrMatrix {
     /// The per-row tail stays inline rather than calling
     /// [`BlockCouplings::finish`]: the shared helper measured about 4%
     /// slower on this path, which every lone query runs. The row test is
-    /// the early-exit [`PairSelect::row_active`].
+    /// the early-exit [`FrontierTask::row_active`].
     #[allow(clippy::too_many_arguments)] // one slot per fused-step term
-    fn fused_rows_k<const K: usize, S: PairSelect>(
+    fn fused_rows_k<const K: usize>(
         &self,
         b: &Mat,
         step: &FusedLinBpStep<'_>,
@@ -621,7 +544,7 @@ impl CsrMatrix {
         base: usize,
         block: &mut [f64],
         (deltas, mags): (&mut [f64], &mut [f64]),
-        sel: &mut S,
+        task: &mut FrontierTask<'_>,
     ) {
         // Ĥ / Ĥ² staged as fixed-size arrays once per task.
         let mut h = [[0.0f64; K]; K];
@@ -640,9 +563,9 @@ impl CsrMatrix {
         for r in rows.clone() {
             let g = base + r;
             let out = (r - rows.start) * K..(r - rows.start + 1) * K;
-            if !sel.row_active(self, r, g) {
+            if !task.row_active(self, r, g) {
                 #[cfg(debug_assertions)]
-                sel.debug_assert_skip_invariant(g, &block[out], b.row(g), None);
+                task.debug_assert_skip_invariant(g, &block[out], b.row(g), None);
                 continue;
             }
             // ab = A(r,·)·B accumulated in CSR entry order per element —
@@ -695,23 +618,19 @@ impl CsrMatrix {
                 }
                 o_out[j] = x;
                 dmax = dmax.max((x - b_row[j]).abs());
-                if S::TRACKS {
-                    mmax = mmax.max(x.abs());
-                    changed |= x.to_bits() != b_row[j].to_bits();
-                }
+                mmax = mmax.max(x.abs());
+                changed |= x.to_bits() != b_row[j].to_bits();
             }
-            sel.record(g, 0, changed);
+            task.record(g, 0, changed);
             computed += 1;
         }
-        sel.count(0, computed);
+        task.count(0, computed);
         deltas[0] = deltas[0].max(dmax);
-        if S::TRACKS {
-            mags[0] = mags[0].max(mmax);
-        }
+        mags[0] = mags[0].max(mmax);
     }
 
     /// Width-specialized stacked fused kernel for `q ≥ 2` queries of `K`
-    /// classes. Per row, `sel` names the query blocks to compute. When
+    /// classes. Per row, `task` names the query blocks to compute. When
     /// that is every query, the gather is one element-wise
     /// `ab[c] += v·B(c', c)` loop over the whole `K·q` row (the `axpy4`
     /// order per element, one pass over each gathered row for all
@@ -722,7 +641,7 @@ impl CsrMatrix {
     /// kernel's row tail; inactive blocks are never written. `ab` lives
     /// on the stack up to [`STACKED_WIDTH`] columns.
     #[allow(clippy::too_many_arguments)] // one slot per fused-step term
-    fn fused_rows_kq<const K: usize, S: PairSelect>(
+    fn fused_rows_kq<const K: usize>(
         &self,
         b: &Mat,
         step: &FusedLinBpStep<'_>,
@@ -730,7 +649,7 @@ impl CsrMatrix {
         base: usize,
         block: &mut [f64],
         (deltas, mags): (&mut [f64], &mut [f64]),
-        sel: &mut S,
+        task: &mut FrontierTask<'_>,
     ) {
         let kt = b.cols();
         let q = kt / K;
@@ -744,13 +663,12 @@ impl CsrMatrix {
             &mut heap
         };
         let mut mask = vec![0u64; q.div_ceil(64)];
-        let mut dummy = 0.0f64;
         for r in rows.clone() {
             let g = base + r;
             let out = (r - rows.start) * kt..(r - rows.start + 1) * kt;
-            if !sel.row_mask(self, r, g, &mut mask) {
+            if !task.row_mask(self, r, g, &mut mask) {
                 #[cfg(debug_assertions)]
-                sel.debug_assert_skip_invariant(g, &block[out], b.row(g), None);
+                task.debug_assert_skip_invariant(g, &block[out], b.row(g), None);
                 continue;
             }
             let o_row = &mut block[out];
@@ -759,8 +677,7 @@ impl CsrMatrix {
             let (b_blocks, _) = b.row(g).as_chunks::<K>();
             let (e_blocks, _) = step.e_hat.row(g).as_chunks::<K>();
             let (o_blocks, _) = o_row.as_chunks_mut::<K>();
-            let mut finish = |j: usize, a: &[f64; K], sel: &mut S| {
-                let mmax = if S::TRACKS { &mut mags[j] } else { &mut dummy };
+            let mut finish = |j: usize, a: &[f64; K], task: &mut FrontierTask<'_>| {
                 let changed = cpl.finish(
                     a,
                     &b_blocks[j],
@@ -768,11 +685,10 @@ impl CsrMatrix {
                     d,
                     &mut o_blocks[j],
                     &mut deltas[j],
-                    mmax,
-                    S::TRACKS,
+                    &mut mags[j],
                 );
-                sel.record(g, j, changed);
-                sel.count(j, 1);
+                task.record(g, j, changed);
+                task.count(j, 1);
             };
             if mask.iter().map(|w| w.count_ones() as usize).sum::<usize>() == q {
                 ab.iter_mut().for_each(|x| *x = 0.0);
@@ -783,7 +699,7 @@ impl CsrMatrix {
                 }
                 let (ab_blocks, _) = ab.as_chunks::<K>();
                 for (j, a) in ab_blocks.iter().enumerate() {
-                    finish(j, a, sel);
+                    finish(j, a, task);
                 }
             } else {
                 for j in set_bits(&mask) {
@@ -794,11 +710,11 @@ impl CsrMatrix {
                             a[t] += v * x[t];
                         }
                     }
-                    finish(j, &a, sel);
+                    finish(j, &a, task);
                 }
             }
             #[cfg(debug_assertions)]
-            sel.debug_assert_skip_invariant(g, o_row, b.row(g), Some(&mask));
+            task.debug_assert_skip_invariant(g, o_row, b.row(g), Some(&mask));
         }
     }
 
@@ -806,10 +722,10 @@ impl CsrMatrix {
     /// `rows`, writing into `block` (the flat row-major storage of
     /// exactly those output rows) and max-accumulating per-query
     /// residuals into `deltas`. The gather always runs over the whole
-    /// `k·q` row; only the query blocks `sel` picks are finished and
+    /// `k·q` row; only the query blocks `task` picks are finished and
     /// written.
     #[allow(clippy::too_many_arguments)] // one slot per fused-step term
-    fn fused_rows<S: PairSelect>(
+    fn fused_rows(
         &self,
         b: &Mat,
         step: &FusedLinBpStep<'_>,
@@ -818,7 +734,7 @@ impl CsrMatrix {
         block: &mut [f64],
         (deltas, mags): (&mut [f64], &mut [f64]),
         k: usize,
-        sel: &mut S,
+        task: &mut FrontierTask<'_>,
     ) {
         let kt = b.cols();
         let q = kt / k;
@@ -832,9 +748,9 @@ impl CsrMatrix {
             let g = base + r;
             let o = &mut block[(r - rows.start) * kt..(r - rows.start + 1) * kt];
             let b_row = b.row(g);
-            if !sel.row_mask(self, r, g, &mut mask) {
+            if !task.row_mask(self, r, g, &mut mask) {
                 #[cfg(debug_assertions)]
-                sel.debug_assert_skip_invariant(g, o, b_row, None);
+                task.debug_assert_skip_invariant(g, o, b_row, None);
                 continue;
             }
             // ab = A(r,·)·B — the exact `spmm_rows` gather-axpy order.
@@ -886,16 +802,14 @@ impl CsrMatrix {
                     }
                     o[j] = x;
                     deltas[blk] = deltas[blk].max((x - b_row[j]).abs());
-                    if S::TRACKS {
-                        mags[blk] = mags[blk].max(x.abs());
-                        changed |= x.to_bits() != b_row[j].to_bits();
-                    }
+                    mags[blk] = mags[blk].max(x.abs());
+                    changed |= x.to_bits() != b_row[j].to_bits();
                 }
-                sel.record(g, blk, changed);
-                sel.count(blk, 1);
+                task.record(g, blk, changed);
+                task.count(blk, 1);
             }
             #[cfg(debug_assertions)]
-            sel.debug_assert_skip_invariant(g, o, b_row, Some(&mask));
+            task.debug_assert_skip_invariant(g, o, b_row, Some(&mask));
         }
     }
 }
@@ -904,6 +818,7 @@ impl CsrMatrix {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+    use crate::operator::PropagationOperator;
 
     fn toy() -> (CsrMatrix, Mat, Mat, Mat, Vec<f64>) {
         let mut coo = CooMatrix::new(4, 4);

@@ -31,7 +31,7 @@
 //! deployment re-shard a live system without changing a single answer.
 
 use crate::csr::CsrMatrix;
-use crate::frontier::{record_changed_full, FrontierPlan, FrontierStep};
+use crate::frontier::{FrontierPlan, FrontierState, FrontierStep};
 use crate::fused::FusedLinBpStep;
 use lsbp_linalg::{Mat, ParallelismConfig};
 
@@ -160,19 +160,6 @@ pub trait PropagationOperator: Sync {
     /// LinBP workhorse (`A·B̂`, `O(nnz·k)`).
     fn spmm_into_with(&self, b: &Mat, out: &mut Mat, cfg: &ParallelismConfig);
 
-    /// One fused LinBP update `out = Ê + A·B·Ĥ [− D·B·Ĥ²]` (damped), with
-    /// the per-query max-abs belief change accumulated into `deltas` —
-    /// the solver-facing per-iteration kernel. Semantics and panics match
-    /// [`CsrMatrix::linbp_step_fused_with`] exactly.
-    fn linbp_step_fused_with(
-        &self,
-        b: &Mat,
-        step: &FusedLinBpStep<'_>,
-        out: &mut Mat,
-        deltas: &mut [f64],
-        cfg: &ParallelismConfig,
-    );
-
     /// The static block-dependency plan active-frontier execution runs
     /// against (see [`crate::frontier`]): rows grouped into
     /// [`FrontierPlan::block_rows_for`]-sized blocks, each recording the
@@ -180,21 +167,15 @@ pub trait PropagationOperator: Sync {
     /// on first use, then borrowed by every later solve.
     fn frontier_plan(&self) -> &FrontierPlan;
 
-    /// The frontier-aware fused LinBP step (see
-    /// [`CsrMatrix::linbp_step_fused_frontier_with`]): on every live query
-    /// `out` and `deltas` must be **bitwise identical** to
-    /// [`PropagationOperator::linbp_step_fused_with`] on the same inputs,
-    /// frozen queries' blocks of `out` must stay unwritten, and the
-    /// changed bits, per-query counts and magnitudes land in `fr` exactly
-    /// as [`record_changed_full`] records them — except that pairs whose
-    /// inputs are bitwise unchanged may be skipped (not counted, not
-    /// written).
-    ///
-    /// The default implementation **is** [`record_changed_full`] over a
-    /// full step into a scratch matrix, whose live blocks are then copied
-    /// into `out` — the reference semantics (every live pair computed):
-    /// backends without a native frontier path stay correct, merely
-    /// unaccelerated.
+    /// The fused LinBP step `out = Ê + A·B·Ĥ [− D·B·Ĥ²]` (damped), the
+    /// solver-facing per-iteration kernel, with the semantics and panics
+    /// of [`CsrMatrix::linbp_step_fused_frontier_with`]: on every live
+    /// query `out` and `deltas` (the per-query max-abs belief change)
+    /// are **bitwise identical** to recomputing every pair, frozen
+    /// queries' blocks of `out` stay unwritten, and each computed pair's
+    /// changed bit, count and magnitude land in `fr`. Pairs whose inputs
+    /// are bitwise unchanged since the last committed sweep are skipped
+    /// (not counted, not written).
     fn linbp_step_fused_frontier_with(
         &self,
         b: &Mat,
@@ -203,22 +184,26 @@ pub trait PropagationOperator: Sync {
         deltas: &mut [f64],
         fr: &mut FrontierStep<'_>,
         cfg: &ParallelismConfig,
+    );
+
+    /// One fused LinBP step over every (row, query) pair, without a
+    /// solve's frontier: [`PropagationOperator::linbp_step_fused_frontier_with`]
+    /// from an all-changed [`FrontierState::new`] with every query live,
+    /// so every element of `out` is written. `B` holds `q = B.cols() /
+    /// Ĥ.rows()` queries side by side; `deltas` must have length `q`.
+    fn linbp_step_fused_with(
+        &self,
+        b: &Mat,
+        step: &FusedLinBpStep<'_>,
+        out: &mut Mat,
+        deltas: &mut [f64],
+        cfg: &ParallelismConfig,
     ) {
-        let mut full = Mat::zeros(out.rows(), out.cols());
-        self.linbp_step_fused_with(b, step, &mut full, deltas, cfg);
-        let k = step.h.rows();
-        record_changed_full(fr, b, &full, k);
-        for r in 0..out.rows() {
-            let blocks = out
-                .row_mut(r)
-                .chunks_exact_mut(k)
-                .zip(full.row(r).chunks_exact(k));
-            for (j, (dst, src)) in blocks.enumerate() {
-                if fr.is_live(j) {
-                    dst.copy_from_slice(src);
-                }
-            }
-        }
+        // `max(1)` leaves a zero-class `Ĥ` to the step's shape check.
+        let q = b.cols() / step.h.rows().max(1);
+        let mut state = FrontierState::new(self.frontier_plan(), q);
+        let mut fr = state.begin(&vec![true; q]);
+        self.linbp_step_fused_frontier_with(b, step, out, deltas, &mut fr, cfg);
     }
 
     /// Transpose, materialized as a monolithic [`CsrMatrix`] (the
@@ -268,17 +253,6 @@ impl PropagationOperator for CsrMatrix {
 
     fn spmm_into_with(&self, b: &Mat, out: &mut Mat, cfg: &ParallelismConfig) {
         CsrMatrix::spmm_into_with(self, b, out, cfg)
-    }
-
-    fn linbp_step_fused_with(
-        &self,
-        b: &Mat,
-        step: &FusedLinBpStep<'_>,
-        out: &mut Mat,
-        deltas: &mut [f64],
-        cfg: &ParallelismConfig,
-    ) {
-        CsrMatrix::linbp_step_fused_with(self, b, step, out, deltas, cfg)
     }
 
     fn frontier_plan(&self) -> &FrontierPlan {
@@ -347,151 +321,6 @@ mod tests {
         assert_eq!(op.row_sums(), m.row_sums());
         assert_eq!(op.squared_weight_degrees(), m.squared_weight_degrees());
         assert_eq!(op.transpose_with(&cfg), m.transpose());
-    }
-
-    /// A backend that forwards everything except the frontier step, so
-    /// it runs the trait's default (reference) implementation.
-    struct NoNativeFrontier(CsrMatrix);
-
-    impl PropagationOperator for NoNativeFrontier {
-        fn n_rows(&self) -> usize {
-            self.0.n_rows()
-        }
-        fn n_cols(&self) -> usize {
-            self.0.n_cols()
-        }
-        fn nnz(&self) -> usize {
-            self.0.nnz()
-        }
-        fn row_nnz(&self, r: usize) -> usize {
-            self.0.row_nnz(r)
-        }
-        fn row_iter(&self, r: usize) -> RowIter<'_> {
-            PropagationOperator::row_iter(&self.0, r)
-        }
-        fn spmv_into_with(&self, x: &[f64], y: &mut [f64], cfg: &ParallelismConfig) {
-            self.0.spmv_into_with(x, y, cfg)
-        }
-        fn spmm_into_with(&self, b: &Mat, out: &mut Mat, cfg: &ParallelismConfig) {
-            self.0.spmm_into_with(b, out, cfg)
-        }
-        fn linbp_step_fused_with(
-            &self,
-            b: &Mat,
-            step: &FusedLinBpStep<'_>,
-            out: &mut Mat,
-            deltas: &mut [f64],
-            cfg: &ParallelismConfig,
-        ) {
-            self.0.linbp_step_fused_with(b, step, out, deltas, cfg)
-        }
-        fn frontier_plan(&self) -> &FrontierPlan {
-            PropagationOperator::frontier_plan(&self.0)
-        }
-        fn transpose_with(&self, cfg: &ParallelismConfig) -> CsrMatrix {
-            self.0.transpose_with(cfg)
-        }
-        fn row_sums(&self) -> &[f64] {
-            self.0.row_sums()
-        }
-        fn squared_weight_degrees(&self) -> &[f64] {
-            self.0.squared_weight_degrees()
-        }
-    }
-
-    /// The native per-(row, query) frontier step and the trait's default
-    /// (full step + [`record_changed_full`]) agree bit for bit on the
-    /// live blocks, the deltas and the changed bits, leave a frozen
-    /// query's block unwritten, and the native step computes (and
-    /// counts) no more pairs than the reference.
-    #[test]
-    fn native_frontier_step_matches_default() {
-        use crate::frontier::FrontierState;
-        let (n, k, q) = (150, 3, 3);
-        let mut coo = CooMatrix::new(n, n);
-        for i in 0..n {
-            coo.push_symmetric(i, (i * 7 + 3) % n, 1.0);
-            coo.push_symmetric(i, (i + 1) % n, 0.5);
-        }
-        let m = coo.to_csr();
-        let reference = NoNativeFrontier(m.clone());
-        let e = Mat::from_fn(n, k * q, |r, c| {
-            let j = c / k;
-            if r == 10 + 40 * j {
-                [0.2, -0.1, -0.1][c % k]
-            } else {
-                0.0
-            }
-        });
-        let h = Mat::from_rows(&[
-            &[0.1, -0.05, -0.05],
-            &[-0.05, 0.1, -0.05],
-            &[-0.05, -0.05, 0.1],
-        ]);
-        let h2 = h.matmul(&h);
-        let step = FusedLinBpStep {
-            e_hat: &e,
-            h: &h,
-            h2: Some(&h2),
-            degrees: m.squared_weight_degrees(),
-            damping: 0.0,
-        };
-        let cfg = ParallelismConfig::serial();
-        let plan = PropagationOperator::frontier_plan(&m);
-        let (mut native, mut default) = (
-            FrontierState::from_seeds(plan, &e, k),
-            FrontierState::from_seeds(plan, &e, k),
-        );
-        let (mut b1, mut next1) = (e.clone(), Mat::zeros(n, k * q));
-        let (mut b2, mut next2) = (e.clone(), Mat::zeros(n, k * q));
-        for sweep in 0..8 {
-            // Query 1 freezes after sweep 3.
-            let live = [true, sweep < 3, true];
-            let frozen_before = next1.clone();
-            let (mut d1, mut d2) = (vec![0.0; q], vec![0.0; q]);
-            let mut fr = native.begin(&live);
-            PropagationOperator::linbp_step_fused_frontier_with(
-                &m, &b1, &step, &mut next1, &mut d1, &mut fr, &cfg,
-            );
-            let mut fr = default.begin(&live);
-            reference
-                .linbp_step_fused_frontier_with(&b2, &step, &mut next2, &mut d2, &mut fr, &cfg);
-            native.commit();
-            default.commit();
-            assert_eq!(native.changed(), default.changed(), "sweep {sweep}");
-            for (j, &on) in live.iter().enumerate() {
-                let cols = j * k..(j + 1) * k;
-                for r in 0..n {
-                    let (a, b) = (&next1.row(r)[cols.clone()], &next2.row(r)[cols.clone()]);
-                    let want = if on {
-                        b
-                    } else {
-                        &frozen_before.row(r)[cols.clone()]
-                    };
-                    assert!(
-                        a.iter().zip(want).all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "sweep {sweep} row {r} query {j}"
-                    );
-                }
-                if on {
-                    assert_eq!(d1[j].to_bits(), d2[j].to_bits(), "sweep {sweep} delta {j}");
-                    assert!(native.magnitudes()[j] <= default.magnitudes()[j]);
-                }
-            }
-            std::mem::swap(&mut b1, &mut next1);
-            std::mem::swap(&mut b2, &mut next2);
-        }
-        for j in 0..q {
-            assert!(native.rows_active[j] <= default.rows_active[j], "query {j}");
-            assert_eq!(
-                native.rows_active[j] + native.rows_skipped[j],
-                default.rows_active[j] + default.rows_skipped[j]
-            );
-        }
-        assert!(
-            native.rows_skipped.iter().sum::<u64>() > 0,
-            "nothing skipped"
-        );
     }
 
     /// Borrowed and owned row iterators walk the same row identically —

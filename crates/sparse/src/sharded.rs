@@ -185,43 +185,6 @@ impl<S: ShardSource> PropagationOperator for S {
         }
     }
 
-    /// The fused LinBP step, one persistent-pool region per shard in row
-    /// order. Each shard gathers from the full belief matrix (global
-    /// column indices) but reads `Ê`/`B`/`degrees` rows at its own
-    /// global offset; per-query residual maxima accumulate across shards
-    /// with the order-independent `max`, so the result equals the
-    /// monolithic step bitwise.
-    fn linbp_step_fused_with(
-        &self,
-        b: &Mat,
-        step: &FusedLinBpStep<'_>,
-        out: &mut Mat,
-        deltas: &mut [f64],
-        cfg: &ParallelismConfig,
-    ) {
-        let n = self.n_rows();
-        let kt = b.cols();
-        let (k, _q) = validate_fused_step(n, self.n_cols(), b, step, out, deltas);
-        deltas.iter_mut().for_each(|d| *d = 0.0);
-        if n == 0 || kt == 0 {
-            return;
-        }
-        let flat = out.as_mut_slice();
-        for i in 0..self.num_shards() {
-            self.hint(i + 1);
-            let rows = self.shard_rows(i);
-            self.shard(i).fused_block_with(
-                b,
-                step,
-                rows.start,
-                &mut flat[rows.start * kt..rows.end * kt],
-                deltas,
-                k,
-                cfg,
-            );
-        }
-    }
-
     /// Built on first use with one access per shard, in row order.
     fn frontier_plan(&self) -> &FrontierPlan {
         self.cache().frontier_plan(|| {
@@ -234,15 +197,19 @@ impl<S: ShardSource> PropagationOperator for S {
         })
     }
 
-    /// The frontier-aware fused step: shard-granular skipping first — a
-    /// shard whose overlapping plan blocks are all inactive is passed
-    /// over without being hinted or taken, so a paged backend never
-    /// faults a frozen region back in — then the per-shard kernel applies
-    /// block- and row-granular skipping inside. Every sweep pulls: a
-    /// shard's kernel cannot mark rows of another shard. The hint goes to
-    /// the next *active* shard, before the current one is taken. Bitwise
-    /// identical to the full step at any shard × thread (× budget)
-    /// combination.
+    /// The fused LinBP step, one persistent-pool region per active shard
+    /// in row order. Each shard gathers from the full belief matrix
+    /// (global column indices) but reads `Ê`/`B`/`degrees` rows at its
+    /// own global offset; per-query residual maxima accumulate across
+    /// shards with the order-independent `max`. Skipping is
+    /// shard-granular first — a shard whose overlapping plan blocks are
+    /// all inactive is passed over without being hinted or taken, so a
+    /// paged backend never faults a frozen region back in — then the
+    /// per-shard kernel applies block- and row-granular skipping inside.
+    /// Every sweep pulls: a shard's kernel cannot mark rows of another
+    /// shard. The hint goes to the next *active* shard, before the
+    /// current one is taken. Bitwise identical to the monolithic step at
+    /// any shard × thread (× budget) combination.
     fn linbp_step_fused_frontier_with(
         &self,
         b: &Mat,

@@ -6,7 +6,7 @@
 //! the small random instances actually exercise the parallel code path.
 
 use lsbp_linalg::{Mat, ParallelismConfig};
-use lsbp_sparse::{CooMatrix, CsrMatrix, FusedLinBpStep};
+use lsbp_sparse::{CooMatrix, CsrMatrix, FusedLinBpStep, PropagationOperator};
 use proptest::prelude::*;
 
 type Triplets = Vec<(usize, usize, f64)>;

@@ -1,11 +1,12 @@
 //! Contract of active-frontier execution (change-tracking iteration
-//! skipping in the fused LinBP path): at **every** frontier × shard ×
-//! thread × memory-budget combination the solver must be **bitwise
-//! identical** to full recomputation — same beliefs, same iteration
-//! count, same final delta bits, same converged/diverged flags. The
-//! frontier is an execution strategy, never an approximation: a row is
-//! skipped only when its output provably holds the exact bits a
-//! recomputation would produce.
+//! skipping in the fused LinBP path): at **every** shard × thread ×
+//! memory-budget combination the solver must be **bitwise identical** to
+//! full recomputation — the plain-loop oracle in `tests/support`, which
+//! recomputes every row every round and shares no code with the solver:
+//! same beliefs, same iteration count, same final delta bits, same
+//! converged/diverged flags. The frontier is an execution strategy, never
+//! an approximation: a row is skipped only when its output provably holds
+//! the exact bits a recomputation would produce.
 //!
 //! Edge cases pinned here: divergent runs, damping on/off, the L2 and
 //! MaxAbs convergence norms, self-loops, empty graphs, single-node
@@ -13,8 +14,8 @@
 //! invariant `rows_active + rows_skipped = n × iterations`, and the
 //! per-query frontier of stacked batches: its start from `Ê` (`-0.0`
 //! seeds, non-finite degrees), the guard read out of the kernel, frozen
-//! queries read from the buffer they froze in, and work conservation
-//! against solo solves. The counters themselves — whether a sweep pushed
+//! queries read from the buffer they froze in (and, one step at a time,
+//! never written), and work conservation against solo solves. The counters themselves — whether a sweep pushed
 //! or pulled — are checked against the pull sets the plain-loop oracle's
 //! iterates imply.
 
@@ -24,10 +25,12 @@ use lsbp::prelude::*;
 use lsbp_graph::generators::{dblp_like, erdos_renyi_gnm, kronecker_graph, DblpConfig};
 use lsbp_graph::Graph;
 use lsbp_linalg::Mat;
-use lsbp_sparse::{CooMatrix, CsrMatrix};
+use lsbp_sparse::{CooMatrix, CsrMatrix, FrontierState, FusedLinBpStep};
 use proptest::prelude::*;
 use std::path::PathBuf;
-use support::{bits_equal, pull_counts, PullCounts};
+use support::{
+    bits_equal, pull_counts, unfused_linbp, unfused_linbp_observed, PullCounts, Reference,
+};
 
 fn seeds(n: usize, k: usize, picks: &[(usize, usize)]) -> ExplicitBeliefs {
     let mut e = ExplicitBeliefs::new(n, k);
@@ -48,6 +51,25 @@ fn csr_bytes(m: &CsrMatrix) -> usize {
     (m.n_rows() + 1) * std::mem::size_of::<usize>() + m.nnz() * (4 + 8)
 }
 
+/// Full bitwise comparison of a solve with the plain-loop oracle,
+/// *including* the run shape.
+fn assert_matches_oracle(got: &LinBpResult, want: &Reference, label: &str) {
+    assert_eq!(got.converged, want.converged, "{label}: converged");
+    assert_eq!(got.diverged, want.diverged, "{label}: diverged");
+    assert_eq!(got.iterations, want.iterations, "{label}: iterations");
+    assert_eq!(
+        got.final_delta.to_bits(),
+        want.final_delta.to_bits(),
+        "{label}: final delta bits ({} vs {})",
+        got.final_delta,
+        want.final_delta
+    );
+    assert!(
+        bits_equal(got.beliefs.residual(), &want.beliefs),
+        "{label}: frontier beliefs differ bitwise from the plain-loop oracle"
+    );
+}
+
 /// Full bitwise comparison of two solves, *including* the run shape.
 fn assert_runs_identical(got: &LinBpResult, want: &LinBpResult, label: &str) {
     assert_eq!(got.converged, want.converged, "{label}: converged");
@@ -66,22 +88,18 @@ fn assert_runs_identical(got: &LinBpResult, want: &LinBpResult, label: &str) {
     );
 }
 
-/// The counter contract: with the frontier on, every row of every
-/// executed sweep is either recomputed or skipped — nothing else. With
-/// it off, everything is recomputed.
-fn assert_counters(r: &LinBpResult, n: usize, frontier: bool, label: &str) {
+/// The counter contract: every row of every executed sweep is either
+/// recomputed or skipped — nothing else.
+fn assert_counters(r: &LinBpResult, n: usize, label: &str) {
     assert_eq!(
         r.rows_active + r.rows_skipped,
         (n * r.iterations) as u64,
         "{label}: rows_active + rows_skipped != n × iterations"
     );
-    if !frontier {
-        assert_eq!(r.rows_skipped, 0, "{label}: full path reported skips");
-    }
 }
 
-/// Solves with the frontier off (full recomputation) and on, asserting
-/// bitwise identity and the counter invariant; returns the frontier run.
+/// Solves LinBP with the frontier and asserts bitwise identity with the
+/// plain-loop oracle and the counter invariant; returns the solve.
 fn frontier_vs_full(
     adj: &CsrMatrix,
     e: &ExplicitBeliefs,
@@ -89,44 +107,24 @@ fn frontier_vs_full(
     base: &LinBpOptions,
     label: &str,
 ) -> LinBpResult {
-    let full = linbp(
-        adj,
-        e,
-        h,
-        &LinBpOptions {
-            parallelism: base.parallelism.with_frontier(false),
-            ..*base
-        },
-    )
-    .unwrap();
-    let fr = linbp(
-        adj,
-        e,
-        h,
-        &LinBpOptions {
-            parallelism: base.parallelism.with_frontier(true),
-            ..*base
-        },
-    )
-    .unwrap();
-    assert_runs_identical(&fr, &full, label);
-    assert_counters(&full, adj.n_rows(), false, label);
-    assert_counters(&fr, adj.n_rows(), true, label);
+    let fr = linbp(adj, e, h, base).unwrap();
+    assert_matches_oracle(&fr, &solo_full(adj, e, h, base), label);
+    assert_counters(&fr, adj.n_rows(), label);
     fr
 }
 
-/// The reference every stacked answer must hit bit for bit: the query
-/// solved alone, serially, with the frontier off.
-fn solo_full(adj: &CsrMatrix, e: &ExplicitBeliefs, h: &Mat, base: &LinBpOptions) -> LinBpResult {
+/// The reference every answer must hit bit for bit: the plain-loop
+/// oracle on the query alone, serially.
+fn solo_full(adj: &CsrMatrix, e: &ExplicitBeliefs, h: &Mat, base: &LinBpOptions) -> Reference {
     let opts = LinBpOptions {
-        parallelism: ParallelismConfig::serial().with_frontier(false),
+        parallelism: ParallelismConfig::serial(),
         ..*base
     };
-    linbp(adj, e, h, &opts).unwrap()
+    unfused_linbp(adj, e.residual_matrix(), h, true, &opts)
 }
 
 /// Solves `queries` as one stacked batch on `op` and asserts every
-/// answer equals its [`solo_full`] reference, run shape included.
+/// answer equals its [`solo_full`] oracle, run shape included.
 fn assert_batch_matches_solo<A: PropagationOperator + ?Sized>(
     op: &A,
     adj: &CsrMatrix,
@@ -138,8 +136,8 @@ fn assert_batch_matches_solo<A: PropagationOperator + ?Sized>(
     let got = linbp_batch_on(op, queries, h, opts).unwrap();
     for (j, (r, e)) in got.iter().zip(queries).enumerate() {
         let label = format!("{label}, query {j}");
-        assert_runs_identical(r, &solo_full(adj, e, h, opts), &label);
-        assert_counters(r, adj.n_rows(), opts.parallelism.frontier(), &label);
+        assert_matches_oracle(r, &solo_full(adj, e, h, opts), &label);
+        assert_counters(r, adj.n_rows(), &label);
     }
     got
 }
@@ -293,7 +291,7 @@ fn single_node_identical() {
 /// Frontier × paged backend under real eviction pressure: a budget that
 /// holds roughly one shard forces continuous eviction, and the frontier
 /// must neither fault frozen shards back in incorrectly nor diverge from
-/// the resident full-recomputation reference.
+/// the plain-loop oracle.
 #[test]
 fn frontier_under_paged_eviction_pressure() {
     let n = 72;
@@ -302,22 +300,18 @@ fn frontier_under_paged_eviction_pressure() {
     let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.04);
     let shards = 8usize;
     let budget = csr_bytes(&adj) / shards + 64;
-    let reference = linbp(
+    let reference = solo_full(
         &adj,
         &e,
         &h,
         &LinBpOptions {
             max_iter: 60,
             tol: 0.0,
-            parallelism: ParallelismConfig::serial().with_frontier(false),
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
     for threads in [1usize, 4] {
-        let cfg = ParallelismConfig::with_threads(threads)
-            .with_min_work(1)
-            .with_frontier(true);
+        let cfg = ParallelismConfig::with_threads(threads).with_min_work(1);
         let path = tmp(&format!("pressure-t{threads}.lsbp"));
         let opts = PagedOptions::default().with_budget(Some(budget));
         let paged = PagedCsr::spill(&adj, &path, shards, opts).unwrap();
@@ -334,8 +328,8 @@ fn frontier_under_paged_eviction_pressure() {
         )
         .unwrap();
         let label = format!("paged pressure t={threads}");
-        assert_runs_identical(&got, &reference, &label);
-        assert_counters(&got, n, true, &label);
+        assert_matches_oracle(&got, &reference, &label);
+        assert_counters(&got, n, &label);
         let stats = paged.stats();
         assert!(
             stats.evictions > 0,
@@ -348,9 +342,10 @@ fn frontier_under_paged_eviction_pressure() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The acceptance sweep: random graphs and couplings, frontier ⇔ full
-    /// bitwise across shards {1, 2, 8} × threads {1, 4} × budgets
-    /// {tiny, ample} on both the resident and the paged backend.
+    /// The acceptance sweep: random graphs and couplings, frontier ⇔ the
+    /// plain-loop oracle bitwise across shards {1, 2, 8} × threads {1, 4}
+    /// × budgets {tiny, ample} on both the resident and the paged
+    /// backend.
     #[test]
     fn frontier_equals_full_across_grid(
         nodes in 16usize..72,
@@ -379,34 +374,29 @@ proptest! {
             parallelism: ParallelismConfig::serial(),
             ..Default::default()
         };
-        // Serial resident full recomputation is the reference everything
-        // else must hit bit for bit.
-        let want = linbp(&adj, &e, &h, &LinBpOptions {
-            parallelism: ParallelismConfig::serial().with_frontier(false),
-            ..base
-        }).unwrap();
+        // The plain-loop oracle is the reference everything must hit bit
+        // for bit.
+        let want = solo_full(&adj, &e, &h, &base);
 
-        let cfg = ParallelismConfig::with_threads(threads)
-            .with_min_work(1)
-            .with_frontier(true);
+        let cfg = ParallelismConfig::with_threads(threads).with_min_work(1);
         let label = format!(
             "n={nodes} seed={seed} s={shards} t={threads} tol={tol} tiny={tiny_budget}"
         );
         // Resident sharded path.
         let sharded = ShardedCsr::from_csr(&adj, shards);
         let got = linbp_on(&sharded, &e, &h, &LinBpOptions { parallelism: cfg, ..base }).unwrap();
-        assert_runs_identical(&got, &want, &label);
-        assert_counters(&got, nodes, true, &label);
+        assert_matches_oracle(&got, &want, &label);
+        assert_counters(&got, nodes, &label);
         // Paged path under a tiny (always-evicting) or ample budget.
         let budget = if tiny_budget { 1 } else { csr_bytes(&adj) * 4 };
         let path = tmp(&format!("prop-{nodes}-{seed}-{shards}-{threads}-{tiny_budget}.lsbp"));
         let opts = PagedOptions::default().with_budget(Some(budget));
         let paged = PagedCsr::spill(&adj, &path, shards, opts).unwrap();
         let got = linbp_on(&paged, &e, &h, &LinBpOptions { parallelism: cfg, ..base }).unwrap();
-        assert_runs_identical(&got, &want, &format!("{label} (paged)"));
-        assert_counters(&got, nodes, true, &format!("{label} (paged)"));
+        assert_matches_oracle(&got, &want, &format!("{label} (paged)"));
+        assert_counters(&got, nodes, &format!("{label} (paged)"));
         // Stacked, q = 3 with distinct seed sets: per-query frontiers on
-        // both backends, each answer equal to its serial full solo solve.
+        // both backends, each answer equal to its oracle.
         let queries = [
             seeds(nodes, 3, &[(2, 0)]),
             seeds(nodes, 3, &[(nodes / 3, 1), (2 * nodes / 3, 2)]),
@@ -468,7 +458,7 @@ fn stacked_counters_equal_solo_counters() {
                         (solo.rows_active, solo.rows_skipped),
                         "{label} query {j}: stacked counters differ from the solo solve"
                     );
-                    assert_counters(got, n, true, &format!("{label} query {j}"));
+                    assert_counters(got, n, &format!("{label} query {j}"));
                     stacked_sum += got.rows_active;
                     solo_sum += solo.rows_active;
                     skipped += got.rows_skipped;
@@ -515,9 +505,9 @@ fn negative_zero_seed_is_marked_changed() {
 
 /// The start from `Ê` needs `w · 0.0 = ±0.0` and `d · 0.0 = ±0.0`. A
 /// weight of `1e200` overflows its squared degree to `inf`, and an `inf`
-/// weight breaks both: the full step then turns an all-zero row into
-/// NaN, so the frontier must start all-changed (with echo on the
-/// squared degrees, without it on the row sums) to stay identical.
+/// weight breaks both: full recomputation then turns an all-zero row
+/// into NaN, so the frontier must start all-changed (with echo on the
+/// squared degrees, without it on the row sums) to match the oracle.
 #[test]
 fn non_finite_degrees_start_all_changed() {
     let n = 24;
@@ -532,24 +522,18 @@ fn non_finite_degrees_start_all_changed() {
         let queries = [seeds(n, 3, &[(0, 0)]), seeds(n, 3, &[(9, 2)])];
         let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
         for echo in [true, false] {
-            let solve = |e: &ExplicitBeliefs, frontier: bool| {
-                let opts = LinBpOptions {
-                    max_iter: 60,
-                    tol: 1e-10,
-                    parallelism: ParallelismConfig::serial().with_frontier(frontier),
-                    ..Default::default()
-                };
-                if echo {
-                    linbp(&adj, e, &h, &opts).unwrap()
-                } else {
-                    linbp_star(&adj, e, &h, &opts).unwrap()
-                }
-            };
             let opts = LinBpOptions {
                 max_iter: 60,
                 tol: 1e-10,
                 parallelism: ParallelismConfig::serial(),
                 ..Default::default()
+            };
+            let solve = |e: &ExplicitBeliefs| {
+                if echo {
+                    linbp(&adj, e, &h, &opts).unwrap()
+                } else {
+                    linbp_star(&adj, e, &h, &opts).unwrap()
+                }
             };
             let stacked = if echo {
                 linbp_batch_on(&adj, &queries, &h, &opts)
@@ -559,17 +543,18 @@ fn non_finite_degrees_start_all_changed() {
             .unwrap();
             for (j, (e, got)) in queries.iter().zip(&stacked).enumerate() {
                 let label = format!("w={w} echo={echo} query {j}");
-                let want = solve(e, false);
-                assert_runs_identical(&solve(e, true), &want, &label);
-                assert_runs_identical(got, &want, &format!("{label} (stacked)"));
+                let want = unfused_linbp(&adj, e.residual_matrix(), &h, echo, &opts);
+                assert_matches_oracle(&solve(e), &want, &label);
+                assert_matches_oracle(got, &want, &format!("{label} (stacked)"));
             }
         }
     }
 }
 
 /// An isolated seed whose `|Ê|` exceeds the divergence guard trips it at
-/// sweep 1 — read out of the kernel's magnitudes — in the stacked, solo
-/// and frontier-off runs alike, while its batch neighbour keeps solving.
+/// sweep 1 — read out of the kernel's magnitudes — in the stacked and
+/// solo runs alike, as in the plain-loop oracle, while its batch
+/// neighbour keeps solving.
 #[test]
 fn isolated_seed_over_guard_trips_at_sweep_one() {
     let n = 30;
@@ -594,26 +579,13 @@ fn isolated_seed_over_guard_trips_at_sweep_one() {
         fr.diverged && fr.iterations == 1,
         "guard did not trip at sweep 1"
     );
-    for frontier in [true, false] {
-        let opts = LinBpOptions {
-            parallelism: opts.parallelism.with_frontier(frontier),
-            ..opts
-        };
-        let label = format!("guard, stacked, frontier={frontier}");
-        let got = assert_batch_matches_solo(
-            &adj,
-            &adj,
-            &[normal.clone(), big.clone()],
-            &h,
-            &opts,
-            &label,
-        );
-        assert!(got[1].diverged && got[1].iterations == 1, "{label}");
-        assert!(
-            !got[0].diverged && got[0].iterations > 1,
-            "{label}: the neighbour stopped too"
-        );
-    }
+    let label = "guard, stacked";
+    let got = assert_batch_matches_solo(&adj, &adj, &[normal, big], &h, &opts, label);
+    assert!(got[1].diverged && got[1].iterations == 1, "{label}");
+    assert!(
+        !got[0].diverged && got[0].iterations > 1,
+        "{label}: the neighbour stopped too"
+    );
 }
 
 /// Frozen queries are not copied forward: each is read from the buffer
@@ -675,6 +647,103 @@ fn queries_frozen_at_different_sweeps_read_from_their_buffer() {
         at(&|r| r.converged && r.iterations < budget && (budget - r.iterations).is_multiple_of(2)),
         "no even parity"
     );
+}
+
+/// One step at a time: a frozen query's blocks are neither computed nor
+/// written — whatever the output buffer held there stays — while every
+/// live query's blocks and deltas follow its plain-loop oracle round for
+/// round, bit for bit, and the steps skip pairs whose inputs did not
+/// change.
+#[test]
+fn frozen_query_block_stays_unwritten() {
+    let (n, k, q, sweeps) = (150, 3, 3, 8);
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        coo.push_symmetric(i, (i * 7 + 3) % n, 1.0);
+        coo.push_symmetric(i, (i + 1) % n, 0.5);
+    }
+    let adj = coo.to_csr();
+    let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
+    let h2 = h.matmul(&h);
+    let singles: Vec<ExplicitBeliefs> = (0..q).map(|j| seeds(n, k, &[(10 + 40 * j, j)])).collect();
+    // Each query's oracle rounds: (beliefs after the round, its delta).
+    let rounds = LinBpOptions {
+        max_iter: sweeps,
+        tol: 0.0,
+        divergence_guard: f64::INFINITY,
+        parallelism: ParallelismConfig::serial(),
+        ..Default::default()
+    };
+    let trajectories: Vec<Vec<(Mat, f64)>> = singles
+        .iter()
+        .map(|e| {
+            let mut trajectory = Vec::new();
+            unfused_linbp_observed(&adj, e.residual_matrix(), &h, true, &rounds, |old, new| {
+                trajectory.push((new.clone(), new.max_abs_diff(old)));
+            });
+            trajectory
+        })
+        .collect();
+    // Per sweep, every query's oracle round.
+    let oracle: Vec<Vec<&(Mat, f64)>> = (0..sweeps)
+        .map(|sweep| trajectories.iter().map(|t| &t[sweep]).collect())
+        .collect();
+    let e = Mat::from_fn(n, k * q, |r, c| {
+        singles[c / k].residual_matrix()[(r, c % k)]
+    });
+    let step = FusedLinBpStep {
+        e_hat: &e,
+        h: &h,
+        h2: Some(&h2),
+        degrees: adj.squared_weight_degrees(),
+        damping: 0.0,
+    };
+    let sentinel = f64::from_bits(0x7FF4_0000_0000_BEEF);
+    for threads in [1usize, 4] {
+        let cfg = ParallelismConfig::with_threads(threads).with_min_work(1);
+        let mut state = FrontierState::from_seeds(adj.frontier_plan(), &e, k);
+        let (mut b, mut next) = (e.clone(), Mat::zeros(n, k * q));
+        for (sweep, round) in oracle.iter().enumerate() {
+            // Query 1 freezes after sweep 3; from then on its block of the
+            // output buffer holds a sentinel the step must leave alone.
+            let live = [true, sweep < 3, true];
+            if !live[1] {
+                for r in 0..n {
+                    next.row_mut(r)[k..2 * k].fill(sentinel);
+                }
+            }
+            let mut deltas = vec![f64::NAN; q];
+            let mut fr = state.begin(&live);
+            adj.linbp_step_fused_frontier_with(&b, &step, &mut next, &mut deltas, &mut fr, &cfg);
+            state.commit();
+            for (j, &on) in live.iter().enumerate() {
+                let label = format!("t={threads} sweep {sweep} query {j}");
+                let got = Mat::from_fn(n, k, |r, c| next[(r, j * k + c)]);
+                if on {
+                    let (want, want_delta) = round[j];
+                    assert!(bits_equal(&got, want), "{label}: differs from the oracle");
+                    assert_eq!(deltas[j].to_bits(), want_delta.to_bits(), "{label}: delta");
+                } else {
+                    assert!(
+                        got.as_slice()
+                            .iter()
+                            .all(|x| x.to_bits() == sentinel.to_bits()),
+                        "{label}: a frozen block was written"
+                    );
+                }
+            }
+            std::mem::swap(&mut b, &mut next);
+        }
+        assert_eq!(
+            state.rows_active[1] + state.rows_skipped[1],
+            3 * n as u64,
+            "t={threads}: query 1 counted only while live"
+        );
+        assert!(
+            state.rows_skipped.iter().sum::<u64>() > 0,
+            "t={threads}: nothing skipped"
+        );
+    }
 }
 
 /// Label draws over a network's nodes: draw `j` labels about one node in

@@ -247,9 +247,8 @@ fn second_paged_solve_reuses_the_cached_invariants() {
     let second = linbp_on(&paged, &e, &h, &opts).unwrap();
     let second_visits = visits(&paged) - after_first;
     assert_linbp_equal(&second, &first, "second vs first");
-    // The degrees walk, plus the plan walk when the frontier is on
-    // (`LSBP_FRONTIER=off` never builds the plan).
-    let walks = 1 + u64::from(opts.parallelism.frontier());
+    // The degrees walk and the plan walk.
+    let walks = 2;
     assert_eq!(
         after_first - second_visits,
         walks * paged.num_shards() as u64,

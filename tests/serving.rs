@@ -453,16 +453,18 @@ fn identical_pair_in_one_batch_keeps_the_other_cached_answers() {
     assert_eq!(core.stats().cached_entries, 3);
 }
 
-/// `ServerConfig::parallelism` is the solve configuration: a core with
-/// the frontier off recomputes every row, a core with it on skips the
-/// rows the seeds never reach (nodes 10.. are isolated, whole frontier
-/// blocks of them), and both answer bit for bit alike.
+/// `ServerConfig::parallelism` is the solve configuration: its memory
+/// budget sizes the buffer pool a spilled graph is solved through. A core
+/// with a 1-byte budget evicts shards during the solve, an unbudgeted
+/// one never does, and both answer bit for bit alike.
 #[test]
 fn server_parallelism_config_reaches_solves() {
     let h = coupling();
-    let answer = |frontier: bool| {
+    let answer = |name: &str, budget: usize| {
+        let dir = spill_scratch(name);
         let core = ServerCore::new(ServerConfig {
-            parallelism: ParallelismConfig::from_env().with_frontier(frontier),
+            spill_dir: Some(dir),
+            parallelism: ParallelismConfig::from_env().with_memory_budget(budget),
             ..ServerConfig::default()
         });
         let registered = core.handle_blocking(Request::RegisterGraph {
@@ -480,14 +482,104 @@ fn server_parallelism_config_reaches_solves() {
             Response::Beliefs(payload) => payload,
             other => panic!("solve failed: {other:?}"),
         };
-        (payload, core.stats().frontier_rows_skipped)
+        let stats = core.stats();
+        (payload, stats.pager_misses, stats.pager_evictions)
     };
-    let (full, skipped_off) = answer(false);
-    let (skipping, skipped_on) = answer(true);
-    assert_eq!(skipped_off, 0, "frontier off must skip nothing");
-    assert!(skipped_on > 0, "frontier on must skip the isolated blocks");
-    assert_eq!(full.iterations, skipping.iterations);
-    assert_bitwise("frontier on vs off", &skipping.beliefs, &full.beliefs);
+    let (budgeted, misses_small, evictions_small) = answer("config-budget", 1);
+    let (unbudgeted, misses_none, evictions_none) = answer("config-unbudgeted", 0);
+    assert!(
+        evictions_small > 0 && misses_small > misses_none,
+        "1-byte budget: {misses_small} misses, {evictions_small} evictions \
+         (unbudgeted: {misses_none} misses)"
+    );
+    assert_eq!(evictions_none, 0, "the unbudgeted pool evicted");
+    assert_eq!(budgeted.iterations, unbudgeted.iterations);
+    assert_bitwise(
+        "budgeted vs unbudgeted",
+        &budgeted.beliefs,
+        &unbudgeted.beliefs,
+    );
+}
+
+/// Identical queries parked into one batch are solved as one stacked
+/// column: the pair adds exactly one solo solve's frontier rows, and
+/// both get that solve's answer.
+#[test]
+fn identical_parked_pair_is_solved_once() {
+    let h = coupling();
+    let solve = |q: usize| Request::SolveLinBp {
+        graph_id: 1,
+        params: wire_params(&h),
+        seeds: wire_seeds(q, 1.0),
+    };
+    let core = ServerCore::new(ServerConfig::default());
+    let registered = core.handle_blocking(Request::RegisterGraph {
+        graph_id: 1,
+        n_nodes: 10,
+        symmetric: true,
+        edges: wire_edges(),
+    });
+    assert!(matches!(registered, Response::Registered { .. }));
+    // A solo solve of the query the pair repeats, on a core of its own.
+    let solo_core = ServerCore::new(ServerConfig::default());
+    assert!(matches!(
+        solo_core.handle_blocking(Request::RegisterGraph {
+            graph_id: 1,
+            n_nodes: 10,
+            symmetric: true,
+            edges: wire_edges(),
+        }),
+        Response::Registered { .. }
+    ));
+    let solo = match solo_core.handle_blocking(solve(2)) {
+        Response::Beliefs(p) => p,
+        other => panic!("solve failed: {other:?}"),
+    };
+    assert_eq!(solo.served, ServedVia::Solo);
+    let solo_rows = solo_core.stats().frontier_rows_active;
+    assert!(solo_rows > 0);
+
+    // Hold the solver in a responder so the pair parks behind it.
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    core.submit(
+        solve(1),
+        Box::new(move |_| {
+            held_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        }),
+    );
+    held_rx.recv_timeout(Duration::from_secs(30)).unwrap();
+    let before = core.stats();
+    let (tx, rx) = mpsc::channel();
+    for _ in 0..2 {
+        let tx = tx.clone();
+        core.submit(solve(2), Box::new(move |r| drop(tx.send(r))));
+    }
+    release_tx.send(()).unwrap();
+    for _ in 0..2 {
+        match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
+            Response::Beliefs(p) => {
+                assert_eq!(p.served, ServedVia::Coalesced { batch: 2 });
+                assert_eq!(p.iterations, solo.iterations);
+                assert_bitwise("twin vs solo", &p.beliefs, &solo.beliefs);
+            }
+            other => panic!("solve failed: {other:?}"),
+        }
+    }
+    let after = core.stats();
+    assert_eq!(
+        after.frontier_rows_active - before.frontier_rows_active,
+        solo_rows,
+        "the pair must cost one solo solve's rows"
+    );
+    assert_eq!(after.queries_served - before.queries_served, 2);
+    assert_eq!(after.spmm_passes - before.spmm_passes, solo.iterations);
+    assert_eq!(
+        after.spmm_passes_sequential_equiv - before.spmm_passes_sequential_equiv,
+        solo.iterations
+    );
+    assert_eq!(after.cached_entries, 2, "one entry per distinct query");
 }
 
 /// Queries whose convergence points differ by orders of magnitude still

@@ -182,7 +182,8 @@ impl LinBpScratch {
 
 /// One update step `out = Ê + A·B·Ĥ [− D·B·Ĥ²]` as the **unfused**
 /// composition: SpMM, dense `·Ĥ` and element-wise add/sub as separate
-/// passes. The library runs [`CsrMatrix::linbp_step_fused_with`], one
+/// passes. The library runs the fused step
+/// ([`PropagationOperator::linbp_step_fused_frontier_with`]), one
 /// row-partitioned pass that must be bitwise identical to this.
 #[allow(clippy::too_many_arguments)] // mirrors the terms of Eq. 6 one-to-one
 fn linbp_step<A: PropagationOperator + ?Sized>(

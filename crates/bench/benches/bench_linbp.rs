@@ -25,10 +25,10 @@ fn bench(c: &mut Criterion) {
             ..Default::default()
         };
         group.bench_with_input(BenchmarkId::new("linbp", n), &n, |b, _| {
-            b.iter(|| linbp(&adj, &e, &h, &opts).unwrap())
+            b.iter(|| linbp_on(&adj, &e, &h, &opts).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("linbp_star", n), &n, |b, _| {
-            b.iter(|| linbp_star(&adj, &e, &h, &opts).unwrap())
+            b.iter(|| linbp_star_on(&adj, &e, &h, &opts).unwrap())
         });
     }
     group.finish();
@@ -66,7 +66,7 @@ fn stacked_vs_solo(c: &mut Criterion) {
         b.iter(|| {
             queries
                 .iter()
-                .map(|e| linbp(&adj, e, &h, &opts).unwrap())
+                .map(|e| linbp_on(&adj, e, &h, &opts).unwrap())
                 .collect::<Vec<_>>()
         })
     });
@@ -110,7 +110,7 @@ fn fixed_budget_tail(c: &mut Criterion) {
         ..Default::default()
     };
     group.bench_function("q1", |b| {
-        b.iter(|| linbp(&adj, &queries[0], &h, &opts).unwrap())
+        b.iter(|| linbp_on(&adj, &queries[0], &h, &opts).unwrap())
     });
     group.bench_function("q8", |b| {
         b.iter(|| linbp_batch_on(&adj, &queries, &h, &opts).unwrap())

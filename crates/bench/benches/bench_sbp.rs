@@ -17,7 +17,7 @@ fn bench(c: &mut Criterion) {
         let n = graph.num_nodes();
         let e = kronecker_style_beliefs(n, 3, n / 20, m as u64, false);
         group.bench_with_input(BenchmarkId::new("sbp", n), &n, |b, _| {
-            b.iter(|| sbp(&adj, &e, &ho).unwrap())
+            b.iter(|| sbp_on(&adj, &e, &ho, &ParallelismConfig::default()).unwrap())
         });
     }
     group.finish();
@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
     let adj = graph.adjacency();
     let n = graph.num_nodes();
     let e = kronecker_style_beliefs(n, 3, n / 20, 3, false);
-    let prev = sbp(&adj, &e, &ho).unwrap();
+    let prev = sbp_on(&adj, &e, &ho, &ParallelismConfig::default()).unwrap();
     let delta = random_labels(n, 3, (n / 1000).max(1), 9);
     group.bench_function("add_explicit_1permille", |b| {
         b.iter(|| sbp_add_explicit(&adj, &ho, &prev, &delta).unwrap())
@@ -36,7 +36,7 @@ fn bench(c: &mut Criterion) {
     // Edge insertion: re-add the last 0.5% of edges.
     let keep = graph.num_edges() - graph.num_edges() / 200;
     let (base, extra) = graph.split_edges(keep);
-    let prev_base = sbp(&base.adjacency(), &e, &ho).unwrap();
+    let prev_base = sbp_on(&base.adjacency(), &e, &ho, &ParallelismConfig::default()).unwrap();
     let new_edges: Vec<_> = extra.edges().collect();
     group.bench_function("add_edges_0.5pct", |b| {
         b.iter(|| sbp_add_edges(&adj, &new_edges, &ho, &prev_base).unwrap())

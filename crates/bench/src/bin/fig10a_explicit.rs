@@ -35,8 +35,9 @@ fn main() {
             tol: 0.0,
             ..Default::default()
         };
-        let (_, t_lin) = time_once(|| linbp(&adj, &e, &h, &lin_opts).unwrap());
-        let (sbp_result, t_sbp) = time_once(|| sbp(&adj, &e, &ho).unwrap());
+        let (_, t_lin) = time_once(|| linbp_on(&adj, &e, &h, &lin_opts).unwrap());
+        let (sbp_result, t_sbp) =
+            time_once(|| sbp_on(&adj, &e, &ho, &ParallelismConfig::default()).unwrap());
         println!(
             "{:>9}% {:>12} {:>12} {:>8}",
             pct,

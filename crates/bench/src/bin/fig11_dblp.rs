@@ -40,7 +40,7 @@ fn main() {
     println!("exact LinBP threshold: εH = {eps_exact:.2e} (paper: ≈1.3e-3)");
 
     // SBP once (εH-independent).
-    let sbp_r = sbp(&adj, &labels, &ho).unwrap();
+    let sbp_r = sbp_on(&adj, &labels, &ho, &ParallelismConfig::default()).unwrap();
     let sbp_tops = sbp_r.beliefs.top_belief_assignment(1e-9);
 
     println!(
@@ -71,8 +71,8 @@ fn main() {
             ..Default::default()
         };
         let h = ho.scale(eps);
-        let lin = linbp(&adj, &labels, &h, &opts).unwrap();
-        let star = linbp_star(&adj, &labels, &h, &opts).unwrap();
+        let lin = linbp_on(&adj, &labels, &h, &opts).unwrap();
+        let star = linbp_star_on(&adj, &labels, &h, &opts).unwrap();
         let f1_of = |r: &lsbp::linbp::LinBpResult| {
             if r.diverged {
                 f64::NAN

@@ -20,7 +20,7 @@ fn main() {
     e.set_residual(2, &[-1.0, -1.0, 2.0]).unwrap();
 
     // Reference: SBP (the εH → 0 limit — dashed horizontal lines in Fig. 4).
-    let sbp_r = sbp(&adj, &e, &ho).unwrap();
+    let sbp_r = sbp_on(&adj, &e, &ho, &ParallelismConfig::default()).unwrap();
     let sbp_std = sbp_r.beliefs.standardized(TORUS_V4);
     println!(
         "SBP reference (dashed lines): [{:.3}, {:.3}, {:.3}]   (paper: [-0.069, 1.258, -1.189])",
@@ -72,9 +72,9 @@ fn main() {
         } else {
             None
         };
-        let lin = linbp(&adj, &e, &h, &opts).unwrap();
+        let lin = linbp_on(&adj, &e, &h, &opts).unwrap();
         let lin_std = (lin.converged && !lin.diverged).then(|| lin.beliefs.standardized(TORUS_V4));
-        let star = linbp_star(&adj, &e, &h, &opts).unwrap();
+        let star = linbp_star_on(&adj, &e, &h, &opts).unwrap();
         let star_std =
             (star.converged && !star.diverged).then(|| star.beliefs.standardized(TORUS_V4));
         let sigma = if lin.converged && !lin.diverged {

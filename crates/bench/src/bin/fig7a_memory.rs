@@ -58,7 +58,7 @@ fn main() {
             tol: 0.0,
             ..Default::default()
         };
-        let (lin_result, lin_time) = time_once(|| linbp(&adj, &e, &h_res, &lin_opts).unwrap());
+        let (lin_result, lin_time) = time_once(|| linbp_on(&adj, &e, &h_res, &lin_opts).unwrap());
         assert_eq!(bp_result.iterations, 5);
         assert_eq!(lin_result.iterations, 5);
 

@@ -50,7 +50,7 @@ fn main() {
             tol: 0.0,
             ..Default::default()
         };
-        let (_, t_lin_mem) = time_once(|| linbp(&adj, &e, &h_scaled, &lin_opts).unwrap());
+        let (_, t_lin_mem) = time_once(|| linbp_on(&adj, &e, &h_scaled, &lin_opts).unwrap());
 
         let db_lin = SqlDb::new(&graph, &e, &h_scaled);
         let (_, t_lin_rel) = time_once(|| db_lin.linbp(5, true));

@@ -44,7 +44,7 @@ fn main() {
             },
         )
         .unwrap();
-        let lin = linbp(
+        let lin = linbp_on(
             &adj,
             &e,
             &ho.scale(eps),

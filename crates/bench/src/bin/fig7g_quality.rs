@@ -25,7 +25,7 @@ fn main() {
     let ho = CouplingMatrix::fig6b_residual();
 
     // SBP is εH-independent: compute once.
-    let sbp_r = sbp(&adj, &e, &ho).unwrap();
+    let sbp_r = sbp_on(&adj, &e, &ho, &ParallelismConfig::default()).unwrap();
     let sbp_tops = sbp_r.beliefs.top_belief_assignment(1e-9);
 
     println!(
@@ -50,13 +50,13 @@ fn main() {
     let mut count = 0usize;
     for eps in log_sweep(1e-8, 1e-2, points) {
         let h = ho.scale(eps);
-        let lin = linbp(&adj, &e, &h, &opts).unwrap();
+        let lin = linbp_on(&adj, &e, &h, &opts).unwrap();
         if lin.diverged {
             println!("{eps:>10.1e} |   (LinBP diverged — right edge of Fig. 7g)");
             continue;
         }
         let gt = lin.beliefs.top_belief_assignment(1e-6);
-        let star = linbp_star(&adj, &e, &h, &opts).unwrap();
+        let star = linbp_star_on(&adj, &e, &h, &opts).unwrap();
         let star_q = quality(&gt, &star.beliefs.top_belief_assignment(1e-6));
         let sbp_q = quality(&gt, &sbp_tops);
         sbp_r_sum += sbp_q.recall;

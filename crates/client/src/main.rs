@@ -342,7 +342,7 @@ fn selftest(
     let payload_linbp = client
         .solve_linbp(graph_id, wire_params(true, &h), wire_seeds(0))
         .map_err(|e| format!("linbp solve: {e}"))?;
-    let reference = linbp(&adj, &lib_seeds(0), &h, &opts).map_err(|e| e.to_string())?;
+    let reference = linbp_on(&adj, &lib_seeds(0), &h, &opts).map_err(|e| e.to_string())?;
     if !payload_linbp.converged || !reference.converged {
         return Err("linbp: expected convergence on the fixture".into());
     }
@@ -359,7 +359,8 @@ fn selftest(
     let payload_star = client
         .solve_linbp(graph_id, wire_params(false, &h), wire_seeds(1))
         .map_err(|e| format!("linbp* solve: {e}"))?;
-    let reference_star = linbp_star(&adj, &lib_seeds(1), &h, &opts).map_err(|e| e.to_string())?;
+    let reference_star =
+        linbp_star_on(&adj, &lib_seeds(1), &h, &opts).map_err(|e| e.to_string())?;
     assert_bitwise(
         "linbp*",
         &payload_star.beliefs,
@@ -384,7 +385,7 @@ fn selftest(
         norm: ToleranceNorm::MaxAbs,
         parallelism: ParallelismConfig::from_env(),
     };
-    let reference_rwr = rwr(&adj, &lib_seeds(2), &rwr_opts).map_err(|e| e.to_string())?;
+    let reference_rwr = rwr_on(&adj, &lib_seeds(2), &rwr_opts).map_err(|e| e.to_string())?;
     assert_bitwise(
         "rwr",
         &payload_rwr.beliefs,
@@ -419,7 +420,7 @@ fn selftest(
                         .solve_linbp(graph_id, wire_params(true, h), wire_seeds(shift))
                         .map_err(|e| format!("thread {t}: {e}"))?;
                     let adj = fixture_adjacency();
-                    let reference = linbp(&adj, &lib_seeds(shift), h, &lib_opts())
+                    let reference = linbp_on(&adj, &lib_seeds(shift), h, &lib_opts())
                         .map_err(|e| format!("thread {t}: {e}"))?;
                     assert_bitwise(
                         &format!("concurrent[{t}]"),
@@ -537,7 +538,7 @@ fn selftest(
                 .set_residual(node, &row)
                 .expect("seed rows are centered");
         }
-        let reference = linbp(&wide_adj, &wide_seeds, &h, &opts).map_err(|e| e.to_string())?;
+        let reference = linbp_on(&wide_adj, &wide_seeds, &h, &opts).map_err(|e| e.to_string())?;
         assert_bitwise(
             &format!("frontier[{shift}]"),
             &payload.beliefs,
@@ -581,7 +582,8 @@ fn selftest(
         let payload_paged = client
             .solve_linbp(paged_id, wire_params(true, &h), wire_seeds(3))
             .map_err(|e| format!("paged solve: {e}"))?;
-        let reference_paged = linbp(&adj, &lib_seeds(3), &h, &opts).map_err(|e| e.to_string())?;
+        let reference_paged =
+            linbp_on(&adj, &lib_seeds(3), &h, &opts).map_err(|e| e.to_string())?;
         assert_bitwise(
             "paged",
             &payload_paged.beliefs,

@@ -9,10 +9,14 @@
 //! times, which is exactly the amortization the paper's "BP as sparse
 //! matrix algebra" framing buys (Sect. 5).
 //!
-//! These drivers are the only LinBP and RWR solvers: the single-query
-//! entry points ([`crate::linbp::linbp_on`], [`crate::rwr::rwr_on`], …)
-//! are one-element batches. So a kernel or stopping-rule change is made
-//! once, and a single query can never drift from its batched twin.
+//! Entry points: [`linbp_batch_on`], [`linbp_star_batch_on`],
+//! [`linbp_update_batch_on`] and [`rwr_batch_on`]. These drivers are the
+//! only LinBP and RWR solvers: the single-query entry points
+//! ([`crate::linbp::linbp_on`], [`crate::linbp::linbp_star_on`],
+//! [`crate::linbp::linbp_observed`], [`crate::linbp::linbp_update`] and
+//! [`crate::rwr::rwr_on`]) are one-element batches. So a kernel or
+//! stopping-rule change is made once, and a single query can never drift
+//! from its batched twin.
 //!
 //! Per-query convergence is tracked with masks: a query whose belief
 //! change drops under `tol` (or whose magnitudes trip the divergence

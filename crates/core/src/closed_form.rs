@@ -16,7 +16,7 @@
 //!   returning garbage when ρ ≥ 1.
 
 use crate::beliefs::{BeliefMatrix, ExplicitBeliefs};
-use crate::linbp::{linbp, linbp_star, LinBpOptions};
+use crate::linbp::{linbp_on, linbp_star_on, LinBpOptions};
 use lsbp_linalg::{lu_solve, Mat};
 use lsbp_sparse::CsrMatrix;
 
@@ -99,9 +99,9 @@ pub fn linbp_closed_form_jacobi(
     opts: &LinBpOptions,
 ) -> Result<BeliefMatrix, ClosedFormError> {
     let run = if echo {
-        linbp(adj, explicit, h_residual, opts)
+        linbp_on(adj, explicit, h_residual, opts)
     } else {
-        linbp_star(adj, explicit, h_residual, opts)
+        linbp_star_on(adj, explicit, h_residual, opts)
     };
     let result = run.map_err(|_| ClosedFormError::DimensionMismatch)?;
     if result.diverged || !result.converged {

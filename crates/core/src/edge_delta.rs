@@ -146,7 +146,7 @@ pub fn linbp_edge_delta_seed(
 mod tests {
     use super::*;
     use crate::coupling::CouplingMatrix;
-    use crate::linbp::{linbp, linbp_star, linbp_update, LinBpOptions};
+    use crate::linbp::{linbp_on, linbp_star_on, linbp_update, LinBpOptions};
     use lsbp_graph::Graph;
 
     fn fixture() -> (CsrMatrix, ExplicitBeliefs, Mat) {
@@ -186,9 +186,9 @@ mod tests {
             };
             let run = |a: &CsrMatrix, e: &ExplicitBeliefs| {
                 if echo {
-                    linbp(a, e, &h, &opts).unwrap()
+                    linbp_on(a, e, &h, &opts).unwrap()
                 } else {
-                    linbp_star(a, e, &h, &opts).unwrap()
+                    linbp_star_on(a, e, &h, &opts).unwrap()
                 }
             };
             let old = run(&adj, &e);
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn seed_support_and_centering() {
         let (adj, e, h) = fixture();
-        let old = linbp(&adj, &e, &h, &LinBpOptions::default()).unwrap();
+        let old = linbp_on(&adj, &e, &h, &LinBpOptions::default()).unwrap();
         let deltas = [(2usize, 3usize, 0.25), (3, 2, 0.25)];
         let seed = linbp_edge_delta_seed(&adj, &deltas, &old.beliefs, &h, true).unwrap();
         assert_eq!(seed.explicit_nodes(), vec![2, 3]);
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn zero_net_delta_is_empty_seed() {
         let (adj, e, h) = fixture();
-        let old = linbp(&adj, &e, &h, &LinBpOptions::default()).unwrap();
+        let old = linbp_on(&adj, &e, &h, &LinBpOptions::default()).unwrap();
         let deltas = [(1usize, 2usize, 0.5), (1, 2, -0.5)];
         let seed = linbp_edge_delta_seed(&adj, &deltas, &old.beliefs, &h, true).unwrap();
         assert_eq!(seed.num_explicit(), 0);
@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn rejects_bad_inputs() {
         let (adj, e, h) = fixture();
-        let old = linbp(&adj, &e, &h, &LinBpOptions::default()).unwrap();
+        let old = linbp_on(&adj, &e, &h, &LinBpOptions::default()).unwrap();
         assert_eq!(
             linbp_edge_delta_seed(&adj, &[(0, 99, 1.0)], &old.beliefs, &h, true).unwrap_err(),
             LinBpError::DimensionMismatch

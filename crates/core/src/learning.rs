@@ -289,7 +289,7 @@ mod tests {
             e.set_label(v, classes[v], 1.0).unwrap();
         }
         let eps = 0.5 * crate::convergence::eps_max_exact_linbp_star(&learned.residual(), &adj);
-        let r = crate::linbp::linbp_star(
+        let r = crate::linbp::linbp_star_on(
             &adj,
             &e,
             &learned.scaled_residual(eps),

@@ -42,7 +42,7 @@
 //! let eps = 0.1;
 //! let adj = graph.adjacency();
 //! let h = coupling.scaled_residual(eps);
-//! let result = linbp(&adj, &explicit, &h, &LinBpOptions::default()).unwrap();
+//! let result = linbp_on(&adj, &explicit, &h, &LinBpOptions::default()).unwrap();
 //! assert!(result.converged);
 //! let labels = result.beliefs.top_belief_assignment(1e-9);
 //! assert_eq!(labels[0], vec![0]); // v1 keeps its own label
@@ -108,16 +108,13 @@ pub mod prelude {
     pub use crate::edge_delta::linbp_edge_delta_seed;
     pub use crate::learning::{learn_coupling, learn_coupling_from_classes, LearnOptions};
     pub use crate::linbp::{
-        linbp, linbp_observed, linbp_on, linbp_star, linbp_star_on, linbp_update, LinBpOptions,
-        LinBpResult,
+        linbp_observed, linbp_on, linbp_star_on, linbp_update, LinBpOptions, LinBpResult,
     };
     pub use crate::metrics::{
         accuracy, f1_score, precision_recall, precision_recall_masked, quality, QualityReport,
     };
-    pub use crate::rwr::{rwr, rwr_on, RwrOptions, RwrResult};
-    pub use crate::sbp::{
-        sbp, sbp_add_edges, sbp_add_explicit, sbp_observed, sbp_on, sbp_with, SbpResult,
-    };
+    pub use crate::rwr::{rwr_on, RwrOptions, RwrResult};
+    pub use crate::sbp::{sbp_add_edges, sbp_add_explicit, sbp_observed, sbp_on, SbpResult};
     pub use crate::{open_paged, spill_paged};
     pub use lsbp_linalg::{
         FixedPointOp, FixedPointSolver, IterationEvent, ParallelismConfig, SolveOutcome,

@@ -17,15 +17,18 @@
 //! process here reports divergence when belief magnitudes blow past a
 //! guard threshold.
 //!
-//! Every entry point here is a one-query batch through the batched
+//! Entry points: [`linbp_on`] (Eq. 6), [`linbp_star_on`] (Eq. 7),
+//! [`linbp_observed`] (either, with a per-round observer) and
+//! [`linbp_update`] (incremental maintenance). Each takes any
+//! [`PropagationOperator`] and is a one-query batch through the batched
 //! driver ([`crate::batch`]).
 
 use crate::batch::{linbp_batch_run_on, linbp_update_batch_on};
 use crate::beliefs::{BeliefMatrix, ExplicitBeliefs};
 use lsbp_linalg::{IterationEvent, Mat, ParallelismConfig, ToleranceNorm};
-use lsbp_sparse::{CsrMatrix, PropagationOperator};
+use lsbp_sparse::PropagationOperator;
 
-/// Options for [`linbp`] / [`linbp_star`].
+/// Options for [`linbp_on`] / [`linbp_star_on`].
 #[derive(Clone, Copy, Debug)]
 pub struct LinBpOptions {
     /// Maximum number of update rounds.
@@ -105,72 +108,39 @@ impl std::fmt::Display for LinBpError {
 
 impl std::error::Error for LinBpError {}
 
-/// Runs **LinBP** (Eq. 6, with echo cancellation).
+/// Runs **LinBP** (Eq. 6, with echo cancellation) against any
+/// [`PropagationOperator`]: a resident [`lsbp_sparse::CsrMatrix`], a
+/// [`lsbp_sparse::ShardedCsr`] or a paged store ([`crate::spill_paged`]).
+/// Results are bitwise identical for every backend honoring the operator
+/// contract.
 ///
 /// `h_residual` is the scaled residual coupling matrix `Ĥ = εH·Ĥo`.
-///
-/// To solve on a sharded or paged layout, build the operator once
-/// ([`lsbp_sparse::ShardedCsr::from_csr`], [`crate::spill_paged`]) and
-/// call [`linbp_on`] — bitwise identical to this monolithic path.
-pub fn linbp(
-    adj: &CsrMatrix,
-    explicit: &ExplicitBeliefs,
-    h_residual: &Mat,
-    opts: &LinBpOptions,
-) -> Result<LinBpResult, LinBpError> {
-    linbp_on(adj, explicit, h_residual, opts)
-}
-
-/// Runs **LinBP\*** (Eq. 7, echo cancellation dropped).
-pub fn linbp_star(
-    adj: &CsrMatrix,
-    explicit: &ExplicitBeliefs,
-    h_residual: &Mat,
-    opts: &LinBpOptions,
-) -> Result<LinBpResult, LinBpError> {
-    linbp_star_on(adj, explicit, h_residual, opts)
-}
-
-/// [`linbp`] against any [`PropagationOperator`] — the generic engine
-/// entry point. Results are bitwise identical for every backend honoring
-/// the operator contract.
 pub fn linbp_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     explicit: &ExplicitBeliefs,
     h_residual: &Mat,
     opts: &LinBpOptions,
 ) -> Result<LinBpResult, LinBpError> {
-    solve_one(adj, explicit, h_residual, opts, true, |_| {})
+    linbp_observed(adj, explicit, h_residual, opts, true, |_| {})
 }
 
-/// [`linbp_star`] against any [`PropagationOperator`] (see [`linbp_on`]).
+/// Runs **LinBP\*** (Eq. 7, echo cancellation dropped); see [`linbp_on`].
 pub fn linbp_star_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     explicit: &ExplicitBeliefs,
     h_residual: &Mat,
     opts: &LinBpOptions,
 ) -> Result<LinBpResult, LinBpError> {
-    solve_one(adj, explicit, h_residual, opts, false, |_| {})
+    linbp_observed(adj, explicit, h_residual, opts, false, |_| {})
 }
 
-/// [`linbp`] / [`linbp_star`] (`echo` selects Eq. 6 vs. Eq. 7) with a
-/// per-iteration observer: `observer` fires after every update round with
-/// the round number and belief delta — the instrumentation hook behind
-/// the Fig. 7d per-iteration timing harness. The last event's delta is
-/// the result's `final_delta`.
-pub fn linbp_observed(
-    adj: &CsrMatrix,
-    explicit: &ExplicitBeliefs,
-    h_residual: &Mat,
-    opts: &LinBpOptions,
-    echo: bool,
-    observer: impl FnMut(&IterationEvent),
-) -> Result<LinBpResult, LinBpError> {
-    solve_one(adj, explicit, h_residual, opts, echo, observer)
-}
-
-/// One query through the batched driver.
-fn solve_one<A: PropagationOperator + ?Sized>(
+/// [`linbp_on`] / [`linbp_star_on`] (`echo` selects Eq. 6 vs. Eq. 7) with
+/// a per-iteration observer: `observer` fires after every update round
+/// with the round number and belief delta — the instrumentation hook
+/// behind the Fig. 7d per-iteration timing harness. The last event's
+/// delta is the result's `final_delta`. One query through the batched
+/// driver.
+pub fn linbp_observed<A: PropagationOperator + ?Sized>(
     adj: &A,
     explicit: &ExplicitBeliefs,
     h_residual: &Mat,
@@ -203,8 +173,8 @@ fn solve_one<A: PropagationOperator + ?Sized>(
 /// (geodesic numbers) because its semantics is non-linear in the label
 /// *set*; LinBP's linearity makes incremental maintenance exact and
 /// stateless.
-pub fn linbp_update(
-    adj: &CsrMatrix,
+pub fn linbp_update<A: PropagationOperator + ?Sized>(
+    adj: &A,
     previous: &BeliefMatrix,
     delta_explicit: &ExplicitBeliefs,
     h_residual: &Mat,
@@ -247,7 +217,7 @@ mod tests {
         let adj = path(6).adjacency();
         let e = seed(6, 2);
         let h = CouplingMatrix::fig1a().unwrap().scaled_residual(0.2);
-        let r = linbp(&adj, &e, &h, &LinBpOptions::default()).unwrap();
+        let r = linbp_on(&adj, &e, &h, &LinBpOptions::default()).unwrap();
         assert!(r.converged && !r.diverged);
         for v in 0..6 {
             assert_eq!(r.beliefs.top_beliefs(v, 1e-9), vec![0], "node {v}");
@@ -259,7 +229,7 @@ mod tests {
         let adj = path(4).adjacency();
         let e = seed(4, 2);
         let h = CouplingMatrix::fig1b().unwrap().scaled_residual(0.2);
-        let r = linbp(&adj, &e, &h, &LinBpOptions::default()).unwrap();
+        let r = linbp_on(&adj, &e, &h, &LinBpOptions::default()).unwrap();
         assert!(r.converged);
         assert_eq!(r.beliefs.top_beliefs(0, 1e-9), vec![0]);
         assert_eq!(r.beliefs.top_beliefs(1, 1e-9), vec![1]);
@@ -278,7 +248,7 @@ mod tests {
         e.set_residual(2, &[-1.0, -1.0, 2.0]).unwrap();
         let coupling = CouplingMatrix::fig1c().unwrap();
         let h = coupling.scaled_residual(0.2);
-        let r = linbp(
+        let r = linbp_on(
             &adj,
             &e,
             &h,
@@ -313,7 +283,7 @@ mod tests {
         // ρ(A) = 2 for a cycle; residual fig1a at scale 1.0 has ρ(Ĥ) = 0.6
         // → ρ = 1.2 > 1: must diverge.
         let h = CouplingMatrix::fig1a().unwrap().scaled_residual(1.0);
-        let r = linbp_star(
+        let r = linbp_star_on(
             &adj,
             &e,
             &h,
@@ -338,8 +308,8 @@ mod tests {
             tol: 1e-14,
             ..Default::default()
         };
-        let r1 = linbp(&adj, &e, &h, &opts).unwrap();
-        let r2 = linbp(&adj, &e.scaled(7.0), &h, &opts).unwrap();
+        let r1 = linbp_on(&adj, &e, &h, &opts).unwrap();
+        let r2 = linbp_on(&adj, &e.scaled(7.0), &h, &opts).unwrap();
         let scaled = r1.beliefs.residual().scale(7.0);
         assert!(scaled.max_abs_diff(r2.beliefs.residual()) < 1e-8);
     }
@@ -351,8 +321,8 @@ mod tests {
         let adj = lsbp_graph::generators::star(6).adjacency();
         let e = seed(6, 2);
         let h = CouplingMatrix::fig1a().unwrap().scaled_residual(0.2);
-        let with_echo = linbp(&adj, &e, &h, &LinBpOptions::default()).unwrap();
-        let without = linbp_star(&adj, &e, &h, &LinBpOptions::default()).unwrap();
+        let with_echo = linbp_on(&adj, &e, &h, &LinBpOptions::default()).unwrap();
+        let without = linbp_star_on(&adj, &e, &h, &LinBpOptions::default()).unwrap();
         assert!(with_echo.converged && without.converged);
         assert!(
             with_echo
@@ -373,7 +343,7 @@ mod tests {
         let adj = path(4).adjacency();
         let e = seed(4, 2);
         let h = CouplingMatrix::fig1a().unwrap().scaled_residual(0.1);
-        let r = linbp(
+        let r = linbp_on(
             &adj,
             &e,
             &h,
@@ -454,12 +424,12 @@ mod tests {
         let e = ExplicitBeliefs::new(4, 2);
         let h = CouplingMatrix::fig1a().unwrap().scaled_residual(0.1);
         assert!(matches!(
-            linbp(&adj, &e, &h, &LinBpOptions::default()),
+            linbp_on(&adj, &e, &h, &LinBpOptions::default()),
             Err(LinBpError::DimensionMismatch)
         ));
         let e3 = ExplicitBeliefs::new(3, 3);
         assert!(matches!(
-            linbp(&adj, &e3, &h, &LinBpOptions::default()),
+            linbp_on(&adj, &e3, &h, &LinBpOptions::default()),
             Err(LinBpError::CouplingArityMismatch)
         ));
     }
@@ -477,7 +447,7 @@ mod tests {
         e.set_label(0, 0, 0.1).unwrap();
         e.set_label(2, 1, 0.1).unwrap();
         let h = CouplingMatrix::fig1a().unwrap().scaled_residual(0.05);
-        let r = linbp(&adj, &e, &h, &LinBpOptions::default()).unwrap();
+        let r = linbp_on(&adj, &e, &h, &LinBpOptions::default()).unwrap();
         assert!(r.converged);
         assert_eq!(r.beliefs.top_beliefs(1, 1e-9), vec![0]);
     }
@@ -496,7 +466,7 @@ mod tests {
         let mut base = ExplicitBeliefs::new(40, 3);
         base.set_label(0, 0, 1.0).unwrap();
         base.set_label(9, 1, 1.0).unwrap();
-        let prev = linbp(&adj, &base, &h, &opts).unwrap();
+        let prev = linbp_on(&adj, &base, &h, &opts).unwrap();
         assert!(prev.converged);
 
         // Delta: one new label + one label *change* (expressed as the
@@ -513,7 +483,7 @@ mod tests {
         let mut full = base.clone();
         full.set_label(25, 2, 1.0).unwrap();
         full.set_label(9, 2, 1.0).unwrap();
-        let scratch = linbp(&adj, &full, &h, &opts).unwrap();
+        let scratch = linbp_on(&adj, &full, &h, &opts).unwrap();
         assert!(
             incremental
                 .beliefs
@@ -535,7 +505,7 @@ mod tests {
             ..Default::default()
         };
         let base = ExplicitBeliefs::new(25, 2);
-        let prev = linbp(&adj, &base, &h, &opts).unwrap();
+        let prev = linbp_on(&adj, &base, &h, &opts).unwrap();
         let mut d1 = ExplicitBeliefs::new(25, 2);
         d1.set_label(3, 0, 1.0).unwrap();
         let mut d2 = ExplicitBeliefs::new(25, 2);

@@ -10,16 +10,16 @@
 //! and general couplings). The tests document that gap: RWR matches LinBP
 //! under homophily and *fails* under heterophily.
 //!
-//! The walks run in the batched driver ([`crate::batch::rwr_batch_on`]):
-//! a single query is a one-query batch whose `k` per-class walks diffuse
-//! together.
+//! Entry point: [`rwr_on`], over any [`PropagationOperator`]. The walks
+//! run in the batched driver ([`crate::batch::rwr_batch_on`]): a single
+//! query is a one-query batch whose `k` per-class walks diffuse together.
 
 use crate::batch::rwr_batch_on;
 use crate::beliefs::{BeliefMatrix, ExplicitBeliefs};
 use lsbp_linalg::{Mat, ParallelismConfig, ToleranceNorm};
-use lsbp_sparse::{CsrMatrix, PropagationOperator};
+use lsbp_sparse::PropagationOperator;
 
-/// Options for [`rwr`].
+/// Options for [`rwr_on`].
 #[derive(Clone, Copy, Debug)]
 pub struct RwrOptions {
     /// Restart probability `α ∈ (0, 1]` (typical: 0.15).
@@ -62,7 +62,7 @@ pub struct RwrResult {
     pub iterations: usize,
 }
 
-/// Errors from [`rwr`].
+/// Errors from [`rwr_on`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RwrError {
     /// Adjacency/beliefs node count mismatch.
@@ -113,20 +113,12 @@ pub(crate) fn restart_distribution(explicit: &ExplicitBeliefs) -> Result<Mat, Rw
     Ok(restart_dist)
 }
 
-/// Runs one RWR per class, restarting into that class's labeled nodes.
+/// Runs one RWR per class, restarting into that class's labeled nodes,
+/// against any [`PropagationOperator`].
 ///
 /// Labels are read from `explicit` as the per-node argmax of the residual
 /// row (the usual one-hot labeling); mixed/soft labels contribute to every
 /// class with positive residual mass.
-pub fn rwr(
-    adj: &CsrMatrix,
-    explicit: &ExplicitBeliefs,
-    opts: &RwrOptions,
-) -> Result<RwrResult, RwrError> {
-    rwr_on(adj, explicit, opts)
-}
-
-/// [`rwr`] against any [`PropagationOperator`].
 pub fn rwr_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     explicit: &ExplicitBeliefs,
@@ -140,7 +132,7 @@ pub fn rwr_on<A: PropagationOperator + ?Sized>(
 mod tests {
     use super::*;
     use crate::coupling::CouplingMatrix;
-    use crate::linbp::{linbp, LinBpOptions};
+    use crate::linbp::{linbp_on, LinBpOptions};
     use lsbp_graph::generators::path;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -156,7 +148,7 @@ mod tests {
     fn path_proximity() {
         let adj = path(7).adjacency();
         let e = two_seeds(7);
-        let r = rwr(&adj, &e, &RwrOptions::default()).unwrap();
+        let r = rwr_on(&adj, &e, &RwrOptions::default()).unwrap();
         assert!(r.converged);
         // Nodes nearer seed 0 lean class 0 and vice versa.
         assert_eq!(r.beliefs.top_beliefs(1, 1e-9), vec![0]);
@@ -201,14 +193,14 @@ mod tests {
         }
         let coupling = CouplingMatrix::fig1a().unwrap();
         let eps = 0.5 * crate::convergence::eps_max_exact_linbp(&coupling.residual(), &adj, 1e-4);
-        let lin = linbp(
+        let lin = linbp_on(
             &adj,
             &e,
             &coupling.scaled_residual(eps),
             &LinBpOptions::default(),
         )
         .unwrap();
-        let walk = rwr(&adj, &e, &RwrOptions::default()).unwrap();
+        let walk = rwr_on(&adj, &e, &RwrOptions::default()).unwrap();
         let gt = lin.beliefs.top_belief_assignment(1e-6);
         let ours = walk.beliefs.top_belief_assignment(1e-6);
         let (p, r) = crate::metrics::precision_recall(&gt, &ours);
@@ -226,13 +218,13 @@ mod tests {
         e.set_label(0, 0, 1.0).unwrap();
         e.set_label(5, 1, 1.0).unwrap(); // consistent with alternation
         let h = CouplingMatrix::fig1b().unwrap().scaled_residual(0.2);
-        let lin = linbp(&adj, &e, &h, &LinBpOptions::default()).unwrap();
+        let lin = linbp_on(&adj, &e, &h, &LinBpOptions::default()).unwrap();
         // LinBP alternates correctly.
         assert_eq!(lin.beliefs.top_beliefs(1, 1e-9), vec![1]);
         assert_eq!(lin.beliefs.top_beliefs(2, 1e-9), vec![0]);
         // RWR has no heterophily notion: node 1 stays closest to seed 0 and
         // is labeled 0 — wrong under alternation.
-        let walk = rwr(&adj, &e, &RwrOptions::default()).unwrap();
+        let walk = rwr_on(&adj, &e, &RwrOptions::default()).unwrap();
         assert_eq!(walk.beliefs.top_beliefs(1, 1e-9), vec![0]);
     }
 
@@ -240,7 +232,7 @@ mod tests {
     fn restart_one_returns_restart_distribution() {
         let adj = path(4).adjacency();
         let e = two_seeds(4);
-        let r = rwr(
+        let r = rwr_on(
             &adj,
             &e,
             &RwrOptions {
@@ -259,7 +251,7 @@ mod tests {
         let adj = path(4).adjacency();
         let e = two_seeds(4);
         assert!(matches!(
-            rwr(
+            rwr_on(
                 &adj,
                 &e,
                 &RwrOptions {
@@ -271,13 +263,13 @@ mod tests {
         ));
         let e5 = two_seeds(5);
         assert!(matches!(
-            rwr(&adj, &e5, &RwrOptions::default()),
+            rwr_on(&adj, &e5, &RwrOptions::default()),
             Err(RwrError::DimensionMismatch)
         ));
         let mut lonely = ExplicitBeliefs::new(4, 3);
         lonely.set_label(0, 0, 1.0).unwrap();
         assert!(matches!(
-            rwr(&adj, &lonely, &RwrOptions::default()),
+            rwr_on(&adj, &lonely, &RwrOptions::default()),
             Err(RwrError::EmptyClass(1))
         ));
     }
@@ -291,7 +283,7 @@ mod tests {
         let mut e = ExplicitBeliefs::new(5, 2);
         e.set_label(0, 0, 1.0).unwrap();
         e.set_label(2, 1, 1.0).unwrap();
-        let r = rwr(&adj, &e, &RwrOptions::default()).unwrap();
+        let r = rwr_on(&adj, &e, &RwrOptions::default()).unwrap();
         assert!(r.beliefs.row(3).iter().all(|&x| x == 0.0));
         assert_eq!(r.beliefs.top_beliefs(4, 1e-9), vec![0, 1]); // all-tie
     }

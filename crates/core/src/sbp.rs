@@ -12,7 +12,10 @@
 //! points strictly from layer `g` to `g+1`, a single pass over BFS layers
 //! computes all beliefs, touching every edge at most once.
 //!
-//! Incremental maintenance:
+//! From scratch: [`sbp_on`], or [`sbp_observed`] with a per-layer
+//! observer; both take any [`PropagationOperator`].
+//!
+//! Incremental maintenance (on a resident [`CsrMatrix`]):
 //!
 //! * [`sbp_add_explicit`] — Algorithm 3: new explicit beliefs re-anchor a
 //!   region of the graph; beliefs are recomputed outward layer by layer.
@@ -133,18 +136,8 @@ fn recompute_belief<A: PropagationOperator + ?Sized>(
     }
 }
 
-/// Runs SBP from scratch (the in-memory analogue of Algorithm 2),
-/// parallelized according to the process default
-/// ([`ParallelismConfig::default`]).
-pub fn sbp(
-    adj: &CsrMatrix,
-    explicit: &ExplicitBeliefs,
-    h_residual: &Mat,
-) -> Result<SbpResult, SbpError> {
-    sbp_with(adj, explicit, h_residual, &ParallelismConfig::default())
-}
-
-/// [`sbp`] with an explicit execution configuration.
+/// Runs SBP from scratch (the in-memory analogue of Algorithm 2) against
+/// any [`PropagationOperator`], parallelized according to `cfg`.
 ///
 /// Within one BFS layer every node's belief depends only on the previous
 /// layer (Lemma 17's DAG points strictly from layer `g` to `g+1`), so a
@@ -152,23 +145,13 @@ pub fn sbp(
 /// into disjoint blocks of a per-layer staging buffer and copies the rows
 /// back serially. Each node runs exactly the serial `recompute_belief`,
 /// so results are bitwise identical for any thread count.
-pub fn sbp_with(
-    adj: &CsrMatrix,
-    explicit: &ExplicitBeliefs,
-    h_residual: &Mat,
-    cfg: &ParallelismConfig,
-) -> Result<SbpResult, SbpError> {
-    sbp_observed(adj, explicit, h_residual, cfg, |_| {})
-}
-
-/// [`sbp_with`] against any [`PropagationOperator`].
 pub fn sbp_on<A: PropagationOperator + ?Sized>(
     adj: &A,
     explicit: &ExplicitBeliefs,
     h_residual: &Mat,
     cfg: &ParallelismConfig,
 ) -> Result<SbpResult, SbpError> {
-    sbp_observed_on(adj, explicit, h_residual, cfg, |_| {})
+    sbp_observed(adj, explicit, h_residual, cfg, |_| {})
 }
 
 /// One BFS layer's belief recomputation as a [`FixedPointOp`]: solver
@@ -254,21 +237,10 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for SbpLayers<'_, A> {
     }
 }
 
-/// [`sbp_with`] with a per-layer observer: `observer` fires after every
+/// [`sbp_on`] with a per-layer observer: `observer` fires after every
 /// BFS layer (the paper's "iterations" in Fig. 7d), letting harnesses
 /// time layers without owning the sweep.
-pub fn sbp_observed(
-    adj: &CsrMatrix,
-    explicit: &ExplicitBeliefs,
-    h_residual: &Mat,
-    cfg: &ParallelismConfig,
-    observer: impl FnMut(&IterationEvent),
-) -> Result<SbpResult, SbpError> {
-    sbp_observed_on(adj, explicit, h_residual, cfg, observer)
-}
-
-/// The layer-sweep core, generic over the storage backend.
-fn sbp_observed_on<A: PropagationOperator + ?Sized>(
+pub fn sbp_observed<A: PropagationOperator + ?Sized>(
     adj: &A,
     explicit: &ExplicitBeliefs,
     h_residual: &Mat,
@@ -502,7 +474,7 @@ mod tests {
     #[test]
     fn example20_v4_beliefs() {
         let adj = fig5c_torus().adjacency();
-        let r = sbp(&adj, &torus_explicit(), &h()).unwrap();
+        let r = sbp_on(&adj, &torus_explicit(), &h(), &ParallelismConfig::default()).unwrap();
         let std = r.beliefs.standardized(3);
         assert!((std[0] - -0.069).abs() < 0.001, "{std:?}");
         assert!((std[1] - 1.258).abs() < 0.001, "{std:?}");
@@ -532,7 +504,7 @@ mod tests {
         e.set_residual(1, &[2.0, -1.0, -1.0]).unwrap();
         e.set_residual(6, &[-1.0, -1.0, 2.0]).unwrap();
         let hh = h();
-        let r = sbp(&adj, &e, &hh).unwrap();
+        let r = sbp_on(&adj, &e, &hh, &ParallelismConfig::default()).unwrap();
         // Expected: Ĥ²(2·ê_v2 + ê_v7) — row-vector convention
         // b = (2ê_v2 + ê_v7)ᵀ·Ĥ² as rows.
         let combo = Mat::from_rows(&[&[2.0 * 2.0 - 1.0, -2.0 - 1.0, -2.0 + 2.0]]);
@@ -552,7 +524,7 @@ mod tests {
         let adj = gr.adjacency();
         let mut e = ExplicitBeliefs::new(5, 3);
         e.set_label(0, 1, 1.0).unwrap();
-        let r = sbp(&adj, &e, &h()).unwrap();
+        let r = sbp_on(&adj, &e, &h(), &ParallelismConfig::default()).unwrap();
         assert_eq!(r.beliefs.row(0), e.row(0));
         assert!(r.beliefs.row(2).iter().all(|&x| x == 0.0));
         assert!(r.beliefs.row(4).iter().all(|&x| x == 0.0));
@@ -571,7 +543,7 @@ mod tests {
         let mut e = ExplicitBeliefs::new(3, 3);
         e.set_residual(0, &[2.0, -1.0, -1.0]).unwrap();
         let hh = h();
-        let r = sbp(&adj, &e, &hh).unwrap();
+        let r = sbp_on(&adj, &e, &hh, &ParallelismConfig::default()).unwrap();
         let e_row = Mat::from_rows(&[&[2.0, -1.0, -1.0]]);
         let expect1 = e_row.matmul(&hh).scale(2.0);
         let expect2 = e_row.matmul(&hh).matmul(&hh).scale(10.0);
@@ -592,7 +564,7 @@ mod tests {
             let mut base = ExplicitBeliefs::new(60, 3);
             base.set_label(0, 0, 1.0).unwrap();
             base.set_label(7, 1, 1.0).unwrap();
-            let prev = sbp(&adj, &base, &hh).unwrap();
+            let prev = sbp_on(&adj, &base, &hh, &ParallelismConfig::default()).unwrap();
 
             let mut delta = ExplicitBeliefs::new(60, 3);
             delta.set_label(23, 2, 1.0).unwrap();
@@ -602,7 +574,7 @@ mod tests {
             let mut full = base.clone();
             full.set_label(23, 2, 1.0).unwrap();
             full.set_label(41, 0, 1.0).unwrap();
-            let scratch = sbp(&adj, &full, &hh).unwrap();
+            let scratch = sbp_on(&adj, &full, &hh, &ParallelismConfig::default()).unwrap();
 
             assert_eq!(incremental.geodesics.g, scratch.geodesics.g, "seed {seed}");
             assert!(
@@ -627,7 +599,7 @@ mod tests {
         let hh = h();
         let mut base = ExplicitBeliefs::new(4, 3);
         base.set_label(0, 0, 1.0).unwrap();
-        let prev = sbp(&adj, &base, &hh).unwrap();
+        let prev = sbp_on(&adj, &base, &hh, &ParallelismConfig::default()).unwrap();
         assert_eq!(prev.geodesics.geodesic(3), None);
         let mut delta = ExplicitBeliefs::new(4, 3);
         delta.set_label(2, 1, 1.0).unwrap();
@@ -650,10 +622,10 @@ mod tests {
             let mut e = ExplicitBeliefs::new(50, 3);
             e.set_label(1, 0, 1.0).unwrap();
             e.set_label(9, 2, 1.0).unwrap();
-            let prev = sbp(&adj_base, &e, &hh).unwrap();
+            let prev = sbp_on(&adj_base, &e, &hh, &ParallelismConfig::default()).unwrap();
             let new_edges: Vec<_> = extra.edges().collect();
             let incremental = sbp_add_edges(&adj_full, &new_edges, &hh, &prev).unwrap();
-            let scratch = sbp(&adj_full, &e, &hh).unwrap();
+            let scratch = sbp_on(&adj_full, &e, &hh, &ParallelismConfig::default()).unwrap();
             assert_eq!(incremental.geodesics.g, scratch.geodesics.g, "seed {seed}");
             assert!(
                 incremental
@@ -676,7 +648,7 @@ mod tests {
         let hh = h();
         let mut e = ExplicitBeliefs::new(5, 3);
         e.set_label(0, 0, 1.0).unwrap();
-        let prev = sbp(&adj_base, &e, &hh).unwrap();
+        let prev = sbp_on(&adj_base, &e, &hh, &ParallelismConfig::default()).unwrap();
         assert_eq!(prev.geodesics.g[4], 4);
         // Add edges 0–2 and 2–4 (s=0 g=0, v=2 g=2, t=4 g=4).
         let mut full = base.clone();
@@ -684,7 +656,7 @@ mod tests {
         full.add_edge_unweighted(2, 4);
         let adj_full = full.adjacency();
         let r = sbp_add_edges(&adj_full, &[(0, 2, 1.0), (2, 4, 1.0)], &hh, &prev).unwrap();
-        let scratch = sbp(&adj_full, &e, &hh).unwrap();
+        let scratch = sbp_on(&adj_full, &e, &hh, &ParallelismConfig::default()).unwrap();
         assert_eq!(r.geodesics.g, scratch.geodesics.g);
         assert_eq!(r.geodesics.g[2], 1);
         assert_eq!(r.geodesics.g[4], 2);
@@ -701,12 +673,12 @@ mod tests {
         let adj = path(3).adjacency();
         let e = ExplicitBeliefs::new(4, 3);
         assert!(matches!(
-            sbp(&adj, &e, &h()),
+            sbp_on(&adj, &e, &h(), &ParallelismConfig::default()),
             Err(SbpError::DimensionMismatch)
         ));
         let e2 = ExplicitBeliefs::new(3, 2);
         assert!(matches!(
-            sbp(&adj, &e2, &h()),
+            sbp_on(&adj, &e2, &h(), &ParallelismConfig::default()),
             Err(SbpError::CouplingArityMismatch)
         ));
     }

@@ -68,7 +68,7 @@ pub fn geodesic_numbers<A: PropagationOperator + ?Sized>(adj: &A, sources: &[usi
     }
     let mut layers: Vec<Vec<u32>> = Vec::new();
     while !layer.is_empty() {
-        layer.sort_unstable();
+        sort_layer(&mut layer);
         let gv = layers.len() as u32 + 1;
         let mut next = Vec::new();
         for &u in &layer {
@@ -82,6 +82,13 @@ pub fn geodesic_numbers<A: PropagationOperator + ?Sized>(adj: &A, sources: &[usi
         layers.push(std::mem::replace(&mut layer, next));
     }
     Geodesics { g, layers }
+}
+
+/// Sorts one BFS layer. Kept out of the generic [`geodesic_numbers`]:
+/// the sort does not depend on the operator, so it is compiled once in
+/// this crate instead of once in every crate that instantiates the BFS.
+fn sort_layer(layer: &mut [u32]) {
+    layer.sort_unstable();
 }
 
 #[cfg(test)]

@@ -83,15 +83,6 @@ impl Graph {
         coo.to_csr()
     }
 
-    /// The adjacency matrix split into `shards` nnz-balanced row-range
-    /// shards ([`lsbp_sparse::ShardedCsr`]) — the storage layout the
-    /// propagation engines stream shard by shard. Results of every solver
-    /// are bitwise identical to the monolithic [`Graph::adjacency`] at
-    /// any shard count.
-    pub fn sharded_adjacency(&self, shards: usize) -> lsbp_sparse::ShardedCsr {
-        lsbp_sparse::ShardedCsr::from_csr(&self.adjacency(), shards)
-    }
-
     /// `true` iff the graph has no parallel edges.
     pub fn is_simple(&self) -> bool {
         let mut seen: Vec<(u32, u32)> = self

@@ -123,11 +123,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the backing vector (row-major).
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Sets every entry to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|x| *x = 0.0);
@@ -292,11 +287,6 @@ impl Mat {
             cols: self.cols,
             data: self.data.iter().map(|x| x * s).collect(),
         }
-    }
-
-    /// Scales in place.
-    pub fn scale_assign(&mut self, s: f64) {
-        self.data.iter_mut().for_each(|x| *x *= s);
     }
 
     fn zip_with(&self, other: &Mat, f: impl Fn(f64, f64) -> f64) -> Mat {

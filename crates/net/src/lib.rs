@@ -612,21 +612,6 @@ impl Request {
         };
         Ok(req)
     }
-
-    /// `true` for requests that are safe to retry after an ambiguous
-    /// failure: they either do not mutate server state (`Ping`, `Health`,
-    /// `Stats`) or are derived deterministically from registered state
-    /// (solves). Registration, deltas, and shutdown are **not** idempotent.
-    pub fn is_idempotent(&self) -> bool {
-        matches!(
-            self,
-            Request::Ping
-                | Request::Health
-                | Request::Stats
-                | Request::SolveLinBp { .. }
-                | Request::SolveRwr { .. }
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -588,9 +588,10 @@ mod tests {
     use super::*;
     use lsbp::batch::{linbp_batch_on, linbp_star_batch_on};
     use lsbp::coupling::CouplingMatrix;
-    use lsbp::linbp::{linbp, linbp_star, LinBpOptions};
-    use lsbp::sbp::{sbp, sbp_add_edges, sbp_add_explicit};
+    use lsbp::linbp::{linbp_on, linbp_star_on, LinBpOptions};
+    use lsbp::sbp::{sbp_add_edges, sbp_add_explicit, sbp_on};
     use lsbp_graph::generators::{erdos_renyi_gnm, fig5c_torus, path};
+    use lsbp_linalg::ParallelismConfig;
 
     fn torus_db() -> (SqlDb, lsbp_graph::Graph, ExplicitBeliefs, Mat) {
         let g = fig5c_torus();
@@ -644,7 +645,7 @@ mod tests {
         let adj = g.adjacency();
         for iters in [1, 3, 5] {
             let sql_b = db.linbp(iters, true);
-            let native = linbp(&adj, &e, &h, &rounds(iters)).unwrap();
+            let native = linbp_on(&adj, &e, &h, &rounds(iters)).unwrap();
             assert!(
                 sql_b.residual().max_abs_diff(native.beliefs.residual()) < 1e-12,
                 "iters = {iters}"
@@ -657,7 +658,7 @@ mod tests {
         let (db, g, e, h) = torus_db();
         let adj = g.adjacency();
         let sql_b = db.linbp(4, false);
-        let native = linbp_star(&adj, &e, &h, &rounds(4)).unwrap();
+        let native = linbp_star_on(&adj, &e, &h, &rounds(4)).unwrap();
         assert!(sql_b.residual().max_abs_diff(native.beliefs.residual()) < 1e-12);
     }
 
@@ -752,7 +753,7 @@ mod tests {
         let (db, g, e, h) = torus_db();
         for iters in [1, 3] {
             let via_text = db.linbp_sql_text(iters);
-            let native = linbp(&g.adjacency(), &e, &h, &rounds(iters)).unwrap();
+            let native = linbp_on(&g.adjacency(), &e, &h, &rounds(iters)).unwrap();
             assert!(via_text.residual().max_abs_diff(native.beliefs.residual()) < 1e-12);
         }
     }
@@ -850,7 +851,7 @@ mod tests {
         let ho = CouplingMatrix::fig1c().unwrap().residual();
         let db_unscaled = SqlDb::new(&g, &e, &ho);
         let state = db_unscaled.sbp();
-        let native = sbp(&g.adjacency(), &e, &ho).unwrap();
+        let native = sbp_on(&g.adjacency(), &e, &ho, &ParallelismConfig::default()).unwrap();
         let sql_beliefs = belief_table_to_matrix(&state.b, 8, 3);
         assert!(
             sql_beliefs
@@ -908,7 +909,7 @@ mod tests {
         base.set_label(2, 0, 1.0).unwrap();
         let mut db = SqlDb::new(&g, &base, &ho);
         let mut state = db.sbp();
-        let native_prev = sbp(&adj, &base, &ho).unwrap();
+        let native_prev = sbp_on(&adj, &base, &ho, &ParallelismConfig::default()).unwrap();
 
         let mut delta = ExplicitBeliefs::new(30, 3);
         delta.set_label(19, 2, 1.0).unwrap();
@@ -969,7 +970,7 @@ mod tests {
             &full.adjacency(),
             &[(0, 2, 1.0), (2, 4, 1.0)],
             &ho,
-            &sbp(&base.adjacency(), &e, &ho).unwrap(),
+            &sbp_on(&base.adjacency(), &e, &ho, &ParallelismConfig::default()).unwrap(),
         )
         .unwrap();
         let sql_b = belief_table_to_matrix(&state.b, 5, 3);

@@ -784,22 +784,14 @@ impl Shared {
                 retry_after_ms: None,
             };
         }
+        let triplets = match edge_triplets(n_nodes, symmetric, edges) {
+            Ok(t) => t,
+            Err(message) => return bad_request(message),
+        };
         let n = n_nodes as usize;
-        let mut coo = CooMatrix::new(n, n);
-        for e in edges {
-            if e.src >= n_nodes || e.dst >= n_nodes {
-                return bad_request(format!(
-                    "edge ({}, {}) out of range for {n_nodes} nodes",
-                    e.src, e.dst
-                ));
-            }
-            if !e.weight.is_finite() {
-                return bad_request(format!("edge ({}, {}) has non-finite weight", e.src, e.dst));
-            }
-            coo.push(e.src as usize, e.dst as usize, e.weight);
-            if symmetric && e.src != e.dst {
-                coo.push(e.dst as usize, e.src as usize, e.weight);
-            }
+        let mut coo = CooMatrix::with_capacity(n, n, triplets.len());
+        for (s, t, w) in triplets {
+            coo.push(s, t, w);
         }
         let csr = match coo.try_to_csr() {
             Ok(m) => m,
@@ -890,24 +882,7 @@ impl Shared {
         deltas: &[WireEdge],
         stale: &[(CacheKey, CacheEntry)],
     ) -> Result<(GraphEntry, Vec<Option<CacheEntry>>), String> {
-        let n = old.csr.n_rows() as u64;
-        let mut list: Vec<(usize, usize, f64)> = Vec::with_capacity(deltas.len() * 2);
-        for d in deltas {
-            if !d.weight.is_finite() {
-                return Err(format!(
-                    "delta ({}, {}) has non-finite weight",
-                    d.src, d.dst
-                ));
-            }
-            if d.src >= n || d.dst >= n {
-                return Err(format!("delta ({}, {}) out of range", d.src, d.dst));
-            }
-            let (s, t) = (d.src as usize, d.dst as usize);
-            list.push((s, t, d.weight));
-            if symmetric && s != t {
-                list.push((t, s, d.weight));
-            }
-        }
+        let list = edge_triplets(old.csr.n_rows() as u64, symmetric, deltas)?;
         let new_csr = old
             .csr
             .try_with_edge_deltas(&list)
@@ -1217,6 +1192,35 @@ fn build_seeds(n: usize, k: usize, seeds: &[WireSeed]) -> Result<ExplicitBeliefs
             .map_err(|e| format!("seed node {}: {e}", s.node))?;
     }
     Ok(explicit)
+}
+
+/// Validates wire edges (registration edges or edge deltas) against an
+/// `n`-node graph — both endpoints in range, a finite weight — and lists
+/// them as `(s, t, w)` triplets, each off-diagonal edge followed by its
+/// mirror when `symmetric`.
+fn edge_triplets(
+    n: u64,
+    symmetric: bool,
+    edges: &[WireEdge],
+) -> Result<Vec<(usize, usize, f64)>, String> {
+    let mut list = Vec::with_capacity(edges.len() * 2);
+    for e in edges {
+        if e.src >= n || e.dst >= n {
+            return Err(format!(
+                "edge ({}, {}) out of range for {n} nodes",
+                e.src, e.dst
+            ));
+        }
+        if !e.weight.is_finite() {
+            return Err(format!("edge ({}, {}) has non-finite weight", e.src, e.dst));
+        }
+        let (s, t) = (e.src as usize, e.dst as usize);
+        list.push((s, t, e.weight));
+        if symmetric && s != t {
+            list.push((t, s, e.weight));
+        }
+    }
+    Ok(list)
 }
 
 // ---------------------------------------------------------------------------

@@ -326,12 +326,6 @@ impl FrontierPlan {
         self.deps.len()
     }
 
-    /// The block holding row `r`.
-    #[inline]
-    pub fn block_of(&self, r: usize) -> usize {
-        r / self.block_rows
-    }
-
     /// Whether any row of block `blk` may need recomputation, given the
     /// summary bitset of the last committed iteration (bit `i` = block
     /// `i` contains a changed row): the block is active iff it depends on

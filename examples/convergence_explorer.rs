@@ -58,7 +58,7 @@ fn main() {
     e.set_residual(0, &[2.0, -1.0, -1.0]).unwrap();
     let exact = eps_max_exact_linbp(&ho, &adj, 1e-6);
     for factor in [0.97, 1.03] {
-        let r = linbp(
+        let r = linbp_on(
             &adj,
             &e,
             &coupling.scaled_residual(exact * factor),

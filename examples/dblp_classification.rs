@@ -65,9 +65,9 @@ fn main() {
     let eps = 0.5 * eps_exact;
     println!("εH = {eps:.2e} (exact LinBP bound {eps_exact:.2e})");
 
-    let lin = linbp(&adj, &explicit, &ho.scale(eps), &LinBpOptions::default()).unwrap();
+    let lin = linbp_on(&adj, &explicit, &ho.scale(eps), &LinBpOptions::default()).unwrap();
     assert!(lin.converged);
-    let sbp_r = sbp(&adj, &explicit, &ho).unwrap();
+    let sbp_r = sbp_on(&adj, &explicit, &ho, &ParallelismConfig::default()).unwrap();
 
     // Accuracy per node kind (papers are easiest: they touch conference +
     // terms + authors; shared terms are noisiest).

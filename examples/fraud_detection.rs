@@ -48,7 +48,7 @@ fn main() {
     let eps = (0.5 * eps_max).min(0.1);
     println!("coupling scale: εH = {eps:.4} (exact convergence bound {eps_max:.4})");
 
-    let result = linbp(
+    let result = linbp_on(
         &adj,
         &explicit,
         &coupling.scaled_residual(eps),

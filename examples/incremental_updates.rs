@@ -32,7 +32,13 @@ fn main() {
     }
 
     let t0 = Instant::now();
-    let mut state = sbp(&graph.adjacency(), &labels, &ho).unwrap();
+    let mut state = sbp_on(
+        &graph.adjacency(),
+        &labels,
+        &ho,
+        &ParallelismConfig::default(),
+    )
+    .unwrap();
     println!(
         "initial SBP over {n} nodes / {} edges: {:?} ({} BFS layers)",
         graph.num_edges(),
@@ -58,7 +64,7 @@ fn main() {
     state = sbp_add_explicit(&adj, &ho, &state, &delta).unwrap();
     let incremental_time = t1.elapsed();
     let t2 = Instant::now();
-    let scratch = sbp(&adj, &all, &ho).unwrap();
+    let scratch = sbp_on(&adj, &all, &ho, &ParallelismConfig::default()).unwrap();
     let scratch_time = t2.elapsed();
     assert_eq!(state.geodesics.g, scratch.geodesics.g);
     assert!(
@@ -83,7 +89,7 @@ fn main() {
     state = sbp_add_edges(&adj_new, &batch, &ho, &state).unwrap();
     let incremental_time = t3.elapsed();
     let t4 = Instant::now();
-    let scratch = sbp(&adj_new, &all, &ho).unwrap();
+    let scratch = sbp_on(&adj_new, &all, &ho, &ParallelismConfig::default()).unwrap();
     let scratch_time = t4.elapsed();
     assert_eq!(state.geodesics.g, scratch.geodesics.g);
     assert!(
@@ -112,7 +118,7 @@ fn main() {
         total_inc += t.elapsed();
     }
     let t5 = Instant::now();
-    let scratch = sbp(&adj_new, &all, &ho).unwrap();
+    let scratch = sbp_on(&adj_new, &all, &ho, &ParallelismConfig::default()).unwrap();
     let one_scratch = t5.elapsed();
     assert!(
         state

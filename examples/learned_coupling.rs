@@ -51,7 +51,7 @@ fn main() {
     let h = learned.scaled_residual(eps);
     let opts = LinBpOptions::default();
     let t0 = Instant::now();
-    let mut result = linbp(&adj, &explicit, &h, &opts).unwrap();
+    let mut result = linbp_on(&adj, &explicit, &h, &opts).unwrap();
     let full_time = t0.elapsed();
     fn accuracy_of(beliefs: &BeliefMatrix, classes: &[usize], revealed: &[Option<usize>]) -> f64 {
         let (mut correct, mut total) = (0, 0);
@@ -102,7 +102,7 @@ fn main() {
             all.set_label(v, *c, 1.0).unwrap();
         }
     }
-    let scratch = linbp(&adj, &all, &h, &opts).unwrap();
+    let scratch = linbp_on(&adj, &all, &h, &opts).unwrap();
     let max_diff = result
         .beliefs
         .residual()

@@ -106,11 +106,17 @@ fn main() {
     )
     .unwrap();
     evaluate("BP", &bp_r.beliefs);
-    let lin = linbp(&adj, &explicit, &h, &LinBpOptions::default()).unwrap();
+    let lin = linbp_on(&adj, &explicit, &h, &LinBpOptions::default()).unwrap();
     evaluate("LinBP", &lin.beliefs);
-    let star = linbp_star(&adj, &explicit, &h, &LinBpOptions::default()).unwrap();
+    let star = linbp_star_on(&adj, &explicit, &h, &LinBpOptions::default()).unwrap();
     evaluate("LinBP*", &star.beliefs);
-    let sbp_r = sbp(&adj, &explicit, &coupling.residual()).unwrap();
+    let sbp_r = sbp_on(
+        &adj,
+        &explicit,
+        &coupling.residual(),
+        &ParallelismConfig::default(),
+    )
+    .unwrap();
     evaluate("SBP", &sbp_r.beliefs);
 
     // Appendix E: for k = 2 the whole system collapses to one scalar per

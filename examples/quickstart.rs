@@ -60,15 +60,15 @@ fn main() {
         bp_result.converged, bp_result.iterations
     );
 
-    let linbp_result = linbp(&adj, &explicit, &h, &LinBpOptions::default()).unwrap();
+    let linbp_result = linbp_on(&adj, &explicit, &h, &LinBpOptions::default()).unwrap();
     println!(
         "LinBP:   converged={} after {} iterations",
         linbp_result.converged, linbp_result.iterations
     );
-    let star_result = linbp_star(&adj, &explicit, &h, &LinBpOptions::default()).unwrap();
+    let star_result = linbp_star_on(&adj, &explicit, &h, &LinBpOptions::default()).unwrap();
 
     // SBP needs no εH at all — its labels are the εH → 0 limit.
-    let sbp_result = sbp(&adj, &explicit, &ho).unwrap();
+    let sbp_result = sbp_on(&adj, &explicit, &ho, &ParallelismConfig::default()).unwrap();
 
     println!();
     print_assignment("BP", &bp_result.beliefs);

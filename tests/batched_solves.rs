@@ -5,7 +5,9 @@
 //! flags, iteration counts and final deltas — at every thread count,
 //! including q = 0, q = 1, and batches mixing fast-converging, slow, and
 //! divergent queries (the per-query freeze masks are what this pins
-//! down). `rwr_batch_on` must equal `rwr` run on each query alone.
+//! down). `rwr_batch_on` must equal a plain-loop RWR solving each query
+//! alone (`support::unfused_rwr`, which shares no code with the batched
+//! driver either).
 
 use lsbp::prelude::*;
 use lsbp_graph::generators::erdos_renyi_gnm;
@@ -13,7 +15,7 @@ use lsbp_linalg::Mat;
 use proptest::prelude::*;
 
 mod support;
-use support::{bits_equal, unfused_linbp};
+use support::{bits_equal, unfused_linbp, unfused_rwr};
 
 fn thread_sweep() -> Vec<ParallelismConfig> {
     [1usize, 2, 8]
@@ -73,8 +75,8 @@ fn linbp_batch_q0() {
     assert!(rw.is_empty());
 }
 
-/// Single-query batch is the degenerate case — and what `linbp` and
-/// `linbp_star` run.
+/// Single-query batch is the degenerate case — and what `linbp_on` and
+/// `linbp_star_on` run.
 #[test]
 fn linbp_batch_q1() {
     let adj = erdos_renyi_gnm(60, 150, 2).adjacency();
@@ -88,8 +90,8 @@ fn linbp_batch_q1() {
         assert_linbp_batch_matches(&adj, &q, &h, &opts, false, "q1");
         assert_linbp_batch_matches(&adj, &q, &h, &opts, true, "q1*");
         let singles = [
-            (true, linbp(&adj, &q[0], &h, &opts).unwrap()),
-            (false, linbp_star(&adj, &q[0], &h, &opts).unwrap()),
+            (true, linbp_on(&adj, &q[0], &h, &opts).unwrap()),
+            (false, linbp_star_on(&adj, &q[0], &h, &opts).unwrap()),
         ];
         for (echo, got) in singles {
             let want = unfused_linbp(&adj, q[0].residual_matrix(), &h, echo, &opts);
@@ -147,9 +149,10 @@ fn linbp_batch_timing_mode() {
     assert_linbp_batch_matches(&adj, &queries, &h, &opts, false, "timing");
 }
 
-/// Batched RWR equals per-query RWR bitwise, across thread counts and
-/// walk-count mixes (different seed multiplicities converge at different
-/// iterations, exercising the per-walk freeze).
+/// Batched RWR equals the plain-loop RWR oracle per query, bitwise,
+/// across thread counts and walk-count mixes (different seed
+/// multiplicities converge at different iterations, exercising the
+/// per-walk freeze).
 #[test]
 fn rwr_batch_matches_standalone() {
     let adj = erdos_renyi_gnm(70, 210, 3).adjacency();
@@ -165,11 +168,11 @@ fn rwr_batch_matches_standalone() {
         };
         let batch = rwr_batch_on(&adj, &queries, &opts).unwrap();
         for (j, (e, got)) in queries.iter().zip(&batch).enumerate() {
-            let want = rwr(&adj, e, &opts).unwrap();
+            let want = unfused_rwr(&adj, e, &opts);
             assert_eq!(got.converged, want.converged, "query {j}");
             assert_eq!(got.iterations, want.iterations, "query {j}");
             assert!(
-                bits_equal(got.beliefs.residual(), want.beliefs.residual()),
+                bits_equal(got.beliefs.residual(), &want.beliefs),
                 "query {j}: batched RWR beliefs differ from standalone"
             );
         }
@@ -196,7 +199,7 @@ fn batch_error_cases() {
         Err(lsbp::linbp::LinBpError::DimensionMismatch)
     ));
     assert!(matches!(
-        linbp(&adj, &wrong_n[0], &h_3x2, &LinBpOptions::default()),
+        linbp_on(&adj, &wrong_n[0], &h_3x2, &LinBpOptions::default()),
         Err(lsbp::linbp::LinBpError::DimensionMismatch)
     ));
     // Wrong node count *and* a bad restart probability: the node count is
@@ -210,7 +213,7 @@ fn batch_error_cases() {
         Err(lsbp::rwr::RwrError::DimensionMismatch)
     ));
     assert!(matches!(
-        rwr(&adj, &wrong_n[0], &bad_restart),
+        rwr_on(&adj, &wrong_n[0], &bad_restart),
         Err(lsbp::rwr::RwrError::DimensionMismatch)
     ));
     // Wrong arity.
@@ -353,10 +356,10 @@ proptest! {
         let batch = rwr_batch_on(&adj, &queries, &opts).unwrap();
         prop_assert_eq!(batch.len(), queries.len());
         for (e, got) in queries.iter().zip(&batch) {
-            let want = rwr(&adj, e, &opts).unwrap();
+            let want = unfused_rwr(&adj, e, &opts);
             prop_assert_eq!(got.converged, want.converged);
             prop_assert_eq!(got.iterations, want.iterations);
-            prop_assert!(bits_equal(got.beliefs.residual(), want.beliefs.residual()));
+            prop_assert!(bits_equal(got.beliefs.residual(), &want.beliefs));
         }
     }
 }

@@ -170,7 +170,7 @@ fn seeded_fault_storm_leaves_server_intact() {
     let baseline = client
         .solve_linbp(1, wire_params(&h), wire_seeds(0))
         .unwrap();
-    let reference = linbp(&fixture_adjacency(), &lib_seeds(0), &h, &lib_opts()).unwrap();
+    let reference = linbp_on(&fixture_adjacency(), &lib_seeds(0), &h, &lib_opts()).unwrap();
     assert_bitwise(
         "baseline before storm",
         &baseline.beliefs,
@@ -205,7 +205,7 @@ fn seeded_fault_storm_leaves_server_intact() {
     let fresh = client
         .solve_linbp(1, wire_params(&h), wire_seeds(5))
         .unwrap();
-    let fresh_ref = linbp(&fixture_adjacency(), &lib_seeds(5), &h, &lib_opts()).unwrap();
+    let fresh_ref = linbp_on(&fixture_adjacency(), &lib_seeds(5), &h, &lib_opts()).unwrap();
     assert_bitwise(
         "post-storm fresh solve",
         &fresh.beliefs,
@@ -261,7 +261,7 @@ fn explicit_fault_variants_never_wedge_the_loop() {
     let answer = client
         .solve_linbp(4, wire_params(&h), wire_seeds(1))
         .unwrap();
-    let reference = linbp(&fixture_adjacency(), &lib_seeds(1), &h, &lib_opts()).unwrap();
+    let reference = linbp_on(&fixture_adjacency(), &lib_seeds(1), &h, &lib_opts()).unwrap();
     assert_bitwise(
         "solve after explicit faults",
         &answer.beliefs,
@@ -360,7 +360,7 @@ fn panicking_solve_spares_parked_jobs() {
         };
         match r {
             Response::Beliefs(payload) => {
-                let reference = linbp(&adj, &lib_seeds(shift), &h, &lib_opts()).unwrap();
+                let reference = linbp_on(&adj, &lib_seeds(shift), &h, &lib_opts()).unwrap();
                 assert_bitwise(
                     &format!("{who} after panic"),
                     &payload.beliefs,
@@ -443,7 +443,7 @@ fn panicking_delta_publishes_nothing() {
     let adj = fixture_adjacency()
         .try_with_edge_deltas(&[(1, 6, 0.5), (6, 1, 0.5)])
         .unwrap();
-    let reference = linbp(&adj, &lib_seeds(2), &h, &lib_opts()).unwrap();
+    let reference = linbp_on(&adj, &lib_seeds(2), &h, &lib_opts()).unwrap();
     assert_bitwise(
         "solve after the panicking delta",
         &payload.beliefs,
@@ -496,7 +496,7 @@ fn retry_policy_recovers_every_idempotent_request() {
     let adj = fixture_adjacency();
     for result in results {
         let (t, beliefs) = result.expect("every idempotent request must be recovered");
-        let reference = linbp(&adj, &lib_seeds(t), &h, &lib_opts()).unwrap();
+        let reference = linbp_on(&adj, &lib_seeds(t), &h, &lib_opts()).unwrap();
         assert_bitwise(
             &format!("retried client {t}"),
             &beliefs,

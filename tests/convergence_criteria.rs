@@ -37,13 +37,13 @@ fn exact_criterion_is_sharp() {
             tol: 1e-13,
             ..Default::default()
         };
-        let below = linbp(&adj, &e, &coupling.scaled_residual(eps_max * 0.97), &opts).unwrap();
+        let below = linbp_on(&adj, &e, &coupling.scaled_residual(eps_max * 0.97), &opts).unwrap();
         assert!(
             below.converged && !below.diverged,
             "{}-node graph should converge at 0.97·eps_max",
             graph.num_nodes()
         );
-        let above = linbp(&adj, &e, &coupling.scaled_residual(eps_max * 1.03), &opts).unwrap();
+        let above = linbp_on(&adj, &e, &coupling.scaled_residual(eps_max * 1.03), &opts).unwrap();
         assert!(
             above.diverged,
             "{}-node graph should diverge at 1.03·eps_max",
@@ -108,7 +108,7 @@ fn sufficient_is_not_necessary() {
         tol: 1e-13,
         ..Default::default()
     };
-    let r = linbp(&adj, &e, &coupling.scaled_residual(eps), &opts).unwrap();
+    let r = linbp_on(&adj, &e, &coupling.scaled_residual(eps), &opts).unwrap();
     assert!(r.converged && !r.diverged);
 }
 
@@ -134,7 +134,7 @@ fn weighted_criteria() {
         tol: 1e-13,
         ..Default::default()
     };
-    let ok = linbp_star(
+    let ok = linbp_star_on(
         &adj,
         &e,
         &coupling.scaled_residual(eps_weighted * 0.95),
@@ -142,7 +142,7 @@ fn weighted_criteria() {
     )
     .unwrap();
     assert!(ok.converged);
-    let bad = linbp_star(
+    let bad = linbp_star_on(
         &adj,
         &e,
         &coupling.scaled_residual(eps_weighted * 1.05),

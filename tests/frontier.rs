@@ -107,7 +107,7 @@ fn frontier_vs_full(
     base: &LinBpOptions,
     label: &str,
 ) -> LinBpResult {
-    let fr = linbp(adj, e, h, base).unwrap();
+    let fr = linbp_on(adj, e, h, base).unwrap();
     assert_matches_oracle(&fr, &solo_full(adj, e, h, base), label);
     assert_counters(&fr, adj.n_rows(), label);
     fr
@@ -451,7 +451,7 @@ fn stacked_counters_equal_solo_counters() {
                 let stacked = linbp_batch_on(adj, &queries, h, &opts).unwrap();
                 let (mut stacked_sum, mut solo_sum, mut skipped) = (0u64, 0u64, 0u64);
                 for (j, (got, e)) in stacked.iter().zip(&queries).enumerate() {
-                    let solo = linbp(adj, e, h, &opts).unwrap();
+                    let solo = linbp_on(adj, e, h, &opts).unwrap();
                     assert_runs_identical(got, &solo, &format!("{label} query {j}"));
                     assert_eq!(
                         (got.rows_active, got.rows_skipped),
@@ -530,9 +530,9 @@ fn non_finite_degrees_start_all_changed() {
             };
             let solve = |e: &ExplicitBeliefs| {
                 if echo {
-                    linbp(&adj, e, &h, &opts).unwrap()
+                    linbp_on(&adj, e, &h, &opts).unwrap()
                 } else {
-                    linbp_star(&adj, e, &h, &opts).unwrap()
+                    linbp_star_on(&adj, e, &h, &opts).unwrap()
                 }
             };
             let stacked = if echo {
@@ -869,7 +869,7 @@ fn push_counters_match_pull_oracle() {
     let patch_seeds: Vec<ExplicitBeliefs> = draws[..3]
         .iter()
         .map(|e| {
-            let previous = linbp(&adj, e, &h, &converging).unwrap();
+            let previous = linbp_on(&adj, e, &h, &converging).unwrap();
             linbp_edge_delta_seed(&adj, &deltas, &previous.beliefs, &h, true).unwrap()
         })
         .collect();

@@ -14,7 +14,7 @@ use lsbp_sparse::{CsrMatrix, FrontierState, FusedLinBpStep, PropagationOperator}
 use proptest::prelude::*;
 
 mod support;
-use support::{bits_equal, unfused_linbp};
+use support::{bits_equal, unfused_linbp, unfused_linbp_observed};
 
 fn sweep() -> Vec<ParallelismConfig> {
     [1usize, 2, 8]
@@ -175,8 +175,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Stacking `q` queries side by side changes no bit: every k-block of
-    /// every stacked iterate, and every per-query delta, equals the
-    /// single-query step run on that query alone — for every kernel the
+    /// every stacked iterate, and every per-query delta, equals round for
+    /// round the plain-loop oracle (`support::unfused_linbp_observed`: no
+    /// tolerance, no guard, same damping and echo) run on that query
+    /// alone — for every kernel the
     /// dispatch can pick (k ∈ 2..=5, q = 1 and q ≥ 2, stacked widths
     /// across the 64- and 128-column stack-buffer limits), with and without
     /// echo and damping, serial and on 4 threads, full and frontier
@@ -227,10 +229,13 @@ proptest! {
         let iters = 4;
         let stacked = stacked_trajectory(
             &adj, &e_hat, &h, h2, degrees, damping, q, iters, frontier_flag == 1, &cfg);
+        let opts = fixed_rounds(damping, iters, ParallelismConfig::serial());
         for (j, single_e) in singles.iter().enumerate() {
-            let single = stacked_trajectory(
-                &adj, single_e, &h, h2, degrees, damping, 1, iters, false,
-                &ParallelismConfig::serial());
+            let mut single = Vec::with_capacity(iters);
+            unfused_linbp_observed(&adj, single_e, &h, echo_flag == 1, &opts, |old, new| {
+                single.push((new.clone(), new.max_abs_diff(old)));
+            });
+            prop_assert_eq!(single.len(), iters);
             for (it, ((got, got_d), (want, want_d))) in stacked.iter().zip(&single).enumerate() {
                 let block = Mat::from_fn(n, k, |r, c| got[(r, j * k + c)]);
                 prop_assert!(
@@ -239,7 +244,7 @@ proptest! {
                 );
                 prop_assert_eq!(
                     got_d[j].to_bits(),
-                    want_d[0].to_bits(),
+                    want_d.to_bits(),
                     "k={} q={} query {} iteration {}: delta differs", k, q, j, it
                 );
             }
@@ -259,7 +264,7 @@ fn solver_on_fused_kernel_satisfies_fixed_point_equation() {
     let ho = CouplingMatrix::fig6b_residual();
     let eps = 0.5 * lsbp::convergence::eps_max_exact_linbp(&ho, &adj, 1e-4);
     let h = ho.scale(eps);
-    let r = linbp(
+    let r = linbp_on(
         &adj,
         &e,
         &h,
@@ -308,9 +313,9 @@ fn damped_solver_bitwise_identical_across_threads() {
         parallelism: cfg,
         ..Default::default()
     };
-    let serial = linbp(&adj, &e, &h, &opts(ParallelismConfig::serial())).unwrap();
+    let serial = linbp_on(&adj, &e, &h, &opts(ParallelismConfig::serial())).unwrap();
     for cfg in sweep() {
-        let par = linbp(&adj, &e, &h, &opts(cfg)).unwrap();
+        let par = linbp_on(&adj, &e, &h, &opts(cfg)).unwrap();
         assert!(
             bits_equal(par.beliefs.residual(), serial.beliefs.residual()),
             "damped LinBP differs under {cfg:?}"

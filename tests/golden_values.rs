@@ -140,7 +140,7 @@ fn linbp_iterative_matches_proposition7() {
             ..Default::default()
         };
 
-        let iterative = linbp(&adj, &e, &h, &opts).unwrap();
+        let iterative = linbp_on(&adj, &e, &h, &opts).unwrap();
         assert!(iterative.converged);
         let dense = linbp_closed_form_dense(&adj, &e, &h, true).unwrap();
         let jacobi = linbp_closed_form_jacobi(&adj, &e, &h, true, &opts).unwrap();
@@ -154,7 +154,7 @@ fn linbp_iterative_matches_proposition7() {
         );
 
         // Same statement for LinBP* (echo cancellation off in Eq. 4).
-        let iterative_star = linbp_star(&adj, &e, &h, &opts).unwrap();
+        let iterative_star = linbp_star_on(&adj, &e, &h, &opts).unwrap();
         assert!(iterative_star.converged);
         let dense_star = linbp_closed_form_dense(&adj, &e, &h, false).unwrap();
         assert!(
@@ -197,7 +197,13 @@ fn torus_top_belief_readout() {
     e.set_residual(1, &[-1.0, 2.0, -1.0]).unwrap();
     e.set_residual(2, &[-1.0, -1.0, 2.0]).unwrap();
     let coupling = CouplingMatrix::fig1c().unwrap();
-    let r = sbp(&graph.adjacency(), &e, &coupling.residual()).unwrap();
+    let r = sbp_on(
+        &graph.adjacency(),
+        &e,
+        &coupling.residual(),
+        &ParallelismConfig::default(),
+    )
+    .unwrap();
     let labels = r.beliefs.top_belief_assignment(1e-9);
     assert_eq!(labels[0], vec![0]);
     assert_eq!(labels[1], vec![1]);

@@ -33,7 +33,7 @@ fn sequential_label_insertions_kronecker() {
     let adj = g.adjacency();
     let h = ho();
     let base = random_labels(n, 5, 1);
-    let mut state = sbp(&adj, &base, &h).unwrap();
+    let mut state = sbp_on(&adj, &base, &h, &ParallelismConfig::default()).unwrap();
     let mut all = base.clone();
     let mut rng = StdRng::seed_from_u64(99);
     for _ in 0..10 {
@@ -44,7 +44,7 @@ fn sequential_label_insertions_kronecker() {
         all.set_label(v, c, 1.0).unwrap();
         state = sbp_add_explicit(&adj, &h, &state, &delta).unwrap();
     }
-    let scratch = sbp(&adj, &all, &h).unwrap();
+    let scratch = sbp_on(&adj, &all, &h, &ParallelismConfig::default()).unwrap();
     assert_eq!(state.geodesics.g, scratch.geodesics.g);
     assert!(
         state
@@ -65,14 +65,14 @@ fn label_overwrite() {
     let mut base = ExplicitBeliefs::new(50, 3);
     base.set_label(0, 0, 1.0).unwrap();
     base.set_label(25, 1, 1.0).unwrap();
-    let state = sbp(&adj, &base, &h).unwrap();
+    let state = sbp_on(&adj, &base, &h, &ParallelismConfig::default()).unwrap();
     // Flip node 0 to class 2.
     let mut delta = ExplicitBeliefs::new(50, 3);
     delta.set_label(0, 2, 1.0).unwrap();
     let updated = sbp_add_explicit(&adj, &h, &state, &delta).unwrap();
     let mut all = base.clone();
     all.set_label(0, 2, 1.0).unwrap();
-    let scratch = sbp(&adj, &all, &h).unwrap();
+    let scratch = sbp_on(&adj, &all, &h, &ParallelismConfig::default()).unwrap();
     assert!(
         updated
             .beliefs
@@ -90,7 +90,7 @@ fn batch_order_invariance() {
     let adj = g.adjacency();
     let h = ho();
     let base = random_labels(40, 3, 2);
-    let prev = sbp(&adj, &base, &h).unwrap();
+    let prev = sbp_on(&adj, &base, &h, &ParallelismConfig::default()).unwrap();
     let mut d1 = ExplicitBeliefs::new(40, 3);
     d1.set_label(7, 0, 1.0).unwrap();
     let mut d2 = ExplicitBeliefs::new(40, 3);
@@ -121,13 +121,13 @@ fn edge_insertion_merges_components() {
     let h = ho();
     let mut e = ExplicitBeliefs::new(20, 3);
     e.set_label(0, 0, 1.0).unwrap(); // only component A has labels
-    let prev = sbp(&g.adjacency(), &e, &h).unwrap();
+    let prev = sbp_on(&g.adjacency(), &e, &h, &ParallelismConfig::default()).unwrap();
     assert_eq!(prev.geodesics.geodesic(15), None);
 
     let mut grown = g.clone();
     grown.add_edge_unweighted(9, 10);
     let updated = sbp_add_edges(&grown.adjacency(), &[(9, 10, 1.0)], &h, &prev).unwrap();
-    let scratch = sbp(&grown.adjacency(), &e, &h).unwrap();
+    let scratch = sbp_on(&grown.adjacency(), &e, &h, &ParallelismConfig::default()).unwrap();
     assert_eq!(updated.geodesics.g, scratch.geodesics.g);
     assert_eq!(updated.geodesics.geodesic(19), Some(19));
     assert!(
@@ -147,7 +147,13 @@ fn interleaved_updates() {
     let extra_edges: Vec<_> = extra.edges().collect();
     let h = ho();
     let mut labels = random_labels(70, 4, 6);
-    let mut state = sbp(&current.adjacency(), &labels, &h).unwrap();
+    let mut state = sbp_on(
+        &current.adjacency(),
+        &labels,
+        &h,
+        &ParallelismConfig::default(),
+    )
+    .unwrap();
     let mut rng = StdRng::seed_from_u64(77);
     let mut edge_cursor = 0;
     for step in 0..8 {
@@ -167,7 +173,13 @@ fn interleaved_updates() {
             state = sbp_add_explicit(&current.adjacency(), &h, &state, &delta).unwrap();
         }
     }
-    let scratch = sbp(&current.adjacency(), &labels, &h).unwrap();
+    let scratch = sbp_on(
+        &current.adjacency(),
+        &labels,
+        &h,
+        &ParallelismConfig::default(),
+    )
+    .unwrap();
     assert_eq!(state.geodesics.g, scratch.geodesics.g);
     assert!(
         state
@@ -188,7 +200,7 @@ fn parallel_edge_weights_accumulate() {
     let h = ho();
     let mut e = ExplicitBeliefs::new(4, 3);
     e.set_label(0, 0, 1.0).unwrap();
-    let prev = sbp(&g.adjacency(), &e, &h).unwrap();
+    let prev = sbp_on(&g.adjacency(), &e, &h, &ParallelismConfig::default()).unwrap();
     // Add a parallel edge 0–1 (weight 2) and a fresh edge 2–3.
     let new_edges = [(0usize, 1usize, 2.0f64), (2, 3, 1.0)];
     let mut grown = g.clone();
@@ -196,7 +208,7 @@ fn parallel_edge_weights_accumulate() {
         grown.add_edge(s, t, w);
     }
     let updated = sbp_add_edges(&grown.adjacency(), &new_edges, &h, &prev).unwrap();
-    let scratch = sbp(&grown.adjacency(), &e, &h).unwrap();
+    let scratch = sbp_on(&grown.adjacency(), &e, &h, &ParallelismConfig::default()).unwrap();
     assert!(
         updated
             .beliefs

@@ -45,7 +45,7 @@ fn linbp_matches_closed_form_on_random_graphs() {
         let e = random_explicit(40, 3, 0.2, seed);
         let eps = 0.8 * eps_max_exact_linbp(&coupling.residual(), &adj, 1e-4);
         let h = coupling.scaled_residual(eps);
-        let iterative = linbp(
+        let iterative = linbp_on(
             &adj,
             &e,
             &h,
@@ -90,7 +90,7 @@ fn linbp_top_beliefs_match_bp() {
     )
     .unwrap();
     assert!(bp_r.converged);
-    let lin_r = linbp(
+    let lin_r = linbp_on(
         &adj,
         &e,
         &h_res,
@@ -123,8 +123,8 @@ fn linbp_star_matches_linbp_at_small_eps() {
         tol: 1e-14,
         ..Default::default()
     };
-    let a = linbp(&adj, &e, &h, &opts).unwrap();
-    let b = linbp_star(&adj, &e, &h, &opts).unwrap();
+    let a = linbp_on(&adj, &e, &h, &opts).unwrap();
+    let b = linbp_star_on(&adj, &e, &h, &opts).unwrap();
     assert!(a.converged && b.converged);
     assert_eq!(
         a.beliefs.top_belief_assignment(1e-9),
@@ -144,7 +144,7 @@ fn tree_agreement() {
     e.set_label(2, 0, 0.1).unwrap();
     e.set_label(3, 1, 0.1).unwrap();
     let bp_r = bp(&adj, &e, &coupling.raw_at_scale(0.5), &BpOptions::default()).unwrap();
-    let lin_r = linbp(
+    let lin_r = linbp_on(
         &adj,
         &e,
         &coupling.scaled_residual(0.1),
@@ -166,7 +166,7 @@ fn sql_linbp_on_kronecker_graph1() {
     let h = CouplingMatrix::fig6b_residual().scale(0.001);
     let db = lsbp_reldb::SqlDb::new(&g, &e, &h);
     let sql_b = db.linbp(5, true);
-    let native = linbp(
+    let native = linbp_on(
         &g.adjacency(),
         &e,
         &h,

@@ -62,8 +62,8 @@ fn assert_linbp_equal(got: &LinBpResult, want: &LinBpResult, label: &str) {
 }
 
 /// The acceptance grid: budgets {tiny, half, ample} × shards {1, 2, 8}
-/// × threads {1, 4}, for LinBP, LinBP*, RWR and SBP. Every cell must be
-/// bitwise identical to the serial resident reference.
+/// × threads {1, 4}, for LinBP, LinBP*, incremental LinBP, RWR and SBP.
+/// Every cell must be bitwise identical to the serial resident reference.
 #[test]
 fn paged_solves_match_resident_across_budget_grid() {
     let n = 60;
@@ -78,9 +78,11 @@ fn paged_solves_match_resident_across_budget_grid() {
         parallelism: ParallelismConfig::serial(),
         ..Default::default()
     };
-    let want = linbp(&adj, &e, &h, &reference_opts).unwrap();
-    let want_star = linbp_star(&adj, &e, &h, &reference_opts).unwrap();
-    let want_rwr = rwr(
+    let want = linbp_on(&adj, &e, &h, &reference_opts).unwrap();
+    let want_star = linbp_star_on(&adj, &e, &h, &reference_opts).unwrap();
+    let delta = seeds(n, 3, &[(29, 1)]);
+    let want_update = linbp_update(&adj, &want.beliefs, &delta, &h, &reference_opts, true).unwrap();
+    let want_rwr = rwr_on(
         &adj,
         &e,
         &RwrOptions {
@@ -89,7 +91,7 @@ fn paged_solves_match_resident_across_budget_grid() {
         },
     )
     .unwrap();
-    let want_sbp = sbp_with(&adj, &e, &hr, &ParallelismConfig::serial()).unwrap();
+    let want_sbp = sbp_on(&adj, &e, &hr, &ParallelismConfig::serial()).unwrap();
 
     let bytes = csr_bytes(&adj);
     // `tiny` cannot hold even one shard — every access misses and evicts.
@@ -110,6 +112,9 @@ fn paged_solves_match_resident_across_budget_grid() {
                 assert_linbp_equal(&got, &want, &label);
                 let got_star = linbp_star_on(&paged, &e, &h, &opts).unwrap();
                 assert_linbp_equal(&got_star, &want_star, &format!("{label} (star)"));
+                let got_update =
+                    linbp_update(&paged, &got.beliefs, &delta, &h, &opts, true).unwrap();
+                assert_linbp_equal(&got_update, &want_update, &format!("{label} (update)"));
                 let got_rwr = rwr_on(
                     &paged,
                     &e,
@@ -179,7 +184,7 @@ fn cold_and_warm_solves_are_bit_identical() {
     assert_eq!(after_warm.evictions, 0, "unbudgeted pool must never evict");
     // Re-open the same file fresh (cold again) and match the resident run.
     let reopened = open_paged(&path, &cfg).unwrap();
-    let want = linbp(&adj, &e, &h, &opts).unwrap();
+    let want = linbp_on(&adj, &e, &h, &opts).unwrap();
     let got = linbp_on(&reopened, &e, &h, &opts).unwrap();
     assert_linbp_equal(&got, &want, "reopened vs resident");
 }
@@ -270,7 +275,7 @@ fn spill_paged_derives_shards_from_budget() {
         parallelism: ParallelismConfig::serial(),
         ..Default::default()
     };
-    let want = linbp(&adj, &e, &h, &opts).unwrap();
+    let want = linbp_on(&adj, &e, &h, &opts).unwrap();
     for (budget, at_least, at_most) in [(0, 1, 1), (csr_bytes(&adj) / 4, 2, 8), (1, 2, 40)] {
         let cfg = opts.parallelism.with_memory_budget(budget);
         let path = tmp(&format!("derived-{budget}.lsbp"));
@@ -307,7 +312,7 @@ fn eviction_under_pressure_mid_solve() {
         parallelism: cfg,
         ..Default::default()
     };
-    let want = linbp(
+    let want = linbp_on(
         &adj,
         &e,
         &h,
@@ -448,7 +453,7 @@ proptest! {
             parallelism: ParallelismConfig::serial(),
             ..Default::default()
         };
-        let want = linbp(&adj, &e, &h, &base_opts).unwrap();
+        let want = linbp_on(&adj, &e, &h, &base_opts).unwrap();
         let cfg = ParallelismConfig::with_threads(threads).with_min_work(1);
         let path = tmp(&format!("prop-{seed}-{shards}-{threads}-{budget_frac}.lsbp"));
         let opts = PagedOptions::default().with_budget(Some(budget));

@@ -32,7 +32,7 @@ fn linbp_bitwise_identical_across_threads() {
     let n = adj.n_rows();
     let e = kronecker_style_beliefs(n, 3, n / 20, 3, false);
     let h = CouplingMatrix::fig6b_residual().scale(0.01);
-    let serial = linbp(
+    let serial = linbp_on(
         &adj,
         &e,
         &h,
@@ -43,7 +43,7 @@ fn linbp_bitwise_identical_across_threads() {
     )
     .unwrap();
     for cfg in sweep() {
-        let par = linbp(
+        let par = linbp_on(
             &adj,
             &e,
             &h,
@@ -82,9 +82,9 @@ fn linbp_l2_norm_bitwise_identical_across_threads() {
         parallelism: cfg,
         ..Default::default()
     };
-    let serial = linbp(&adj, &e, &h, &opts(ParallelismConfig::serial())).unwrap();
+    let serial = linbp_on(&adj, &e, &h, &opts(ParallelismConfig::serial())).unwrap();
     for cfg in sweep() {
-        let par = linbp(&adj, &e, &h, &opts(cfg)).unwrap();
+        let par = linbp_on(&adj, &e, &h, &opts(cfg)).unwrap();
         assert_eq!(par.iterations, serial.iterations, "{cfg:?}");
         assert_eq!(
             par.final_delta.to_bits(),
@@ -103,7 +103,7 @@ fn linbp_star_bitwise_identical_across_threads() {
     let adj = erdos_renyi_gnm(300, 900, 11).adjacency();
     let e = kronecker_style_beliefs(300, 3, 20, 5, false);
     let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
-    let serial = linbp_star(
+    let serial = linbp_star_on(
         &adj,
         &e,
         &h,
@@ -114,7 +114,7 @@ fn linbp_star_bitwise_identical_across_threads() {
     )
     .unwrap();
     for cfg in sweep() {
-        let par = linbp_star(
+        let par = linbp_star_on(
             &adj,
             &e,
             &h,
@@ -189,9 +189,9 @@ fn sbp_bitwise_identical_across_threads() {
     let n = adj.n_rows();
     let e = kronecker_style_beliefs(n, 3, n / 20, 13, false);
     let ho = CouplingMatrix::fig6b_residual();
-    let serial = sbp_with(&adj, &e, &ho, &ParallelismConfig::serial()).unwrap();
+    let serial = sbp_on(&adj, &e, &ho, &ParallelismConfig::serial()).unwrap();
     for cfg in sweep() {
-        let par = sbp_with(&adj, &e, &ho, &cfg).unwrap();
+        let par = sbp_on(&adj, &e, &ho, &cfg).unwrap();
         assert_eq!(par.geodesics.g, serial.geodesics.g, "{cfg:?}");
         assert!(
             bits_equal(par.beliefs.residual(), serial.beliefs.residual()),
@@ -208,8 +208,8 @@ fn env_default_entry_points_match_serial() {
     let adj = erdos_renyi_gnm(120, 360, 21).adjacency();
     let e = kronecker_style_beliefs(120, 3, 10, 2, false);
     let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
-    let default_run = linbp(&adj, &e, &h, &LinBpOptions::default()).unwrap();
-    let serial_run = linbp(
+    let default_run = linbp_on(&adj, &e, &h, &LinBpOptions::default()).unwrap();
+    let serial_run = linbp_on(
         &adj,
         &e,
         &h,
@@ -225,8 +225,8 @@ fn env_default_entry_points_match_serial() {
     ));
 
     let ho = CouplingMatrix::fig1c().unwrap().residual();
-    let default_sbp = sbp(&adj, &e, &ho).unwrap();
-    let serial_sbp = sbp_with(&adj, &e, &ho, &ParallelismConfig::serial()).unwrap();
+    let default_sbp = sbp_on(&adj, &e, &ho, &ParallelismConfig::default()).unwrap();
+    let serial_sbp = sbp_on(&adj, &e, &ho, &ParallelismConfig::serial()).unwrap();
     assert!(bits_equal(
         default_sbp.beliefs.residual(),
         serial_sbp.beliefs.residual()

@@ -82,7 +82,7 @@ proptest! {
             return Ok(());
         }
         let h = coupling.scaled_residual(eps);
-        let r = linbp(&adj, &e, &h,
+        let r = linbp_on(&adj, &e, &h,
             &LinBpOptions { max_iter: 20_000, tol: 1e-13, ..Default::default() }).unwrap();
         prop_assert!(r.converged);
         for v in 0..n {
@@ -109,8 +109,8 @@ proptest! {
         }
         let h = coupling.scaled_residual(eps);
         let opts = LinBpOptions { max_iter: 30_000, tol: 1e-14, ..Default::default() };
-        let r1 = linbp(&adj, &e, &h, &opts).unwrap();
-        let r2 = linbp(&adj, &e.scaled(lambda), &h, &opts).unwrap();
+        let r1 = linbp_on(&adj, &e, &h, &opts).unwrap();
+        let r2 = linbp_on(&adj, &e.scaled(lambda), &h, &opts).unwrap();
         prop_assert!(r1.converged && r2.converged);
         let scaled = r1.beliefs.residual().scale(lambda);
         let err = scaled.max_abs_diff(r2.beliefs.residual());
@@ -131,7 +131,7 @@ proptest! {
             return Ok(());
         }
         let h = coupling.scaled_residual(eps);
-        let iter = linbp(&adj, &e, &h,
+        let iter = linbp_on(&adj, &e, &h,
             &LinBpOptions { max_iter: 50_000, tol: 1e-14, ..Default::default() }).unwrap();
         prop_assert!(iter.converged);
         let exact = linbp_closed_form_dense(&adj, &e, &h, true).unwrap();
@@ -158,7 +158,7 @@ proptest! {
             }
         }
         let ho = coupling.residual();
-        let r = sbp(&adj, &e, &ho).unwrap();
+        let r = sbp_on(&adj, &e, &ho, &ParallelismConfig::default()).unwrap();
         for v in e.explicit_nodes() {
             prop_assert_eq!(r.beliefs.row(v), e.row(v));
         }
@@ -176,7 +176,7 @@ proptest! {
         let mut all = e.clone();
         all.set_label(extra, 2, 1.0).unwrap();
         let inc = sbp_add_explicit(&adj, &ho, &r, &delta).unwrap();
-        let scratch = sbp(&adj, &all, &ho).unwrap();
+        let scratch = sbp_on(&adj, &all, &ho, &ParallelismConfig::default()).unwrap();
         prop_assert_eq!(&inc.geodesics.g, &scratch.geodesics.g);
         let err = inc.beliefs.residual().max_abs_diff(scratch.beliefs.residual());
         prop_assert!(err < 1e-10, "{err}");
@@ -195,10 +195,10 @@ proptest! {
         let (base, extra) = g.split_edges(keep.max(1));
         let mut e = ExplicitBeliefs::new(n, 3);
         e.set_label(0, 0, 1.0).unwrap();
-        let prev = sbp(&base.adjacency(), &e, &ho).unwrap();
+        let prev = sbp_on(&base.adjacency(), &e, &ho, &ParallelismConfig::default()).unwrap();
         let new_edges: Vec<_> = extra.edges().collect();
         let inc = sbp_add_edges(&g.adjacency(), &new_edges, &ho, &prev).unwrap();
-        let scratch = sbp(&g.adjacency(), &e, &ho).unwrap();
+        let scratch = sbp_on(&g.adjacency(), &e, &ho, &ParallelismConfig::default()).unwrap();
         prop_assert_eq!(&inc.geodesics.g, &scratch.geodesics.g);
         let err = inc.beliefs.residual().max_abs_diff(scratch.beliefs.residual());
         prop_assert!(err < 1e-9, "{err}");

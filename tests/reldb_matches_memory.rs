@@ -38,9 +38,9 @@ fn linbp_on_kronecker() {
             ..Default::default()
         };
         let native = if echo {
-            linbp(&g.adjacency(), &e, &h, &opts).unwrap()
+            linbp_on(&g.adjacency(), &e, &h, &opts).unwrap()
         } else {
-            linbp_star(&g.adjacency(), &e, &h, &opts).unwrap()
+            linbp_star_on(&g.adjacency(), &e, &h, &opts).unwrap()
         };
         assert!(
             sql_b.residual().max_abs_diff(native.beliefs.residual()) < 1e-12,
@@ -57,7 +57,13 @@ fn sbp_on_dblp_like() {
     let ho = CouplingMatrix::fig11a_residual();
     let db = SqlDb::new(&net.graph, &e, &ho);
     let state = db.sbp();
-    let native = sbp(&net.graph.adjacency(), &e, &ho).unwrap();
+    let native = sbp_on(
+        &net.graph.adjacency(),
+        &e,
+        &ho,
+        &ParallelismConfig::default(),
+    )
+    .unwrap();
     let sql_b = belief_table_to_matrix(&state.b, n, 4);
     assert!(sql_b.residual().max_abs_diff(native.beliefs.residual()) < 1e-10);
     assert_eq!(geodesic_table_to_vec(&state.g, n), native.geodesics.g);
@@ -73,7 +79,7 @@ fn multi_batch_add_explicit() {
     let base = random_labels(80, 3, 4, 0);
     let mut db = SqlDb::new(&g, &base, &ho);
     let mut state = db.sbp();
-    let mut native_state = sbp(&adj, &base, &ho).unwrap();
+    let mut native_state = sbp_on(&adj, &base, &ho, &ParallelismConfig::default()).unwrap();
     let mut all = base.clone();
     for batch in 1..=3u64 {
         let mut delta = ExplicitBeliefs::new(80, 3);
@@ -87,7 +93,7 @@ fn multi_batch_add_explicit() {
         db.sbp_add_explicit(&mut state, &delta);
         native_state = sbp_add_explicit(&adj, &ho, &native_state, &delta).unwrap();
     }
-    let scratch = sbp(&adj, &all, &ho).unwrap();
+    let scratch = sbp_on(&adj, &all, &ho, &ParallelismConfig::default()).unwrap();
     let sql_b = belief_table_to_matrix(&state.b, 80, 3);
     assert!(sql_b.residual().max_abs_diff(scratch.beliefs.residual()) < 1e-10);
     assert!(
@@ -112,7 +118,8 @@ fn multi_batch_add_edges() {
 
     let mut db = SqlDb::new(&base, &e, &ho);
     let mut state = db.sbp();
-    let mut native_state = sbp(&base.adjacency(), &e, &ho).unwrap();
+    let mut native_state =
+        sbp_on(&base.adjacency(), &e, &ho, &ParallelismConfig::default()).unwrap();
 
     // Apply in two batches of 20.
     let mut grown = base.clone();
@@ -124,7 +131,7 @@ fn multi_batch_add_edges() {
         db.sbp_add_edges(&mut state, chunk);
         native_state = sbp_add_edges(&adj_now, chunk, &ho, &native_state).unwrap();
     }
-    let scratch = sbp(&full.adjacency(), &e, &ho).unwrap();
+    let scratch = sbp_on(&full.adjacency(), &e, &ho, &ParallelismConfig::default()).unwrap();
     let sql_b = belief_table_to_matrix(&state.b, 60, 3);
     assert!(sql_b.residual().max_abs_diff(scratch.beliefs.residual()) < 1e-10);
     assert!(
@@ -153,7 +160,7 @@ fn weighted_sql_equivalence() {
     let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
     let db = SqlDb::new(&g, &e, &h);
     let sql_b = db.linbp(5, true);
-    let native = linbp(
+    let native = linbp_on(
         &g.adjacency(),
         &e,
         &h,
@@ -169,7 +176,7 @@ fn weighted_sql_equivalence() {
     let ho = CouplingMatrix::fig1c().unwrap().residual();
     let db2 = SqlDb::new(&g, &e, &ho);
     let state = db2.sbp();
-    let native_sbp = sbp(&g.adjacency(), &e, &ho).unwrap();
+    let native_sbp = sbp_on(&g.adjacency(), &e, &ho, &ParallelismConfig::default()).unwrap();
     let sql_sbp = belief_table_to_matrix(&state.b, 12, 3);
     assert!(
         sql_sbp

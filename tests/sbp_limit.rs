@@ -22,14 +22,20 @@ fn theorem19_on_grid() {
     let adj = g.adjacency();
     let coupling = CouplingMatrix::fig1c().unwrap();
     let e = seeds(36, &[(0, 0), (35, 1), (17, 2)]);
-    let sbp_r = sbp(&adj, &e, &coupling.residual()).unwrap();
+    let sbp_r = sbp_on(
+        &adj,
+        &e,
+        &coupling.residual(),
+        &ParallelismConfig::default(),
+    )
+    .unwrap();
     let opts = LinBpOptions {
         max_iter: 100_000,
         tol: 1e-16,
         ..Default::default()
     };
     let h = coupling.scaled_residual(0.005);
-    let lin = linbp(&adj, &e, &h, &opts).unwrap();
+    let lin = linbp_on(&adj, &e, &h, &opts).unwrap();
     assert!(lin.converged);
     let mut max_err = 0.0f64;
     for v in 0..36 {
@@ -51,8 +57,14 @@ fn top_beliefs_agree_at_small_eps() {
         let g = erdos_renyi_gnm(50, 120, seed);
         let adj = g.adjacency();
         let e = seeds(50, &[(0, 0), (11, 1), (29, 2)]);
-        let sbp_r = sbp(&adj, &e, &coupling.residual()).unwrap();
-        let lin = linbp(
+        let sbp_r = sbp_on(
+            &adj,
+            &e,
+            &coupling.residual(),
+            &ParallelismConfig::default(),
+        )
+        .unwrap();
+        let lin = linbp_on(
             &adj,
             &e,
             &coupling.scaled_residual(0.002),
@@ -105,7 +117,7 @@ fn lemma17_modified_adjacency() {
         let a_star_t = coo.to_csr();
         // The DAG operator is nilpotent (ρ = 0), so LinBP* converges
         // exactly — even with the *unscaled* Ĥo.
-        let lin = linbp_star(
+        let lin = linbp_star_on(
             &a_star_t,
             &e,
             &ho,
@@ -117,7 +129,7 @@ fn lemma17_modified_adjacency() {
         )
         .unwrap();
         assert!(lin.converged, "seed {seed}");
-        let sbp_r = sbp(&adj, &e, &ho).unwrap();
+        let sbp_r = sbp_on(&adj, &e, &ho, &ParallelismConfig::default()).unwrap();
         assert!(
             lin.beliefs
                 .residual()
@@ -136,8 +148,20 @@ fn sbp_scale_invariance() {
     let adj = g.adjacency();
     let coupling = CouplingMatrix::fig1c().unwrap();
     let e = seeds(30, &[(0, 0), (9, 1)]);
-    let full = sbp(&adj, &e, &coupling.residual()).unwrap();
-    let tiny = sbp(&adj, &e, &coupling.scaled_residual(1e-4)).unwrap();
+    let full = sbp_on(
+        &adj,
+        &e,
+        &coupling.residual(),
+        &ParallelismConfig::default(),
+    )
+    .unwrap();
+    let tiny = sbp_on(
+        &adj,
+        &e,
+        &coupling.scaled_residual(1e-4),
+        &ParallelismConfig::default(),
+    )
+    .unwrap();
     for v in 0..30 {
         let a = full.beliefs.standardized(v);
         let b = tiny.beliefs.standardized(v);

@@ -165,7 +165,7 @@ fn coalesced_queries_are_bitwise_identical_to_solo_solves() {
     let opts = lib_opts();
     let mut coalesced = 0;
     for (q, payload) in payloads.iter().enumerate() {
-        let reference = linbp(&adj, &lib_seeds(q, 1.0), &h, &opts).unwrap();
+        let reference = linbp_on(&adj, &lib_seeds(q, 1.0), &h, &opts).unwrap();
         assert!(payload.converged && reference.converged);
         assert_eq!(payload.iterations, reference.iterations as u64);
         assert_bitwise(
@@ -321,7 +321,7 @@ fn default_admission_coalesces_only_while_the_solver_is_busy() {
             },
             "query {q}"
         );
-        let want = linbp(&adj, &lib_seeds(q, 1.0), &h, &lib_opts()).unwrap();
+        let want = linbp_on(&adj, &lib_seeds(q, 1.0), &h, &lib_opts()).unwrap();
         assert_eq!(payload.iterations, want.iterations as u64, "query {q}");
         assert_bitwise(
             &format!("query {q}"),
@@ -620,7 +620,7 @@ fn mixed_convergence_batch_matches_per_query_solves() {
     let adj = fixture_adjacency();
     let opts = lib_opts();
     for (payload, &scale) in payloads.iter().zip(&scales) {
-        let reference = linbp(&adj, &lib_seeds(0, scale), &h, &opts).unwrap();
+        let reference = linbp_on(&adj, &lib_seeds(0, scale), &h, &opts).unwrap();
         assert!(payload.converged && reference.converged);
         assert_eq!(
             payload.iterations, reference.iterations as u64,
@@ -947,6 +947,64 @@ fn invalid_requests_get_typed_errors() {
         ErrorCode::BadRequest,
         "delta out of bounds",
     );
+    // Edge delta with an infinite weight.
+    expect_err(
+        client.edge_delta(
+            1,
+            true,
+            vec![WireEdge {
+                src: 0,
+                dst: 1,
+                weight: f64::INFINITY,
+            }],
+        ),
+        ErrorCode::BadRequest,
+        "infinite delta weight",
+    );
+    // Neither rejected delta bumped the version: the next delta makes 2.
+    let (version, _, _) = client
+        .edge_delta(
+            1,
+            true,
+            vec![WireEdge {
+                src: 0,
+                dst: 1,
+                weight: 0.5,
+            }],
+        )
+        .unwrap();
+    assert_eq!(version, 2, "a rejected delta bumped the version");
+    // Registration edges get the same checks: out of range, NaN weight.
+    for (edge, label) in [
+        (
+            WireEdge {
+                src: 0,
+                dst: 10,
+                weight: 1.0,
+            },
+            "registration edge out of range",
+        ),
+        (
+            WireEdge {
+                src: 0,
+                dst: 1,
+                weight: f64::NAN,
+            },
+            "registration edge with NaN weight",
+        ),
+    ] {
+        let mut edges = wire_edges();
+        edges.push(edge);
+        expect_err(
+            client.register_graph(2, 10, true, edges),
+            ErrorCode::BadRequest,
+            label,
+        );
+    }
+    // Neither rejected registration published graph 2: it still
+    // registers fresh, at version 1.
+    let (version, _) = client.register_graph(2, 10, true, wire_edges()).unwrap();
+    assert_eq!(version, 1, "a rejected registration left graph 2 behind");
     // A malformed frame (bogus request tag inside a valid envelope) gets
     // a typed error too — on a raw socket, below the typed client. The
     // error envelope must echo the salvaged correlation id.
@@ -1038,7 +1096,7 @@ fn deadline_expired_while_parked_is_answered_typed() {
     match &responses[&1] {
         Response::Beliefs(payload) => {
             let reference =
-                linbp(&fixture_adjacency(), &lib_seeds(1, 1.0), &h, &lib_opts()).unwrap();
+                linbp_on(&fixture_adjacency(), &lib_seeds(1, 1.0), &h, &lib_opts()).unwrap();
             assert_bitwise(
                 "batch-mate of expired job",
                 &payload.beliefs,
@@ -1077,7 +1135,7 @@ fn expired_deadline_is_rejected_at_admission() {
     let payload = client
         .solve_linbp(1, wire_params(&h), wire_seeds(0, 1.0))
         .unwrap();
-    let reference = linbp(&fixture_adjacency(), &lib_seeds(0, 1.0), &h, &lib_opts()).unwrap();
+    let reference = linbp_on(&fixture_adjacency(), &lib_seeds(0, 1.0), &h, &lib_opts()).unwrap();
     assert_bitwise(
         "post-deadline solve",
         &payload.beliefs,
@@ -1118,7 +1176,7 @@ fn panicking_solve_is_isolated_from_the_event_loop() {
     let payload = client
         .solve_linbp(14, wire_params(&h), wire_seeds(2, 1.0))
         .unwrap();
-    let reference = linbp(&fixture_adjacency(), &lib_seeds(2, 1.0), &h, &lib_opts()).unwrap();
+    let reference = linbp_on(&fixture_adjacency(), &lib_seeds(2, 1.0), &h, &lib_opts()).unwrap();
     assert_bitwise(
         "solve after panic",
         &payload.beliefs,
@@ -1194,7 +1252,7 @@ fn slow_writer_is_evicted_without_harming_others() {
     let mut explicit = ExplicitBeliefs::new(n, K);
     explicit.set_residual(0, &[2.0, -1.0, -1.0]).unwrap();
     explicit.set_residual(n / 2, &[-1.0, 2.0, -1.0]).unwrap();
-    let reference = linbp(&ring_graph.adjacency(), &explicit, &h, &lib_opts()).unwrap();
+    let reference = linbp_on(&ring_graph.adjacency(), &explicit, &h, &lib_opts()).unwrap();
     assert_bitwise(
         "well-behaved client during slow-writer abuse",
         &payload.beliefs,
@@ -1269,7 +1327,7 @@ fn retrying_client_recovers_from_overload() {
     let payload = retrying
         .solve_linbp(5, wire_params(&h), &wire_seeds(4, 1.0))
         .expect("retry policy must recover the answer");
-    let reference = linbp(&fixture_adjacency(), &lib_seeds(4, 1.0), &h, &lib_opts()).unwrap();
+    let reference = linbp_on(&fixture_adjacency(), &lib_seeds(4, 1.0), &h, &lib_opts()).unwrap();
     assert_bitwise(
         "retried solve",
         &payload.beliefs,
@@ -1499,7 +1557,7 @@ fn clamp_iter_degradation_is_bitwise_at_the_clamped_budget() {
     let clamped = clamped_payload.expect("clamped query answered");
     let mut clamped_opts = lib_opts();
     clamped_opts.max_iter = 50;
-    let reference = linbp(&fixture_adjacency(), &lib_seeds(0, 1.0), &h, &clamped_opts).unwrap();
+    let reference = linbp_on(&fixture_adjacency(), &lib_seeds(0, 1.0), &h, &clamped_opts).unwrap();
     assert_eq!(clamped.iterations, reference.iterations as u64);
     assert_bitwise(
         "clamped solve == library at clamped budget",
@@ -1574,7 +1632,7 @@ fn duplicate_register_with_spill_keeps_live_graph_servable() {
         Response::Beliefs(p) => p,
         other => panic!("graph unservable after duplicate register: {other:?}"),
     };
-    let reference = linbp(&fixture_adjacency(), &lib_seeds(1, 1.0), &h, &lib_opts()).unwrap();
+    let reference = linbp_on(&fixture_adjacency(), &lib_seeds(1, 1.0), &h, &lib_opts()).unwrap();
     assert_bitwise(
         "post-duplicate solve",
         &survived.beliefs,
@@ -1655,7 +1713,7 @@ fn racing_edge_deltas_to_spilled_graph_all_land() {
     let new_adj = fixture_adjacency()
         .try_with_edge_deltas(&both_dirs)
         .unwrap();
-    let reference = linbp(&new_adj, &lib_seeds(2, 1.0), &h, &lib_opts()).unwrap();
+    let reference = linbp_on(&new_adj, &lib_seeds(2, 1.0), &h, &lib_opts()).unwrap();
     assert_bitwise(
         "solve after racing deltas",
         &got.beliefs,

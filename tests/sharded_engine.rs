@@ -73,8 +73,8 @@ fn linbp_shard_knob_grid() {
             parallelism: ParallelismConfig::serial(),
             ..Default::default()
         };
-        let want = linbp(&adj, &e, &h, &reference_opts).unwrap();
-        let want_star = linbp_star(&adj, &e, &h, &reference_opts).unwrap();
+        let want = linbp_on(&adj, &e, &h, &reference_opts).unwrap();
+        let want_star = linbp_star_on(&adj, &e, &h, &reference_opts).unwrap();
         if label == "divergent" {
             assert!(want_star.diverged, "the divergent case must diverge");
         }
@@ -105,7 +105,7 @@ fn linbp_shard_knob_grid() {
 fn rwr_shard_knob_grid() {
     let adj = erdos_renyi_gnm(70, 210, 3).adjacency();
     let e = seeds(70, 2, &[(0, 0), (69, 1), (30, 0)]);
-    let want = rwr(
+    let want = rwr_on(
         &adj,
         &e,
         &RwrOptions {
@@ -140,7 +140,7 @@ fn sbp_shard_knob_grid() {
     let adj = erdos_renyi_gnm(80, 160, 5).adjacency(); // sparse → deep layers
     let e = seeds(80, 3, &[(2, 0), (47, 1), (66, 2)]);
     let h = CouplingMatrix::fig1c().unwrap().residual();
-    let want = sbp_with(&adj, &e, &h, &ParallelismConfig::serial()).unwrap();
+    let want = sbp_on(&adj, &e, &h, &ParallelismConfig::serial()).unwrap();
     for (shards, cfg) in shard_thread_grid() {
         let got = sbp_on(&ShardedCsr::from_csr(&adj, shards), &e, &h, &cfg).unwrap();
         let label = format!("t={} s={shards}", cfg.threads());
@@ -239,8 +239,8 @@ fn exotic_shard_layouts_via_operator_api() {
         parallelism: ParallelismConfig::with_threads(4).with_min_work(1),
         ..Default::default()
     };
-    let want = linbp(&adj, &e, &h, &opts).unwrap();
-    let want_rwr = rwr(
+    let want = linbp_on(&adj, &e, &h, &opts).unwrap();
+    let want_rwr = rwr_on(
         &adj,
         &e,
         &RwrOptions {
@@ -249,7 +249,7 @@ fn exotic_shard_layouts_via_operator_api() {
         },
     )
     .unwrap();
-    let want_sbp = sbp_with(&adj, &e, &hr, &opts.parallelism).unwrap();
+    let want_sbp = sbp_on(&adj, &e, &hr, &opts.parallelism).unwrap();
     for (i, layout) in layouts.iter().enumerate() {
         let sharded = ShardedCsr::from_csr_ranges(&adj, layout);
         let got = linbp_on(&sharded, &e, &h, &opts).unwrap();
@@ -328,7 +328,7 @@ fn linbp_update_batch_matches_per_query() {
         ..Default::default()
     };
     let base = seeds(n, 3, &[(0, 0)]);
-    let prev = linbp(&adj, &base, &coupling.scaled_residual(0.03), &opts).unwrap();
+    let prev = linbp_on(&adj, &base, &coupling.scaled_residual(0.03), &opts).unwrap();
     let delta = seeds(n, 3, &[(20, 1)]);
     let got = linbp_update_batch_on(
         &adj,
@@ -396,7 +396,7 @@ proptest! {
             parallelism: ParallelismConfig::serial(),
             ..Default::default()
         };
-        let want = linbp(&adj, &e, &h, &base_opts).unwrap();
+        let want = linbp_on(&adj, &e, &h, &base_opts).unwrap();
         let opts = LinBpOptions {
             parallelism: ParallelismConfig::with_threads(threads).with_min_work(1),
             ..base_opts

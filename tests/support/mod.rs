@@ -1,7 +1,7 @@
-//! Test support shared by the LinBP suites: bitwise matrix equality, the
+//! Test support shared by the solver suites: bitwise matrix equality, the
 //! plain-loop LinBP oracle, the frontier counters that oracle's iterates
-//! imply, and a plain-loop oracle for the per-graph invariants an
-//! operator caches. Each suite uses a subset.
+//! imply, a plain-loop RWR oracle, and a plain-loop oracle for the
+//! per-graph invariants an operator caches. Each suite uses a subset.
 #![allow(dead_code)]
 
 use lsbp::prelude::*;
@@ -206,6 +206,122 @@ fn linbp_step<A: PropagationOperator + ?Sized>(
         b.scaled_rows_into(degrees, &mut scratch.db);
         scratch.db.matmul_into_with(h2, &mut scratch.tmp, cfg);
         out.sub_assign(&scratch.tmp);
+    }
+}
+
+/// How an [`unfused_rwr`] run ended.
+pub struct RwrReference {
+    /// Per-node class scores, each row centred (all-zero when no score is
+    /// positive).
+    pub beliefs: Mat,
+    /// Whether every class's walk met `tol`.
+    pub converged: bool,
+    /// Rounds of the slowest walk.
+    pub iterations: usize,
+}
+
+/// RWR as plain loops, one walk per class at a time, sharing no code
+/// with the library's batched driver. Walk `c` restarts into the positive
+/// residual mass of class `c`, normalised to 1. Each round, in order:
+/// `x / deg` per node, the diffusion `Σ A(r,s)·(x/deg)(s)` summed in CSR
+/// entry order (the SpMM element order), the blend with the restart, the
+/// delta (max-abs or L2), the renormalisation of the mass dangling nodes
+/// leak, then the tolerance (or a non-finite delta) ends the walk. The
+/// scores are then centred per row.
+pub fn unfused_rwr(adj: &CsrMatrix, explicit: &ExplicitBeliefs, opts: &RwrOptions) -> RwrReference {
+    let (n, k) = (explicit.n(), explicit.k());
+    let degrees: Vec<f64> = (0..n)
+        .map(|r| lane_sum(adj.row_iter(r).map(|(_, w)| w)))
+        .collect();
+    let alpha = opts.restart;
+    let mut scores = Mat::zeros(n, k);
+    let (mut converged, mut iterations) = (true, 0);
+    for c in 0..k {
+        let mut restart = vec![0.0f64; n];
+        let mut class_mass = 0.0f64;
+        for v in explicit.explicit_nodes() {
+            let x = explicit.row(v)[c];
+            if x > 0.0 {
+                restart[v] = x;
+                class_mass += x;
+            }
+        }
+        assert!(class_mass > 0.0, "class {c} has no labeled node");
+        for x in &mut restart {
+            *x /= class_mass;
+        }
+        let mut x = restart.clone();
+        let mut walk_converged = false;
+        let mut walk_iterations = 0;
+        for _ in 0..opts.max_iter {
+            let scaled: Vec<f64> = (0..n)
+                .map(|s| {
+                    if degrees[s] > 0.0 {
+                        x[s] / degrees[s]
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let mut delta = 0.0f64;
+            for r in 0..n {
+                let mut diffused = 0.0f64;
+                for (s, w) in adj.row_iter(r) {
+                    diffused += w * scaled[s];
+                }
+                let next = (1.0 - alpha) * diffused + alpha * restart[r];
+                let d = next - x[r];
+                match opts.norm {
+                    ToleranceNorm::MaxAbs => delta = delta.max(d.abs()),
+                    ToleranceNorm::L2 => delta += d * d,
+                }
+                x[r] = next;
+            }
+            if opts.norm == ToleranceNorm::L2 {
+                delta = delta.sqrt();
+            }
+            let mut mass = 0.0f64;
+            for &v in &x {
+                mass += v;
+            }
+            if mass > 0.0 {
+                for v in &mut x {
+                    *v /= mass;
+                }
+            }
+            walk_iterations += 1;
+            if opts.tol > 0.0 && delta < opts.tol {
+                walk_converged = true;
+                break;
+            }
+            if !delta.is_finite() {
+                break;
+            }
+        }
+        for (v, &score) in x.iter().enumerate() {
+            scores[(v, c)] = score;
+        }
+        converged &= walk_converged;
+        iterations = iterations.max(walk_iterations);
+    }
+    let mut beliefs = Mat::zeros(n, k);
+    for v in 0..n {
+        let row = scores.row(v);
+        if row.iter().any(|&x| x > 0.0) {
+            let mut total = 0.0f64;
+            for &x in row {
+                total += x;
+            }
+            let mean = total / k as f64;
+            for c in 0..k {
+                beliefs[(v, c)] = row[c] - mean;
+            }
+        }
+    }
+    RwrReference {
+        beliefs,
+        converged,
+        iterations,
     }
 }
 

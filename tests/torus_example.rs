@@ -42,7 +42,13 @@ fn convergence_thresholds_match_paper() {
 fn sbp_v4_standardized_beliefs() {
     let graph = fig5c_torus();
     let ho = CouplingMatrix::fig1c().unwrap().residual();
-    let result = sbp(&graph.adjacency(), &explicit(), &ho).unwrap();
+    let result = sbp_on(
+        &graph.adjacency(),
+        &explicit(),
+        &ho,
+        &ParallelismConfig::default(),
+    )
+    .unwrap();
     let std = result.beliefs.standardized(TORUS_V4);
     assert!((std[0] - -0.069).abs() < 1e-3);
     assert!((std[1] - 1.258).abs() < 1e-3);
@@ -62,10 +68,15 @@ fn linbp_converges_to_sbp_with_decreasing_eps() {
     let adj = graph.adjacency();
     let coupling = CouplingMatrix::fig1c().unwrap();
     let e = explicit();
-    let sbp_std = sbp(&adj, &e, &coupling.residual())
-        .unwrap()
-        .beliefs
-        .standardized(TORUS_V4);
+    let sbp_std = sbp_on(
+        &adj,
+        &e,
+        &coupling.residual(),
+        &ParallelismConfig::default(),
+    )
+    .unwrap()
+    .beliefs
+    .standardized(TORUS_V4);
 
     let opts = LinBpOptions {
         max_iter: 10_000,
@@ -77,9 +88,9 @@ fn linbp_converges_to_sbp_with_decreasing_eps() {
         let h = coupling.scaled_residual(eps);
         for echo in [true, false] {
             let r = if echo {
-                linbp(&adj, &e, &h, &opts).unwrap()
+                linbp_on(&adj, &e, &h, &opts).unwrap()
             } else {
-                linbp_star(&adj, &e, &h, &opts).unwrap()
+                linbp_star_on(&adj, &e, &h, &opts).unwrap()
             };
             assert!(r.converged, "eps={eps} echo={echo}");
             let std = r.beliefs.standardized(TORUS_V4);
@@ -116,7 +127,7 @@ fn sigma_scaling_law() {
     };
     for eps in [0.02, 0.01, 0.005] {
         let h = coupling.scaled_residual(eps);
-        let r = linbp(&adj, &e, &h, &opts).unwrap();
+        let r = linbp_on(&adj, &e, &h, &opts).unwrap();
         assert!(r.converged);
         let sigma = r.beliefs.std_dev(TORUS_V4);
         let predicted = eps.powi(3) * 0.332;
@@ -135,10 +146,15 @@ fn bp_approaches_sbp_for_small_eps() {
     let adj = graph.adjacency();
     let coupling = CouplingMatrix::fig1c().unwrap();
     let e = explicit();
-    let sbp_std = sbp(&adj, &e, &coupling.residual())
-        .unwrap()
-        .beliefs
-        .standardized(TORUS_V4);
+    let sbp_std = sbp_on(
+        &adj,
+        &e,
+        &coupling.residual(),
+        &ParallelismConfig::default(),
+    )
+    .unwrap()
+    .beliefs
+    .standardized(TORUS_V4);
     let r = bp(
         &adj,
         &e,
@@ -171,13 +187,13 @@ fn iterates_diverge_past_threshold() {
         ..Default::default()
     };
     // LinBP: 0.488.
-    let ok = linbp(&adj, &e, &coupling.scaled_residual(0.47), &opts).unwrap();
+    let ok = linbp_on(&adj, &e, &coupling.scaled_residual(0.47), &opts).unwrap();
     assert!(ok.converged && !ok.diverged);
-    let bad = linbp(&adj, &e, &coupling.scaled_residual(0.51), &opts).unwrap();
+    let bad = linbp_on(&adj, &e, &coupling.scaled_residual(0.51), &opts).unwrap();
     assert!(bad.diverged);
     // LinBP*: 0.658.
-    let ok = linbp_star(&adj, &e, &coupling.scaled_residual(0.64), &opts).unwrap();
+    let ok = linbp_star_on(&adj, &e, &coupling.scaled_residual(0.64), &opts).unwrap();
     assert!(ok.converged && !ok.diverged);
-    let bad = linbp_star(&adj, &e, &coupling.scaled_residual(0.68), &opts).unwrap();
+    let bad = linbp_star_on(&adj, &e, &coupling.scaled_residual(0.68), &opts).unwrap();
     assert!(bad.diverged);
 }

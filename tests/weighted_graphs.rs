@@ -35,7 +35,7 @@ fn fixed_point_with_squared_weight_degrees() {
     e.set_label(0, 0, 1.0).unwrap();
     e.set_label(7, 2, 1.0).unwrap();
     let h = CouplingMatrix::fig1c().unwrap().scaled_residual(0.05);
-    let r = linbp(
+    let r = linbp_on(
         &adj,
         &e,
         &h,
@@ -66,7 +66,7 @@ fn weighted_closed_form_agreement() {
     e.set_label(3, 1, 0.5).unwrap();
     let h = CouplingMatrix::fig1a().unwrap().scaled_residual(0.05);
     let exact = linbp_closed_form_dense(&adj, &e, &h, true).unwrap();
-    let iter = linbp(
+    let iter = linbp_on(
         &adj,
         &e,
         &h,
@@ -103,8 +103,8 @@ fn parallel_edges_equal_summed_weight() {
         tol: 1e-15,
         ..Default::default()
     };
-    let a = linbp(&with_parallel.adjacency(), &e, &h, &opts).unwrap();
-    let b = linbp(&merged.adjacency(), &e, &h, &opts).unwrap();
+    let a = linbp_on(&with_parallel.adjacency(), &e, &h, &opts).unwrap();
+    let b = linbp_on(&merged.adjacency(), &e, &h, &opts).unwrap();
     assert!(a.beliefs.residual().max_abs_diff(b.beliefs.residual()) < 1e-12);
 }
 
@@ -123,7 +123,7 @@ fn weighted_sbp_path_weights() {
     e.set_label(0, 0, 1.0).unwrap();
     e.set_label(1, 1, 1.0).unwrap();
     let ho = CouplingMatrix::fig1a().unwrap().residual();
-    let r = sbp(&g.adjacency(), &e, &ho).unwrap();
+    let r = sbp_on(&g.adjacency(), &e, &ho, &ParallelismConfig::default()).unwrap();
     assert_eq!(r.beliefs.top_beliefs(4, 1e-9), vec![0]);
     // Path weights: 9 vs 1 — the class-0 belief is 9× the class-1 one in
     // magnitude contribution.
@@ -152,7 +152,7 @@ fn weights_documented_bp_difference() {
     e.set_label(2, 1, 0.1).unwrap();
     // LinBP: node 1 leans class 0 (weight 5 beats weight 1).
     let h = CouplingMatrix::fig1a().unwrap().scaled_residual(0.02);
-    let lin = linbp(&adj, &e, &h, &LinBpOptions::default()).unwrap();
+    let lin = linbp_on(&adj, &e, &h, &LinBpOptions::default()).unwrap();
     assert_eq!(lin.beliefs.top_beliefs(1, 1e-9), vec![0]);
     // BP: weight-blind, and the two seeds are symmetric — node 1 ties.
     let braw = CouplingMatrix::fig1a().unwrap().raw_at_scale(0.02);

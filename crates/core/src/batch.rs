@@ -1,13 +1,17 @@
 //! Batched multi-query solves — many labeling queries, one pass.
 //!
 //! A production deployment answers *many* classification queries over the
-//! same graph (different seed sets, same adjacency and coupling). Run
-//! separately, `q` queries cost `q` SpMM sweeps over the identical sparse
-//! structure; batched, the `q` seed matrices are stacked side by side
-//! into one `n × (k·q)` matrix and every iteration is **one** SpMM — the
-//! adjacency is streamed through the cache once per round instead of `q`
-//! times, which is exactly the amortization the paper's "BP as sparse
-//! matrix algebra" framing buys (Sect. 5).
+//! same graph (different seed sets, same adjacency and coupling). Batched
+//! LinBP runs the `q` queries' solo solves in lockstep: every query keeps
+//! its own `n × k` buffers — `Ê` borrowed from its [`ExplicitBeliefs`],
+//! its own `B` and `next` — and each sweep is **one** fused step over the
+//! live queries ([`PropagationOperator::linbp_step_fused_frontier_with`]):
+//! one pool scope whose row-range tasks run every live query's solo
+//! kernel on that query's buffers, so a shard of the adjacency is loaded
+//! once per sweep for all of them. Nothing is stacked or split: a
+//! query's answer is its own buffer. RWR still stacks its `q · k` walks
+//! side by side into one `n × (k·q)` matrix and diffuses them with one
+//! SpMM per round.
 //!
 //! Entry points: [`linbp_batch_on`], [`linbp_star_batch_on`],
 //! [`linbp_update_batch_on`] and [`rwr_batch_on`]. These drivers are the
@@ -18,34 +22,29 @@
 //! stopping-rule change is made once, and a single query can never drift
 //! from its batched twin.
 //!
-//! Per-query convergence is tracked with masks: a query whose belief
+//! Per-query convergence is tracked per query: a query whose belief
 //! change drops under `tol` (or whose magnitudes trip the divergence
-//! guard) is **frozen** — its column block is never computed or written
-//! again and its per-query result records the iteration it stopped at —
-//! while the remaining queries keep iterating. Freezing is what makes a
-//! query's batched result **bitwise identical** to the same query run
-//! alone: a frozen query's beliefs are exactly the beliefs a one-query
-//! batch returns, not "the same query iterated a little longer". With
-//! no copy-forward, a frozen query's beliefs stay in the buffer it froze
-//! in, and the result read-out picks that buffer by the parity of the
-//! sweeps run after it froze.
+//! guard) is **frozen** — it leaves the sweep, its buffers are never
+//! computed, written or swapped again, and its result records the
+//! iteration it stopped at — while the remaining queries keep iterating.
+//! Freezing is what makes a query's batched result **bitwise identical**
+//! to the same query run alone: a frozen query's beliefs are exactly the
+//! beliefs a one-query batch returns, not "the same query iterated a
+//! little longer".
 //!
 //! Why bitwise identity holds (and is property-tested against a plain
-//! unfused loop): the stacked SpMM and the block-diagonal `·Ĥ` accumulate
-//! every output element in the same order whatever `q` is (columns never
-//! mix), the `+Ê` / `−D·B̂·Ĥ²` terms are element-wise, and the per-query
-//! delta/guard read-outs are order-independent maxima (or fixed-order L2
-//! sums) over exactly that query's elements.
+//! unfused loop): every query runs the solo kernel on its own buffers,
+//! so each output element accumulates in the same order whatever `q` is,
+//! and the per-query delta/guard read-outs are order-independent maxima
+//! (or fixed-order L2 sums) over exactly that query's elements.
 //!
 //! Per-sweep work follows each query's own frontier
-//! ([`lsbp_sparse::FrontierState`], per (row, query) from the query's
-//! seeds): the kernel computes only live pairs whose inputs changed, and
-//! the divergence guard's `max |B|` is folded in the same kernel pass,
-//! so with the MaxAbs norm no per-sweep pass touches the whole
-//! `n × k·q` matrix. Only the L2 deltas ([`Mat::l2_diff_blocks`]) stay a
-//! row-major pass filling one value per `k`-block. Stacking `Ê` and
-//! extracting results run row-outer, block-inner; per-query column walks
-//! would re-stream the whole matrix once per query.
+//! ([`lsbp_sparse::FrontierState`], per row from the query's seeds): the
+//! kernel computes only the rows whose inputs changed, and the
+//! divergence guard's `max |B|` is folded in the same kernel pass, so
+//! with the MaxAbs norm no per-sweep pass touches a whole belief matrix.
+//! Only the L2 delta ([`Mat::l2_diff`]) stays a pass over the query's
+//! `n × k` buffers.
 
 use crate::beliefs::{BeliefMatrix, ExplicitBeliefs};
 use crate::linbp::{LinBpError, LinBpOptions, LinBpResult};
@@ -54,12 +53,12 @@ use lsbp_linalg::{
     FixedPointOp, FixedPointSolver, IterationEvent, Mat, ParallelismConfig, StepOutcome,
     ToleranceNorm,
 };
-use lsbp_sparse::{FrontierState, FusedLinBpStep, PropagationOperator};
+use lsbp_sparse::{FrontierState, FusedLinBpStep, PropagationOperator, QuerySweep};
 
 /// Runs **LinBP** (Eq. 6, with echo cancellation) on `q` independent
-/// seed-sets in one pass against any [`PropagationOperator`]: one stacked
-/// SpMM per iteration, per-query convergence masks. Returns one
-/// [`LinBpResult`] per query, each bitwise identical to what
+/// seed-sets in one pass against any [`PropagationOperator`]: one fused
+/// step over the live queries per iteration, per-query convergence.
+/// Returns one [`LinBpResult`] per query, each bitwise identical to what
 /// [`crate::linbp::linbp_on`] returns for that query alone.
 pub fn linbp_batch_on<A: PropagationOperator + ?Sized>(
     adj: &A,
@@ -81,8 +80,14 @@ pub fn linbp_star_batch_on<A: PropagationOperator + ?Sized>(
     linbp_batch_run_on(adj, queries, h_residual, opts, false, |_| {})
 }
 
-/// Per-query progress book-keeping for the batched LinBP iteration.
-struct QuerySlot {
+/// One query of a batched LinBP solve: its seeds, its double buffer, its
+/// frontier and its progress. Only live queries' buffers are swapped, so
+/// `b` always holds the query's current (once frozen, final) beliefs.
+struct QueryRun<'a> {
+    e_hat: &'a Mat,
+    b: Mat,
+    next: Mat,
+    frontier: FrontierState<'a>,
     frozen: bool,
     converged: bool,
     diverged: bool,
@@ -90,97 +95,80 @@ struct QuerySlot {
     final_delta: f64,
 }
 
-/// The stacked LinBP update as a [`FixedPointOp`], backed by the one
+/// The batched LinBP update as a [`FixedPointOp`], backed by the one
 /// fused LinBP step
-/// ([`PropagationOperator::linbp_step_fused_frontier_with`]) applying
-/// `Ĥ` per `k`-column block: one row-partitioned pass computes the
-/// update, damping, every query's max-abs residual and its magnitude
-/// read-out together, for the live (row, query) pairs whose inputs
-/// changed. The outer solver runs in "operator-controlled" mode
+/// ([`PropagationOperator::linbp_step_fused_frontier_with`]): one
+/// row-partitioned pass computes every live query's update, damping,
+/// max-abs residual and magnitude read-out together, for the rows whose
+/// inputs changed. The outer solver runs in "operator-controlled" mode
 /// (`tol = 0`): tolerance and the magnitude guard are applied *per
 /// query* inside the step.
 struct LinBpBatchIteration<'a, A: PropagationOperator + ?Sized> {
     adj: &'a A,
-    e_hat: &'a Mat,
     h: &'a Mat,
     h2: Option<&'a Mat>,
     degrees: &'a [f64],
-    b: Mat,
-    next: Mat,
-    k: usize,
     cfg: ParallelismConfig,
     tol: f64,
     divergence_guard: f64,
-    slots: Vec<QuerySlot>,
-    deltas: Vec<f64>,
-    /// Per-(row, query) change tracking: narrows each sweep to the live
-    /// pairs whose inputs changed.
-    frontier: FrontierState<'a>,
-    /// Reusable not-frozen mask: a frozen query's blocks are neither
-    /// computed nor written again.
-    live: Vec<bool>,
+    runs: Vec<QueryRun<'a>>,
 }
 
 impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A> {
     fn step(&mut self, solver: &FixedPointSolver, iteration: usize) -> StepOutcome {
-        let k = self.k;
-        // One stacked fused update — exactly the q = 1 fused step per
-        // live k-column block, residuals and magnitudes accumulated per
-        // query in-pass. Frozen queries are not computed: each keeps its
-        // final beliefs in the buffer it froze in.
-        let fstep = FusedLinBpStep {
-            e_hat: self.e_hat,
-            h: self.h,
-            h2: self.h2,
-            degrees: self.degrees,
-            damping: solver.damping,
-        };
-        for (m, slot) in self.live.iter_mut().zip(&self.slots) {
-            *m = !slot.frozen;
-        }
-        let mut fr = self.frontier.begin(&self.live);
-        self.adj.linbp_step_fused_frontier_with(
-            &self.b,
-            &fstep,
-            &mut self.next,
-            &mut self.deltas,
-            &mut fr,
-            &self.cfg,
-        );
-        self.frontier.commit();
-        // The fused pass already produced max-abs deltas; L2 queries
-        // replace theirs with the fixed-order per-block read-out, one
-        // row-major pass for all queries (fusing L2 would tie the sum to
-        // the row partition). Skipped pairs hold the same bits in both
-        // buffers, so they add exactly a recomputation's terms.
-        if solver.norm == ToleranceNorm::L2 {
-            let l2 = self.next.l2_diff_blocks(&self.b, k);
-            for ((d, slot), v) in self.deltas.iter_mut().zip(&self.slots).zip(l2) {
-                if !slot.frozen {
-                    *d = v;
-                }
-            }
-        }
-        std::mem::swap(&mut self.b, &mut self.next);
-        // Per-query stop policy: guard (or a non-finite delta) first,
-        // then tolerance. The guard reads the kernel's per-query
-        // `max |new|`, which decides exactly like a full `max |B|` pass.
-        let magnitudes = self.frontier.magnitudes();
+        // One fused update over the live queries, each on its own
+        // buffers, residuals and magnitudes read out in-pass. Frozen
+        // queries are not in the sweep.
+        let (h, h2, degrees) = (self.h, self.h2, self.degrees);
+        let mut sweeps: Vec<QuerySweep<'_, '_>> = self
+            .runs
+            .iter_mut()
+            .filter(|run| !run.frozen)
+            .map(|run| QuerySweep {
+                step: FusedLinBpStep {
+                    e_hat: run.e_hat,
+                    h,
+                    h2,
+                    degrees,
+                    damping: solver.damping,
+                },
+                b: &run.b,
+                out: &mut run.next,
+                frontier: &mut run.frontier,
+                delta: f64::INFINITY,
+            })
+            .collect();
+        self.adj
+            .linbp_step_fused_frontier_with(&mut sweeps, &self.cfg);
+        let deltas: Vec<f64> = sweeps.into_iter().map(|s| s.delta).collect();
+        let lone = self.runs.len() == 1;
         let mut remaining = 0.0f64;
         let mut any_active = false;
-        for (j, slot) in self.slots.iter_mut().enumerate() {
-            if slot.frozen {
-                continue;
-            }
-            let delta = self.deltas[j];
-            slot.iterations = iteration + 1;
-            slot.final_delta = delta;
-            if magnitudes[j] > self.divergence_guard || !delta.is_finite() {
-                slot.frozen = true;
-                slot.diverged = true;
+        let mut lone_delta = f64::INFINITY;
+        for (run, delta) in self.runs.iter_mut().filter(|run| !run.frozen).zip(deltas) {
+            run.frontier.commit();
+            // The fused pass already produced the max-abs delta; L2
+            // replaces it with the fixed-order read-out (fusing L2 would
+            // tie the sum to the row partition). Skipped rows hold the
+            // same bits in both buffers, so they add exactly a
+            // recomputation's terms.
+            let delta = match solver.norm {
+                ToleranceNorm::MaxAbs => delta,
+                ToleranceNorm::L2 => run.next.l2_diff(&run.b),
+            };
+            std::mem::swap(&mut run.b, &mut run.next);
+            // Per-query stop policy: guard (or a non-finite delta) first,
+            // then tolerance. The guard reads the kernel's `max |new|`,
+            // which decides exactly like a full `max |B|` pass.
+            run.iterations = iteration + 1;
+            run.final_delta = delta;
+            lone_delta = delta;
+            if run.frontier.magnitude() > self.divergence_guard || !delta.is_finite() {
+                run.frozen = true;
+                run.diverged = true;
             } else if self.tol > 0.0 && delta < self.tol {
-                slot.frozen = true;
-                slot.converged = true;
+                run.frozen = true;
+                run.converged = true;
             } else {
                 any_active = true;
                 remaining = remaining.max(delta);
@@ -190,11 +178,7 @@ impl<A: PropagationOperator + ?Sized> FixedPointOp for LinBpBatchIteration<'_, A
         // own delta — non-finite on divergence, which is safe because the
         // solver checks the status before the delta — and otherwise the
         // largest delta still iterating.
-        let delta = if self.slots.len() == 1 {
-            self.deltas[0]
-        } else {
-            remaining
-        };
+        let delta = if lone { lone_delta } else { remaining };
         if any_active {
             StepOutcome::proceed(delta)
         } else {
@@ -224,19 +208,10 @@ pub(crate) fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
     if h_residual.cols() != k || queries.iter().any(|e| e.k() != k) {
         return Err(LinBpError::CouplingArityMismatch);
     }
-    let q = queries.len();
-    if q == 0 {
+    if queries.is_empty() {
         return Ok(Vec::new());
     }
 
-    // Stack the q seed matrices side by side: column block j = query j,
-    // written row-outer so the stacked matrix is streamed once.
-    let mut e_hat = Mat::zeros(n, k * q);
-    for r in 0..n {
-        for (dst, e) in e_hat.row_mut(r).chunks_exact_mut(k).zip(queries) {
-            dst.copy_from_slice(e.row(r));
-        }
-    }
     let h2 = if echo {
         Some(h_residual.matmul(h_residual))
     } else {
@@ -250,81 +225,65 @@ pub(crate) fn linbp_batch_run_on<A: PropagationOperator + ?Sized>(
         &no_echo
     };
 
-    // The frontier starts at each query's non-zero seed rows. That start
+    // Each frontier starts at its query's non-zero seed rows. That start
     // is exact only if an all-`+0.0` neighbourhood recomputes to `+0.0`,
     // which needs finite weights (and, with echo, finite degrees);
-    // otherwise the first sweep computes every pair.
+    // otherwise the first sweep computes every row.
     let weights = if echo { degrees } else { adj.row_sums() };
-    let frontier = if weights.iter().all(|x| x.is_finite()) {
-        FrontierState::from_seeds(adj.frontier_plan(), &e_hat, k)
-    } else {
-        FrontierState::new(adj.frontier_plan(), q)
-    };
-    let mut op = LinBpBatchIteration {
-        adj,
-        e_hat: &e_hat,
-        h: h_residual,
-        h2: h2.as_ref(),
-        degrees,
-        b: e_hat.clone(),
-        next: Mat::zeros(n, k * q),
-        k,
-        cfg: opts.parallelism,
-        tol: opts.tol,
-        divergence_guard: opts.divergence_guard,
-        slots: (0..q)
-            .map(|_| QuerySlot {
+    let from_seeds = weights.iter().all(|x| x.is_finite());
+    let plan = adj.frontier_plan();
+    let runs = queries
+        .iter()
+        .map(|e| {
+            let e_hat = e.residual_matrix();
+            QueryRun {
+                e_hat,
+                b: e_hat.clone(),
+                next: Mat::zeros(n, k),
+                frontier: if from_seeds {
+                    FrontierState::from_seeds(plan, e_hat)
+                } else {
+                    FrontierState::new(plan)
+                },
                 frozen: false,
                 converged: false,
                 diverged: false,
                 iterations: 0,
                 final_delta: f64::INFINITY,
-            })
-            .collect(),
-        deltas: vec![f64::INFINITY; q],
-        frontier,
-        live: vec![true; q],
+            }
+        })
+        .collect();
+    let mut op = LinBpBatchIteration {
+        adj,
+        h: h_residual,
+        h2: h2.as_ref(),
+        degrees,
+        cfg: opts.parallelism,
+        tol: opts.tol,
+        divergence_guard: opts.divergence_guard,
+        runs,
     };
-    // Operator-controlled stopping: the per-query masks inside the step
-    // implement tolerance and guard; the outer solver only carries the
+    // Operator-controlled stopping: the per-query policy inside the step
+    // implements tolerance and guard; the outer solver only carries the
     // budget, norm and damping.
-    let outcome = FixedPointSolver::new(opts.max_iter, 0.0)
+    FixedPointSolver::new(opts.max_iter, 0.0)
         .with_norm(opts.norm)
         .with_damping(opts.damping)
         .run_observed(&mut op, observer);
 
-    // A query's last sweep wrote `next`, which that sweep's swap made
-    // `b`; every later sweep swapped again without writing it. So its
-    // beliefs are in `b` after an even number of later sweeps, else in
-    // `next`. Split them into per-query matrices, row-outer.
-    let from_b: Vec<bool> = op
-        .slots
-        .iter()
-        .map(|slot| (outcome.iterations - slot.iterations).is_multiple_of(2))
-        .collect();
-    let mut per_query: Vec<Mat> = (0..q).map(|_| Mat::zeros(n, k)).collect();
-    for r in 0..n {
-        let (b_row, next_row) = (op.b.row(r), op.next.row(r));
-        for (j, dst) in per_query.iter_mut().enumerate() {
-            let src = if from_b[j] { b_row } else { next_row };
-            dst.row_mut(r).copy_from_slice(&src[j * k..(j + 1) * k]);
-        }
-    }
-    // Each query's own frontier counters: its (row, query) pairs while
-    // it was live, as its solo solve would count them.
+    // Each query's answer is its own current buffer, and its frontier
+    // counters are exactly its solo solve's.
     Ok(op
-        .slots
-        .iter()
-        .zip(per_query)
-        .enumerate()
-        .map(|(j, (slot, beliefs))| LinBpResult {
-            beliefs: BeliefMatrix::from_mat(beliefs),
-            converged: slot.converged,
-            diverged: slot.diverged,
-            iterations: slot.iterations,
-            final_delta: slot.final_delta,
-            rows_active: op.frontier.rows_active[j],
-            rows_skipped: op.frontier.rows_skipped[j],
+        .runs
+        .into_iter()
+        .map(|run| LinBpResult {
+            beliefs: BeliefMatrix::from_mat(run.b),
+            converged: run.converged,
+            diverged: run.diverged,
+            iterations: run.iterations,
+            final_delta: run.final_delta,
+            rows_active: run.frontier.rows_active,
+            rows_skipped: run.frontier.rows_skipped,
         })
         .collect())
 }
@@ -514,10 +473,10 @@ pub fn rwr_batch_on<A: PropagationOperator + ?Sized>(
 
 /// Batched incremental maintenance — [`crate::linbp::linbp_update`] over
 /// a batch of `(previous beliefs, explicit-belief delta)` pairs in **one
-/// pass**: the `q` delta seed-sets run through the stacked fused
-/// iteration path exactly like [`linbp_batch_on`] (one SpMM per round,
-/// per-query freeze masks), and each converged delta solution is added
-/// onto its previous beliefs by linearity (Proposition 7 — see
+/// pass**: the `q` delta seed-sets run through the batched fused
+/// iteration exactly like [`linbp_batch_on`] (one fused step per round,
+/// per-query freezing), and each converged delta solution is added onto
+/// its previous beliefs by linearity (Proposition 7 — see
 /// [`crate::linbp::linbp_update`] for why this is exact).
 ///
 /// This is the post-edge-change refresh path a serving deployment runs
@@ -558,9 +517,11 @@ pub fn linbp_update_batch_on<A: PropagationOperator + ?Sized>(
             if delta_run.diverged {
                 return delta_run;
             }
-            // Previous beliefs + delta fixpoint, element-wise.
-            let mut updated = prev.residual().clone();
-            updated.add_assign(delta_run.beliefs.residual());
+            // Delta fixpoint + previous beliefs, element-wise, in the
+            // delta run's own buffer: `+` commutes, so the bits are those
+            // of previous + delta.
+            let mut updated = delta_run.beliefs.into_mat();
+            updated.add_assign(prev.residual());
             LinBpResult {
                 beliefs: BeliefMatrix::from_mat(updated),
                 ..delta_run

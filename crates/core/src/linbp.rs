@@ -79,8 +79,8 @@ pub struct LinBpResult {
     /// Largest absolute belief change in the final round.
     pub final_delta: f64,
     /// Rows this query recomputed across its rounds (active-frontier
-    /// execution). In a stacked batch each query counts only its own
-    /// (row, query) pairs, so this equals the query's solo solve.
+    /// execution). In a batch each query counts only its own rows, so
+    /// this equals the query's solo solve.
     pub rows_active: u64,
     /// Rows this query skipped across its rounds because their inputs
     /// were bitwise unchanged; `rows_active + rows_skipped = n ×

@@ -362,46 +362,6 @@ impl Mat {
         acc.finish().sqrt()
     }
 
-    /// [`Mat::l2_diff`] per `k`-column block — the per-query tolerance
-    /// read-out of the batched solvers, in one row-major pass. Block `j`
-    /// gets its own phase-carrying accumulator, fed that block's row
-    /// slices in row order, so every element lands in the lane its
-    /// position in the *block's* row-major stream dictates: exactly the
-    /// lanes a single-query `n × k` [`Mat::l2_diff`] would use on the same
-    /// values. Batched L2 deltas stay bitwise equal to standalone ones.
-    ///
-    /// # Panics
-    /// Panics on a shape mismatch or if `k` does not divide the width.
-    pub fn l2_diff_blocks(&self, other: &Mat, k: usize) -> Vec<f64> {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "l2_diff_blocks shape"
-        );
-        let q = self.block_count(k);
-        let mut accs = vec![SquaredDiffAccumulator::new(); q];
-        for r in 0..self.rows {
-            let blocks = self
-                .row(r)
-                .chunks_exact(k)
-                .zip(other.row(r).chunks_exact(k));
-            for (acc, (a, b)) in accs.iter_mut().zip(blocks) {
-                acc.feed(a, b);
-            }
-        }
-        accs.iter().map(|acc| acc.finish().sqrt()).collect()
-    }
-
-    /// Number of `k`-column blocks, asserting that `k` tiles the width.
-    fn block_count(&self, k: usize) -> usize {
-        assert!(
-            k > 0 && self.cols.is_multiple_of(k),
-            "column block width {k} does not divide {} columns",
-            self.cols
-        );
-        self.cols / k
-    }
-
     /// `true` iff the matrix equals its transpose up to `tol`.
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if !self.is_square() {
@@ -666,33 +626,5 @@ mod tests {
             let par = a.max_abs_diff_with(&b, &cfg);
             assert!(par.to_bits() == serial.to_bits(), "threads = {threads}");
         }
-    }
-
-    /// The one-pass block read-out equals the standalone read-out of each
-    /// `k`-column block bitwise (one block and several; widths whose rows
-    /// do and do not split into whole 4-lane chunks).
-    #[test]
-    fn block_read_outs_match_standalone_blocks() {
-        for (k, q) in [(3, 1), (3, 5), (4, 6), (5, 3), (2, 40)] {
-            let cols = k * q;
-            let a = Mat::from_fn(13, cols, |r, c| {
-                ((r * 29 + c * 13) % 23) as f64 * 0.71 - 7.9
-            });
-            let b = Mat::from_fn(13, cols, |r, c| ((r * 7 + c * 3) % 19) as f64 * 0.53 - 4.1);
-            let l2 = a.l2_diff_blocks(&b, k);
-            assert_eq!(l2.len(), q);
-            for j in 0..q {
-                let block = |m: &Mat| Mat::from_fn(13, k, |r, c| m[(r, j * k + c)]);
-                let (aj, bj) = (block(&a), block(&b));
-                assert_eq!(
-                    l2[j].to_bits(),
-                    aj.l2_diff(&bj).to_bits(),
-                    "k={k} q={q} j={j}"
-                );
-            }
-        }
-        assert!(Mat::zeros(4, 0)
-            .l2_diff_blocks(&Mat::zeros(4, 0), 3)
-            .is_empty());
     }
 }

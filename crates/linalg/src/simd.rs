@@ -25,10 +25,8 @@
 //! written in the same 4-lane shape for the vectorization win.
 //!
 //! [`SquaredDiffAccumulator`] additionally carries the stream phase
-//! across `feed` calls, so a sum fed slice-by-slice (the per-query
-//! column-block read-out of the batched solvers) lands every element in
-//! exactly the lane a single flat pass would use — keeping batched L2
-//! deltas bitwise equal to single-query ones.
+//! across `feed` calls, so a sum fed slice-by-slice lands every element
+//! in exactly the lane a single flat pass would use.
 
 /// `y[i] += a · x[i]` — the axpy inner loop of SpMM / dense matmul,
 /// unrolled 4 wide. No reassociation happens here (each `y[i]` still
@@ -153,10 +151,8 @@ pub fn max_abs_diff4(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// Lane assignment follows the **global stream position** across `feed`
 /// calls: feeding one flat `n·k` slice pair, or the same values row by
-/// row in `k`-sized pieces, produces bitwise identical sums. That
-/// equivalence is what keeps the batched solvers' per-query L2 deltas
-/// ([`crate::Mat::l2_diff_blocks`], fed per row) bitwise equal to the
-/// single-query read-out ([`crate::Mat::l2_diff`], fed once).
+/// row in `k`-sized pieces, produces bitwise identical sums
+/// ([`crate::Mat::l2_diff`] feeds it once).
 #[derive(Clone, Debug, Default)]
 pub struct SquaredDiffAccumulator {
     lanes: [f64; 4],
@@ -283,9 +279,7 @@ mod tests {
         assert_eq!(max_abs_diff4(&[], &[]), 0.0);
     }
 
-    /// Feeding the stream in arbitrary pieces equals feeding it flat —
-    /// the phase carry that keeps batched L2 read-outs equal to
-    /// single-query ones.
+    /// Feeding the stream in arbitrary pieces equals feeding it flat.
     #[test]
     fn squared_diff_accumulator_is_split_invariant() {
         let a: Vec<f64> = (0..31).map(|i| (i as f64 * 0.61).sin() * 3.0).collect();

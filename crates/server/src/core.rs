@@ -38,20 +38,21 @@
 //!
 //! Solve requests do not run one by one. Each request is validated, checked
 //! against the belief cache, and then parked in an **admission queue** keyed
-//! by everything that must match for two queries to share a stacked solve:
+//! by everything that must match for two queries to share a batched solve:
 //! graph id, graph version, method (LinBP/LinBP\*/RWR), and the canonical
 //! wire bytes of the solve parameters. The solver thread drains a
 //! queue when its **coalesce window** (measured from the first parked
 //! query) expires or the queue reaches **max batch**, and runs the whole
-//! stack through one [`lsbp::batch`] solve — one SpMM sweep per iteration
-//! for the entire batch, with per-query convergence masks keeping every
-//! answer **bitwise identical** to the per-query library solve.
+//! queue through one [`lsbp::batch`] solve — one fused sweep per iteration
+//! for the entire batch, each query on its own buffers, with per-query
+//! convergence keeping every answer **bitwise identical** to the
+//! per-query library solve.
 //!
 //! The default window is zero, which makes admission **work-conserving**:
 //! a query that finds the solver idle runs at once, alone, at library
 //! cost, and the queries that arrive while a solve is running park and
-//! form the next stacked batch. A stacked solve's cost per query hardly
-//! depends on the batch size, so waiting for company only adds latency.
+//! form the next batch. A batched solve's cost per query hardly depends
+//! on the batch size, so waiting for company only adds latency.
 //! A parked query whose twin was solved by the batch before is answered
 //! from the cache entry that solve left, at drain time; a query that
 //! waited behind an edge delta to its graph is answered from the entry
@@ -129,10 +130,10 @@ pub struct ServerConfig {
     /// admission queue before draining it. Default zero: admission is
     /// work-conserving — a query that finds the solver idle is solved at
     /// once, and queries arriving while the solver is busy park and
-    /// coalesce into the next stacked batch. A positive window holds every
+    /// coalesce into the next batch. A positive window holds every
     /// queue open that long to gather more queries first.
     pub coalesce_window: Duration,
-    /// Largest stacked solve; a fuller queue drains immediately and the
+    /// Largest batched solve; a fuller queue drains immediately and the
     /// remainder re-arms the window.
     pub max_batch: usize,
     /// Per-queue admission bound; beyond it clients get `Overloaded`.
@@ -346,8 +347,7 @@ struct GroupKey {
 }
 
 struct CacheEntry {
-    beliefs: Mat,
-    k: u32,
+    beliefs: BeliefMatrix,
     converged: bool,
     diverged: bool,
     iterations: u64,
@@ -359,9 +359,9 @@ struct CacheEntry {
 impl CacheEntry {
     fn payload(&self, served: ServedVia) -> BeliefsPayload {
         BeliefsPayload {
-            n: self.beliefs.rows() as u64,
-            k: self.k,
-            beliefs: self.beliefs.as_slice().to_vec(),
+            n: self.beliefs.n() as u64,
+            k: self.beliefs.k() as u32,
+            beliefs: self.beliefs.residual().as_slice().to_vec(),
             converged: self.converged,
             diverged: self.diverged,
             iterations: self.iterations,
@@ -872,7 +872,7 @@ impl Shared {
     /// The lock-free middle step of an edge delta: validates and applies
     /// the deltas, builds (and spills) the new version, and patches each
     /// stale LinBP entry forward — entries sharing solve parameters ride
-    /// one stacked update. Returns the new entry and, per stale entry,
+    /// one batched update. Returns the new entry and, per stale entry,
     /// its patched replacement (`None`: RWR, or a failed patch).
     fn rebuild(
         &self,
@@ -894,7 +894,7 @@ impl Shared {
         for (i, (_, entry)) in stale.iter().enumerate() {
             if let JobKind::LinBp { echo, h, opts } = &entry.kind {
                 groups
-                    .entry(entry.kind.params_bytes(entry.k))
+                    .entry(entry.kind.params_bytes(entry.beliefs.k() as u32))
                     .or_insert_with(|| (*echo, h, opts, Vec::new()))
                     .3
                     .push(i);
@@ -903,11 +903,8 @@ impl Shared {
         let mut refreshed: Vec<Option<CacheEntry>> = stale.iter().map(|_| None).collect();
         for (echo, h, opts, members) in groups.into_values() {
             // One synthetic seed per cached result (each depends on that
-            // entry's beliefs), solved together in one stacked pass.
-            let prev: Vec<BeliefMatrix> = members
-                .iter()
-                .map(|&i| BeliefMatrix::from_mat(stale[i].1.beliefs.clone()))
-                .collect();
+            // entry's beliefs), solved together in one batched pass.
+            let prev: Vec<&BeliefMatrix> = members.iter().map(|&i| &stale[i].1.beliefs).collect();
             let Ok(seeds) = prev
                 .iter()
                 .map(|b| linbp_edge_delta_seed(&old.csr, &list, b, h, echo))
@@ -915,8 +912,7 @@ impl Shared {
             else {
                 continue;
             };
-            let prev_refs: Vec<&BeliefMatrix> = prev.iter().collect();
-            let Ok(runs) = linbp_update_batch_on(new.operator(), &prev_refs, &seeds, h, opts, echo)
+            let Ok(runs) = linbp_update_batch_on(new.operator(), &prev, &seeds, h, opts, echo)
             else {
                 continue;
             };
@@ -924,8 +920,7 @@ impl Shared {
                 if !run.diverged {
                     let entry = &stale[i].1;
                     refreshed[i] = Some(CacheEntry {
-                        beliefs: run.beliefs.into_mat(),
-                        k: entry.k,
+                        beliefs: run.beliefs,
                         converged: run.converged,
                         diverged: false,
                         iterations: run.iterations as u64,
@@ -1368,17 +1363,17 @@ fn run_control(shared: &Shared, control: Control) {
 
 /// (beliefs, converged, diverged, iterations, final_delta,
 /// frontier_rows_active, frontier_rows_skipped) of one solved query.
-type Solved = (Mat, bool, bool, u64, f64, u64, u64);
+type Solved = (BeliefMatrix, bool, bool, u64, f64, u64, u64);
 
-/// Runs one drained admission queue as a single stacked solve and fans the
+/// Runs one drained admission queue as a single batched solve and fans the
 /// per-query results back out to their responders and into the cache.
 /// Identical queries parked together are solved, counted and cached once;
 /// each of them gets that one answer.
 ///
 /// Two fault boundaries live here. **Deadlines:** jobs whose budget
 /// expired while parked are answered `DeadlineExceeded` up front and do
-/// not join the stacked solve (dropping an expired query never perturbs
-/// its batch-mates' answers — per-query convergence masks keep each
+/// not join the batched solve (dropping an expired query never perturbs
+/// its batch-mates' answers — per-query buffers and convergence keep each
 /// result equal to its solo solve). **Panics:** the solve runs under
 /// [`catch_unwind`]; a panicking solve answers every query in its batch
 /// with `Internal` and leaves the solver thread, the registry, the cache,
@@ -1412,7 +1407,7 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
         return;
     }
     let graph = Arc::clone(&jobs[0].graph);
-    // Twins — jobs with the same cache key — share one stacked column:
+    // Twins — jobs with the same cache key — share one batch column:
     // `column[i]` is job `i`'s, numbered in order of first appearance.
     let mut queries: Vec<ExplicitBeliefs> = Vec::new();
     let column: Vec<usize> = {
@@ -1447,7 +1442,7 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
                         .into_iter()
                         .map(|r| {
                             (
-                                r.beliefs.into_mat(),
+                                r.beliefs,
                                 r.converged,
                                 r.diverged,
                                 r.iterations as u64,
@@ -1467,7 +1462,7 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
                         .map(|r| {
                             let iters = r.iterations as u64;
                             let conv = r.converged;
-                            (r.beliefs.into_mat(), conv, false, iters, f64::NAN, 0, 0)
+                            (r.beliefs, conv, false, iters, f64::NAN, 0, 0)
                         })
                         .collect()
                 })
@@ -1476,7 +1471,7 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
     });
     // A panic answers `Internal`; a library error (validation should have
     // caught everything recoverable) answers `BadRequest` — either way to
-    // every query in the stack, and nothing else is poisoned.
+    // every query in the batch, and nothing else is poisoned.
     let answer = match solved {
         Some(Ok(results)) => return publish_batch(shared, jobs, &column, results),
         Some(Err(message)) => bad_request(message),
@@ -1487,14 +1482,14 @@ fn solve_batch(shared: &Shared, jobs: Vec<SolveJob>) {
     }
 }
 
-/// Counts a solved batch, caches one answer per stacked column, then
+/// Counts a solved batch, caches one answer per batch column, then
 /// hands every job its column's answer. `results[c]` is column `c`, and
 /// `column[i]` is job `i`'s column (twins share one).
 fn publish_batch(shared: &Shared, jobs: Vec<SolveJob>, column: &[usize], results: Vec<Solved>) {
     // The batch answers every job, twins included.
     let q = jobs.len();
 
-    // SpMM accounting: the stack costs max(iterations) sweeps; solved one
+    // SpMM accounting: the batch costs max(iterations) sweeps; solved one
     // by one the same columns would have cost Σ iterations.
     let passes = results.iter().map(|r| r.3).max().unwrap_or(0);
     let sequential: u64 = results.iter().map(|r| r.3).sum();
@@ -1514,9 +1509,8 @@ fn publish_batch(shared: &Shared, jobs: Vec<SolveJob>, column: &[usize], results
     for (job, &col) in jobs.into_iter().zip(column) {
         if col == entries.len() {
             let (beliefs, converged, diverged, iterations, final_delta, _, _) =
-                results.next().expect("one result per stacked column");
+                results.next().expect("one result per batch column");
             let entry = CacheEntry {
-                k: beliefs.cols() as u32,
                 beliefs,
                 converged,
                 diverged,

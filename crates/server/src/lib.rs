@@ -10,8 +10,8 @@
 //!
 //! * [`mod@core`] — the transport-independent engine: graph registry
 //!   (operator layout built **once** at registration), admission
-//!   coalescing (concurrent queries against the same graph/parameters are
-//!   stacked into one batched solve, bitwise identical to per-query
+//!   coalescing (concurrent queries against the same graph/parameters
+//!   share one batched solve, bitwise identical to per-query
 //!   solves), and a belief cache that edge deltas **patch** rather than
 //!   invalidate — all state behind one lock, with every solve,
 //!   registration and delta run on one solver thread;

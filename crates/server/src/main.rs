@@ -12,7 +12,7 @@
 //!
 //! `--coalesce-window-ms` defaults to 0: a query that finds the solver
 //! idle is solved at once, and queries that arrive during a solve
-//! coalesce into the next stacked batch. A positive window holds each
+//! coalesce into the next batch. A positive window holds each
 //! admission queue open that long before draining it.
 //!
 //! With `--spill-dir`, registered graphs are written to on-disk shard

@@ -477,7 +477,7 @@ impl CsrMatrix {
     /// no lane structure to exploit, and keeping the sequential order
     /// keeps the whole LinBP/batch family bit-stable. Since the
     /// width-specialized dispatch landed this only runs off the hot path
-    /// (stacked multi-query widths and unusual class counts).
+    /// (RWR's stacked walk widths and unusual class counts).
     fn spmm_rows_generic(&self, b: &Mat, rows: Range<usize>, block: &mut [f64]) {
         let row_len = b.cols();
         block.iter_mut().for_each(|x| *x = 0.0);
@@ -828,12 +828,6 @@ impl CsrMatrix {
         )
     }
 }
-
-/// Widest dense-row width (`k·q` columns) whose fused-kernel scratch
-/// fits on the stack: per-task intermediate buffers below this use fixed
-/// arrays, so solver iterations allocate nothing. Wider stacks fall back
-/// to one `Vec` per row-block task.
-pub(crate) const SCRATCH_WIDTH: usize = 64;
 
 #[cfg(test)]
 mod tests {

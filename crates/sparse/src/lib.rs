@@ -43,8 +43,8 @@ pub mod sharded;
 pub use coo::CooMatrix;
 pub use csr::{CsrError, CsrMatrix, MAX_DIM};
 pub use edge_op::EdgeMatrixOp;
-pub use frontier::{FrontierPlan, FrontierState, FrontierStep, NodeBitset};
-pub use fused::FusedLinBpStep;
+pub use frontier::{FrontierPlan, FrontierState, NodeBitset};
+pub use fused::{FusedLinBpStep, QuerySweep};
 pub use operator::{PropagationOperator, RowIter};
 pub use paged::{PagedCsr, PagedOptions, PagerStats};
 pub use shard_file::{ShardFile, ShardFileError};

@@ -31,8 +31,8 @@
 //! deployment re-shard a live system without changing a single answer.
 
 use crate::csr::CsrMatrix;
-use crate::frontier::{FrontierPlan, FrontierState, FrontierStep};
-use crate::fused::FusedLinBpStep;
+use crate::frontier::{FrontierPlan, FrontierState};
+use crate::fused::{validate_fused_step, FusedLinBpStep, QuerySweep};
 use lsbp_linalg::{Mat, ParallelismConfig};
 
 /// Iterator over one row's `(col, value)` pairs, columns widened to
@@ -168,29 +168,33 @@ pub trait PropagationOperator: Sync {
     fn frontier_plan(&self) -> &FrontierPlan;
 
     /// The fused LinBP step `out = Ê + A·B·Ĥ [− D·B·Ĥ²]` (damped), the
-    /// solver-facing per-iteration kernel, with the semantics and panics
-    /// of [`CsrMatrix::linbp_step_fused_frontier_with`]: on every live
-    /// query `out` and `deltas` (the per-query max-abs belief change)
-    /// are **bitwise identical** to recomputing every pair, frozen
-    /// queries' blocks of `out` stay unwritten, and each computed pair's
-    /// changed bit, count and magnitude land in `fr`. Pairs whose inputs
-    /// are bitwise unchanged since the last committed sweep are skipped
-    /// (not counted, not written).
+    /// solver-facing per-iteration kernel, run for every query of
+    /// `queries` on that query's own buffers, with the semantics and
+    /// panics of [`CsrMatrix::linbp_step_fused_frontier_with`]: each
+    /// query's `out` and `delta` (its max-abs belief change) are
+    /// **bitwise identical** to recomputing every row, and each computed
+    /// row's changed bit, count and magnitude land in its frontier. Rows
+    /// whose inputs are bitwise unchanged since the query's last
+    /// committed sweep are skipped (not counted, not written).
     fn linbp_step_fused_frontier_with(
         &self,
-        b: &Mat,
-        step: &FusedLinBpStep<'_>,
-        out: &mut Mat,
-        deltas: &mut [f64],
-        fr: &mut FrontierStep<'_>,
+        queries: &mut [QuerySweep<'_, '_>],
         cfg: &ParallelismConfig,
     );
 
-    /// One fused LinBP step over every (row, query) pair, without a
-    /// solve's frontier: [`PropagationOperator::linbp_step_fused_frontier_with`]
-    /// from an all-changed [`FrontierState::new`] with every query live,
-    /// so every element of `out` is written. `B` holds `q = B.cols() /
-    /// Ĥ.rows()` queries side by side; `deltas` must have length `q`.
+    /// One fused LinBP step over every row, without a solve's frontier:
+    /// `B`, `Ê` and `out` hold `q = B.cols() / Ĥ.rows()` queries side by
+    /// side, and `deltas` (length `q`) gets each query's max-abs change.
+    /// Splits the queries into their own buffers, runs
+    /// [`PropagationOperator::linbp_step_fused_frontier_with`] from an
+    /// all-changed [`FrontierState::new`] each, and joins the outputs
+    /// back, so every element of `out` is written. A single query runs
+    /// on the caller's buffers directly.
+    ///
+    /// # Panics
+    /// Panics on any dimension mismatch (square adjacency of size
+    /// `B.rows()`, square `Ĥ` dividing `B.cols()`, `out`/`e_hat` shaped
+    /// like `B`, `degrees` of length `n`, `deltas` of length `q`).
     fn linbp_step_fused_with(
         &self,
         b: &Mat,
@@ -199,11 +203,60 @@ pub trait PropagationOperator: Sync {
         deltas: &mut [f64],
         cfg: &ParallelismConfig,
     ) {
-        // `max(1)` leaves a zero-class `Ĥ` to the step's shape check.
-        let q = b.cols() / step.h.rows().max(1);
-        let mut state = FrontierState::new(self.frontier_plan(), q);
-        let mut fr = state.begin(&vec![true; q]);
-        self.linbp_step_fused_frontier_with(b, step, out, deltas, &mut fr, cfg);
+        let n = self.n_rows();
+        let (k, q) = validate_fused_step(n, self.n_cols(), b, step, out);
+        assert_eq!(deltas.len(), q, "fused LinBP step: deltas length");
+        let plan = self.frontier_plan();
+        if q == 1 {
+            let mut frontier = FrontierState::new(plan);
+            let mut sweep = [QuerySweep {
+                step: *step,
+                b,
+                out,
+                frontier: &mut frontier,
+                delta: 0.0,
+            }];
+            self.linbp_step_fused_frontier_with(&mut sweep, cfg);
+            deltas[0] = sweep[0].delta;
+            return;
+        }
+        // Query j's columns j·k .. (j + 1)·k, copied row-outer.
+        let split = |m: &Mat| -> Vec<Mat> {
+            let mut parts: Vec<Mat> = (0..q).map(|_| Mat::zeros(n, k)).collect();
+            for r in 0..n {
+                for (part, src) in parts.iter_mut().zip(m.row(r).chunks_exact(k)) {
+                    part.row_mut(r).copy_from_slice(src);
+                }
+            }
+            parts
+        };
+        let (e_parts, b_parts) = (split(step.e_hat), split(b));
+        let mut out_parts: Vec<Mat> = (0..q).map(|_| Mat::zeros(n, k)).collect();
+        let mut frontiers: Vec<FrontierState<'_>> =
+            (0..q).map(|_| FrontierState::new(plan)).collect();
+        let mut sweeps: Vec<QuerySweep<'_, '_>> = e_parts
+            .iter()
+            .zip(&b_parts)
+            .zip(out_parts.iter_mut())
+            .zip(frontiers.iter_mut())
+            .map(|(((e_hat, b), out), frontier)| QuerySweep {
+                step: FusedLinBpStep { e_hat, ..*step },
+                b,
+                out,
+                frontier,
+                delta: 0.0,
+            })
+            .collect();
+        self.linbp_step_fused_frontier_with(&mut sweeps, cfg);
+        for (d, sweep) in deltas.iter_mut().zip(&sweeps) {
+            *d = sweep.delta;
+        }
+        drop(sweeps);
+        for r in 0..n {
+            for (dst, part) in out.row_mut(r).chunks_exact_mut(k).zip(&out_parts) {
+                dst.copy_from_slice(part.row(r));
+            }
+        }
     }
 
     /// Transpose, materialized as a monolithic [`CsrMatrix`] (the
@@ -267,14 +320,10 @@ impl PropagationOperator for CsrMatrix {
 
     fn linbp_step_fused_frontier_with(
         &self,
-        b: &Mat,
-        step: &FusedLinBpStep<'_>,
-        out: &mut Mat,
-        deltas: &mut [f64],
-        fr: &mut FrontierStep<'_>,
+        queries: &mut [QuerySweep<'_, '_>],
         cfg: &ParallelismConfig,
     ) {
-        CsrMatrix::linbp_step_fused_frontier_with(self, b, step, out, deltas, fr, cfg)
+        CsrMatrix::linbp_step_fused_frontier_with(self, queries, cfg)
     }
 
     fn transpose_with(&self, cfg: &ParallelismConfig) -> CsrMatrix {

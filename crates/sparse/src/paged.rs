@@ -539,9 +539,9 @@ mod tests {
     use super::*;
     use crate::coo::CooMatrix;
     use crate::operator::PropagationOperator;
+    use crate::shard_file::tests::TempPath;
     use crate::sharded::ShardedCsr;
     use lsbp_linalg::{Mat, ParallelismConfig};
-    use std::path::PathBuf;
 
     fn sample() -> CsrMatrix {
         let mut coo = CooMatrix::new(7, 7);
@@ -554,10 +554,8 @@ mod tests {
         coo.to_csr()
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lsbp-paged-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn tmp(name: &str) -> TempPath {
+        TempPath::new("paged", name)
     }
 
     fn bits_eq(a: &[f64], b: &[f64]) -> bool {

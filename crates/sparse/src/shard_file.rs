@@ -555,9 +555,10 @@ impl ShardFile {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sample() -> CsrMatrix {
         let mut coo = CooMatrix::new(9, 9);
@@ -571,10 +572,50 @@ mod tests {
         coo.to_csr()
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lsbp-shardfile-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// A scratch path `name` in a directory of its own, removed with
+    /// everything in it when the guard drops — whether the test passed or
+    /// panicked. The directory, `lsbp-<prefix>-<pid>-<n>` under the temp
+    /// dir, carries the process id and a per-process counter, so parallel
+    /// tests never share or delete each other's files. Derefs to the path.
+    pub(crate) struct TempPath {
+        dir: PathBuf,
+        path: PathBuf,
+    }
+
+    impl TempPath {
+        pub(crate) fn new(prefix: &str, name: &str) -> Self {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir =
+                std::env::temp_dir().join(format!("lsbp-{prefix}-{}-{n}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(name);
+            Self { dir, path }
+        }
+    }
+
+    impl std::ops::Deref for TempPath {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl AsRef<Path> for TempPath {
+        fn as_ref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl Drop for TempPath {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn tmp(name: &str) -> TempPath {
+        TempPath::new("shardfile", name)
     }
 
     #[test]

@@ -38,8 +38,8 @@
 
 use crate::cache::OperatorCache;
 use crate::csr::CsrMatrix;
-use crate::frontier::{FrontierPlan, FrontierStep};
-use crate::fused::{validate_fused_step, FusedLinBpStep};
+use crate::frontier::FrontierPlan;
+use crate::fused::{run_sweeps, union_summary, QuerySweep};
 use crate::operator::{PropagationOperator, RowIter};
 use lsbp_linalg::simd::{sum4, sum_sq4};
 use lsbp_linalg::{weight_balanced_ranges, Mat, ParallelismConfig};
@@ -198,57 +198,41 @@ impl<S: ShardSource> PropagationOperator for S {
     }
 
     /// The fused LinBP step, one persistent-pool region per active shard
-    /// in row order. Each shard gathers from the full belief matrix
-    /// (global column indices) but reads `Ê`/`B`/`degrees` rows at its
-    /// own global offset; per-query residual maxima accumulate across
-    /// shards with the order-independent `max`. Skipping is
-    /// shard-granular first — a shard whose overlapping plan blocks are
-    /// all inactive is passed over without being hinted or taken, so a
-    /// paged backend never faults a frozen region back in — then the
-    /// per-shard kernel applies block- and row-granular skipping inside.
-    /// Every sweep pulls: a shard's kernel cannot mark rows of another
-    /// shard. The hint goes to the next *active* shard, before the
-    /// current one is taken. Bitwise identical to the monolithic step at
-    /// any shard × thread (× budget) combination.
+    /// in row order, each running every query in turn. Each shard
+    /// gathers from the full belief buffers (global column indices) but
+    /// reads `Ê`/`B`/`degrees` rows at its own global offset; per-query
+    /// residual maxima accumulate across shards with the
+    /// order-independent `max`. Skipping is shard-granular first — a
+    /// shard whose overlapping plan blocks are inactive for every query
+    /// (the union of their summaries) is passed over without being
+    /// hinted or taken, so a paged backend never faults a frozen region
+    /// back in — then the per-shard kernel applies block- and
+    /// row-granular skipping per query inside. Every sweep pulls: a
+    /// shard's kernel cannot mark rows of another shard. The hint goes
+    /// to the next *active* shard, before the current one is taken.
+    /// Bitwise identical to the monolithic step at any shard × thread (×
+    /// budget) combination.
     fn linbp_step_fused_frontier_with(
         &self,
-        b: &Mat,
-        step: &FusedLinBpStep<'_>,
-        out: &mut Mat,
-        deltas: &mut [f64],
-        fr: &mut FrontierStep<'_>,
+        queries: &mut [QuerySweep<'_, '_>],
         cfg: &ParallelismConfig,
     ) {
-        let n = self.n_rows();
-        let kt = b.cols();
-        let (k, _q) = validate_fused_step(n, self.n_cols(), b, step, out, deltas);
-        deltas.iter_mut().for_each(|d| *d = 0.0);
-        if n == 0 || kt == 0 {
-            return;
-        }
-        let (plan, summary) = (fr.plan, fr.summary);
-        let shard_active = |i: usize| !plan.range_inactive(self.shard_rows(i), summary);
-        let flat = out.as_mut_slice();
-        for i in 0..self.num_shards() {
-            let rows = self.shard_rows(i);
-            if !shard_active(i) {
-                continue;
+        let plan = self.frontier_plan();
+        let summary = union_summary(plan, queries);
+        let shard_active = |i: usize| !plan.range_inactive(self.shard_rows(i), &summary);
+        run_sweeps(self.n_rows(), self.n_cols(), queries, None, |lanes| {
+            for i in 0..self.num_shards() {
+                if !shard_active(i) {
+                    continue;
+                }
+                if let Some(next) = (i + 1..self.num_shards()).find(|&j| shard_active(j)) {
+                    self.hint(next);
+                }
+                let start = self.shard_rows(i).start;
+                self.shard(i)
+                    .fused_block_frontier_with(start, plan, lanes, cfg);
             }
-            if let Some(next) = (i + 1..self.num_shards()).find(|&j| shard_active(j)) {
-                self.hint(next);
-            }
-            self.shard(i).fused_block_frontier_with(
-                b,
-                step,
-                rows.start,
-                &mut flat[rows.start * kt..rows.end * kt],
-                deltas,
-                k,
-                fr,
-                false,
-                cfg,
-            );
-        }
+        });
     }
 
     fn transpose_with(&self, cfg: &ParallelismConfig) -> CsrMatrix {

@@ -14,6 +14,8 @@
 //! * a [`RetryPolicy`] recovers every idempotent request under real
 //!   overload.
 
+mod support;
+
 use lsbp::prelude::*;
 use lsbp_client::{Client, ClientConfig, ClientError, RetryPolicy, RetryingClient};
 use lsbp_graph::Graph;
@@ -31,6 +33,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
+use support::TempPath;
 
 const K: usize = 3;
 
@@ -382,10 +385,11 @@ fn panicking_solve_spares_parked_jobs() {
 /// and its solves answer bitwise.
 #[test]
 fn panicking_delta_publishes_nothing() {
-    let dir = std::env::temp_dir().join(format!("lsbp-chaos-delta-{}", std::process::id()));
+    let scratch = TempPath::new("chaos-delta", "spill");
+    let dir = scratch.dir();
     let core = ServerCore::new(ServerConfig {
         panic_on_graph: Some(666),
-        spill_dir: Some(dir.clone()),
+        spill_dir: Some(dir.to_path_buf()),
         ..ServerConfig::default()
     });
     for graph_id in [666, 777] {
@@ -417,7 +421,7 @@ fn panicking_delta_publishes_nothing() {
         other => panic!("expected Internal from the panicking delta, got {other:?}"),
     }
     assert_eq!(core.stats().panics_caught, 1);
-    let spills: Vec<String> = std::fs::read_dir(&dir)
+    let spills: Vec<String> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
@@ -450,8 +454,6 @@ fn panicking_delta_publishes_nothing() {
         reference.beliefs.residual().as_slice(),
     );
     assert_eq!(core.stats().panics_caught, 1);
-    drop(core);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Real overload (one admission slot, many clients): every idempotent

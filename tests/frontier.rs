@@ -12,12 +12,12 @@
 //! MaxAbs convergence norms, self-loops, empty graphs, single-node
 //! graphs, eviction pressure on the paged backend, the counter
 //! invariant `rows_active + rows_skipped = n × iterations`, and the
-//! per-query frontier of stacked batches: its start from `Ê` (`-0.0`
-//! seeds, non-finite degrees), the guard read out of the kernel, frozen
-//! queries read from the buffer they froze in (and, one step at a time,
-//! never written), and work conservation against solo solves. The counters themselves — whether a sweep pushed
-//! or pulled — are checked against the pull sets the plain-loop oracle's
-//! iterates imply.
+//! per-query frontier of batches: its start from `Ê` (`-0.0` seeds,
+//! non-finite degrees), the guard read out of the kernel, frozen queries
+//! answered from their own buffer (and, one step at a time, never
+//! written), and work conservation against solo solves. The counters
+//! themselves — whether a sweep pushed or pulled — are checked against
+//! the pull sets the plain-loop oracle's iterates imply.
 
 mod support;
 
@@ -25,11 +25,10 @@ use lsbp::prelude::*;
 use lsbp_graph::generators::{dblp_like, erdos_renyi_gnm, kronecker_graph, DblpConfig};
 use lsbp_graph::Graph;
 use lsbp_linalg::Mat;
-use lsbp_sparse::{CooMatrix, CsrMatrix, FrontierState, FusedLinBpStep};
+use lsbp_sparse::{CooMatrix, CsrMatrix, FrontierState, FusedLinBpStep, QuerySweep};
 use proptest::prelude::*;
-use std::path::PathBuf;
 use support::{
-    bits_equal, pull_counts, unfused_linbp, unfused_linbp_observed, PullCounts, Reference,
+    bits_equal, pull_counts, unfused_linbp, unfused_linbp_observed, PullCounts, Reference, TempPath,
 };
 
 fn seeds(n: usize, k: usize, picks: &[(usize, usize)]) -> ExplicitBeliefs {
@@ -40,11 +39,10 @@ fn seeds(n: usize, k: usize, picks: &[(usize, usize)]) -> ExplicitBeliefs {
     e
 }
 
-/// Per-process scratch directory for spill files.
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lsbp-frontier-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// A spill file in a scratch directory of its own, removed when the
+/// guard drops.
+fn tmp(name: &str) -> TempPath {
+    TempPath::new("frontier", name)
 }
 
 fn csr_bytes(m: &CsrMatrix) -> usize {
@@ -123,7 +121,7 @@ fn solo_full(adj: &CsrMatrix, e: &ExplicitBeliefs, h: &Mat, base: &LinBpOptions)
     unfused_linbp(adj, e.residual_matrix(), h, true, &opts)
 }
 
-/// Solves `queries` as one stacked batch on `op` and asserts every
+/// Solves `queries` as one batch on `op` and asserts every
 /// answer equals its [`solo_full`] oracle, run shape included.
 fn assert_batch_matches_solo<A: PropagationOperator + ?Sized>(
     op: &A,
@@ -409,8 +407,8 @@ proptest! {
     }
 }
 
-/// Work conservation: a stacked batch computes exactly the (row, query)
-/// pairs its queries' solo solves compute — each query's counters equal
+/// Work conservation: a batch computes exactly the (row, query) pairs
+/// its queries' solo solves compute — each query's counters equal
 /// its solo solve's, so the batch's `Σ rows_active` equals the solo sum.
 /// A union frontier (any query's change re-activating a row for every
 /// query) would inflate the stacked counts.
@@ -588,8 +586,8 @@ fn isolated_seed_over_guard_trips_at_sweep_one() {
     );
 }
 
-/// Frozen queries are not copied forward: each is read from the buffer
-/// it froze in. Queries freezing an even and an odd number of sweeps
+/// Frozen queries are not copied forward: each answers from its own
+/// buffer, which froze with it. Queries freezing an even and an odd number of sweeps
 /// before the end, one on the last sweep of the budget and one still
 /// unconverged at the budget must all equal their solo solves.
 #[test]
@@ -649,11 +647,12 @@ fn queries_frozen_at_different_sweeps_read_from_their_buffer() {
     );
 }
 
-/// One step at a time: a frozen query's blocks are neither computed nor
-/// written — whatever the output buffer held there stays — while every
-/// live query's blocks and deltas follow its plain-loop oracle round for
-/// round, bit for bit, and the steps skip pairs whose inputs did not
-/// change.
+/// One step at a time over per-query buffers: a frozen query leaves the
+/// sweep, so its buffers are neither computed nor written — whatever its
+/// output buffer held stays, and its current buffer keeps its beliefs —
+/// while every live query's beliefs and delta follow its plain-loop
+/// oracle round for round, bit for bit, and the steps skip rows whose
+/// inputs did not change.
 #[test]
 fn frozen_query_block_stays_unwritten() {
     let (n, k, q, sweeps) = (150, 3, 3, 8);
@@ -674,7 +673,7 @@ fn frozen_query_block_stays_unwritten() {
         parallelism: ParallelismConfig::serial(),
         ..Default::default()
     };
-    let trajectories: Vec<Vec<(Mat, f64)>> = singles
+    let oracle: Vec<Vec<(Mat, f64)>> = singles
         .iter()
         .map(|e| {
             let mut trajectory = Vec::new();
@@ -684,63 +683,84 @@ fn frozen_query_block_stays_unwritten() {
             trajectory
         })
         .collect();
-    // Per sweep, every query's oracle round.
-    let oracle: Vec<Vec<&(Mat, f64)>> = (0..sweeps)
-        .map(|sweep| trajectories.iter().map(|t| &t[sweep]).collect())
-        .collect();
-    let e = Mat::from_fn(n, k * q, |r, c| {
-        singles[c / k].residual_matrix()[(r, c % k)]
-    });
-    let step = FusedLinBpStep {
-        e_hat: &e,
-        h: &h,
-        h2: Some(&h2),
-        degrees: adj.squared_weight_degrees(),
-        damping: 0.0,
-    };
     let sentinel = f64::from_bits(0x7FF4_0000_0000_BEEF);
     for threads in [1usize, 4] {
         let cfg = ParallelismConfig::with_threads(threads).with_min_work(1);
-        let mut state = FrontierState::from_seeds(adj.frontier_plan(), &e, k);
-        let (mut b, mut next) = (e.clone(), Mat::zeros(n, k * q));
-        for (sweep, round) in oracle.iter().enumerate() {
-            // Query 1 freezes after sweep 3; from then on its block of the
-            // output buffer holds a sentinel the step must leave alone.
+        let plan = adj.frontier_plan();
+        let mut frontiers: Vec<FrontierState<'_>> = singles
+            .iter()
+            .map(|e| FrontierState::from_seeds(plan, e.residual_matrix()))
+            .collect();
+        let mut b: Vec<Mat> = singles
+            .iter()
+            .map(|e| e.residual_matrix().clone())
+            .collect();
+        let mut next: Vec<Mat> = (0..q).map(|_| Mat::zeros(n, k)).collect();
+        for sweep in 0..sweeps {
+            // Query 1 freezes after sweep 3; from then on its output
+            // buffer holds a sentinel no step may touch.
             let live = [true, sweep < 3, true];
-            if !live[1] {
-                for r in 0..n {
-                    next.row_mut(r)[k..2 * k].fill(sentinel);
-                }
+            if sweep == 3 {
+                next[1].as_mut_slice().fill(sentinel);
             }
-            let mut deltas = vec![f64::NAN; q];
-            let mut fr = state.begin(&live);
-            adj.linbp_step_fused_frontier_with(&b, &step, &mut next, &mut deltas, &mut fr, &cfg);
-            state.commit();
+            let mut steps: Vec<QuerySweep<'_, '_>> = singles
+                .iter()
+                .zip(&b)
+                .zip(next.iter_mut())
+                .zip(frontiers.iter_mut())
+                .zip(live)
+                .filter(|&(_, on)| on)
+                .map(|((((e, b), out), frontier), _)| QuerySweep {
+                    step: FusedLinBpStep {
+                        e_hat: e.residual_matrix(),
+                        h: &h,
+                        h2: Some(&h2),
+                        degrees: adj.squared_weight_degrees(),
+                        damping: 0.0,
+                    },
+                    b,
+                    out,
+                    frontier,
+                    delta: f64::NAN,
+                })
+                .collect();
+            adj.linbp_step_fused_frontier_with(&mut steps, &cfg);
+            let mut deltas = steps
+                .into_iter()
+                .map(|s| s.delta)
+                .collect::<Vec<_>>()
+                .into_iter();
             for (j, &on) in live.iter().enumerate() {
                 let label = format!("t={threads} sweep {sweep} query {j}");
-                let got = Mat::from_fn(n, k, |r, c| next[(r, j * k + c)]);
                 if on {
-                    let (want, want_delta) = round[j];
-                    assert!(bits_equal(&got, want), "{label}: differs from the oracle");
-                    assert_eq!(deltas[j].to_bits(), want_delta.to_bits(), "{label}: delta");
+                    frontiers[j].commit();
+                    std::mem::swap(&mut b[j], &mut next[j]);
+                    let (want, want_delta) = &oracle[j][sweep];
+                    assert!(bits_equal(&b[j], want), "{label}: differs from the oracle");
+                    let delta = deltas.next().unwrap();
+                    assert_eq!(delta.to_bits(), want_delta.to_bits(), "{label}: delta");
                 } else {
                     assert!(
-                        got.as_slice()
+                        next[j]
+                            .as_slice()
                             .iter()
                             .all(|x| x.to_bits() == sentinel.to_bits()),
-                        "{label}: a frozen block was written"
+                        "{label}: a frozen query's output buffer was written"
+                    );
+                    assert!(
+                        bits_equal(&b[j], &oracle[j][2].0),
+                        "{label}: a frozen query's beliefs moved"
                     );
                 }
             }
-            std::mem::swap(&mut b, &mut next);
         }
         assert_eq!(
-            state.rows_active[1] + state.rows_skipped[1],
+            frontiers[1].rows_active + frontiers[1].rows_skipped,
             3 * n as u64,
             "t={threads}: query 1 counted only while live"
         );
         assert!(
-            state.rows_skipped.iter().sum::<u64>() > 0,
+            frontiers.iter().map(|f| f.rows_skipped).sum::<u64>() > 0,
             "t={threads}: nothing skipped"
         );
     }
@@ -781,8 +801,6 @@ fn assert_counters_match_pull_oracle(
     ));
     let paged = PagedCsr::spill(adj, &path, 4, PagedOptions::default().with_budget(None)).unwrap();
     let pulled = linbp_batch_on(&paged, seeds, h, opts).unwrap();
-    drop(paged);
-    let _ = std::fs::remove_file(&path);
     for (j, (got, want)) in resident.iter().zip(oracles).enumerate() {
         let label = format!("{label}, query {j}");
         let oracle = &want.reference;

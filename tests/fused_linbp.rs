@@ -10,7 +10,7 @@ use lsbp::prelude::*;
 use lsbp_bench::kronecker_style_beliefs;
 use lsbp_graph::generators::{erdos_renyi_gnm, kronecker_graph};
 use lsbp_linalg::Mat;
-use lsbp_sparse::{CsrMatrix, FrontierState, FusedLinBpStep, PropagationOperator};
+use lsbp_sparse::{CsrMatrix, FrontierState, FusedLinBpStep, PropagationOperator, QuerySweep};
 use proptest::prelude::*;
 
 mod support;
@@ -66,9 +66,10 @@ fn fused_iterations(
     (b, deltas[0])
 }
 
-/// `iters` consecutive stacked steps (`b ← step(b)`, double-buffered
-/// like the solvers), through the frontier-skipping step when `frontier`
-/// is set. Returns every iteration's output and per-query deltas.
+/// `iters` consecutive full steps (`b ← step(b)`, double-buffered like
+/// the solvers) of `q` side-by-side queries through
+/// [`PropagationOperator::linbp_step_fused_with`]. Returns every
+/// iteration's output and per-query deltas.
 #[allow(clippy::too_many_arguments)]
 fn stacked_trajectory(
     adj: &CsrMatrix,
@@ -79,7 +80,6 @@ fn stacked_trajectory(
     damping: f64,
     q: usize,
     iters: usize,
-    frontier: bool,
     cfg: &ParallelismConfig,
 ) -> Vec<(Mat, Vec<f64>)> {
     let step = FusedLinBpStep {
@@ -91,23 +91,101 @@ fn stacked_trajectory(
     };
     let mut b = e_hat.clone();
     let mut next = Mat::zeros(e_hat.rows(), e_hat.cols());
-    let mut state =
-        frontier.then(|| FrontierState::from_seeds(adj.frontier_plan(), e_hat, h.rows()));
     let mut trajectory = Vec::with_capacity(iters);
     for _ in 0..iters {
         let mut deltas = vec![f64::NAN; q];
-        match state.as_mut() {
-            Some(state) => {
-                let mut fr = state.begin(&vec![true; q]);
-                adj.linbp_step_fused_frontier_with(&b, &step, &mut next, &mut deltas, &mut fr, cfg);
-                state.commit();
-            }
-            None => adj.linbp_step_fused_with(&b, &step, &mut next, &mut deltas, cfg),
-        }
+        adj.linbp_step_fused_with(&b, &step, &mut next, &mut deltas, cfg);
         std::mem::swap(&mut b, &mut next);
         trajectory.push((b.clone(), deltas));
     }
     trajectory
+}
+
+/// A query's output buffer once it freezes: a NaN no step produces, so
+/// any write shows.
+const SENTINEL: u64 = 0x7FF4_0000_0000_BEEF;
+
+/// `iters` sweeps of the frontier step over per-query buffers, the way
+/// the batch driver runs them: query `j` starts from its own seeds and
+/// is live for its first `live_for[j]` sweeps; then it leaves the sweep,
+/// its current buffer keeps its beliefs and its output buffer is filled
+/// with [`SENTINEL`]. Returns, per sweep and query, the query's current
+/// beliefs and, while it ran, its delta; and, per query, its output
+/// buffer and frontier counters at the end.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+fn lockstep_trajectory(
+    adj: &CsrMatrix,
+    singles: &[Mat],
+    h: &Mat,
+    h2: Option<&Mat>,
+    degrees: &[f64],
+    damping: f64,
+    live_for: &[usize],
+    iters: usize,
+    cfg: &ParallelismConfig,
+) -> (Vec<Vec<(Mat, Option<f64>)>>, Vec<(Mat, u64, u64)>) {
+    let plan = adj.frontier_plan();
+    let mut b: Vec<Mat> = singles.to_vec();
+    let mut next: Vec<Mat> = singles
+        .iter()
+        .map(|e| Mat::zeros(e.rows(), e.cols()))
+        .collect();
+    let mut frontiers: Vec<FrontierState<'_>> = singles
+        .iter()
+        .map(|e| FrontierState::from_seeds(plan, e))
+        .collect();
+    let mut trajectory = Vec::with_capacity(iters);
+    for sweep in 0..iters {
+        for (j, out) in next.iter_mut().enumerate() {
+            if live_for[j] == sweep {
+                out.as_mut_slice().fill(f64::from_bits(SENTINEL));
+            }
+        }
+        let mut sweeps: Vec<QuerySweep<'_, '_>> = singles
+            .iter()
+            .zip(&b)
+            .zip(next.iter_mut())
+            .zip(frontiers.iter_mut())
+            .enumerate()
+            .filter(|&(j, _)| sweep < live_for[j])
+            .map(|(_, (((e_hat, b), out), frontier))| QuerySweep {
+                step: FusedLinBpStep {
+                    e_hat,
+                    h,
+                    h2,
+                    degrees,
+                    damping,
+                },
+                b,
+                out,
+                frontier,
+                delta: f64::NAN,
+            })
+            .collect();
+        adj.linbp_step_fused_frontier_with(&mut sweeps, cfg);
+        let mut deltas = sweeps
+            .into_iter()
+            .map(|s| s.delta)
+            .collect::<Vec<_>>()
+            .into_iter();
+        let mut round = Vec::with_capacity(singles.len());
+        for j in 0..singles.len() {
+            let mut delta = None;
+            if sweep < live_for[j] {
+                frontiers[j].commit();
+                std::mem::swap(&mut b[j], &mut next[j]);
+                delta = deltas.next();
+            }
+            round.push((b[j].clone(), delta));
+        }
+        trajectory.push(round);
+    }
+    let ends = next
+        .into_iter()
+        .zip(&frontiers)
+        .map(|(out, f)| (out, f.rows_active, f.rows_skipped))
+        .collect();
+    (trajectory, ends)
 }
 
 proptest! {
@@ -174,18 +252,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Stacking `q` queries side by side changes no bit: every k-block of
-    /// every stacked iterate, and every per-query delta, equals round for
-    /// round the plain-loop oracle (`support::unfused_linbp_observed`: no
+    /// Batching `q` queries changes no bit: every query of every
+    /// iterate, and every per-query delta, equals round for round the
+    /// plain-loop oracle (`support::unfused_linbp_observed`: no
     /// tolerance, no guard, same damping and echo) run on that query
-    /// alone — for every kernel the
-    /// dispatch can pick (k ∈ 2..=5, q = 1 and q ≥ 2, stacked widths
-    /// across the 64- and 128-column stack-buffer limits), with and without
-    /// echo and damping, serial and on 4 threads, full and frontier
-    /// steps. The frontier trajectory tracks change per (row, query)
-    /// from each query's own seeds, and the seed supports differ (every
-    /// fifth query has none); `q` reaches past 64, so a row's query field
-    /// crosses a word boundary.
+    /// alone — for both kernels (k ∈ 2..=5), q = 1 and q ≥ 2 up to past
+    /// 64 queries, with and without echo and damping, serial and on 4
+    /// threads. Two paths: the frontier step over per-query buffers,
+    /// each query tracking change from its own seeds (every fifth query
+    /// has none) and some freezing mid-run — a frozen query's beliefs
+    /// stay as they were and its output buffer is never written again —
+    /// and the full step over `q` side-by-side queries.
     #[test]
     fn stacked_step_matches_single_query_steps(
         n in 2usize..40,
@@ -220,33 +297,75 @@ proptest! {
                     .clone()
             })
             .collect();
-        let e_hat = Mat::from_fn(n, k * q, |r, c| singles[c / k][(r, c % k)]);
         let cfg = if threaded == 1 {
             ParallelismConfig::with_threads(4).with_min_work(1)
         } else {
             ParallelismConfig::serial()
         };
         let iters = 4;
-        let stacked = stacked_trajectory(
-            &adj, &e_hat, &h, h2, degrees, damping, q, iters, frontier_flag == 1, &cfg);
         let opts = fixed_rounds(damping, iters, ParallelismConfig::serial());
-        for (j, single_e) in singles.iter().enumerate() {
-            let mut single = Vec::with_capacity(iters);
-            unfused_linbp_observed(&adj, single_e, &h, echo_flag == 1, &opts, |old, new| {
-                single.push((new.clone(), new.max_abs_diff(old)));
-            });
-            prop_assert_eq!(single.len(), iters);
-            for (it, ((got, got_d), (want, want_d))) in stacked.iter().zip(&single).enumerate() {
-                let block = Mat::from_fn(n, k, |r, c| got[(r, j * k + c)]);
-                prop_assert!(
-                    bits_equal(&block, want),
-                    "k={} q={} query {} iteration {}: block differs", k, q, j, it
-                );
+        let oracle: Vec<Vec<(Mat, f64)>> = singles
+            .iter()
+            .map(|e| {
+                let mut rounds = Vec::with_capacity(iters);
+                unfused_linbp_observed(&adj, e, &h, echo_flag == 1, &opts, |old, new| {
+                    rounds.push((new.clone(), new.max_abs_diff(old)));
+                });
+                rounds
+            })
+            .collect();
+        prop_assert!(oracle.iter().all(|rounds| rounds.len() == iters));
+        if frontier_flag == 1 {
+            // Query j freezes after sweep 1, 2 or 3, or runs all 4.
+            let live_for: Vec<usize> = (0..q).map(|j| 1 + (j + seed as usize) % iters).collect();
+            let (trajectory, ends) = lockstep_trajectory(
+                &adj, &singles, &h, h2, degrees, damping, &live_for, iters, &cfg);
+            for (j, rounds) in oracle.iter().enumerate() {
+                for (it, round) in trajectory.iter().enumerate() {
+                    let (got, got_d) = &round[j];
+                    let live = it < live_for[j];
+                    let (want, want_d) = &rounds[it.min(live_for[j] - 1)];
+                    prop_assert!(
+                        bits_equal(got, want),
+                        "k={} q={} query {} iteration {} (live {}): beliefs differ",
+                        k, q, j, it, live
+                    );
+                    prop_assert_eq!(
+                        got_d.map(f64::to_bits),
+                        live.then_some(want_d.to_bits()),
+                        "k={} q={} query {} iteration {}: delta differs", k, q, j, it
+                    );
+                }
+                let (out, active, skipped) = &ends[j];
+                if live_for[j] < iters {
+                    prop_assert!(
+                        out.as_slice().iter().all(|x| x.to_bits() == SENTINEL),
+                        "k={} q={} query {}: a frozen query's buffer was written", k, q, j
+                    );
+                }
                 prop_assert_eq!(
-                    got_d[j].to_bits(),
-                    want_d.to_bits(),
-                    "k={} q={} query {} iteration {}: delta differs", k, q, j, it
+                    active + skipped,
+                    (n * live_for[j]) as u64,
+                    "k={} q={} query {}: counted only while live", k, q, j
                 );
+            }
+        } else {
+            let e_hat = Mat::from_fn(n, k * q, |r, c| singles[c / k][(r, c % k)]);
+            let stacked = stacked_trajectory(
+                &adj, &e_hat, &h, h2, degrees, damping, q, iters, &cfg);
+            for (j, rounds) in oracle.iter().enumerate() {
+                for (it, ((got, got_d), (want, want_d))) in stacked.iter().zip(rounds).enumerate() {
+                    let block = Mat::from_fn(n, k, |r, c| got[(r, j * k + c)]);
+                    prop_assert!(
+                        bits_equal(&block, want),
+                        "k={} q={} query {} iteration {}: block differs", k, q, j, it
+                    );
+                    prop_assert_eq!(
+                        got_d[j].to_bits(),
+                        want_d.to_bits(),
+                        "k={} q={} query {} iteration {}: delta differs", k, q, j, it
+                    );
+                }
             }
         }
     }

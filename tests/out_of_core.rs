@@ -11,10 +11,9 @@ use lsbp_graph::geodesic_numbers;
 use lsbp_linalg::Mat;
 use lsbp_sparse::{CooMatrix, CsrMatrix};
 use proptest::prelude::*;
-use std::path::PathBuf;
 
 mod support;
-use support::{assert_invariants, invariants_oracle};
+use support::{assert_invariants, invariants_oracle, TempPath};
 
 fn bits_equal(a: &Mat, b: &Mat) -> bool {
     a.rows() == b.rows()
@@ -33,12 +32,10 @@ fn seeds(n: usize, k: usize, picks: &[(usize, usize)]) -> ExplicitBeliefs {
     e
 }
 
-/// Per-process scratch directory for spill files; tests use distinct
-/// file names so they can run concurrently.
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lsbp-ooc-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// A spill file in a scratch directory of its own, removed when the
+/// guard drops.
+fn tmp(name: &str) -> TempPath {
+    TempPath::new("ooc", name)
 }
 
 /// Approximate resident bytes of a CSR: row pointers + columns + values.

@@ -6,6 +6,8 @@
 //! edge-delta patch — every belief vector it returns is bit-for-bit the
 //! one the `lsbp` library produces for the same query.
 
+mod support;
+
 use lsbp::prelude::*;
 use lsbp_client::{Client, ClientConfig, ClientError, RetryPolicy, RetryingClient};
 use lsbp_graph::Graph;
@@ -22,6 +24,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
+use support::TempPath;
 
 const K: usize = 3;
 
@@ -461,9 +464,9 @@ fn identical_pair_in_one_batch_keeps_the_other_cached_answers() {
 fn server_parallelism_config_reaches_solves() {
     let h = coupling();
     let answer = |name: &str, budget: usize| {
-        let dir = spill_scratch(name);
+        let scratch = spill_scratch(name);
         let core = ServerCore::new(ServerConfig {
-            spill_dir: Some(dir),
+            spill_dir: Some(scratch.dir().to_path_buf()),
             parallelism: ParallelismConfig::from_env().with_memory_budget(budget),
             ..ServerConfig::default()
         });
@@ -1567,12 +1570,10 @@ fn clamp_iter_degradation_is_bitwise_at_the_clamped_budget() {
     assert_eq!(core.stats().degraded_clamped, 1);
 }
 
-/// Per-process scratch directory for server spill tests; each test
-/// keys its own subdirectory so runs never share files.
-fn spill_scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("lsbp-serve-spill-{}-{name}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A spill directory of the test's own (its [`TempPath::dir`]), removed
+/// with the server's spill files when the guard drops.
+fn spill_scratch(name: &str) -> TempPath {
+    TempPath::new("serve-spill", name)
 }
 
 /// A spilling server config with several shards and a deliberately tiny
@@ -1593,8 +1594,8 @@ fn spill_config(dir: &std::path::Path) -> ServerConfig {
 /// the library, after the duplicate is turned away.
 #[test]
 fn duplicate_register_with_spill_keeps_live_graph_servable() {
-    let dir = spill_scratch("dup-register");
-    let core = ServerCore::new(spill_config(&dir));
+    let scratch = spill_scratch("dup-register");
+    let core = ServerCore::new(spill_config(scratch.dir()));
     let register = |edges: Vec<WireEdge>| Request::RegisterGraph {
         graph_id: 9,
         n_nodes: 10,
@@ -1645,8 +1646,8 @@ fn duplicate_register_with_spill_keeps_live_graph_servable() {
 /// the surviving paged operator must hold ALL of them.
 #[test]
 fn racing_edge_deltas_to_spilled_graph_all_land() {
-    let dir = spill_scratch("racing-deltas");
-    let core = Arc::new(ServerCore::new(spill_config(&dir)));
+    let scratch = spill_scratch("racing-deltas");
+    let core = Arc::new(ServerCore::new(spill_config(scratch.dir())));
     assert!(matches!(
         core.handle_blocking(Request::RegisterGraph {
             graph_id: 7,
@@ -1726,8 +1727,8 @@ fn racing_edge_deltas_to_spilled_graph_all_land() {
 /// an observer never sees a version counted twice (or not at all).
 #[test]
 fn pager_totals_stay_monotone_across_version_retirement() {
-    let dir = spill_scratch("monotone-totals");
-    let core = Arc::new(ServerCore::new(spill_config(&dir)));
+    let scratch = spill_scratch("monotone-totals");
+    let core = Arc::new(ServerCore::new(spill_config(scratch.dir())));
     assert!(matches!(
         core.handle_blocking(Request::RegisterGraph {
             graph_id: 5,

@@ -1,12 +1,61 @@
 //! Test support shared by the solver suites: bitwise matrix equality, the
 //! plain-loop LinBP oracle, the frontier counters that oracle's iterates
-//! imply, a plain-loop RWR oracle, and a plain-loop oracle for the
-//! per-graph invariants an operator caches. Each suite uses a subset.
+//! imply, a plain-loop RWR oracle, a plain-loop oracle for the per-graph
+//! invariants an operator caches, and self-removing scratch paths. Each
+//! suite uses a subset.
 #![allow(dead_code)]
 
 use lsbp::prelude::*;
 use lsbp_linalg::Mat;
 use lsbp_sparse::{CsrMatrix, FrontierPlan, NodeBitset, PropagationOperator};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A scratch path `name` in a directory of its own, removed with
+/// everything in it when the guard drops — whether the test passed or
+/// panicked. The directory, `lsbp-<prefix>-<pid>-<n>` under the temp dir,
+/// carries the process id and a per-process counter, so parallel tests
+/// never share or delete each other's files. Derefs to the path.
+pub struct TempPath {
+    dir: PathBuf,
+    path: PathBuf,
+}
+
+impl TempPath {
+    pub fn new(prefix: &str, name: &str) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("lsbp-{prefix}-{}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        Self { dir, path }
+    }
+
+    /// The guard's own directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+}
+
+impl std::ops::Deref for TempPath {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl AsRef<Path> for TempPath {
+    fn as_ref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
 
 pub fn bits_equal(a: &Mat, b: &Mat) -> bool {
     a.rows() == b.rows()

@@ -203,7 +203,7 @@ impl Client {
         }
     }
 
-    /// Fetches the liveness snapshot (queue depth, cache size, uptime).
+    /// Fetches the liveness snapshot (queue depth, uptime, counters).
     pub fn health(&mut self) -> Result<HealthInfo, ClientError> {
         match self.checked(&Request::Health)? {
             Response::Health(info) => Ok(info),

@@ -548,7 +548,7 @@ fn selftest(
     let health = client
         .health()
         .map_err(|e| format!("post-frontier health: {e}"))?;
-    if health.frontier_rows_skipped == 0 {
+    if health.stats.frontier_rows_skipped == 0 {
         return Err(
             "frontier: repeated solves on a graph with isolated nodes left zero \
              skipped rows"
@@ -557,7 +557,7 @@ fn selftest(
     }
     println!(
         "[selftest] frontier: bitwise match ({} rows active, {} skipped)",
-        health.frontier_rows_active, health.frontier_rows_skipped
+        health.stats.frontier_rows_active, health.stats.frontier_rows_skipped
     );
 
     // Out-of-core phase: when the server runs with `--spill-dir`, every
@@ -592,7 +592,7 @@ fn selftest(
         let health = client
             .health()
             .map_err(|e| format!("post-paged health: {e}"))?;
-        if health.pager_misses == 0 {
+        if health.stats.pager_misses == 0 {
             return Err(
                 "paged: spill is enabled but the pager reports zero misses — \
                  the solve cannot have streamed from disk"
@@ -602,7 +602,10 @@ fn selftest(
         println!(
             "[selftest] out-of-core: bitwise match (pager: {} hits, {} misses, \
              {} evictions, {} prefetches)",
-            health.pager_hits, health.pager_misses, health.pager_evictions, health.pager_prefetches
+            health.stats.pager_hits,
+            health.stats.pager_misses,
+            health.stats.pager_evictions,
+            health.stats.pager_prefetches
         );
     } else {
         println!("[selftest] out-of-core: skipped (server has no --spill-dir)");
@@ -618,7 +621,7 @@ fn selftest(
         println!(
             "[selftest] chaos: server survived (queue depth {}, {} graphs, {} cached entries, \
              up {} ms)",
-            health.queue_depth, health.graphs, health.cached_entries, health.uptime_ms
+            health.queue_depth, health.stats.graphs, health.stats.cached_entries, health.uptime_ms
         );
     }
 

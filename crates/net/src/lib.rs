@@ -45,7 +45,12 @@ use std::io::{self, Read, Write};
 ///   [`HealthInfo`] grow the frontier row counters
 ///   (`frontier_rows_active`/`frontier_rows_skipped`) — additive
 ///   trailing fields, appended after the pager counters.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// * **5** — named-counter revision: [`ServerStats`] travels as a
+///   self-describing `(name, value)` list, and [`HealthInfo`] carries the
+///   whole [`ServerStats`] instead of copies of eight counters. This is
+///   the last bump a counter needs: a decoder skips names it does not
+///   know and reads missing ones as 0.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Hard cap on a frame payload (length prefix), checked before any
 /// allocation. Large enough for a multi-million-edge graph registration,
@@ -324,7 +329,7 @@ impl WireNorm {
 }
 
 /// Solve knobs for a LinBP/LinBP\* query. Two queries are **coalescible**
-/// (stackable into one batched solve) iff their params are bitwise
+/// (answerable by one batched solve) iff their params are bitwise
 /// identical and they target the same graph version.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinBpParams {
@@ -509,7 +514,7 @@ pub enum Request {
     /// Asks the server to exit after flushing responses.
     Shutdown,
     /// Lightweight liveness probe answered inline (never queued behind
-    /// solves): queue depth, cache size, uptime.
+    /// solves): queue depth, uptime and the [`Request::Stats`] counters.
     Health,
 }
 
@@ -628,8 +633,8 @@ pub enum ServedVia {
     /// requests.
     Coalesced {
         /// The number of requests that one drained batch answered, twins
-        /// included: identical requests parked together share one
-        /// stacked column, so the solve may stack fewer than `batch`.
+        /// included: identical requests parked together are solved once,
+        /// so the batch may hold fewer distinct queries than `batch`.
         batch: u32,
     },
     /// Returned from the belief cache unchanged.
@@ -746,129 +751,110 @@ pub struct BeliefsPayload {
     pub served: ServedVia,
 }
 
-/// Server counters, all monotone since startup.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServerStats {
+/// Declares [`ServerStats`] and its wire codec from one list, so each
+/// counter is named exactly once: adding one is a one-line field here,
+/// with no codec edit and no protocol bump. On the wire the counters are
+/// a `u64` count, then one `(name: string, value: u64)` pair each.
+macro_rules! server_stats {
+    ($($(#[$doc:meta])+ $name:ident,)+) => {
+        /// Server counters, monotone since startup except `graphs` and
+        /// `cached_entries`, which are current sizes. They travel as
+        /// `(name, value)` pairs: a decoder skips names it does not know
+        /// and reads missing ones as 0.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct ServerStats {
+            $($(#[$doc])+ pub $name: u64,)+
+        }
+
+        impl ServerStats {
+            fn encode(&self, w: &mut WireWriter) {
+                let counters = [$((stringify!($name), self.$name)),+];
+                w.u64(counters.len() as u64);
+                for (name, value) in counters {
+                    w.string(name);
+                    w.u64(value);
+                }
+            }
+
+            fn decode(r: &mut WireReader) -> Result<Self, WireError> {
+                let mut stats = Self::default();
+                // A pair is at least 16 bytes: name length and value.
+                for _ in 0..r.len_prefix(16)? {
+                    let name = r.string()?;
+                    let value = r.u64()?;
+                    match name.as_str() {
+                        $(stringify!($name) => stats.$name = value,)+
+                        _ => {} // a counter this build does not know
+                    }
+                }
+                Ok(stats)
+            }
+        }
+    };
+}
+
+server_stats! {
     /// Registered graphs.
-    pub graphs: u64,
+    graphs,
     /// Live belief-cache entries.
-    pub cached_entries: u64,
+    cached_entries,
     /// Belief queries answered (any path).
-    pub queries_served: u64,
+    queries_served,
     /// Queries answered straight from the cache.
-    pub cache_hits: u64,
+    cache_hits,
     /// Batched solves answering ≥ 2 requests.
-    pub coalesced_batches: u64,
+    coalesced_batches,
     /// Requests answered through such a batch.
-    pub coalesced_queries: u64,
+    coalesced_queries,
     /// Largest batch so far, in requests answered (the
     /// [`ServedVia::Coalesced`] `batch`).
-    pub largest_batch: u64,
+    largest_batch,
     /// SpMM sweeps actually executed by batched solves.
-    pub spmm_passes: u64,
-    /// SpMM sweeps the same stacked columns would have cost solved one
-    /// by one (Σ per-column iterations) — `spmm_passes` vs. this is the
-    /// amortization the coalescer buys.
-    pub spmm_passes_sequential_equiv: u64,
+    spmm_passes,
+    /// SpMM sweeps the distinct queries in each batch would have cost
+    /// solved one by one (Σ per-query iterations) — `spmm_passes` vs.
+    /// this is the amortization the coalescer buys.
+    spmm_passes_sequential_equiv,
     /// Cache entries patched forward through edge deltas.
-    pub patched_entries: u64,
+    patched_entries,
     /// Cache entries invalidated by edge deltas (RWR scores).
-    pub invalidated_entries: u64,
+    invalidated_entries,
     /// Queries rejected because the admission queue was full.
-    pub rejected_overloaded: u64,
+    rejected_overloaded,
     /// Queries answered `DeadlineExceeded` (expired at admission or while
     /// parked in a coalescing group).
-    pub rejected_deadline: u64,
+    rejected_deadline,
     /// Requests rejected by validation (`BadRequest`, `UnknownGraph`,
     /// `GraphAlreadyRegistered`).
-    pub rejected_invalid: u64,
+    rejected_invalid,
     /// Solver panics caught by the isolation boundary (each answered its
     /// batch with `Internal` and left the event loop running).
-    pub panics_caught: u64,
+    panics_caught,
     /// Queries served stale from an older graph version under the
     /// `StaleCache` degradation policy.
-    pub degraded_stale: u64,
+    degraded_stale,
     /// Queries admitted with a clamped `max_iter` under the `ClampIter`
     /// degradation policy.
-    pub degraded_clamped: u64,
+    degraded_clamped,
     /// Buffer-pool accesses served by an already-resident shard block
     /// (zero when the server runs fully in memory).
-    pub pager_hits: u64,
+    pager_hits,
     /// Buffer-pool demand loads that read a shard block from disk.
-    pub pager_misses: u64,
+    pager_misses,
     /// Shard blocks evicted to stay under the memory budget.
-    pub pager_evictions: u64,
+    pager_evictions,
     /// Shard blocks loaded ahead of the kernels by the prefetch thread.
-    pub pager_prefetches: u64,
+    pager_prefetches,
     /// LinBP rows recomputed by served solves (active-frontier
-    /// execution), counted per stacked column: a batch adds each column's
-    /// own (row, query) pairs, the same count its solo solve would add,
-    /// and identical requests solved as one column count once.
-    pub frontier_rows_active: u64,
+    /// execution), counted per distinct query in the batch: a batch adds
+    /// each query's own (row, query) pairs, the same count its solo solve
+    /// would add, and twins (identical requests parked together) count
+    /// once.
+    frontier_rows_active,
     /// LinBP rows skipped by served solves because their inputs were
     /// bitwise unchanged since the previous round, counted per query
     /// like [`ServerStats::frontier_rows_active`].
-    pub frontier_rows_skipped: u64,
-}
-
-impl ServerStats {
-    fn encode(&self, w: &mut WireWriter) {
-        for v in [
-            self.graphs,
-            self.cached_entries,
-            self.queries_served,
-            self.cache_hits,
-            self.coalesced_batches,
-            self.coalesced_queries,
-            self.largest_batch,
-            self.spmm_passes,
-            self.spmm_passes_sequential_equiv,
-            self.patched_entries,
-            self.invalidated_entries,
-            self.rejected_overloaded,
-            self.rejected_deadline,
-            self.rejected_invalid,
-            self.panics_caught,
-            self.degraded_stale,
-            self.degraded_clamped,
-            self.pager_hits,
-            self.pager_misses,
-            self.pager_evictions,
-            self.pager_prefetches,
-            self.frontier_rows_active,
-            self.frontier_rows_skipped,
-        ] {
-            w.u64(v);
-        }
-    }
-
-    fn decode(r: &mut WireReader) -> Result<Self, WireError> {
-        Ok(Self {
-            graphs: r.u64()?,
-            cached_entries: r.u64()?,
-            queries_served: r.u64()?,
-            cache_hits: r.u64()?,
-            coalesced_batches: r.u64()?,
-            coalesced_queries: r.u64()?,
-            largest_batch: r.u64()?,
-            spmm_passes: r.u64()?,
-            spmm_passes_sequential_equiv: r.u64()?,
-            patched_entries: r.u64()?,
-            invalidated_entries: r.u64()?,
-            rejected_overloaded: r.u64()?,
-            rejected_deadline: r.u64()?,
-            rejected_invalid: r.u64()?,
-            panics_caught: r.u64()?,
-            degraded_stale: r.u64()?,
-            degraded_clamped: r.u64()?,
-            pager_hits: r.u64()?,
-            pager_misses: r.u64()?,
-            pager_evictions: r.u64()?,
-            pager_prefetches: r.u64()?,
-            frontier_rows_active: r.u64()?,
-            frontier_rows_skipped: r.u64()?,
-        })
-    }
+    frontier_rows_skipped,
 }
 
 /// Reply payload of [`Request::Health`] — cheap liveness data a load
@@ -877,65 +863,33 @@ impl ServerStats {
 pub struct HealthInfo {
     /// The server's [`PROTOCOL_VERSION`].
     pub protocol_version: u16,
-    /// Registered graphs.
-    pub graphs: u64,
     /// Queries currently parked in coalescing groups.
     pub queue_depth: u64,
-    /// Live belief-cache entries.
-    pub cached_entries: u64,
     /// Milliseconds since the core started.
     pub uptime_ms: u64,
     /// Whether registered graphs spill to an on-disk shard store (the
     /// server was started with a spill directory).
     pub spill_enabled: bool,
-    /// Buffer-pool hits since startup (see [`ServerStats::pager_hits`]).
-    pub pager_hits: u64,
-    /// Buffer-pool demand loads since startup.
-    pub pager_misses: u64,
-    /// Buffer-pool evictions since startup.
-    pub pager_evictions: u64,
-    /// Buffer-pool prefetch loads since startup.
-    pub pager_prefetches: u64,
-    /// LinBP rows recomputed by served solves since startup, summed
-    /// per query over every batch (see
-    /// [`ServerStats::frontier_rows_active`]).
-    pub frontier_rows_active: u64,
-    /// LinBP rows skipped by served solves since startup, summed per
-    /// query (bitwise unchanged inputs; see
-    /// [`ServerStats::frontier_rows_skipped`]).
-    pub frontier_rows_skipped: u64,
+    /// The server's counters: the same view [`Request::Stats`] returns.
+    pub stats: ServerStats,
 }
 
 impl HealthInfo {
     fn encode(&self, w: &mut WireWriter) {
         w.u16(self.protocol_version);
-        w.u64(self.graphs);
         w.u64(self.queue_depth);
-        w.u64(self.cached_entries);
         w.u64(self.uptime_ms);
         w.bool(self.spill_enabled);
-        w.u64(self.pager_hits);
-        w.u64(self.pager_misses);
-        w.u64(self.pager_evictions);
-        w.u64(self.pager_prefetches);
-        w.u64(self.frontier_rows_active);
-        w.u64(self.frontier_rows_skipped);
+        self.stats.encode(w);
     }
 
     fn decode(r: &mut WireReader) -> Result<Self, WireError> {
         Ok(Self {
             protocol_version: r.u16()?,
-            graphs: r.u64()?,
             queue_depth: r.u64()?,
-            cached_entries: r.u64()?,
             uptime_ms: r.u64()?,
             spill_enabled: r.bool()?,
-            pager_hits: r.u64()?,
-            pager_misses: r.u64()?,
-            pager_evictions: r.u64()?,
-            pager_prefetches: r.u64()?,
-            frontier_rows_active: r.u64()?,
-            frontier_rows_skipped: r.u64()?,
+            stats: ServerStats::decode(r)?,
         })
     }
 }

@@ -10,8 +10,8 @@
 use lsbp_net::{
     extract_frame, oversized_claim, read_frame, salvage_request_id, write_frame, BeliefsPayload,
     ErrorCode, HealthInfo, LinBpParams, Request, RequestEnvelope, Response, ResponseEnvelope,
-    RwrParams, ServedVia, ServerStats, WireEdge, WireError, WireNorm, WireSeed, MAX_FRAME_LEN,
-    PROTOCOL_VERSION,
+    RwrParams, ServedVia, ServerStats, WireEdge, WireError, WireNorm, WireSeed, WireWriter,
+    MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -210,33 +210,15 @@ fn arb_stats() -> impl proptest::Strategy<Value = ServerStats> {
 }
 
 fn arb_health() -> impl proptest::Strategy<Value = HealthInfo> {
-    (
-        (0u64..1 << 40, 0u64..1 << 20, 0u64..1 << 20, 0u64..1 << 40),
-        arb_bool(),
-        (0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40),
-        (0u64..1 << 40, 0u64..1 << 40),
+    ((0u64..1 << 20, 0u64..1 << 40), arb_bool(), arb_stats()).prop_map(
+        |((queue_depth, uptime_ms), spill_enabled, stats)| HealthInfo {
+            protocol_version: PROTOCOL_VERSION,
+            queue_depth,
+            uptime_ms,
+            spill_enabled,
+            stats,
+        },
     )
-        .prop_map(
-            |(
-                (uptime_ms, graphs, queue_depth, cached_entries),
-                spill_enabled,
-                (pager_hits, pager_misses, pager_evictions, pager_prefetches),
-                (frontier_rows_active, frontier_rows_skipped),
-            )| HealthInfo {
-                protocol_version: PROTOCOL_VERSION,
-                graphs,
-                queue_depth,
-                cached_entries,
-                uptime_ms,
-                spill_enabled,
-                pager_hits,
-                pager_misses,
-                pager_evictions,
-                pager_prefetches,
-                frontier_rows_active,
-                frontier_rows_skipped,
-            },
-        )
 }
 
 fn arb_message() -> impl proptest::Strategy<Value = String> {
@@ -532,6 +514,107 @@ fn hostile_collection_length_cannot_allocate() {
     bytes.push(0); // symmetric
     bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // hostile edge count
     assert_eq!(Request::decode(&bytes), Err(WireError::Truncated));
+}
+
+// ---------------------------------------------------------------------------
+// Named counters: `Stats` and `Health` carry a self-describing list
+// ---------------------------------------------------------------------------
+
+/// Writes a counter list the way any protocol-v5 build would: a count,
+/// then `(name, value)` pairs.
+fn counter_list(w: &mut WireWriter, counters: &[(&str, u64)]) {
+    w.u64(counters.len() as u64);
+    for &(name, value) in counters {
+        w.string(name);
+        w.u64(value);
+    }
+}
+
+/// A `Stats` response payload carrying `counters`.
+fn stats_payload(counters: &[(&str, u64)]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u8(5);
+    counter_list(&mut w, counters);
+    w.into_bytes()
+}
+
+#[test]
+fn unknown_counter_names_are_skipped() {
+    // A newer server sends a counter this build has never heard of.
+    let counters = [
+        ("graphs", 3),
+        ("counter_from_a_newer_build", 99),
+        ("cache_hits", 7),
+    ];
+    let stats = ServerStats {
+        graphs: 3,
+        cache_hits: 7,
+        ..ServerStats::default()
+    };
+    assert_eq!(
+        Response::decode(&stats_payload(&counters)),
+        Ok(Response::Stats(stats))
+    );
+
+    let mut w = WireWriter::new();
+    w.u8(7);
+    w.u16(PROTOCOL_VERSION);
+    w.u64(2); // queue_depth
+    w.u64(1234); // uptime_ms
+    w.bool(true); // spill_enabled
+    counter_list(&mut w, &counters);
+    let health = HealthInfo {
+        protocol_version: PROTOCOL_VERSION,
+        queue_depth: 2,
+        uptime_ms: 1234,
+        spill_enabled: true,
+        stats,
+    };
+    assert_eq!(
+        Response::decode(&w.into_bytes()),
+        Ok(Response::Health(health))
+    );
+}
+
+#[test]
+fn missing_counters_decode_as_zero() {
+    // An older server that knew only two of the counters.
+    let bytes = stats_payload(&[("queries_served", 5), ("pager_misses", 2)]);
+    let stats = ServerStats {
+        queries_served: 5,
+        pager_misses: 2,
+        ..ServerStats::default()
+    };
+    assert_eq!(Response::decode(&bytes), Ok(Response::Stats(stats)));
+    assert_eq!(
+        Response::decode(&stats_payload(&[])),
+        Ok(Response::Stats(ServerStats::default()))
+    );
+}
+
+#[test]
+fn hostile_counter_list_is_truncated() {
+    // A count prefix larger than the pairs that follow, up to u64::MAX.
+    let whole = stats_payload(&[("cache_hits", 1), ("graphs", 2)]);
+    for count in [3, u64::MAX] {
+        let mut bytes = whole.clone();
+        bytes[1..9].copy_from_slice(&count.to_le_bytes());
+        assert_eq!(Response::decode(&bytes), Err(WireError::Truncated));
+    }
+
+    // A name cut mid-string: tag, count, the first pair, then 3 of the
+    // 6 bytes of "graphs" after its length prefix.
+    let first_pair = 8 + "cache_hits".len() + 8;
+    let cut = 1 + 8 + first_pair + 8 + 3;
+    assert_eq!(Response::decode(&whole[..cut]), Err(WireError::Truncated));
+
+    // A name whose length prefix claims more bytes than the frame holds.
+    let mut w = WireWriter::new();
+    w.u8(5);
+    w.u64(1); // one pair
+    w.u64(u64::MAX); // hostile name length
+    w.u64(0);
+    assert_eq!(Response::decode(&w.into_bytes()), Err(WireError::Truncated));
 }
 
 #[test]

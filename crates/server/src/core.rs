@@ -723,17 +723,10 @@ impl Shared {
         };
         HealthInfo {
             protocol_version: lsbp_net::PROTOCOL_VERSION,
-            graphs: stats.graphs,
             queue_depth,
-            cached_entries: stats.cached_entries,
             uptime_ms: self.started.elapsed().as_millis() as u64,
             spill_enabled: self.config.spill_dir.is_some(),
-            pager_hits: stats.pager_hits,
-            pager_misses: stats.pager_misses,
-            pager_evictions: stats.pager_evictions,
-            pager_prefetches: stats.pager_prefetches,
-            frontier_rows_active: stats.frontier_rows_active,
-            frontier_rows_skipped: stats.frontier_rows_skipped,
+            stats,
         }
     }
 
@@ -1490,7 +1483,7 @@ fn publish_batch(shared: &Shared, jobs: Vec<SolveJob>, column: &[usize], results
     let q = jobs.len();
 
     // SpMM accounting: the batch costs max(iterations) sweeps; solved one
-    // by one the same columns would have cost Σ iterations.
+    // by one its distinct queries would have cost Σ iterations.
     let passes = results.iter().map(|r| r.3).max().unwrap_or(0);
     let sequential: u64 = results.iter().map(|r| r.3).sum();
     // Each per-query result counts that query's own (row, query) pairs,

@@ -196,9 +196,9 @@ fn seeded_fault_storm_leaves_server_intact() {
     // and cache are intact, nothing is left parked.
     assert_eq!(client.ping().unwrap(), PROTOCOL_VERSION);
     let health = client.health().unwrap();
-    assert_eq!(health.graphs, 1, "registry survived the storm");
+    assert_eq!(health.stats.graphs, 1, "registry survived the storm");
     assert_eq!(health.queue_depth, 0, "no leaked parked jobs");
-    assert!(health.cached_entries >= 1, "cache survived the storm");
+    assert!(health.stats.cached_entries >= 1, "cache survived the storm");
 
     let after = client
         .solve_linbp(1, wire_params(&h), wire_seeds(0))

@@ -831,7 +831,7 @@ fn edge_delta_runs_on_the_solver_thread_while_inline_paths_answer() {
     ));
     assert!(matches!(submit(Request::Stats).0, Some(Response::Stats(_))));
     match submit(Request::Health).0 {
-        Some(Response::Health(health)) => assert_eq!(health.graphs, 2),
+        Some(Response::Health(health)) => assert_eq!(health.stats.graphs, 2),
         other => panic!("health must answer inline, got {other:?}"),
     }
     match submit(solve(2, 0)).0 {
@@ -1186,7 +1186,7 @@ fn panicking_solve_is_isolated_from_the_event_loop() {
         reference.beliefs.residual().as_slice(),
     );
     let health = client.health().unwrap();
-    assert_eq!(health.graphs, 2, "registry intact after panic");
+    assert_eq!(health.stats.graphs, 2, "registry intact after panic");
     assert_eq!(core.stats().panics_caught, 1);
 
     client.shutdown().unwrap();
@@ -1355,12 +1355,12 @@ fn health_ping_and_rejection_counters() {
 
     let health = client.health().unwrap();
     assert_eq!(health.protocol_version, PROTOCOL_VERSION);
-    assert_eq!(health.graphs, 0);
+    assert_eq!(health.stats.graphs, 0);
     assert_eq!(health.queue_depth, 0);
 
     client.register_graph(1, 10, true, wire_edges()).unwrap();
     let health = client.health().unwrap();
-    assert_eq!(health.graphs, 1);
+    assert_eq!(health.stats.graphs, 1);
 
     let h = coupling();
     // Two invalid requests: unknown graph, then malformed params.
@@ -1382,6 +1382,40 @@ fn health_ping_and_rejection_counters() {
 /// rejected with a clean typed error the moment the 4th header byte
 /// arrives — even dribbled one byte at a time — and a partial header
 /// followed by silence never wedges the accept loop.
+/// `Health` carries the `Stats` counters whole: once the server is
+/// quiescent (every request answered, nothing parked) the two views are
+/// equal.
+#[test]
+fn health_carries_the_stats_counters() {
+    let (addr, _core, handle) = spawn_server(ServerConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+    client.register_graph(1, 10, true, wire_edges()).unwrap();
+
+    let h = coupling();
+    for shift in [0, 1, 0] {
+        client
+            .solve_linbp(1, wire_params(&h), wire_seeds(shift, 1.0))
+            .unwrap();
+    }
+    let delta = WireEdge {
+        src: 1,
+        dst: 2,
+        weight: 0.5,
+    };
+    client.edge_delta(1, true, vec![delta]).unwrap();
+    let _ = client.solve_linbp(99, wire_params(&h), wire_seeds(0, 1.0));
+
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.queries_served, 3);
+    assert_eq!(stats.cache_hits, 1);
+    assert_eq!(stats.patched_entries, 2);
+    assert_eq!(stats.rejected_invalid, 1);
+    assert_eq!(client.health().unwrap().stats, stats);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 #[test]
 fn oversized_header_dribble_gets_clean_bad_request() {
     let (addr, _core, handle) = spawn_server(ServerConfig::default());
